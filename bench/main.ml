@@ -219,6 +219,7 @@ let table4 () =
       "lib/recovery/common.ml";
       "lib/recovery/enhancement.ml";
       "lib/recovery/engine.ml";
+      "lib/recovery/plan.ml";
     ]
   in
   let nilihype_only = [ "lib/recovery/microreset.ml" ] in

@@ -43,6 +43,20 @@ let () =
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "nlh_fleet: tenant-fleet request latency through a recovery event";
+  let require ok flag bound value =
+    if not ok then begin
+      Printf.eprintf "%s must be %s (got %d)\n" flag bound value;
+      exit 2
+    end
+  in
+  require (!tenants >= 1) "--tenants" "at least 1" !tenants;
+  require (!trials >= 1) "--trials" "at least 1" !trials;
+  require
+    (!victims >= 1 && !victims <= !tenants)
+    "--victims"
+    (Printf.sprintf "between 1 and --tenants (%d)" !tenants)
+    !victims;
+  require (!jobs >= 1) "--jobs" "at least 1" !jobs;
   let cfg =
     {
       Fleet.default_config with

@@ -41,19 +41,19 @@ let empirical_latency ~runs ~jobs =
    empirical campaign cross-check with its words/run -- so latency
    explorations are covered by the same allocation accounting as
    campaigns. *)
-let write_json path ~mem_gb ~mconfig ~(nl : Recovery.Engine.outcome)
-    ~(re : Recovery.Engine.outcome) ~(empirical : Inject.Campaign.result option)
+let write_json path ~mem_gb ~mconfig ~(nl : Recovery.Plan.outcome)
+    ~(re : Recovery.Plan.outcome) ~(empirical : Inject.Campaign.result option)
     =
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"schema\": \"nlh-latency/1\",\n";
   Printf.fprintf oc "  \"tool\": \"nlh_latency\",\n";
   Printf.fprintf oc "  \"mem_gb\": %d,\n  \"cpus\": %d,\n" mem_gb
     mconfig.Hw.Machine.num_cpus;
-  Printf.fprintf oc "  \"nilihype_latency_ns\": %d,\n" nl.Recovery.Engine.latency;
-  Printf.fprintf oc "  \"rehype_latency_ns\": %d,\n" re.Recovery.Engine.latency;
+  Printf.fprintf oc "  \"nilihype_latency_ns\": %d,\n" nl.Recovery.Plan.latency;
+  Printf.fprintf oc "  \"rehype_latency_ns\": %d,\n" re.Recovery.Plan.latency;
   Printf.fprintf oc "  \"rehype_over_nilihype\": %.2f" 
-    (float_of_int re.Recovery.Engine.latency
-    /. float_of_int nl.Recovery.Engine.latency);
+    (float_of_int re.Recovery.Plan.latency
+    /. float_of_int nl.Recovery.Plan.latency);
   (match empirical with
   | None -> ()
   | Some r ->
@@ -129,7 +129,7 @@ let () =
     mconfig.Hw.Machine.num_cpus;
   let nl = measure ?obs:recorder Recovery.Engine.Nilihype in
   Format.printf "NiLiHype (microreset):@.%a@." Hyper.Latency_model.pp
-    nl.Recovery.Engine.breakdown;
+    nl.Recovery.Plan.breakdown;
   (match recorder with
   | Some r ->
     if !Obs_cli.trace_file <> "" then begin
@@ -151,10 +151,10 @@ let () =
   | None -> ());
   let re = measure Recovery.Engine.Rehype in
   Format.printf "ReHype (microreboot):@.%a@." Hyper.Latency_model.pp
-    re.Recovery.Engine.breakdown;
+    re.Recovery.Plan.breakdown;
   Format.printf "ratio: %.1fx@."
-    (float_of_int re.Recovery.Engine.latency
-    /. float_of_int nl.Recovery.Engine.latency);
+    (float_of_int re.Recovery.Plan.latency
+    /. float_of_int nl.Recovery.Plan.latency);
   if !mem_gb > 8 then
     Format.printf
       "@.Note (Section VII-B): the page-frame scan grows linearly with \

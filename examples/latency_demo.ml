@@ -7,7 +7,7 @@
 let demo mechanism name =
   let outcome = Core.Latency.measure mechanism in
   Format.printf "@.%s recovery latency breakdown:@." name;
-  Format.printf "%a" Hyper.Latency_model.pp outcome.Recovery.Engine.breakdown;
+  Format.printf "%a" Hyper.Latency_model.pp outcome.Recovery.Plan.breakdown;
   (* Drive the NetBench sender model across the interruption. *)
   let net = Guest.Netstack.create () in
   let now = Sim.Time.s 2 in
@@ -16,14 +16,14 @@ let demo mechanism name =
     Guest.Netstack.sender_tick net ~now:(i * Sim.Time.ms 1) ~delivered:true
   done;
   (* ...then the recovery pause... *)
-  Guest.Netstack.interruption net ~now ~duration:outcome.Recovery.Engine.latency;
+  Guest.Netstack.interruption net ~now ~duration:outcome.Recovery.Plan.latency;
   Format.printf
     "NetBench sender: max gap %a, loss rate %.2f%%, >10%%-window criterion \
      tripped: %b@."
     Sim.Time.pp net.Guest.Netstack.max_gap
     (100.0 *. Guest.Netstack.loss_rate net)
     (Guest.Netstack.failed net);
-  outcome.Recovery.Engine.latency
+  outcome.Recovery.Plan.latency
 
 let () =
   let nl = demo Recovery.Engine.Nilihype "NiLiHype (microreset)" in

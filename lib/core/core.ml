@@ -68,7 +68,7 @@ module System = struct
     let outcome =
       Recovery.Engine.recover mechanism t.hypervisor ~enh ~detected_on
     in
-    outcome.Recovery.Engine.latency
+    outcome.Recovery.Plan.latency
 end
 
 (** One-call fault-injection experiments. *)
@@ -151,9 +151,9 @@ module Latency = struct
 
   let nilihype_breakdown () =
     let o = measure Recovery.Engine.Nilihype in
-    o.Recovery.Engine.breakdown
+    o.Recovery.Plan.breakdown
 
   let rehype_breakdown () =
     let o = measure Recovery.Engine.Rehype in
-    o.Recovery.Engine.breakdown
+    o.Recovery.Plan.breakdown
 end

@@ -67,7 +67,7 @@ type cycle = {
   cy_latency : Sim.Time.ns; (* recovery latency; 0 when no recovery ran *)
   cy_leak : Ledger.t; (* ledger diff across the cycle *)
   cy_leaked_pages : int;
-  cy_repairs : Recovery.Engine.repairs option;
+  cy_repairs : Recovery.Plan.repairs option;
 }
 
 type end_state = Survived | Died_at of int
@@ -269,8 +269,8 @@ let run_cycle (st : Inject.Run.state) cfg ins ~mechanism ~enh ~index ~before =
           (if clean then Cycle_recovered else Cycle_latent)
           ~detection:(Some (Crash.describe det))
           ~latent_trigger
-          ~latency:recovery.Recovery.Engine.latency
-          ~repairs:(Some recovery.Recovery.Engine.repairs)
+          ~latency:recovery.Recovery.Plan.latency
+          ~repairs:(Some recovery.Recovery.Plan.repairs)
       with Crash.Hypervisor_crash d ->
         (* Crashed again between recovery and the next quiesce point:
            the instance is gone (a second recovery of an already-broken

@@ -21,6 +21,9 @@
       per-domain shards on the simulated CPUs; a tenant resumes as soon
       as the global phase and its own shard are done.
 
+    All three are recovery plans, so every trial reads each tenant's
+    stall from the plan outcome's resume offsets.
+
     Requests arrive on a per-tenant cadence across a fixed window around
     the fault. A request arriving while its tenant is stalled completes
     when the tenant resumes (latency = residual stall + service time);
@@ -168,28 +171,23 @@ let run_trial (cfg : config) mech ~seed : Obs.Metrics.snapshot =
         incr i
       done)
     victim_ids;
-  (* Recover. Serial mechanisms stall every tenant for the whole
-     latency; sharded recovery gives each domain its own resume offset. *)
+  (* Recover. Serial plans stall every tenant for the whole latency;
+     sharded recovery gives each domain its own resume offset. *)
   let fault_time = Sim.Clock.now clock in
   let enh = Recovery.Enhancement.full_set in
-  let latency, offsets =
+  let out =
     match mech with
     | Serial_full | Serial_incremental ->
-      let out =
-        Recovery.Engine.recover Recovery.Engine.Nilihype hv ~enh ~detected_on:0
-      in
-      (out.Recovery.Engine.latency, None)
-    | Sharded ->
-      let r = Recovery.Shard.recover hv ~enh ~detected_on:0 in
-      (r.Recovery.Shard.latency, Some r.Recovery.Shard.resume_offsets)
+      Recovery.Engine.recover Recovery.Engine.Nilihype hv ~enh ~detected_on:0
+    | Sharded -> Recovery.Shard.recover hv ~enh ~detected_on:0
   in
+  let latency = out.Recovery.Plan.latency in
   Obs.Metrics.observe rec_h latency;
   if latency > rec_max.Obs.Metrics.value then Obs.Metrics.set rec_max latency;
   let stall_of domid =
-    match offsets with
+    match List.assoc_opt domid out.Recovery.Plan.resume_offsets with
+    | Some o -> o
     | None -> latency
-    | Some l -> (
-      match List.assoc_opt domid l with Some o -> o | None -> latency)
   in
   (* Request accounting through the event, per tenant. The netstack
      models the same window as the paper's UDP ping sender: ticks while

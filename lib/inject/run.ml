@@ -572,8 +572,8 @@ let finish_prepared st ~initial_app_domids : outcome =
           new_vm_ok;
           success;
           no_vmf;
-          recovery_latency = recovery.Recovery.Engine.latency;
-          breakdown = Some recovery.Recovery.Engine.breakdown;
+          recovery_latency = recovery.Recovery.Plan.latency;
+          breakdown = Some recovery.Recovery.Plan.breakdown;
           failure_reason = reason;
         })
   in

@@ -1,12 +1,12 @@
-(** Bounded ring of typed trace events.
+(** Bounded ring of typed trace events ({!Event.t}), the simulator's one
+    event log.
 
-    Same shape as the legacy string ring ([Sim.Trace]) but over
-    {!Event.t}: fixed capacity, newest events overwrite oldest, a
-    min-level filter decides at record time whether an event is kept at
-    all. Unlike the legacy ring the storage is allocated eagerly at
-    [create] so the first recorded event pays no allocation, and [clear]
-    resets the ring for per-run reuse without leaking the previous run's
-    entries. Reading back supports filtering by level and subsystem. *)
+    Fixed capacity, newest events overwrite oldest, and a min-level
+    filter decides at record time whether an event is kept at all. The
+    storage is allocated eagerly at [create] so the first recorded event
+    pays no allocation, and [clear] resets the ring for per-run reuse
+    without leaking the previous run's entries. Reading back supports
+    filtering by level and subsystem. *)
 
 type t = {
   entries : Event.t array;

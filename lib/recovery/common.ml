@@ -1,82 +1,60 @@
-(** Recovery steps shared between microreset (NiLiHype) and microreboot
-    (ReHype): latency bookkeeping, the guard on the recovery handler
-    itself, and the post-reset resolution of inconsistencies with the
-    VMs (hypercall/syscall retry set-up, FS/GS restoration). *)
+(** Recovery actions shared by the plans: stopping and resuming the
+    world, the singleton repairs and the scan-path decision both
+    microreset plans use, their observability notes, and the post-reset
+    resolution of inconsistencies with the VMs (hypercall/syscall retry
+    set-up, FS/GS restoration). None of them charges time: {!Plan.run}
+    does. *)
 
 open Hyper
 
-type step_log = {
-  mutable steps : (string * Sim.Time.ns) list; (* reverse order *)
-  clock : Sim.Clock.t;
-  obs : Obs.Recorder.t;
-  mechanism : string; (* "NiLiHype" / "ReHype", span category suffix *)
-  track : int; (* CPU the recovery runs on (Chrome-trace tid) *)
-}
-
-let make_log ?(track = 0) ~mechanism (hv : Hypervisor.t) =
-  { steps = []; clock = hv.Hypervisor.clock; obs = hv.Hypervisor.obs; mechanism; track }
-
-(* Record a named recovery step that takes [cost] simulated time. Each
-   step becomes both a latency-breakdown entry and an observability span
-   with the same name and duration, so summing span durations per phase
-   reproduces [Latency_model.breakdown] exactly. *)
-let timed log name cost f =
-  let start = Sim.Clock.now log.clock in
-  Sim.Clock.advance_by log.clock cost;
-  let r = f () in
-  log.steps <- (name, cost) :: log.steps;
-  Obs.Recorder.span log.obs ~name
-    ~cat:("recovery:" ^ log.mechanism)
-    ~track:log.track ~start ~duration:cost;
-  Obs.Recorder.event log.obs ~time:start ~cpu:log.track Obs.Event.Info
-    (Obs.Event.Recovery_step { mechanism = log.mechanism; step = name });
-  r
-
-(* Like [timed], but for work running concurrently with other recovery
-   work (sharded recovery): the step starts at an explicit simulated
-   time and the clock is NOT advanced -- the caller advances it once by
-   the makespan after all concurrent shards are accounted. Span and
-   breakdown bookkeeping are identical to [timed], so summing span
-   durations per phase still reproduces [Latency_model.breakdown]. *)
-let timed_at log name ~start cost f =
-  let r = f () in
-  log.steps <- (name, cost) :: log.steps;
-  Obs.Recorder.span log.obs ~name
-    ~cat:("recovery:" ^ log.mechanism)
-    ~track:log.track ~start ~duration:cost;
-  Obs.Recorder.event log.obs ~time:start ~cpu:log.track Obs.Event.Info
-    (Obs.Event.Recovery_step { mechanism = log.mechanism; step = name });
-  r
-
-(* Debug-level note that a specific state-consistency enhancement ran. *)
-let note_enhancement (hv : Hypervisor.t) ~mechanism ~cpu e =
-  Obs.Recorder.event hv.Hypervisor.obs
-    ~time:(Sim.Clock.now hv.Hypervisor.clock)
-    ~cpu Obs.Event.Debug
-    (Obs.Event.Recovery_step
-       { mechanism; step = "enhancement:" ^ Enhancement.name e })
-
-(* Record forced lock releases performed during recovery: a typed event
-   plus the [recovery.locks_released] counter. *)
-let note_lock_release (hv : Hypervisor.t) ~cpu ~name count =
-  if count > 0 then begin
-    Obs.Metrics.incr ~by:count
-      hv.Hypervisor.obs.Obs.Recorder.recovery_lock_releases;
+(* Whether enhancement [e] is enabled; each enabled one that runs gets a
+   debug-level note. *)
+let has (hv : Hypervisor.t) ~mechanism ~cpu (enh : Enhancement.set) e =
+  let present = Enhancement.mem enh e in
+  if present then
     Obs.Recorder.event hv.Hypervisor.obs
       ~time:(Sim.Clock.now hv.Hypervisor.clock)
-      ~cpu Obs.Event.Info
-      (Obs.Event.Lock_release { name; count })
-  end
+      ~cpu Obs.Event.Debug
+      (Obs.Event.Recovery_step
+         { mechanism; step = "enhancement:" ^ Enhancement.name e });
+  present
 
-let breakdown log : Latency_model.breakdown =
-  { Latency_model.steps = List.rev log.steps }
+(* Record forced lock releases performed during recovery: a typed event
+   per lock class plus the [recovery.locks_released] counter. *)
+let note_lock_releases (hv : Hypervisor.t) ~cpu (r : Plan.repairs) =
+  let note name count =
+    if count > 0 then begin
+      Obs.Metrics.incr ~by:count
+        hv.Hypervisor.obs.Obs.Recorder.recovery_lock_releases;
+      Obs.Recorder.event hv.Hypervisor.obs
+        ~time:(Sim.Clock.now hv.Hypervisor.clock)
+        ~cpu Obs.Event.Info
+        (Obs.Event.Lock_release { name; count })
+    end
+  in
+  note "heap" r.Plan.heap_locks_released;
+  note "static" r.Plan.static_locks_released
 
-(* The recovery routine can itself be a casualty: reason #1 for recovery
-   failure in Section VII-A is "the recovery routine fails to be invoked
-   due to the corrupted hypervisor state". *)
-let check_recovery_handler (hv : Hypervisor.t) =
-  if not hv.Hypervisor.recovery_handler_ok then
-    Crash.panic "recovery routine corrupted: cannot be invoked"
+(* Stop the world: every CPU disables interrupts and discards its
+   hypervisor execution thread (stack-pointer reset). For a microreset
+   the detecting CPU goes on to run the recovery while the others
+   busy-wait; for a microreboot they all halt. *)
+let stop_world ?(halt = false) (hv : Hypervisor.t) ~detected_on =
+  Hw.Machine.iter_cpus hv.Hypervisor.machine (fun c ->
+      Hw.Cpu.disable_interrupts c;
+      Hw.Cpu.discard_hypervisor_stack c;
+      c.Hw.Cpu.state <-
+        (if halt then Hw.Cpu.Halted
+         else if c.Hw.Cpu.id = detected_on then Hw.Cpu.Running
+         else Hw.Cpu.Busy_wait));
+  Array.iter
+    (fun (p : Percpu.t) -> p.Percpu.in_hypercall_depth <- 0)
+    hv.Hypervisor.percpu
+
+let resume_cpus (hv : Hypervisor.t) =
+  Hw.Machine.iter_cpus hv.Hypervisor.machine (fun c ->
+      Hw.Cpu.enable_interrupts c;
+      c.Hw.Cpu.state <- Hw.Cpu.Running)
 
 (* Resolve inconsistencies between the recovered hypervisor and the VMs:
    arrange for partially executed hypercalls and forwarded system calls
@@ -144,3 +122,52 @@ let reprogram_apic_timers (hv : Hypervisor.t) =
   in
   Hw.Machine.iter_cpus hv.Hypervisor.machine (fun c ->
       Hw.Apic.program_timer c.Hw.Cpu.apic ~deadline)
+
+(* --- Shared by the serial and sharded microreset plans ------------- *)
+
+(* Decide the scan path up front: the recovery's own repairs dirty state
+   as they go, and the decision must not depend on them. The dirty lists
+   can be trusted unless a recovery attempt died since the last
+   consistent baseline. *)
+let scan_mode (hv : Hypervisor.t) =
+  if
+    hv.Hypervisor.config.Config.incremental_scan
+    && Pfn.tracking_usable hv.Hypervisor.pfn
+  then Plan.Incremental_scan
+  else Plan.Full_scan
+
+(* The singletons every domain depends on: IRQ counts, heap and static
+   locks, pending interrupts, scheduler metadata, recurring timers. *)
+let repair_singletons (hv : Hypervisor.t) ~has (r : Plan.repairs) =
+  if has Enhancement.Clear_irq_count then
+    Array.iter Percpu.clear_irq_count hv.Hypervisor.percpu;
+  if has Enhancement.Release_heap_locks then
+    r.Plan.heap_locks_released <- release_heap_locks hv;
+  if has Enhancement.Unlock_static_locks then
+    r.Plan.static_locks_released <-
+      Spinlock.Segment.unlock_all hv.Hypervisor.static_segment;
+  if has Enhancement.Ack_interrupts then ack_interrupts hv;
+  if has Enhancement.Sched_consistency then
+    r.Plan.sched_fixes <-
+      Sched.fix_from_percpu hv.Hypervisor.sched (Hypervisor.all_vcpus hv);
+  if has Enhancement.Reactivate_recurring_timers then
+    r.Plan.recurring_reactivated <-
+      Timer_heap.reactivate_recurring hv.Hypervisor.timers
+        ~now:(Sim.Clock.now hv.Hypervisor.clock)
+
+(* Notes closing the step that repaired the singletons: the forced lock
+   releases, then which page-frame scan path comes next. *)
+let singletons_repaired (hv : Hypervisor.t) ~has ~cpu mode r () =
+  note_lock_releases hv ~cpu r;
+  if has Enhancement.Pfn_consistency_scan then
+    Obs.Metrics.incr
+      (match mode with
+      | Plan.Incremental_scan -> hv.Hypervisor.obs.Obs.Recorder.scan_incremental
+      | Plan.Full_scan -> hv.Hypervisor.obs.Obs.Recorder.scan_full)
+
+(* Reprogram hardware timers and resume normal operation. *)
+let resume_step (hv : Hypervisor.t) ~has =
+  Plan.step "Reprogram timers, resume normal operation"
+    Latency_model.microreset_misc (fun () ->
+      if has Enhancement.Reprogram_apic_timer then reprogram_apic_timers hv;
+      resume_cpus hv)

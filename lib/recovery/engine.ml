@@ -11,71 +11,6 @@ let config = function
   | Nilihype -> Hyper.Config.nilihype
   | Rehype -> Hyper.Config.rehype
 
-(* How much abandoned in-flight work the enhancements had to repair:
-   the per-recovery residue the endurance ledger attributes leaks to.
-   Microreboot gets lock release and frame repair "for free" from the
-   reboot, so some counts are structurally zero there. *)
-type repairs = {
-  heap_locks_released : int;
-  static_locks_released : int;
-  sched_fixes : int;
-  pfn_fixed : int;
-  recurring_reactivated : int;
-}
-
-type outcome = {
-  mechanism : mechanism;
-  latency : Sim.Time.ns;
-  breakdown : Hyper.Latency_model.breakdown;
-  repairs : repairs;
-  scan_mode : Microreset.scan_mode option;
-      (* microreset only; [None] for ReHype (the reboot has no scan-path
-         choice to make) *)
-}
-
-(* Run recovery; raises [Hyper.Crash.Hypervisor_crash] if the recovery
-   process itself fails. A recovery attempt that dies mid-flight leaves
-   the machine with partially applied repairs that did not all go
-   through the write-tracking discipline recovery itself relies on, so
-   the dirty tracking is invalidated before re-raising: any subsequent
-   recovery attempt on this instance falls back to the full scan, and
-   only a snapshot restore (a fresh consistent baseline) re-arms the
-   incremental path. *)
-let recover mechanism (hv : Hyper.Hypervisor.t) ~enh ~detected_on =
-  let start = Sim.Clock.now hv.Hyper.Hypervisor.clock in
-  let breakdown, repairs, scan_mode =
-    try
-      match mechanism with
-      | Nilihype ->
-        let r = Microreset.recover hv ~enh ~detected_on in
-        ( r.Microreset.breakdown,
-          {
-            heap_locks_released = r.Microreset.heap_locks_released;
-            static_locks_released = r.Microreset.static_locks_released;
-            sched_fixes = r.Microreset.sched_fixes;
-            pfn_fixed = r.Microreset.pfn_fixed;
-            recurring_reactivated = r.Microreset.recurring_reactivated;
-          },
-          Some r.Microreset.scan_mode )
-      | Rehype ->
-        let r = Microreboot.recover hv ~enh ~detected_on in
-        ( r.Microreboot.breakdown,
-          {
-            heap_locks_released = r.Microreboot.heap_locks_released;
-            static_locks_released = 0; (* re-initialised by the boot *)
-            sched_fixes = 0; (* runqueues rebuilt from scratch *)
-            pfn_fixed = r.Microreboot.pfn_fixed;
-            recurring_reactivated = 0; (* recurring re-registered by boot *)
-          },
-          None )
-    with e ->
-      Hyper.Pfn.invalidate_tracking hv.Hyper.Hypervisor.pfn;
-      raise e
-  in
-  {
-    mechanism;
-    latency = Sim.Clock.now hv.Hyper.Hypervisor.clock - start;
-    breakdown;
-    repairs;
-    scan_mode;
-  }
+let recover = function
+  | Nilihype -> Microreset.recover
+  | Rehype -> Microreboot.recover

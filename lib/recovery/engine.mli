@@ -10,34 +10,14 @@ val config : mechanism -> Hyper.Config.t
 (** The normal-operation configuration each mechanism requires (ReHype
     additionally needs IO-APIC write logging and boot-line logging). *)
 
-type repairs = {
-  heap_locks_released : int;
-  static_locks_released : int;
-  sched_fixes : int;
-  pfn_fixed : int;
-  recurring_reactivated : int;
-}
-(** Abandoned in-flight work the recovery had to repair. For ReHype the
-    static-lock / scheduler / recurring-timer counts are structurally 0:
-    the reboot re-initialises those structures instead of fixing them. *)
-
-type outcome = {
-  mechanism : mechanism;
-  latency : Sim.Time.ns; (* simulated end-to-end recovery latency *)
-  breakdown : Hyper.Latency_model.breakdown;
-  repairs : repairs;
-  scan_mode : Microreset.scan_mode option;
-      (* which consistency-scan path a microreset took; [None] for
-         ReHype *)
-}
-
 val recover :
   mechanism ->
   Hyper.Hypervisor.t ->
   enh:Enhancement.set ->
   detected_on:int ->
-  outcome
-(** Raises [Hyper.Crash.Hypervisor_crash] when recovery itself fails.
-    A recovery attempt that dies invalidates the pfn dirty tracking
-    before the exception propagates, so a later attempt on the same
-    instance automatically falls back to the full consistency scan. *)
+  Plan.outcome
+(** Runs the mechanism's serial plan through {!Plan.run}. Raises
+    [Hyper.Crash.Hypervisor_crash] when recovery itself fails; a
+    recovery attempt that dies invalidates the pfn dirty tracking before
+    the exception propagates, so a later attempt on the same instance
+    automatically falls back to the full consistency scan. *)

@@ -13,18 +13,10 @@
 
 open Hyper
 
-type result = {
-  breakdown : Latency_model.breakdown;
-  heap_locks_released : int;
-  pfn_fixed : int;
-  ioapic_restored : bool;
-}
-
-let recover (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on =
-  Common.check_recovery_handler hv;
-  let log = Common.make_log ~track:detected_on ~mechanism:"ReHype" hv in
-  (* Costs are charged at the configured geometry; mechanics operate on
-     the real (possibly scaled-down) simulated tables. *)
+(* The Table II plan: twelve global steps. Costs are charged at the
+   configured geometry; mechanics operate on the real (possibly
+   scaled-down) simulated tables. *)
+let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
   let geo = Hypervisor.geometry hv in
   let frames = geo.Config.frames in
   let cpus = Hypervisor.cpu_count hv in
@@ -36,110 +28,98 @@ let recover (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on =
     Crash.panic "rehype: boot line options were not logged; reboot misconfigured";
   if not hv.Hypervisor.bootline_ok then
     Crash.panic "rehype: logged boot line options corrupted";
-
-  (* --- Stop the world and preserve state ---------------------------- *)
-  Common.timed log "Halt CPUs, preserve static data segments" (Sim.Time.ms 1)
-    (fun () ->
-      Hw.Machine.iter_cpus machine (fun c ->
-          Hw.Cpu.disable_interrupts c;
-          Hw.Cpu.discard_hypervisor_stack c;
-          c.Hw.Cpu.state <- Hw.Cpu.Halted);
-      Array.iter
-        (fun (p : Percpu.t) -> p.Percpu.in_hypercall_depth <- 0)
-        hv.Hypervisor.percpu);
-
-  (* --- Hardware initialisation (412 ms, Table II) ------------------- *)
-  Common.timed log "Early initialize of the boot CPU" Latency_model.reboot_early_boot_cpu
-    (fun () -> Hw.Machine.reset_for_reboot machine);
-  Common.timed log "Initialize and wait for other CPUs to come online"
-    (Latency_model.reboot_cpu_online_per_cpu * (geo.Config.cpus - 1))
-    (fun () ->
-      Hw.Machine.iter_cpus machine (fun c -> c.Hw.Cpu.state <- Hw.Cpu.Halted));
-  let ioapic_restored = ref false in
-  Common.timed log "Verify, connect and setup local APIC and IO APIC"
-    Latency_model.reboot_apic_ioapic_setup (fun () ->
-      (* The reboot re-initialises the IO-APIC; the pre-failure routing
-         must be replayed from the normal-operation write log. *)
-      if hv.Hypervisor.config.Config.ioapic_write_logging then begin
-        Hw.Ioapic.replay_log machine.Hw.Machine.ioapic;
-        ioapic_restored := true
-      end);
-  Common.timed log "Initialize and calibrate TSC timer"
-    Latency_model.reboot_tsc_calibrate (fun () ->
-      machine.Hw.Machine.tsc_calibrated <- true);
-
-  (* --- Memory initialisation (266 ms, Table II) --------------------- *)
-  Common.timed log "Record allocated pages of old heap"
-    (Latency_model.reboot_record_old_heap ~frames)
-    (fun () -> ());
-  let pfn_fixed = ref 0 in
-  Common.timed log "Restore and check consistency of page frame entries"
-    (Latency_model.pfn_scan ~frames)
-    (fun () -> pfn_fixed := Pfn.scan_and_fix hv.Hypervisor.pfn);
-  Common.timed log "Re-initialize the page frame descriptor for un-preserved pages"
-    (Latency_model.reboot_reinit_unpreserved_pfn ~frames)
-    (fun () -> ());
-  Common.timed log "Recreate the new heap"
-    (Latency_model.reboot_recreate_heap ~frames)
-    (fun () ->
-      (* A fresh allocator is built and live objects re-integrated: this
-         repairs free-list corruption and, because static data was
-         re-initialised by the boot, static-segment corruption too. *)
-      Heap.rebuild_for_reboot hv.Hypervisor.heap;
-      hv.Hypervisor.static_data_ok <- true;
-      hv.Hypervisor.static_data_note <- "");
-
-  (* --- Misc (35 ms, Table II) --------------------------------------- *)
-  let heap_locks_released = ref 0 in
-  Common.timed log "SMP initialization" Latency_model.reboot_smp_init (fun () ->
-      (* Fresh per-CPU state: IRQ counts zero, static locks re-initialised
-         unlocked, timer heap rebuilt with the standard recurring events,
-         scheduler state rebuilt from the preserved domain structures. *)
-      Array.iter Percpu.clear_irq_count hv.Hypervisor.percpu;
-      ignore (Spinlock.Segment.unlock_all hv.Hypervisor.static_segment);
-      heap_locks_released := Common.release_heap_locks hv;
-      Common.ack_interrupts hv;
-      Timer_heap.rebuild_for_reboot hv.Hypervisor.timers
-        ~now:(Sim.Clock.now hv.Hypervisor.clock);
-      (* Scheduler: every vCPU is re-queued; nothing is current. *)
-      let sched = hv.Hypervisor.sched in
-      List.iter
-        (fun (v : Domain.vcpu) ->
-          Sched.vcpu_clear_current v;
-          if v.Domain.runstate = Domain.Running then
-            v.Domain.runstate <- Domain.Runnable)
-        (Hypervisor.all_vcpus hv);
-      for cpu = 0 to cpus - 1 do
-        Sched.set_current sched ~cpu None;
-        hv.Hypervisor.percpu.(cpu).Percpu.curr_domid <- -1;
-        hv.Hypervisor.percpu.(cpu).Percpu.curr_vcpuid <- -1
-      done;
-      List.iter
-        (fun (v : Domain.vcpu) ->
-          if not (List.memq v (Sched.queued sched ~cpu:v.Domain.processor)) then
-            Sched.enqueue sched v)
-        (Hypervisor.all_vcpus hv));
-  Common.note_lock_release hv ~cpu:detected_on ~name:"heap"
-    !heap_locks_released;
-  Common.timed log "Identify valid page frames, relocate boot modules"
-    Latency_model.reboot_relocate_modules (fun () -> ());
-  Common.timed log "Others (state re-integration, domain wiring)"
-    Latency_model.reboot_others (fun () ->
-      Common.setup_retries hv ~enh;
-      Common.restore_fs_gs hv ~enh;
-      (* Resume: make each pinned vCPU current again and re-arm timers. *)
-      Hypervisor.start_vcpus hv;
-      Common.reprogram_apic_timers hv;
-      Hw.Machine.iter_cpus machine (fun c ->
-          Hw.Cpu.enable_interrupts c;
-          c.Hw.Cpu.state <- Hw.Cpu.Running));
-
+  let step = Plan.step in
   {
-    breakdown = Common.breakdown log;
-    heap_locks_released = !heap_locks_released;
-    pfn_fixed = !pfn_fixed;
-    ioapic_restored = !ioapic_restored;
+    Plan.mechanism = "ReHype";
+    mode = None;
+    steps =
+      [
+        (* --- Stop the world and preserve state ------------------------ *)
+        step "Halt CPUs, preserve static data segments" (Sim.Time.ms 1)
+          (fun () -> Common.stop_world ~halt:true hv ~detected_on);
+        (* --- Hardware initialisation (412 ms, Table II) --------------- *)
+        step "Early initialize of the boot CPU"
+          Latency_model.reboot_early_boot_cpu (fun () ->
+            Hw.Machine.reset_for_reboot machine);
+        step "Initialize and wait for other CPUs to come online"
+          (Latency_model.reboot_cpu_online_per_cpu * (geo.Config.cpus - 1))
+          (fun () ->
+            Hw.Machine.iter_cpus machine (fun c -> c.Hw.Cpu.state <- Hw.Cpu.Halted));
+        step "Verify, connect and setup local APIC and IO APIC"
+          Latency_model.reboot_apic_ioapic_setup (fun () ->
+            (* The reboot re-initialises the IO-APIC; the pre-failure
+               routing must be replayed from the normal-operation write
+               log. *)
+            if hv.Hypervisor.config.Config.ioapic_write_logging then
+              Hw.Ioapic.replay_log machine.Hw.Machine.ioapic);
+        step "Initialize and calibrate TSC timer"
+          Latency_model.reboot_tsc_calibrate (fun () ->
+            machine.Hw.Machine.tsc_calibrated <- true);
+        (* --- Memory initialisation (266 ms, Table II) ----------------- *)
+        step "Record allocated pages of old heap"
+          (Latency_model.reboot_record_old_heap ~frames)
+          ignore;
+        step "Restore and check consistency of page frame entries"
+          (Latency_model.pfn_scan ~frames)
+          (fun () ->
+            repairs.Plan.pfn_fixed <- Pfn.scan_and_fix hv.Hypervisor.pfn);
+        step "Re-initialize the page frame descriptor for un-preserved pages"
+          (Latency_model.reboot_reinit_unpreserved_pfn ~frames)
+          ignore;
+        step "Recreate the new heap" (Latency_model.reboot_recreate_heap ~frames)
+          (fun () ->
+            (* A fresh allocator is built and live objects re-integrated:
+               this repairs free-list corruption and, because static data
+               was re-initialised by the boot, static-segment corruption
+               too. *)
+            Heap.rebuild_for_reboot hv.Hypervisor.heap;
+            hv.Hypervisor.static_data_ok <- true;
+            hv.Hypervisor.static_data_note <- "");
+        (* --- Misc (35 ms, Table II) ----------------------------------- *)
+        step "SMP initialization" Latency_model.reboot_smp_init
+          ~after:(fun () -> Common.note_lock_releases hv ~cpu:detected_on repairs)
+          (fun () ->
+            (* Fresh per-CPU state: IRQ counts zero, static locks
+               re-initialised unlocked, timer heap rebuilt with the
+               standard recurring events, scheduler state rebuilt from
+               the preserved domain structures. *)
+            Array.iter Percpu.clear_irq_count hv.Hypervisor.percpu;
+            ignore (Spinlock.Segment.unlock_all hv.Hypervisor.static_segment);
+            repairs.Plan.heap_locks_released <- Common.release_heap_locks hv;
+            Common.ack_interrupts hv;
+            Timer_heap.rebuild_for_reboot hv.Hypervisor.timers
+              ~now:(Sim.Clock.now hv.Hypervisor.clock);
+            (* Scheduler: every vCPU is re-queued; nothing is current. *)
+            let sched = hv.Hypervisor.sched in
+            List.iter
+              (fun (v : Domain.vcpu) ->
+                Sched.vcpu_clear_current v;
+                if v.Domain.runstate = Domain.Running then
+                  v.Domain.runstate <- Domain.Runnable)
+              (Hypervisor.all_vcpus hv);
+            for cpu = 0 to cpus - 1 do
+              Sched.set_current sched ~cpu None;
+              hv.Hypervisor.percpu.(cpu).Percpu.curr_domid <- -1;
+              hv.Hypervisor.percpu.(cpu).Percpu.curr_vcpuid <- -1
+            done;
+            List.iter
+              (fun (v : Domain.vcpu) ->
+                if not (List.memq v (Sched.queued sched ~cpu:v.Domain.processor))
+                then Sched.enqueue sched v)
+              (Hypervisor.all_vcpus hv));
+        step "Identify valid page frames, relocate boot modules"
+          Latency_model.reboot_relocate_modules ignore;
+        step "Others (state re-integration, domain wiring)"
+          Latency_model.reboot_others (fun () ->
+            Common.setup_retries hv ~enh;
+            Common.restore_fs_gs hv ~enh;
+            (* Resume: make each pinned vCPU current again and re-arm
+               timers. *)
+            Hypervisor.start_vcpus hv;
+            Common.reprogram_apic_timers hv;
+            Common.resume_cpus hv);
+      ];
   }
 
-(* Table II groups the steps under Hardware/Memory/Misc headings. *)
-let table2_breakdown (r : result) = r.breakdown
+let recover hv ~enh ~detected_on =
+  Plan.run hv ~detected_on (plan hv ~enh ~detected_on)

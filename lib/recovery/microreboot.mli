@@ -7,16 +7,17 @@
     for, at a ~713 ms recovery latency (Table II) and extra
     normal-operation logging (IO-APIC writes, boot-line options). *)
 
-type result = {
-  breakdown : Hyper.Latency_model.breakdown;
-  heap_locks_released : int;
-  pfn_fixed : int;
-  ioapic_restored : bool; (* routing replayed from the write log *)
-}
+val plan :
+  Hyper.Hypervisor.t ->
+  enh:Enhancement.set ->
+  detected_on:int ->
+  Plan.repairs ->
+  Plan.t
+(** The twelve Table II steps, all global. Raises
+    [Hyper.Crash.Hypervisor_crash] if the boot-line options were not
+    logged or are corrupted. *)
 
 val recover :
-  Hyper.Hypervisor.t -> enh:Enhancement.set -> detected_on:int -> result
+  Hyper.Hypervisor.t -> enh:Enhancement.set -> detected_on:int -> Plan.outcome
 (** Raises [Hyper.Crash.Hypervisor_crash] if the reboot cannot complete
     (recovery handler corrupted, boot-line options not logged...). *)
-
-val table2_breakdown : result -> Hyper.Latency_model.breakdown

@@ -10,147 +10,66 @@
 
 open Hyper
 
-(* Which consistency-scan path a recovery took. Incremental walks only
-   the copy-on-write dirty lists (O(damaged state)); Full walks the
-   whole structures (O(machine)). The repaired state is identical either
-   way whenever the tracking is intact -- the per-element repairs are
-   pure functions of the element, and every write since the last
-   consistent baseline marked its element dirty. *)
-type scan_mode = Full_scan | Incremental_scan
-
-let scan_mode_name = function
-  | Full_scan -> "full"
-  | Incremental_scan -> "incremental"
-
-type result = {
-  breakdown : Latency_model.breakdown;
-  heap_locks_released : int;
-  static_locks_released : int;
-  sched_fixes : int;
-  pfn_fixed : int;
-  recurring_reactivated : int;
-  scan_mode : scan_mode;
-}
-
-(* Perform microreset recovery. Raises [Crash.Hypervisor_crash] if the
-   recovery process itself fails (e.g. the handler was corrupted). *)
-let recover (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on =
-  Common.check_recovery_handler hv;
-  let log = Common.make_log ~track:detected_on ~mechanism:"NiLiHype" hv in
-  (* Costs are charged at the configured geometry; mechanics operate on
-     the real (possibly scaled-down) simulated tables. *)
+(* The Table III plan: four global steps. Costs are charged at the
+   configured geometry; mechanics operate on the real (possibly
+   scaled-down) simulated tables. *)
+let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
+  let mechanism = "NiLiHype" in
+  let has = Common.has hv ~mechanism ~cpu:detected_on enh in
   let geo = Hypervisor.geometry hv in
-  let cpus = geo.Config.cpus in
-  (* Decide the scan path up front: the recovery's own repairs dirty
-     state as they go, and the decision must not depend on them. *)
-  let incremental =
-    hv.Hypervisor.config.Config.incremental_scan
-    && Pfn.tracking_usable hv.Hypervisor.pfn
-  in
-  let heap_dirty = Heap.dirty_count hv.Hypervisor.heap in
-  let timer_dirty = Timer_heap.dirty_count hv.Hypervisor.timers in
-  let pfn_dirty = Pfn.dirty_count hv.Hypervisor.pfn in
-  let has e =
-    let present = Enhancement.mem enh e in
-    if present then
-      Common.note_enhancement hv ~mechanism:"NiLiHype" ~cpu:detected_on e;
-    present
-  in
-
-  (* Phase 1: stop the world. The detecting CPU disables its interrupts
-     and IPIs the others; each CPU discards its hypervisor execution
-     thread (stack pointer reset) and busy-waits. *)
-  Common.timed log "Interrupt CPUs, discard execution threads"
-    (Latency_model.microreset_interrupt_cpus ~cpus)
-    (fun () ->
-      Hw.Machine.iter_cpus hv.Hypervisor.machine (fun c ->
-          Hw.Cpu.disable_interrupts c;
-          Hw.Cpu.discard_hypervisor_stack c;
-          c.Hw.Cpu.state <-
-            (if c.Hw.Cpu.id = detected_on then Hw.Cpu.Running else Hw.Cpu.Busy_wait));
-      Array.iter
-        (fun (p : Percpu.t) -> p.Percpu.in_hypercall_depth <- 0)
-        hv.Hypervisor.percpu);
-
-  (* Phase 2: state-consistency enhancements, run by the detecting CPU. *)
-  let heap_locks_released = ref 0 in
-  let static_locks_released = ref 0 in
-  let sched_fixes = ref 0 in
-  let recurring_reactivated = ref 0 in
-  Common.timed log "Apply state-consistency enhancements"
-    (if incremental then
-       Latency_model.microreset_enhancements_dirty ~heap_dirty ~timer_dirty
-     else Latency_model.microreset_enhancements)
-    (fun () ->
-      if has Enhancement.Clear_irq_count then
-        Array.iter Percpu.clear_irq_count hv.Hypervisor.percpu;
-      if has Enhancement.Release_heap_locks then
-        heap_locks_released := Common.release_heap_locks hv;
-      if has Enhancement.Unlock_static_locks then
-        static_locks_released :=
-          Spinlock.Segment.unlock_all hv.Hypervisor.static_segment;
-      if has Enhancement.Ack_interrupts then Common.ack_interrupts hv;
-      if has Enhancement.Sched_consistency then
-        sched_fixes :=
-          Sched.fix_from_percpu hv.Hypervisor.sched (Hypervisor.all_vcpus hv);
-      if has Enhancement.Reactivate_recurring_timers then
-        recurring_reactivated :=
-          Timer_heap.reactivate_recurring hv.Hypervisor.timers
-            ~now:(Sim.Clock.now hv.Hypervisor.clock);
-      Common.setup_retries hv ~enh;
-      Common.restore_fs_gs hv ~enh);
-  Common.note_lock_release hv ~cpu:detected_on ~name:"heap"
-    !heap_locks_released;
-  Common.note_lock_release hv ~cpu:detected_on ~name:"static"
-    !static_locks_released;
-
+  let mode = Common.scan_mode hv in
+  let pfn = hv.Hypervisor.pfn in
   (* Phase 3: page-frame descriptor consistency scan. The full walk is
      the dominant latency component (21 ms for 8 GB), proportional to
      memory size; the incremental walk visits only descriptors written
      since the last golden refresh -- O(damaged state + workload drift)
      -- and repairs exactly the same descriptors (clean ones are
      consistent by construction of the baseline). *)
-  let pfn_fixed = ref 0 in
-  if has Enhancement.Pfn_consistency_scan then begin
-    Obs.Metrics.incr
-      (if incremental then hv.Hypervisor.obs.Obs.Recorder.scan_incremental
-       else hv.Hypervisor.obs.Obs.Recorder.scan_full);
-    if incremental then
-      Common.timed log "Incremental consistency scan of dirty page frame entries"
-        (Latency_model.pfn_scan_dirty ~dirty:pfn_dirty)
-        (fun () -> pfn_fixed := Pfn.scan_and_fix_dirty hv.Hypervisor.pfn)
+  let scan =
+    if not (Enhancement.mem enh Enhancement.Pfn_consistency_scan) then []
     else
-      Common.timed log "Restore and check consistency of page frame entries"
-        (Latency_model.pfn_scan ~frames:geo.Config.frames)
-        (fun () -> pfn_fixed := Pfn.scan_and_fix hv.Hypervisor.pfn)
-  end;
-
-  (* Phase 4: reprogram hardware timers and resume normal operation. *)
-  Common.timed log "Reprogram timers, resume normal operation"
-    Latency_model.microreset_misc (fun () ->
-      if has Enhancement.Reprogram_apic_timer then
-        Common.reprogram_apic_timers hv;
-      Hw.Machine.iter_cpus hv.Hypervisor.machine (fun c ->
-          Hw.Cpu.enable_interrupts c;
-          c.Hw.Cpu.state <- Hw.Cpu.Running));
-
+      match mode with
+      | Plan.Incremental_scan ->
+        [
+          Plan.step "Incremental consistency scan of dirty page frame entries"
+            (Latency_model.pfn_scan_dirty ~dirty:(Pfn.dirty_count pfn))
+            (fun () -> repairs.Plan.pfn_fixed <- Pfn.scan_and_fix_dirty pfn);
+        ]
+      | Plan.Full_scan ->
+        [
+          Plan.step "Restore and check consistency of page frame entries"
+            (Latency_model.pfn_scan ~frames:geo.Config.frames)
+            (fun () -> repairs.Plan.pfn_fixed <- Pfn.scan_and_fix pfn);
+        ]
+  in
   {
-    breakdown = Common.breakdown log;
-    heap_locks_released = !heap_locks_released;
-    static_locks_released = !static_locks_released;
-    sched_fixes = !sched_fixes;
-    pfn_fixed = !pfn_fixed;
-    recurring_reactivated = !recurring_reactivated;
-    scan_mode = (if incremental then Incremental_scan else Full_scan);
+    Plan.mechanism;
+    mode = Some mode;
+    steps =
+      [
+        (* Phase 1: stop the world. *)
+        Plan.step "Interrupt CPUs, discard execution threads"
+          (Latency_model.microreset_interrupt_cpus ~cpus:geo.Config.cpus)
+          (fun () -> Common.stop_world hv ~detected_on);
+        (* Phase 2: state-consistency enhancements, run by the detecting
+           CPU. *)
+        Plan.step "Apply state-consistency enhancements"
+          (match mode with
+          | Plan.Incremental_scan ->
+            Latency_model.microreset_enhancements_dirty
+              ~heap_dirty:(Heap.dirty_count hv.Hypervisor.heap)
+              ~timer_dirty:(Timer_heap.dirty_count hv.Hypervisor.timers)
+          | Plan.Full_scan -> Latency_model.microreset_enhancements)
+          ~after:(Common.singletons_repaired hv ~has ~cpu:detected_on mode repairs)
+          (fun () ->
+            Common.repair_singletons hv ~has repairs;
+            Common.setup_retries hv ~enh;
+            Common.restore_fs_gs hv ~enh);
+      ]
+      @ scan
+      (* Phase 4: reprogram hardware timers and resume. *)
+      @ [ Common.resume_step hv ~has ];
   }
 
-(* The Table III presentation: every step taking more than 1 ms is
-   listed individually; the rest are "Others". *)
-let table3_breakdown (r : result) =
-  let big, small =
-    List.partition
-      (fun (_, d) -> d >= Sim.Time.ms 1)
-      r.breakdown.Latency_model.steps
-  in
-  let others = List.fold_left (fun acc (_, d) -> acc + d) 0 small in
-  { Latency_model.steps = big @ [ ("Others", others) ] }
+let recover hv ~enh ~detected_on =
+  Plan.run hv ~detected_on (plan hv ~enh ~detected_on)

@@ -6,33 +6,20 @@
     entire global state is reused, which bounds recovery latency at
     ~22 ms (dominated by the page-frame consistency scan). *)
 
-type scan_mode = Full_scan | Incremental_scan
-(** Which consistency-scan path the recovery took: the O(machine) full
-    table walk, or the O(damaged state) dirty-list walk (available when
-    [Hyper.Config.incremental_scan] is set and the dirty tracking is
-    intact; recovery falls back to [Full_scan] otherwise, e.g. after a
-    recovery attempt that itself died). The repaired state is identical
-    either way. *)
-
-val scan_mode_name : scan_mode -> string
-
-type result = {
-  breakdown : Hyper.Latency_model.breakdown; (* per-step simulated time *)
-  heap_locks_released : int;
-  static_locks_released : int;
-  sched_fixes : int;
-  pfn_fixed : int;
-  recurring_reactivated : int;
-  scan_mode : scan_mode;
-}
+val plan :
+  Hyper.Hypervisor.t ->
+  enh:Enhancement.set ->
+  detected_on:int ->
+  Plan.repairs ->
+  Plan.t
+(** The serial plan, all four steps global (Table III): stop the world,
+    apply the enhancements, scan the page-frame table -- the full walk,
+    or the dirty list when [Hyper.Config.incremental_scan] is set and
+    the tracking is intact -- and resume. *)
 
 val recover :
-  Hyper.Hypervisor.t -> enh:Enhancement.set -> detected_on:int -> result
-(** [recover hv ~enh ~detected_on] performs microreset recovery on the
-    CPU that detected the error. Raises [Hyper.Crash.Hypervisor_crash]
-    if the recovery process itself fails (e.g. the recovery routine was
+  Hyper.Hypervisor.t -> enh:Enhancement.set -> detected_on:int -> Plan.outcome
+(** [recover hv ~enh ~detected_on] runs the serial plan on the CPU that
+    detected the error. Raises [Hyper.Crash.Hypervisor_crash] if the
+    recovery process itself fails (e.g. the recovery routine was
     corrupted by the fault). *)
-
-val table3_breakdown : result -> Hyper.Latency_model.breakdown
-(** Table III presentation: steps >= 1 ms listed individually, the rest
-    folded into "Others". *)

@@ -12,46 +12,12 @@
     and its own shard are done; domains with no damaged state and no
     in-flight hypervisor work pay only the global window.
 
-    Concurrency is simulated, not host-parallel: shards are assigned to
-    [geometry.cpus] lanes by deterministic longest-processing-time
-    scheduling, each shard's span is recorded at its lane start time via
-    {!Common.timed_at}, and the clock advances once by the makespan. The
-    mechanics run in a fixed sequential order regardless of lane
-    assignment, so the post-recovery machine state is identical to the
-    serial microreset's (the per-descriptor repair is order-independent,
-    see {!Pfn.fix_desc}) and deterministic across [--jobs]. *)
+    The shards are the plan's lane steps, so {!Plan.run} schedules them
+    and the post-recovery machine state is identical to the serial
+    microreset's (the per-descriptor repair is order-independent, see
+    {!Pfn.fix_desc}). *)
 
 open Hyper
-
-let mechanism_name = "NiLiHype-sharded"
-
-type shard = {
-  sh_domid : int; (* -1 = unowned/system frames *)
-  sh_lane : int; (* simulated CPU lane the shard ran on *)
-  sh_frames : int; (* descriptors scanned *)
-  sh_fixed : int; (* descriptors repaired *)
-  sh_cost : Sim.Time.ns;
-  sh_start : Sim.Time.ns; (* offset from the shard-phase start *)
-}
-
-type result = {
-  breakdown : Latency_model.breakdown;
-      (* per-step costs; sums of concurrent shard steps exceed the
-         wall-clock latency by design *)
-  scan_mode : Microreset.scan_mode;
-  shards : shard list; (* ascending domid *)
-  makespan : Sim.Time.ns; (* wall-clock of the concurrent shard phase *)
-  latency : Sim.Time.ns; (* end-to-end: quiesce + makespan + resume *)
-  resume_offsets : (int * Sim.Time.ns) list;
-      (* per-domain offset from recovery start at which that domain
-         resumes serving, ascending domid; domains without a shard pay
-         only the global quiesce + resume window *)
-  heap_locks_released : int;
-  static_locks_released : int;
-  sched_fixes : int;
-  pfn_fixed : int;
-  recurring_reactivated : int;
-}
 
 (* Scale a simulated-table frame count to the configured geometry, so a
    full-scan shard over the 64 Ki-frame campaign table charges its
@@ -60,73 +26,20 @@ type result = {
 let scale_frames ~geo_frames ~real_frames n =
   if real_frames = geo_frames then n else n * geo_frames / real_frames
 
-let recover (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on =
-  Common.check_recovery_handler hv;
-  let log = Common.make_log ~track:detected_on ~mechanism:mechanism_name hv in
-  let clock = hv.Hypervisor.clock in
+(* The global quiesce, one lane step per shard, then the global resume. *)
+let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
+  let mechanism = "NiLiHype-sharded" in
+  let has = Common.has hv ~mechanism ~cpu:detected_on enh in
   let geo = Hypervisor.geometry hv in
-  let lanes_n = max 1 geo.Config.cpus in
   let real_frames = Hypervisor.frames hv in
-  let incremental =
-    hv.Hypervisor.config.Config.incremental_scan
-    && Pfn.tracking_usable hv.Hypervisor.pfn
-  in
-  let has e =
-    let present = Enhancement.mem enh e in
-    if present then
-      Common.note_enhancement hv ~mechanism:mechanism_name ~cpu:detected_on e;
-    present
-  in
-  let start = Sim.Clock.now clock in
-
-  (* --- Global phase: stop the world, repair the singletons ----------- *)
-  let heap_locks_released = ref 0 in
-  let static_locks_released = ref 0 in
-  let sched_fixes = ref 0 in
-  let recurring_reactivated = ref 0 in
-  Common.timed log "Quiesce CPUs, repair global singletons"
-    (Latency_model.shard_global_quiesce ~cpus:geo.Config.cpus)
-    (fun () ->
-      Hw.Machine.iter_cpus hv.Hypervisor.machine (fun c ->
-          Hw.Cpu.disable_interrupts c;
-          Hw.Cpu.discard_hypervisor_stack c;
-          c.Hw.Cpu.state <-
-            (if c.Hw.Cpu.id = detected_on then Hw.Cpu.Running
-             else Hw.Cpu.Busy_wait));
-      Array.iter
-        (fun (p : Percpu.t) -> p.Percpu.in_hypercall_depth <- 0)
-        hv.Hypervisor.percpu;
-      if has Enhancement.Clear_irq_count then
-        Array.iter Percpu.clear_irq_count hv.Hypervisor.percpu;
-      if has Enhancement.Release_heap_locks then
-        heap_locks_released := Common.release_heap_locks hv;
-      if has Enhancement.Unlock_static_locks then
-        static_locks_released :=
-          Spinlock.Segment.unlock_all hv.Hypervisor.static_segment;
-      if has Enhancement.Ack_interrupts then Common.ack_interrupts hv;
-      if has Enhancement.Sched_consistency then
-        sched_fixes :=
-          Sched.fix_from_percpu hv.Hypervisor.sched (Hypervisor.all_vcpus hv);
-      if has Enhancement.Reactivate_recurring_timers then
-        recurring_reactivated :=
-          Timer_heap.reactivate_recurring hv.Hypervisor.timers
-            ~now:(Sim.Clock.now clock));
-  Common.note_lock_release hv ~cpu:detected_on ~name:"heap"
-    !heap_locks_released;
-  Common.note_lock_release hv ~cpu:detected_on ~name:"static"
-    !static_locks_released;
-
-  (* --- Partition the per-domain work --------------------------------- *)
-  let do_scan = has Enhancement.Pfn_consistency_scan in
-  if do_scan then
-    Obs.Metrics.incr
-      (if incremental then hv.Hypervisor.obs.Obs.Recorder.scan_incremental
-       else hv.Hypervisor.obs.Obs.Recorder.scan_full);
+  let mode = Common.scan_mode hv in
+  let scan = Enhancement.mem enh Enhancement.Pfn_consistency_scan in
   (* Group descriptors needing a scan by owner. Each descriptor has
      exactly one owner value, so the groups are a total partition of the
      scanned set whatever state the owner fields are in (damaged owners
      land in some group and are still repaired). Groups keep reverse
-     visit order; repairs are order-independent. *)
+     visit order; repairs are order-independent. The quiesce touches no
+     descriptor, so grouping before it sees what the shards will. *)
   let groups : (int, Pfn.desc list ref * int ref) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -138,133 +51,69 @@ let recover (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on =
       Hashtbl.replace groups owner g;
       g
   in
-  if do_scan then begin
-    let visit (d : Pfn.desc) =
-      let descs, count = group d.Pfn.owner in
-      descs := d :: !descs;
-      incr count
-    in
-    if incremental then List.iter visit (Pfn.dirty_descs hv.Hypervisor.pfn)
-    else
-      for i = 0 to real_frames - 1 do
-        visit (Pfn.get hv.Hypervisor.pfn i)
-      done
-  end;
+  let visit (d : Pfn.desc) =
+    let descs, count = group d.Pfn.owner in
+    descs := d :: !descs;
+    incr count
+  in
+  (if scan then
+     match mode with
+     | Plan.Incremental_scan -> List.iter visit (Pfn.dirty_descs hv.Hypervisor.pfn)
+     | Plan.Full_scan ->
+       for i = 0 to real_frames - 1 do
+         visit (Pfn.get hv.Hypervisor.pfn i)
+       done);
   (* Domains with in-flight hypervisor work need a shard for their
      retry / FS-GS bookkeeping even if none of their frames is dirty. *)
-  let vcpu_in_flight (v : Domain.vcpu) =
+  let in_flight (v : Domain.vcpu) =
     v.Domain.in_hypercall <> None || v.Domain.in_syscall_forward
   in
-  let domains = Hypervisor.all_domains hv in
   List.iter
     (fun (d : Domain.t) ->
-      if Array.exists vcpu_in_flight d.Domain.vcpus then
-        ignore (group d.Domain.domid))
-    domains;
-
-  (* --- Cost each shard and schedule onto lanes (deterministic LPT) --- *)
-  let shard_work =
-    Hashtbl.fold
-      (fun owner (descs, count) acc ->
-        let scan_cost =
-          if not do_scan then 0
-          else if incremental then Latency_model.pfn_scan_dirty ~dirty:!count
-          else
-            Latency_model.pfn_scan
-              ~frames:
-                (scale_frames ~geo_frames:geo.Config.frames ~real_frames !count)
-        in
-        (owner, !descs, !count, Latency_model.shard_domain_base + scan_cost)
-        :: acc)
-      groups []
-  in
-  let shard_work =
-    List.sort
-      (fun (o1, _, _, c1) (o2, _, _, c2) ->
-        if c1 <> c2 then compare c2 c1 else compare o1 o2)
-      shard_work
-  in
-  let lanes = Array.make lanes_n 0 in
-  let pick_lane () =
-    let best = ref 0 in
-    for l = 1 to lanes_n - 1 do
-      if lanes.(l) < lanes.(!best) then best := l
-    done;
-    !best
-  in
-  let phase_start = Sim.Clock.now clock in
-  let pfn_fixed = ref 0 in
-  let shards =
-    List.map
-      (fun (owner, descs, count, cost) ->
-        let lane = pick_lane () in
-        let s_off = lanes.(lane) in
-        lanes.(lane) <- s_off + cost;
-        let name =
-          if owner < 0 then "Shard: unowned frames"
-          else Printf.sprintf "Shard: domain %d" owner
-        in
-        let fixed =
-          Common.timed_at log name ~start:(phase_start + s_off) cost (fun () ->
-              let fixed = ref 0 in
-              List.iter (fun d -> if Pfn.fix_desc d then incr fixed) descs;
-              (match Hypervisor.domain hv owner with
-              | Some d ->
-                let vcpus = Array.to_list d.Domain.vcpus in
-                Common.setup_retries_vcpus ~enh vcpus;
-                Common.restore_fs_gs_vcpus hv ~enh vcpus
-              | None -> ());
-              !fixed)
-        in
-        pfn_fixed := !pfn_fixed + fixed;
-        {
-          sh_domid = owner;
-          sh_lane = lane;
-          sh_frames = count;
-          sh_fixed = fixed;
-          sh_cost = cost;
-          sh_start = s_off;
-        })
-      shard_work
-  in
-  let makespan = Array.fold_left max 0 lanes in
-  Sim.Clock.advance_by clock makespan;
-
-  (* --- Resume -------------------------------------------------------- *)
-  Common.timed log "Reprogram timers, resume normal operation"
-    Latency_model.microreset_misc (fun () ->
-      if has Enhancement.Reprogram_apic_timer then
-        Common.reprogram_apic_timers hv;
-      Hw.Machine.iter_cpus hv.Hypervisor.machine (fun c ->
-          Hw.Cpu.enable_interrupts c;
-          c.Hw.Cpu.state <- Hw.Cpu.Running));
-  let finish = Sim.Clock.now clock in
-  let quiesce = phase_start - start in
-  let resume_tail = finish - (phase_start + makespan) in
-  let shard_finish domid =
-    List.fold_left
-      (fun acc s ->
-        if s.sh_domid = domid then max acc (s.sh_start + s.sh_cost) else acc)
-      0 shards
-  in
-  let resume_offsets =
-    List.map
-      (fun (d : Domain.t) ->
-        (d.Domain.domid, quiesce + shard_finish d.Domain.domid + resume_tail))
-      domains
+      if Array.exists in_flight d.Domain.vcpus then ignore (group d.Domain.domid))
+    (Hypervisor.all_domains hv);
+  let shard owner (descs, count) steps =
+    let scan_cost =
+      if not scan then 0
+      else
+        match mode with
+        | Plan.Incremental_scan -> Latency_model.pfn_scan_dirty ~dirty:!count
+        | Plan.Full_scan ->
+          Latency_model.pfn_scan
+            ~frames:(scale_frames ~geo_frames:geo.Config.frames ~real_frames !count)
+    in
+    let name =
+      if owner < 0 then "Shard: unowned frames"
+      else Printf.sprintf "Shard: domain %d" owner
+    in
+    Plan.step ~owner:(Plan.Domain owner) name
+      (Latency_model.shard_domain_base + scan_cost)
+      (fun () ->
+        List.iter
+          (fun d ->
+            if Pfn.fix_desc d then
+              repairs.Plan.pfn_fixed <- repairs.Plan.pfn_fixed + 1)
+          !descs;
+        match Hypervisor.domain hv owner with
+        | Some d ->
+          let vcpus = Array.to_list d.Domain.vcpus in
+          Common.setup_retries_vcpus ~enh vcpus;
+          Common.restore_fs_gs_vcpus hv ~enh vcpus
+        | None -> ())
+    :: steps
   in
   {
-    breakdown = Common.breakdown log;
-    scan_mode =
-      (if incremental then Microreset.Incremental_scan
-       else Microreset.Full_scan);
-    shards = List.sort (fun a b -> compare a.sh_domid b.sh_domid) shards;
-    makespan;
-    latency = finish - start;
-    resume_offsets;
-    heap_locks_released = !heap_locks_released;
-    static_locks_released = !static_locks_released;
-    sched_fixes = !sched_fixes;
-    pfn_fixed = !pfn_fixed;
-    recurring_reactivated = !recurring_reactivated;
+    Plan.mechanism;
+    mode = Some mode;
+    steps =
+      Plan.step "Quiesce CPUs, repair global singletons"
+        (Latency_model.shard_global_quiesce ~cpus:geo.Config.cpus)
+        ~after:(Common.singletons_repaired hv ~has ~cpu:detected_on mode repairs)
+        (fun () ->
+          Common.stop_world hv ~detected_on;
+          Common.repair_singletons hv ~has repairs)
+      :: Hashtbl.fold shard groups [ Common.resume_step hv ~has ];
   }
+
+let recover hv ~enh ~detected_on =
+  Plan.run hv ~detected_on (plan hv ~enh ~detected_on)

@@ -56,7 +56,7 @@ let test_zero_leak_recovery (mech, config) () =
     Recovery.Engine.recover mech st.Inject.Run.hv
       ~enh:Recovery.Enhancement.full_set ~detected_on:0
   in
-  checkb "recovery reports latency" true (outcome.Recovery.Engine.latency > 0);
+  checkb "recovery reports latency" true (outcome.Recovery.Plan.latency > 0);
   for _ = 1 to 200 do
     Inject.Run.run_one_activity st
   done;

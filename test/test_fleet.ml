@@ -103,18 +103,21 @@ let state_digest (hv : Hyper.Hypervisor.t) =
 
 (* Boot + warmup + golden snapshot + one corruption, deterministically
    from [seed]; returns the machine ready for a recovery attempt. *)
-let damaged_machine ~config ~seed target =
-  let hv = boot ~config () in
+let damaged_machine ?obs ~config ~seed target =
+  let hv = boot ~config ?obs () in
   let rng = Sim.Rng.create seed in
   warmup hv rng ~steps:120;
   ignore (Hyper.Hypervisor.snapshot hv);
   Inject.Corrupt.apply hv rng target;
   hv
 
-let recover_outcome hv =
-  match Recovery.Engine.recover Recovery.Engine.Nilihype hv ~enh:full ~detected_on:0 with
+let outcome_of recover hv =
+  match recover hv ~enh:full ~detected_on:0 with
   | out -> Ok out
   | exception Hyper.Crash.Hypervisor_crash c -> Error (Hyper.Crash.describe c)
+
+let recover_outcome = outcome_of (Recovery.Engine.recover Recovery.Engine.Nilihype)
+let shard_outcome = outcome_of Recovery.Shard.recover
 
 (* ------------------- fresh vs incremental equivalence ---------------- *)
 
@@ -134,28 +137,28 @@ let test_equivalence_matrix () =
       in
       match (recover_outcome a, recover_outcome bm) with
       | Ok oa, Ok ob ->
-        (match oa.Recovery.Engine.scan_mode with
-        | Some Recovery.Microreset.Full_scan -> ()
+        (match oa.Recovery.Plan.scan_mode with
+        | Some Recovery.Plan.Full_scan -> ()
         | _ -> Alcotest.failf "%s: full machine did not take the full scan" name);
         (* The incremental machine takes the dirty-list path -- except
            when the corruption smashed the tracking itself, where the
            guarantee is delivered by falling back to the full scan. *)
-        (match (target, ob.Recovery.Engine.scan_mode) with
-        | Inject.Corrupt.Pfn_tracker, Some Recovery.Microreset.Full_scan -> ()
+        (match (target, ob.Recovery.Plan.scan_mode) with
+        | Inject.Corrupt.Pfn_tracker, Some Recovery.Plan.Full_scan -> ()
         | Inject.Corrupt.Pfn_tracker, m ->
           Alcotest.failf "%s: expected full-scan fallback, got %s" name
             (match m with
-            | Some s -> Recovery.Microreset.scan_mode_name s
+            | Some s -> Recovery.Plan.scan_mode_name s
             | None -> "none")
-        | _, Some Recovery.Microreset.Incremental_scan -> ()
+        | _, Some Recovery.Plan.Incremental_scan -> ()
         | _, m ->
           Alcotest.failf "%s: expected incremental scan, got %s" name
             (match m with
-            | Some s -> Recovery.Microreset.scan_mode_name s
+            | Some s -> Recovery.Plan.scan_mode_name s
             | None -> "none"));
         checki (name ^ ": pfn repairs agree")
-          oa.Recovery.Engine.repairs.Recovery.Engine.pfn_fixed
-          ob.Recovery.Engine.repairs.Recovery.Engine.pfn_fixed;
+          oa.Recovery.Plan.repairs.Recovery.Plan.pfn_fixed
+          ob.Recovery.Plan.repairs.Recovery.Plan.pfn_fixed;
         checks (name ^ ": post-recovery state identical") (state_digest a)
           (state_digest bm)
       | Error ea, Error eb -> checks (name ^ ": same death") ea eb
@@ -168,8 +171,9 @@ let test_equivalence_matrix () =
 (* A recovery attempt that dies invalidates the dirty tracking, so the
    next attempt on the same instance must take the full scan even with
    [incremental_scan] on -- the automatic fallback the equivalence
-   guarantee rests on after [died]. *)
-let test_fallback_after_died () =
+   guarantee rests on after [died]. Serial and sharded recovery run
+   through the same executor, so both honour it. *)
+let fallback_after_died recover_outcome () =
   let hv = boot ~config:Hyper.Config.nilihype_incremental () in
   let rng = Sim.Rng.create 8_800L in
   warmup hv rng ~steps:80;
@@ -183,8 +187,8 @@ let test_fallback_after_died () =
   hv.Hyper.Hypervisor.recovery_handler_ok <- true;
   match recover_outcome hv with
   | Ok out ->
-    (match out.Recovery.Engine.scan_mode with
-    | Some Recovery.Microreset.Full_scan -> ()
+    (match out.Recovery.Plan.scan_mode with
+    | Some Recovery.Plan.Full_scan -> ()
     | _ -> Alcotest.fail "post-died recovery must fall back to the full scan")
   | Error e -> Alcotest.failf "second recovery died: %s" e
 
@@ -193,33 +197,32 @@ let test_fallback_after_died () =
 (* Sharded recovery must converge to the serial microreset's machine
    state: the per-descriptor repair is order-independent, so per-domain
    shards and one serial sweep are different schedules of the same
-   repair. *)
+   repair. Checked over the whole catalogue, on both scan paths. *)
 let test_sharded_equals_serial () =
   List.iter
-    (fun target ->
-      let name = Inject.Corrupt.name target in
-      let seed = 9_900L in
-      let config = Hyper.Config.nilihype_incremental in
-      let a = damaged_machine ~config ~seed target in
-      let bm = damaged_machine ~config ~seed target in
-      let serial = recover_outcome a in
-      let sharded =
-        match Recovery.Shard.recover bm ~enh:full ~detected_on:0 with
-        | r -> Ok r.Recovery.Shard.latency
-        | exception Hyper.Crash.Hypervisor_crash c ->
-          Error (Hyper.Crash.describe c)
-      in
-      match (serial, sharded) with
-      | Ok _, Ok _ ->
-        checks (name ^ ": sharded state = serial state") (state_digest a)
-          (state_digest bm)
-      | Error ea, Error eb -> checks (name ^ ": same death") ea eb
-      | Ok _, Error e -> Alcotest.failf "%s: sharded died (%s)" name e
-      | Error e, Ok _ -> Alcotest.failf "%s: serial died (%s)" name e)
+    (fun (path, config) ->
+      List.iter
+        (fun target ->
+          let name = path ^ "/" ^ Inject.Corrupt.name target in
+          let seed = 9_900L in
+          let a = damaged_machine ~config ~seed target in
+          let bm = damaged_machine ~config ~seed target in
+          match (recover_outcome a, shard_outcome bm) with
+          | Ok oa, Ok ob ->
+            checkb (name ^ ": same scan path") true
+              (oa.Recovery.Plan.scan_mode = ob.Recovery.Plan.scan_mode);
+            checki (name ^ ": pfn repairs agree")
+              oa.Recovery.Plan.repairs.Recovery.Plan.pfn_fixed
+              ob.Recovery.Plan.repairs.Recovery.Plan.pfn_fixed;
+            checks (name ^ ": sharded state = serial state") (state_digest a)
+              (state_digest bm)
+          | Error ea, Error eb -> checks (name ^ ": same death") ea eb
+          | Ok _, Error e -> Alcotest.failf "%s: sharded died (%s)" name e
+          | Error e, Ok _ -> Alcotest.failf "%s: serial died (%s)" name e)
+        (Array.to_list Inject.Corrupt.all))
     [
-      Inject.Corrupt.Pfn_validated_flip; Inject.Corrupt.Pfn_use_count_skew;
-      Inject.Corrupt.Pfn_type_scramble; Inject.Corrupt.Sched_metadata;
-      Inject.Corrupt.Guest_frame; Inject.Corrupt.Pfn_tracker;
+      ("full", Hyper.Config.nilihype);
+      ("incremental", Hyper.Config.nilihype_incremental);
     ]
 
 (* Two identical sharded recoveries must produce identical results --
@@ -235,7 +238,7 @@ let test_sharded_deterministic () =
   in
   let r1 = mk () and r2 = mk () in
   checkb "identical sharded results" true (r1 = r2);
-  let domains = List.map fst r1.Recovery.Shard.resume_offsets in
+  let domains = List.map fst r1.Recovery.Plan.resume_offsets in
   (* Three_appvm at this point: PrivVM 0, two AppVMs, the idle domain. *)
   checkb "every domain has a resume offset" true
     (List.for_all (fun d -> List.mem d domains) [ 0; 1; 2; 1000 ]);
@@ -243,14 +246,81 @@ let test_sharded_deterministic () =
     (fun (domid, off) ->
       checkb (Printf.sprintf "domain %d resumes within the recovery" domid)
         true
-        (off > 0 && off <= r1.Recovery.Shard.latency))
-    r1.Recovery.Shard.resume_offsets;
+        (off > 0 && off <= r1.Recovery.Plan.latency))
+    r1.Recovery.Plan.resume_offsets;
   (* The whole point of sharding: some unaffected domain resumes before
      the end-to-end latency. *)
   checkb "some domain resumes early" true
     (List.exists
-       (fun (_, off) -> off < r1.Recovery.Shard.latency)
-       r1.Recovery.Shard.resume_offsets)
+       (fun (_, off) -> off < r1.Recovery.Plan.latency)
+       r1.Recovery.Plan.resume_offsets)
+
+(* Every plan reconciles by construction: the global step costs plus the
+   lane makespan give the latency, the recorded spans summed by name give
+   the breakdown, and no two spans on one trace track overlap -- global
+   steps run on the detecting CPU's track, lane steps on their lane's, so
+   a sharded recovery reads as a lane chart. *)
+let test_plans_reconcile () =
+  let open Obs.Span in
+  List.iter
+    (fun (label, config, plan) ->
+      let recorder = Obs.Recorder.create () in
+      let hv =
+        damaged_machine ~obs:recorder ~config ~seed:5_500L
+          Inject.Corrupt.Pfn_use_count_skew
+      in
+      let plan = plan hv ~enh:full ~detected_on:0 in
+      let steps = (plan (Recovery.Plan.no_repairs ())).Recovery.Plan.steps in
+      Obs.Recorder.clear recorder;
+      let out = Recovery.Plan.run hv ~detected_on:0 plan in
+      let spans = to_list recorder.Obs.Recorder.spans in
+      let is_global s =
+        List.exists
+          (fun (p : Recovery.Plan.step) ->
+            p.name = s.name && p.owner = Recovery.Plan.Global)
+          steps
+      in
+      let global, lanes = List.partition is_global spans in
+      let makespan =
+        if lanes = [] then 0
+        else
+          List.fold_left (fun m s -> max m (s.start + s.duration)) min_int lanes
+          - List.fold_left (fun m s -> min m s.start) max_int lanes
+      in
+      checki (label ^ ": global costs + makespan = latency")
+        out.Recovery.Plan.latency
+        (List.fold_left (fun acc s -> acc + s.duration) 0 global + makespan);
+      checkb (label ^ ": spans summed by name = breakdown") true
+        (sums_by_name recorder.Obs.Recorder.spans
+        = out.Recovery.Plan.breakdown.Hyper.Latency_model.steps);
+      let tracks = List.sort_uniq compare (List.map (fun s -> s.track) spans) in
+      List.iter
+        (fun track ->
+          let on_track =
+            List.sort
+              (fun a b -> compare a.start b.start)
+              (List.filter (fun s -> s.track = track) spans)
+          in
+          ignore
+            (List.fold_left
+               (fun prev_end s ->
+                 checkb
+                   (Printf.sprintf "%s: %s starts after the previous span on track %d"
+                      label s.name track)
+                   true (s.start >= prev_end);
+                 s.start + s.duration)
+               min_int on_track))
+        tracks;
+      if List.length lanes > 1 then
+        checkb (label ^ ": shards spread over several lanes") true
+          (List.length tracks > 1))
+    [
+      ("serial", Hyper.Config.nilihype, Recovery.Microreset.plan);
+      ("serial-incremental", Hyper.Config.nilihype_incremental, Recovery.Microreset.plan);
+      ("sharded-full", Hyper.Config.nilihype, Recovery.Shard.plan);
+      ("sharded", Hyper.Config.nilihype_incremental, Recovery.Shard.plan);
+      ("microreboot", Hyper.Config.rehype, Recovery.Microreboot.plan);
+    ]
 
 (* --------------------------- fleet scenario -------------------------- *)
 
@@ -436,7 +506,9 @@ let () =
           Alcotest.test_case "fresh vs incremental across the catalogue"
             `Quick test_equivalence_matrix;
           Alcotest.test_case "full-scan fallback after died" `Quick
-            test_fallback_after_died;
+            (fallback_after_died recover_outcome);
+          Alcotest.test_case "sharded full-scan fallback after died" `Quick
+            (fallback_after_died shard_outcome);
         ] );
       ( "sharded",
         [
@@ -444,6 +516,8 @@ let () =
             test_sharded_equals_serial;
           Alcotest.test_case "deterministic, early resume offsets" `Quick
             test_sharded_deterministic;
+          Alcotest.test_case "plans reconcile by construction" `Quick
+            test_plans_reconcile;
         ] );
       ( "fleet",
         [

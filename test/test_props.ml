@@ -74,21 +74,6 @@ let prop_timer_reactivate_complete =
       ignore (Hyper.Timer_heap.reactivate_recurring th ~now:0);
       Hyper.Timer_heap.missing_recurring th = [])
 
-(* ------------------------- Event queue ------------------------------ *)
-
-let prop_event_queue_sorts =
-  QCheck.Test.make ~name:"event_queue pops time-ordered"
-    QCheck.(list (int_bound 1_000_000))
-    (fun times ->
-      let q = Sim.Event_queue.create () in
-      List.iter (fun t -> ignore (Sim.Event_queue.push q ~time:t t)) times;
-      let rec drain last =
-        match Sim.Event_queue.pop q with
-        | None -> true
-        | Some (t, _) -> t >= last && drain t
-      in
-      drain min_int)
-
 (* ------------------------- Pfn scan --------------------------------- *)
 
 (* After scan_and_fix, every descriptor is consistent, for any pattern of
@@ -279,7 +264,6 @@ let () =
             prop_timer_heap_sorts;
             prop_timer_heap_property;
             prop_timer_reactivate_complete;
-            prop_event_queue_sorts;
             prop_pfn_scan_restores_consistency;
             prop_static_segment_unlock_all;
             prop_journal_undo_inverts;

@@ -80,8 +80,9 @@ let test_microreset_releases_locks () =
   wreck hv rng;
   Hyper.Spinlock.acquire hv.Hyper.Hypervisor.console_lock ~cpu:3;
   let r = Recovery.Microreset.recover hv ~enh:full ~detected_on:0 in
-  checkb "heap locks released" true (r.Recovery.Microreset.heap_locks_released > 0);
-  checkb "static locks released" true (r.Recovery.Microreset.static_locks_released > 0);
+  let repairs = r.Recovery.Plan.repairs in
+  checkb "heap locks released" true (repairs.Recovery.Plan.heap_locks_released > 0);
+  checkb "static locks released" true (repairs.Recovery.Plan.static_locks_released > 0);
   checkb "console lock free" false
     (Hyper.Spinlock.is_held hv.Hyper.Hypervisor.console_lock)
 
@@ -169,11 +170,11 @@ let test_microreset_latency_breakdown () =
   in
   Array.iter Hyper.Percpu.irq_enter hv.Hyper.Hypervisor.percpu;
   let r = Recovery.Microreset.recover hv ~enh:full ~detected_on:0 in
-  let total = Hyper.Latency_model.total r.Recovery.Microreset.breakdown in
+  let total = Hyper.Latency_model.total r.Recovery.Plan.breakdown in
   checkb "about 22ms" true (total > Sim.Time.ms 21 && total < Sim.Time.ms 23);
   let scan =
     List.assoc "Restore and check consistency of page frame entries"
-      r.Recovery.Microreset.breakdown.Hyper.Latency_model.steps
+      r.Recovery.Plan.breakdown.Hyper.Latency_model.steps
   in
   checkb "scan dominates" true (scan > (total * 9) / 10)
 
@@ -186,7 +187,7 @@ let test_microreset_latency_scales_with_memory () =
         ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.One_appvm clock
     in
     let r = Recovery.Microreset.recover hv ~enh:full ~detected_on:0 in
-    Hyper.Latency_model.total r.Recovery.Microreset.breakdown
+    Hyper.Latency_model.total r.Recovery.Plan.breakdown
   in
   let l8 = measure (8 * 1024 * 1024 * 1024) in
   let l16 = measure (16 * 1024 * 1024 * 1024) in
@@ -205,7 +206,7 @@ let test_microreboot_latency_breakdown () =
   in
   Array.iter Hyper.Percpu.irq_enter hv.Hyper.Hypervisor.percpu;
   let r = Recovery.Microreboot.recover hv ~enh:full ~detected_on:0 in
-  let total = Hyper.Latency_model.total r.Recovery.Microreboot.breakdown in
+  let total = Hyper.Latency_model.total r.Recovery.Plan.breakdown in
   checkb "about 713ms" true (total > Sim.Time.ms 700 && total < Sim.Time.ms 725)
 
 let test_latency_ratio_over_30x () =
@@ -224,9 +225,8 @@ let test_microreboot_restores_ioapic_from_log () =
   let hv = boot ~config:Hyper.Config.rehype () in
   let rng = Sim.Rng.create 10L in
   wreck hv rng;
-  let r = Recovery.Microreboot.recover hv ~enh:full ~detected_on:0 in
-  checkb "ioapic restored" true r.Recovery.Microreboot.ioapic_restored;
-  checkb "routing valid" true
+  ignore (Recovery.Microreboot.recover hv ~enh:full ~detected_on:0);
+  checkb "routing replayed from the log" true
     (Hw.Ioapic.routing_valid hv.Hyper.Hypervisor.machine.Hw.Machine.ioapic)
 
 let test_microreboot_repairs_heap_and_static () =
@@ -291,8 +291,9 @@ let test_engine_dispatch () =
   let rng = Sim.Rng.create 15L in
   wreck hv rng;
   let o = Recovery.Engine.recover Recovery.Engine.Nilihype hv ~enh:full ~detected_on:0 in
-  checkb "latency positive" true (o.Recovery.Engine.latency > 0);
-  checkb "mechanism recorded" true (o.Recovery.Engine.mechanism = Recovery.Engine.Nilihype)
+  checkb "latency positive" true (o.Recovery.Plan.latency > 0);
+  checkb "microreset scan path recorded" true
+    (o.Recovery.Plan.scan_mode = Some Recovery.Plan.Full_scan)
 
 let test_recovery_is_repeatable () =
   (* Nine lives: the hypervisor can be recovered many times over. The

@@ -1,5 +1,4 @@
-(* Tests for the simulation substrate: PRNG, clock, event queue, engine,
-   statistics. *)
+(* Tests for the simulation substrate: PRNG, clock, statistics. *)
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -153,163 +152,31 @@ let test_time_units () =
   checki "s" 1_000_000_000 (Sim.Time.s 1);
   check (Alcotest.float 1e-9) "to_ms" 1.5 (Sim.Time.to_ms (Sim.Time.us 1500))
 
-(* ------------------------- Event queue ------------------------------ *)
+(* ------------------------- Time formatting -------------------------- *)
 
-let test_eventq_ordering () =
-  let q = Sim.Event_queue.create () in
-  ignore (Sim.Event_queue.push q ~time:30 "c");
-  ignore (Sim.Event_queue.push q ~time:10 "a");
-  ignore (Sim.Event_queue.push q ~time:20 "b");
-  let pop () =
-    match Sim.Event_queue.pop q with Some (_, v) -> v | None -> "eof"
-  in
-  check Alcotest.string "a first" "a" (pop ());
-  check Alcotest.string "b second" "b" (pop ());
-  check Alcotest.string "c third" "c" (pop ());
-  check Alcotest.string "empty" "eof" (pop ())
+let show pp v = Format.asprintf "%a" pp v
 
-let test_eventq_fifo_ties () =
-  let q = Sim.Event_queue.create () in
-  ignore (Sim.Event_queue.push q ~time:10 "first");
-  ignore (Sim.Event_queue.push q ~time:10 "second");
-  (match Sim.Event_queue.pop q with
-  | Some (_, v) -> check Alcotest.string "insertion order on tie" "first" v
-  | None -> Alcotest.fail "empty");
-  match Sim.Event_queue.pop q with
-  | Some (_, v) -> check Alcotest.string "second" "second" v
-  | None -> Alcotest.fail "empty"
+let test_time_pp_unit_boundaries () =
+  let str = Alcotest.string in
+  check str "ns" "999ns" (show Sim.Time.pp 999);
+  check str "us" "1.000us" (show Sim.Time.pp (Sim.Time.us 1));
+  check str "just under ms" "999.999us" (show Sim.Time.pp (Sim.Time.ms 1 - 1));
+  check str "ms" "1.000ms" (show Sim.Time.pp (Sim.Time.ms 1));
+  check str "s" "2.500s" (show Sim.Time.pp (Sim.Time.ms 2500));
+  check str "pp_ms" "0.250ms" (show Sim.Time.pp_ms (Sim.Time.us 250))
 
-let test_eventq_cancel () =
-  let q = Sim.Event_queue.create () in
-  let h = Sim.Event_queue.push q ~time:10 "cancelled" in
-  ignore (Sim.Event_queue.push q ~time:20 "kept");
-  Sim.Event_queue.cancel h;
-  (match Sim.Event_queue.pop q with
-  | Some (_, v) -> check Alcotest.string "skips cancelled" "kept" v
-  | None -> Alcotest.fail "empty");
-  checkb "then empty" true (Sim.Event_queue.pop q = None)
-
-let test_eventq_peek_time () =
-  let q = Sim.Event_queue.create () in
-  checkb "empty peek" true (Sim.Event_queue.peek_time q = None);
-  let h = Sim.Event_queue.push q ~time:5 "x" in
-  checkb "peek 5" true (Sim.Event_queue.peek_time q = Some 5);
-  Sim.Event_queue.cancel h;
-  checkb "peek skips cancelled" true (Sim.Event_queue.peek_time q = None)
-
-let test_eventq_many () =
-  let q = Sim.Event_queue.create () in
-  let r = Sim.Rng.create 11L in
-  for _ = 1 to 1000 do
-    ignore (Sim.Event_queue.push q ~time:(Sim.Rng.int r 10_000) ())
-  done;
-  let last = ref (-1) in
-  let ok = ref true in
-  let rec go () =
-    match Sim.Event_queue.pop q with
-    | None -> ()
-    | Some (t, ()) ->
-      if t < !last then ok := false;
-      last := t;
-      go ()
-  in
-  go ();
-  checkb "monotone pop order" true !ok
-
-(* A queue that has been used, cleared and refilled must be
-   indistinguishable from a fresh one: same pop order, same seq
-   numbering (ties included), same cancellation behaviour. This is the
-   contract the entry free-list must preserve -- a recycled entry that
-   leaked state (stale seq, stale cancelled flag) would surface here. *)
-let test_eventq_reuse_equals_fresh () =
-  (* One deterministic script, interleaving pushes, cancels and pops;
-     returns the observable trace plus the seq each push was assigned. *)
-  let script q =
-    let trace = ref [] and seqs = ref [] in
-    let note ev = trace := ev :: !trace in
-    let push time payload =
-      let h = Sim.Event_queue.push q ~time payload in
-      seqs := h.Sim.Event_queue.seq :: !seqs;
-      h
-    in
-    let pop () =
-      match Sim.Event_queue.pop q with
-      | Some (t, v) -> note (Printf.sprintf "%d:%s" t v)
-      | None -> note "eof"
-    in
-    let ha = push 10 "a" in
-    let _ = push 10 "a-tie" in
-    let hb = push 5 "b" in
-    pop ();
-    Sim.Event_queue.cancel ha;
-    let _ = push 7 "c" in
-    pop ();
-    let hd = push 3 "d" in
-    Sim.Event_queue.cancel hd;
-    pop ();
-    (match Sim.Event_queue.peek_time q with
-    | Some t -> note (Printf.sprintf "peek:%d" t)
-    | None -> note "peek:none");
-    Sim.Event_queue.cancel hb;
-    pop ();
-    pop ();
-    (List.rev !trace, List.rev !seqs)
-  in
-  let fresh = Sim.Event_queue.create () in
-  let reused = Sim.Event_queue.create () in
-  (* Dirty the reused queue: fill, cancel some, pop some, then clear
-     mid-flight so parked entries carry stale seq/cancelled state. *)
-  let junk = ref [] in
-  for i = 1 to 40 do
-    junk := Sim.Event_queue.push reused ~time:(i * 3 mod 17) "junk" :: !junk
-  done;
-  List.iteri (fun i h -> if i mod 3 = 0 then Sim.Event_queue.cancel h) !junk;
-  for _ = 1 to 15 do
-    ignore (Sim.Event_queue.pop reused)
-  done;
-  Sim.Event_queue.clear reused;
-  let fresh_trace, fresh_seqs = script fresh in
-  let reused_trace, reused_seqs = script reused in
-  check (Alcotest.list Alcotest.string) "same pop order" fresh_trace reused_trace;
-  check (Alcotest.list Alcotest.int) "same seq numbering" fresh_seqs reused_seqs
-
-(* ------------------------- Engine ----------------------------------- *)
-
-let test_engine_runs_in_order () =
-  let e = Sim.Engine.create () in
-  let log = ref [] in
-  ignore (Sim.Engine.schedule e ~delay:20 (fun _ -> log := "b" :: !log));
-  ignore (Sim.Engine.schedule e ~delay:10 (fun _ -> log := "a" :: !log));
-  Sim.Engine.run e;
-  check (Alcotest.list Alcotest.string) "order" [ "a"; "b" ] (List.rev !log)
-
-let test_engine_clock_advances () =
-  let e = Sim.Engine.create () in
-  let seen = ref 0 in
-  ignore (Sim.Engine.schedule e ~delay:42 (fun e -> seen := Sim.Engine.now e));
-  Sim.Engine.run e;
-  checki "event sees its time" 42 !seen
-
-let test_engine_run_until () =
-  let e = Sim.Engine.create () in
-  let count = ref 0 in
-  ignore (Sim.Engine.schedule e ~delay:10 (fun _ -> incr count));
-  ignore (Sim.Engine.schedule e ~delay:100 (fun _ -> incr count));
-  Sim.Engine.run_until e 50;
-  checki "only first fired" 1 !count;
-  checki "clock at deadline" 50 (Sim.Engine.now e)
-
-let test_engine_cascading () =
-  let e = Sim.Engine.create () in
-  let fired = ref 0 in
-  let rec chain e =
-    incr fired;
-    if !fired < 5 then ignore (Sim.Engine.schedule e ~delay:10 chain)
-  in
-  ignore (Sim.Engine.schedule e ~delay:10 chain);
-  Sim.Engine.run e;
-  checki "chain of 5" 5 !fired;
-  checki "final time" 50 (Sim.Engine.now e)
+let test_time_pp_float_fractional () =
+  let str = Alcotest.string in
+  check str "sub-ns mean" "0.5ns" (show Sim.Time.pp_float 0.5);
+  check str "us" "1.500us" (show Sim.Time.pp_float 1500.);
+  check str "ms" "2.500ms" (show Sim.Time.pp_float 2.5e6);
+  check str "s" "3.000s" (show Sim.Time.pp_float 3e9);
+  (* Whole nanoseconds print in the same unit as the integer printer. *)
+  List.iter
+    (fun n ->
+      check str "agrees with pp above 1us" (show Sim.Time.pp n)
+        (show Sim.Time.pp_float (float_of_int n)))
+    [ Sim.Time.us 7; Sim.Time.ms 42; Sim.Time.s 3 ]
 
 (* ------------------------- Stats ------------------------------------ *)
 
@@ -343,37 +210,6 @@ let test_stats_paper_convention () =
   let s = Format.asprintf "%a" Sim.Stats.pp_proportion p in
   check Alcotest.string "format" "16.0% +/- 2.3%" s
 
-(* ------------------------- Trace ------------------------------------ *)
-
-let test_trace_capacity () =
-  let t = Sim.Trace.create ~capacity:3 ~min_level:Sim.Trace.Debug () in
-  for i = 1 to 5 do
-    Sim.Trace.record t ~time:i Sim.Trace.Info (string_of_int i)
-  done;
-  let entries = Sim.Trace.to_list t in
-  checki "bounded" 3 (List.length entries);
-  check Alcotest.string "oldest kept is 3" "3"
-    (List.hd entries).Sim.Trace.message
-
-let test_trace_level_filter () =
-  let t = Sim.Trace.create ~capacity:10 ~min_level:Sim.Trace.Warn () in
-  Sim.Trace.record t ~time:0 Sim.Trace.Debug "dropped";
-  Sim.Trace.record t ~time:0 Sim.Trace.Error "kept";
-  checki "only warn+" 1 (List.length (Sim.Trace.to_list t))
-
-let test_trace_clear () =
-  let t = Sim.Trace.create ~capacity:3 ~min_level:Sim.Trace.Debug () in
-  for i = 1 to 5 do
-    Sim.Trace.record t ~time:i Sim.Trace.Info (string_of_int i)
-  done;
-  Sim.Trace.clear t;
-  checki "empty after clear" 0 (List.length (Sim.Trace.to_list t));
-  Sim.Trace.record t ~time:6 Sim.Trace.Info "fresh";
-  let entries = Sim.Trace.to_list t in
-  checki "reusable after clear" 1 (List.length entries);
-  check Alcotest.string "new entry first" "fresh"
-    (List.hd entries).Sim.Trace.message
-
 let () =
   Alcotest.run "sim"
     [
@@ -403,22 +239,14 @@ let () =
           Alcotest.test_case "negative delta" `Quick test_clock_negative_delta;
           Alcotest.test_case "time units" `Quick test_time_units;
         ] );
-      ( "event_queue",
+      (* Alcotest sizes the label column by the longest group name and
+         truncates test names to fit 80 columns, so renaming or dropping
+         a group changes how every long test name in this suite prints. *)
+      ( "time_format",
         [
-          Alcotest.test_case "ordering" `Quick test_eventq_ordering;
-          Alcotest.test_case "fifo ties" `Quick test_eventq_fifo_ties;
-          Alcotest.test_case "cancel" `Quick test_eventq_cancel;
-          Alcotest.test_case "peek time" `Quick test_eventq_peek_time;
-          Alcotest.test_case "many events monotone" `Quick test_eventq_many;
-          Alcotest.test_case "reused queue equals fresh" `Quick
-            test_eventq_reuse_equals_fresh;
-        ] );
-      ( "engine",
-        [
-          Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
-          Alcotest.test_case "clock advances" `Quick test_engine_clock_advances;
-          Alcotest.test_case "run_until" `Quick test_engine_run_until;
-          Alcotest.test_case "cascading events" `Quick test_engine_cascading;
+          Alcotest.test_case "unit boundaries" `Quick test_time_pp_unit_boundaries;
+          Alcotest.test_case "float durations" `Quick
+            test_time_pp_float_fractional;
         ] );
       ( "stats",
         [
@@ -428,11 +256,5 @@ let () =
           Alcotest.test_case "CI shrinks" `Quick test_stats_ci_shrinks_with_n;
           Alcotest.test_case "wilson bounds" `Quick test_stats_wilson_bounds;
           Alcotest.test_case "paper format" `Quick test_stats_paper_convention;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "capacity" `Quick test_trace_capacity;
-          Alcotest.test_case "level filter" `Quick test_trace_level_filter;
-          Alcotest.test_case "clear" `Quick test_trace_clear;
         ] );
     ]
