@@ -1342,7 +1342,7 @@ let soak () =
   let pool = Inject.Campaign.prepare_pool ~jobs cfg in
   let ck path =
     {
-      Inject.Campaign.ck_path = path;
+      Inject.Drive.ck_path = path;
       ck_every = 16;
       ck_resume = false;
       ck_stop_after = None;
@@ -1421,7 +1421,7 @@ let soak () =
       ~oversubscribe ~chunk:64
       ~checkpoint:
         {
-          Inject.Campaign.ck_path = path;
+          Inject.Drive.ck_path = path;
           ck_every = 4;
           ck_resume = resume;
           ck_stop_after = stop_after;

@@ -36,7 +36,7 @@ let run_campaign ~mech ~fault ~setup ~n ~seed ~jobs ~chunk ~fanout ~label =
   (match Obs_cli.checkpoint () with
   | Some ck ->
     Format.printf "checkpoint: %s (%d runs aggregated)@."
-      ck.Inject.Campaign.ck_path
+      ck.Inject.Drive.ck_path
       result.Inject.Campaign.totals.Inject.Campaign.runs
   | None -> ());
   Format.printf "%a" Inject.Campaign.pp result;
@@ -128,6 +128,12 @@ let () =
     @ Obs_cli.arg_specs
   in
   Arg.parse spec (fun _ -> ()) "nlh_campaign [options]";
+  let require = Obs_cli.require_at_least "nlh_campaign" in
+  require "--runs" 1 !n;
+  require "--fanout" 1 !fanout;
+  require "--jobs" 0 !jobs;
+  require "--chunk" 0 !chunk;
+  Obs_cli.or_usage_error "nlh_campaign" @@ fun () ->
   if !ladder then
     List.iter
       (fun (label, hv_config, enh) ->

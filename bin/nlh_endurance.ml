@@ -54,6 +54,11 @@ let () =
     @ Obs_cli.arg_specs
   in
   Arg.parse spec (fun _ -> ()) "nlh_endurance [options]";
+  let require = Obs_cli.require_at_least "nlh_endurance" in
+  require "--cycles" 1 !cycles;
+  require "--scenarios" 1 !scenarios;
+  require "--jobs" 0 !jobs;
+  require "--chunk" 0 !chunk;
   let mech_name, hv_config =
     match !mech with
     | `Nilihype -> ("NiLiHype", Hyper.Config.nilihype)
@@ -80,6 +85,7 @@ let () =
   in
   let label = Printf.sprintf "%s/%s" mech_name (Inject.Fault.name !fault) in
   let result =
+    Obs_cli.or_usage_error "nlh_endurance" @@ fun () ->
     Endure.run ~label ~base_seed:(Int64.of_int !seed)
       ~jobs:(resolve_jobs !jobs)
       ?chunk:(if !chunk > 0 then Some !chunk else None)
@@ -91,7 +97,7 @@ let () =
   (match Obs_cli.checkpoint () with
   | Some ck ->
     Format.printf "checkpoint: %s (%d scenarios aggregated)@."
-      ck.Inject.Campaign.ck_path result.Endure.totals.Endure.scenarios
+      ck.Inject.Drive.ck_path result.Endure.totals.Endure.scenarios
   | None -> ());
   Format.printf "%a" Endure.pp result;
   Format.printf

@@ -19,10 +19,9 @@ let () =
     match Fleet.mechanism_of_string s with
     | Some m -> mechs := m :: !mechs
     | None ->
-      prerr_endline
+      Obs_cli.usage_error "nlh_fleet"
         ("unknown mechanism " ^ s
-       ^ " (expected serial-full | serial-incremental | sharded)");
-      exit 2
+       ^ " (expected serial-full | serial-incremental | sharded)")
   in
   let spec =
     [
@@ -43,20 +42,14 @@ let () =
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "nlh_fleet: tenant-fleet request latency through a recovery event";
-  let require ok flag bound value =
-    if not ok then begin
-      Printf.eprintf "%s must be %s (got %d)\n" flag bound value;
-      exit 2
-    end
-  in
-  require (!tenants >= 1) "--tenants" "at least 1" !tenants;
-  require (!trials >= 1) "--trials" "at least 1" !trials;
-  require
-    (!victims >= 1 && !victims <= !tenants)
-    "--victims"
-    (Printf.sprintf "between 1 and --tenants (%d)" !tenants)
-    !victims;
-  require (!jobs >= 1) "--jobs" "at least 1" !jobs;
+  let require = Obs_cli.require_at_least "nlh_fleet" in
+  require "--tenants" 1 !tenants;
+  require "--trials" 1 !trials;
+  if !victims < 1 || !victims > !tenants then
+    Obs_cli.usage_error "nlh_fleet"
+      (Printf.sprintf "--victims must be between 1 and --tenants (%d) (got %d)"
+         !tenants !victims);
+  require "--jobs" 1 !jobs;
   let cfg =
     {
       Fleet.default_config with

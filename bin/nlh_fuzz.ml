@@ -100,6 +100,9 @@ let () =
     ]
   in
   Arg.parse spec (fun _ -> ()) "nlh_fuzz [options]";
+  Obs_cli.require_at_least "nlh_fuzz" "--runs" 1 !runs;
+  if !resume && !corpus_out = "" then
+    Obs_cli.usage_error "nlh_fuzz" "--resume requires --corpus-out FILE";
   let cfg =
     {
       Fuzz.Session.f_base = base_config !mech !setup;
@@ -118,9 +121,7 @@ let () =
   in
   if !replay <> "" then begin
     match Fuzz.Input.trace_of_string !replay with
-    | Error msg ->
-      Format.eprintf "nlh_fuzz: %s@." msg;
-      exit 2
+    | Error msg -> Obs_cli.usage_error "nlh_fuzz" msg
     | Ok trace ->
       let r = Fuzz.Session.replay cfg trace in
       Format.printf "point: %s@."
@@ -134,10 +135,12 @@ let () =
   end
   else if !replay_check > 0 then begin
     if !corpus_out = "" then begin
-      Format.eprintf "nlh_fuzz: --replay-check requires --corpus-out@.";
-      exit 2
+      Obs_cli.usage_error "nlh_fuzz" "--replay-check requires --corpus-out"
     end;
-    let t = Fuzz.Session.resume_from cfg !corpus_out in
+    let t =
+      Obs_cli.or_usage_error "nlh_fuzz" (fun () ->
+          Fuzz.Session.resume_from cfg !corpus_out)
+    in
     let exemplars = Fuzz.Session.exemplars t in
     if exemplars = [] then begin
       Format.eprintf "nlh_fuzz: no discovered signatures to replay in %s@."
@@ -169,7 +172,9 @@ let () =
     end
   end
   else begin
-    let t = Fuzz.Session.explore cfg in
+    let t =
+      Obs_cli.or_usage_error "nlh_fuzz" (fun () -> Fuzz.Session.explore cfg)
+    in
     Format.printf
       "fuzz: %d evaluated (%d kept, %d duds) over %d rounds | %d coverage \
        points, %d corpus entries, %d signatures@."

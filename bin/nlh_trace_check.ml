@@ -3,16 +3,17 @@
 
    - Chrome-trace timelines (a "traceEvents" array): rows all carry
      name/ph/ts and timestamps are globally non-decreasing.
-   - "nlh-obs/1" metrics documents: counters/gauges are integer maps;
-     histograms have strictly increasing bounds, counts one longer than
-     bounds, counts summing to samples, and ordered quantile estimates.
+   - "nlh-obs/1" metrics documents: the metrics reader checkpoints use
+     (integer maps, strictly increasing histogram bounds, counts one
+     longer than bounds and summing to samples) plus ordered quantile
+     estimates.
    - "nlh-triage/1" triage documents: per-signature entries whose counts
      sum to the total, ascending seed sets, and well-formed exemplars.
    - "nlh-postmortem/1" bundles: signature grammar, timeline and
      flight-tail shape, monotone timeline timestamps.
-   - "nlh-checkpoint/1" soak checkpoints: kind/fingerprint identity,
-     ascending done-chunk indices in range, and a payload whose totals
-     satisfy the per-kind accounting identities.
+   - "nlh-checkpoint/1" soak checkpoints and "nlh-fuzz/1" corpora: the
+     envelope reader and per-kind payload decoders that resume uses, so
+     a file passes exactly when a resume would accept it.
    - "nlh-fleet/1" fleet reports: known mechanisms appearing once each,
      request counts matching histogram samples, ordered latency
      quantiles, and per-trial scan-path accounting.
@@ -98,45 +99,20 @@ let int_assoc path what v =
 
 (* --- nlh-obs/1 ------------------------------------------------------- *)
 
+(* The raw counters/gauges/histograms body is the one a checkpoint
+   payload carries, so it is decoded by the same reader; only the
+   derived quantiles are checked here. *)
 let check_metrics path root =
-  int_assoc path "counters" (get path "document" "counters" root);
-  int_assoc path "gauges" (get path "document" "gauges" root);
+  (match Obs.Checkpoint.(decoding (fun () -> metrics_of_json_exn root)) with
+  | Ok _ -> ()
+  | Error msg -> die "%s: %s" path msg);
   let hists =
     obj_members path "histograms" (get path "document" "histograms" root)
   in
   List.iter
     (fun (name, h) ->
       let what = Printf.sprintf "histograms[%S]" name in
-      let bounds =
-        List.map
-          (fun b ->
-            match Obs.Json.to_number b with
-            | Some f -> f
-            | None -> die "%s: %s: non-numeric bound" path what)
-          (list_of path what (get path what "bounds" h))
-      in
-      let rec mono = function
-        | a :: (b :: _ as r) ->
-          if a >= b then die "%s: %s: bounds not strictly increasing" path what;
-          mono r
-        | _ -> ()
-      in
-      mono bounds;
-      let counts =
-        List.map
-          (fun c ->
-            match Obs.Json.to_number c with
-            | Some f when f >= 0.0 -> f
-            | _ -> die "%s: %s: bad bucket count" path what)
-          (list_of path what (get path what "counts" h))
-      in
-      if List.length counts <> List.length bounds + 1 then
-        die "%s: %s: %d counts for %d bounds (want bounds+1)" path what
-          (List.length counts) (List.length bounds);
       let samples = num path what "samples" h in
-      ignore (num path what "sum" h);
-      if List.fold_left ( +. ) 0.0 counts <> samples then
-        die "%s: %s: counts do not sum to samples" path what;
       (* Quantiles: present together iff the histogram is non-empty,
          and necessarily ordered. *)
       let q key = Option.bind (Obs.Json.member key h) Obs.Json.to_number in
@@ -260,198 +236,32 @@ let check_triage path root =
   Printf.printf "%s: OK nlh-triage/1 (%d signatures, %g failures)\n" path
     (List.length sigs) total
 
-(* --- nlh-checkpoint/1 ------------------------------------------------ *)
+(* --- nlh-checkpoint/1 and nlh-fuzz/1 ---------------------------------- *)
 
-(* A checkpoint payload carries raw metrics aggregates (no derived
-   quantiles), so the full nlh-obs/1 check does not apply: validate the
-   counters/gauges maps and histogram raw-field invariants only. *)
-let check_payload_metrics path what m =
-  int_assoc path (what ^ ".counters") (get path what "counters" m);
-  int_assoc path (what ^ ".gauges") (get path what "gauges" m);
-  List.iter
-    (fun (name, h) ->
-      let hwhat = Printf.sprintf "%s.histograms[%S]" what name in
-      let bounds = list_of path hwhat (get path hwhat "bounds" h) in
-      let counts =
-        List.map
-          (fun c ->
-            match Obs.Json.to_number c with
-            | Some f when f >= 0.0 -> f
-            | _ -> die "%s: %s: bad bucket count" path hwhat)
-          (list_of path hwhat (get path hwhat "counts" h))
-      in
-      if List.length counts <> List.length bounds + 1 then
-        die "%s: %s: %d counts for %d bounds (want bounds+1)" path hwhat
-          (List.length counts) (List.length bounds);
-      if List.fold_left ( +. ) 0.0 counts <> num path hwhat "samples" h then
-        die "%s: %s: counts do not sum to samples" path hwhat)
-    (obj_members path (what ^ ".histograms") (get path what "histograms" m))
+(* A checkpoint passes exactly when a resume would accept its envelope
+   and payload: it is read with [Obs.Checkpoint.read] and decoded by the
+   kind's own resume decoder. Only the config match (fingerprint and
+   chunk geometry) is left out, since a file alone names no run to
+   match. *)
+let decode_checkpoint ~schema (h : Obs.Checkpoint.header) payload =
+  let ok r = Result.map ignore r in
+  match (schema, h.Obs.Checkpoint.kind) with
+  | "nlh-checkpoint/1", "campaign" ->
+    ok (Inject.Campaign.totals_of_payload payload)
+  | "nlh-checkpoint/1", "endurance" -> ok (Endure.totals_of_payload payload)
+  | "nlh-fuzz/1", "fuzz" -> ok (Fuzz.Session.saved_of_checkpoint h payload)
+  | _, kind -> Error (Printf.sprintf "no %s checkpoint kind %S" schema kind)
 
-let check_checkpoint path root =
-  let kind = str path "checkpoint" "kind" root in
-  if kind <> "campaign" && kind <> "endurance" then
-    die "%s: checkpoint kind %S is neither campaign nor endurance" path kind;
-  if str path "checkpoint" "fingerprint" root = "" then
-    die "%s: empty fingerprint" path;
-  let chunk = num path "checkpoint" "chunk" root in
-  if chunk < 1.0 then die "%s: chunk %g < 1" path chunk;
-  let n_chunks = num path "checkpoint" "n_chunks" root in
-  let last = ref (-1.0) in
-  let dones =
-    list_of path "done" (get path "checkpoint" "done" root)
-  in
-  List.iter
-    (fun v ->
-      match Obs.Json.to_number v with
-      | Some i ->
-        if i < 0.0 || i >= n_chunks then
-          die "%s: done index %g outside [0, %g)" path i n_chunks;
-        if i <= !last then die "%s: done indices not strictly ascending" path;
-        last := i
-      | None -> die "%s: non-numeric done index" path)
-    dones;
-  let payload = get path "checkpoint" "payload" root in
-  ignore (obj_members path "payload" payload);
-  (if kind = "campaign" then begin
-     let fanout = num path "payload" "fanout" payload in
-     if fanout < 1.0 then die "%s: payload fanout %g < 1" path fanout;
-     let t = get path "payload" "totals" payload in
-     let f k = num path "totals" k t in
-     List.iter
-       (fun k -> ignore (f k))
-       [
-         "runs"; "non_manifested"; "sdc"; "detected"; "successes"; "no_vmf";
-         "recovered"; "latency_sum"; "latency_samples";
-       ];
-     if f "runs" <> f "non_manifested" +. f "sdc" +. f "detected" then
-       die "%s: totals: runs <> non_manifested + sdc + detected" path;
-     int_assoc path "totals.notes" (get path "totals" "notes" t);
-     check_payload_metrics path "totals.metrics" (get path "totals" "metrics" t)
-   end
-   else begin
-     let t = get path "payload" "totals" payload in
-     let f k = num path "totals" k t in
-     List.iter
-       (fun k -> ignore (f k))
-       [
-         "scenarios"; "survived"; "deaths"; "latent_scenarios";
-         "max_leaked_pages"; "budget_violations";
-       ];
-     if f "scenarios" <> f "survived" +. f "deaths" then
-       die "%s: totals: scenarios <> survived + deaths" path;
-     List.iteri
-       (fun i cv ->
-         let what = Printf.sprintf "totals.per_cycle[%d]" i in
-         let fields = list_of path what cv in
-         if List.length fields <> 9 then
-           die "%s: %s: expected 9 ints, got %d" path what
-             (List.length fields);
-         List.iter
-           (fun x ->
-             match Obs.Json.to_number x with
-             | Some f when f >= 0.0 -> ()
-             | _ -> die "%s: %s: bad cycle field" path what)
-           fields)
-       (list_of path "totals.per_cycle" (get path "totals" "per_cycle" t));
-     int_assoc path "totals.leaks" (get path "totals" "leaks" t);
-     int_assoc path "totals.death_notes" (get path "totals" "death_notes" t);
-     check_payload_metrics path "totals.metrics" (get path "totals" "metrics" t)
-   end);
-  Printf.printf "%s: OK nlh-checkpoint/1 (%s, %d/%g chunks done)\n" path kind
-    (List.length dones) n_chunks
-
-(* --- nlh-fuzz/1 ------------------------------------------------------ *)
-
-(* A fuzz corpus/state file: the checkpoint envelope under the fuzz
-   schema tag (kind "fuzz", done-rounds a prefix), with a payload
-   holding the session identity (base_seed/rng as exact int64 strings),
-   the accounting identity evaluated = kept + duds, the canonically
-   sorted corpus entries and the sorted coverage map into them. *)
-let check_fuzz path root =
-  let kind = str path "fuzz" "kind" root in
-  if kind <> "fuzz" then die "%s: fuzz checkpoint kind %S" path kind;
-  if str path "fuzz" "fingerprint" root = "" then
-    die "%s: empty fingerprint" path;
-  if num path "fuzz" "chunk" root < 1.0 then die "%s: chunk < 1" path;
-  let n_chunks = num path "fuzz" "n_chunks" root in
-  let dones = list_of path "done" (get path "fuzz" "done" root) in
-  List.iteri
-    (fun i v ->
-      match Obs.Json.to_number v with
-      | Some f ->
-        if f <> float_of_int i then
-          die "%s: done rounds are not the prefix 0..%d" path
-            (List.length dones - 1);
-        if f >= n_chunks then die "%s: done index %g out of range" path f
-      | None -> die "%s: non-numeric done index" path)
-    dones;
-  let payload = get path "fuzz" "payload" root in
-  let int64_str what key =
-    let s = str path what key payload in
-    if Int64.of_string_opt s = None then
-      die "%s: %s.%s %S is not an int64" path what key s
-  in
-  int64_str "payload" "base_seed";
-  int64_str "payload" "rng";
-  let evaluated = num path "payload" "evaluated" payload in
-  let kept = num path "payload" "kept" payload in
-  let dud = num path "payload" "dud" payload in
-  if evaluated <> kept +. dud then
-    die "%s: evaluated %g <> kept %g + duds %g" path evaluated kept dud;
-  let entries = list_of path "entries" (get path "payload" "entries" payload) in
-  let last_trace = ref None in
-  List.iteri
-    (fun i e ->
-      let what = Printf.sprintf "entries[%d]" i in
-      let trace =
-        List.map
-          (fun c ->
-            match Obs.Json.to_number c with
-            | Some f
-              when Float.is_integer f && f >= 0.0
-                   && f < float_of_int Fuzz.Input.op_space ->
-              int_of_float f
-            | _ -> die "%s: %s: bad trace op code" path what)
-          (list_of path (what ^ ".trace") (get path what "trace" e))
-      in
-      if trace = [] then die "%s: %s: empty trace" path what;
-      (match !last_trace with
-      | Some prev when compare (List.length prev, prev) (List.length trace, trace) >= 0
-        ->
-        die "%s: %s: entries not in canonical (length, lex) order" path what
-      | _ -> ());
-      last_trace := Some trace;
-      let seed = str path what "seed" e in
-      if Int64.of_string_opt seed = None then
-        die "%s: %s: seed %S is not an int64" path what seed;
-      if str path what "outcome" e = "" then die "%s: %s: empty outcome" path what;
-      let sg = str path what "signature" e in
-      if sg <> "" then begin
-        let parts = String.split_on_char '|' sg in
-        if List.length parts <> 4 || List.exists (fun p -> p = "") parts then
-          die "%s: %s: signature %S is not fault|target|cause|branch" path what
-            sg
-      end)
-    entries;
-  let coverage =
-    list_of path "coverage" (get path "payload" "coverage" payload)
-  in
-  let last_point = ref "" in
-  List.iteri
-    (fun i c ->
-      let what = Printf.sprintf "coverage[%d]" i in
-      let point = str path what "point" c in
-      if point = "" then die "%s: %s: empty point" path what;
-      if i > 0 && point <= !last_point then
-        die "%s: %s: coverage points not strictly sorted" path what;
-      last_point := point;
-      let idx = num path what "entry" c in
-      if idx < 0.0 || idx >= float_of_int (List.length entries) then
-        die "%s: %s: entry index %g out of range" path what idx)
-    coverage;
-  Printf.printf "%s: OK nlh-fuzz/1 (%d/%g rounds, %d entries, %d points)\n"
-    path (List.length dones) n_chunks (List.length entries)
-    (List.length coverage)
+let check_checkpoint path schema =
+  match
+    Result.bind (Obs.Checkpoint.read ~schema path) (fun (h, payload) ->
+        Result.map (fun () -> h) (decode_checkpoint ~schema h payload))
+  with
+  | Error msg -> die "%s: %s" path msg
+  | Ok h ->
+    Printf.printf "%s: OK %s (%s, %d/%d chunks done)\n" path schema
+      h.Obs.Checkpoint.kind (Obs.Checkpoint.done_count h)
+      h.Obs.Checkpoint.n_chunks
 
 (* --- nlh-fleet/1 ----------------------------------------------------- *)
 
@@ -528,8 +338,8 @@ let check_file path =
     | Some "nlh-obs/1" -> check_metrics path root
     | Some "nlh-triage/1" -> check_triage path root
     | Some "nlh-postmortem/1" -> check_postmortem path root
-    | Some "nlh-checkpoint/1" -> check_checkpoint path root
-    | Some "nlh-fuzz/1" -> check_fuzz path root
+    | Some ("nlh-checkpoint/1" | "nlh-fuzz/1" as schema) ->
+      check_checkpoint path schema
     | Some "nlh-fleet/1" -> check_fleet path root
     | Some s -> die "%s: unknown schema %S" path s
     | None -> die "%s: neither a Chrome trace nor a schema document" path)

@@ -13,21 +13,37 @@ let resume = ref false
 let stop_after_chunks = ref 0
 let triage_seeds = ref 0
 
+(* Bad flags and unusable input files end a tool with one
+   "tool: message" line on stderr and exit code 2: never an uncaught
+   exception, never a report of an empty run. *)
+let usage_error tool msg =
+  prerr_endline (tool ^ ": " ^ msg);
+  exit 2
+
+let require_at_least tool flag bound value =
+  if value < bound then
+    usage_error tool
+      (Printf.sprintf "%s must be at least %d (got %d)" flag bound value)
+
+(* Run [f], reporting a refused configuration or resume (the
+   [Invalid_argument] the drivers raise) as a usage error. *)
+let or_usage_error tool f =
+  try f () with Invalid_argument msg -> usage_error tool msg
+
 (* Postmortem capture is on when either output is requested. *)
 let postmortems_on () = !triage_file <> "" || !postmortem_dir <> ""
 
 (* The checkpoint config assembled from the flags; [None] unless
    --checkpoint was given. *)
-let checkpoint () : Inject.Campaign.checkpoint option =
+let checkpoint () : Inject.Drive.checkpoint option =
   if !checkpoint_file = "" then begin
-    if !resume then
-      raise (Arg.Bad "--resume requires --checkpoint FILE");
+    if !resume then invalid_arg "--resume requires --checkpoint FILE";
     None
   end
   else
     Some
       {
-        Inject.Campaign.ck_path = !checkpoint_file;
+        Inject.Drive.ck_path = !checkpoint_file;
         ck_every = max 1 !checkpoint_every;
         ck_resume = !resume;
         ck_stop_after =

@@ -599,13 +599,11 @@ type result = {
   config_label : string;
   cfg : config;
   totals : totals;
-  jobs : int; (* worker domains actually used *)
+  (* host-side accounting, never part of [totals]; see
+     {!Inject.Drive.result} *)
+  jobs : int;
   wall_seconds : float;
   minor_words : float;
-      (* host minor-heap words allocated across all workers (per-domain
-         [Gc.minor_words] deltas, summed). Host-side accounting only, as
-         in {!Inject.Campaign}: NOT part of [totals], which stay
-         bit-identical across hosts and [jobs] values. *)
 }
 
 let minor_words_per_scenario r =
@@ -637,7 +635,7 @@ let mean_leak_pages_per_recovery r =
   Sim.Stats.mean_of_sum ~sum:pages ~samples:recoveries
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint / resume (same nlh-checkpoint/1 surface as campaigns)    *)
+(* Checkpoint payload (same nlh-checkpoint/1 surface as campaigns)     *)
 (* ------------------------------------------------------------------ *)
 
 (* Config/seed identity for resume validation; see
@@ -685,163 +683,79 @@ let payload_of_totals (t : totals) =
   Buffer.add_string buf "}}";
   Buffer.contents buf
 
-let totals_of_payload ?triage_seed_cap ~cycles (payload : Obs.Json.t) =
-  let ( let* ) = Result.bind in
-  let int k v =
-    match Obs.Json.member k v with
-    | Some x -> (
-      match Obs.Json.to_number x with
-      | Some f when Float.is_integer f -> Ok (int_of_float f)
-      | Some _ | None ->
-        Error (Printf.sprintf "payload: %S is not an integer" k))
-    | None -> Error (Printf.sprintf "payload: missing %S" k)
-  in
-  let int_assoc k v =
-    match Obs.Json.member k v with
-    | Some (Obs.Json.Obj fields) ->
-      List.fold_left
-        (fun acc (name, x) ->
-          let* acc = acc in
-          match Obs.Json.to_number x with
-          | Some f when Float.is_integer f -> Ok ((name, int_of_float f) :: acc)
-          | Some _ | None ->
-            Error (Printf.sprintf "payload: %S.%S is not an integer" k name))
-        (Ok []) fields
-    | _ -> Error (Printf.sprintf "payload: %S is not an object" k)
-  in
-  match Obs.Json.member "totals" payload with
-  | None -> Error "payload: missing \"totals\""
-  | Some tv ->
-    let* scenarios = int "scenarios" tv in
-    let* survived = int "survived" tv in
-    let* deaths = int "deaths" tv in
-    let* latent_scenarios = int "latent_scenarios" tv in
-    let* max_leaked_pages = int "max_leaked_pages" tv in
-    let* budget_violations = int "budget_violations" tv in
-    let* per_cycle =
-      match Obs.Json.member "per_cycle" tv with
-      | Some v -> (
-        match Obs.Json.to_list v with
-        | Some l ->
-          if List.length l <> cycles then
-            Error
-              (Printf.sprintf "payload: per_cycle has %d cycles, expected %d"
-                 (List.length l) cycles)
-          else
-            List.fold_left
-              (fun acc cv ->
-                let* acc = acc in
-                match Obs.Json.to_list cv with
-                | Some fields ->
-                  let* ints =
-                    List.fold_left
-                      (fun acc x ->
-                        let* acc = acc in
-                        match Obs.Json.to_number x with
-                        | Some f when Float.is_integer f ->
-                          Ok (int_of_float f :: acc)
-                        | Some _ | None ->
-                          Error "payload: non-integer per_cycle field")
-                      (Ok []) fields
-                  in
-                  (match List.rev ints with
-                  | [ en; qu; re; la; di; lp; bv; ls; lsam ] ->
-                    Ok
-                      ({
-                         cs_entered = en;
-                         cs_quiet = qu;
-                         cs_recovered = re;
-                         cs_latent = la;
-                         cs_died = di;
-                         cs_leaked_pages = lp;
-                         cs_budget_violations = bv;
-                         cs_latency_sum = ls;
-                         cs_latency_samples = lsam;
-                       }
-                      :: acc)
-                  | _ -> Error "payload: per_cycle entry is not 9 ints")
-                | None -> Error "payload: per_cycle entry is not an array")
-              (Ok []) l
-            |> Result.map List.rev
-        | None -> Error "payload: \"per_cycle\" is not an array")
-      | None -> Error "payload: missing \"per_cycle\""
-    in
-    let* leaks = int_assoc "leaks" tv in
-    let* death_notes = int_assoc "death_notes" tv in
-    let* metrics =
-      match Obs.Json.member "metrics" tv with
-      | Some m -> Obs.Checkpoint.metrics_of_json m
-      | None -> Error "payload: missing \"metrics\""
-    in
-    if scenarios <> survived + deaths then
-      Error "payload: scenarios <> survived + deaths"
-    else begin
-      let t = make_totals ?triage_seed_cap ~cycles () in
-      t.scenarios <- scenarios;
-      t.survived <- survived;
-      t.deaths <- deaths;
-      t.latent_scenarios <- latent_scenarios;
-      t.max_leaked_pages <- max_leaked_pages;
-      t.budget_violations <- budget_violations;
-      List.iteri (fun i c -> t.per_cycle.(i) <- c) per_cycle;
-      List.iter (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.leaks k) leaks;
+(* Parse a payload back into totals: the decoder resume and
+   [nlh_trace_check] share. A resume passes its configured [cycles]; the
+   checker, which has no config, takes the payload's own cycle count. *)
+let totals_of_payload ?triage_seed_cap ?cycles (payload : Obs.Json.t) =
+  Obs.Checkpoint.decoding (fun () ->
+      let open Obs.Checkpoint in
+      let tv = get "payload" "totals" payload in
+      let int k = int_exn "totals" k tv in
+      let per_cycle =
+        match Obs.Json.to_list (get "totals" "per_cycle" tv) with
+        | Some l -> l
+        | None -> fail "totals: \"per_cycle\" is not an array"
+      in
+      let n = List.length per_cycle in
+      (match cycles with
+      | Some c when c <> n ->
+        fail "totals: per_cycle has %d cycles, expected %d" n c
+      | _ -> ());
+      let t = make_totals ?triage_seed_cap ~cycles:n () in
+      t.scenarios <- int "scenarios";
+      t.survived <- int "survived";
+      t.deaths <- int "deaths";
+      t.latent_scenarios <- int "latent_scenarios";
+      t.max_leaked_pages <- int "max_leaked_pages";
+      t.budget_violations <- int "budget_violations";
+      List.iteri
+        (fun i cv ->
+          let what = Printf.sprintf "totals.per_cycle[%d]" i in
+          match int_list_of what cv with
+          | [ en; qu; re; la; di; lp; bv; ls; lsam ] as fields ->
+            if List.exists (fun x -> x < 0) fields then
+              fail "%s: negative field" what;
+            t.per_cycle.(i) <-
+              {
+                cs_entered = en;
+                cs_quiet = qu;
+                cs_recovered = re;
+                cs_latent = la;
+                cs_died = di;
+                cs_leaked_pages = lp;
+                cs_budget_violations = bv;
+                cs_latency_sum = ls;
+                cs_latency_samples = lsam;
+              }
+          | _ -> fail "%s: expected 9 ints" what)
+        per_cycle;
+      List.iter
+        (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.leaks k)
+        (int_assoc_of "totals.leaks" (get "totals" "leaks" tv));
       List.iter
         (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.death_notes k)
-        death_notes;
-      t.metrics <- metrics;
-      Ok t
-    end
+        (int_assoc_of "totals.death_notes" (get "totals" "death_notes" tv));
+      t.metrics <- metrics_of_json_exn (get "totals" "metrics" tv);
+      if t.scenarios <> t.survived + t.deaths then
+        fail "payload: scenarios <> survived + deaths";
+      t)
 
 (* Run [scenarios] endurance scenarios of [cfg], varying only the seed,
-   optionally across OCaml 5 domains. Mirrors {!Inject.Campaign.run}:
-   one long-lived worker machine per domain, reset in place between
-   scenarios; totals merged commutatively, hence jobs-independent.
-   [checkpoint] switches to the streaming chunked engine (see
-   {!Inject.Campaign.run} and {!Inject.Pool.map_chunks}) writing and
-   resuming nlh-checkpoint/1 files with kind "endurance". *)
+   through the chunked driver ({!Inject.Drive.run}), exactly like
+   {!Inject.Campaign.run}: one long-lived worker machine per domain,
+   reset in place between scenarios; totals merged commutatively, hence
+   jobs-independent. [checkpoint] files carry kind "endurance". *)
 let run ?(label = "") ?(base_seed = 77_000L) ?(jobs = 1) ?chunk
     ?(oversubscribe = false) ?(postmortems = false)
-    ?(checkpoint : Inject.Campaign.checkpoint option) ?triage_seed_cap
+    ?(checkpoint : Inject.Drive.checkpoint option) ?triage_seed_cap
     ~scenarios (cfg : config) =
-  (match checkpoint with
-  | Some _ when postmortems ->
-    invalid_arg "Endure.run: checkpointing does not support postmortems"
-  | _ -> ());
-  let fp = fingerprint ~base_seed ~scenarios cfg in
-  let resumed =
-    match checkpoint with
-    | Some ck when ck.Inject.Campaign.ck_resume -> (
-      match Obs.Checkpoint.read ck.Inject.Campaign.ck_path with
-      | Error msg ->
-        invalid_arg
-          (Printf.sprintf "Endure.run: cannot resume from %s: %s"
-             ck.Inject.Campaign.ck_path msg)
-      | Ok (h, payload) ->
-        if h.Obs.Checkpoint.kind <> "endurance" then
-          invalid_arg
-            (Printf.sprintf
-               "Endure.run: checkpoint kind %S is not an endurance soak"
-               h.Obs.Checkpoint.kind);
-        if h.Obs.Checkpoint.fingerprint <> fp then
-          invalid_arg
-            (Printf.sprintf
-               "Endure.run: checkpoint fingerprint mismatch\n  file: %s\n  \
-                run:  %s"
-               h.Obs.Checkpoint.fingerprint fp);
-        (match totals_of_payload ?triage_seed_cap ~cycles:cfg.cycles payload with
-        | Error msg ->
-          invalid_arg
-            (Printf.sprintf "Endure.run: cannot resume from %s: %s"
-               ck.Inject.Campaign.ck_path msg)
-        | Ok merged -> Some (h, merged)))
-    | _ -> None
-  in
-  let t0 = Unix.gettimeofday () in
-  let worker_of worker i =
+  if postmortems && checkpoint <> None then
+    invalid_arg "Endure.run: checkpointing does not support postmortems";
+  let fresh () = make_totals ?triage_seed_cap ~cycles:cfg.cycles () in
+  let worker_of worker seed =
     match !worker with
     | Some w -> w
     | None ->
-      let seed = Int64.add base_seed (Int64.of_int i) in
       let recorder =
         (* With postmortems on, the ring must hold a whole scenario's
            Warn+ events for the death bundle's timeline. *)
@@ -858,140 +772,39 @@ let run ?(label = "") ?(base_seed = 77_000L) ?(jobs = 1) ?chunk
       worker := Some w;
       w
   in
-  let scenario_into totals worker i =
+  let scenario_into worker totals i =
     let seed = Int64.add base_seed (Int64.of_int i) in
-    let w = worker_of worker i in
+    let w = worker_of worker seed in
     add_scenario totals cfg (scenario_on_worker ~postmortems w cfg ~seed);
     totals.metrics <-
       Obs.Metrics.merge_snapshots totals.metrics
         (Obs.Recorder.metrics_snapshot (Inject.Run.worker_recorder w))
   in
-  match checkpoint with
-  | None ->
-    let init _ =
-      ( make_totals ?triage_seed_cap ~cycles:cfg.cycles (),
-        ref None,
-        Gc.minor_words (),
-        ref 0.0 )
-    in
-    let body (totals, worker, _, _) i = scenario_into totals worker i in
-    let totals, _, _, minor_words =
-      Inject.Pool.map_reduce ~jobs ?chunk ~oversubscribe ~n:scenarios ~init
-        ~body
-        ~finish:(fun (_, _, minor_start, minor_words) ->
-          (* [Gc.minor_words] is per-domain in OCaml 5: take the delta in
-             the worker's own domain. *)
-          minor_words := Gc.minor_words () -. minor_start)
-        ~merge:(fun (a, wa, sa, mwa) (b, _, _, mwb) ->
-          merge_into a b;
-          mwa := !mwa +. !mwb;
-          (a, wa, sa, mwa))
-        ()
-    in
-    let used_jobs =
-      let j = max 1 (min jobs (max 1 scenarios)) in
-      if oversubscribe then j else min j (Inject.Pool.default_jobs ())
-    in
-    {
-      config_label = label;
-      cfg;
-      totals;
-      jobs = used_jobs;
-      wall_seconds = Unix.gettimeofday () -. t0;
-      minor_words = !minor_words;
-    }
-  | Some ck ->
-    (* Streaming, checkpointed endurance soak; same engine shape as the
-       campaign path -- fixed chunks, coordinator-side merge, atomic
-       nlh-checkpoint/1 rewrites. *)
-    let chunk_size, merged, done_chunks =
-      match resumed with
-      | Some (h, merged) ->
-        (h.Obs.Checkpoint.chunk, merged, h.Obs.Checkpoint.done_chunks)
-      | None ->
-        let c =
-          match chunk with
-          | Some c -> max 1 c
-          | None -> Inject.Pool.default_chunk ~n:scenarios ~jobs:(max 1 jobs)
-        in
-        let n_chunks =
-          if scenarios <= 0 then 0 else (scenarios + c - 1) / c
-        in
-        ( c,
-          make_totals ?triage_seed_cap ~cycles:cfg.cycles (),
-          Array.make n_chunks false )
-    in
-    let n_chunks = Array.length done_chunks in
-    (match resumed with
-    | Some (h, _) ->
-      if
-        h.Obs.Checkpoint.n_chunks
-        <> (if scenarios <= 0 then 0
-            else (scenarios + chunk_size - 1) / chunk_size)
-      then
-        invalid_arg
-          (Printf.sprintf
-             "Endure.run: checkpoint has %d chunks but n=%d chunk=%d implies \
-              %d"
-             h.Obs.Checkpoint.n_chunks scenarios chunk_size
-             ((scenarios + chunk_size - 1) / chunk_size))
-    | None -> ());
-    let published = ref 0 in
-    let minor_total = ref 0.0 in
-    let write_ck () =
-      Obs.Checkpoint.write ~path:ck.Inject.Campaign.ck_path
+  let r =
+    Inject.Drive.run ?checkpoint ?chunk ~jobs ~oversubscribe ~kind:"endurance"
+      ~fingerprint:(fingerprint ~base_seed ~scenarios cfg)
+      ~decode:(fun _ payload ->
+        totals_of_payload ?triage_seed_cap ~cycles:cfg.cycles payload)
+      ~plan:(fun resumed ->
         {
-          Obs.Checkpoint.kind = "endurance";
-          fingerprint = fp;
-          chunk = chunk_size;
-          n_chunks;
-          done_chunks;
-        }
-        ~payload:(payload_of_totals merged)
-    in
-    let publish c t =
-      merge_into merged t;
-      done_chunks.(c) <- true;
-      incr published;
-      if
-        ck.Inject.Campaign.ck_every > 0
-        && !published mod ck.Inject.Campaign.ck_every = 0
-      then write_ck ()
-    in
-    let should_stop () =
-      match ck.Inject.Campaign.ck_stop_after with
-      | Some m -> !published >= m
-      | None -> false
-    in
-    Inject.Pool.map_chunks ~jobs ~oversubscribe ~should_stop ~n_chunks
-      ~skip:(fun c -> done_chunks.(c))
-      ~init:(fun _ -> (ref None, Gc.minor_words (), ref 0.0))
-      ~body:(fun (worker, _, _) c ->
-        let totals = make_totals ?triage_seed_cap ~cycles:cfg.cycles () in
-        let lo = c * chunk_size in
-        let hi = min scenarios (lo + chunk_size) in
-        for i = lo to hi - 1 do
-          scenario_into totals worker i
-        done;
-        totals)
-      ~publish
-      ~finish:(fun (_, minor_start, minor_words) ->
-        minor_words := Gc.minor_words () -. minor_start;
-        minor_total := !minor_total +. !minor_words)
-      ();
-    write_ck ();
-    let used_jobs =
-      let j = max 1 (min jobs (max 1 n_chunks)) in
-      if oversubscribe then j else min j (Inject.Pool.default_jobs ())
-    in
-    {
-      config_label = label;
-      cfg;
-      totals = merged;
-      jobs = used_jobs;
-      wall_seconds = Unix.gettimeofday () -. t0;
-      minor_words = !minor_total;
-    }
+          Inject.Drive.items = scenarios;
+          merged = (match resumed with Some t -> t | None -> fresh ());
+          fresh;
+          merge_into;
+          encode = payload_of_totals;
+          init = (fun _ -> ref None);
+          item = scenario_into;
+        })
+      ()
+  in
+  {
+    config_label = label;
+    cfg;
+    totals = r.Inject.Drive.totals;
+    jobs = r.Inject.Drive.jobs;
+    wall_seconds = r.Inject.Drive.wall_seconds;
+    minor_words = r.Inject.Drive.minor_words;
+  }
 
 let pp fmt r =
   let t = r.totals in

@@ -128,6 +128,7 @@ let entry_of_json v =
     Obs.Checkpoint.int_list_of "entry.trace"
       (Obs.Checkpoint.get "entry" "trace" v)
   in
+  if trace = [] then fail "entry.trace is empty";
   List.iter
     (fun c ->
       if c < 0 || c >= Input.op_space then
@@ -141,12 +142,14 @@ let entry_of_json v =
   in
   let outcome = Obs.Checkpoint.str "entry" "outcome" v in
   if outcome = "" then fail "entry.outcome is empty";
-  {
-    en_trace = trace;
-    en_seed = seed;
-    en_outcome = outcome;
-    en_signature = Obs.Checkpoint.str "entry" "signature" v;
-  }
+  let signature = Obs.Checkpoint.str "entry" "signature" v in
+  (* "" marks a good outcome; anything else must be a canonical key. *)
+  if
+    signature <> ""
+    && Option.map Obs.Signature.key (Obs.Signature.of_key signature)
+       <> Some signature
+  then fail "entry.signature %S is not fault|target|cause|branch" signature;
+  { en_trace = trace; en_seed = seed; en_outcome = outcome; en_signature = signature }
 
 let of_json payload =
   let ents =
@@ -154,6 +157,12 @@ let of_json payload =
     | Some l -> Array.of_list (List.map entry_of_json l)
     | None -> fail "\"entries\" is not an array"
   in
+  (* [add_payload] writes entries in strict preference order. *)
+  Array.iteri
+    (fun i e ->
+      if i > 0 && compare_entry ents.(i - 1) e >= 0 then
+        fail "entries[%d] not in canonical (length, lex) order" i)
+    ents;
   let t = create () in
   (match Obs.Json.to_list (Obs.Checkpoint.get "payload" "coverage" payload) with
   | None -> fail "\"coverage\" is not an array"

@@ -121,7 +121,6 @@ let header_of t =
     fingerprint = fingerprint t.s_cfg;
     chunk = t.s_cfg.f_batch;
     n_chunks = rounds;
-    (* Rounds complete strictly in order, so "done" is always a prefix. *)
     done_chunks = Array.init rounds (fun i -> i < t.s_rounds);
   }
 
@@ -129,43 +128,69 @@ let save t path =
   Obs.Checkpoint.write ~schema:Obs.Checkpoint.fuzz_schema ~path (header_of t)
     ~payload:(payload_of t)
 
+(* A session state as an nlh-fuzz/1 file holds it. *)
+type saved = {
+  sv_rounds : int;
+  sv_rng : int64;
+  sv_evaluated : int;
+  sv_kept : int;
+  sv_dud : int;
+  sv_corpus : Corpus.t;
+}
+
+(* Decode a fuzz file's header and payload: the decoder resume and
+   [nlh_trace_check] share. *)
+let saved_of_checkpoint (h : Obs.Checkpoint.header) payload =
+  Obs.Checkpoint.decoding (fun () ->
+      let open Obs.Checkpoint in
+      (* Rounds complete strictly in order, so "done" is a prefix. *)
+      let rounds = done_count h in
+      Array.iteri
+        (fun i d -> if d <> (i < rounds) then fail "done rounds are not a prefix")
+        h.done_chunks;
+      let int64 key =
+        let s = str "payload" key payload in
+        match Int64.of_string_opt s with
+        | Some v -> v
+        | None -> fail "payload.%s %S is not an int64" key s
+      in
+      ignore (int64 "base_seed");
+      let int key = int_exn "payload" key payload in
+      let sv =
+        {
+          sv_rounds = rounds;
+          sv_rng = int64 "rng";
+          sv_evaluated = int "evaluated";
+          sv_kept = int "kept";
+          sv_dud = int "dud";
+          sv_corpus = Corpus.of_json payload;
+        }
+      in
+      if sv.sv_evaluated <> sv.sv_kept + sv.sv_dud then
+        fail "payload: evaluated %d <> kept %d + dud %d" sv.sv_evaluated
+          sv.sv_kept sv.sv_dud;
+      sv)
+
 (* Restore corpus/stats/RNG from an nlh-fuzz/1 file into a fresh
-   session. The file's fingerprint must match the session config. *)
+   session, after the driver's envelope checks: kind, fingerprint, and a
+   round count that matches the config. *)
 let resume_from cfg path =
-  match Obs.Checkpoint.read ~schema:Obs.Checkpoint.fuzz_schema path with
-  | Error msg ->
-    invalid_arg (Printf.sprintf "Fuzz: cannot resume from %s: %s" path msg)
-  | Ok (h, payload) ->
-    if h.Obs.Checkpoint.kind <> "fuzz" then
-      invalid_arg
-        (Printf.sprintf "Fuzz: checkpoint kind %S is not \"fuzz\""
-           h.Obs.Checkpoint.kind);
-    if h.Obs.Checkpoint.fingerprint <> fingerprint cfg then
-      invalid_arg
-        (Printf.sprintf
-           "Fuzz: corpus fingerprint mismatch\n  file: %s\n  run:  %s"
-           h.Obs.Checkpoint.fingerprint (fingerprint cfg));
-    if h.Obs.Checkpoint.n_chunks <> n_rounds cfg then
-      invalid_arg "Fuzz: corpus round count does not match --runs/--batch";
-    let done_rounds = Obs.Checkpoint.done_count h in
-    Array.iteri
-      (fun i d ->
-        if d <> (i < done_rounds) then
-          invalid_arg "Fuzz: corpus done-rounds are not a prefix")
-      h.Obs.Checkpoint.done_chunks;
+  match
+    Result.bind
+      (Drive.load ~schema:Obs.Checkpoint.fuzz_schema ~kind:"fuzz"
+         ~fingerprint:(fingerprint cfg) ~decode:saved_of_checkpoint path)
+      (fun (h, sv) ->
+        Result.map (fun () -> sv) (Drive.check_geometry ~items:cfg.f_runs h))
+  with
+  | Error msg -> Drive.resume_error path msg
+  | Ok sv ->
     let t = create cfg in
-    (try
-       let rng_s = Obs.Checkpoint.str "payload" "rng" payload in
-       (match Int64.of_string_opt rng_s with
-       | Some st -> Sim.Rng.reseed t.s_rng st
-       | None -> Obs.Checkpoint.fail "payload.rng %S is not an int64" rng_s);
-       t.s_evaluated <- Obs.Checkpoint.int_exn "payload" "evaluated" payload;
-       t.s_kept <- Obs.Checkpoint.int_exn "payload" "kept" payload;
-       t.s_dud <- Obs.Checkpoint.int_exn "payload" "dud" payload;
-       Corpus.merge_into ~into:t.s_corpus (Corpus.of_json payload)
-     with Obs.Checkpoint.Bad msg ->
-       invalid_arg (Printf.sprintf "Fuzz: cannot resume from %s: %s" path msg));
-    t.s_rounds <- done_rounds;
+    Sim.Rng.reseed t.s_rng sv.sv_rng;
+    t.s_evaluated <- sv.sv_evaluated;
+    t.s_kept <- sv.sv_kept;
+    t.s_dud <- sv.sv_dud;
+    Corpus.merge_into ~into:t.s_corpus sv.sv_corpus;
+    t.s_rounds <- sv.sv_rounds;
     t
 
 (* ------------------------------------------------------------------ *)

@@ -135,33 +135,15 @@ let pp_snapshot fmt s =
 type result = {
   config_label : string;
   totals : totals;
-  jobs : int; (* worker domains the campaign actually used *)
-  wall_seconds : float; (* host wall-clock time for the whole campaign *)
+  (* host-side accounting, never part of [totals]; see {!Drive.result} *)
+  jobs : int;
+  wall_seconds : float;
   minor_words : float;
-      (* host minor-heap words allocated across all workers, summed from
-         each worker domain's own [Gc.minor_words]. Host-side accounting
-         only: deliberately NOT part of [totals], which stay bit-identical
-         across hosts and [jobs] values. *)
 }
 
 let runs_per_sec r =
   if r.wall_seconds > 0.0 then float_of_int r.totals.runs /. r.wall_seconds
   else 0.0
-
-(* Per-worker accumulator: the totals plus the worker's long-lived
-   machine (booted lazily in the worker's own domain and reset in place
-   between runs) and that domain's allocation accounting. [acc_totals]
-   is mutable because the checkpointed path swaps in a fresh totals per
-   chunk (the old one is published to the coordinator). *)
-type acc = {
-  mutable acc_totals : totals;
-  mutable acc_worker : Run.worker option;
-  acc_minor_start : float;
-  mutable acc_minor_words : float; (* set by the in-domain finish hook *)
-  mutable acc_pm_ledger : Hyper.Ledger.t option;
-      (* golden post-boot resource ledger, the baseline for a bundle's
-         ledger diff; captured once per worker when postmortems are on *)
-}
 
 (* ------------------------------------------------------------------ *)
 (* Pre-booted machine pools                                            *)
@@ -221,25 +203,8 @@ let prepare_pool ?(alloc_profile = false) ?(postmortems = false) ~jobs
   }
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint / resume                                                 *)
+(* Checkpoint payload                                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* Checkpointing a campaign: the work range is cut into fixed chunks
-   (see {!Pool.map_chunks}); each completed chunk's totals are merged
-   into a coordinator-side aggregate, and every [ck_every] publishes the
-   aggregate plus the completed-chunk bitmap are written atomically to
-   [ck_path] as an nlh-checkpoint/1 file. Because chunk boundaries are
-   fixed by (n, fanout, chunk) -- never by [jobs] -- and the totals
-   merge is commutative, a resumed campaign reproduces the exact
-   aggregate of an uninterrupted one, whatever [--jobs] it resumes
-   with. [ck_stop_after] stops claiming new chunks after that many have
-   been published: the test harness's simulated kill. *)
-type checkpoint = {
-  ck_path : string;
-  ck_every : int; (* write the file every this many published chunks *)
-  ck_resume : bool; (* load [ck_path] and skip completed chunks *)
-  ck_stop_after : int option;
-}
 
 (* Config/seed identity for resume validation. Excludes [fanout] and
    [chunk] on purpose: those are pinned *by* the checkpoint file, so a
@@ -273,74 +238,54 @@ let payload_of_totals ~fanout (t : totals) =
   Buffer.add_string buf "}}";
   Buffer.contents buf
 
-(* Parse a payload back into [(fanout, totals)]. Exposed (along with
-   [payload_of_totals]) for the round-trip tests. *)
+(* Parse a payload back into [(fanout, totals)]: the decoder resume and
+   [nlh_trace_check] share. *)
 let totals_of_payload ?triage_seed_cap (payload : Obs.Json.t) =
-  let int k v =
-    match Obs.Json.(to_number (Option.value ~default:Null (member k v))) with
-    | Some f when Float.is_integer f -> Ok (int_of_float f)
-    | Some _ | None -> Error (Printf.sprintf "payload: %S is not an integer" k)
-  in
-  let ( let* ) = Result.bind in
-  let* fanout = int "fanout" payload in
-  match Obs.Json.member "totals" payload with
-  | None -> Error "payload: missing \"totals\""
-  | Some tv ->
-    let* runs = int "runs" tv in
-    let* non_manifested = int "non_manifested" tv in
-    let* sdc = int "sdc" tv in
-    let* detected = int "detected" tv in
-    let* successes = int "successes" tv in
-    let* no_vmf = int "no_vmf" tv in
-    let* recovered = int "recovered" tv in
-    let* latency_sum = int "latency_sum" tv in
-    let* latency_samples = int "latency_samples" tv in
-    let* notes =
-      match Obs.Json.member "notes" tv with
-      | Some (Obs.Json.Obj fields) ->
-        List.fold_left
-          (fun acc (k, v) ->
-            let* acc = acc in
-            match Obs.Json.to_number v with
-            | Some f when Float.is_integer f -> Ok ((k, int_of_float f) :: acc)
-            | Some _ | None ->
-              Error (Printf.sprintf "payload: note %S is not an integer" k))
-          (Ok []) fields
-      | _ -> Error "payload: \"notes\" is not an object"
-    in
-    let* metrics =
-      match Obs.Json.member "metrics" tv with
-      | Some m -> Obs.Checkpoint.metrics_of_json m
-      | None -> Error "payload: missing \"metrics\""
-    in
-    if runs <> non_manifested + sdc + detected then
-      Error "payload: runs <> non_manifested + sdc + detected"
-    else begin
+  Obs.Checkpoint.decoding (fun () ->
+      let open Obs.Checkpoint in
+      let fanout = int_exn "payload" "fanout" payload in
+      if fanout < 1 then fail "payload: fanout %d < 1" fanout;
+      let tv = get "payload" "totals" payload in
+      let int k = int_exn "totals" k tv in
       let t = make_totals ?triage_seed_cap () in
-      t.runs <- runs;
-      t.non_manifested <- non_manifested;
-      t.sdc <- sdc;
-      t.detected <- detected;
-      t.successes <- successes;
-      t.no_vmf <- no_vmf;
-      t.recovered <- recovered;
-      t.latency_sum <- latency_sum;
-      t.latency_samples <- latency_samples;
-      List.iter (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.notes k) notes;
-      t.metrics <- metrics;
-      Ok (fanout, t)
-    end
+      t.runs <- int "runs";
+      t.non_manifested <- int "non_manifested";
+      t.sdc <- int "sdc";
+      t.detected <- int "detected";
+      t.successes <- int "successes";
+      t.no_vmf <- int "no_vmf";
+      t.recovered <- int "recovered";
+      t.latency_sum <- int "latency_sum";
+      t.latency_samples <- int "latency_samples";
+      List.iter
+        (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.notes k)
+        (int_assoc_of "totals.notes" (get "totals" "notes" tv));
+      t.metrics <- metrics_of_json_exn (get "totals" "metrics" tv);
+      if t.runs <> t.non_manifested + t.sdc + t.detected then
+        fail "payload: runs <> non_manifested + sdc + detected";
+      (fanout, t))
 
-(* Run [n] injections of [cfg], varying only the seed. [jobs > 1]
-   distributes the seed range over that many domains through
-   {!Pool.map_reduce}; the default stays sequential so existing callers
-   and tests behave exactly as before. Each worker reuses one machine
-   across its runs ({!Run.prepare} / {!Run.execute_into}), which keeps
-   per-run allocation -- and hence pressure on the shared stop-the-world
-   minor GC -- low enough for parallel runs to actually scale. Worker
-   domains are additionally capped at the host's core count unless
-   [oversubscribe] is set (see {!Pool.map_reduce}). The result totals
-   are identical for every [jobs] value either way.
+(* Per-worker state: the worker's long-lived machine (booted lazily in
+   the worker's own domain and reset in place between runs), its golden
+   ledger, and the signatures it has already captured a bundle for. *)
+type slot = {
+  mutable s_worker : Run.worker option;
+  mutable s_ledger : Hyper.Ledger.t option;
+      (* golden post-boot resource ledger, the baseline for a bundle's
+         ledger diff; captured once per worker when postmortems are on *)
+  s_bundled : (string, unit) Hashtbl.t;
+}
+
+(* Run [n] injections of [cfg], varying only the seed, through the
+   chunked driver ({!Drive.run}): [jobs > 1] spreads the chunks over that
+   many domains, and [checkpoint] makes the run resumable. Each worker
+   reuses one machine across its runs ({!Run.prepare} /
+   {!Run.execute_into}), which keeps per-run allocation -- and hence
+   pressure on the shared stop-the-world minor GC -- low enough for
+   parallel runs to actually scale. Worker domains are capped at the
+   host's core count unless [oversubscribe] is set (see
+   {!Pool.map_chunks}). The result totals are identical for every [jobs]
+   value either way.
 
    [alloc_profile] turns on the per-phase allocation profiler on every
    worker recorder: the merged [totals.metrics] then carry the [alloc.*]
@@ -357,11 +302,12 @@ let totals_of_payload ?triage_seed_cap (payload : Obs.Json.t) =
    within a batch differ; the batch's warmup comes from its first run's
    seed, so a fan-out campaign is its own (equally valid, equally
    deterministic) sampling design rather than a replay of the
-   [fanout = 1] campaign. Batches never split across workers, so the
-   aggregate stays bit-identical for every [jobs] value. *)
+   [fanout = 1] campaign. A batch is one work item, so it never splits
+   across workers and the aggregate stays bit-identical for every
+   [jobs] value. On resume the checkpoint file pins [fanout]. *)
 let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
     ?(oversubscribe = false) ?(alloc_profile = false) ?(fanout = 1)
-    ?(postmortems = false) ?pool ?(checkpoint : checkpoint option)
+    ?(postmortems = false) ?pool ?(checkpoint : Drive.checkpoint option)
     ?triage_seed_cap ~n (cfg : Run.config) =
   if fanout < 1 then invalid_arg "Campaign.run: fanout must be >= 1";
   (match pool with
@@ -372,47 +318,12 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
       "Campaign.run: pool was prepared with different \
        alloc_profile/postmortems settings"
   | _ -> ());
-  (match checkpoint with
-  | Some _ when postmortems ->
+  if postmortems && checkpoint <> None then
     (* Exemplar bundles are far too heavy to rewrite every few chunks;
        soaks wanting triage can run the final aggregation un-checkpointed. *)
-    invalid_arg "Campaign.run: checkpointing does not support postmortems"
-  | _ -> ());
+    invalid_arg "Campaign.run: checkpointing does not support postmortems";
   let jobs = match pool with Some p -> min jobs (pool_size p) | None -> jobs in
-  let fp = fingerprint ~base_seed ~n cfg in
-  (* Resolve resume state first: the checkpoint file pins [chunk] and
-     [fanout], and [fanout] shapes the work items below. *)
-  let resumed =
-    match checkpoint with
-    | Some ck when ck.ck_resume -> (
-      match Obs.Checkpoint.read ck.ck_path with
-      | Error msg ->
-        invalid_arg
-          (Printf.sprintf "Campaign.run: cannot resume from %s: %s" ck.ck_path
-             msg)
-      | Ok (h, payload) ->
-        if h.Obs.Checkpoint.kind <> "campaign" then
-          invalid_arg
-            (Printf.sprintf "Campaign.run: checkpoint kind %S is not a campaign"
-               h.Obs.Checkpoint.kind);
-        if h.Obs.Checkpoint.fingerprint <> fp then
-          invalid_arg
-            (Printf.sprintf
-               "Campaign.run: checkpoint fingerprint mismatch\n  file: %s\n  \
-                run:  %s"
-               h.Obs.Checkpoint.fingerprint fp);
-        (match totals_of_payload ?triage_seed_cap payload with
-        | Error msg ->
-          invalid_arg
-            (Printf.sprintf "Campaign.run: cannot resume from %s: %s"
-               ck.ck_path msg)
-        | Ok (ck_fanout, merged) -> Some (h, ck_fanout, merged)))
-    | _ -> None
-  in
-  let fanout =
-    match resumed with Some (_, ck_fanout, _) -> ck_fanout | None -> fanout
-  in
-  let t0 = Unix.gettimeofday () in
+  let fresh () = make_totals ?triage_seed_cap () in
   let init slot =
     let worker, ledger =
       match pool with
@@ -420,214 +331,112 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
         (Some p.p_workers.(slot), p.p_ledgers.(slot))
       | _ -> (None, None)
     in
-    {
-      acc_totals = make_totals ?triage_seed_cap ();
-      acc_worker = worker;
-      acc_minor_start = Gc.minor_words ();
-      acc_minor_words = 0.0;
-      acc_pm_ledger = ledger;
-    }
+    { s_worker = worker; s_ledger = ledger; s_bundled = Hashtbl.create 8 }
   in
-  let worker_of acc (cfg : Run.config) =
-    match acc.acc_worker with
+  let worker_of s (cfg : Run.config) =
+    match s.s_worker with
     | Some w -> w
     | None ->
       let recorder = make_worker_recorder ~alloc_profile ~postmortems () in
       let w = Run.prepare ~recorder cfg in
       (* Boot is seed-independent, so this baseline is identical on
          every worker (bundle determinism relies on that). *)
-      if postmortems then
-        acc.acc_pm_ledger <- Some (Hyper.Ledger.capture w.Run.w_hv);
-      acc.acc_worker <- Some w;
+      if postmortems then s.s_ledger <- Some (Hyper.Ledger.capture w.Run.w_hv);
+      s.s_worker <- Some w;
       w
   in
-  let merge_run_metrics acc w =
-    acc.acc_totals.metrics <-
-      Obs.Metrics.merge_snapshots acc.acc_totals.metrics
+  let add_run t w out =
+    add_outcome t out;
+    t.metrics <-
+      Obs.Metrics.merge_snapshots t.metrics
         (Obs.Recorder.metrics_snapshot (Run.worker_recorder w))
   in
   let seed_of i = Int64.add base_seed (Int64.of_int i) in
   (* Triage a bad outcome (lazy: good outcomes return [None] from
      [Postmortem.signature_of] and pay nothing). The bundle is only
      assembled the first time this worker sees the signature; workers
-     process ascending seeds, so the captured seed is the worker-local
-     minimum and the commutative triage merge keeps the global-minimum
-     exemplar -- the same one a sequential campaign captures. *)
-  let record_postmortem acc (w : Run.worker) (cfg : Run.config) out ~seed
-      ~repro =
+     claim chunks in ascending order, so the captured seed is the
+     worker-local minimum and the commutative triage merge keeps the
+     global-minimum exemplar -- the same one a sequential campaign
+     captures. *)
+  let record_postmortem s t (w : Run.worker) (cfg : Run.config) out ~fanout
+      ~seed ~repro =
     match
       Postmortem.signature_of cfg ~first_target:w.Run.w_last_target out
     with
     | None -> ()
     | Some sg ->
-      let tr = acc.acc_totals.triage in
+      let key = Obs.Signature.key sg in
       let bundle =
-        if Obs.Postmortem.Triage.mem tr sg then None
-        else
+        if Hashtbl.mem s.s_bundled key then None
+        else begin
+          Hashtbl.add s.s_bundled key ();
           Some
             (Postmortem.capture ~signature:sg ~hv:w.Run.w_hv
-               ~golden_ledger:acc.acc_pm_ledger ~repro
+               ~golden_ledger:s.s_ledger ~repro
                ~config:(Postmortem.config_fields cfg ~fanout) ~seed out)
+        end
       in
-      Obs.Postmortem.Triage.record ?bundle tr sg ~seed
+      Obs.Postmortem.Triage.record ?bundle t.triage sg ~seed
   in
-  let run_one acc i =
+  let run_one s t i =
     let cfg = { cfg with Run.seed = seed_of i } in
-    let w = worker_of acc cfg in
+    let w = worker_of s cfg in
     let out = Run.execute_into w cfg in
-    add_outcome acc.acc_totals out;
-    merge_run_metrics acc w;
+    add_run t w out;
     if postmortems then
-      record_postmortem acc w cfg out ~seed:(seed_of i)
+      record_postmortem s t w cfg out ~fanout:1 ~seed:(seed_of i)
         ~repro:(Postmortem.repro_line cfg ~seed:(seed_of i) ~runs:1 ~fanout:1)
   in
   (* One fan-out batch: runs [g * fanout .. min n ((g+1) * fanout) - 1],
-     prepared once and cloned per run. A batch is a single [body] call,
-     so the pool can never split it across workers -- the per-batch
-     results depend only on (config, base_seed, g, fanout). *)
-  let run_batch acc g =
+     prepared once and cloned per run; its results depend only on
+     (config, base_seed, g, fanout). *)
+  let run_batch ~fanout s t g =
     let first = g * fanout in
     let last = min n (first + fanout) - 1 in
     let group_cfg = { cfg with Run.seed = seed_of first } in
-    let w = worker_of acc group_cfg in
+    let w = worker_of s group_cfg in
     let src = Run.prepare_clone w group_cfg in
     for i = first to last do
       let out = Run.clone_into ~reseed:(seed_of i) src in
-      add_outcome acc.acc_totals out;
-      merge_run_metrics acc w;
+      add_run t w out;
       if postmortems then
         (* The repro is the batch prefix up to this variant: a fan-out
            variant's warmup comes from the batch's first seed, so the
            seed alone does not reproduce it. *)
-        record_postmortem acc w group_cfg out ~seed:(seed_of i)
+        record_postmortem s t w group_cfg out ~fanout ~seed:(seed_of i)
           ~repro:
             (Postmortem.repro_line group_cfg ~seed:(seed_of first)
                ~runs:(i - first + 1) ~fanout)
     done
   in
-  let pool_n, body =
-    if fanout > 1 then (((n + fanout - 1) / fanout), run_batch)
-    else (n, run_one)
+  let plan resumed =
+    let fanout, merged =
+      match resumed with Some r -> r | None -> (fanout, fresh ())
+    in
+    {
+      Drive.items = (if fanout > 1 then (n + fanout - 1) / fanout else n);
+      merged;
+      fresh;
+      merge_into;
+      encode = payload_of_totals ~fanout;
+      init;
+      item = (if fanout > 1 then run_batch ~fanout else run_one);
+    }
   in
-  match checkpoint with
-  | None ->
-    let acc =
-      Pool.map_reduce ~jobs ?chunk ~oversubscribe ~n:pool_n ~init ~body
-        ~finish:(fun acc ->
-          (* [Gc.minor_words] is per-domain in OCaml 5, so the delta must
-             be taken here, in the worker's own domain. *)
-          acc.acc_minor_words <- Gc.minor_words () -. acc.acc_minor_start)
-        ~merge:(fun a b ->
-          merge_into a.acc_totals b.acc_totals;
-          a.acc_minor_words <- a.acc_minor_words +. b.acc_minor_words;
-          a)
-        ()
-    in
-    let used_jobs =
-      (* Mirror the pool's clamps so the report shows the worker count
-         that actually ran: bounded by the work-item count and, unless
-         oversubscribing, by the core count. *)
-      let j = max 1 (min jobs (max 1 pool_n)) in
-      if oversubscribe then j else min j (Pool.default_jobs ())
-    in
-    {
-      config_label = label;
-      totals = acc.acc_totals;
-      jobs = used_jobs;
-      wall_seconds = Unix.gettimeofday () -. t0;
-      minor_words = acc.acc_minor_words;
-    }
-  | Some ck ->
-    (* Streaming, checkpointed path: workers run one fixed chunk at a
-       time, publish the chunk's totals to the coordinator, and start
-       the next chunk with a fresh bounded accumulator -- memory never
-       scales with [n]. The coordinator owns the only growing state:
-       one merged totals plus the done bitmap. *)
-    let chunk_size, merged, done_chunks =
-      match resumed with
-      | Some (h, _, merged) ->
-        (h.Obs.Checkpoint.chunk, merged, h.Obs.Checkpoint.done_chunks)
-      | None ->
-        let c =
-          match chunk with
-          | Some c -> max 1 c
-          | None -> Pool.default_chunk ~n:pool_n ~jobs:(max 1 jobs)
-        in
-        let n_chunks = if pool_n <= 0 then 0 else (pool_n + c - 1) / c in
-        (c, make_totals ?triage_seed_cap (), Array.make n_chunks false)
-    in
-    let n_chunks = Array.length done_chunks in
-    (match resumed with
-    | Some (h, _, _) ->
-      (* The file's geometry must reproduce from (n, fanout, chunk):
-         a checkpoint written for a different range would mis-map chunk
-         indices to seed ranges. *)
-      if
-        h.Obs.Checkpoint.n_chunks
-        <> (if pool_n <= 0 then 0 else (pool_n + chunk_size - 1) / chunk_size)
-      then
-        invalid_arg
-          (Printf.sprintf
-             "Campaign.run: checkpoint has %d chunks but n=%d fanout=%d \
-              chunk=%d implies %d"
-             h.Obs.Checkpoint.n_chunks n fanout chunk_size
-             ((pool_n + chunk_size - 1) / chunk_size))
-    | None -> ());
-    let published = ref 0 in
-    let minor_total = ref 0.0 in
-    let write_ck () =
-      Obs.Checkpoint.write ~path:ck.ck_path
-        {
-          Obs.Checkpoint.kind = "campaign";
-          fingerprint = fp;
-          chunk = chunk_size;
-          n_chunks;
-          done_chunks;
-        }
-        ~payload:(payload_of_totals ~fanout merged)
-    in
-    (* Runs under [map_chunks]' mutex, like [finish] below. *)
-    let publish c t =
-      merge_into merged t;
-      done_chunks.(c) <- true;
-      incr published;
-      if ck.ck_every > 0 && !published mod ck.ck_every = 0 then write_ck ()
-    in
-    let should_stop () =
-      match ck.ck_stop_after with
-      | Some m -> !published >= m
-      | None -> false
-    in
-    Pool.map_chunks ~jobs ~oversubscribe ~should_stop ~n_chunks
-      ~skip:(fun c -> done_chunks.(c))
-      ~init
-      ~body:(fun acc c ->
-        acc.acc_totals <- make_totals ?triage_seed_cap ();
-        let lo = c * chunk_size in
-        let hi = min pool_n (lo + chunk_size) in
-        for i = lo to hi - 1 do
-          body acc i
-        done;
-        acc.acc_totals)
-      ~publish
-      ~finish:(fun acc ->
-        acc.acc_minor_words <- Gc.minor_words () -. acc.acc_minor_start;
-        minor_total := !minor_total +. acc.acc_minor_words)
-      ();
-    (* Always leave a final consistent file, even when [ck_every] did
-       not divide the published count (or nothing ran at all). *)
-    write_ck ();
-    let used_jobs =
-      let j = max 1 (min jobs (max 1 n_chunks)) in
-      if oversubscribe then j else min j (Pool.default_jobs ())
-    in
-    {
-      config_label = label;
-      totals = merged;
-      jobs = used_jobs;
-      wall_seconds = Unix.gettimeofday () -. t0;
-      minor_words = !minor_total;
-    }
+  let r =
+    Drive.run ?checkpoint ?chunk ~jobs ~oversubscribe ~kind:"campaign"
+      ~fingerprint:(fingerprint ~base_seed ~n cfg)
+      ~decode:(fun _ payload -> totals_of_payload ?triage_seed_cap payload)
+      ~plan ()
+  in
+  {
+    config_label = label;
+    totals = r.Drive.totals;
+    jobs = r.Drive.jobs;
+    wall_seconds = r.Drive.wall_seconds;
+    minor_words = r.Drive.minor_words;
+  }
 
 let success_rate r =
   Sim.Stats.proportion ~successes:r.totals.successes ~trials:(max 1 r.totals.detected)

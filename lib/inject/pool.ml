@@ -27,6 +27,14 @@ let default_chunk_cap = 4096
 let default_chunk ~n ~jobs =
   max 1 (min default_chunk_cap (n / (jobs * 4)))
 
+(* The worker-domain count a pool call over [n] work units actually
+   runs: [jobs] (default one per core), at most one per unit and, unless
+   [oversubscribe], at most one per core. *)
+let workers ?jobs ~oversubscribe n =
+  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+  let jobs = min jobs (max 1 n) in
+  if oversubscribe then jobs else min jobs (default_jobs ())
+
 (* [map_reduce ~jobs ~chunk ~n ~init ~body ~merge] folds [body acc i]
    for every [i] in [0, n) into worker-local accumulators created by
    [init slot], then combines them with [merge]. [init] receives the
@@ -53,11 +61,7 @@ let default_chunk ~n ~jobs =
 let map_reduce ?jobs ?chunk ?(oversubscribe = false)
     ?(finish : ('acc -> unit) option) ~n ~(init : int -> 'acc)
     ~(body : 'acc -> int -> unit) ~(merge : 'acc -> 'acc -> 'acc) () : 'acc =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> default_jobs ()
-  in
-  let jobs = min jobs (max 1 n) in
-  let jobs = if oversubscribe then jobs else min jobs (default_jobs ()) in
+  let jobs = workers ?jobs ~oversubscribe n in
   let finish = match finish with Some f -> f | None -> fun _ -> () in
   if n <= 0 then begin
     let acc = init 0 in
@@ -124,11 +128,7 @@ let map_chunks ?jobs ?(oversubscribe = false)
     ?(should_stop = fun () -> false) ?(finish : ('w -> unit) option)
     ~n_chunks ~(skip : int -> bool) ~(init : int -> 'w)
     ~(body : 'w -> int -> 'a) ~(publish : int -> 'a -> unit) () : unit =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> default_jobs ()
-  in
-  let jobs = min jobs (max 1 n_chunks) in
-  let jobs = if oversubscribe then jobs else min jobs (default_jobs ()) in
+  let jobs = workers ?jobs ~oversubscribe n_chunks in
   let finish = match finish with Some f -> f | None -> fun _ -> () in
   let lock = Mutex.create () in
   let next = Atomic.make 0 in

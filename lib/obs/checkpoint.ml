@@ -10,10 +10,11 @@
     place.
 
     The envelope is deliberately generic -- [lib/obs] knows nothing about
-    injection campaigns. {!Inject.Campaign} and {!Endure} serialize their
-    own aggregates into [payload] and parse them back on resume; the
-    helpers at the bottom round-trip the one aggregate component they
-    share, a {!Metrics.snapshot}. *)
+    injection campaigns. {!Inject.Drive} writes and resumes the files;
+    each run kind serializes its own aggregate into [payload] and decodes
+    it with the raising helpers below under {!decoding}. The helpers at
+    the bottom round-trip the one aggregate component every kind shares,
+    a {!Metrics.snapshot}. *)
 
 let schema = "nlh-checkpoint/1"
 
@@ -101,6 +102,10 @@ let int_exn what key v =
   | Some f when Float.is_integer f -> int_of_float f
   | Some _ | None -> fail "%s: %S is not an integer" what key
 
+(* A bound on the done bitmap a reader will allocate, so a damaged count
+   is rejected rather than exhausting memory. *)
+let max_chunks = 1 lsl 24
+
 let of_json ?(schema = schema) root =
   (match Json.member "schema" root with
   | Some (Json.String s) when s = schema -> ()
@@ -112,7 +117,8 @@ let of_json ?(schema = schema) root =
   let chunk = int_exn "checkpoint" "chunk" root in
   if chunk < 1 then fail "chunk %d < 1" chunk;
   let n_chunks = int_exn "checkpoint" "n_chunks" root in
-  if n_chunks < 0 then fail "n_chunks %d < 0" n_chunks;
+  if n_chunks < 0 || n_chunks > max_chunks then
+    fail "n_chunks %d outside [0, %d]" n_chunks max_chunks;
   let done_chunks = Array.make n_chunks false in
   let indices =
     match Json.to_list (get "checkpoint" "done" root) with
@@ -139,6 +145,17 @@ let of_json ?(schema = schema) root =
   in
   ({ kind; fingerprint; chunk; n_chunks; done_chunks }, payload)
 
+(* Parse a checkpoint file's contents. The writer ends every file with
+   "}\n"; contents that do not are a torn write even when a prefix of
+   them happens to parse. *)
+let of_string ?schema contents =
+  if not (String.ends_with ~suffix:"}\n" contents) then
+    Error "torn write: no closing \"}\" and newline"
+  else
+    match Json.parse contents with
+    | Error msg -> Error ("invalid JSON: " ^ msg)
+    | Ok root -> ( try Ok (of_json ?schema root) with Bad msg -> Error msg)
+
 let read ?schema path =
   match
     let ic = open_in_bin path in
@@ -147,10 +164,7 @@ let read ?schema path =
       (fun () -> really_input_string ic (in_channel_length ic))
   with
   | exception Sys_error e -> Error e
-  | contents -> (
-    match Json.parse contents with
-    | Error msg -> Error ("invalid JSON: " ^ msg)
-    | Ok root -> ( try Ok (of_json ?schema root) with Bad msg -> Error msg))
+  | contents -> of_string ?schema contents
 
 (* ------------------------------------------------------------------ *)
 (* Metrics-snapshot round trip                                         *)
@@ -203,8 +217,8 @@ let int_list_of what v =
 
 let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
-(* Raises [Bad]: callers sit inside an [of_json]-style validation and
-   convert to [Error] at the edge (see {!metrics_of_json}). *)
+(* Raises [Bad]: callers sit inside a payload decoder and convert to
+   [Error] at the edge (see {!decoding}). *)
 let metrics_of_json_exn v : Metrics.snapshot =
   let counters = int_assoc_of "counters" (get "metrics" "counters" v) in
   let gauges = int_assoc_of "gauges" (get "metrics" "gauges" v) in
@@ -215,15 +229,26 @@ let metrics_of_json_exn v : Metrics.snapshot =
         (fun (name, h) ->
           let what = Printf.sprintf "histograms[%S]" name in
           let bounds = int_list_of (what ^ ".bounds") (get what "bounds" h) in
+          let rec increasing = function
+            | a :: (b :: _ as r) -> a < b && increasing r
+            | _ -> true
+          in
+          if not (increasing bounds) then
+            fail "%s: bounds not strictly increasing" what;
           let counts = int_list_of (what ^ ".counts") (get what "counts" h) in
           if List.length counts <> List.length bounds + 1 then
             fail "%s: counts length is not bounds+1" what;
+          if List.exists (fun c -> c < 0) counts then
+            fail "%s: negative bucket count" what;
+          let samples = int_exn what "samples" h in
+          if List.fold_left ( + ) 0 counts <> samples then
+            fail "%s: counts do not sum to samples" what;
           ( name,
             {
               Metrics.h_bounds = bounds;
               h_counts = counts;
               h_sum = int_exn what "sum" h;
-              h_samples = int_exn what "samples" h;
+              h_samples = samples;
             } ))
         fields
     | _ -> fail "histograms is not an object"
@@ -234,5 +259,6 @@ let metrics_of_json_exn v : Metrics.snapshot =
     histograms = by_name histograms;
   }
 
-let metrics_of_json v =
-  try Ok (metrics_of_json_exn v) with Bad msg -> Error msg
+(* Run a payload decoder built from the raising helpers above, turning
+   its first complaint into [Error]. *)
+let decoding f = try Ok (f ()) with Bad msg -> Error msg

@@ -40,7 +40,7 @@ let read_file path =
 
 let ck ?(every = 2) ?(resume = false) ?stop_after path =
   {
-    Inject.Campaign.ck_path = path;
+    Inject.Drive.ck_path = path;
     ck_every = every;
     ck_resume = resume;
     ck_stop_after = stop_after;
@@ -266,6 +266,152 @@ let test_endure_kill_resume_identical () =
           checks "final checkpoint files byte-identical" (read_file path')
             (read_file path)))
 
+(* ----------------------- Damaged files ------------------------------ *)
+
+(* Small real files from each resumable driver: a complete campaign
+   checkpoint, a complete endurance checkpoint and a fuzz corpus. *)
+let damage_cfg = run_cfg ~fault:Inject.Fault.Register ()
+
+let damage_endure_cfg =
+  { Endure.default_config with Endure.run_cfg = damage_cfg; cycles = 2 }
+
+let damage_fuzz_cfg path =
+  {
+    (Fuzz.Session.default_config ~base_seed:2_400L) with
+    Fuzz.Session.f_runs = 8;
+    f_batch = 4;
+    f_corpus_path = Some path;
+  }
+
+let write_campaign path =
+  ignore
+    (Inject.Campaign.run ~base_seed:2_200L ~chunk:4 ~checkpoint:(ck path) ~n:8
+       damage_cfg)
+
+let write_endure path =
+  ignore
+    (Endure.run ~base_seed:2_300L ~chunk:2 ~checkpoint:(ck path) ~scenarios:4
+       damage_endure_cfg)
+
+let write_fuzz path = ignore (Fuzz.Session.explore (damage_fuzz_cfg path))
+
+(* Whether a resume of the run that wrote [path] accepts it. *)
+let accepted f = match f () with _ -> true | exception Invalid_argument _ -> false
+
+let campaign_resumes path =
+  accepted (fun () ->
+      Inject.Campaign.run ~base_seed:2_200L
+        ~checkpoint:(ck ~resume:true path) ~n:8 damage_cfg)
+
+let endure_resumes path =
+  accepted (fun () ->
+      Endure.run ~base_seed:2_300L ~checkpoint:(ck ~resume:true path)
+        ~scenarios:4 damage_endure_cfg)
+
+let fuzz_resumes path =
+  accepted (fun () -> Fuzz.Session.resume_from (damage_fuzz_cfg path) path)
+
+let checker_accepts path =
+  Sys.command
+    (Printf.sprintf "../bin/nlh_trace_check.exe %s > /dev/null 2>&1"
+       (Filename.quote path))
+  = 0
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+(* Replace the integer that follows the first [anchor] in [s] by [f] of
+   it. *)
+let edit_int_after ~anchor f s =
+  let n = String.length s and k = String.length anchor in
+  let rec find i =
+    if i + k > n then Alcotest.fail ("no " ^ anchor)
+    else if String.sub s i k = anchor then i + k
+    else find (i + 1)
+  in
+  let lo = find 0 in
+  let hi = ref lo in
+  while !hi < n && (s.[!hi] = '-' || (s.[!hi] >= '0' && s.[!hi] <= '9')) do
+    incr hi
+  done;
+  let v = int_of_string (String.sub s lo (!hi - lo)) in
+  String.sub s 0 lo ^ string_of_int (f v) ^ String.sub s !hi (n - !hi)
+
+(* A damaged file gets the same verdict from a resume and from
+   nlh_trace_check: both reject it (and both accept the intact file). *)
+let same_verdict ~write ~resumes ~damage () =
+  with_temp_ck (fun path ->
+      write path;
+      checkb "checker accepts the intact file" true (checker_accepts path);
+      checkb "resume accepts the intact file" true (resumes path);
+      write_file path (damage (read_file path));
+      checkb "checker rejects the damaged file" false (checker_accepts path);
+      checkb "resume rejects the damaged file" false (resumes path))
+
+let test_fuzz_accounting_rejected =
+  same_verdict ~write:write_fuzz ~resumes:fuzz_resumes
+    ~damage:(edit_int_after ~anchor:{|"evaluated":|} succ)
+
+let test_campaign_fanout_rejected =
+  same_verdict ~write:write_campaign ~resumes:campaign_resumes
+    ~damage:(edit_int_after ~anchor:{|"fanout":|} (fun _ -> 0))
+
+let test_endure_negative_cycle_rejected =
+  same_verdict ~write:write_endure ~resumes:endure_resumes
+    ~damage:(edit_int_after ~anchor:{|"per_cycle":[[|} (fun _ -> -1))
+
+(* Read + decode of a file's contents, as a resume does it minus the
+   config match. *)
+let decode_campaign s =
+  Result.bind (Obs.Checkpoint.of_string s) (fun (_, p) ->
+      Result.map ignore (Inject.Campaign.totals_of_payload p))
+
+let decode_endure s =
+  Result.bind (Obs.Checkpoint.of_string s) (fun (_, p) ->
+      Result.map ignore (Endure.totals_of_payload ~cycles:2 p))
+
+let decode_fuzz s =
+  Result.bind
+    (Obs.Checkpoint.of_string ~schema:Obs.Checkpoint.fuzz_schema s)
+    (fun (h, p) -> Result.map ignore (Fuzz.Session.saved_of_checkpoint h p))
+
+let damage_files =
+  lazy
+    (List.map
+       (fun (name, write, decode) ->
+         with_temp_ck (fun path ->
+             write path;
+             (name, read_file path, decode)))
+       [
+         ("campaign", write_campaign, decode_campaign);
+         ("endurance", write_endure, decode_endure);
+         ("fuzz", write_fuzz, decode_fuzz);
+       ])
+
+(* A torn write: every strict prefix of a real file is rejected. *)
+let test_prefixes_rejected () =
+  List.iter
+    (fun (name, contents, decode) ->
+      checkb (name ^ " intact") true (Result.is_ok (decode contents));
+      for len = 0 to String.length contents - 1 do
+        if Result.is_ok (decode (String.sub contents 0 len)) then
+          Alcotest.failf "%s: prefix of %d bytes accepted" name len
+      done)
+    (Lazy.force damage_files)
+
+(* A bit flip: any single-byte substitution is either rejected or
+   decodes to some other valid file, but never raises. *)
+let prop_substitution_never_raises (name, contents, decode) =
+  QCheck.Test.make ~count:400
+    ~name:(name ^ " single-byte substitution never raises")
+    QCheck.(pair (int_bound (String.length contents - 1)) char)
+    (fun (i, c) ->
+      let b = Bytes.of_string contents in
+      Bytes.set b i c;
+      match decode (Bytes.to_string b) with Ok () | Error _ -> true)
+
 (* ----------------------- Machine pools ------------------------------ *)
 
 let test_pool_matches_plain_run () =
@@ -345,6 +491,20 @@ let () =
           Alcotest.test_case "endurance resume identical" `Quick
             test_endure_kill_resume_identical;
         ] );
+      ( "damage",
+        [
+          Alcotest.test_case "fuzz evaluated <> kept + dud" `Quick
+            test_fuzz_accounting_rejected;
+          Alcotest.test_case "campaign fanout < 1" `Quick
+            test_campaign_fanout_rejected;
+          Alcotest.test_case "endurance negative per-cycle field" `Quick
+            test_endure_negative_cycle_rejected;
+          Alcotest.test_case "every strict prefix rejected" `Quick
+            test_prefixes_rejected;
+        ]
+        @ List.map
+            (fun f -> QCheck_alcotest.to_alcotest (prop_substitution_never_raises f))
+            (Lazy.force damage_files) );
       ( "pool",
         [
           Alcotest.test_case "pool matches plain run" `Quick
