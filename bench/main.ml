@@ -46,6 +46,9 @@ let section name =
 
 let hr title = Format.printf "@.==== %s ====@." title
 
+(* Nanoseconds since [t0], a [Monotonic_clock.now] reading. *)
+let elapsed_ns t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
+
 (* ------------------------------------------------------------------ *)
 (* Table I: incremental development of NiLiHype enhancements           *)
 (* ------------------------------------------------------------------ *)
@@ -844,15 +847,13 @@ let snapshot_bench () =
   (* --- Fresh boot cost: the baseline a snapshot restore replaces. --- *)
   let boot_iters = if !full then 30 else 10 in
   let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   for i = 0 to boot_iters - 1 do
     let seed = Int64.of_int (100_000 + i) in
     ignore (Sys.opaque_identity (Inject.Run.boot_state { base_cfg with Inject.Run.seed }))
   done;
   let fresh_words = (Gc.minor_words () -. w0) /. float_of_int boot_iters in
-  let fresh_ns =
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int boot_iters
-  in
+  let fresh_ns = elapsed_ns t0 /. float_of_int boot_iters in
   (* --- Restore cost, bucketed by the outcome class of the run that
      dirtied the machine (the dirty set -- and hence the restore cost --
      depends on how far the run got). [died] = detected but unrecovered,
@@ -878,10 +879,10 @@ let snapshot_bench () =
         | o -> Inject.Run.outcome_name o
       in
       let w0 = Gc.minor_words () in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Monotonic_clock.now () in
       Inject.Run.rewind w cfg;
       let dw = Gc.minor_words () -. w0 in
-      let dt = (Unix.gettimeofday () -. t0) *. 1e9 in
+      let dt = elapsed_ns t0 in
       incr total_restores;
       total_restore_words := !total_restore_words +. dw;
       record cls dw dt
@@ -1205,7 +1206,7 @@ let fuzz_bench () =
       Inject.Fault.Data ]
   in
   let per_kind = n / List.length kinds in
-  let grid_t0 = Unix.gettimeofday () in
+  let grid_t0 = Monotonic_clock.now () in
   let grid_sigs =
     List.concat_map
       (fun fault ->
@@ -1222,7 +1223,7 @@ let fuzz_bench () =
       kinds
     |> List.sort_uniq String.compare
   in
-  let grid_secs = Unix.gettimeofday () -. grid_t0 in
+  let grid_secs = elapsed_ns grid_t0 /. 1e9 in
   (* Fuzzer: same budget, same base seed, same mechanism. *)
   let fcfg =
     {
@@ -1234,9 +1235,9 @@ let fuzz_bench () =
       f_oversubscribe = !jobs = 0;
     }
   in
-  let fuzz_t0 = Unix.gettimeofday () in
+  let fuzz_t0 = Monotonic_clock.now () in
   let t = Fuzz.Session.explore fcfg in
-  let fuzz_secs = Unix.gettimeofday () -. fuzz_t0 in
+  let fuzz_secs = elapsed_ns fuzz_t0 /. 1e9 in
   let fuzz_sigs = Fuzz.Corpus.signatures t.Fuzz.Session.s_corpus in
   Format.printf
     "grid: %d runs -> %d signatures (%.1fs)   fuzz: %d runs -> %d signatures \

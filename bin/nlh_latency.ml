@@ -99,11 +99,17 @@ let () =
     @ Obs_cli.arg_specs
   in
   Arg.parse spec (fun _ -> ()) "nlh_latency [options]";
+  let require = Obs_cli.require_at_least "nlh_latency" in
+  require "--mem-gb" 1 !mem_gb;
+  (* The 1AppVM setup pins the PrivVM and the AppVM to distinct CPUs. *)
+  require "--cpus" 2 !cpus;
+  require "--runs" 0 !runs;
+  require "--jobs" 0 !jobs;
   let mconfig =
     {
       Hw.Machine.default_config with
       Hw.Machine.mem_bytes = !mem_gb * 1024 * 1024 * 1024;
-      num_cpus = max 2 !cpus;
+      num_cpus = !cpus;
     }
   in
   let measure ?obs mechanism =

@@ -6,9 +6,11 @@
    nlh-postmortem/1 bundle, pretty-prints the whole forensic record:
    causal timeline, first corrupted-structure touch, recovery phases,
    flight-ring tails and the resource-ledger diff. Accepts several files
-   and dispatches per file on the "schema" member. *)
+   and dispatches per file on the "schema" member. A missing, torn or
+   malformed file ends the tool with one "nlh_postmortem: ..." line and
+   exit code 2. *)
 
-let die fmt = Format.kasprintf (fun s -> prerr_endline s; exit 1) fmt
+let die fmt = Format.kasprintf (Obs_cli.usage_error "nlh_postmortem") fmt
 
 let read_file path =
   let ic = open_in_bin path in
@@ -132,7 +134,7 @@ let print_triage path root =
 
 let () =
   if Array.length Sys.argv < 2 then
-    die "usage: nlh_postmortem TRIAGE.json|BUNDLE.json...";
+    die "expects one or more TRIAGE.json or BUNDLE.json files";
   for i = 1 to Array.length Sys.argv - 1 do
     let path = Sys.argv.(i) in
     let contents = try read_file path with Sys_error e -> die "%s" e in

@@ -384,8 +384,8 @@ let drive ?(postmortems = false) (st : Inject.Run.state) (cfg : config) :
     sc_postmortem = !postmortem;
   }
 
-(* Run one scenario on a reusable worker: rewind the machine in place
-   (exactly as a campaign run would), then drive the cycles. *)
+(* Run one scenario on a reusable worker: rewind the machine (exactly as
+   a campaign run would), then drive the cycles. *)
 let scenario_on_worker ?postmortems (w : Inject.Run.worker) (cfg : config)
     ~seed =
   let run_cfg = { cfg.run_cfg with Inject.Run.seed } in
@@ -743,7 +743,8 @@ let totals_of_payload ?triage_seed_cap ?cycles (payload : Obs.Json.t) =
 (* Run [scenarios] endurance scenarios of [cfg], varying only the seed,
    through the chunked driver ({!Inject.Drive.run}), exactly like
    {!Inject.Campaign.run}: one long-lived worker machine per domain,
-   reset in place between scenarios; totals merged commutatively, hence
+   restored from its boot image between scenarios; totals merged
+   commutatively, hence
    jobs-independent. [checkpoint] files carry kind "endurance". *)
 let run ?(label = "") ?(base_seed = 77_000L) ?(jobs = 1) ?chunk
     ?(oversubscribe = false) ?(postmortems = false)

@@ -27,14 +27,6 @@ let create cpu =
     nmi_pending = false;
   }
 
-(* Restore the exact state [create] produces, reusing the record. *)
-let reset t =
-  t.timer_deadline <- None;
-  t.pending <- [];
-  t.in_service <- [];
-  t.ipi_pending <- false;
-  t.nmi_pending <- false
-
 let program_timer t ~deadline = t.timer_deadline <- Some deadline
 
 let disarm_timer t = t.timer_deadline <- None

@@ -34,17 +34,6 @@ let create id =
     fsgs_saved = None;
   }
 
-(* Restore the exact state [create] produces, reusing the record. *)
-let reset t =
-  Regs.reset t.regs;
-  Apic.reset t.apic;
-  t.irq_enabled <- true;
-  t.state <- Running;
-  t.in_hypervisor <- false;
-  t.hv_stack_depth <- 0;
-  t.unhalted_cycles <- 0;
-  t.fsgs_saved <- None
-
 let disable_interrupts t = t.irq_enabled <- false
 let enable_interrupts t = t.irq_enabled <- true
 

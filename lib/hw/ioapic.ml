@@ -27,20 +27,6 @@ let create ~lines =
 
 let set_logging t on = t.logging <- on
 
-(* Full reset for machine reuse: entries back to power-on defaults AND the
-   write log / logging flag cleared, matching a freshly created IO-APIC.
-   Distinct from [reset_to_power_on], which models the hardware side of a
-   ReHype reboot and deliberately preserves the log for replay. *)
-let reset t =
-  Array.iter
-    (fun e ->
-      e.vector <- 0;
-      e.dest_cpu <- 0;
-      e.masked <- true)
-    t.entries;
-  t.write_log <- [];
-  t.logging <- false
-
 let write t ~line ~vector ~dest_cpu ~masked =
   let e = t.entries.(line) in
   e.vector <- vector;
@@ -52,7 +38,8 @@ let read t ~line =
   let e = t.entries.(line) in
   (e.vector, e.dest_cpu, e.masked)
 
-(* Model of the reboot's hardware re-initialisation: routing is lost. *)
+(* Model of the reboot's hardware re-initialisation: routing is lost, the
+   write log is kept for replay. *)
 let reset_to_power_on t =
   Array.iter
     (fun e ->

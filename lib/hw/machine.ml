@@ -42,15 +42,6 @@ let read_tsc t = Sim.Clock.now t.clock
 
 let iter_cpus t f = Array.iter f t.cpus
 
-(* Reset every hardware component to its created state so the machine can
-   be reused for another run without reallocating. Distinct from
-   [reset_for_reboot] below, which models what a ReHype reboot does to the
-   hardware (and e.g. leaves the TSC uncalibrated). *)
-let reset t =
-  Array.iter Cpu.reset t.cpus;
-  Ioapic.reset t.ioapic;
-  t.tsc_calibrated <- true
-
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore                                                  *)
 (* ------------------------------------------------------------------ *)

@@ -57,9 +57,6 @@ let flip_bit t r bit =
   let v = get t r in
   set t r (Int64.logxor v (Int64.shift_left 1L bit))
 
-(* Zero the whole file in place, as [create] would. *)
-let reset t = Array.fill t.values 0 count 0L
-
 let copy t = { values = Array.copy t.values }
 
 let restore ~from t = Array.blit from.values 0 t.values 0 count

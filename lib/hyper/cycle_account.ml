@@ -13,11 +13,6 @@ type t = {
 
 let create () = { total = 0; logging = 0; entries = 0 }
 
-let reset t =
-  t.total <- 0;
-  t.logging <- 0;
-  t.entries <- 0
-
 let charge t n = t.total <- t.total + n
 
 let charge_logging t n =

@@ -13,7 +13,8 @@
     last {!snapshot}. Both {!snapshot} and {!restore} walk only that
     list -- O(changed objects), not O(live heap). Mutators inside this
     module mark objects dirty themselves; external writers (the fault
-    injector) must go through {!corrupt_header}. *)
+    injector) must go through {!corrupt_header}. Layer snapshots work as
+    in {!Pfn}. *)
 
 type kind =
   | Lock of Spinlock.t
@@ -54,6 +55,8 @@ type t = {
   mutable g_freelist_note : string;
   mutable g_bytes_live : int;
   mutable g_allocs : int;
+  mutable unlayer : unit -> unit;
+      (* puts back the base golden state a layer snapshot overwrote *)
 }
 
 let create () =
@@ -70,26 +73,8 @@ let create () =
     g_freelist_note = "";
     g_bytes_live = 0;
     g_allocs = 0;
+    unlayer = ignore;
   }
-
-(* Forget every object and restart oid numbering, as [create] would.
-   [Hashtbl.reset] (not [clear]) restores the initial capacity so the
-   reused table also iterates in the same order as a fresh one. The
-   golden state is reset too -- after a reset the heap looks exactly as
-   created, snapshot baseline included. *)
-let reset t =
-  t.next_oid <- 0;
-  Hashtbl.reset t.objs;
-  t.freelist_ok <- true;
-  t.freelist_note <- "";
-  t.bytes_live <- 0;
-  t.allocs <- 0;
-  t.tracker.dirty_list <- [];
-  t.g_next_oid <- 0;
-  t.g_freelist_ok <- true;
-  t.g_freelist_note <- "";
-  t.g_bytes_live <- 0;
-  t.g_allocs <- 0
 
 (* Mark an object as modified since the last snapshot. *)
 let touch obj =
@@ -102,8 +87,34 @@ let dirty_count t = List.length t.tracker.dirty_list
 
 (* Refresh the golden image: record the live fields and table membership
    of every object changed since the previous snapshot and drain the
-   dirty list. O(changed objects). *)
-let snapshot t =
+   dirty list. O(changed objects). A [layer] snapshot first saves the
+   golden state it is about to overwrite. *)
+let snapshot ?(layer = false) t =
+  t.unlayer <-
+    (if not layer then ignore
+     else begin
+       let base =
+         List.map (fun o -> (o, o.g_live, o.g_header_ok, o.g_in_table))
+           t.tracker.dirty_list
+       and next_oid = t.g_next_oid
+       and freelist_ok = t.g_freelist_ok
+       and freelist_note = t.g_freelist_note
+       and bytes_live = t.g_bytes_live
+       and allocs = t.g_allocs in
+       fun () ->
+         List.iter
+           (fun (o, live, header_ok, in_table) ->
+             o.g_live <- live;
+             o.g_header_ok <- header_ok;
+             o.g_in_table <- in_table;
+             touch o)
+           base;
+         t.g_next_oid <- next_oid;
+         t.g_freelist_ok <- freelist_ok;
+         t.g_freelist_note <- freelist_note;
+         t.g_bytes_live <- bytes_live;
+         t.g_allocs <- allocs
+     end);
   List.iter
     (fun o ->
       o.g_live <- o.live;
@@ -142,6 +153,11 @@ let restore t =
   t.freelist_note <- t.g_freelist_note;
   t.bytes_live <- t.g_bytes_live;
   t.allocs <- t.g_allocs
+
+(* As {!Pfn.drop_layer}. *)
+let drop_layer t =
+  t.unlayer ();
+  t.unlayer <- ignore
 
 let alloc t ?(size = 64) kind =
   if not t.freelist_ok then

@@ -48,9 +48,9 @@ type t = {
   obs : Obs.Recorder.t;
   (* Crash-surviving flight rings (the postmortem "black box"): last-N
      hypercall entries and journal appends. Deliberately NOT touched by
-     [reboot_in_place] or [restore] -- like the paper's persistent
-     journal, the evidence of what led up to a failure must outlive the
-     recovery that wipes the rest of the hypervisor state. The harness
+     [restore] -- like the paper's persistent journal, the evidence of
+     what led up to a failure must outlive the recovery that wipes the
+     rest of the hypervisor state. The harness
      bumps their epoch at run boundaries ([new_flight_epoch]) so
      readback never mixes runs. *)
   hc_flight : Obs.Flight.t;
@@ -85,6 +85,10 @@ type t = {
      at [create] so bumping one needs no name concatenation or registry
      lookup. *)
   audit_counters : Obs.Metrics.counter array;
+  (* Generations of the restorable images ([snapshot]): the base and the
+     layer over it, 0 for none. *)
+  mutable base_gen : int;
+  mutable layer_gen : int;
 }
 
 let cpu_count t = Hw.Machine.num_cpus t.machine
@@ -213,6 +217,8 @@ let create ?(mconfig = Hw.Machine.default_config) ?obs ~config clock =
         indexed_names "grant_unmap_" config.Config.max_hypercall_subops;
       audit_counters =
         Array.of_list (List.map (audit_counter obs) audit_violation_kinds);
+      base_gen = 0;
+      layer_gen = 0;
     }
   in
   Hw.Ioapic.set_logging machine.Hw.Machine.ioapic config.Config.ioapic_write_logging;
@@ -419,67 +425,13 @@ let boot ?(mconfig = Hw.Machine.default_config) ?obs ?(vcpus_per_cpu = 1)
   boot_target t ~setup ~vcpus_per_cpu;
   t
 
-(* Reuse a previously booted hypervisor for a new run: rewind the clock,
-   reset every component in place to its freshly-created state (including
-   heap object-id numbering and frame-allocation order, which surface in
-   panic messages), then run the same boot sequence as [boot]. The result
-   is observationally identical to a fresh [boot] on the same machine
-   geometry -- the reset ≡ reboot determinism contract the campaign
-   engine's worker reuse relies on -- but reuses all the big tables (pfn
-   descriptors, trace ring, per-CPU areas), so it allocates almost
-   nothing. The machine geometry ([mconfig]) is fixed at [create]; only
-   the hypervisor [config] may change between runs. *)
-let reboot_in_place t ~config ~setup ~vcpus_per_cpu =
-  Sim.Clock.reset t.clock;
-  t.config <- config;
-  Hw.Machine.reset t.machine;
-  Heap.reset t.heap;
-  Spinlock.Segment.reset t.static_segment;
-  (* Ascending CPU order reproduces [create]'s heap-allocation sequence
-     (per-CPU lock object then per-CPU area, cpu 0 first). *)
-  Array.iter (Percpu.reset t.heap) t.percpu;
-  Pfn.reset t.pfn;
-  Timer_heap.reset t.timers;
-  Sched.reset t.sched;
-  Hashtbl.reset t.domains;
-  Cycle_account.reset t.cycles;
-  (* The recorder and the flight rings deliberately survive the in-place
-     reboot: the flight recorder must keep the pre-crash evidence a
-     postmortem reads back. Harness code that wants per-run metric
-     isolation calls [Obs.Recorder.reset] itself at run boundaries. *)
-  Array.fill t.watchdog_soft 0 (Array.length t.watchdog_soft) 0;
-  Array.fill t.need_resched_flags 0 (Array.length t.need_resched_flags) false;
-  t.time_sync_count <- 0;
-  t.next_domid <- 0;
-  t.static_data_ok <- true;
-  t.static_data_note <- "";
-  t.recovery_handler_ok <- true;
-  t.bootline_ok <- true;
-  t.step_hook <- None;
-  (* The indexed-name tables depend only on the ABI sub-op limit: rebuild
-     them only if a config swap changed it, so steady-state reuse keeps
-     the interned names. *)
-  if Array.length t.pte_write_names <> config.Config.max_hypercall_subops + 1
-  then begin
-    t.pte_write_names <-
-      indexed_names "pte_write_" config.Config.max_hypercall_subops;
-    t.grant_map_names <-
-      indexed_names "grant_map_" config.Config.max_hypercall_subops;
-    t.ring_io_names <- indexed_names "ring_io_" config.Config.max_hypercall_subops;
-    t.grant_unmap_names <-
-      indexed_names "grant_unmap_" config.Config.max_hypercall_subops
-  end;
-  Hw.Ioapic.set_logging t.machine.Hw.Machine.ioapic
-    config.Config.ioapic_write_logging;
-  boot_target t ~setup ~vcpus_per_cpu
-
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder readback                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Run-boundary epoch bump: flight rings are never cleared (they must
-   survive restore / in-place reboot), so readback is scoped to the
-   entries recorded since the last bump. *)
+   survive restore), so readback is scoped to the entries recorded since
+   the last bump. *)
 let new_flight_epoch t =
   Obs.Flight.new_epoch t.hc_flight;
   Obs.Flight.new_epoch t.journal_flight
@@ -503,11 +455,16 @@ let journal_tail t = Obs.Flight.tail t.journal_flight
    whole.
 
    Constraints:
-   - One outstanding image per instance: taking a new snapshot refreshes
-     the pfn/heap/timer tables' built-in golden copies, invalidating an
-     older image's baseline. Restoring the *most recent* image is
-     repeatable (restore, run, restore again): each restore drains the
-     dirty lists, later writes re-dirty.
+   - One base image plus at most one layer per instance, enforced by
+     generation stamps: [restore] of any other image raises
+     [Invalid_argument] rather than rewinding to a mixed state. A base
+     [snapshot] supersedes every earlier image. A [~layer:true] snapshot
+     (the clone fan-out's trigger point) is taken over the base and saves
+     the base golden values it overwrites -- O(entries changed since the
+     base) -- so restoring the base later unwinds the layer, then
+     rewinds as usual; the layer is gone after that. Restoring either
+     live image is repeatable (restore, run, restore again): each
+     restore drains the dirty lists, later writes re-dirty.
    - Snapshot at quiesce points only: an in-flight hypercall record
      ([vcpu.in_hypercall]) is captured by reference, so interior
      mutation of a record alive at snapshot time (sub-op progress, its
@@ -576,6 +533,7 @@ type percpu_image = {
 }
 
 type image = {
+  im_gen : int;
   im_config : Config.t;
   im_machine : Hw.Machine.image;
   im_now : Sim.Time.ns;
@@ -682,14 +640,27 @@ let restore_domain im =
   restore_lock im.id_grant_lock;
   restore_lock im.id_page_lock
 
-let snapshot t =
-  Pfn.snapshot t.pfn;
-  Heap.snapshot t.heap;
-  Timer_heap.snapshot t.timers;
+(* Image generations are unique across instances, so an image restored
+   into the wrong hypervisor is refused too. *)
+let generations = Atomic.make 1
+
+let snapshot ?(layer = false) t =
+  if layer && (t.base_gen = 0 || t.layer_gen <> 0) then
+    invalid_arg "Hypervisor.snapshot: a layer needs a base image and no other layer";
+  Pfn.snapshot ~layer t.pfn;
+  Heap.snapshot ~layer t.heap;
+  Timer_heap.snapshot ~layer t.timers;
+  let gen = Atomic.fetch_and_add generations 1 in
+  if layer then t.layer_gen <- gen
+  else begin
+    t.base_gen <- gen;
+    t.layer_gen <- 0
+  end;
   let static_locks = ref [] in
   Spinlock.Segment.iter t.static_segment (fun l ->
       static_locks := capture_lock l :: !static_locks);
   {
+    im_gen = gen;
     im_config = t.config;
     im_machine = Hw.Machine.snapshot t.machine;
     im_now = Sim.Clock.now t.clock;
@@ -726,6 +697,14 @@ let snapshot t =
   }
 
 let restore t (im : image) =
+  if im.im_gen = t.base_gen && t.layer_gen <> 0 then begin
+    Pfn.drop_layer t.pfn;
+    Heap.drop_layer t.heap;
+    Timer_heap.drop_layer t.timers;
+    t.layer_gen <- 0
+  end
+  else if im.im_gen <> t.base_gen && im.im_gen <> t.layer_gen then
+    invalid_arg "Hypervisor.restore: the image was superseded by a later snapshot";
   Pfn.restore t.pfn;
   Heap.restore t.heap;
   Timer_heap.restore t.timers;
@@ -768,8 +747,9 @@ let restore t (im : image) =
   t.cur_activity <- im.im_cur_activity;
   t.cur_cpu <- im.im_cur_cpu;
   t.cur_step <- im.im_cur_step;
-  (* Mirror [reboot_in_place]: the indexed-name tables depend only on
-     the ABI sub-op limit, rebuilt only if the restored config moved it. *)
+  (* The indexed-name tables depend only on the ABI sub-op limit: rebuilt
+     only if the restored config moved it, so steady-state reuse keeps
+     the interned names. *)
   if
     Array.length t.pte_write_names
     <> im.im_config.Config.max_hypercall_subops + 1

@@ -35,20 +35,6 @@ let create heap cpu =
     heap_lock = lock;
   }
 
-(* Reset for machine reuse: clear the mutable state and re-allocate the
-   two per-CPU heap objects on the (just reset) heap in the same order and
-   sizes as [create], so heap object ids line up exactly with a fresh
-   boot's allocation sequence. The lock record is reused in place. *)
-let reset heap t =
-  Spinlock.reset t.heap_lock;
-  ignore (Heap.alloc heap ~size:4096 (Heap.Lock t.heap_lock));
-  ignore (Heap.alloc heap ~size:4096 (Heap.Percpu_area t.cpu));
-  t.local_irq_count <- 0;
-  t.in_hypercall_depth <- 0;
-  t.curr_domid <- -1;
-  t.curr_vcpuid <- -1;
-  t.saved_guest_fsgs <- None
-
 let irq_enter t = t.local_irq_count <- t.local_irq_count + 1
 
 let irq_exit t =

@@ -17,7 +17,11 @@
     {!restore} walk only that list -- O(changed frames), not
     O(all frames). Mutators inside this module mark descriptors dirty
     themselves; the few external writers (the journal's undo arms, the
-    fault injector's wild writes) call {!touch} explicitly. *)
+    fault injector's wild writes) call {!touch} explicitly.
+
+    A [layer] snapshot is taken over a base one: it first saves the base
+    golden values it overwrites, and {!drop_layer} puts them back, so the
+    next {!restore} lands on the base image again. *)
 
 type page_type =
   | Free
@@ -57,8 +61,10 @@ type t = {
          ({!invalidate_tracking}, e.g. the fault injector's
          [Pfn_tracker] target) or a recovery attempt that itself died
          mid-flight clears this; recovery then falls back to the full
-         scan. Re-established by {!snapshot}/{!restore}/{!reset}, which
-         install a fresh consistent baseline. *)
+         scan. Re-established by {!snapshot}/{!restore}, which install a
+         fresh consistent baseline. *)
+  mutable unlayer : unit -> unit;
+      (* puts back the base golden values a layer snapshot overwrote *)
 }
 
 let page_type_name = function
@@ -91,6 +97,7 @@ let create ~frames =
     g_free_head = 0;
     tracker;
     tracking_ok = true;
+    unlayer = ignore;
   }
 
 let frames t = Array.length t.descs
@@ -106,8 +113,28 @@ let touch d =
 
 (* Refresh the golden image: copy the live fields of every descriptor
    written since the previous snapshot and drain the dirty list.
-   O(changed frames). *)
-let snapshot t =
+   O(changed frames). A [layer] snapshot first saves the golden values it
+   is about to overwrite; a base one forgets any saved layer. *)
+let snapshot ?(layer = false) t =
+  t.unlayer <-
+    (if not layer then ignore
+     else begin
+       let base =
+         List.map
+           (fun d -> (d, d.g_validated, d.g_use_count, d.g_ptype, d.g_owner))
+           t.tracker.dirty_list
+       and free_head = t.g_free_head in
+       fun () ->
+         List.iter
+           (fun (d, v, u, p, o) ->
+             d.g_validated <- v;
+             d.g_use_count <- u;
+             d.g_ptype <- p;
+             d.g_owner <- o;
+             touch d)
+           base;
+         t.g_free_head <- free_head
+     end);
   List.iter
     (fun d ->
       d.g_validated <- d.validated;
@@ -136,33 +163,17 @@ let restore t =
   t.free_head <- t.g_free_head;
   t.tracking_ok <- true
 
+(* Give the golden image back to the base a layer snapshot was taken
+   over, marking every descriptor it rewinds dirty so the next {!restore}
+   lands there. O(descriptors the layer refreshed). *)
+let drop_layer t =
+  t.unlayer ();
+  t.unlayer <- ignore
+
 let dirty_count t = List.length t.tracker.dirty_list
 let dirty_descs t = t.tracker.dirty_list
 let tracking_usable t = t.tracking_ok
 let invalidate_tracking t = t.tracking_ok <- false
-
-(* Return every descriptor to its created state and rewind the allocation
-   cursor, so a reused table hands out frames in exactly fresh-boot order.
-   Must touch all descriptors: injected corruption can dirty any frame.
-   The golden image is rewound too -- after a reset the table looks
-   exactly as created, snapshot baseline included. *)
-let reset t =
-  Array.iter
-    (fun d ->
-      d.validated <- false;
-      d.use_count <- 0;
-      d.ptype <- Free;
-      d.owner <- -1;
-      d.g_validated <- false;
-      d.g_use_count <- 0;
-      d.g_ptype <- Free;
-      d.g_owner <- -1;
-      d.dirty <- false)
-    t.descs;
-  t.tracker.dirty_list <- [];
-  t.free_head <- 0;
-  t.g_free_head <- 0;
-  t.tracking_ok <- true
 
 (* Allocate a free frame for a domain. Raises if the table is exhausted
    (campaign configurations are sized so this cannot happen in a healthy

@@ -22,11 +22,6 @@ type t = {
 let create ~num_cpus =
   { runq = Array.make num_cpus []; curr = Array.make num_cpus None; num_cpus }
 
-(* Empty the run queues and current records, as [create] would. *)
-let reset t =
-  Array.fill t.runq 0 t.num_cpus [];
-  Array.fill t.curr 0 t.num_cpus None
-
 let enqueue t vcpu =
   vcpu.Domain.runstate <- Domain.Runnable;
   let cpu = vcpu.Domain.processor in

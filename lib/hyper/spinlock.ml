@@ -50,12 +50,6 @@ let is_held t = t.holder <> None
 
 let force_unlock t = t.holder <- None
 
-(* Back to created state (for machine reuse); the lock object itself is
-   kept so existing registrations stay valid. *)
-let reset t =
-  t.holder <- None;
-  t.acquisitions <- 0
-
 (** The static-lock segment: the array the modified linker script
     produces, over which the recovering CPU iterates. *)
 module Segment = struct
@@ -85,8 +79,4 @@ module Segment = struct
 
   let any_held t = List.exists is_held t.locks
   let count t = List.length t.locks
-
-  (* Reset every registered lock in place without touching the
-     registration list (re-registering would duplicate entries). *)
-  let reset t = iter t reset
 end

@@ -16,7 +16,7 @@
     list plus the occupied prefix -- O(changed events + queue length),
     never O(allocated capacity) -- and allocate nothing in steady state.
     External writers (the fault injector's deadline scribbles) must call
-    {!touch} first. *)
+    {!touch} first. Layer snapshots work as in {!Pfn}. *)
 
 type action =
   | Time_sync (* system time calibration, global *)
@@ -63,10 +63,12 @@ type t = {
   mutable g_next_id : int;
   mutable g_structure_ok : bool;
   mutable g_recurring : event list;
+  mutable unlayer : unit -> unit;
+      (* puts back the base golden state a layer snapshot overwrote *)
 }
 
 (* The backing arrays are sized eagerly: campaign workers reuse one heap
-   across thousands of runs ([reset] keeps the arrays), and growing them
+   across thousands of runs (restores keep the arrays), and growing them
    lazily would make the first run on each worker allocate more than the
    rest -- breaking the jobs-invariance of the allocation profiler's
    phase counters. 64 slots cover every configuration the campaigns use
@@ -101,6 +103,7 @@ let create () =
     g_next_id = 0;
     g_structure_ok = true;
     g_recurring = [];
+    unlayer = ignore;
   }
 
 let size t = t.size
@@ -119,8 +122,34 @@ let dirty_count t = List.length t.tracker.dirty_list
 (* Refresh the golden image: per-event fields for everything touched
    since the previous snapshot, plus the occupied prefix and structural
    scalars. O(changed events + queue length); allocates only if the
-   queue outgrew the golden array's capacity. *)
-let snapshot t =
+   queue outgrew the golden array's capacity. A [layer] snapshot first
+   saves the golden state it is about to overwrite. *)
+let snapshot ?(layer = false) t =
+  t.unlayer <-
+    (if not layer then ignore
+     else begin
+       let base =
+         List.map (fun e -> (e, e.g_deadline, e.g_queued, e.g_active))
+           t.tracker.dirty_list
+       and prefix = Array.sub t.g_arr 0 t.g_size
+       and next_id = t.g_next_id
+       and structure_ok = t.g_structure_ok
+       and recurring = t.g_recurring in
+       fun () ->
+         List.iter
+           (fun (e, deadline, queued, active) ->
+             e.g_deadline <- deadline;
+             e.g_queued <- queued;
+             e.g_active <- active;
+             touch e)
+           base;
+         (* [g_arr] never shrinks, so the base prefix still fits. *)
+         Array.blit prefix 0 t.g_arr 0 (Array.length prefix);
+         t.g_size <- Array.length prefix;
+         t.g_next_id <- next_id;
+         t.g_structure_ok <- structure_ok;
+         t.g_recurring <- recurring
+     end);
   List.iter
     (fun e ->
       e.g_deadline <- e.deadline;
@@ -156,22 +185,10 @@ let restore t =
   t.structure_ok <- t.g_structure_ok;
   t.recurring <- t.g_recurring
 
-(* Empty the heap and drop the recurring registry, as [create] would; the
-   backing arrays keep their capacity (entries beyond [size] are never
-   read), so reuse allocates nothing. The golden state is reset too --
-   after a reset the heap looks exactly as created, snapshot baseline
-   included. *)
-let reset t =
-  t.size <- 0;
-  t.next_id <- 0;
-  t.structure_ok <- true;
-  t.recurring <- [];
-  List.iter (fun e -> e.dirty <- false) t.tracker.dirty_list;
-  t.tracker.dirty_list <- [];
-  t.g_size <- 0;
-  t.g_next_id <- 0;
-  t.g_structure_ok <- true;
-  t.g_recurring <- []
+(* As {!Pfn.drop_layer}. *)
+let drop_layer t =
+  t.unlayer ();
+  t.unlayer <- ignore
 
 let swap t i j =
   let tmp = t.arr.(i) in

@@ -266,7 +266,8 @@ let totals_of_payload ?triage_seed_cap (payload : Obs.Json.t) =
       (fanout, t))
 
 (* Per-worker state: the worker's long-lived machine (booted lazily in
-   the worker's own domain and reset in place between runs), its golden
+   the worker's own domain and restored from its boot image between
+   runs), its golden
    ledger, and the signatures it has already captured a bundle for. *)
 type slot = {
   mutable s_worker : Run.worker option;

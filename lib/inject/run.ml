@@ -626,42 +626,38 @@ let run_obs ?recorder (cfg : config) : outcome =
 let run (cfg : config) : outcome = run_obs cfg
 
 (* ------------------------------------------------------------------ *)
-(* Worker reuse: one long-lived machine, reset in place between runs    *)
+(* Worker reuse: one long-lived machine, restored between runs         *)
 (* ------------------------------------------------------------------ *)
 
 (* A worker owns one machine plus the per-run scratch (RNG, recorder)
    and reuses them across runs: [execute_into] rewinds everything by
-   restoring a golden post-boot snapshot instead of reconstructing it
-   (or even re-walking every table the way [Hypervisor.reboot_in_place]
-   does), cutting the per-run reset to O(state the previous run touched)
-   -- which is what lets parallel campaigns scale instead of serialising
-   on the OCaml 5 stop-the-world minor GC. The contract (enforced by
+   restoring the golden post-boot image instead of booting again,
+   cutting the per-run rewind to O(state the previous run touched) --
+   which is what lets parallel campaigns scale instead of serialising on
+   the OCaml 5 stop-the-world minor GC. The contract (enforced by
    tests): a run through [execute_into] is observationally identical to
    [run_obs] on a fresh machine with the same config -- outcomes, stats
    and metric snapshots all match bit for bit, including after runs that
-   died unrecovered.
+   died unrecovered and after clone fan-outs.
 
-   [w_boot_key] is the part of the config a golden image bakes in: runs
-   that share it rewind through [Hypervisor.restore]; a mismatch falls
-   back to reset-in-place (or a full boot when the machine geometry
-   itself changed) and retakes the image. *)
+   [w_boot_key] is what the boot image bakes in: runs that share it
+   rewind through [Hypervisor.restore]; any other run boots a
+   replacement machine and takes its image. The image is a base for the
+   worker's whole life: a clone fan-out layers its trigger-point image
+   over it ({!prepare_clone}), and the next restore of the base unwinds
+   that layer. *)
 type boot_key = {
+  bk_mconfig : Hw.Machine.config; (* geometry the machine is built with *)
   bk_hv_config : Config.t;
   bk_setup : Hypervisor.setup;
   bk_vcpus_per_cpu : int;
 }
 
 type worker = {
-  w_recorder : Obs.Recorder.t option;
   w_rng : Sim.Rng.t;
-  mutable w_mconfig : Hw.Machine.config; (* geometry the machine was built with *)
   mutable w_hv : Hypervisor.t;
   mutable w_boot_key : boot_key;
-  mutable w_image : Hypervisor.image; (* golden snapshot, boot or trigger point *)
-  mutable w_image_is_boot : bool;
-      (* [w_image] is a post-boot image for [w_boot_key]; clone fan-out
-         swaps in trigger-point images, after which a plain rewind must
-         fall back to reset-in-place to get a booted machine again *)
+  mutable w_image : Hypervisor.image; (* golden post-boot image *)
   mutable w_golden_ledger : Ledger.t option; (* captured with the image when auditing *)
   mutable w_audit_restores : bool;
   mutable w_last_target : string option;
@@ -671,20 +667,11 @@ type worker = {
 
 let boot_key_of (cfg : config) =
   {
+    bk_mconfig = cfg.mconfig;
     bk_hv_config = cfg.hv_config;
     bk_setup = hv_setup_of cfg;
     bk_vcpus_per_cpu = cfg.vcpus_per_cpu;
   }
-
-(* (Re)take the worker's golden image at the machine's current state --
-   always a freshly-booted quiesce point. When restore auditing is on,
-   the resource ledger is captured alongside: it is the baseline every
-   audited restore must come back to exactly. *)
-let retake_image w =
-  w.w_image <- Hypervisor.snapshot w.w_hv;
-  w.w_image_is_boot <- true;
-  w.w_golden_ledger <-
-    (if w.w_audit_restores then Some (Ledger.capture w.w_hv) else None)
 
 (* Opt-in zero-leak audit at restore points: after every snapshot
    restore, recapture the ledger and require the orphan view to be
@@ -692,7 +679,8 @@ let retake_image w =
    timers etc. may survive a rewind, whatever the previous run did
    (fault-free, recovered, or died). [Ledger.capture] walks the whole
    frame table, so this deliberately stays off in production campaigns
-   and is exercised by the tests. *)
+   and is exercised by the tests. The ledger is captured with the image,
+   so it is the baseline every audited restore must come back to. *)
 let set_restore_audit w flag =
   w.w_audit_restores <- flag;
   w.w_golden_ledger <-
@@ -710,21 +698,15 @@ let check_restore_leaks w =
 
 let prepare ?recorder (cfg : config) =
   let hv = boot_hv ?recorder cfg in
-  let w =
-    {
-      w_recorder = recorder;
-      w_rng = Sim.Rng.create cfg.seed;
-      w_mconfig = cfg.mconfig;
-      w_hv = hv;
-      w_boot_key = boot_key_of cfg;
-      w_image = Hypervisor.snapshot hv;
-      w_image_is_boot = true;
-      w_golden_ledger = None;
-      w_audit_restores = false;
-      w_last_target = None;
-    }
-  in
-  w
+  {
+    w_rng = Sim.Rng.create cfg.seed;
+    w_hv = hv;
+    w_boot_key = boot_key_of cfg;
+    w_image = Hypervisor.snapshot hv;
+    w_golden_ledger = None;
+    w_audit_restores = false;
+    w_last_target = None;
+  }
 
 (* The recorder the worker's next run will report into: inspect or export
    it after [execute_into] returns. *)
@@ -732,49 +714,30 @@ let worker_recorder w = w.w_hv.Hypervisor.obs
 
 (* Rewind the worker to a freshly-booted machine for [cfg]: reseed the
    RNG and restore the golden boot image -- O(state the previous run
-   dirtied), not O(machine). Runs whose boot parameters differ from the
-   image's fall back to reset-in-place (same boot, different config) or
-   a replacement boot (different geometry) and retake the image. Also
-   used directly by the endurance driver, which then runs its own
-   multi-cycle scenario instead of [run_prepared]. *)
+   dirtied), not O(machine). A run whose boot parameters or geometry
+   differ from the image's boots a replacement machine instead, keeping
+   the worker's recorder, and later runs restore its image. Also used
+   directly by the endurance driver, which then runs its own multi-cycle
+   scenario instead of [run_prepared]. *)
 let rewind w (cfg : config) =
   Sim.Rng.reseed w.w_rng cfg.seed;
-  if cfg.mconfig <> w.w_mconfig then begin
-    (* The machine geometry changed: the tables cannot be reused. Boot a
-       replacement machine; subsequent runs reuse it. *)
-    (match w.w_recorder with
-    | Some r -> Obs.Recorder.reset r
-    | None -> ());
-    w.w_hv <- boot_hv ?recorder:w.w_recorder cfg;
-    w.w_mconfig <- cfg.mconfig;
+  (* The recorder is not part of the image; reset it by hand for per-run
+     metric isolation. *)
+  let obs = w.w_hv.Hypervisor.obs in
+  Obs.Recorder.reset obs;
+  if boot_key_of cfg <> w.w_boot_key then begin
+    w.w_hv <- boot_hv ~recorder:obs cfg;
     w.w_boot_key <- boot_key_of cfg;
-    retake_image w
-  end
-  else if boot_key_of cfg <> w.w_boot_key || not w.w_image_is_boot then begin
-    (* The golden image is unusable: either it was taken for different
-       boot parameters, or a clone fan-out replaced it with a trigger-
-       point image. Reset in place and retake it. The recorder survives
-       [reboot_in_place] (flight-recorder contract), so the per-run
-       metric isolation reset is explicit here. *)
-    Obs.Recorder.reset w.w_hv.Hypervisor.obs;
-    Hypervisor.reboot_in_place w.w_hv ~config:cfg.hv_config
-      ~setup:(hv_setup_of cfg) ~vcpus_per_cpu:cfg.vcpus_per_cpu;
-    w.w_boot_key <- boot_key_of cfg;
-    retake_image w
+    w.w_image <- Hypervisor.snapshot w.w_hv;
+    set_restore_audit w w.w_audit_restores
   end
   else begin
-    (* The fast path, taken for every run of a homogeneous campaign --
-       including after [died]/unrecovered outcomes, which used to force
-       a fresh boot's worth of work. The recorder is not part of the
-       image and survives [restore]; reset it by hand for per-run
-       metric isolation. *)
-    Obs.Recorder.reset w.w_hv.Hypervisor.obs;
     Hypervisor.restore w.w_hv w.w_image;
     check_restore_leaks w
   end
 
 let execute_into w (cfg : config) : outcome =
-  (* Mark before the rewind so the reset cost lands in the boot phase
+  (* Mark before the rewind so the rewind cost lands in the boot phase
      (the mark survives the recorder reset inside the rewind). *)
   Obs.Recorder.alloc_begin w.w_hv.Hypervisor.obs;
   rewind w cfg;
@@ -807,11 +770,10 @@ type clone_source = {
 }
 
 (* Drive the worker's machine to the trigger point for [cfg] (rewind,
-   boot bookkeeping, warmup) and snapshot it there. The returned source
-   replays with [clone_into]. A hypervisor carries one copy-on-write
-   baseline at a time, so this snapshot supersedes the worker's golden
-   boot image; [w_image] is re-armed with the trigger image to keep the
-   worker's restore paths coherent. *)
+   boot bookkeeping, warmup) and snapshot it there, as a layer over the
+   worker's boot image: the next [rewind] restores the boot image and
+   drops the layer, so the source is valid until then. The returned
+   source replays with [clone_into]. *)
 let prepare_clone (w : worker) (cfg : config) : clone_source =
   Obs.Recorder.alloc_begin w.w_hv.Hypervisor.obs;
   rewind w cfg;
@@ -820,9 +782,7 @@ let prepare_clone (w : worker) (cfg : config) : clone_source =
   (* Quiesce for the snapshot: the tracker hook is reinstalled (and the
      trigger armed over it) by each variant. *)
   st.hv.Hypervisor.step_hook <- None;
-  let image = Hypervisor.snapshot st.hv in
-  w.w_image <- image;
-  w.w_image_is_boot <- false;
+  let image = Hypervisor.snapshot ~layer:true st.hv in
   {
     cs_worker = w;
     cs_state = st;

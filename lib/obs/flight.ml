@@ -1,6 +1,6 @@
 (** Crash-surviving flight ring: bounded last-N log of (name, time)
-    pairs that deliberately survives hypervisor snapshot restore and
-    in-place reboot, like the paper's persistent journal.
+    pairs that deliberately survives hypervisor snapshot restore, like
+    the paper's persistent journal.
 
     This is the black box a postmortem reads its "last N hypercalls" and
     "journal tail" from: the trace ring ({!Trace}) is reset at run

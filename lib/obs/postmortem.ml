@@ -4,8 +4,8 @@
     an injection run ends badly: the causal timeline (injection events,
     first corrupted-structure touch, detection, recovery outcome), the
     recovery-phase breakdown, the flight-ring tails (last-N hypercalls
-    and journal appends, read back from rings that survive restore and
-    in-place reboot), the {!Hyper.Ledger}-style resource diff, and a
+    and journal appends, read back from rings that survive snapshot
+    restore), the {!Hyper.Ledger}-style resource diff, and a
     one-line repro. Assembly is lazy -- the harness only builds a bundle
     on a bad outcome -- and everything in it is a pure function of
     (seed, config), so bundles are byte-identical however the campaign

@@ -62,8 +62,8 @@ type t = {
      deltas. The [alloc.*] counters are registered eagerly so a registry
      snapshots identically whether profiling is enabled or not (they
      just stay zero when off); the mark and current phase live outside
-     the registry so they survive the mid-boot [reset] that
-     [Hypervisor.reboot_in_place] performs. *)
+     the registry so they survive the per-run [reset] inside the
+     harness's rewind. *)
   alloc_boot : Metrics.counter;
   alloc_workload : Metrics.counter;
   alloc_injection : Metrics.counter;
@@ -143,8 +143,8 @@ let set_alloc_profiling t on = t.alloc_on <- on
 (* Start attributing: minor words allocated from here on are credited to
    [Boot] until the first [alloc_phase] transition. Call BEFORE the
    rewind/boot work the boot phase should capture; the counters it later
-   feeds are zeroed by the [reset] inside [reboot_in_place], but the
-   mark set here survives it. *)
+   feeds are zeroed by the [reset] inside the rewind, but the mark set
+   here survives it. *)
 let alloc_begin t =
   if t.alloc_on then begin
     t.alloc_cur <- Boot;

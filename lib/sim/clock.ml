@@ -5,10 +5,6 @@ type t = { mutable now : Time.ns }
 let create () = { now = 0 }
 let now t = t.now
 
-(* Rewind to the epoch for machine reuse: a reset clock is
-   indistinguishable from a freshly created one. *)
-let reset t = t.now <- 0
-
 let advance_to t target =
   if target < t.now then
     invalid_arg

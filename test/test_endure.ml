@@ -64,8 +64,8 @@ let test_zero_leak_recovery (mech, config) () =
   checkb "no leak across fault-free recovery" true
     (Hyper.Ledger.no_leak (Hyper.Ledger.diff ~before:l1 ~after:l2))
 
-(* Reset-in-place reuse: the ledger of a rewound worker machine is
-   structurally identical to a fresh boot's. *)
+(* Worker reuse: the ledger of a rewound worker machine is structurally
+   identical to a fresh boot's. *)
 let test_reset_in_place_ledger () =
   let cfg = run_cfg () in
   let fresh = Hyper.Ledger.capture (Inject.Run.boot_state cfg).Inject.Run.hv in

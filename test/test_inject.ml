@@ -308,8 +308,8 @@ let metrics_snapshot_t =
 let small_recorder () =
   Obs.Recorder.create ~capacity:1 ~min_level:Obs.Event.Error ()
 
-(* The reset-in-place determinism contract: a run on a worker machine
-   that has already executed other runs (and been reset between them) is
+(* The worker-reuse determinism contract: a run on a worker machine
+   that has already executed other runs (and been rewound between them) is
    indistinguishable from a run on a freshly booted machine -- same
    outcome, same stats, same metric snapshot. Matrix over fault types,
    targets (setups x mechanisms) and seeds. *)
@@ -332,7 +332,7 @@ let test_reset_equivalence_matrix () =
           let mech = Inject.Run.Mech (mechanism, Recovery.Enhancement.full_set) in
           (* One long-lived worker per target; dirty it first with a run
              on an unrelated seed so every matrix run below goes through
-             the reset path of a genuinely used machine. *)
+             the rewind path of a genuinely used machine. *)
           let wcfg =
             { (run_cfg ~fault ~seed:999_999L ~mech:(Some mech) ()) with
               Inject.Run.setup;
@@ -363,7 +363,7 @@ let test_reset_equivalence_matrix () =
         targets)
     faults
 
-(* Recorded GC budget: minor words allocated per reset-in-place run,
+(* Recorded GC budget: minor words allocated per reused-worker run,
    after warmup, on the register-fault campaign configuration. Measured
    at ~330k words/run when the reuse path landed and at ~82k after the
    allocation-profiler PR flattened the hot loop (closure-free stepper,
@@ -517,20 +517,106 @@ let test_clone_deterministic () =
   checkb "same variant seed, same outcome" true (out1 = out3);
   Alcotest.check metrics_snapshot_t "same variant seed, same metrics" m1 m3
 
-(* After a fan-out leaves the worker holding a trigger-point image, a
-   plain run on the same worker must still match a fresh machine (the
-   rewind falls back to reset-in-place and retakes the boot image). *)
+(* Only the latest base image (and a layer over it) may be restored: an
+   image superseded by a later snapshot is refused, not half-restored. *)
+let test_superseded_image_rejected () =
+  let hv = boot () in
+  let im1 = Hyper.Hypervisor.snapshot hv in
+  let im2 = Hyper.Hypervisor.snapshot hv in
+  (match Hyper.Hypervisor.restore hv im1 with
+  | () -> Alcotest.fail "restoring a superseded image must raise"
+  | exception Invalid_argument _ -> ());
+  Hyper.Hypervisor.restore hv im2
+
+(* Boot image -> warmup -> layer snapshot -> damage -> restore the boot
+   image: the machine is exactly a freshly booted one (ledger, clock,
+   dirty sets), behaves like one under the same stream, comes back there
+   on a second restore, and the unwound layer is refused. *)
+let test_layered_restore_matches_fresh_boot () =
+  let fingerprint hv =
+    ( Hyper.Ledger.capture hv,
+      Sim.Clock.now hv.Hyper.Hypervisor.clock,
+      Hyper.Pfn.dirty_count hv.Hyper.Hypervisor.pfn,
+      Hyper.Heap.dirty_count hv.Hyper.Hypervisor.heap,
+      Hyper.Timer_heap.dirty_count hv.Hyper.Hypervisor.timers )
+  in
+  let cfg = run_cfg ~fault:Inject.Fault.Register () in
+  let drive hv seed n =
+    let st = Inject.Run.make_state cfg (Sim.Rng.create seed) hv in
+    for _ = 1 to n do
+      try Inject.Run.run_one_activity st with Hyper.Crash.Hypervisor_crash _ -> ()
+    done;
+    st
+  in
+  let fresh = boot () in
+  ignore (Hyper.Hypervisor.snapshot fresh);
+  let booted = fingerprint fresh in
+  let hv = boot () in
+  let boot_image = Hyper.Hypervisor.snapshot hv in
+  ignore (drive hv 3L 150);
+  (* A domain created under the layer puts heap objects, frames and
+     timers in it that the boot image must not have. *)
+  Hyper.Hypervisor.execute hv (Sim.Rng.create 7L)
+    (Hyper.Hypervisor.Hypercall
+       { domid = 0; vid = 0; kind = Hyper.Hypercalls.Domctl_create_domain });
+  let layer = Hyper.Hypervisor.snapshot ~layer:true hv in
+  let damage () =
+    let st = drive hv 4L 50 in
+    Array.iter
+      (fun target ->
+        (try Inject.Corrupt.apply hv st.Inject.Run.rng target
+         with Hyper.Crash.Hypervisor_crash _ -> ());
+        ignore (drive hv 5L 5))
+      Inject.Corrupt.all
+  in
+  damage ();
+  Hyper.Hypervisor.restore hv layer;
+  damage ();
+  Hyper.Hypervisor.restore hv boot_image;
+  checkb "layered restore equals a fresh boot" true (fingerprint hv = booted);
+  ignore (drive hv 6L 200);
+  ignore (drive fresh 6L 200);
+  checkb "and runs like one" true (fingerprint hv = fingerprint fresh);
+  Hyper.Hypervisor.restore hv boot_image;
+  checkb "second restore equals a fresh boot" true (fingerprint hv = booted);
+  match Hyper.Hypervisor.restore hv layer with
+  | () -> Alcotest.fail "restoring an unwound layer must raise"
+  | exception Invalid_argument _ -> ()
+
+(* Fan-outs leave trigger-point layers over the worker's boot image;
+   plain runs interleaved with them must still match a fresh machine
+   (each rewind restores the boot image, unwinding the layer), with the
+   zero-leak restore audit armed throughout. *)
 let test_execute_after_fanout_matches_fresh () =
   let cfg = run_cfg ~fault:Inject.Fault.Register ~seed:88L () in
   let w = Inject.Run.prepare ~recorder:(small_recorder ()) cfg in
-  ignore (Inject.Run.clone_into (Inject.Run.prepare_clone w cfg));
-  let fresh_rec = small_recorder () in
-  let fresh = Inject.Run.run_obs ~recorder:fresh_rec cfg in
-  let reused = Inject.Run.execute_into w cfg in
-  checkb "post-fan-out run matches fresh" true (fresh = reused);
-  Alcotest.check metrics_snapshot_t "post-fan-out metrics match fresh"
-    (Obs.Recorder.metrics_snapshot fresh_rec)
-    (Obs.Recorder.metrics_snapshot (Inject.Run.worker_recorder w))
+  Inject.Run.set_restore_audit w true;
+  let fan_out seed variants =
+    let src = Inject.Run.prepare_clone w { cfg with Inject.Run.seed } in
+    for v = 1 to variants do
+      ignore (Inject.Run.clone_into ~reseed:(Int64.of_int v) src)
+    done
+  in
+  let plain (cfg : Inject.Run.config) =
+    let fresh_rec = small_recorder () in
+    let fresh = Inject.Run.run_obs ~recorder:fresh_rec cfg in
+    let reused = Inject.Run.execute_into w cfg in
+    let label = Printf.sprintf "seed=%Ld" cfg.Inject.Run.seed in
+    checkb (label ^ " post-fan-out run matches fresh") true (fresh = reused);
+    Alcotest.check metrics_snapshot_t (label ^ " post-fan-out metrics match fresh")
+      (Obs.Recorder.metrics_snapshot fresh_rec)
+      (Obs.Recorder.metrics_snapshot (Inject.Run.worker_recorder w))
+  in
+  fan_out 88L 1;
+  plain cfg;
+  fan_out 90L 3;
+  plain (run_cfg ~seed:91L () (* failstop, recovered *));
+  fan_out 92L 2;
+  fan_out 93L 4;
+  plain (run_cfg ~fault:Inject.Fault.Code ~seed:94L ());
+  fan_out 95L 2;
+  plain (run_cfg ~seed:96L ~mech:(Some Inject.Run.No_recovery) () (* died *));
+  plain (run_cfg ~fault:Inject.Fault.Register ~seed:97L ())
 
 let test_fanout_jobs_invariant () =
   let cfg = run_cfg ~fault:Inject.Fault.Register () in
@@ -693,6 +779,10 @@ let () =
           Alcotest.test_case "restore after died" `Quick test_restore_after_died;
           Alcotest.test_case "zero-leak restore audit" `Quick
             test_restore_zero_leak_audit;
+          Alcotest.test_case "superseded image rejected" `Quick
+            test_superseded_image_rejected;
+          Alcotest.test_case "layered restore matches fresh boot" `Quick
+            test_layered_restore_matches_fresh_boot;
           Alcotest.test_case "clone deterministic" `Quick test_clone_deterministic;
           Alcotest.test_case "plain run after fan-out" `Quick
             test_execute_after_fanout_matches_fresh;

@@ -1,5 +1,5 @@
 (* Tests for the postmortem subsystem: the crash-surviving flight
-   recorder (rings and counters outlive restore / in-place reboot, with
+   recorder (rings and counters outlive restore, with
    epoch-scoped readback), the failure-signature grammar, the
    commutative triage merge with min-seed exemplars, and end-to-end
    determinism of campaign / endurance triage across --jobs and
@@ -27,8 +27,8 @@ let test_flight_epoch_scoping () =
   checki "wraparound keeps ring bounded" 4 (List.length (Obs.Flight.tail f));
   checki "total counts every note ever" 8 (Obs.Flight.total f)
 
-(* The rings on a hypervisor survive snapshot/restore and in-place
-   reboot -- the crash-surviving contract postmortem capture rests on. *)
+(* The rings on a hypervisor survive snapshot/restore, layered or not --
+   the crash-surviving contract postmortem capture rests on. *)
 let test_flight_survives_restore () =
   let clock = Sim.Clock.create () in
   let recorder =
@@ -56,12 +56,12 @@ let test_flight_survives_restore () =
   checki "metrics survive restore" 7
     (List.assoc "probe"
        (Obs.Metrics.snapshot recorder.Obs.Recorder.metrics).Obs.Metrics.counters);
-  (* In-place reboot: same contract. *)
-  Hyper.Hypervisor.reboot_in_place hv ~config:Hyper.Config.nilihype
-    ~setup:Hyper.Hypervisor.Three_appvm ~vcpus_per_cpu:1;
-  checkb "flight tail survives reboot_in_place" true
+  (* Layered restore (the clone fan-out's rewind): same contract. *)
+  ignore (Hyper.Hypervisor.snapshot ~layer:true hv);
+  Hyper.Hypervisor.restore hv image;
+  checkb "flight tail survives layered restore" true
     (Hyper.Hypervisor.hypercall_tail hv = tail);
-  checki "metrics survive reboot_in_place" 7
+  checki "metrics survive layered restore" 7
     (List.assoc "probe"
        (Obs.Metrics.snapshot recorder.Obs.Recorder.metrics).Obs.Metrics.counters);
   (* The harness-side run boundary is the epoch bump, not a clear. *)

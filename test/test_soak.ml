@@ -426,7 +426,8 @@ let test_pool_matches_plain_run () =
     (Inject.Campaign.snapshot plain.Inject.Campaign.totals)
     (Inject.Campaign.snapshot pooled.Inject.Campaign.totals);
   (* The pool survives the campaign: a second campaign on the same pool
-     (machines reset in place, not rebooted) is still deterministic. *)
+     (machines restored from their boot images, not rebooted) is still
+     deterministic. *)
   let pooled' =
     Inject.Campaign.run ~base_seed:3_300L ~jobs:2 ~oversubscribe:true ~pool
       ~n:50 cfg
