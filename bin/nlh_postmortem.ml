@@ -6,130 +6,74 @@
    nlh-postmortem/1 bundle, pretty-prints the whole forensic record:
    causal timeline, first corrupted-structure touch, recovery phases,
    flight-ring tails and the resource-ledger diff. Accepts several files
-   and dispatches per file on the "schema" member. A missing, torn or
-   malformed file ends the tool with one "nlh_postmortem: ..." line and
-   exit code 2. *)
+   and dispatches per file on the "schema" member.
+
+   Files are decoded by Obs.Postmortem, which owns both schemas, and
+   only decoded values are rendered. A missing, torn, malformed or
+   inconsistent file (one that nlh_trace_check would reject) ends the
+   tool with one "nlh_postmortem: ..." line and exit code 2. *)
 
 let die fmt = Format.kasprintf (Obs_cli.usage_error "nlh_postmortem") fmt
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let get path what key v =
-  match Obs.Json.member key v with
-  | Some x -> x
-  | None -> die "%s: %s: missing %S" path what key
-
-let str path what key v =
-  match Obs.Json.to_string (get path what key v) with
-  | Some s -> s
-  | None -> die "%s: %s: %S is not a string" path what key
-
-let int_of path what key v =
-  match Obs.Json.to_number (get path what key v) with
-  | Some f -> int_of_float f
-  | None -> die "%s: %s: %S is not a number" path what key
-
-let list_of path what key v =
-  match Obs.Json.to_list (get path what key v) with
-  | Some l -> l
-  | None -> die "%s: %s: %S is not an array" path what key
-
-let named_ns path what key v =
-  List.map
-    (fun e -> (str path what "name" e, int_of path what "ns" e))
-    (list_of path what key v)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* --- Bundle rendering ------------------------------------------------ *)
 
-let print_bundle path what b =
-  Printf.printf "  signature: %s\n" (str path what "signature" b);
-  Printf.printf "  outcome:   %s\n" (str path what "outcome" b);
-  Printf.printf "  seed:      %d\n" (int_of path what "seed" b);
-  Printf.printf "  repro:     %s\n" (str path what "repro" b);
-  (match get path what "config" b with
-  | Obs.Json.Obj fields ->
-    Printf.printf "  config:   ";
+let print_bundle (b : Obs.Postmortem.t) =
+  let open Obs.Postmortem in
+  Printf.printf "  signature: %s\n" (Obs.Signature.key b.pm_signature);
+  Printf.printf "  outcome:   %s\n" b.pm_outcome;
+  Printf.printf "  seed:      %Ld\n" b.pm_seed;
+  Printf.printf "  repro:     %s\n" b.pm_repro;
+  Printf.printf "  config:   ";
+  List.iter (fun (k, v) -> Printf.printf " %s=%s" k v) b.pm_config;
+  print_newline ();
+  if b.pm_timeline <> [] then begin
+    Printf.printf "  timeline (%d events):\n" (List.length b.pm_timeline);
     List.iter
-      (fun (k, v) ->
-        match Obs.Json.to_string v with
-        | Some s -> Printf.printf " %s=%s" k s
-        | None -> ())
-      fields;
-    print_newline ()
-  | _ -> ());
-  let timeline = list_of path what "timeline" b in
-  if timeline <> [] then begin
-    Printf.printf "  timeline (%d events):\n" (List.length timeline);
-    List.iter
-      (fun e ->
-        Printf.printf "    %10d ns  %-9s %s\n"
-          (int_of path what "ns" e)
-          (str path what "label" e)
-          (str path what "event" e))
-      timeline
+      (fun r ->
+        Printf.printf "    %10d ns  %-9s %s\n" r.tl_ns (label_of r.tl_event)
+          (Obs.Event.name r.tl_event))
+      b.pm_timeline
   end;
-  (match get path what "first_touch" b with
-  | Obs.Json.Null -> ()
-  | ft ->
-    Printf.printf "  first touch after injection: %s at %d ns\n"
-      (str path what "name" ft) (int_of path what "ns" ft));
+  Option.iter
+    (fun (name, ns) ->
+      Printf.printf "  first touch after injection: %s at %d ns\n" name ns)
+    b.pm_first_touch;
   let section title rows =
     if rows <> [] then begin
       Printf.printf "  %s:\n" title;
       List.iter (fun (n, ns) -> Printf.printf "    %-28s %10d ns\n" n ns) rows
     end
   in
-  section "recovery phases" (named_ns path what "recovery_phases" b);
-  section "hypercall tail" (named_ns path what "hypercalls" b);
-  section "journal tail" (named_ns path what "journal_tail" b);
-  match get path what "ledger_diff" b with
-  | Obs.Json.Obj fields when fields <> [] ->
+  section "recovery phases" b.pm_phases;
+  section "hypercall tail" b.pm_hypercalls;
+  section "journal tail" b.pm_journal_tail;
+  if b.pm_ledger_diff <> [] then begin
     Printf.printf "  ledger diff vs boot:\n";
-    List.iter
-      (fun (k, v) ->
-        match Obs.Json.to_number v with
-        | Some f -> Printf.printf "    %-28s %+d\n" k (int_of_float f)
-        | None -> ())
-      fields
-  | _ -> ()
+    List.iter (fun (k, v) -> Printf.printf "    %-28s %+d\n" k v) b.pm_ledger_diff
+  end
 
 (* --- Triage rendering ------------------------------------------------ *)
 
-let print_triage path root =
-  let sigs = list_of path "document" "signatures" root in
-  Printf.printf "%s: %d failure(s) across %d signature(s)\n" path
-    (int_of path "document" "total" root)
-    (List.length sigs);
+let print_triage path tr =
+  let open Obs.Postmortem.Triage in
+  let entries = snapshot tr in
+  Printf.printf "%s: %d failure(s) across %d signature(s)\n" path (total tr)
+    (List.length entries);
+  (* Descending count; the snapshot is key-sorted, so a stable sort keeps
+     the key as the deterministic tie-break. *)
   let by_count =
-    (* Descending count, key as the deterministic tie-break. *)
-    List.stable_sort
-      (fun a b ->
-        let ca = int_of path "sig" "count" a
-        and cb = int_of path "sig" "count" b in
-        if ca <> cb then compare cb ca
-        else
-          String.compare (str path "sig" "signature" a)
-            (str path "sig" "signature" b))
-      sigs
+    List.stable_sort (fun (_, a) (_, b) -> compare b.e_count a.e_count) entries
   in
   List.iter
-    (fun e ->
-      let what = "signature " ^ str path "sig" "signature" e in
-      Printf.printf "\n%4dx %s\n" (int_of path what "count" e)
-        (str path what "signature" e);
-      let seeds =
-        List.filter_map Obs.Json.to_number (list_of path what "seeds" e)
-      in
+    (fun (key, e) ->
+      Printf.printf "\n%4dx %s\n" e.e_count key;
       Printf.printf "      seeds:%s\n"
-        (String.concat ""
-           (List.map (fun s -> Printf.sprintf " %d" (int_of_float s)) seeds));
-      match get path what "exemplar" e with
-      | Obs.Json.Null -> ()
-      | b -> Printf.printf "      repro: %s\n" (str path what "repro" b))
+        (String.concat "" (List.map (Printf.sprintf " %Ld") e.e_seeds));
+      Option.iter
+        (fun (_, b) -> Printf.printf "      repro: %s\n" b.Obs.Postmortem.pm_repro)
+        e.e_exemplar)
     by_count
 
 let () =
@@ -139,15 +83,18 @@ let () =
     let path = Sys.argv.(i) in
     let contents = try read_file path with Sys_error e -> die "%s" e in
     let root =
-      match Obs.Json.parse contents with
+      match Obs.Json.parse_document contents with
       | Ok v -> v
-      | Error msg -> die "%s: invalid JSON: %s" path msg
+      | Error msg -> die "%s: %s" path msg
     in
-    match Option.bind (Obs.Json.member "schema" root) Obs.Json.to_string with
-    | Some "nlh-triage/1" -> print_triage path root
+    let decoded = function Ok v -> v | Error msg -> die "%s: %s" path msg in
+    match Obs.Json.schema_of root with
+    | Some "nlh-triage/1" ->
+      print_triage path (decoded (Obs.Postmortem.Triage.of_json root))
     | Some "nlh-postmortem/1" ->
+      let b = decoded (Obs.Postmortem.of_json root) in
       Printf.printf "%s:\n" path;
-      print_bundle path "bundle" root
+      print_bundle b
     | Some s -> die "%s: unsupported schema %S" path s
     | None -> die "%s: missing schema member" path
   done

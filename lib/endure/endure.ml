@@ -658,44 +658,46 @@ let fingerprint ~base_seed ~scenarios (cfg : config) =
    checkpoint must round-trip the full [cycle_stats], budget violations
    and latency samples included, or a resumed run would drift. *)
 let payload_of_totals (t : totals) =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"totals\":{\"scenarios\":%d,\"survived\":%d,\"deaths\":%d,\
-        \"latent_scenarios\":%d,\"max_leaked_pages\":%d,\
-        \"budget_violations\":%d,\"per_cycle\":["
-       t.scenarios t.survived t.deaths t.latent_scenarios t.max_leaked_pages
-       t.budget_violations);
-  Array.iteri
-    (fun i (c : cycle_stats) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "[%d,%d,%d,%d,%d,%d,%d,%d,%d]" c.cs_entered c.cs_quiet
-           c.cs_recovered c.cs_latent c.cs_died c.cs_leaked_pages
-           c.cs_budget_violations c.cs_latency_sum c.cs_latency_samples))
-    t.per_cycle;
-  Buffer.add_string buf "],\"leaks\":";
-  Obs.Export.add_int_assoc buf (Sim.Stats.Counts.sorted t.leaks);
-  Buffer.add_string buf ",\"death_notes\":";
-  Obs.Export.add_int_assoc buf (Sim.Stats.Counts.sorted t.death_notes);
-  Buffer.add_string buf ",\"metrics\":";
-  Obs.Checkpoint.add_metrics buf t.metrics;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let open Obs.Json in
+  let cycle (c : cycle_stats) =
+    ints
+      [
+        c.cs_entered; c.cs_quiet; c.cs_recovered; c.cs_latent; c.cs_died;
+        c.cs_leaked_pages; c.cs_budget_violations; c.cs_latency_sum;
+        c.cs_latency_samples;
+      ]
+  in
+  let counts =
+    int_members
+      [
+        ("scenarios", t.scenarios); ("survived", t.survived); ("deaths", t.deaths);
+        ("latent_scenarios", t.latent_scenarios);
+        ("max_leaked_pages", t.max_leaked_pages);
+        ("budget_violations", t.budget_violations);
+      ]
+  in
+  Obj
+    [
+      ( "totals",
+        Obj
+          (counts
+          @ [
+              ("per_cycle", List (Array.to_list (Array.map cycle t.per_cycle)));
+              ("leaks", int_assoc (Sim.Stats.Counts.sorted t.leaks));
+              ("death_notes", int_assoc (Sim.Stats.Counts.sorted t.death_notes));
+              ("metrics", Obj (Obs.Metrics.json_members t.metrics));
+            ]) );
+    ]
 
 (* Parse a payload back into totals: the decoder resume and
    [nlh_trace_check] share. A resume passes its configured [cycles]; the
    checker, which has no config, takes the payload's own cycle count. *)
 let totals_of_payload ?triage_seed_cap ?cycles (payload : Obs.Json.t) =
-  Obs.Checkpoint.decoding (fun () ->
-      let open Obs.Checkpoint in
+  Obs.Json.decoding (fun () ->
+      let open Obs.Json in
       let tv = get "payload" "totals" payload in
       let int k = int_exn "totals" k tv in
-      let per_cycle =
-        match Obs.Json.to_list (get "totals" "per_cycle" tv) with
-        | Some l -> l
-        | None -> fail "totals: \"per_cycle\" is not an array"
-      in
+      let per_cycle = list_of "totals.per_cycle" (get "totals" "per_cycle" tv) in
       let n = List.length per_cycle in
       (match cycles with
       | Some c when c <> n ->
@@ -735,7 +737,7 @@ let totals_of_payload ?triage_seed_cap ?cycles (payload : Obs.Json.t) =
       List.iter
         (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.death_notes k)
         (int_assoc_of "totals.death_notes" (get "totals" "death_notes" tv));
-      t.metrics <- metrics_of_json_exn (get "totals" "metrics" tv);
+      t.metrics <- Obs.Metrics.of_json_exn (get "totals" "metrics" tv);
       if t.scenarios <> t.survived + t.deaths then
         fail "payload: scenarios <> survived + deaths";
       t)

@@ -74,110 +74,91 @@ let signatures t =
 (* Serialization (the "entries"/"coverage" fields of a fuzz payload)    *)
 (* ------------------------------------------------------------------ *)
 
-let add_trace buf trace =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int c))
-    trace;
-  Buffer.add_char buf ']'
-
-(* Entries as a canonical array; coverage as sorted (point, entry-index)
-   pairs into it. Seeds are strings: the JSON parser reads numbers as
-   floats, and int64 must round-trip exactly. *)
-let add_payload buf t =
+(* Entries as a canonical array, one per line; coverage as sorted
+   (point, entry-index) pairs into it. Seeds are strings, as the first
+   nlh-fuzz/1 files wrote them; keeping them so keeps those files
+   loadable. *)
+let payload_members t =
   let ents = entries t in
   let index =
     let h = Hashtbl.create (List.length ents) in
     List.iteri (fun i e -> Hashtbl.replace h e.en_trace i) ents;
     h
   in
-  Buffer.add_string buf "\"entries\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n{\"trace\":";
-      add_trace buf e.en_trace;
-      Buffer.add_string buf ",\"seed\":";
-      Obs.Json.escape_to buf (Printf.sprintf "%Ld" e.en_seed);
-      Buffer.add_string buf ",\"outcome\":";
-      Obs.Json.escape_to buf e.en_outcome;
-      Buffer.add_string buf ",\"signature\":";
-      Obs.Json.escape_to buf e.en_signature;
-      Buffer.add_char buf '}')
-    ents;
-  Buffer.add_string buf "],\"coverage\":[";
-  List.iteri
-    (fun i point ->
-      if i > 0 then Buffer.add_char buf ',';
-      let e = Hashtbl.find t.tbl point in
-      Buffer.add_string buf "\n{\"point\":";
-      Obs.Json.escape_to buf point;
-      Buffer.add_string buf
-        (Printf.sprintf ",\"entry\":%d}" (Hashtbl.find index e.en_trace)))
-    (coverage t);
-  Buffer.add_char buf ']'
+  let open Obs.Json in
+  [
+    ( "entries",
+      List
+        (List.map
+           (fun e ->
+             Obj
+               [
+                 ("trace", ints e.en_trace);
+                 ("seed", String (Int64.to_string e.en_seed));
+                 ("outcome", String e.en_outcome);
+                 ("signature", String e.en_signature);
+               ])
+           ents) );
+    ( "coverage",
+      List
+        (List.map
+           (fun point ->
+             let e = Hashtbl.find t.tbl point in
+             Obj
+               [
+                 ("point", String point);
+                 ("entry", int (Hashtbl.find index e.en_trace));
+               ])
+           (coverage t)) );
+  ]
 
-(* Parser: raises {!Obs.Checkpoint.Bad} like the envelope helpers it is
-   built from; callers convert to [Error] at the edge. *)
-let fail fmt = Obs.Checkpoint.fail fmt
+let add_payload buf t = Obs.Json.render_members_to buf (payload_members t)
 
+(* Decoders raise {!Obs.Json.Bad}; callers convert to [Error] at the
+   edge. *)
 let entry_of_json v =
-  let trace =
-    Obs.Checkpoint.int_list_of "entry.trace"
-      (Obs.Checkpoint.get "entry" "trace" v)
-  in
+  let open Obs.Json in
+  let trace = int_list_of "entry.trace" (get "entry" "trace" v) in
   if trace = [] then fail "entry.trace is empty";
   List.iter
     (fun c ->
       if c < 0 || c >= Input.op_space then
         fail "entry.trace: op code %d outside [0, 2^%d)" c Input.op_bits)
     trace;
-  let seed_s = Obs.Checkpoint.str "entry" "seed" v in
+  let seed_s = str "entry" "seed" v in
   let seed =
     match Int64.of_string_opt seed_s with
     | Some s -> s
     | None -> fail "entry.seed %S is not an int64" seed_s
   in
-  let outcome = Obs.Checkpoint.str "entry" "outcome" v in
-  if outcome = "" then fail "entry.outcome is empty";
-  let signature = Obs.Checkpoint.str "entry" "signature" v in
+  let outcome = str_nonempty "entry" "outcome" v in
+  let signature = str "entry" "signature" v in
   (* "" marks a good outcome; anything else must be a canonical key. *)
-  if
-    signature <> ""
-    && Option.map Obs.Signature.key (Obs.Signature.of_key signature)
-       <> Some signature
-  then fail "entry.signature %S is not fault|target|cause|branch" signature;
+  if signature <> "" && Obs.Signature.of_key signature = None then
+    fail "entry.signature %S is not fault|target|cause|branch" signature;
   { en_trace = trace; en_seed = seed; en_outcome = outcome; en_signature = signature }
 
 let of_json payload =
-  let ents =
-    match Obs.Json.to_list (Obs.Checkpoint.get "payload" "entries" payload) with
-    | Some l -> Array.of_list (List.map entry_of_json l)
-    | None -> fail "\"entries\" is not an array"
+  let open Obs.Json in
+  let ents = list_of "\"entries\"" (get "payload" "entries" payload) in
+  let ents = List.map entry_of_json ents in
+  (* [payload_members] writes entries in strict preference order, and
+     coverage points sorted and unique. *)
+  if not (sorted compare_entry ents) then
+    fail "entries not in canonical (length, lex) order";
+  let ents = Array.of_list ents in
+  let cover =
+    List.map
+      (fun v -> (str_nonempty "coverage" "point" v, int_exn "coverage" "entry" v))
+      (list_of "\"coverage\"" (get "payload" "coverage" payload))
   in
-  (* [add_payload] writes entries in strict preference order. *)
-  Array.iteri
-    (fun i e ->
-      if i > 0 && compare_entry ents.(i - 1) e >= 0 then
-        fail "entries[%d] not in canonical (length, lex) order" i)
-    ents;
+  if not (sorted String.compare (List.map fst cover)) then
+    fail "coverage points not sorted/unique";
   let t = create () in
-  (match Obs.Json.to_list (Obs.Checkpoint.get "payload" "coverage" payload) with
-  | None -> fail "\"coverage\" is not an array"
-  | Some l ->
-    let last = ref "" in
-    List.iter
-      (fun v ->
-        let point = Obs.Checkpoint.str "coverage" "point" v in
-        if point = "" then fail "empty coverage point";
-        if !last <> "" && String.compare !last point >= 0 then
-          fail "coverage points not sorted/unique at %S" point;
-        last := point;
-        let i = Obs.Checkpoint.int_exn "coverage" "entry" v in
-        if i < 0 || i >= Array.length ents then
-          fail "coverage entry index %d outside [0, %d)" i (Array.length ents);
-        Hashtbl.replace t.tbl point ents.(i))
-      l);
+  List.iter
+    (fun (point, i) ->
+      if i < 0 || i >= Array.length ents then
+        fail "coverage entry index %d outside [0, %d)" i (Array.length ents);
+      Hashtbl.replace t.tbl point ents.(i))
+    cover;
   t

@@ -10,10 +10,10 @@
     because a directed run is a pure function of its point (see
     {!Inject.Fault.directive}), the identical run.
 
-    Op codes are capped at 48 bits so they survive the JSON round trip
-    exactly (the hand-rolled parser reads numbers as floats; 48 < 53).
-    The decode is total -- every 48-bit integer is a valid op -- which
-    keeps mutation trivial: append random integers. *)
+    Op codes are capped at 48 bits, the range nlh-fuzz/1 files hold
+    and {!Corpus} checks on load. The decode is total -- every 48-bit
+    integer is a valid op -- which keeps mutation trivial: append random
+    integers. *)
 
 type point = {
   p_seed : int64; (* warmup seed; drawn from a small pool near the base *)

@@ -101,18 +101,20 @@ let create cfg =
 (* Persistence (nlh-fuzz/1)                                            *)
 (* ------------------------------------------------------------------ *)
 
-let payload_of t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"base_seed\":";
-  Obs.Json.escape_to buf (Printf.sprintf "%Ld" t.s_cfg.f_base_seed);
-  Buffer.add_string buf ",\"rng\":";
-  Obs.Json.escape_to buf (Printf.sprintf "%Ld" (Sim.Rng.save t.s_rng));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"evaluated\":%d,\"kept\":%d,\"dud\":%d," t.s_evaluated
-       t.s_kept t.s_dud);
-  Corpus.add_payload buf t.s_corpus;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+(* Seeds and the rng state are int64 strings (see {!Corpus}). *)
+let payload_json t =
+  Obs.Json.(
+    Obj
+      ([
+         ("base_seed", String (Int64.to_string t.s_cfg.f_base_seed));
+         ("rng", String (Int64.to_string (Sim.Rng.save t.s_rng)));
+         ("evaluated", int t.s_evaluated);
+         ("kept", int t.s_kept);
+         ("dud", int t.s_dud);
+       ]
+      @ Corpus.payload_members t.s_corpus))
+
+let payload_of t = Obs.Json.render (payload_json t)
 
 let header_of t =
   let rounds = n_rounds t.s_cfg in
@@ -126,7 +128,7 @@ let header_of t =
 
 let save t path =
   Obs.Checkpoint.write ~schema:Obs.Checkpoint.fuzz_schema ~path (header_of t)
-    ~payload:(payload_of t)
+    ~payload:(payload_json t)
 
 (* A session state as an nlh-fuzz/1 file holds it. *)
 type saved = {
@@ -141,13 +143,13 @@ type saved = {
 (* Decode a fuzz file's header and payload: the decoder resume and
    [nlh_trace_check] share. *)
 let saved_of_checkpoint (h : Obs.Checkpoint.header) payload =
-  Obs.Checkpoint.decoding (fun () ->
-      let open Obs.Checkpoint in
+  Obs.Json.decoding (fun () ->
+      let open Obs.Json in
       (* Rounds complete strictly in order, so "done" is a prefix. *)
-      let rounds = done_count h in
+      let rounds = Obs.Checkpoint.done_count h in
       Array.iteri
         (fun i d -> if d <> (i < rounds) then fail "done rounds are not a prefix")
-        h.done_chunks;
+        h.Obs.Checkpoint.done_chunks;
       let int64 key =
         let s = str "payload" key payload in
         match Int64.of_string_opt s with

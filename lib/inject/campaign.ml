@@ -222,27 +222,36 @@ let fingerprint ~base_seed ~n (cfg : Run.config) =
    heavy to rewrite on every chunk). All fields are ints, notes are
    key-sorted and metrics name-sorted, so serialization is canonical:
    equal aggregates produce byte-identical payloads. *)
-let payload_of_totals ~fanout (t : totals) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"fanout\":%d,\"totals\":{\"runs\":%d,\"non_manifested\":%d,\
-        \"sdc\":%d,\"detected\":%d,\"successes\":%d,\"no_vmf\":%d,\
-        \"recovered\":%d,\"latency_sum\":%d,\"latency_samples\":%d,\
-        \"notes\":"
-       fanout t.runs t.non_manifested t.sdc t.detected t.successes t.no_vmf
-       t.recovered t.latency_sum t.latency_samples);
-  Obs.Export.add_int_assoc buf (failure_notes t);
-  Buffer.add_string buf ",\"metrics\":";
-  Obs.Checkpoint.add_metrics buf t.metrics;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+let payload_json ~fanout (t : totals) =
+  let open Obs.Json in
+  let counts =
+    int_members
+      [
+        ("runs", t.runs); ("non_manifested", t.non_manifested); ("sdc", t.sdc);
+        ("detected", t.detected); ("successes", t.successes); ("no_vmf", t.no_vmf);
+        ("recovered", t.recovered); ("latency_sum", t.latency_sum);
+        ("latency_samples", t.latency_samples);
+      ]
+  in
+  Obj
+    [
+      ("fanout", int fanout);
+      ( "totals",
+        Obj
+          (counts
+          @ [
+              ("notes", int_assoc (failure_notes t));
+              ("metrics", Obj (Obs.Metrics.json_members t.metrics));
+            ]) );
+    ]
+
+let payload_of_totals ~fanout t = Obs.Json.render (payload_json ~fanout t)
 
 (* Parse a payload back into [(fanout, totals)]: the decoder resume and
    [nlh_trace_check] share. *)
 let totals_of_payload ?triage_seed_cap (payload : Obs.Json.t) =
-  Obs.Checkpoint.decoding (fun () ->
-      let open Obs.Checkpoint in
+  Obs.Json.decoding (fun () ->
+      let open Obs.Json in
       let fanout = int_exn "payload" "fanout" payload in
       if fanout < 1 then fail "payload: fanout %d < 1" fanout;
       let tv = get "payload" "totals" payload in
@@ -260,7 +269,7 @@ let totals_of_payload ?triage_seed_cap (payload : Obs.Json.t) =
       List.iter
         (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.notes k)
         (int_assoc_of "totals.notes" (get "totals" "notes" tv));
-      t.metrics <- metrics_of_json_exn (get "totals" "metrics" tv);
+      t.metrics <- Obs.Metrics.of_json_exn (get "totals" "metrics" tv);
       if t.runs <> t.non_manifested + t.sdc + t.detected then
         fail "payload: runs <> non_manifested + sdc + detected";
       (fanout, t))
@@ -420,7 +429,7 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
       merged;
       fresh;
       merge_into;
-      encode = payload_of_totals ~fanout;
+      encode = payload_json ~fanout;
       init;
       item = (if fanout > 1 then run_batch ~fanout else run_one);
     }

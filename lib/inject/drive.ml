@@ -81,7 +81,7 @@ type ('t, 'w) plan = {
   merged : 't;
   fresh : unit -> 't; (* an empty per-chunk aggregate *)
   merge_into : 't -> 't -> unit;
-  encode : 't -> string; (* the checkpoint payload of an aggregate *)
+  encode : 't -> Obs.Json.t; (* the checkpoint payload of an aggregate *)
   init : int -> 'w;
       (* a worker's state for a pool slot, built in the worker's domain *)
   item : 'w -> 't -> int -> unit; (* fold item [i] into a chunk aggregate *)

@@ -149,6 +149,41 @@ let args = function
     [ ("resource", `String resource); ("delta", `Int delta) ]
   | Message m -> [ ("message", `String m) ]
 
+(* The inverse of [name] and [args]: the payload they render, if any.
+   Exact, since the result must render back to the same pair. *)
+let of_name_args rendered fields =
+  let s k = match List.assoc_opt k fields with Some (`String v) -> v | _ -> raise Exit in
+  let i k = match List.assoc_opt k fields with Some (`Int v) -> v | _ -> raise Exit in
+  let b k = match List.assoc_opt k fields with Some (`Bool v) -> v | _ -> raise Exit in
+  let prefix = List.hd (String.split_on_char ':' rendered) in
+  match
+    match prefix with
+    | "hypercall" ->
+      Hypercall_entry { domid = i "domid"; vid = i "vid"; kind = s "kind"; retry = b "retry" }
+    | "hypercall_commit" ->
+      Hypercall_commit { domid = i "domid"; vid = i "vid"; kind = s "kind" }
+    | "hypercall_retry" ->
+      let attempt = i "attempt" in
+      Hypercall_retry { domid = i "domid"; vid = i "vid"; kind = s "kind"; attempt }
+    | "journal_append" -> Journal_append { kind = s "kind"; depth = i "depth" }
+    | "journal_undo" -> Journal_undo { entries = i "entries" }
+    | "journal_commit" -> Journal_commit { entries = i "entries" }
+    | "lock_release" -> Lock_release { name = s "lock"; count = i "count" }
+    | "timer_fire" -> Timer_fire { action = s "action" }
+    | "fault_injected" -> Fault_injected { target = s "target" }
+    | "detection" -> Detection { kind = s "kind"; message = s "message" }
+    | "recovery_step" -> Recovery_step { mechanism = s "mechanism"; step = s "step" }
+    | "outcome" -> Outcome_classified { name = s "name" }
+    | "audit_violation" -> Audit_violation { kind = s "kind"; count = i "count" }
+    | "endure_cycle" ->
+      Endure_cycle { index = i "index"; survived = b "survived"; clean = b "clean" }
+    | "leak" -> Leak_delta { resource = s "resource"; delta = i "delta" }
+    | "message" -> Message (s "message")
+    | _ -> raise Exit
+  with
+  | p when rendered = name p && fields = args p -> Some p
+  | _ | (exception Exit) -> None
+
 (* A recorded event: simulated timestamp plus origin coordinates.
    [domid = -1] means "not attributable to a domain". *)
 type t = {

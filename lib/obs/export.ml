@@ -1,31 +1,29 @@
 (** Exporters: Chrome-trace JSON (loadable in Perfetto / chrome://tracing)
     for a single run's events and spans, and a plain metrics-JSON document
-    ([OBS_campaign.json]) for campaign-level snapshots.
+    ([OBS_campaign.json], schema nlh-obs/1) for campaign-level snapshots,
+    with the nlh-obs/1 reader.
 
-    Both are hand-rolled writers over {!Json.escape}; timestamps are
-    simulated nanoseconds converted to the microseconds Chrome-trace
-    expects. Output is deterministic: events and spans are emitted in
-    timestamp order with a stable tie-break, and metrics come from the
-    canonically sorted {!Metrics.snapshot}. *)
+    Both documents are {!Json.t} values printed by {!Json.document};
+    timestamps are simulated nanoseconds converted to the microseconds
+    Chrome-trace expects. Output is deterministic: events and spans are
+    emitted in timestamp order with a stable tie-break, and metrics come
+    from the canonically sorted {!Metrics.snapshot}. *)
 
 let us_of_ns ns = float_of_int ns /. 1000.0
 
-let add_arg buf (key, v) =
-  Json.escape_to buf key;
-  Buffer.add_char buf ':';
-  match v with
-  | `Int i -> Buffer.add_string buf (string_of_int i)
-  | `Bool b -> Buffer.add_string buf (string_of_bool b)
-  | `String s -> Json.escape_to buf s
+type arg = [ `Int of int | `Bool of bool | `String of string ]
 
-let add_args buf args =
-  Buffer.add_string buf "\"args\":{";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_arg buf a)
-    args;
-  Buffer.add_char buf '}'
+let args_json (args : (string * arg) list) =
+  let value : arg -> Json.t = function
+    | `Int i -> Json.int i
+    | `Bool b -> Json.Bool b
+    | `String s -> Json.String s
+  in
+  Json.Obj (List.map (fun (k, v) -> (k, value v)) args)
+
+(* The ["args":{...}] member of a trace row, appended to a caller's
+   buffer. *)
+let add_args buf args = Json.render_members_to buf [ ("args", args_json args) ]
 
 (* Chrome-trace rows: a span becomes a complete event ("ph":"X"), a trace
    event becomes a thread-scoped instant ("ph":"i"). *)
@@ -35,54 +33,38 @@ let row_time = function
   | Span_row s -> s.Span.start
   | Event_row e -> e.Event.time
 
-let add_span_row buf (s : Span.span) =
-  Buffer.add_string buf "{\"ph\":\"X\",\"name\":";
-  Json.escape_to buf s.name;
-  Buffer.add_string buf ",\"cat\":";
-  Json.escape_to buf s.cat;
-  Buffer.add_string buf (Printf.sprintf ",\"ts\":%.3f" (us_of_ns s.start));
-  Buffer.add_string buf (Printf.sprintf ",\"dur\":%.3f" (us_of_ns s.duration));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"pid\":0,\"tid\":%d," (max 0 s.track));
-  add_args buf [ ("duration_ns", `Int s.duration) ];
-  Buffer.add_char buf '}'
+let row_json row =
+  let open Json in
+  match row with
+  | Span_row (s : Span.span) ->
+    Obj
+      [
+        ("ph", String "X"); ("name", String s.name); ("cat", String s.cat);
+        ("ts", Number (us_of_ns s.start)); ("dur", Number (us_of_ns s.duration));
+        ("pid", int 0); ("tid", int (max 0 s.track));
+        ("args", args_json [ ("duration_ns", `Int s.duration) ]);
+      ]
+  | Event_row (e : Event.t) ->
+    Obj
+      [
+        ("ph", String "i"); ("s", String "t"); ("name", String (Event.name e.payload));
+        ("cat", String (Event.subsystem_name (Event.subsystem e.payload)));
+        ("ts", Number (us_of_ns e.time)); ("pid", int 0); ("tid", int (max 0 e.cpu));
+        ( "args",
+          args_json
+            (("level", `String (Event.level_name e.level))
+            :: ("domid", `Int e.domid) :: Event.args e.payload) );
+      ]
 
-let add_event_row buf (e : Event.t) =
-  Buffer.add_string buf "{\"ph\":\"i\",\"s\":\"t\",\"name\":";
-  Json.escape_to buf (Event.name e.payload);
-  Buffer.add_string buf ",\"cat\":";
-  Json.escape_to buf (Event.subsystem_name (Event.subsystem e.payload));
-  Buffer.add_string buf (Printf.sprintf ",\"ts\":%.3f" (us_of_ns e.time));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"pid\":0,\"tid\":%d," (max 0 e.cpu));
-  add_args buf
-    (("level", `String (Event.level_name e.level))
-    :: ("domid", `Int e.domid)
-    :: Event.args e.payload);
-  Buffer.add_char buf '}'
-
-let chrome_trace_to buf ~events ~spans =
+let chrome_trace_string ~events ~spans =
   let rows =
     List.map (fun e -> Event_row e) events
     @ List.map (fun s -> Span_row s) spans
   in
   (* Stable: rows with equal timestamps keep events-then-spans order. *)
   let rows = List.stable_sort (fun a b -> compare (row_time a) (row_time b)) rows in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n';
-      match row with
-      | Span_row s -> add_span_row buf s
-      | Event_row e -> add_event_row buf e)
-    rows;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n"
-
-let chrome_trace_string ~events ~spans =
-  let buf = Buffer.create 4096 in
-  chrome_trace_to buf ~events ~spans;
-  Buffer.contents buf
+  let rows = Json.List (List.map row_json rows) in
+  Json.(document (Obj [ ("traceEvents", rows); ("displayTimeUnit", String "ms") ]))
 
 let chrome_trace_of_recorder (r : Recorder.t) =
   chrome_trace_string
@@ -100,25 +82,7 @@ let write_chrome_trace path (r : Recorder.t) =
 
 (* --- Metrics JSON (OBS_campaign.json) ------------------------------ *)
 
-let add_int_assoc buf pairs =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Json.escape_to buf k;
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int v))
-    pairs;
-  Buffer.add_char buf '}'
-
-let add_int_list buf l =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int v))
-    l;
-  Buffer.add_char buf ']'
+let metrics_schema = "nlh-obs/1"
 
 (** [metrics_json ~meta snapshot] renders the campaign metrics document:
     {v
@@ -126,44 +90,43 @@ let add_int_list buf l =
       "meta": { ... caller-supplied strings/ints ... },
       "counters": { name: total, ... },
       "gauges": { name: value, ... },
-      "histograms": { name: {bounds, counts, sum, samples}, ... } }
+      "histograms": { name: {bounds, counts, sum, samples, p50, p99, p999}, ... } }
     v}
-    [counts] has one trailing overflow bucket beyond [bounds]. *)
+    [counts] has one trailing overflow bucket beyond [bounds]; the
+    bucket-resolution quantile estimates (see [Metrics.quantile]) are
+    omitted for empty histograms, where no rank exists. *)
 let metrics_json ?(meta = []) (s : Metrics.snapshot) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"schema\":\"nlh-obs/1\",\n\"meta\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_arg buf (k, v))
-    meta;
-  Buffer.add_string buf "},\n\"counters\":";
-  add_int_assoc buf s.Metrics.counters;
-  Buffer.add_string buf ",\n\"gauges\":";
-  add_int_assoc buf s.Metrics.gauges;
-  Buffer.add_string buf ",\n\"histograms\":{";
-  List.iteri
-    (fun i (name, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n';
-      Json.escape_to buf name;
-      Buffer.add_string buf ":{\"bounds\":";
-      add_int_list buf h.Metrics.h_bounds;
-      Buffer.add_string buf ",\"counts\":";
-      add_int_list buf h.Metrics.h_counts;
-      Buffer.add_string buf
-        (Printf.sprintf ",\"sum\":%d,\"samples\":%d" h.Metrics.h_sum
-           h.Metrics.h_samples);
-      (* Bucket-resolution quantile estimates (see [Metrics.quantile]);
-         omitted for empty histograms, where no rank exists. *)
-      (match (Metrics.p50 h, Metrics.p99 h, Metrics.p999 h) with
-      | Some p50, Some p99, Some p999 ->
-        Buffer.add_string buf
-          (Printf.sprintf ",\"p50\":%d,\"p99\":%d,\"p999\":%d" p50 p99 p999)
-      | _ -> ());
-      Buffer.add_char buf '}')
-    s.Metrics.histograms;
-  Buffer.add_string buf "}}\n";
-  Buffer.contents buf
+  Json.document
+    (Json.Obj
+       (("schema", Json.String metrics_schema)
+       :: ("meta", args_json meta)
+       :: Metrics.json_members ~quantiles:true s))
 
 let write_metrics_json ?meta path s = write_file path (metrics_json ?meta s)
+
+(* Read an nlh-obs/1 document back: the snapshot a checkpoint would
+   decode, plus the quantile estimates, which must be present exactly
+   when a histogram is non-empty, and ordered. *)
+let metrics_of_json root =
+  let open Json in
+  decoding (fun () ->
+      expect_schema metrics_schema root;
+      let s = Metrics.of_json_exn root in
+      List.iter
+        (fun (name, h) ->
+          let what = Printf.sprintf "histograms[%S]" name in
+          let hv = get "histograms" name (get "document" "histograms" root) in
+          let q key = Option.map (fun _ -> int_exn what key hv) (member key hv) in
+          match (q "p50", q "p99", q "p999") with
+          | Some p50, Some p99, Some p999 ->
+            if h.Metrics.h_samples <= 0 then
+              fail "%s: quantiles on an empty histogram" what;
+            if not (p50 <= p99 && p99 <= p999) then
+              fail "%s: quantiles not ordered (p50 %d p99 %d p999 %d)" what p50
+                p99 p999
+          | None, None, None ->
+            if h.Metrics.h_samples > 0 then
+              fail "%s: non-empty histogram missing quantiles" what
+          | _ -> fail "%s: partial quantile set" what)
+        s.Metrics.histograms;
+      s)

@@ -327,3 +327,66 @@ let pp_snapshot fmt s =
         h.h_sum
         (String.concat "; " (List.map string_of_int h.h_counts)))
     s.histograms
+
+(* ------------------------------------------------------------------ *)
+(* JSON                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The counters/gauges/histograms members a checkpoint payload and an
+   nlh-obs/1 document share. [quantiles] adds each non-empty
+   histogram's bucket-resolution p50/p99/p999 estimates; a checkpoint
+   stores raw aggregates only, so its round trip is exact. *)
+let json_members ?(quantiles = false) s =
+  let open Json in
+  let hist h =
+    let q =
+      match (p50 h, p99 h, p999 h) with
+      | Some a, Some b, Some c when quantiles -> [ ("p50", a); ("p99", b); ("p999", c) ]
+      | _ -> []
+    in
+    Obj
+      (("bounds", ints h.h_bounds) :: ("counts", ints h.h_counts)
+      :: int_members ((("sum", h.h_sum) :: ("samples", h.h_samples) :: q)))
+  in
+  [
+    ("counters", int_assoc s.counters);
+    ("gauges", int_assoc s.gauges);
+    ("histograms", Obj (List.map (fun (name, h) -> (name, hist h)) s.histograms));
+  ]
+
+(* Decode the members [json_members] writes (quantile fields are ignored).
+   Raises {!Json.Bad}. *)
+let of_json_exn v =
+  let open Json in
+  let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+  let counters = int_assoc_of "counters" (get "metrics" "counters" v) in
+  let gauges = int_assoc_of "gauges" (get "metrics" "gauges" v) in
+  let histograms =
+    List.map
+      (fun (name, h) ->
+        let what = Printf.sprintf "histograms[%S]" name in
+        let bounds = int_list_of (what ^ ".bounds") (get what "bounds" h) in
+        if not (sorted Int.compare bounds) then
+          fail "%s: bounds not strictly increasing" what;
+        let counts = int_list_of (what ^ ".counts") (get what "counts" h) in
+        if List.length counts <> List.length bounds + 1 then
+          fail "%s: counts length is not bounds+1" what;
+        if List.exists (fun c -> c < 0) counts then
+          fail "%s: negative bucket count" what;
+        let samples = int_exn what "samples" h in
+        if List.fold_left ( + ) 0 counts <> samples then
+          fail "%s: counts do not sum to samples" what;
+        ( name,
+          {
+            h_bounds = bounds;
+            h_counts = counts;
+            h_sum = int_exn what "sum" h;
+            h_samples = samples;
+          } ))
+      (obj_of "histograms" (get "metrics" "histograms" v))
+  in
+  {
+    counters = by_name counters;
+    gauges = by_name gauges;
+    histograms = by_name histograms;
+  }

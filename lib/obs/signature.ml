@@ -19,24 +19,31 @@ type t = {
   branch : string; (* recovery branch taken, e.g. "NiLiHype/aborted" *)
 }
 
-let make ~fault ~target ~cause ~branch = { fault; target; cause; branch }
-
 let sep = '|'
 
 (* Field sanitation: keys must round-trip through [of_key], so the
-   separator (and whitespace, for one-line greppability) is rewritten. *)
+   separator (and whitespace, for one-line greppability) is rewritten
+   when a signature is made. *)
+let dirty c = c = sep || c = ' ' || c = '\n'
+
 let clean s =
   if s = "" then "unknown"
-  else
-    String.map (fun c -> if c = sep || c = ' ' || c = '\n' then '_' else c) s
+  else if String.exists dirty s then String.map (fun c -> if dirty c then '_' else c) s
+  else s
 
-let key t =
-  String.concat (String.make 1 sep)
-    [ clean t.fault; clean t.target; clean t.cause; clean t.branch ]
+let make ~fault ~target ~cause ~branch =
+  let fault = clean fault and target = clean target in
+  { fault; target; cause = clean cause; branch = clean branch }
 
+let key t = String.concat (String.make 1 sep) [ t.fault; t.target; t.cause; t.branch ]
+
+(* The inverse of [key]: [None] unless [s] is exactly four clean,
+   non-empty fields. *)
 let of_key s =
   match String.split_on_char sep s with
-  | [ fault; target; cause; branch ] -> Some { fault; target; cause; branch }
+  | [ fault; target; cause; branch ] as fields
+    when List.for_all (fun f -> f <> "" && not (String.exists dirty f)) fields ->
+    Some { fault; target; cause; branch }
   | _ -> None
 
 let compare a b = String.compare (key a) (key b)

@@ -336,6 +336,42 @@ let test_chrome_trace_roundtrip () =
       rows;
     checki "one span row per breakdown phase" (List.length steps) !spans
 
+(* --------------------------- JSON codec ----------------------------- *)
+
+(* Integers are exact: every int64 prints as its decimal literal and
+   parses back to the same value, the float-unsafe ones around 2^53 and
+   the int64 bounds included. *)
+let prop_int64_roundtrip =
+  let p53 = Int64.shift_left 1L 53 in
+  let edges =
+    [
+      Int64.min_int;
+      Int64.max_int;
+      0L;
+      -1L;
+      p53;
+      Int64.neg p53;
+      Int64.succ p53;
+      Int64.pred p53;
+      Int64.neg (Int64.succ p53);
+      Int64.neg (Int64.pred p53);
+    ]
+  in
+  QCheck.Test.make ~count:1000 ~name:"int64 prints and parses back exactly"
+    QCheck.(oneof [ oneofl edges; int64 ])
+    (fun i ->
+      let v = Obs.Json.List [ Obs.Json.Int i; Obs.Json.Obj [ ("k", Obs.Json.Int i) ] ] in
+      let text = Obs.Json.render v in
+      text = Printf.sprintf "[%Ld,{\"k\":%Ld}]" i i && Obs.Json.parse text = Ok v)
+
+let test_float_roundtrip () =
+  List.iter
+    (fun f ->
+      let v = Obs.Json.Number f in
+      checkb (Printf.sprintf "%h stays a float" f) true
+        (Obs.Json.parse (Obs.Json.render v) = Ok v))
+    [ 0.0; 2.0; 1.5; 0.1; 1e300; -3.25e-7; 123456.789; float_of_int max_int ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -371,5 +407,10 @@ let () =
         [
           Alcotest.test_case "chrome-trace roundtrip" `Quick
             test_chrome_trace_roundtrip;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_int64_roundtrip;
+          Alcotest.test_case "floats stay floats" `Quick test_float_roundtrip;
         ] );
     ]

@@ -317,6 +317,124 @@ let test_endurance_triage () =
           (String.length b.Obs.Postmortem.pm_repro > 0))
     (Obs.Postmortem.Triage.snapshot seq.Endure.totals.Endure.triage)
 
+(* ------------------------- JSON codec ------------------------------- *)
+
+let temp_json contents =
+  let path = Filename.temp_file "nlh_pm" ".json" in
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc;
+  path
+
+let checker_accepts contents =
+  let path = temp_json contents in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Sys.command
+        (Printf.sprintf "../bin/nlh_trace_check.exe %s > /dev/null 2>&1"
+           (Filename.quote path))
+      = 0)
+
+let ok_or_fail = function Ok v -> v | Error msg -> Alcotest.fail msg
+
+(* Seeds past 2^53 are not floats: a --mech none campaign there must
+   triage under its exact seeds, and the checker must see them
+   ascending. *)
+let test_triage_exact_seeds () =
+  let base = Int64.shift_left 1L 53 in
+  let r = Inject.Campaign.run ~base_seed:base ~postmortems:true ~n:6 dead_cfg in
+  let text = Obs.Postmortem.Triage.to_json (triage_of r) in
+  checkb "checker accepts the triage" true (checker_accepts text);
+  let decoded = ok_or_fail (Obs.Postmortem.Triage.of_string text) in
+  Alcotest.check
+    (Alcotest.list Alcotest.int64)
+    "exact seeds" (List.init 6 (fun i -> Int64.add base (Int64.of_int i)))
+    (List.concat_map
+       (fun (_, e) -> e.Obs.Postmortem.Triage.e_seeds)
+       (Obs.Postmortem.Triage.snapshot decoded))
+
+let fuzz_triage =
+  lazy
+    (let cfg =
+       {
+         (Fuzz.Session.default_config ~base_seed:9_000L) with
+         Fuzz.Session.f_runs = 24;
+         f_batch = 12;
+       }
+     in
+     (Fuzz.Session.explore cfg).Fuzz.Session.s_triage)
+
+let exemplars tr =
+  List.filter_map
+    (fun (_, e) -> Option.map snd e.Obs.Postmortem.Triage.e_exemplar)
+    (Obs.Postmortem.Triage.snapshot tr)
+
+let test_bundle_roundtrip () =
+  let campaign =
+    triage_of (Inject.Campaign.run ~base_seed:300L ~postmortems:true ~n:40 mixed_cfg)
+  in
+  List.iter
+    (fun (name, tr) ->
+      let bundles = exemplars tr in
+      checkb (name ^ " has exemplars") true (bundles <> []);
+      List.iter
+        (fun b ->
+          checkb (name ^ " bundle round-trips") true
+            (Obs.Postmortem.of_string (Obs.Postmortem.to_json b) = Ok b))
+        bundles)
+    [ ("campaign", campaign); ("fuzz", Lazy.force fuzz_triage) ]
+
+let test_triage_roundtrip () =
+  List.iter
+    (fun tr ->
+      let decoded =
+        ok_or_fail (Obs.Postmortem.Triage.of_string (Obs.Postmortem.Triage.to_json tr))
+      in
+      checkb "same snapshot" true
+        (Obs.Postmortem.Triage.snapshot decoded = Obs.Postmortem.Triage.snapshot tr))
+    [
+      triage_of (Inject.Campaign.run ~base_seed:400L ~postmortems:true ~n:12 dead_cfg);
+      Lazy.force fuzz_triage;
+    ]
+
+(* Damage: a real triage file and a real bundle file, each with the
+   decoder that reads it. *)
+let damage_files =
+  lazy
+    (let tr = Lazy.force fuzz_triage in
+     let ignore_ok r = Result.map ignore r in
+     [
+       ( "triage",
+         Obs.Postmortem.Triage.to_json tr,
+         fun s -> ignore_ok (Obs.Postmortem.Triage.of_string s) );
+       ( "bundle",
+         Obs.Postmortem.to_json (List.hd (exemplars tr)),
+         fun s -> ignore_ok (Obs.Postmortem.of_string s) );
+     ])
+
+(* A torn write: every strict prefix of a real file is rejected. *)
+let test_prefixes_rejected () =
+  List.iter
+    (fun (name, contents, decode) ->
+      checkb (name ^ " intact") true (Result.is_ok (decode contents));
+      for len = 0 to String.length contents - 1 do
+        if Result.is_ok (decode (String.sub contents 0 len)) then
+          Alcotest.failf "%s: prefix of %d bytes accepted" name len
+      done)
+    (Lazy.force damage_files)
+
+(* A bit flip is either rejected or decodes to some other valid file,
+   but never raises. *)
+let prop_substitution_never_raises (name, contents, decode) =
+  QCheck.Test.make ~count:400
+    ~name:(name ^ " single-byte substitution never raises")
+    QCheck.(pair (int_bound (String.length contents - 1)) char)
+    (fun (i, c) ->
+      let b = Bytes.of_string contents in
+      Bytes.set b i c;
+      match decode (Bytes.to_string b) with Ok () | Error _ -> true)
+
 let () =
   Alcotest.run "postmortem"
     [
@@ -346,4 +464,17 @@ let () =
         ] );
       ( "endurance",
         [ Alcotest.test_case "death triage" `Slow test_endurance_triage ] );
+      ( "codec",
+        [
+          Alcotest.test_case "exact seeds past 2^53" `Quick
+            test_triage_exact_seeds;
+          Alcotest.test_case "bundle round trip" `Quick test_bundle_roundtrip;
+          Alcotest.test_case "triage round trip" `Quick test_triage_roundtrip;
+        ] );
+      ( "damage",
+        Alcotest.test_case "every strict prefix rejected" `Quick
+          test_prefixes_rejected
+        :: List.map
+             (fun f -> QCheck_alcotest.to_alcotest (prop_substitution_never_raises f))
+             (Lazy.force damage_files) );
     ]

@@ -59,7 +59,7 @@ let test_checkpoint_roundtrip () =
           done_chunks = [| true; false; true; true; false |];
         }
       in
-      Obs.Checkpoint.write ~path h ~payload:{|{"x":1}|};
+      Obs.Checkpoint.write ~path h ~payload:(Obs.Json.Obj [ ("x", Obs.Json.Int 1L) ]);
       match Obs.Checkpoint.read path with
       | Error msg -> Alcotest.fail msg
       | Ok (h', payload) ->
@@ -73,7 +73,7 @@ let test_checkpoint_roundtrip () =
         checki "done count" 3 (Obs.Checkpoint.done_count h');
         checkb "not complete" false (Obs.Checkpoint.complete h');
         checkb "payload preserved" true
-          (Obs.Json.member "x" payload = Some (Obs.Json.Number 1.0)))
+          (Obs.Json.member "x" payload = Some (Obs.Json.Int 1L)))
 
 let test_checkpoint_rejects_garbage () =
   let bad content =
