@@ -28,7 +28,7 @@ let () =
       ("--tenants", Arg.Set_int tenants, "N tenant VMs on the host (200)");
       ("--trials", Arg.Set_int trials, "N independent trials per mechanism (4)");
       ("--victims", Arg.Set_int victims, "N tenants damaged by the fault (3)");
-      ("--jobs", Arg.Set_int jobs, "N worker processes for trials (1)");
+      ("--jobs", Arg.Set_int jobs, "N worker domains for trials (1)");
       ("--seed", Arg.Set_int seed, "N base seed (42000)");
       ( "--mech",
         Arg.String add_mech,
@@ -36,7 +36,8 @@ let () =
       ("--out", Arg.Set_string out, "FILE write nlh-fleet/1 JSON");
       ( "--selfcheck",
         Arg.Set selfcheck,
-        " verify aggregates are jobs-invariant (jobs=1 vs jobs=2)" );
+        " verify aggregates are jobs-invariant (jobs=1 vs jobs=2) and equal \
+         fresh-boot trials" );
     ]
   in
   Arg.parse spec
@@ -63,20 +64,35 @@ let () =
     if !mechs = [] then Fleet.all_mechanisms else List.rev !mechs
   in
   if !selfcheck then begin
-    (* The fleet contract: trial aggregation is a commutative merge of
-       per-trial snapshots, so results are bit-identical for any --jobs.
-       Exercise it the adversarial way -- serial vs oversubscribed. *)
+    (* The fleet contracts: trial aggregation is a commutative merge of
+       per-trial snapshots, so results are bit-identical for any --jobs
+       (exercised the adversarial way -- serial vs oversubscribed); and
+       a trial on a restored worker equals one on a freshly-booted
+       machine. *)
+    let fail what mech =
+      Format.printf "FAIL: %s aggregates differ between %s@."
+        (Fleet.mechanism_name mech) what;
+      exit 1
+    in
     List.iter
       (fun mech ->
         let a = Fleet.run ~jobs:1 cfg mech in
         let b = Fleet.run ~jobs:2 ~oversubscribe:true cfg mech in
-        if a.Fleet.metrics <> b.Fleet.metrics then begin
-          Format.printf "FAIL: %s aggregates differ between jobs=1 and jobs=2@."
-            (Fleet.mechanism_name mech);
-          exit 1
-        end)
+        if a.Fleet.metrics <> b.Fleet.metrics then fail "jobs=1 and jobs=2" mech;
+        let fresh =
+          List.fold_left
+            (fun acc i ->
+              Obs.Metrics.merge_snapshots acc
+                (Fleet.run_trial cfg mech
+                   ~seed:(Int64.add cfg.Fleet.base_seed (Int64.of_int i))))
+            Obs.Metrics.empty_snapshot
+            (List.init cfg.Fleet.trials Fun.id)
+        in
+        if a.Fleet.metrics <> fresh then fail "restored and fresh-boot trials" mech)
       mechs;
-    Format.printf "selfcheck OK: aggregates jobs-invariant for %s@."
+    Format.printf
+      "selfcheck OK: aggregates jobs-invariant and equal to fresh-boot \
+       trials for %s@."
       (String.concat ", " (List.map Fleet.mechanism_name mechs))
   end;
   Format.printf

@@ -8,14 +8,11 @@
    - "nlh-postmortem/1" bundles: Obs.Postmortem.of_string.
    - "nlh-checkpoint/1" soak checkpoints and "nlh-fuzz/1" corpora:
      Obs.Checkpoint.read plus the kind's resume decoder.
+   - "nlh-fleet/1" fleet reports: Fleet.of_string.
 
-   Two shapes are checked here, with Obs.Json's decode helpers:
-
-   - Chrome-trace timelines (a "traceEvents" array): rows all carry
-     name/ph/ts and timestamps are globally non-decreasing.
-   - "nlh-fleet/1" fleet reports: known mechanisms appearing once each,
-     request counts matching histogram samples, ordered latency
-     quantiles, and per-trial scan-path accounting.
+   One shape is checked here, with Obs.Json's decode helpers:
+   Chrome-trace timelines (a "traceEvents" array), whose rows all carry
+   name/ph/ts and whose timestamps are globally non-decreasing.
 
    Accepts any number of files; used by the @check alias as the
    export smoke test. *)
@@ -74,61 +71,6 @@ let check_checkpoint path schema =
             h.Obs.Checkpoint.n_chunks)
         (decode_checkpoint ~schema h payload))
 
-(* --- nlh-fleet/1 ----------------------------------------------------- *)
-
-(* A fleet report: per-mechanism request-latency quantiles through a
-   recovery event. Invariants: every mechanism name is known and appears
-   once; request counts equal the histogram sample counts; stalled and
-   SLO-violating requests cannot exceed the total; quantiles are
-   ordered; mean recovery latency cannot exceed the max; and each trial
-   took exactly one consistency-scan path (incremental + full = trials). *)
-let check_fleet root =
-  let open Obs.Json in
-  let doc k = num "document" k root in
-  let trials = doc "trials" in
-  if trials < 1.0 then fail "trials %g < 1" trials;
-  if doc "tenants" < 1.0 then fail "tenants < 1";
-  if doc "slo_ns" <= 0.0 then fail "slo_ns <= 0";
-  let mechs = list_of "mechanisms" (get "document" "mechanisms" root) in
-  if mechs = [] then fail "empty mechanisms array";
-  let seen = ref [] in
-  List.iteri
-    (fun i m ->
-      let what = Printf.sprintf "mechanisms[%d]" i in
-      let name = str what "mechanism" m in
-      if
-        not
-          (List.mem name [ "serial-full"; "serial-incremental"; "sharded" ])
-      then fail "%s: unknown mechanism %S" what name;
-      if List.mem name !seen then fail "%s: duplicate mechanism %S" what name;
-      seen := name :: !seen;
-      let f k = num what k m in
-      let requests = f "requests" in
-      if requests < 1.0 then fail "%s: no requests" what;
-      if f "samples" <> requests then
-        fail "%s: samples %g <> requests %g" what (f "samples") requests;
-      if f "stalled" > requests then fail "%s: stalled > requests" what;
-      if f "slo_violations" > requests then
-        fail "%s: slo_violations > requests" what;
-      List.iter
-        (fun k -> if f k < 0.0 then fail "%s: negative %s" what k)
-        [ "stalled"; "slo_violations"; "tenants_failed"; "net_lost" ];
-      let p50 = f "request_p50_ns"
-      and p99 = f "request_p99_ns"
-      and p999 = f "request_p999_ns" in
-      if not (0.0 < p50 && p50 <= p99 && p99 <= p999) then
-        fail "%s: request quantiles not ordered (%g %g %g)" what p50 p99 p999;
-      if f "recovery_ns_mean" > f "recovery_ns_max" then
-        fail "%s: recovery mean exceeds max" what;
-      if f "recovery_ns_mean" <= 0.0 then
-        fail "%s: non-positive recovery latency" what;
-      if f "scan_incremental" +. f "scan_full" <> trials then
-        fail "%s: scan_incremental %g + scan_full %g <> trials %g" what
-          (f "scan_incremental") (f "scan_full") trials)
-    mechs;
-  Printf.sprintf "nlh-fleet/1 (%d mechanisms, %g trials each)"
-    (List.length mechs) trials
-
 (* --- Dispatch -------------------------------------------------------- *)
 
 (* The verdict on one file: [Ok] with the summary its OK line reports,
@@ -160,7 +102,13 @@ let check contents path root =
         (Obs.Postmortem.of_string contents)
     | Some ("nlh-checkpoint/1" | "nlh-fuzz/1" as schema) ->
       check_checkpoint path schema
-    | Some "nlh-fleet/1" -> local check_fleet
+    | Some "nlh-fleet/1" ->
+      Result.map
+        (fun (rp : Fleet.report) ->
+          Printf.sprintf "nlh-fleet/1 (%d mechanisms, %d trials each)"
+            (List.length rp.Fleet.mechanisms)
+            (List.assoc "trials" rp.Fleet.header))
+        (Fleet.of_string contents)
     | Some s -> Error (Printf.sprintf "unknown schema %S" s)
     | None -> Error "neither a Chrome trace nor a schema document")
 

@@ -5,7 +5,7 @@
     AppVMs; what a cloud operator cares about is the user-perceived
     degradation across a fleet of tenants when the hypervisor under them
     recovers (cf. "End-User Effects of Microreboots", PAPERS.md). This
-    module boots a hypervisor hosting [tenants] small single-vCPU guests
+    module hosts [tenants] small single-vCPU guests on a hypervisor
     ({!Hyper.Hypervisor.Tenant_fleet}), drives a mixed warmup through the
     real workload samplers, damages a few victim tenants' page-frame
     state at a golden quiesce point, recovers with one of three
@@ -34,9 +34,18 @@
     {!Obs.Metrics.merge_snapshots} -- so fleet results are bit-identical
     for any [--jobs], the same contract the campaign engine has.
 
+    Trials recover in place rather than reboot, like the paper's
+    mechanisms do: each worker boots its machine once per mechanism and
+    every trial restores that post-boot image (O(state the previous
+    trial touched)), and the golden quiesce point is a layer snapshot
+    over it ({!Hyper.Hypervisor.snapshot} [~layer:true]), which the next
+    restore unwinds.
+
     Every trial is a pure function of [(config, mechanism, trial seed)]:
-    the simulated machine, the warmup, the victims and the request
-    streams all derive from the trial's own splitmix stream. *)
+    the boot takes no randomness, so a restored trial equals one on a
+    freshly-booted machine ({!run_trial}); the warmup, the victims and
+    the request streams all derive from the trial's own splitmix
+    stream. *)
 
 open Hyper
 
@@ -96,10 +105,46 @@ let hv_config = function
       Config.geometry = Some Config.reference_geometry;
     }
 
-(* One trial: boot, warm up, snapshot, damage victims, recover, account
-   request latencies. Returns the trial's metrics snapshot. *)
-let run_trial (cfg : config) mech ~seed : Obs.Metrics.snapshot =
-  let recorder = Obs.Recorder.create ~capacity:64 ~min_level:Obs.Event.Error () in
+(* The observation window must be a real one: a non-positive request
+   interval would never advance the arrival loop. *)
+let check_config (cfg : config) =
+  if cfg.request_interval <= 0 then
+    invalid_arg "Fleet: request_interval must be positive";
+  if cfg.pre_window < 0 || cfg.post_window < 0 then
+    invalid_arg "Fleet: pre_window and post_window must be non-negative"
+
+(* A fleet worker: one tenant-fleet machine booted for a mechanism, with
+   its recorder ([w_hv.obs]) and its post-boot base image. Every trial
+   on the worker restores that image instead of booting again;
+   [Hypervisor.boot] takes no RNG, so the restored machine is the one a
+   fresh boot would build. *)
+type worker = { w_mech : mechanism; w_hv : Hypervisor.t; w_base : Hypervisor.image }
+
+let worker (cfg : config) mech =
+  let hv =
+    Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
+      ~obs:(Obs.Recorder.create ~capacity:64 ~min_level:Obs.Event.Error ())
+      ~config:(hv_config mech)
+      ~setup:(Hypervisor.Tenant_fleet cfg.tenants)
+      (Sim.Clock.create ())
+  in
+  { w_mech = mech; w_hv = hv; w_base = Hypervisor.snapshot hv }
+
+(* Back to the freshly-booted machine: the recorder is not part of the
+   image, so it is reset by hand for per-trial metric isolation. *)
+let rewind w =
+  Obs.Recorder.reset w.w_hv.Hypervisor.obs;
+  Hypervisor.restore w.w_hv w.w_base
+
+(* One trial on [w], whose machine was booted for [cfg]'s tenants:
+   rewind, warm up, snapshot, damage victims, recover, account request
+   latencies. Returns the trial's metrics snapshot. *)
+let trial w (cfg : config) ~seed : Obs.Metrics.snapshot =
+  check_config cfg;
+  rewind w;
+  let hv = w.w_hv in
+  let recorder = hv.Hypervisor.obs in
+  let clock = hv.Hypervisor.clock in
   let m = recorder.Obs.Recorder.metrics in
   let requests_c = Obs.Metrics.counter m "fleet.requests" in
   let stalled_c = Obs.Metrics.counter m "fleet.requests_stalled" in
@@ -117,13 +162,6 @@ let run_trial (cfg : config) mech ~seed : Obs.Metrics.snapshot =
   let rec_max = Obs.Metrics.gauge m "fleet.recovery_ns_max" in
   let gap_max = Obs.Metrics.gauge m "fleet.max_gap_ns" in
   let rng = Sim.Rng.create seed in
-  let clock = Sim.Clock.create () in
-  let hv =
-    Hypervisor.boot ~mconfig:Hw.Machine.campaign_config ~obs:recorder
-      ~config:(hv_config mech)
-      ~setup:(Hypervisor.Tenant_fleet cfg.tenants)
-      clock
-  in
   (* Mixed tenant population driven through the real workload samplers:
      the warmup dirties pfn/heap/timer state the way guest traffic does,
      so the dirty sets the incremental scan walks are workload-shaped. *)
@@ -144,8 +182,9 @@ let run_trial (cfg : config) mech ~seed : Obs.Metrics.snapshot =
     Hypervisor.execute hv rng (Workloads.Workload.sample_activity rng w)
   done;
   (* Golden quiesce point: refresh baselines and drain the dirty lists,
-     so what is dirty at recovery time is exactly the damage. *)
-  ignore (Hypervisor.snapshot hv);
+     so what is dirty at recovery time is exactly the damage. A layer
+     over the base image, so the next trial's rewind unwinds it. *)
+  ignore (Hypervisor.snapshot ~layer:true hv);
   (* The fault: a few tenants' typed frames lose their references --
      the validation/use-count disagreement the consistency scan exists
      to repair. Victims are spread across the tenant range. *)
@@ -176,7 +215,7 @@ let run_trial (cfg : config) mech ~seed : Obs.Metrics.snapshot =
   let fault_time = Sim.Clock.now clock in
   let enh = Recovery.Enhancement.full_set in
   let out =
-    match mech with
+    match w.w_mech with
     | Serial_full | Serial_incremental ->
       Recovery.Engine.recover Recovery.Engine.Nilihype hv ~enh ~detected_on:0
     | Sharded -> Recovery.Shard.recover hv ~enh ~detected_on:0
@@ -226,6 +265,10 @@ let run_trial (cfg : config) mech ~seed : Obs.Metrics.snapshot =
   done;
   Obs.Recorder.metrics_snapshot recorder
 
+(* A trial on a freshly-booted machine: the reference every restored
+   trial must equal. *)
+let run_trial (cfg : config) mech ~seed = trial (worker cfg mech) cfg ~seed
+
 type result = {
   mech : mechanism;
   tenants : int;
@@ -237,15 +280,18 @@ type result = {
 
 (* Trials are embarrassingly parallel pure functions of the trial seed;
    the snapshot merge is commutative and associative, so the merged
-   result is identical for every [jobs]. *)
+   result is identical for every [jobs]. Each worker slot boots its
+   machine at its first trial (a slot that gets none never boots) and
+   restores it for every later one. *)
 let run ?(jobs = 1) ?(oversubscribe = false) (cfg : config) mech =
-  let merged =
+  check_config cfg;
+  let _, merged =
     Inject.Pool.map_reduce ~jobs ~oversubscribe ~n:cfg.trials
-      ~init:(fun _slot -> ref Obs.Metrics.empty_snapshot)
-      ~body:(fun acc i ->
+      ~init:(fun _slot -> (lazy (worker cfg mech), ref Obs.Metrics.empty_snapshot))
+      ~body:(fun (w, acc) i ->
         let seed = Int64.add cfg.base_seed (Int64.of_int i) in
-        acc := Obs.Metrics.merge_snapshots !acc (run_trial cfg mech ~seed))
-      ~merge:(fun a b -> ref (Obs.Metrics.merge_snapshots !a !b))
+        acc := Obs.Metrics.merge_snapshots !acc (trial (Lazy.force w) cfg ~seed))
+      ~merge:(fun (w, a) (_, b) -> (w, ref (Obs.Metrics.merge_snapshots !a !b)))
       ()
   in
   { mech; tenants = cfg.tenants; trials = cfg.trials; metrics = !merged }
@@ -304,33 +350,122 @@ let pp fmt r =
     (request_quantile r 0.999)
     (slo_violations r) (requests r) (requests_stalled r) (net_lost r)
 
-(* --- nlh-fleet/1 export -------------------------------------------- *)
+(* --- nlh-fleet/1: the report ----------------------------------------- *)
 
-let json_entry r =
-  Printf.sprintf
-    "    { \"mechanism\": %S, \"requests\": %d, \"samples\": %d, \"stalled\": \
-     %d, \"slo_violations\": %d, \"tenants_failed\": %d, \"net_lost\": %d, \
-     \"recovery_ns_mean\": %d, \"recovery_ns_max\": %d, \"max_gap_ns\": %d, \
-     \"request_p50_ns\": %d, \"request_p99_ns\": %d, \"request_p999_ns\": %d, \
-     \"scan_incremental\": %d, \"scan_full\": %d }"
-    (mechanism_name r.mech) (requests r) (request_samples r)
-    (requests_stalled r) (slo_violations r) (tenants_failed r) (net_lost r)
-    (recovery_mean_ns r) (recovery_max_ns r) (max_gap_ns r)
-    (request_quantile r 0.50)
-    (request_quantile r 0.99)
-    (request_quantile r 0.999)
-    (scan_incremental r) (scan_full r)
+(* This module owns the schema: [to_json] writes a report and
+   [of_json] / [of_string] decode one, making every consistency check a
+   reader relies on. A report is named integers: a header from the
+   config, and per mechanism the readbacks above. *)
 
-let write_json oc (cfg : config) (results : result list) =
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"nlh-fleet/1\",\n\
-    \  \"tenants\": %d,\n\
-    \  \"trials\": %d,\n\
-    \  \"victims\": %d,\n\
-    \  \"request_interval_ns\": %d,\n\
-    \  \"slo_ns\": %d,\n\
-    \  \"mechanisms\": [\n%s\n  ]\n\
-     }\n"
-    cfg.tenants cfg.trials cfg.victims cfg.request_interval cfg.slo
-    (String.concat ",\n" (List.map json_entry results))
+let schema = "nlh-fleet/1"
+
+(* The named integers, in file order, with their readers. *)
+let header_fields : (string * (config -> int)) list =
+  [
+    ("tenants", fun c -> c.tenants); ("trials", fun c -> c.trials);
+    ("victims", fun c -> c.victims);
+    ("request_interval_ns", fun c -> c.request_interval);
+    ("slo_ns", fun c -> c.slo);
+  ]
+
+let stat_fields : (string * (result -> int)) list =
+  [
+    ("requests", requests); ("samples", request_samples);
+    ("stalled", requests_stalled); ("slo_violations", slo_violations);
+    ("tenants_failed", tenants_failed); ("net_lost", net_lost);
+    ("recovery_ns_mean", recovery_mean_ns);
+    ("recovery_ns_max", recovery_max_ns); ("max_gap_ns", max_gap_ns);
+    ("request_p50_ns", fun r -> request_quantile r 0.50);
+    ("request_p99_ns", fun r -> request_quantile r 0.99);
+    ("request_p999_ns", fun r -> request_quantile r 0.999);
+    ("scan_incremental", scan_incremental); ("scan_full", scan_full);
+  ]
+
+let read fields v = List.map (fun (k, f) -> (k, f v)) fields
+
+type report = {
+  header : (string * int) list; (* [header_fields], in order *)
+  mechanisms : (mechanism * (string * int) list) list; (* [stat_fields] *)
+}
+
+let report (cfg : config) results =
+  {
+    header = read header_fields cfg;
+    mechanisms = List.map (fun r -> (r.mech, read stat_fields r)) results;
+  }
+
+let report_json rp =
+  Obs.Json.(
+    Obj
+      ((("schema", String schema) :: int_members rp.header)
+      @ [
+          ( "mechanisms",
+            List
+              (List.map
+                 (fun (mech, stats) ->
+                   Obj (("mechanism", String (mechanism_name mech)) :: int_members stats))
+                 rp.mechanisms) );
+        ]))
+
+let to_json cfg results = Obs.Json.document (report_json (report cfg results))
+let write_json oc cfg results = output_string oc (to_json cfg results)
+
+(* Invariants: every mechanism is known and appears once; request
+   counts equal the histogram sample counts; stalled and SLO-violating
+   requests cannot exceed the total; no count is negative; quantiles
+   are ordered; the mean recovery latency is positive and cannot exceed
+   the max; and each trial took exactly one consistency-scan path
+   (incremental + full = trials). *)
+let of_json root =
+  let open Obs.Json in
+  let ints what v fields = List.map (fun (k, _) -> (k, int_exn what k v)) fields in
+  decoding (fun () ->
+      expect_schema schema root;
+      let header = ints "document" root header_fields in
+      let h k = List.assoc k header in
+      let trials = h "trials" in
+      if trials < 1 then fail "trials %d < 1" trials;
+      if h "tenants" < 1 then fail "tenants < 1";
+      if h "slo_ns" <= 0 then fail "slo_ns <= 0";
+      let seen = ref [] in
+      let entry i m =
+        let what = Printf.sprintf "mechanisms[%d]" i in
+        let name = str what "mechanism" m in
+        let mech =
+          match mechanism_of_string name with
+          | Some mech -> mech
+          | None -> fail "%s: unknown mechanism %S" what name
+        in
+        if List.mem mech !seen then fail "%s: duplicate mechanism %S" what name;
+        seen := mech :: !seen;
+        let stats = ints what m stat_fields in
+        let f k = List.assoc k stats in
+        List.iter (fun (k, v) -> if v < 0 then fail "%s: negative %s" what k) stats;
+        let requests = f "requests" in
+        if requests < 1 then fail "%s: no requests" what;
+        if f "samples" <> requests then
+          fail "%s: samples %d <> requests %d" what (f "samples") requests;
+        if f "stalled" > requests then fail "%s: stalled > requests" what;
+        if f "slo_violations" > requests then
+          fail "%s: slo_violations > requests" what;
+        let p50 = f "request_p50_ns"
+        and p99 = f "request_p99_ns"
+        and p999 = f "request_p999_ns" in
+        if not (0 < p50 && p50 <= p99 && p99 <= p999) then
+          fail "%s: request quantiles not ordered (%d %d %d)" what p50 p99 p999;
+        if f "recovery_ns_mean" > f "recovery_ns_max" then
+          fail "%s: recovery mean exceeds max" what;
+        if f "recovery_ns_mean" <= 0 then
+          fail "%s: non-positive recovery latency" what;
+        if f "scan_incremental" + f "scan_full" <> trials then
+          fail "%s: scan_incremental %d + scan_full %d <> trials %d" what
+            (f "scan_incremental") (f "scan_full") trials;
+        (mech, stats)
+      in
+      let mechanisms =
+        List.mapi entry (list_of "mechanisms" (get "document" "mechanisms" root))
+      in
+      if mechanisms = [] then fail "empty mechanisms array";
+      { header; mechanisms })
+
+let of_string s = Result.bind (Obs.Json.parse_document s) of_json

@@ -516,9 +516,9 @@ type domain_image = {
   id_owned_frames : int list;
   id_heap_objs : Heap.obj list;
   id_vcpus : vcpu_image array;
-  id_evtchn : (bool * bool * bool) array; (* (bound, pending, masked) *)
+  id_evtchn : int array; (* per port: the [port_flags] bits *)
   id_evtchn_lock : lock_image;
-  id_grants : (bool * int * int) array; (* (in_use, frame, mapped_by) *)
+  id_grants : int array; (* per slot: in_use (0/1), frame, mapped_by *)
   id_grant_lock : lock_image;
   id_page_lock : lock_image;
 }
@@ -590,6 +590,28 @@ let restore_vcpu im =
   v.Domain.syscall_retry_pending <- im.iv_syscall_retry_pending;
   v.Domain.lost_work <- im.iv_lost_work
 
+(* A domain image holds a port's three flags as one int and a grant
+   slot as three consecutive ints, so capturing a domain allocates two
+   flat arrays rather than a tuple per port and per slot. *)
+let port_bound = 1
+let port_pending = 2
+let port_masked = 4
+
+let port_flags (c : Evtchn.chan) =
+  (if c.Evtchn.bound then port_bound else 0)
+  lor (if c.Evtchn.pending then port_pending else 0)
+  lor if c.Evtchn.masked then port_masked else 0
+
+let capture_grants (entries : Grant.entry array) =
+  let a = Array.make (3 * Array.length entries) 0 in
+  Array.iteri
+    (fun i (e : Grant.entry) ->
+      if e.Grant.in_use then a.(3 * i) <- 1;
+      a.((3 * i) + 1) <- e.Grant.frame;
+      a.((3 * i) + 2) <- e.Grant.mapped_by)
+    entries;
+  a
+
 let capture_domain (d : Domain.t) =
   {
     id_dom = d;
@@ -600,15 +622,9 @@ let capture_domain (d : Domain.t) =
     id_owned_frames = d.Domain.owned_frames;
     id_heap_objs = d.Domain.heap_objs;
     id_vcpus = Array.map capture_vcpu d.Domain.vcpus;
-    id_evtchn =
-      Array.map
-        (fun (c : Evtchn.chan) -> (c.Evtchn.bound, c.Evtchn.pending, c.Evtchn.masked))
-        d.Domain.evtchn.Evtchn.chans;
+    id_evtchn = Array.map port_flags d.Domain.evtchn.Evtchn.chans;
     id_evtchn_lock = capture_lock d.Domain.evtchn.Evtchn.lock;
-    id_grants =
-      Array.map
-        (fun (e : Grant.entry) -> (e.Grant.in_use, e.Grant.frame, e.Grant.mapped_by))
-        d.Domain.grants.Grant.entries;
+    id_grants = capture_grants d.Domain.grants.Grant.entries;
     id_grant_lock = capture_lock d.Domain.grants.Grant.lock;
     id_page_lock = capture_lock d.Domain.page_lock;
   }
@@ -624,18 +640,17 @@ let restore_domain im =
   Array.iter restore_vcpu im.id_vcpus;
   Array.iteri
     (fun i (c : Evtchn.chan) ->
-      let bound, pending, masked = im.id_evtchn.(i) in
-      c.Evtchn.bound <- bound;
-      c.Evtchn.pending <- pending;
-      c.Evtchn.masked <- masked)
+      let flags = im.id_evtchn.(i) in
+      c.Evtchn.bound <- flags land port_bound <> 0;
+      c.Evtchn.pending <- flags land port_pending <> 0;
+      c.Evtchn.masked <- flags land port_masked <> 0)
     d.Domain.evtchn.Evtchn.chans;
   restore_lock im.id_evtchn_lock;
   Array.iteri
     (fun i (e : Grant.entry) ->
-      let in_use, frame, mapped_by = im.id_grants.(i) in
-      e.Grant.in_use <- in_use;
-      e.Grant.frame <- frame;
-      e.Grant.mapped_by <- mapped_by)
+      e.Grant.in_use <- im.id_grants.(3 * i) = 1;
+      e.Grant.frame <- im.id_grants.((3 * i) + 1);
+      e.Grant.mapped_by <- im.id_grants.((3 * i) + 2))
     d.Domain.grants.Grant.entries;
   restore_lock im.id_grant_lock;
   restore_lock im.id_page_lock

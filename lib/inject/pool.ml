@@ -2,8 +2,9 @@
 
     Campaigns are embarrassingly parallel: each injection run is a pure
     function of [(config, seed)], with no shared mutable state anywhere
-    in the simulator (every run boots its own machine and derives every
-    stochastic decision from its own splitmix64 stream). The pool
+    in the simulator (each worker owns its machine, restored to its
+    boot image between runs, and every run derives every stochastic
+    decision from its own splitmix64 stream). The pool
     exploits that with shared-nothing workers: [jobs] domains pull
     chunks of the index range [0, n) from a single [Atomic] cursor,
     accumulate into a worker-local accumulator, and the per-worker

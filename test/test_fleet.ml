@@ -1,9 +1,10 @@
 (* Tests for incremental microreset, sharded recovery, and the tenant
    fleet scenario: fresh-vs-incremental equivalence across the whole
    corruption catalogue, sharded-vs-serial state equality and
-   determinism, jobs-invariant fleet aggregates, the scan-path coverage
-   and fuzz axes, and dirty-tracked heap/timer restore with zero-leak
-   ledger audits. *)
+   determinism, jobs-invariant fleet aggregates, restored fleet trials
+   against fresh boots, the nlh-fleet/1 decoder and its damage cases,
+   the scan-path coverage and fuzz axes, and dirty-tracked heap/timer
+   restore with zero-leak ledger audits. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -333,6 +334,9 @@ let small_fleet =
     warmup_activities = 120;
   }
 
+(* One run per mechanism, shared by the gate and report tests. *)
+let small_results = lazy (List.map (Fleet.run small_fleet) Fleet.all_mechanisms)
+
 let test_fleet_jobs_invariant () =
   List.iter
     (fun mech ->
@@ -349,9 +353,12 @@ let test_fleet_jobs_invariant () =
    reference geometry, and sharded recovery's request p99 through the
    event is strictly below serial (full-scan) recovery's. *)
 let test_fleet_gates () =
-  let full_r = Fleet.run small_fleet Fleet.Serial_full in
-  let incr_r = Fleet.run small_fleet Fleet.Serial_incremental in
-  let shard_r = Fleet.run small_fleet Fleet.Sharded in
+  let find mech =
+    List.find (fun r -> r.Fleet.mech = mech) (Lazy.force small_results)
+  in
+  let full_r = find Fleet.Serial_full in
+  let incr_r = find Fleet.Serial_incremental in
+  let shard_r = find Fleet.Sharded in
   List.iter
     (fun r ->
       checki
@@ -382,6 +389,121 @@ let test_fleet_gates () =
     (Fleet.slo_violations full_r > 0);
   checki "sharded recovery stays inside the SLO" 0
     (Fleet.slo_violations shard_r)
+
+(* A worker boots once and restores its base image for every trial:
+   each restored trial equals a trial on a freshly-booted machine with
+   the same seed, a repeated seed repeats its trial, and the ledger
+   after every restore is the one captured at the base image. *)
+let test_restore_equals_fresh_boot () =
+  List.iter
+    (fun mech ->
+      let name = Fleet.mechanism_name mech in
+      let w = Fleet.worker small_fleet mech in
+      let base = Hyper.Ledger.capture w.Fleet.w_hv in
+      let trial seed =
+        let s = Fleet.trial w small_fleet ~seed in
+        checkb
+          (Printf.sprintf "%s seed %Ld: restored trial = fresh boot" name seed)
+          true
+          (s = Fleet.run_trial small_fleet mech ~seed);
+        Fleet.rewind w;
+        checkb
+          (Printf.sprintf "%s seed %Ld: ledger after restore = base" name seed)
+          true
+          (Hyper.Ledger.capture w.Fleet.w_hv = base);
+        s
+      in
+      let first = trial 7_100L in
+      ignore (trial 7_200L);
+      checkb (name ^ ": a repeated seed repeats its trial") true
+        (trial 7_100L = first))
+    Fleet.all_mechanisms
+
+(* A non-positive request interval would never end a trial's arrival
+   loop, and a negative window is no window: both entry points refuse
+   such a config before running a trial. *)
+let rejects_config bad () =
+  let cfg = bad { small_fleet with Fleet.tenants = 2; trials = 1; victims = 1 } in
+  let invalid f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  checkb "Fleet.run raises Invalid_argument" true
+    (invalid (fun () -> Fleet.run cfg Fleet.Sharded));
+  checkb "Fleet.run_trial raises Invalid_argument" true
+    (invalid (fun () -> Fleet.run_trial cfg Fleet.Sharded ~seed:1L))
+
+(* --------------------------- nlh-fleet/1 ----------------------------- *)
+
+let report_file = lazy (Fleet.to_json small_fleet (Lazy.force small_results))
+let decode s = Result.map ignore (Fleet.of_string s)
+
+let test_report_round_trip () =
+  let results = Lazy.force small_results in
+  checkb "decodes to the report it was written from" true
+    (Fleet.of_string (Lazy.force report_file) = Ok (Fleet.report small_fleet results))
+
+(* [contents] with its first [from] replaced by [into]. *)
+let replace_first contents (from, into) =
+  let n = String.length from in
+  let rec find i =
+    if i + n > String.length contents then
+      Alcotest.failf "%S is not in the report" from
+    else if String.sub contents i n = from then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub contents 0 i ^ into
+  ^ String.sub contents (i + n) (String.length contents - i - n)
+
+(* Each edit of the first entry (serial-full) breaks one invariant the
+   decoder checks. *)
+let test_report_rejects_inconsistent () =
+  let r = List.hd (Lazy.force small_results) in
+  let field k v = Printf.sprintf "%S:%d" k v in
+  let set k v into = (field k v, field k into) in
+  let requests = Fleet.requests r in
+  List.iter
+    (fun (what, edit) ->
+      checkb what true
+        (Result.is_error (decode (replace_first (Lazy.force report_file) edit))))
+    [
+      ("wrong schema", ({|"nlh-fleet/1"|}, {|"nlh-fleet/2"|}));
+      ("no trials", set "trials" small_fleet.Fleet.trials 0);
+      ("unknown mechanism", ({|"serial-full"|}, {|"serial-half"|}));
+      ("duplicate mechanism", ({|"sharded"|}, {|"serial-full"|}));
+      ("samples <> requests", set "samples" requests (requests + 1));
+      ("stalled > requests", set "stalled" (Fleet.requests_stalled r) (requests + 1));
+      ( "SLO violations > requests",
+        set "slo_violations" (Fleet.slo_violations r) (requests + 1) );
+      ("negative count", set "net_lost" (Fleet.net_lost r) (-1));
+      ( "quantiles out of order",
+        set "request_p50_ns" (Fleet.request_quantile r 0.50)
+          (Fleet.request_quantile r 0.99 + 1) );
+      ( "recovery mean above max",
+        set "recovery_ns_mean" (Fleet.recovery_mean_ns r)
+          (Fleet.recovery_max_ns r + 1) );
+      ("scans <> trials", set "scan_full" (Fleet.scan_full r) (Fleet.scan_full r + 1));
+    ]
+
+(* A torn write: every strict prefix of a real report is rejected. *)
+let test_report_prefixes_rejected () =
+  let contents = Lazy.force report_file in
+  checkb "intact report accepted" true (Result.is_ok (decode contents));
+  for len = 0 to String.length contents - 1 do
+    if Result.is_ok (decode (String.sub contents 0 len)) then
+      Alcotest.failf "prefix of %d bytes accepted" len
+  done
+
+(* A byte substitution is either rejected or decodes to some other
+   valid report, but never raises. *)
+let prop_report_substitution_never_raises =
+  QCheck.Test.make ~count:400 ~name:"single-byte substitution never raises"
+    QCheck.(pair small_nat char)
+    (fun (i, c) ->
+      let contents = Lazy.force report_file in
+      let b = Bytes.of_string contents in
+      Bytes.set b (i mod String.length contents) c;
+      match decode (Bytes.to_string b) with Ok () | Error _ -> true)
 
 (* --------------------- coverage and fuzz axes ------------------------ *)
 
@@ -525,6 +647,23 @@ let () =
             test_fleet_jobs_invariant;
           Alcotest.test_case "latency gates hold at test scale" `Quick
             test_fleet_gates;
+          Alcotest.test_case "restored trials equal fresh boots" `Quick
+            test_restore_equals_fresh_boot;
+          Alcotest.test_case "zero request interval rejected" `Quick
+            (rejects_config (fun c -> { c with Fleet.request_interval = 0 }));
+          Alcotest.test_case "negative pre_window rejected" `Quick
+            (rejects_config (fun c -> { c with Fleet.pre_window = -1 }));
+          Alcotest.test_case "negative post_window rejected" `Quick
+            (rejects_config (fun c -> { c with Fleet.post_window = -1 }));
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "round trip" `Quick test_report_round_trip;
+          Alcotest.test_case "inconsistent reports rejected" `Quick
+            test_report_rejects_inconsistent;
+          Alcotest.test_case "every strict prefix rejected" `Quick
+            test_report_prefixes_rejected;
+          QCheck_alcotest.to_alcotest prop_report_substitution_never_raises;
         ] );
       ( "coverage",
         [

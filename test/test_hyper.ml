@@ -569,6 +569,74 @@ let test_grant_map_unused_panics () =
   let t = Hyper.Grant.create heap ~slots:8 5 in
   checkb "map of unused slot" true (crashes (fun () -> Hyper.Grant.map t ~slot:1 ~by:0))
 
+(* ------------------------- Domain images ---------------------------- *)
+
+(* A domain image packs each port's flags into one int and each grant
+   slot into flat ints: every flag combination and every slot value,
+   including -1 and ints far past any frame number, must come back
+   from a snapshot whatever was scribbled over it in between. *)
+let test_domain_image_round_trip () =
+  let open Hyper in
+  let hv = boot () in
+  let d = Option.get (Hypervisor.domain hv 1) in
+  let chans = d.Domain.evtchn.Evtchn.chans in
+  let entries = d.Domain.grants.Grant.entries in
+  Array.iteri
+    (fun i (c : Evtchn.chan) ->
+      c.Evtchn.bound <- i land 1 <> 0;
+      c.Evtchn.pending <- i land 2 <> 0;
+      c.Evtchn.masked <- i land 4 <> 0)
+    chans;
+  let values = [| -1; 0; 1; 4095; 1 lsl 40; max_int; min_int |] in
+  let nv = Array.length values in
+  Array.iteri
+    (fun i (e : Grant.entry) ->
+      e.Grant.in_use <- i land 1 = 0;
+      e.Grant.frame <- values.(i mod nv);
+      e.Grant.mapped_by <- values.((i + 3) mod nv))
+    entries;
+  let ports () =
+    Array.map (fun (c : Evtchn.chan) -> (c.Evtchn.bound, c.Evtchn.pending, c.Evtchn.masked)) chans
+  and slots () =
+    Array.map (fun (e : Grant.entry) -> (e.Grant.in_use, e.Grant.frame, e.Grant.mapped_by)) entries
+  in
+  let ports0 = ports () and slots0 = slots () in
+  checkb "every port flag combination set" true (Array.length chans >= 8);
+  let image = Hypervisor.snapshot hv in
+  Array.iter
+    (fun (c : Evtchn.chan) ->
+      c.Evtchn.bound <- not c.Evtchn.bound;
+      c.Evtchn.pending <- not c.Evtchn.pending;
+      c.Evtchn.masked <- not c.Evtchn.masked)
+    chans;
+  Array.iter
+    (fun (e : Grant.entry) ->
+      e.Grant.in_use <- not e.Grant.in_use;
+      e.Grant.frame <- 7;
+      e.Grant.mapped_by <- 9)
+    entries;
+  Hypervisor.restore hv image;
+  checkb "ports restored" true (ports () = ports0);
+  checkb "grant slots restored" true (slots () = slots0)
+
+(* Capturing a domain allocates a few flat arrays, not a tuple per port
+   and per grant slot. [Gc.minor] around the snapshot makes
+   [Gc.allocated_bytes] count the arrays allocated straight into the
+   major heap too. *)
+let test_snapshot_allocation_ceiling () =
+  let hv = boot ~setup:(Hyper.Hypervisor.Tenant_fleet 200) () in
+  ignore (Hyper.Hypervisor.snapshot hv);
+  let domains = List.length (Hyper.Hypervisor.all_domains hv) in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Hyper.Hypervisor.snapshot hv));
+  Gc.minor ();
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let per_domain = words /. float_of_int domains in
+  checkb
+    (Printf.sprintf "%.0f words per domain <= 600" per_domain)
+    true (per_domain <= 600.0)
+
 (* ------------------------- Latency model ---------------------------- *)
 
 let test_latency_pfn_scan_scales () =
@@ -679,6 +747,12 @@ let () =
           Alcotest.test_case "masked stays quiet" `Quick test_evtchn_masked_no_pending;
           Alcotest.test_case "grant map/unmap" `Quick test_grant_map_unmap;
           Alcotest.test_case "grant map unused" `Quick test_grant_map_unused_panics;
+        ] );
+      ( "domain_image",
+        [
+          Alcotest.test_case "packed round trip" `Quick test_domain_image_round_trip;
+          Alcotest.test_case "snapshot allocation ceiling" `Quick
+            test_snapshot_allocation_ceiling;
         ] );
       ( "latency_model",
         [
