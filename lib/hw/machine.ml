@@ -55,7 +55,7 @@ let iter_cpus t f = Array.iter f t.cpus
    by value is enough. *)
 type cpu_image = {
   im_regs : Regs.t;
-  im_timer_deadline : Sim.Time.ns option;
+  im_timer_deadline : Sim.Time.ns;
   im_pending : int list;
   im_in_service : int list;
   im_ipi_pending : bool;

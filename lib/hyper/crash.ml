@@ -15,15 +15,12 @@ exception Hypervisor_crash of detection
 let panic fmt = Format.kasprintf (fun s -> raise (Hypervisor_crash (Panic s))) fmt
 let hang fmt = Format.kasprintf (fun s -> raise (Hypervisor_crash (Hang s))) fmt
 
-(* Xen asserts liberally; failed assertions are panics. The passing case
-   must not format (it is on the injection hot path), so the message is
-   only rendered when the assertion actually fails. *)
-let hv_assert cond fmt =
-  if cond then Format.ikfprintf ignore Format.str_formatter fmt
-  else
-    Format.kasprintf
-      (fun s -> raise (Hypervisor_crash (Panic ("ASSERT: " ^ s))))
-      fmt
+(* Xen asserts liberally; failed assertions are panics. Call sites test
+   the condition themselves, [if not cond then assert_failed fmt ...],
+   so a passing assertion builds no format closures: these checks sit on
+   the context-switch, tick and page-reference hot paths. *)
+let assert_failed fmt =
+  Format.kasprintf (fun s -> raise (Hypervisor_crash (Panic ("ASSERT: " ^ s)))) fmt
 
 (* Panics trap immediately; hangs wait for the NMI watchdog, i.e.
    [Config.watchdog_hang_periods] ticks of the configured period

@@ -39,7 +39,7 @@ type t = {
   mutable struct_ok : bool; (* domain struct payload integrity *)
   mutable guest_failed : bool; (* guest kernel/app observed a failure *)
   mutable guest_sdc : bool; (* guest produced silently corrupt output *)
-  mutable owned_frames : int list;
+  owned_frames : Owned_frames.t; (* newest first, duplicates kept *)
   evtchn : Evtchn.table;
   grants : Grant.table;
   page_lock : Spinlock.t; (* heap-resident per-domain page_alloc lock *)
@@ -89,7 +89,7 @@ let create ?(is_idle = false) heap ~domid ~privileged ~vcpus:vcpu_pins =
     struct_ok = true;
     guest_failed = false;
     guest_sdc = false;
-    owned_frames = [];
+    owned_frames = Owned_frames.create ();
     evtchn = Evtchn.create heap ~ports:64 domid;
     grants = Grant.create heap ~slots:128 domid;
     page_lock;

@@ -291,7 +291,7 @@ let create_domain_internal ?(is_idle = false) t ~privileged ~vcpu_pins ~mem_fram
       Pfn.validate d;
       Pfn.get_page d
     end;
-    dom.Domain.owned_frames <- d.Pfn.index :: dom.Domain.owned_frames
+    Owned_frames.push dom.Domain.owned_frames d.Pfn.index
   done;
   Evtchn.bind dom.Domain.evtchn ~port:1;
   Evtchn.bind dom.Domain.evtchn ~port:2;
@@ -299,7 +299,7 @@ let create_domain_internal ?(is_idle = false) t ~privileged ~vcpu_pins ~mem_fram
      frames are never handed back by decrease_reservation, so grant maps
      cannot race with frame freeing. *)
   let granted = ref 0 in
-  List.iter
+  Owned_frames.iter
     (fun f ->
       if !granted < 8 && (Pfn.get t.pfn f).Pfn.ptype = Pfn.Page_table then begin
         Grant.grant dom.Domain.grants ~slot:!granted ~frame:f;
@@ -311,7 +311,7 @@ let create_domain_internal ?(is_idle = false) t ~privileged ~vcpu_pins ~mem_fram
 
 let destroy_domain_internal t dom =
   dom.Domain.alive <- false;
-  List.iter
+  Owned_frames.iter
     (fun f ->
       let d = Pfn.get t.pfn f in
       if d.Pfn.owner = dom.Domain.domid then begin
@@ -323,7 +323,7 @@ let destroy_domain_internal t dom =
         done
       end)
     dom.Domain.owned_frames;
-  dom.Domain.owned_frames <- [];
+  Owned_frames.clear dom.Domain.owned_frames;
   List.iter (fun obj -> if obj.Heap.live then Heap.free t.heap obj) dom.Domain.heap_objs;
   dom.Domain.heap_objs <- [];
   Hashtbl.remove t.domains dom.Domain.domid
@@ -481,7 +481,7 @@ let journal_tail t = Obs.Flight.tail t.journal_flight
 
 type lock_image = {
   il_lock : Spinlock.t;
-  il_holder : int option;
+  il_holder : int;
   il_acquisitions : int;
 }
 
@@ -513,7 +513,7 @@ type domain_image = {
   id_struct_ok : bool;
   id_guest_failed : bool;
   id_guest_sdc : bool;
-  id_owned_frames : int list;
+  id_owned_frames : Owned_frames.image;
   id_heap_objs : Heap.obj list;
   id_vcpus : vcpu_image array;
   id_evtchn : int array; (* per port: the [port_flags] bits *)
@@ -619,7 +619,7 @@ let capture_domain (d : Domain.t) =
     id_struct_ok = d.Domain.struct_ok;
     id_guest_failed = d.Domain.guest_failed;
     id_guest_sdc = d.Domain.guest_sdc;
-    id_owned_frames = d.Domain.owned_frames;
+    id_owned_frames = Owned_frames.capture d.Domain.owned_frames;
     id_heap_objs = d.Domain.heap_objs;
     id_vcpus = Array.map capture_vcpu d.Domain.vcpus;
     id_evtchn = Array.map port_flags d.Domain.evtchn.Evtchn.chans;
@@ -635,7 +635,7 @@ let restore_domain im =
   d.Domain.struct_ok <- im.id_struct_ok;
   d.Domain.guest_failed <- im.id_guest_failed;
   d.Domain.guest_sdc <- im.id_guest_sdc;
-  d.Domain.owned_frames <- im.id_owned_frames;
+  Owned_frames.restore d.Domain.owned_frames im.id_owned_frames;
   d.Domain.heap_objs <- im.id_heap_objs;
   Array.iter restore_vcpu im.id_vcpus;
   Array.iteri
@@ -852,24 +852,13 @@ let indexed_name table prefix i =
    (count, then walk to the k-th match) instead of materialising the
    filtered list. The single [Rng.int] draw is over the same bound as
    before, so the streams -- and the chosen elements -- are identical. *)
-let rec count_writable t acc = function
-  | [] -> acc
-  | f :: rest ->
-    count_writable t
-      (if (Pfn.get t.pfn f).Pfn.ptype = Pfn.Writable then acc + 1 else acc)
-      rest
-
-let rec nth_writable t k = function
-  | [] -> -1 (* unreachable: k < count_writable *)
-  | f :: rest ->
-    if (Pfn.get t.pfn f).Pfn.ptype = Pfn.Writable then
-      if k = 0 then f else nth_writable t (k - 1) rest
-    else nth_writable t k rest
+let writable pfn f = (Pfn.get pfn f).Pfn.ptype = Pfn.Writable
 
 let pick_writable_frame t rng (dom : Domain.t) =
-  match count_writable t 0 dom.Domain.owned_frames with
+  let owned = dom.Domain.owned_frames in
+  match Owned_frames.count_if writable t.pfn owned with
   | 0 -> None
-  | n -> Some (nth_writable t (Sim.Rng.int rng n) dom.Domain.owned_frames)
+  | n -> Some (Owned_frames.nth_if writable t.pfn owned (Sim.Rng.int rng n))
 
 (* Whether [f] backs an in-use grant entry (the membership test formerly
    done against a freshly built list of granted frames). *)
@@ -912,7 +901,7 @@ let exec_mmu_update t journal (dom : Domain.t) (record : Hypercalls.record)
       (* The table being replaced: a currently pinned page-table frame
          (not one backing a grant entry). *)
       let old_frame =
-        List.find_opt
+        Owned_frames.find_opt
           (fun f ->
             let o = Pfn.get t.pfn f in
             o.Pfn.ptype = Pfn.Page_table && o.Pfn.validated
@@ -923,7 +912,7 @@ let exec_mmu_update t journal (dom : Domain.t) (record : Hypercalls.record)
       record.Hypercalls.target_frames <-
         (d.Pfn.index :: (match old_frame with Some o -> [ o ] | None -> []));
       record.Hypercalls.fresh_frames <- [ d.Pfn.index ];
-      dom.Domain.owned_frames <- d.Pfn.index :: dom.Domain.owned_frames;
+      Owned_frames.push dom.Domain.owned_frames d.Pfn.index;
       (d, old_frame)
   in
   (* Unpin the table being replaced: invalidate + drop the pin
@@ -1024,7 +1013,7 @@ let exec_memory_op_populate t journal (dom : Domain.t)
            if d.Pfn.use_count > 0 then Pfn.put_page d));
     record.Hypercalls.fresh_frames <- d.Pfn.index :: record.Hypercalls.fresh_frames;
     step t "assign_page";
-    dom.Domain.owned_frames <- d.Pfn.index :: dom.Domain.owned_frames
+    Owned_frames.push dom.Domain.owned_frames d.Pfn.index
   done
 
 let exec_memory_op_decrease t rng journal (dom : Domain.t)
@@ -1048,8 +1037,7 @@ let exec_memory_op_decrease t rng journal (dom : Domain.t)
     Pfn.put_page d;
     Spinlock.release t.global_heap_lock ~cpu:0;
     step t "remove_from_domain";
-    dom.Domain.owned_frames <-
-      List.filter (fun f' -> f' <> f) dom.Domain.owned_frames
+    Owned_frames.remove dom.Domain.owned_frames f
 
 let exec_grant_table_op t rng journal (dom : Domain.t)
     (record : Hypercalls.record) ~subops =
@@ -1310,18 +1298,19 @@ let do_context_switch t cpu =
   Percpu.assert_not_in_irq percpu;
   let wrong_context = ref false in
   step t "pick_next";
-  (match Sched.dequeue t.sched ~cpu with
-  | None -> ()
-  | Some next ->
+  (match Sched.queued t.sched ~cpu with
+  | [] -> ()
+  | next :: _ ->
+    Sched.drop_head t.sched ~cpu;
     (match Sched.current t.sched ~cpu with
     | Some prev when prev == next -> ()
     | Some prev ->
       (* The assertion-rich part of Xen's schedule(): metadata must
          agree before the switch. *)
       step t "assert_consistent";
-      Crash.hv_assert prev.Domain.is_current
-        "schedule: cpu%d prev d%dv%d lost is_current" cpu prev.Domain.domid
-        prev.Domain.vid;
+      if not prev.Domain.is_current then
+        Crash.assert_failed "schedule: cpu%d prev d%dv%d lost is_current" cpu
+          prev.Domain.domid prev.Domain.vid;
       if prev.Domain.curr_slot <> cpu then
         (* Disagreement that does not trip an assertion restores a
            stale context instead. *)
@@ -1359,23 +1348,21 @@ let do_context_switch t cpu =
   !wrong_context
 
 let rec drain_due_timers t cpu ~now budget =
-  if budget > 0 then begin
-    match Timer_heap.pop_due t.timers ~now with
-    | None -> ()
-    | Some e ->
-      (* The periodic-timer infrastructure re-arms scheduler/watchdog
-         ticks up front; the time-sync handler re-arms itself at the
-         end of its (longer) handler, leaving the pop-to-requeue gap
-         that "Reactivate recurring timer events" closes. *)
-      (match e.Timer_heap.action with
-      | Timer_heap.Time_sync ->
-        run_timer_action t cpu e;
-        Timer_heap.requeue t.timers e ~now:(Sim.Clock.now t.clock)
-      | Timer_heap.Sched_tick _ | Timer_heap.Watchdog_tick
-      | Timer_heap.Vcpu_timer _ | Timer_heap.Generic_oneshot ->
-        Timer_heap.requeue t.timers e ~now:(Sim.Clock.now t.clock);
-        run_timer_action t cpu e);
-      drain_due_timers t cpu ~now (budget - 1)
+  if budget > 0 && Timer_heap.due t.timers ~now then begin
+    let e = Timer_heap.pop_top t.timers in
+    (* The periodic-timer infrastructure re-arms scheduler/watchdog
+       ticks up front; the time-sync handler re-arms itself at the end
+       of its (longer) handler, leaving the pop-to-requeue gap that
+       "Reactivate recurring timer events" closes. *)
+    (match e.Timer_heap.action with
+    | Timer_heap.Time_sync ->
+      run_timer_action t cpu e;
+      Timer_heap.requeue t.timers e ~now:(Sim.Clock.now t.clock)
+    | Timer_heap.Sched_tick _ | Timer_heap.Watchdog_tick
+    | Timer_heap.Vcpu_timer _ | Timer_heap.Generic_oneshot ->
+      Timer_heap.requeue t.timers e ~now:(Sim.Clock.now t.clock);
+      run_timer_action t cpu e);
+    drain_due_timers t cpu ~now (budget - 1)
   end
 
 let do_timer_tick t cpu =
@@ -1399,9 +1386,9 @@ let do_timer_tick t cpu =
   Spinlock.release percpu.Percpu.heap_lock ~cpu;
   step t "reprogram_apic";
   let deadline =
-    match Timer_heap.next_deadline t.timers with
-    | Some d -> max d (Sim.Clock.now t.clock + Sim.Time.us 10)
-    | None -> Sim.Clock.now t.clock + Sim.Time.ms 10
+    if Timer_heap.size t.timers = 0 then Sim.Clock.now t.clock + Sim.Time.ms 10
+    else
+      max (Timer_heap.top_deadline t.timers) (Sim.Clock.now t.clock + Sim.Time.us 10)
   in
   Hw.Apic.program_timer apic ~deadline;
   step t "apic_eoi";
@@ -1415,8 +1402,9 @@ let do_device_interrupt t ~line ~target_dom =
   let cpu = 0 (* device interrupts are routed to the PrivVM's CPU *) in
   let percpu = t.percpu.(cpu) in
   let apic = (Hw.Machine.cpu t.machine cpu).Hw.Cpu.apic in
-  let vector, _, masked = Hw.Ioapic.read t.machine.Hw.Machine.ioapic ~line in
-  if masked || vector = 0 then
+  let route = t.machine.Hw.Machine.ioapic.Hw.Ioapic.entries.(line) in
+  let vector = route.Hw.Ioapic.vector in
+  if route.Hw.Ioapic.masked || vector = 0 then
     (* Routing lost (e.g. after a reboot without the IO-APIC log):
        the device's interrupts simply never arrive. *)
     ()
@@ -1460,7 +1448,7 @@ let do_hypercall t rng ~cpu (vcpu : Domain.vcpu) kind ~retry_of =
     | None ->
       let enhanced =
         (not (Hypercalls.non_idempotent kind))
-        || Sim.Rng.float rng 1.0 < mitigation_coverage
+        || Sim.Rng.float_below rng 1.0 mitigation_coverage
       in
       Hypercalls.make_record ~enhanced
         ~logging:t.config.Config.nonidempotent_logging kind

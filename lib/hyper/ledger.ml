@@ -79,7 +79,7 @@ let capture (hv : Hypervisor.t) =
         incr domains_alive;
         vcpus := !vcpus + Array.length d.Domain.vcpus;
         Hashtbl.replace live d.Domain.domid ();
-        List.iter
+        Owned_frames.iter
           (fun f -> Hashtbl.replace owned (d.Domain.domid, f) ())
           d.Domain.owned_frames;
         Array.iter

@@ -38,12 +38,13 @@ let create heap cpu =
 let irq_enter t = t.local_irq_count <- t.local_irq_count + 1
 
 let irq_exit t =
-  Crash.hv_assert (t.local_irq_count > 0) "cpu%d: irq_exit with count %d" t.cpu
-    t.local_irq_count;
+  if t.local_irq_count <= 0 then
+    Crash.assert_failed "cpu%d: irq_exit with count %d" t.cpu t.local_irq_count;
   t.local_irq_count <- t.local_irq_count - 1
 
 let assert_not_in_irq t =
-  Crash.hv_assert (t.local_irq_count = 0)
-    "cpu%d: scheduling while local_irq_count = %d" t.cpu t.local_irq_count
+  if t.local_irq_count <> 0 then
+    Crash.assert_failed "cpu%d: scheduling while local_irq_count = %d" t.cpu
+      t.local_irq_count
 
 let clear_irq_count t = t.local_irq_count <- 0

@@ -199,7 +199,7 @@ let alloc_frame t ~owner ~ptype =
 (* get_page / put_page: the non-idempotent reference-count pair the paper
    discusses. Both assert like Xen does. *)
 let get_page d =
-  Crash.hv_assert (d.ptype <> Free) "get_page on free frame %d" d.index;
+  if d.ptype = Free then Crash.assert_failed "get_page on free frame %d" d.index;
   touch d;
   d.use_count <- d.use_count + 1
 
@@ -219,7 +219,8 @@ let put_page d =
 let validate d =
   if d.validated then
     Crash.panic "pfn %d: validating an already-validated frame" d.index;
-  Crash.hv_assert (d.use_count > 0) "validate with zero use_count on %d" d.index;
+  if d.use_count <= 0 then
+    Crash.assert_failed "validate with zero use_count on %d" d.index;
   touch d;
   d.validated <- true
 

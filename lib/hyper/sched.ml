@@ -1,11 +1,12 @@
 (** Credit-scheduler model: per-CPU run queues plus the redundant
     current-vCPU records described in [Domain].
 
-    [schedule] is assertion-rich, like Xen's: it checks the IRQ-nesting
-    counter and the agreement between per-CPU and per-vCPU metadata, so
-    inconsistencies left by an abandoned context switch surface as panics
-    -- or as restoring the wrong register context, which manifests as
-    guest failure. *)
+    The context switch that drives them
+    ([Hypervisor.do_context_switch]) is assertion-rich, like Xen's
+    schedule(): it checks the IRQ-nesting counter and the agreement
+    between per-CPU and per-vCPU metadata, so inconsistencies left by an
+    abandoned context switch surface as panics -- or as restoring the
+    wrong register context, which manifests as guest failure. *)
 
 type t = {
   runq : Domain.vcpu list array;
@@ -27,6 +28,14 @@ let enqueue t vcpu =
   let cpu = vcpu.Domain.processor in
   let q = t.runq.(cpu) in
   if not (List.memq vcpu q) then t.runq.(cpu) <- vcpu :: q
+
+(* Drop the run-queue head. The context-switch path reads the head with
+   [queued] and commits with this, so taking the next vCPU allocates no
+   option. *)
+let drop_head t ~cpu =
+  match t.runq.(cpu) with
+  | _ :: rest -> t.runq.(cpu) <- rest
+  | [] -> ()
 
 let dequeue t ~cpu =
   match t.runq.(cpu) with
@@ -124,40 +133,3 @@ let fix_from_percpu t all_vcpus =
       end)
     all_vcpus;
   !fixes
-
-(* The scheduling routine proper: asserts on metadata inconsistencies
-   (the failure mode the paper describes) and returns the vCPU whose
-   register context will be restored -- if the metadata is wrong, that is
-   the *wrong* context, which we surface via [`Wrong_context]. *)
-let schedule t (percpu : Percpu.t) ~cpu =
-  Percpu.assert_not_in_irq percpu;
-  (match t.curr.(cpu) with
-  | Some v ->
-    Crash.hv_assert v.Domain.is_current
-      "schedule: cpu%d current vcpu d%dv%d lacks is_current" cpu
-      v.Domain.domid v.Domain.vid;
-    Crash.hv_assert
-      (v.Domain.curr_slot = cpu)
-      "schedule: cpu%d current vcpu d%dv%d says slot %d" cpu v.Domain.domid
-      v.Domain.vid v.Domain.curr_slot
-  | None -> ());
-  match dequeue t ~cpu with
-  | None -> `Keep_current
-  | Some next ->
-    (match t.curr.(cpu) with
-    | Some prev when prev == next -> `Keep_current
-    | Some prev ->
-      (* If the previous vCPU's redundant records disagree with the
-         per-CPU view, Xen restores a stale register context. *)
-      let inconsistent = not (consistent_on t ~cpu) in
-      vcpu_clear_current prev;
-      if prev.Domain.runstate = Domain.Running then
-        prev.Domain.runstate <- Domain.Runnable;
-      enqueue t prev;
-      set_current t ~cpu (Some next);
-      vcpu_mark_current next ~cpu;
-      if inconsistent then `Wrong_context next else `Switched next
-    | None ->
-      set_current t ~cpu (Some next);
-      vcpu_mark_current next ~cpu;
-      `Switched next)

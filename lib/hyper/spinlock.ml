@@ -20,35 +20,38 @@ type location =
 type t = {
   name : string;
   location : location;
-  mutable holder : int option; (* CPU id of the holder *)
+  mutable holder : int; (* CPU id of the holder, [-1] when free: a plain
+                           int, so taking a lock allocates nothing *)
   mutable acquisitions : int;
 }
 
-let create ~name ~location = { name; location; holder = None; acquisitions = 0 }
+let create ~name ~location = { name; location; holder = -1; acquisitions = 0 }
 
 let acquire t ~cpu =
-  match t.holder with
-  | None ->
-    t.holder <- Some cpu;
+  if t.holder = -1 then begin
+    t.holder <- cpu;
     t.acquisitions <- t.acquisitions + 1
-  | Some c when c = cpu ->
+  end
+  else if t.holder = cpu then
     (* Recursive acquisition deadlocks a non-recursive spinlock; Xen's
        debug build asserts on it. *)
     Crash.panic "spinlock %s: recursive acquisition on cpu%d" t.name cpu
-  | Some c ->
+  else
     (* The holder's execution thread no longer exists (it was abandoned
        by a failure), so this spin never ends. *)
-    Crash.hang "spinlock %s: spinning (held by dead thread on cpu%d)" t.name c
+    Crash.hang "spinlock %s: spinning (held by dead thread on cpu%d)" t.name
+      t.holder
 
 let release t ~cpu =
-  match t.holder with
-  | Some c when c = cpu -> t.holder <- None
-  | Some c -> Crash.panic "spinlock %s: released by cpu%d, held by cpu%d" t.name cpu c
-  | None -> Crash.panic "spinlock %s: releasing an unheld lock" t.name
+  if t.holder = -1 then Crash.panic "spinlock %s: releasing an unheld lock" t.name
+  else if t.holder = cpu then t.holder <- -1
+  else
+    Crash.panic "spinlock %s: released by cpu%d, held by cpu%d" t.name cpu
+      t.holder
 
-let is_held t = t.holder <> None
+let is_held t = t.holder <> -1
 
-let force_unlock t = t.holder <- None
+let force_unlock t = t.holder <- -1
 
 (** The static-lock segment: the array the modified linker script
     produces, over which the recovering CPU iterates. *)

@@ -253,29 +253,39 @@ let add t ~deadline ?period action =
 
 let peek t = if t.size = 0 then None else Some t.arr.(0)
 
-let pop t =
-  if not t.structure_ok then
-    Crash.panic "timer heap: structure corrupted (pop finds bad ordering)";
-  if t.size = 0 then None
-  else begin
-    let top = t.arr.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.arr.(0) <- t.arr.(t.size);
-      sift_down t 0
-    end;
-    touch top;
-    top.queued <- false;
-    Some top
-  end
+(* Deadline of the top event of a non-empty heap. *)
+let top_deadline t = t.arr.(0).deadline
 
-(* Pop the next event if its deadline has passed. The caller runs the
+let check_structure t =
+  if not t.structure_ok then
+    Crash.panic "timer heap: structure corrupted (pop finds bad ordering)"
+
+let remove_top t =
+  let top = t.arr.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.arr.(0) <- t.arr.(t.size);
+    sift_down t 0
+  end;
+  touch top;
+  top.queued <- false;
+  top
+
+let pop t =
+  check_structure t;
+  if t.size = 0 then None else Some (remove_top t)
+
+(* The timer-tick path pops due events with these two, option-free:
+   [due] says whether the top event's deadline has passed, and [pop_top]
+   pops that event after the same structure check as [pop] -- so a
+   corrupted heap panics only once an event is due. The caller runs the
    handler and (for recurring events) must re-insert via [requeue] --
    the re-insert gap is the vulnerability window. *)
-let pop_due t ~now =
-  match peek t with
-  | Some e when e.deadline <= now -> pop t
-  | Some _ | None -> None
+let due t ~now = t.size > 0 && t.arr.(0).deadline <= now
+
+let pop_top t =
+  check_structure t;
+  remove_top t
 
 let requeue t event ~now =
   match event.period with

@@ -165,26 +165,59 @@ let boot_hv ?recorder (cfg : config) =
 let boot_state ?recorder cfg =
   make_state cfg (Sim.Rng.create cfg.seed) (boot_hv ?recorder cfg)
 
-(* Execute one sampled activity. Timer ticks fire when the APIC deadline
-   arrives, so the clock jumps there first; a CPU whose APIC is disarmed
-   never gets another tick. Activities are separated by an
-   exponential-ish think-time so software timer deadlines actually come
-   due during a run. *)
-let run_one_activity st =
+(* Activities are separated by an exponential-ish think-time so
+   software timer deadlines actually come due during a run: draw the
+   gap, advance the clock, then draw the activity. *)
+let sample_activity st =
   let gap = Sim.Time.us (30 + Sim.Rng.int st.rng 340) in
   Sim.Clock.advance_by st.hv.Hypervisor.clock gap;
-  let activity = Workloads.System_mix.sample st.rng st.mix in
+  Workloads.System_mix.sample st.rng st.mix
+
+(* Execute one sampled activity. Timer ticks fire when the APIC deadline
+   arrives, so the clock jumps there first; a CPU whose APIC is disarmed
+   never gets another tick. *)
+let execute_activity st activity =
   match activity with
   | Hypervisor.Timer_tick cpu ->
     let apic = (Hw.Machine.cpu st.hv.Hypervisor.machine cpu).Hw.Cpu.apic in
-    (match apic.Hw.Apic.timer_deadline with
-    | None -> () (* disarmed: this CPU gets no more timer interrupts *)
-    | Some d ->
+    (* A disarmed CPU gets no more timer interrupts. *)
+    if Hw.Apic.timer_armed apic then begin
       (* The tick happens when the one-shot deadline arrives. *)
+      let d = apic.Hw.Apic.timer_deadline in
       if d > Sim.Clock.now st.hv.Hypervisor.clock then
         Sim.Clock.advance_to st.hv.Hypervisor.clock d;
-      Hypervisor.execute st.hv st.rng activity)
+      Hypervisor.execute st.hv st.rng activity
+    end
   | _ -> Hypervisor.execute st.hv st.rng activity
+
+let activity_kind : Hypervisor.activity -> Obs.Recorder.activity_kind =
+  function
+  | Hypervisor.Timer_tick _ -> Obs.Recorder.Timer_tick
+  | Hypervisor.Device_interrupt _ -> Obs.Recorder.Device_interrupt
+  | Hypervisor.Hypercall _ -> Obs.Recorder.Hypercall
+  | Hypervisor.Syscall_forward _ -> Obs.Recorder.Syscall_forward
+  | Hypervisor.Context_switch _ -> Obs.Recorder.Context_switch
+  | Hypervisor.Idle_poll _ -> Obs.Recorder.Idle_poll
+
+(* One activity of the stream. With allocation profiling on, the
+   recorder's activity-kind ledger is credited with the minor words of
+   the draw and of the execution (an activity cut short by a crash or an
+   abandonment is not counted). [Gc.minor_words] is an unboxed, non-
+   allocating read, so the brackets add no words of their own and the
+   phase counters read the same with or without them. *)
+let run_one_activity st =
+  let obs = st.hv.Hypervisor.obs in
+  if not obs.Obs.Recorder.alloc_on then execute_activity st (sample_activity st)
+  else begin
+    let w0 = Gc.minor_words () in
+    let activity = sample_activity st in
+    let w1 = Gc.minor_words () in
+    Obs.Recorder.note_activity obs Obs.Recorder.Sampling
+      (int_of_float (w1 -. w0));
+    execute_activity st activity;
+    Obs.Recorder.note_activity obs (activity_kind activity)
+      (int_of_float (Gc.minor_words () -. w1))
+  end
 
 (* Track which CPU executes each step so detection knows where it was. *)
 let install_cpu_tracker st =

@@ -130,3 +130,8 @@ let metrics_of_json root =
           | _ -> fail "%s: partial quantile set" what)
         s.Metrics.histograms;
       s)
+
+(* Read an nlh-obs/1 file's contents: a torn write is rejected before
+   the document is decoded. *)
+let metrics_of_string contents =
+  Result.bind (Json.parse_document contents) metrics_of_json

@@ -23,6 +23,39 @@ let alloc_phase_name = function
   | Recovery -> "recovery"
   | Audit -> "audit"
 
+(* What the activity-kind ledger splits the activity stream into:
+   drawing the next activity, then executing it by its kind (the six
+   [Hyper.Hypervisor.activity] constructors; [obs] sits below [hyper],
+   so the kinds are restated here). *)
+type activity_kind =
+  | Sampling
+  | Timer_tick
+  | Device_interrupt
+  | Hypercall
+  | Syscall_forward
+  | Context_switch
+  | Idle_poll
+
+let activity_kinds =
+  [
+    Sampling;
+    Timer_tick;
+    Device_interrupt;
+    Hypercall;
+    Syscall_forward;
+    Context_switch;
+    Idle_poll;
+  ]
+
+let activity_kind_index = function
+  | Sampling -> 0
+  | Timer_tick -> 1
+  | Device_interrupt -> 2
+  | Hypercall -> 3
+  | Syscall_forward -> 4
+  | Context_switch -> 5
+  | Idle_poll -> 6
+
 type t = {
   trace : Trace.t;
   spans : Span.t;
@@ -73,6 +106,13 @@ type t = {
   mutable alloc_on : bool;
   mutable alloc_mark : float;
   mutable alloc_cur : alloc_phase;
+  (* Activity-kind ledger: minor words and calls per [activity_kind]
+     index, fed only while allocation profiling is on. Plain arrays
+     outside the registry, so metric snapshots (and everything built
+     from them) are the same with profiling on or off; like the mark,
+     they survive [reset] and accumulate until [clear_activity_ledger]. *)
+  act_words : int array;
+  act_calls : int array;
 }
 
 (* Fixed recovery-latency buckets in milliseconds: NiLiHype lands in the
@@ -124,6 +164,8 @@ let create ?(capacity = 4096) ?(min_level = Event.Info) () =
     alloc_on = false;
     alloc_mark = 0.0;
     alloc_cur = Boot;
+    act_words = Array.make (List.length activity_kinds) 0;
+    act_calls = Array.make (List.length activity_kinds) 0;
   }
 
 let alloc_counter t = function
@@ -165,6 +207,21 @@ let alloc_phase t phase =
 
 (* End-of-run close: credit the tail to the current phase. *)
 let alloc_close t = alloc_phase t t.alloc_cur
+
+(* Credit one completed [kind] call of [words] minor words to the
+   activity-kind ledger. The caller measures (and checks [alloc_on]);
+   integer arguments, so noting allocates nothing. *)
+let note_activity t kind words =
+  let i = activity_kind_index kind in
+  t.act_words.(i) <- t.act_words.(i) + words;
+  t.act_calls.(i) <- t.act_calls.(i) + 1
+
+let activity_words t kind = t.act_words.(activity_kind_index kind)
+let activity_calls t kind = t.act_calls.(activity_kind_index kind)
+
+let clear_activity_ledger t =
+  Array.fill t.act_words 0 (Array.length t.act_words) 0;
+  Array.fill t.act_calls 0 (Array.length t.act_calls) 0
 
 let set_min_level t level = Trace.set_min_level t.trace level
 let min_level t = Trace.min_level t.trace

@@ -116,11 +116,15 @@ let int t n =
   next t;
   (((t.out_hi land 0x3FFFFFFF) lsl 32) lor t.out_lo) mod n
 
-let float t x =
+(* Inlined, so [float_below] and [choose_index_cum] keep the draw
+   unboxed. *)
+let[@inline] float t x =
   (* The top 53 bits (the >>> 11 of the reference) are exact in a float. *)
   next t;
   let v = (t.out_hi lsl 21) lor (t.out_lo lsr 11) in
   x *. (float_of_int v /. 9007199254740992.0 (* 2^53 *))
+
+let float_below t x y = float t x < y
 
 let bool t =
   next t;

@@ -36,6 +36,10 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t x] is uniform over [0, x). *)
 
+val float_below : t -> float -> float -> bool
+(** [float_below t x y] is [float t x < y]: the same single draw, without
+    boxing the float it compares (a hot-path coin flip). *)
+
 val bool : t -> bool
 
 val bit64 : t -> int

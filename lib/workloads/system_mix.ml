@@ -13,7 +13,7 @@ type t = {
      creation (the per-sample fold was pure allocation: every [+.] in a
      fold closure boxes its accumulator). *)
   blk_w : float;
-  net_w : float;
+  dev_w : float; (* blk_w +. net_w *)
 }
 
 let create ~benchmarks ~active_cpus ~blk_dom ~net_dom =
@@ -36,7 +36,7 @@ let create ~benchmarks ~active_cpus ~blk_dom ~net_dom =
     blk_dom;
     net_dom;
     blk_w;
-    net_w;
+    dev_w = blk_w +. net_w;
   }
 
 (* Category weights: guest entries dominate hypervisor execution time,
@@ -53,25 +53,27 @@ let category_weights =
 let category_cum = Sim.Rng.cumulative category_weights
 let category_tags = Array.of_list (List.map snd category_weights)
 
+(* Toplevel rather than local to [sample], so a draw allocates no
+   closure. *)
+let random_cpu rng t =
+  match Array.length t.active_cpus with
+  | 0 -> 0
+  | n -> t.active_cpus.(Sim.Rng.int rng n)
+
 let sample rng t : Hyper.Hypervisor.activity =
-  let random_cpu () =
-    match Array.length t.active_cpus with
-    | 0 -> 0
-    | n -> t.active_cpus.(Sim.Rng.int rng n)
-  in
   match category_tags.(Sim.Rng.choose_index_cum rng category_cum) with
   | `Guest_entry ->
     (match Array.length t.benchmarks with
-    | 0 -> Hyper.Hypervisor.Idle_poll (random_cpu ())
+    | 0 -> Hyper.Hypervisor.Idle_poll (random_cpu rng t)
     | n -> Workload.sample_activity rng t.benchmarks.(Sim.Rng.int rng n))
-  | `Timer_tick -> Hyper.Hypervisor.Timer_tick (random_cpu ())
+  | `Timer_tick -> Hyper.Hypervisor.Timer_tick (random_cpu rng t)
   | `Device_interrupt ->
-    let pick_blk = Sim.Rng.float rng (t.blk_w +. t.net_w) < t.blk_w in
+    let pick_blk = Sim.Rng.float_below rng t.dev_w t.blk_w in
     (match (pick_blk, t.blk_dom, t.net_dom) with
     | true, Some d, _ -> Hyper.Hypervisor.Device_interrupt { line = 1; target_dom = d }
     | false, _, Some d -> Hyper.Hypervisor.Device_interrupt { line = 2; target_dom = d }
     | true, None, Some d -> Hyper.Hypervisor.Device_interrupt { line = 2; target_dom = d }
     | false, Some d, None -> Hyper.Hypervisor.Device_interrupt { line = 1; target_dom = d }
-    | _, None, None -> Hyper.Hypervisor.Idle_poll (random_cpu ()))
-  | `Context_switch -> Hyper.Hypervisor.Context_switch (random_cpu ())
-  | `Idle -> Hyper.Hypervisor.Idle_poll (random_cpu ())
+    | _, None, None -> Hyper.Hypervisor.Idle_poll (random_cpu rng t))
+  | `Context_switch -> Hyper.Hypervisor.Context_switch (random_cpu rng t)
+  | `Idle -> Hyper.Hypervisor.Idle_poll (random_cpu rng t)

@@ -132,7 +132,7 @@ let create ?(vcpus = 1) kind ~domid =
 (* Sample one hypervisor entry caused by this benchmark's guest. *)
 let sample_activity rng t : Hyper.Hypervisor.activity =
   let vid = if t.vcpus = 1 then 0 else Sim.Rng.int rng t.vcpus in
-  if Sim.Rng.float rng 1.0 < syscall_share t.kind then
+  if Sim.Rng.float_below rng 1.0 (syscall_share t.kind) then
     Hyper.Hypervisor.Syscall_forward { domid = t.domid; vid }
   else
     Hyper.Hypervisor.Hypercall

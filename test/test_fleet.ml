@@ -61,7 +61,7 @@ let state_digest (hv : Hyper.Hypervisor.t) =
       pr "d%d:%b:%b:%b:%b:%d\n" d.Hyper.Domain.domid d.Hyper.Domain.alive
         d.Hyper.Domain.struct_ok d.Hyper.Domain.guest_failed
         d.Hyper.Domain.guest_sdc
-        (List.length d.Hyper.Domain.owned_frames);
+        (Hyper.Owned_frames.length d.Hyper.Domain.owned_frames);
       Array.iter
         (fun (v : Hyper.Domain.vcpu) ->
           pr "v%d.%d:%s:%b:%d:%b:%b:%b:%b:%b\n" v.Hyper.Domain.domid

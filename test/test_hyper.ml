@@ -197,15 +197,16 @@ let test_timer_heap_order () =
 let test_timer_pop_due_only () =
   let th = Hyper.Timer_heap.create () in
   ignore (Hyper.Timer_heap.add th ~deadline:100 Hyper.Timer_heap.Generic_oneshot);
-  checkb "not due" true (Hyper.Timer_heap.pop_due th ~now:50 = None);
-  checkb "due" true (Hyper.Timer_heap.pop_due th ~now:100 <> None)
+  checkb "not due" false (Hyper.Timer_heap.due th ~now:50);
+  checkb "due" true (Hyper.Timer_heap.due th ~now:100);
+  ignore (Hyper.Timer_heap.pop_top th);
+  checkb "nothing left due" false (Hyper.Timer_heap.due th ~now:100)
 
 let test_timer_recurring_requeue () =
   let th = Hyper.Timer_heap.create () in
   let e = Hyper.Timer_heap.add th ~deadline:10 ~period:100 Hyper.Timer_heap.Time_sync in
-  (match Hyper.Timer_heap.pop_due th ~now:10 with
-  | Some e' -> checkb "same event" true (e == e')
-  | None -> Alcotest.fail "expected due event");
+  checkb "due" true (Hyper.Timer_heap.due th ~now:10);
+  checkb "same event" true (Hyper.Timer_heap.pop_top th == e);
   checkb "not queued mid-handler" false e.Hyper.Timer_heap.queued;
   Hyper.Timer_heap.requeue th e ~now:10;
   checkb "requeued" true e.Hyper.Timer_heap.queued;
@@ -216,7 +217,7 @@ let test_timer_reactivate_recurring () =
   (* The "Reactivate recurring timer events" enhancement. *)
   let th = Hyper.Timer_heap.create () in
   let e = Hyper.Timer_heap.add th ~deadline:10 ~period:100 Hyper.Timer_heap.Time_sync in
-  ignore (Hyper.Timer_heap.pop_due th ~now:10);
+  ignore (Hyper.Timer_heap.pop_top th);
   (* handler abandoned before requeue: the event is lost *)
   checki "one missing" 1 (List.length (Hyper.Timer_heap.missing_recurring th));
   checki "reactivated" 1 (Hyper.Timer_heap.reactivate_recurring th ~now:50);
@@ -227,7 +228,8 @@ let test_timer_structure_corruption_panics () =
   let th = Hyper.Timer_heap.create () in
   ignore (Hyper.Timer_heap.add th ~deadline:10 Hyper.Timer_heap.Generic_oneshot);
   Hyper.Timer_heap.corrupt_structure th;
-  checkb "pop panics" true (crashes (fun () -> Hyper.Timer_heap.pop th))
+  checkb "pop panics" true (crashes (fun () -> Hyper.Timer_heap.pop th));
+  checkb "pop_top panics" true (crashes (fun () -> Hyper.Timer_heap.pop_top th))
 
 let test_timer_rebuild_for_reboot () =
   let th = Hyper.Timer_heap.create () in

@@ -365,13 +365,17 @@ let test_reset_equivalence_matrix () =
 
 (* Recorded GC budget: minor words allocated per reused-worker run,
    after warmup, on the register-fault campaign configuration. Measured
-   at ~330k words/run when the reuse path landed and at ~82k after the
-   allocation-profiler PR flattened the hot loop (closure-free stepper,
-   limb RNG, cumulative-weight sampling); the budget carries a little
-   headroom over the measurement and the test fails at >1.2x drift, so
-   regressions that re-grow the hot path get caught early without being
-   flaky across compiler versions. *)
-let gc_minor_words_budget_per_run = 90_000.0
+   at ~330k words/run when the reuse path landed, ~82k after the
+   allocation-profiler pass flattened the hot loop (closure-free stepper,
+   limb RNG, cumulative-weight sampling), ~75.5k before the activity
+   stream went allocation-lean, and ~30k after it (asserts that format
+   only on failure, option-free switch/tick/lock/APIC paths, unboxed
+   coin flips, O(1) frame release). The budget carries headroom over the
+   measurement and the test fails at >1.2x drift (43.2k, below the
+   75.5k of the old activity stream), so regressions that re-grow the
+   hot path get caught early without being flaky across compiler
+   versions. *)
+let gc_minor_words_budget_per_run = 36_000.0
 
 let test_gc_budget_per_run () =
   let cfg = run_cfg ~fault:Inject.Fault.Register () in
@@ -393,6 +397,133 @@ let test_gc_budget_per_run () =
   if per_run > 1.2 *. gc_minor_words_budget_per_run then
     Alcotest.failf "minor words/run %.0f exceeds 1.2x budget %.0f" per_run
       gc_minor_words_budget_per_run
+
+(* Activity-kind word ceilings: mean minor words per call, from the
+   recorder's activity-kind ledger, over 100 register runs on a restored
+   worker (the campaign-register configuration). Measured at 5, 3.5, 3
+   and 24 words per call; the ceilings leave headroom over that but sit
+   well below the figures from before passing assertions stopped
+   formatting and the switch, tick and draw paths stopped allocating
+   (44, 42, 14 and 66). *)
+let test_activity_word_ceilings () =
+  let cfg = run_cfg ~fault:Inject.Fault.Register () in
+  let r = small_recorder () in
+  Obs.Recorder.set_alloc_profiling r true;
+  let w = Inject.Run.prepare ~recorder:r cfg in
+  let run i =
+    ignore
+      (Inject.Run.execute_into w
+         { cfg with Inject.Run.seed = Int64.of_int (5_000 + i) })
+  in
+  for i = 0 to 4 do
+    run i
+  done;
+  Obs.Recorder.clear_activity_ledger r;
+  for i = 5 to 104 do
+    run i
+  done;
+  let mean kind =
+    float_of_int (Obs.Recorder.activity_words r kind)
+    /. float_of_int (max 1 (Obs.Recorder.activity_calls r kind))
+  in
+  let activities = Obs.Recorder.activity_calls r Obs.Recorder.Sampling in
+  checkb "100 runs of activities" true (activities >= 100 * 1000);
+  let all =
+    float_of_int
+      (List.fold_left
+         (fun acc k -> acc + Obs.Recorder.activity_words r k)
+         0 Obs.Recorder.activity_kinds)
+    /. float_of_int activities
+  in
+  let figures =
+    [
+      ("context switch", mean Obs.Recorder.Context_switch, 10.0);
+      ("timer tick", mean Obs.Recorder.Timer_tick, 20.0);
+      ("sampling", mean Obs.Recorder.Sampling, 10.0);
+      ("all activities", all, 40.0);
+    ]
+  in
+  if List.exists (fun (_, words, ceiling) -> words > ceiling) figures then
+    Alcotest.failf "words per call over a ceiling: %s"
+      (String.concat ", "
+         (List.map
+            (fun (label, words, ceiling) ->
+              Printf.sprintf "%s %.1f (<= %.0f)" label words ceiling)
+            figures))
+
+(* The ledger lives outside the metrics registry: a run records the same
+   metric snapshot with allocation profiling on or off. *)
+let test_activity_ledger_outside_metrics () =
+  let cfg = run_cfg ~fault:Inject.Fault.Register ~seed:77L () in
+  let snapshot profiling =
+    let r = small_recorder () in
+    Obs.Recorder.set_alloc_profiling r profiling;
+    let w = Inject.Run.prepare ~recorder:r cfg in
+    ignore (Inject.Run.execute_into w cfg);
+    checkb "ledger fed only when profiling" profiling
+      (Obs.Recorder.activity_calls r Obs.Recorder.Sampling > 0);
+    Obs.Recorder.metrics_snapshot r
+  in
+  let off = snapshot false and on = snapshot true in
+  let without_alloc (snap : Obs.Metrics.snapshot) =
+    {
+      snap with
+      Obs.Metrics.counters =
+        List.filter
+          (fun (name, _) -> not (String.starts_with ~prefix:"alloc." name))
+          snap.Obs.Metrics.counters;
+    }
+  in
+  checkb "same metrics apart from alloc.*" true
+    (without_alloc off = without_alloc on)
+
+(* The phase-attributed allocation counters are part of the campaign
+   aggregate, so they must not depend on which worker ran which run: a
+   worker's long-lived structures may not allocate in a later run what
+   they skipped (or skip what they allocated) in an earlier one. *)
+let test_alloc_counters_jobs_invariant () =
+  let cfg = run_cfg ~fault:Inject.Fault.Register () in
+  let campaign jobs =
+    Inject.Campaign.snapshot
+      (Inject.Campaign.run ~base_seed:6_000L ~jobs ~oversubscribe:(jobs > 1)
+         ~alloc_profile:true ~n:12 cfg)
+        .Inject.Campaign.totals
+  in
+  checkb "jobs=1 and jobs=3 aggregates identical" true
+    (campaign 1 = campaign 3)
+
+(* Frame release on a long-lived machine: one machine runs 200k
+   activities with no restore while its domains' owned-frame sets grow.
+   Releasing a frame (memory_op decrease) must cost the same late in the
+   run as early on: 49 words a call throughout, where rebuilding the
+   owned-frame list on every release cost ~2.4k words a call in the
+   first tenth of the run and ~39k in the last. *)
+let test_long_lived_frame_release () =
+  let cfg = run_cfg ~fault:Inject.Fault.Register ~seed:11L () in
+  let st = Inject.Run.boot_state cfg in
+  let n = 200_000 in
+  let tenth = n / 10 in
+  let words = [| 0; 0 |] and calls = [| 0; 0 |] in
+  for i = 0 to n - 1 do
+    let a = Inject.Run.sample_activity st in
+    let bucket = if i < tenth then 0 else if i >= n - tenth then 1 else -1 in
+    match a with
+    | Hyper.Hypervisor.Hypercall
+        { kind = Hyper.Hypercalls.Memory_op_decrease; _ }
+      when bucket >= 0 ->
+      let w0 = Gc.minor_words () in
+      Inject.Run.execute_activity st a;
+      words.(bucket) <- words.(bucket) + int_of_float (Gc.minor_words () -. w0);
+      calls.(bucket) <- calls.(bucket) + 1
+    | _ -> Inject.Run.execute_activity st a
+  done;
+  checkb "decreases in both tenths" true (calls.(0) > 0 && calls.(1) > 0);
+  let mean b = float_of_int words.(b) /. float_of_int calls.(b) in
+  let first = mean 0 and last = mean 1 in
+  if last > 2.0 *. first || last > 100.0 then
+    Alcotest.failf
+      "words per decrease: %.0f in the first tenth, %.0f in the last" first
+      last
 
 let test_campaign_minor_words_recorded () =
   let seq = Inject.Campaign.run ~jobs:1 ~n:4 (run_cfg ()) in
@@ -767,6 +898,14 @@ let () =
           Alcotest.test_case "reset equivalence matrix" `Slow
             test_reset_equivalence_matrix;
           Alcotest.test_case "gc budget per run" `Quick test_gc_budget_per_run;
+          Alcotest.test_case "activity word ceilings" `Quick
+            test_activity_word_ceilings;
+          Alcotest.test_case "activity ledger outside metrics" `Quick
+            test_activity_ledger_outside_metrics;
+          Alcotest.test_case "long-lived frame release" `Quick
+            test_long_lived_frame_release;
+          Alcotest.test_case "alloc counters jobs-invariant" `Quick
+            test_alloc_counters_jobs_invariant;
           Alcotest.test_case "campaign minor words" `Quick
             test_campaign_minor_words_recorded;
         ] );

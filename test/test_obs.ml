@@ -275,6 +275,39 @@ let test_campaign_metrics_parallel_identical () =
   checkb "aggregate metrics non-empty" true
     ((sm seq).Obs.Metrics.counters <> [])
 
+(* ------------------------- nlh-obs/1 damage ------------------------- *)
+
+(* A real metrics document: a small failstop campaign's aggregate, so
+   every histogram kind is populated and carries quantiles. *)
+let obs_document =
+  lazy
+    (let r = Inject.Campaign.run ~base_seed:3L ~jobs:1 ~n:6 (run_cfg ~seed:0L ()) in
+     Obs.Export.metrics_json
+       ~meta:[ ("runs", `Int 6); ("fault", `String "failstop") ]
+       (Inject.Campaign.snapshot r.Inject.Campaign.totals).Inject.Campaign.s_metrics)
+
+(* A torn write: every strict prefix of a real document is rejected. *)
+let test_obs_prefixes_rejected () =
+  let doc = Lazy.force obs_document in
+  checkb "intact document decodes" true
+    (Result.is_ok (Obs.Export.metrics_of_string doc));
+  for len = 0 to String.length doc - 1 do
+    if Result.is_ok (Obs.Export.metrics_of_string (String.sub doc 0 len)) then
+      Alcotest.failf "prefix of %d bytes accepted" len
+  done
+
+(* A byte substitution is either rejected or decodes to some other valid
+   document, but never raises. *)
+let prop_obs_substitution_never_raises =
+  QCheck.Test.make ~count:400 ~name:"nlh-obs/1 single-byte substitution never raises"
+    QCheck.(pair (int_bound 1_000_000) char)
+    (fun (i, c) ->
+      let doc = Lazy.force obs_document in
+      let b = Bytes.of_string doc in
+      Bytes.set b (i mod Bytes.length b) c;
+      match Obs.Export.metrics_of_string (Bytes.to_string b) with
+      | Ok _ | Error _ -> true)
+
 (* ------------------------- Chrome-trace export ---------------------- *)
 
 let get msg = function Some v -> v | None -> Alcotest.fail msg
@@ -407,6 +440,9 @@ let () =
         [
           Alcotest.test_case "chrome-trace roundtrip" `Quick
             test_chrome_trace_roundtrip;
+          Alcotest.test_case "nlh-obs/1 every strict prefix rejected" `Quick
+            test_obs_prefixes_rejected;
+          QCheck_alcotest.to_alcotest prop_obs_substitution_never_raises;
         ] );
       ( "json",
         [

@@ -186,6 +186,59 @@ let prop_rng_reproducible =
       List.init 20 (fun _ -> Sim.Rng.int64 a)
       = List.init 20 (fun _ -> Sim.Rng.int64 b))
 
+(* [float_below] is [float]'s draw compared in place: same answer, and
+   the generator ends at the same position. *)
+let prop_rng_float_below =
+  QCheck.Test.make ~name:"rng float_below = float <"
+    QCheck.(triple small_int (float_bound_inclusive 10.0) (float_bound_inclusive 10.0))
+    (fun (seed, x, y) ->
+      let a = seeded_rng seed and b = seeded_rng seed in
+      let below = Sim.Rng.float_below a x y in
+      below = (Sim.Rng.float b x < y) && Sim.Rng.int64 a = Sim.Rng.int64 b)
+
+(* ------------------------- Owned frames ----------------------------- *)
+
+(* An owned-frame set behaves as the newest-first [int list] it replaced
+   (push = cons, remove = filter out every copy), through growth,
+   compaction and image restores. Frames are drawn from a small range so
+   duplicates and hash collisions are the common case. *)
+let prop_owned_frames_list_model =
+  QCheck.Test.make ~name:"owned_frames = newest-first list" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 400) (pair (int_bound 5) (int_bound 40)))
+    (fun ops ->
+      let module O = Hyper.Owned_frames in
+      let t = O.create () in
+      let model = ref [] and images = ref [] in
+      let even _ f = f mod 2 = 0 in
+      List.for_all
+        (fun (op, f) ->
+          (match op with
+          | 0 | 1 | 2 ->
+            O.push t f;
+            model := f :: !model
+          | 3 ->
+            O.remove t f;
+            model := List.filter (fun f' -> f' <> f) !model
+          | 4 -> images := (O.capture t, !model) :: !images
+          | _ -> (
+            match !images with
+            | [] -> ()
+            | imgs ->
+              let img, m = List.nth imgs (f mod List.length imgs) in
+              O.restore t img;
+              model := m));
+          let evens = List.filter (fun f -> f mod 2 = 0) !model in
+          O.to_list t = !model
+          && O.length t = List.length !model
+          && O.count_if even () t = List.length evens
+          && List.for_all2
+               (fun k f -> O.nth_if even () t k = f)
+               (List.init (List.length evens) Fun.id)
+               evens
+          && O.nth_if even () t (List.length evens) = -1
+          && O.find_opt (fun f -> f > 20) t = List.find_opt (fun f -> f > 20) !model)
+        ops)
+
 (* ------------------------- Recovery invariant ----------------------- *)
 
 (* Full-enhancement microreset always leaves: zero IRQ counts, no held
@@ -270,6 +323,8 @@ let () =
             prop_sched_fix_restores_consistency;
             prop_rng_int_in_bounds;
             prop_rng_reproducible;
+            prop_rng_float_below;
+            prop_owned_frames_list_model;
           ] );
       ( "recovery",
         List.map to_alcotest [ prop_microreset_postconditions; prop_run_deterministic ]
