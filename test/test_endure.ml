@@ -231,6 +231,16 @@ let test_campaign_parallel_deterministic () =
        (fun (_, s, c) -> s >= 0.0 && s <= 1.0 && c >= 0.0 && c <= 1.0)
        (Endure.survival_curve seq))
 
+(* The paper's "few pages per recovery" claim as a ceiling: six
+   failstop NiLiHype scenarios of twelve successive recoveries each on
+   one instance, and no recovery leaks more than 8 pages. *)
+let test_campaign_within_leak_budget () =
+  let cfg = { (endure_cfg ~cycles:12 ()) with Endure.settle_activities = 120 } in
+  let r = Endure.run ~base_seed:96_000L ~jobs:1 ~scenarios:6 cfg in
+  checki "scenarios counted" 6 r.Endure.totals.Endure.scenarios;
+  checki "no recovery over the 8-page budget" 0
+    r.Endure.totals.Endure.budget_violations
+
 (* ------------------------- Satellites ------------------------------- *)
 
 (* Satellite: the NMI-watchdog hang-detection period is a config field
@@ -304,6 +314,8 @@ let () =
           Alcotest.test_case "merge commutative" `Quick test_merge_commutative;
           Alcotest.test_case "jobs=1 vs jobs=4 identical" `Slow
             test_campaign_parallel_deterministic;
+          Alcotest.test_case "failstop within leak budget" `Quick
+            test_campaign_within_leak_budget;
         ] );
       ( "satellites",
         [

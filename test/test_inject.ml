@@ -492,6 +492,55 @@ let test_alloc_counters_jobs_invariant () =
   checkb "jobs=1 and jobs=3 aggregates identical" true
     (campaign 1 = campaign 3)
 
+(* Phase attribution accounts for the whole run: on the failstop
+   campaign configuration, the [alloc.*] phase words of a direct
+   single-worker loop sum to within 5% of its [Gc.minor_words] delta,
+   and a campaign over the same seeds records exactly the loop's
+   per-phase sums. The loop reads the counters back as plain ints after
+   each run (the next rewind zeroes them), so it adds almost nothing
+   outside the attributed window. *)
+let test_alloc_attribution_agrees () =
+  let cfg = run_cfg () in
+  let base_seed = 90_000L and n = 40 in
+  let r = small_recorder () in
+  Obs.Recorder.set_alloc_profiling r true;
+  let w = Inject.Run.prepare ~recorder:r cfg in
+  let phases = Obs.Recorder.alloc_phases in
+  let sums = Array.make (List.length phases) 0 in
+  let run_one i =
+    let seed = Int64.add base_seed (Int64.of_int i) in
+    ignore (Inject.Run.execute_into w { cfg with Inject.Run.seed })
+  in
+  (* Warm runs: first-touch growth of long-lived structures must not
+     pollute the steady-state attribution. *)
+  for i = 0 to 2 do
+    run_one i
+  done;
+  let gc_start = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    run_one i;
+    List.iteri
+      (fun pi p -> sums.(pi) <- sums.(pi) + Obs.Recorder.alloc_words r p)
+      phases
+  done;
+  let gc_delta = Gc.minor_words () -. gc_start in
+  let agreement = float_of_int (Array.fold_left ( + ) 0 sums) /. gc_delta in
+  if agreement < 0.95 || agreement > 1.05 then
+    Alcotest.failf "phase words are %.3f of the Gc.minor_words delta"
+      agreement;
+  let campaign =
+    Inject.Campaign.run ~base_seed ~jobs:1 ~alloc_profile:true ~n cfg
+  in
+  let counters =
+    campaign.Inject.Campaign.totals.Inject.Campaign.metrics.Obs.Metrics.counters
+  in
+  List.iteri
+    (fun pi p ->
+      let name = "alloc." ^ Obs.Recorder.alloc_phase_name p in
+      checki (name ^ " campaign = direct loop") sums.(pi)
+        (Option.value ~default:0 (List.assoc_opt name counters)))
+    phases
+
 (* Frame release on a long-lived machine: one machine runs 200k
    activities with no restore while its domains' owned-frame sets grow.
    Releasing a frame (memory_op decrease) must cost the same late in the
@@ -634,6 +683,45 @@ let test_restore_zero_leak_audit () =
   (* One explicit final rewind so the audit also covers the last run. *)
   Inject.Run.rewind w cfg;
   checkb "no leaks across restores" true true
+
+(* Restore is O(changed state): a rewind costs at most 15% of a fresh
+   boot's minor words, averaged over rewinds after register runs
+   (non-manifested, SDC and recovered) and after failstop runs with no
+   recovery (died, the class that used to force a fresh boot). *)
+let test_restore_words_vs_fresh_boot () =
+  let cfg = run_cfg ~fault:Inject.Fault.Register () in
+  let boots = 3 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to boots - 1 do
+    let seed = Int64.of_int (100_000 + i) in
+    ignore (Sys.opaque_identity (Inject.Run.boot_state { cfg with Inject.Run.seed }))
+  done;
+  let fresh_words = (Gc.minor_words () -. w0) /. float_of_int boots in
+  let restores = ref 0 and restore_words = ref 0.0 in
+  let measure (cfg : Inject.Run.config) n =
+    let w = Inject.Run.prepare ~recorder:(small_recorder ()) cfg in
+    for i = 0 to n - 1 do
+      let cfg = { cfg with Inject.Run.seed = Int64.of_int (100_000 + i) } in
+      ignore (Inject.Run.execute_into w cfg);
+      let w0 = Gc.minor_words () in
+      Inject.Run.rewind w cfg;
+      restore_words := !restore_words +. (Gc.minor_words () -. w0);
+      incr restores
+    done
+  in
+  measure cfg 60;
+  measure
+    {
+      cfg with
+      Inject.Run.fault = Inject.Fault.Failstop;
+      mech = Inject.Run.No_recovery;
+      hv_config = Hyper.Config.stock;
+    }
+    20;
+  let fraction = !restore_words /. float_of_int !restores /. fresh_words in
+  if fraction > 0.15 then
+    Alcotest.failf "a restore costs %.1f%% of a fresh boot's minor words"
+      (100.0 *. fraction)
 
 let test_clone_deterministic () =
   let cfg = run_cfg ~fault:Inject.Fault.Register ~seed:5L () in
@@ -906,6 +994,8 @@ let () =
             test_long_lived_frame_release;
           Alcotest.test_case "alloc counters jobs-invariant" `Quick
             test_alloc_counters_jobs_invariant;
+          Alcotest.test_case "alloc attribution agrees with Gc" `Quick
+            test_alloc_attribution_agrees;
           Alcotest.test_case "campaign minor words" `Quick
             test_campaign_minor_words_recorded;
         ] );
@@ -916,6 +1006,8 @@ let () =
           Alcotest.test_case "snapshot after snapshot" `Quick
             test_snapshot_after_snapshot;
           Alcotest.test_case "restore after died" `Quick test_restore_after_died;
+          Alcotest.test_case "restore words vs fresh boot" `Quick
+            test_restore_words_vs_fresh_boot;
           Alcotest.test_case "zero-leak restore audit" `Quick
             test_restore_zero_leak_audit;
           Alcotest.test_case "superseded image rejected" `Quick
