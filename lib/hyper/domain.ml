@@ -22,6 +22,9 @@ type vcpu = {
       (* guest FS/GS still intact? lost if recovery resumes the guest
          without having saved them on hypervisor entry *)
   mutable in_hypercall : Hypercalls.record option;
+      (* [None], or [in_flight]: the call this vCPU is executing *)
+  record : Hypercalls.record; (* reused by every hypercall of this vCPU *)
+  in_flight : Hypercalls.record option; (* [Some record], built once *)
   mutable in_syscall_forward : bool;
   mutable retry_pending : bool; (* set up to re-issue hypercall on resume *)
   mutable syscall_retry_pending : bool;
@@ -53,7 +56,7 @@ let runstate_name = function
   | Paused -> "paused"
   | Offline -> "offline"
 
-let make_vcpu ~domid ~vid ~processor =
+let make_vcpu ~domid ~vid ~processor record =
   {
     vid;
     domid;
@@ -64,13 +67,18 @@ let make_vcpu ~domid ~vid ~processor =
     guest_regs = Hw.Regs.create ();
     fsgs_valid = true;
     in_hypercall = None;
+    record;
+    in_flight = Some record;
     in_syscall_forward = false;
     retry_pending = false;
     syscall_retry_pending = false;
     lost_work = false;
   }
 
-let create ?(is_idle = false) heap ~domid ~privileged ~vcpus:vcpu_pins =
+(* Each vCPU gets its hypercall record here, sized from [config] (see
+   [Hypercalls.pooled]), so no hypercall allocates one later. *)
+let create ?(is_idle = false) heap ~config ~pfn ~domid ~privileged
+    ~vcpus:vcpu_pins =
   let page_lock =
     Spinlock.create
       ~name:(Printf.sprintf "d%d_page_alloc" domid)
@@ -78,20 +86,26 @@ let create ?(is_idle = false) heap ~domid ~privileged ~vcpus:vcpu_pins =
   in
   let lock_obj = Heap.alloc heap (Heap.Lock page_lock) in
   let data_obj = Heap.alloc heap ~size:8192 (Heap.Domain_data domid) in
+  (* Heap allocation order is replayed by every run: grant table, then
+     event channels. *)
+  let grants = Grant.create heap ~slots:128 domid in
+  let evtchn = Evtchn.create heap ~ports:64 domid in
+  let vcpu vid processor =
+    make_vcpu ~domid ~vid ~processor
+      (Hypercalls.pooled config ~pfn ~grants:grants.Grant.entries)
+  in
   {
     domid;
     privileged;
     is_idle;
-    vcpus =
-      Array.of_list
-        (List.mapi (fun vid processor -> make_vcpu ~domid ~vid ~processor) vcpu_pins);
+    vcpus = Array.of_list (List.mapi vcpu vcpu_pins);
     alive = true;
     struct_ok = true;
     guest_failed = false;
     guest_sdc = false;
     owned_frames = Owned_frames.create ();
-    evtchn = Evtchn.create heap ~ports:64 domid;
-    grants = Grant.create heap ~slots:128 domid;
+    evtchn;
+    grants;
     page_lock;
     heap_objs = [ lock_obj; data_obj ];
   }

@@ -278,7 +278,10 @@ let setup_ioapic_routing t =
 let create_domain_internal ?(is_idle = false) t ~privileged ~vcpu_pins ~mem_frames =
   let domid = t.next_domid in
   t.next_domid <- t.next_domid + 1;
-  let dom = Domain.create ~is_idle t.heap ~domid ~privileged ~vcpus:vcpu_pins in
+  let dom =
+    Domain.create ~is_idle t.heap ~config:t.config ~pfn:t.pfn ~domid ~privileged
+      ~vcpus:vcpu_pins
+  in
   Hashtbl.replace t.domains domid dom;
   for i = 0 to mem_frames - 1 do
     let ptype = if i mod 8 = 0 then Pfn.Page_table else Pfn.Writable in
@@ -465,11 +468,14 @@ let journal_tail t = Obs.Flight.tail t.journal_flight
      rewinds as usual; the layer is gone after that. Restoring either
      live image is repeatable (restore, run, restore again): each
      restore drains the dirty lists, later writes re-dirty.
-   - Snapshot at quiesce points only: an in-flight hypercall record
-     ([vcpu.in_hypercall]) is captured by reference, so interior
-     mutation of a record alive at snapshot time (sub-op progress, its
-     undo journal) would leak across a restore. Both harness snapshot
-     points (post-boot, post-warmup) have no in-flight hypercalls.
+   - Snapshot at quiesce points only: [snapshot] raises
+     [Invalid_argument] while any vCPU has a hypercall in flight
+     ([vcpu.in_hypercall <> None]). The record is the vCPU's own, reset
+     by its next call, so an image could not hold it: its slots and
+     undo journal would carry that later call's state into the restore.
+     Every image therefore has no call in flight, and [restore] clears
+     [in_hypercall]. The harness snapshot points (post-boot,
+     post-warmup) are quiesced.
    - The recorder ([t.obs]) and the flight rings are deliberately NOT
      part of the image, and [restore] never resets them: observability
      state survives recovery, like the paper's persistent journal.
@@ -500,7 +506,6 @@ type vcpu_image = {
   iv_curr_slot : int;
   iv_guest_regs : Hw.Regs.t;
   iv_fsgs_valid : bool;
-  iv_in_hypercall : Hypercalls.record option;
   iv_in_syscall_forward : bool;
   iv_retry_pending : bool;
   iv_syscall_retry_pending : bool;
@@ -528,7 +533,9 @@ type percpu_image = {
   ip_in_hypercall_depth : int;
   ip_curr_domid : int;
   ip_curr_vcpuid : int;
-  ip_saved_guest_fsgs : (int64 * int64) option;
+  ip_fsgs_saved : bool;
+  ip_saved_fs : int64;
+  ip_saved_gs : int64;
   ip_heap_lock : lock_image;
 }
 
@@ -569,7 +576,6 @@ let capture_vcpu (v : Domain.vcpu) =
     iv_curr_slot = v.Domain.curr_slot;
     iv_guest_regs = Hw.Regs.copy v.Domain.guest_regs;
     iv_fsgs_valid = v.Domain.fsgs_valid;
-    iv_in_hypercall = v.Domain.in_hypercall;
     iv_in_syscall_forward = v.Domain.in_syscall_forward;
     iv_retry_pending = v.Domain.retry_pending;
     iv_syscall_retry_pending = v.Domain.syscall_retry_pending;
@@ -584,7 +590,7 @@ let restore_vcpu im =
   v.Domain.curr_slot <- im.iv_curr_slot;
   Hw.Regs.restore ~from:im.iv_guest_regs v.Domain.guest_regs;
   v.Domain.fsgs_valid <- im.iv_fsgs_valid;
-  v.Domain.in_hypercall <- im.iv_in_hypercall;
+  v.Domain.in_hypercall <- None;
   v.Domain.in_syscall_forward <- im.iv_in_syscall_forward;
   v.Domain.retry_pending <- im.iv_retry_pending;
   v.Domain.syscall_retry_pending <- im.iv_syscall_retry_pending;
@@ -659,9 +665,14 @@ let restore_domain im =
    into the wrong hypervisor is refused too. *)
 let generations = Atomic.make 1
 
+let in_flight_vcpu (d : Domain.t) =
+  Array.exists (fun (v : Domain.vcpu) -> v.Domain.in_hypercall <> None) d.Domain.vcpus
+
 let snapshot ?(layer = false) t =
   if layer && (t.base_gen = 0 || t.layer_gen <> 0) then
     invalid_arg "Hypervisor.snapshot: a layer needs a base image and no other layer";
+  if List.exists in_flight_vcpu (all_domains t) then
+    invalid_arg "Hypervisor.snapshot: a hypercall is in flight";
   Pfn.snapshot ~layer t.pfn;
   Heap.snapshot ~layer t.heap;
   Timer_heap.snapshot ~layer t.timers;
@@ -688,7 +699,9 @@ let snapshot ?(layer = false) t =
             ip_in_hypercall_depth = p.Percpu.in_hypercall_depth;
             ip_curr_domid = p.Percpu.curr_domid;
             ip_curr_vcpuid = p.Percpu.curr_vcpuid;
-            ip_saved_guest_fsgs = p.Percpu.saved_guest_fsgs;
+            ip_fsgs_saved = p.Percpu.fsgs_saved;
+            ip_saved_fs = p.Percpu.saved_fs;
+            ip_saved_gs = p.Percpu.saved_gs;
             ip_heap_lock = capture_lock p.Percpu.heap_lock;
           })
         t.percpu;
@@ -734,7 +747,9 @@ let restore t (im : image) =
       p.Percpu.in_hypercall_depth <- s.ip_in_hypercall_depth;
       p.Percpu.curr_domid <- s.ip_curr_domid;
       p.Percpu.curr_vcpuid <- s.ip_curr_vcpuid;
-      p.Percpu.saved_guest_fsgs <- s.ip_saved_guest_fsgs;
+      p.Percpu.fsgs_saved <- s.ip_fsgs_saved;
+      p.Percpu.saved_fs <- s.ip_saved_fs;
+      p.Percpu.saved_gs <- s.ip_saved_gs;
       restore_lock s.ip_heap_lock)
     t.percpu;
   Array.blit im.im_runq 0 t.sched.Sched.runq 0 (Array.length im.im_runq);
@@ -820,8 +835,9 @@ let step ?(cycles = 150) t step_name =
 
 (* Journal append helper: charges the logging cycles that produce the
    Figure 3 overhead. Same inlined field updates as [step]: the journal
-   write path runs a few thousand times per run. *)
-let journal_log t (journal : Journal.t) entry =
+   write path runs a few thousand times per run. [target] is the frame
+   index (the grant slot for the grant ops) the entry names. *)
+let journal_log t (journal : Journal.t) op ~target ~operand =
   if journal.Journal.enabled then begin
     let cyc = t.cycles in
     cyc.Cycle_account.total <- cyc.Cycle_account.total + Journal.cycles_per_write;
@@ -832,14 +848,14 @@ let journal_log t (journal : Journal.t) entry =
     Obs.Metrics.incr t.obs.Obs.Recorder.journal_writes;
     (* Flight ring: entry kinds are constant strings, so this is pure
        array stores -- always on, no level filter. *)
-    Obs.Flight.note t.journal_flight ~name:(Journal.entry_kind entry)
+    Obs.Flight.note t.journal_flight ~name:(Journal.op_kind op)
       ~time:clk.Sim.Clock.now;
     if Obs.Recorder.enabled t.obs Obs.Event.Debug then
       observe t Obs.Event.Debug
         (Obs.Event.Journal_append
-           { kind = Journal.entry_kind entry; depth = Journal.depth journal + 1 })
+           { kind = Journal.op_kind op; depth = Journal.depth journal + 1 })
   end;
-  Journal.log journal entry
+  Journal.log journal op ~target ~operand
 
 (* ------------------------------------------------------------------ *)
 (* Hypercall handlers                                                  *)
@@ -854,11 +870,12 @@ let indexed_name table prefix i =
    before, so the streams -- and the chosen elements -- are identical. *)
 let writable pfn f = (Pfn.get pfn f).Pfn.ptype = Pfn.Writable
 
+(* -1 when the domain owns no writable frame. *)
 let pick_writable_frame t rng (dom : Domain.t) =
   let owned = dom.Domain.owned_frames in
   match Owned_frames.count_if writable t.pfn owned with
-  | 0 -> None
-  | n -> Some (Owned_frames.nth_if writable t.pfn owned (Sim.Rng.int rng n))
+  | 0 -> -1
+  | n -> Owned_frames.nth_if writable t.pfn owned (Sim.Rng.int rng n)
 
 (* Whether [f] backs an in-use grant entry (the membership test formerly
    done against a freshly built list of granted frames). *)
@@ -866,6 +883,12 @@ let rec frame_granted (entries : Grant.entry array) f i =
   i < Array.length entries
   && ((entries.(i).Grant.in_use && entries.(i).Grant.frame = f)
      || frame_granted entries f (i + 1))
+
+(* A table an mmu_update may replace: a currently pinned page-table frame
+   that backs no grant entry. *)
+let replaceable_table pfn grants f =
+  let o = Pfn.get pfn f in
+  o.Pfn.ptype = Pfn.Page_table && o.Pfn.validated && not (frame_granted grants f 0)
 
 let rec count_free_grant_slots (entries : Grant.entry array) acc i =
   if i >= Array.length entries then acc
@@ -882,39 +905,32 @@ let rec nth_free_grant_slot (entries : Grant.entry array) k i =
     if k = 0 then e else nth_free_grant_slot entries (k - 1) (i + 1)
   else nth_free_grant_slot entries k (i + 1)
 
+(* The handlers below execute call-tree node [node] of [record] (see
+   [Hypercalls.record]): its arguments are [record]'s slots at [node],
+   chosen on the first run and replayed as they stand on a retry. *)
+
 (* mmu_update: pin a fresh frame as a page table (get ref, write PTEs,
    validate) and unpin an old one. The validate/commit gap is the
    non-idempotent retry hazard of Section IV; code reordering moves the
    critical updates as late as possible, the undo journal makes them
    reversible. *)
 let exec_mmu_update t journal (dom : Domain.t) (record : Hypercalls.record)
-    ~entries =
+    node ~entries =
   step t "lock_page_alloc";
   Spinlock.acquire dom.Domain.page_lock ~cpu:0;
-  let target, old_frame =
-    match record.Hypercalls.target_frames with
-    | f :: rest ->
-      (Pfn.get t.pfn f, match rest with o :: _ -> Some o | [] -> None)
-    | [] ->
-      step t "alloc_frame";
-      let d = Pfn.alloc_frame t.pfn ~owner:dom.Domain.domid ~ptype:Pfn.Page_table in
-      (* The table being replaced: a currently pinned page-table frame
-         (not one backing a grant entry). *)
-      let old_frame =
-        Owned_frames.find_opt
-          (fun f ->
-            let o = Pfn.get t.pfn f in
-            o.Pfn.ptype = Pfn.Page_table && o.Pfn.validated
-            && f <> d.Pfn.index
-            && not (frame_granted dom.Domain.grants.Grant.entries f 0))
-          dom.Domain.owned_frames
-      in
-      record.Hypercalls.target_frames <-
-        (d.Pfn.index :: (match old_frame with Some o -> [ o ] | None -> []));
-      record.Hypercalls.fresh_frames <- [ d.Pfn.index ];
-      Owned_frames.push dom.Domain.owned_frames d.Pfn.index;
-      (d, old_frame)
-  in
+  if record.Hypercalls.targets.(node) < 0 then begin
+    step t "alloc_frame";
+    let d = Pfn.alloc_frame t.pfn ~owner:dom.Domain.domid ~ptype:Pfn.Page_table in
+    (* The table being replaced. Never [d]: a fresh frame is not
+       validated. *)
+    record.Hypercalls.old_frames.(node) <-
+      Owned_frames.find_if replaceable_table t.pfn dom.Domain.grants.Grant.entries
+        dom.Domain.owned_frames;
+    record.Hypercalls.targets.(node) <- d.Pfn.index;
+    Owned_frames.push dom.Domain.owned_frames d.Pfn.index
+  end;
+  let target = Pfn.get t.pfn record.Hypercalls.targets.(node) in
+  let o = record.Hypercalls.old_frames.(node) in
   (* Unpin the table being replaced: invalidate + drop the pin
      reference. The frame keeps its allocation reference and returns to
      the guest's writable pool (a later decrease_reservation frees it);
@@ -922,16 +938,16 @@ let exec_mmu_update t journal (dom : Domain.t) (record : Hypercalls.record)
      an already-invalid frame); reversible only through the undo
      journal -- code reordering cannot move this, because the PTE writes
      below must not race with a still-pinned old table. *)
-  (match old_frame with
-  | Some o ->
+  if o >= 0 then begin
     let od = Pfn.get t.pfn o in
     step t "unpin_old_table";
     if od.Pfn.validated then begin
-      journal_log t journal (Journal.Validated_cleared od);
+      journal_log t journal Journal.Validated_cleared ~target:o ~operand:0;
       Pfn.invalidate od;
-      journal_log t journal (Journal.Type_change (od, od.Pfn.ptype));
-      journal_log t journal (Journal.Owner_change (od, od.Pfn.owner));
-      journal_log t journal (Journal.Use_count_delta (od, -1));
+      journal_log t journal Journal.Type_change ~target:o
+        ~operand:(Journal.page_type_code od.Pfn.ptype);
+      journal_log t journal Journal.Owner_change ~target:o ~operand:od.Pfn.owner;
+      journal_log t journal Journal.Use_count_delta ~target:o ~operand:(-1);
       Pfn.put_page od;
       if od.Pfn.use_count > 0 then begin
         Pfn.touch od;
@@ -941,16 +957,17 @@ let exec_mmu_update t journal (dom : Domain.t) (record : Hypercalls.record)
     else
       (* Retry without undo: double unpin. *)
       Pfn.invalidate od
-  | None -> ());
+  end;
   (* Retrying with the same target: if the first execution already
      validated it and nothing undid that, [Pfn.validate] panics -- the
      paper's "re-execution results in an inconsistent state". Code
      reordering (when this handler is among the enhanced ones) moves the
      critical update to the end, shrinking the window. *)
+  let f = target.Pfn.index in
   if not (t.config.Config.code_reordering && record.Hypercalls.enhanced) then begin
     step t "validate_early";
     if not target.Pfn.validated then begin
-      journal_log t journal (Journal.Validated_set target);
+      journal_log t journal Journal.Validated_set ~target:f ~operand:0;
       Pfn.validate target
     end
     else Pfn.validate target (* panics: double validation *)
@@ -959,12 +976,12 @@ let exec_mmu_update t journal (dom : Domain.t) (record : Hypercalls.record)
     step ~cycles:120 t (indexed_name t.pte_write_names "pte_write_" i)
   done;
   step t "get_page_ref";
-  journal_log t journal (Journal.Use_count_delta (target, 1));
+  journal_log t journal Journal.Use_count_delta ~target:f ~operand:1;
   Pfn.get_page target;
   if t.config.Config.code_reordering && record.Hypercalls.enhanced then begin
     step t "validate_late";
     if not target.Pfn.validated then begin
-      journal_log t journal (Journal.Validated_set target);
+      journal_log t journal Journal.Validated_set ~target:f ~operand:0;
       Pfn.validate target
     end
     else Pfn.validate target
@@ -973,116 +990,93 @@ let exec_mmu_update t journal (dom : Domain.t) (record : Hypercalls.record)
   Spinlock.release dom.Domain.page_lock ~cpu:0
 
 let exec_update_va_mapping t rng journal (dom : Domain.t)
-    (record : Hypercalls.record) =
-  let frame =
-    match record.Hypercalls.target_frames with
-    | f :: _ -> Some f
-    | [] ->
-      let f = pick_writable_frame t rng dom in
-      (match f with
-      | Some f -> record.Hypercalls.target_frames <- [ f ]
-      | None -> ());
-      f
-  in
-  match frame with
-  | None -> ()
-  | Some f ->
+    (record : Hypercalls.record) node =
+  if record.Hypercalls.targets.(node) < 0 then
+    record.Hypercalls.targets.(node) <- pick_writable_frame t rng dom;
+  let f = record.Hypercalls.targets.(node) in
+  if f >= 0 then begin
     let d = Pfn.get t.pfn f in
     step t "get_page";
-    journal_log t journal (Journal.Use_count_delta (d, 1));
+    journal_log t journal Journal.Use_count_delta ~target:f ~operand:1;
     Pfn.get_page d;
     step ~cycles:100 t "write_pte";
     step ~cycles:200 t "flush_tlb";
     step t "put_page";
-    journal_log t journal (Journal.Use_count_delta (d, -1));
+    journal_log t journal Journal.Use_count_delta ~target:f ~operand:(-1);
     Pfn.put_page d
+  end
 
-let exec_memory_op_populate t journal (dom : Domain.t)
-    (record : Hypercalls.record) =
-  for i = 1 to 2 do
-    ignore i;
+let exec_memory_op_populate t journal (dom : Domain.t) =
+  for _ = 1 to 2 do
     (* The buddy-allocator critical section under the static heap lock is
        short: acquire and release within the allocation step. *)
     step t "alloc_frame";
     Spinlock.acquire t.global_heap_lock ~cpu:0;
     let d = Pfn.alloc_frame t.pfn ~owner:dom.Domain.domid ~ptype:Pfn.Writable in
     Spinlock.release t.global_heap_lock ~cpu:0;
-    journal_log t journal
-      (Journal.Undo_fn
-         (fun () ->
-           if d.Pfn.use_count > 0 then Pfn.put_page d));
-    record.Hypercalls.fresh_frames <- d.Pfn.index :: record.Hypercalls.fresh_frames;
+    journal_log t journal Journal.Put_if_used ~target:d.Pfn.index ~operand:0;
     step t "assign_page";
     Owned_frames.push dom.Domain.owned_frames d.Pfn.index
   done
 
 let exec_memory_op_decrease t rng journal (dom : Domain.t)
-    (record : Hypercalls.record) =
-  (match record.Hypercalls.target_frames with
-  | [] ->
-    (match pick_writable_frame t rng dom with
-    | Some f -> record.Hypercalls.target_frames <- [ f ]
-    | None -> ())
-  | _ -> ());
-  match record.Hypercalls.target_frames with
-  | [] -> ()
-  | f :: _ ->
+    (record : Hypercalls.record) node =
+  if record.Hypercalls.targets.(node) < 0 then
+    record.Hypercalls.targets.(node) <- pick_writable_frame t rng dom;
+  let f = record.Hypercalls.targets.(node) in
+  if f >= 0 then begin
     let d = Pfn.get t.pfn f in
     (* Double execution without undo double-puts the frame: underflow. *)
     step t "put_page";
-    journal_log t journal (Journal.Type_change (d, d.Pfn.ptype));
-    journal_log t journal (Journal.Owner_change (d, d.Pfn.owner));
-    journal_log t journal (Journal.Use_count_delta (d, -1));
+    journal_log t journal Journal.Type_change ~target:f
+      ~operand:(Journal.page_type_code d.Pfn.ptype);
+    journal_log t journal Journal.Owner_change ~target:f ~operand:d.Pfn.owner;
+    journal_log t journal Journal.Use_count_delta ~target:f ~operand:(-1);
     Spinlock.acquire t.global_heap_lock ~cpu:0;
     Pfn.put_page d;
     Spinlock.release t.global_heap_lock ~cpu:0;
     step t "remove_from_domain";
     Owned_frames.remove dom.Domain.owned_frames f
+  end
 
 let exec_grant_table_op t rng journal (dom : Domain.t)
-    (record : Hypercalls.record) ~subops =
+    (record : Hypercalls.record) node ~subops =
   step t "lock_grant";
   Spinlock.acquire dom.Domain.grants.Grant.lock ~cpu:0;
-  (match record.Hypercalls.target_frames with
-  | [] -> (
+  if record.Hypercalls.targets.(node) < 0 then begin
     (* Map then unmap a granted frame per sub-op pair. *)
     let entries = dom.Domain.grants.Grant.entries in
     match count_free_grant_slots entries 0 0 with
     | 0 -> ()
     | n ->
       let e = nth_free_grant_slot entries (Sim.Rng.int rng n) 0 in
-      record.Hypercalls.target_frames <- [ e.Grant.slot ])
-  | _ -> ());
-  (match record.Hypercalls.target_frames with
-  | slot :: _ ->
+      record.Hypercalls.targets.(node) <- e.Grant.slot
+  end;
+  let slot = record.Hypercalls.targets.(node) in
+  if slot >= 0 then begin
     let e = dom.Domain.grants.Grant.entries.(slot) in
     for i = 1 to subops do
-      let frame_desc =
-        if e.Grant.frame >= 0 then Some (Pfn.get t.pfn e.Grant.frame) else None
-      in
+      (* The granted frame as the sub-op finds it, before its steps. *)
+      let frame = e.Grant.frame in
       step t (indexed_name t.grant_map_names "grant_map_" i);
       (* Retrying a completed map panics ("already mapped") unless the
          undo log reverted it. *)
-      journal_log t journal
-        (Journal.Undo_fn (fun () -> if e.Grant.mapped_by <> -1 then e.Grant.mapped_by <- -1));
+      journal_log t journal Journal.Grant_unmap_undo ~target:slot ~operand:0;
       Grant.map dom.Domain.grants ~slot ~by:0;
-      (match frame_desc with
-      | Some d ->
-        journal_log t journal (Journal.Use_count_delta (d, 1));
-        Pfn.get_page d
-      | None -> ());
+      if frame >= 0 then begin
+        journal_log t journal Journal.Use_count_delta ~target:frame ~operand:1;
+        Pfn.get_page (Pfn.get t.pfn frame)
+      end;
       step ~cycles:400 t (indexed_name t.ring_io_names "ring_io_" i);
       step t (indexed_name t.grant_unmap_names "grant_unmap_" i);
-      journal_log t journal
-        (Journal.Undo_fn (fun () -> if e.Grant.mapped_by = -1 then e.Grant.mapped_by <- 0));
+      journal_log t journal Journal.Grant_remap_undo ~target:slot ~operand:0;
       Grant.unmap dom.Domain.grants ~slot;
-      match frame_desc with
-      | Some d ->
-        journal_log t journal (Journal.Use_count_delta (d, -1));
-        Pfn.put_page d
-      | None -> ()
+      if frame >= 0 then begin
+        journal_log t journal Journal.Use_count_delta ~target:frame ~operand:(-1);
+        Pfn.put_page (Pfn.get t.pfn frame)
+      end
     done
-  | [] -> ());
+  end;
   step t "unlock_grant";
   Spinlock.release dom.Domain.grants.Grant.lock ~cpu:0
 
@@ -1188,22 +1182,26 @@ let rec first_unbound_chan (chans : Evtchn.chan array) i =
   else if not chans.(i).Evtchn.bound then i
   else first_unbound_chan chans (i + 1)
 
-(* Dispatch a hypercall body. [record] carries retry state. *)
+(* Dispatch call-tree node [node] of [record], of kind [kind]. *)
 let rec exec_hypercall_body t rng journal cpu (vcpu : Domain.vcpu)
-    (record : Hypercalls.record) (kind : Hypercalls.kind) =
+    (record : Hypercalls.record) node (kind : Hypercalls.kind) =
   let dom =
-    match domain t vcpu.Domain.domid with
-    | Some d -> d
-    | None -> Crash.panic "hypercall from dead domain %d" vcpu.Domain.domid
+    match Hashtbl.find t.domains vcpu.Domain.domid with
+    | d -> d
+    | exception Not_found ->
+      Crash.panic "hypercall from dead domain %d" vcpu.Domain.domid
   in
   Domain.check_struct dom;
   match kind with
-  | Hypercalls.Mmu_update entries -> exec_mmu_update t journal dom record ~entries
-  | Hypercalls.Update_va_mapping -> exec_update_va_mapping t rng journal dom record
-  | Hypercalls.Memory_op_populate -> exec_memory_op_populate t journal dom record
-  | Hypercalls.Memory_op_decrease -> exec_memory_op_decrease t rng journal dom record
+  | Hypercalls.Mmu_update entries ->
+    exec_mmu_update t journal dom record node ~entries
+  | Hypercalls.Update_va_mapping ->
+    exec_update_va_mapping t rng journal dom record node
+  | Hypercalls.Memory_op_populate -> exec_memory_op_populate t journal dom
+  | Hypercalls.Memory_op_decrease ->
+    exec_memory_op_decrease t rng journal dom record node
   | Hypercalls.Grant_table_op subops ->
-    exec_grant_table_op t rng journal dom record ~subops
+    exec_grant_table_op t rng journal dom record node ~subops
   | Hypercalls.Event_channel_send -> exec_evtchn_send t dom
   | Hypercalls.Event_channel_bind -> (
     step t "bind_port";
@@ -1226,31 +1224,27 @@ let rec exec_hypercall_body t rng journal cpu (vcpu : Domain.vcpu)
     | [] -> ())
   | Hypercalls.Domctl_pause_domain -> step t "pause"
   | Hypercalls.Multicall kinds ->
-    (* Each component gets its own argument record (created once, reused
-       verbatim on retry); all components share the batch's journal. *)
-    if record.Hypercalls.children = [] then
-      record.Hypercalls.children <-
-        List.map
-          (fun k ->
-            Hypercalls.make_record ~enhanced:record.Hypercalls.enhanced
-              ~logging:false k)
-          kinds;
-    List.iteri
-      (fun i child ->
-        if i >= record.Hypercalls.sub_completed then begin
-          exec_hypercall_body t rng journal cpu vcpu child
-            child.Hypercalls.kind;
-          if t.config.Config.hypercall_progress_tracking then begin
-            (* Fine-granularity batched retry: log each component's
-               completion so a retry skips it. *)
-            Cycle_account.charge_logging t.cycles 40;
-            record.Hypercalls.sub_completed <- record.Hypercalls.sub_completed + 1;
-            Journal.commit journal
-          end
-        end)
-      record.Hypercalls.children
+    exec_components t rng journal cpu vcpu record node 0 (node + 1) kinds
 
-let journal_of_record _t (record : Hypercalls.record) = record.Hypercalls.journal
+(* The components of the multicall at [node], from the [i]-th, whose
+   node is [child]: each keeps its own argument slots (fixed on first
+   run, replayed on retry) and all share the batch's journal. *)
+and exec_components t rng journal cpu vcpu record node i child = function
+  | [] -> ()
+  | kind :: rest ->
+    if i >= record.Hypercalls.sub_completed.(node) then begin
+      exec_hypercall_body t rng journal cpu vcpu record child kind;
+      if t.config.Config.hypercall_progress_tracking then begin
+        (* Fine-granularity batched retry: log each component's
+           completion so a retry skips it. *)
+        Cycle_account.charge_logging t.cycles 40;
+        record.Hypercalls.sub_completed.(node) <-
+          record.Hypercalls.sub_completed.(node) + 1;
+        Journal.commit journal
+      end
+    end;
+    exec_components t rng journal cpu vcpu record node (i + 1)
+      (child + Hypercalls.nodes kind) rest
 
 (* ------------------------------------------------------------------ *)
 (* Top-level activities                                                *)
@@ -1412,8 +1406,8 @@ let do_device_interrupt t ~line ~target_dom =
     step t "irq_enter";
     Percpu.irq_enter percpu;
     Hw.Apic.begin_service apic vector;
-    (match domain t target_dom with
-    | Some dom when dom.Domain.alive ->
+    (match Hashtbl.find t.domains target_dom with
+    | dom when dom.Domain.alive ->
       step t "lock_evtchn";
       Spinlock.acquire dom.Domain.evtchn.Evtchn.lock ~cpu;
       step t "notify_guest";
@@ -1426,7 +1420,7 @@ let do_device_interrupt t ~line ~target_dom =
       done;
       step t "unlock_evtchn";
       Spinlock.release dom.Domain.evtchn.Evtchn.lock ~cpu
-    | Some _ | None -> ());
+    | _ | (exception Not_found) -> ());
     step t "apic_eoi";
     Hw.Apic.eoi apic vector;
     step t "irq_exit";
@@ -1438,22 +1432,23 @@ let do_device_interrupt t ~line ~target_dom =
    injection surfaced, not all of them: 84% -> 96% recovery rate). *)
 let mitigation_coverage = 0.80
 
-let do_hypercall t rng ~cpu (vcpu : Domain.vcpu) kind ~retry_of =
+(* Issue [kind] from [vcpu], or with [~retry:true] re-issue the call in
+   its record as it stands (the hypercall retry mechanism). The vCPU's
+   own record carries the call: a new call resets it, so neither path
+   allocates. *)
+let do_hypercall t rng ~cpu (vcpu : Domain.vcpu) kind ~retry =
   let percpu = t.percpu.(cpu) in
-  let record =
-    match retry_of with
-    | Some r ->
-      r.Hypercalls.retries <- r.Hypercalls.retries + 1;
-      r
-    | None ->
-      let enhanced =
-        (not (Hypercalls.non_idempotent kind))
-        || Sim.Rng.float_below rng 1.0 mitigation_coverage
-      in
-      Hypercalls.make_record ~enhanced
-        ~logging:t.config.Config.nonidempotent_logging kind
-  in
-  let journal = journal_of_record t record in
+  let record = vcpu.Domain.record in
+  if retry then record.Hypercalls.retries <- record.Hypercalls.retries + 1
+  else begin
+    let enhanced =
+      (not (Hypercalls.non_idempotent kind))
+      || Sim.Rng.float_below rng 1.0 mitigation_coverage
+    in
+    Hypercalls.reset record ~enhanced
+      ~logging:t.config.Config.nonidempotent_logging kind
+  end;
+  let journal = record.Hypercalls.journal in
   let domid = vcpu.Domain.domid and vid = vcpu.Domain.vid in
   Obs.Metrics.incr t.obs.Obs.Recorder.hypercall_entries;
   (* Flight ring: [static_name] is a pre-interned constant (unlike
@@ -1463,31 +1458,32 @@ let do_hypercall t rng ~cpu (vcpu : Domain.vcpu) kind ~retry_of =
     ~time:(Sim.Clock.now t.clock);
   (* [Hypercalls.name] formats, so even computing the payload's fields is
      deferred until the event is known to pass the level filter. *)
-  (match retry_of with
-  | Some r ->
+  if retry then begin
     Obs.Metrics.incr t.obs.Obs.Recorder.hypercall_retries;
     if Obs.Recorder.enabled t.obs Obs.Event.Info then
       observe t ~cpu ~domid Obs.Event.Info
         (Obs.Event.Hypercall_retry
-           { domid; vid; kind = Hypercalls.name kind; attempt = r.Hypercalls.retries })
-  | None ->
-    if Obs.Recorder.enabled t.obs Obs.Event.Debug then
-      observe t ~cpu ~domid Obs.Event.Debug
-        (Obs.Event.Hypercall_entry
-           { domid; vid; kind = Hypercalls.name kind; retry = false }));
+           {
+             domid;
+             vid;
+             kind = Hypercalls.name kind;
+             attempt = record.Hypercalls.retries;
+           })
+  end
+  else if Obs.Recorder.enabled t.obs Obs.Event.Debug then
+    observe t ~cpu ~domid Obs.Event.Debug
+      (Obs.Event.Hypercall_entry
+         { domid; vid; kind = Hypercalls.name kind; retry = false });
   step t "hypercall_entry";
   Cycle_account.note_entry t.cycles;
   percpu.Percpu.in_hypercall_depth <- percpu.Percpu.in_hypercall_depth + 1;
   if t.config.Config.save_fs_gs then begin
     (* The x86-64 port fix: explicitly save the guest's FS/GS. *)
     Cycle_account.charge t.cycles 30;
-    percpu.Percpu.saved_guest_fsgs <-
-      Some
-        ( Hw.Regs.get vcpu.Domain.guest_regs Hw.Regs.FS,
-          Hw.Regs.get vcpu.Domain.guest_regs Hw.Regs.GS )
+    Percpu.save_fsgs percpu vcpu.Domain.guest_regs
   end;
-  vcpu.Domain.in_hypercall <- Some record;
-  exec_hypercall_body t rng journal cpu vcpu record kind;
+  vcpu.Domain.in_hypercall <- vcpu.Domain.in_flight;
+  exec_hypercall_body t rng journal cpu vcpu record 0 kind;
   step t "hypercall_commit";
   record.Hypercalls.committed <- true;
   let debug_on = Obs.Recorder.enabled t.obs Obs.Event.Debug in
@@ -1501,25 +1497,21 @@ let do_hypercall t rng ~cpu (vcpu : Domain.vcpu) kind ~retry_of =
   step t "hypercall_exit";
   vcpu.Domain.in_hypercall <- None;
   vcpu.Domain.retry_pending <- false;
-  percpu.Percpu.saved_guest_fsgs <- None;
+  Percpu.drop_fsgs percpu;
   percpu.Percpu.in_hypercall_depth <- max 0 (percpu.Percpu.in_hypercall_depth - 1)
 
 let do_syscall_forward t ~cpu (vcpu : Domain.vcpu) =
   let percpu = t.percpu.(cpu) in
   step t "syscall_entry";
   Cycle_account.note_entry t.cycles;
-  if t.config.Config.save_fs_gs then
-    percpu.Percpu.saved_guest_fsgs <-
-      Some
-        ( Hw.Regs.get vcpu.Domain.guest_regs Hw.Regs.FS,
-          Hw.Regs.get vcpu.Domain.guest_regs Hw.Regs.GS );
+  if t.config.Config.save_fs_gs then Percpu.save_fsgs percpu vcpu.Domain.guest_regs;
   vcpu.Domain.in_syscall_forward <- true;
   step ~cycles:60 t "decode_target";
   step t "forward_to_kernel";
   step t "syscall_exit";
   vcpu.Domain.in_syscall_forward <- false;
   vcpu.Domain.syscall_retry_pending <- false;
-  percpu.Percpu.saved_guest_fsgs <- None
+  Percpu.drop_fsgs percpu
 
 let do_idle_poll t cpu =
   step ~cycles:50 t "check_softirq";
@@ -1534,21 +1526,21 @@ let execute t rng activity =
     begin_activity t activity 0;
     do_device_interrupt t ~line ~target_dom
   | Hypercall { domid; vid; kind } ->
-    (match domain t domid with
-    | Some dom when dom.Domain.alive ->
+    (match Hashtbl.find t.domains domid with
+    | dom when dom.Domain.alive ->
       let vcpu = Domain.vcpu dom vid in
       let cpu = vcpu.Domain.processor in
       begin_activity t activity cpu;
-      do_hypercall t rng ~cpu vcpu kind ~retry_of:None
-    | Some _ | None -> ())
+      do_hypercall t rng ~cpu vcpu kind ~retry:false
+    | _ | (exception Not_found) -> ())
   | Syscall_forward { domid; vid } ->
-    (match domain t domid with
-    | Some dom when dom.Domain.alive ->
+    (match Hashtbl.find t.domains domid with
+    | dom when dom.Domain.alive ->
       let vcpu = Domain.vcpu dom vid in
       let cpu = vcpu.Domain.processor in
       begin_activity t activity cpu;
       do_syscall_forward t ~cpu vcpu
-    | Some _ | None -> ())
+    | _ | (exception Not_found) -> ())
   | Context_switch cpu ->
     begin_activity t activity cpu;
     ignore (do_context_switch t cpu)
@@ -1578,7 +1570,7 @@ let retry_hypercall t rng (vcpu : Domain.vcpu) =
   match vcpu.Domain.in_hypercall with
   | None -> ()
   | Some record ->
-    let journal = journal_of_record t record in
+    let journal = record.Hypercalls.journal in
     if t.config.Config.nonidempotent_logging then begin
       let entries = Journal.depth journal in
       if entries > 0 then begin
@@ -1595,7 +1587,7 @@ let retry_hypercall t rng (vcpu : Domain.vcpu) =
         { domid = vcpu.Domain.domid; vid = vcpu.Domain.vid; kind = record.Hypercalls.kind }
     in
     begin_activity t activity cpu;
-    do_hypercall t rng ~cpu vcpu record.Hypercalls.kind ~retry_of:(Some record)
+    do_hypercall t rng ~cpu vcpu record.Hypercalls.kind ~retry:true
 
 let retry_syscall t (vcpu : Domain.vcpu) =
   let cpu = vcpu.Domain.processor in

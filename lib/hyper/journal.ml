@@ -5,25 +5,76 @@
     bits, type changes) are logged during normal operation; following
     recovery, before a retried hypercall re-reads or re-modifies those
     variables, the logged changes are undone. Logging costs cycles --
-    it is the dominant normal-operation overhead in Figure 3. *)
+    it is the dominant normal-operation overhead in Figure 3.
 
-type entry =
-  | Use_count_delta of Pfn.desc * int (* delta that was applied *)
-  | Validated_set of Pfn.desc (* validation bit was set *)
-  | Validated_cleared of Pfn.desc
-  | Type_change of Pfn.desc * Pfn.page_type (* previous type *)
-  | Owner_change of Pfn.desc * int (* previous owner *)
-  | Counter_delta of int ref * int (* generic critical counter *)
-  | Undo_fn of (unit -> unit) (* structure-specific undo closure *)
+    Each vCPU owns one journal for the lifetime of the vCPU (see
+    {!Hypercalls.record}), so logging must not allocate: an entry is a
+    typed op, the frame or grant slot it names and an int operand, held
+    in two preallocated parallel int arrays (op and operand packed into
+    one cell). {!undo_all} walks them newest first. The arrays are sized
+    when the vCPU is created, from the config's bounds on what one call
+    logs; only a call past those bounds (a config loosened after boot, a
+    hand-built call over the ABI limit) grows them. *)
+
+type op =
+  | Use_count_delta (* operand: the delta that was applied *)
+  | Validated_set (* the validation bit was set *)
+  | Validated_cleared
+  | Type_change (* operand: [page_type_code] of the previous type *)
+  | Owner_change (* operand: the previous owner *)
+  | Put_if_used
+      (* a frame the call allocated: drop its reference if it still
+         holds one *)
+  | Grant_unmap_undo (* target is a grant slot the call mapped *)
+  | Grant_remap_undo (* target is a grant slot the call unmapped *)
+
+(* Op codes fit in the low [op_bits] bits of a cell; [ops] decodes them. *)
+let op_bits = 3
+
+let op_code = function
+  | Use_count_delta -> 0
+  | Validated_set -> 1
+  | Validated_cleared -> 2
+  | Type_change -> 3
+  | Owner_change -> 4
+  | Put_if_used -> 5
+  | Grant_unmap_undo -> 6
+  | Grant_remap_undo -> 7
+
+let ops =
+  [|
+    Use_count_delta; Validated_set; Validated_cleared; Type_change;
+    Owner_change; Put_if_used; Grant_unmap_undo; Grant_remap_undo;
+  |]
+
+let page_types = Pfn.[| Free; Writable; Page_table; Segdesc; Shared; Xenheap |]
+
+let page_type_code = function
+  | Pfn.Free -> 0
+  | Pfn.Writable -> 1
+  | Pfn.Page_table -> 2
+  | Pfn.Segdesc -> 3
+  | Pfn.Shared -> 4
+  | Pfn.Xenheap -> 5
 
 type t = {
-  mutable entries : entry list; (* newest first *)
-  mutable count : int; (* length of [entries], kept for O(1) depth *)
+  pfn : Pfn.t; (* the table frame targets index *)
+  grants : Grant.entry array; (* the owning domain's grant slots *)
+  mutable cells : int array; (* per entry: op code lor (operand lsl op_bits) *)
+  mutable targets : int array; (* per entry: frame index, or grant slot *)
+  mutable count : int; (* entries since the last commit or undo *)
   mutable enabled : bool;
-  mutable writes : int; (* total log appends, for cycle accounting *)
 }
 
-let create () = { entries = []; count = 0; enabled = false; writes = 0 }
+let create ~pfn ~grants ~capacity =
+  {
+    pfn;
+    grants;
+    cells = Array.make capacity 0;
+    targets = Array.make capacity 0;
+    count = 0;
+    enabled = false;
+  }
 
 let set_enabled t on = t.enabled <- on
 
@@ -31,56 +82,80 @@ let set_enabled t on = t.enabled <- on
    workloads show the Figure 3 overhead profile. *)
 let cycles_per_write = 70
 
-let log t entry =
+let grow t =
+  let capacity = max 8 (2 * Array.length t.cells) in
+  let cells = Array.make capacity 0 and targets = Array.make capacity 0 in
+  Array.blit t.cells 0 cells 0 t.count;
+  Array.blit t.targets 0 targets 0 t.count;
+  t.cells <- cells;
+  t.targets <- targets
+
+let log t op ~target ~operand =
   if t.enabled then begin
-    t.entries <- entry :: t.entries;
-    t.count <- t.count + 1;
-    t.writes <- t.writes + 1
+    if t.count = Array.length t.cells then grow t;
+    t.cells.(t.count) <- op_code op lor (operand lsl op_bits);
+    t.targets.(t.count) <- target;
+    t.count <- t.count + 1
   end
 
-(* Short entry-kind tag, used by the observability layer to label
-   journal-append events without exposing the payload types. *)
-let entry_kind = function
-  | Use_count_delta _ -> "use_count_delta"
-  | Validated_set _ -> "validated_set"
-  | Validated_cleared _ -> "validated_cleared"
-  | Type_change _ -> "type_change"
-  | Owner_change _ -> "owner_change"
-  | Counter_delta _ -> "counter_delta"
-  | Undo_fn _ -> "undo_fn"
+(* Short op tag, used by the observability layer to label journal-append
+   events and flight-ring entries. The three structure-specific ops keep
+   the tag of the undo closures they replace, so postmortem bundles and
+   triage files read the same. *)
+let op_kind = function
+  | Use_count_delta -> "use_count_delta"
+  | Validated_set -> "validated_set"
+  | Validated_cleared -> "validated_cleared"
+  | Type_change -> "type_change"
+  | Owner_change -> "owner_change"
+  | Put_if_used | Grant_unmap_undo | Grant_remap_undo -> "undo_fn"
 
-(* The Pfn arms write descriptor fields directly (not through the Pfn
+(* The frame arms write descriptor fields directly (not through the Pfn
    mutators), so they must mark the descriptor dirty themselves for the
    snapshot layer. *)
-let undo_entry = function
-  | Use_count_delta (d, delta) ->
+let undo_entry t i =
+  let cell = t.cells.(i) and target = t.targets.(i) in
+  let operand = cell asr op_bits in
+  match ops.(cell land ((1 lsl op_bits) - 1)) with
+  | Use_count_delta ->
+    let d = Pfn.get t.pfn target in
     Pfn.touch d;
-    d.Pfn.use_count <- d.Pfn.use_count - delta
-  | Validated_set d ->
+    d.Pfn.use_count <- d.Pfn.use_count - operand
+  | Validated_set ->
+    let d = Pfn.get t.pfn target in
     Pfn.touch d;
     d.Pfn.validated <- false
-  | Validated_cleared d ->
+  | Validated_cleared ->
+    let d = Pfn.get t.pfn target in
     Pfn.touch d;
     d.Pfn.validated <- true
-  | Type_change (d, prev) ->
+  | Type_change ->
+    let d = Pfn.get t.pfn target in
     Pfn.touch d;
-    d.Pfn.ptype <- prev
-  | Owner_change (d, prev) ->
+    d.Pfn.ptype <- page_types.(operand)
+  | Owner_change ->
+    let d = Pfn.get t.pfn target in
     Pfn.touch d;
-    d.Pfn.owner <- prev
-  | Counter_delta (r, delta) -> r := !r - delta
-  | Undo_fn f -> f ()
+    d.Pfn.owner <- operand
+  | Put_if_used ->
+    let d = Pfn.get t.pfn target in
+    if d.Pfn.use_count > 0 then Pfn.put_page d
+  | Grant_unmap_undo ->
+    let e = t.grants.(target) in
+    if e.Grant.mapped_by <> -1 then e.Grant.mapped_by <- -1
+  | Grant_remap_undo ->
+    let e = t.grants.(target) in
+    if e.Grant.mapped_by = -1 then e.Grant.mapped_by <- 0
 
 (* Undo everything logged since the last [commit], newest first. *)
 let undo_all t =
-  List.iter undo_entry t.entries;
-  t.entries <- [];
+  for i = t.count - 1 downto 0 do
+    undo_entry t i
+  done;
   t.count <- 0
 
 (* A hypercall completed: its changes are final, drop the log. *)
-let commit t =
-  t.entries <- [];
-  t.count <- 0
+let commit t = t.count <- 0
 
 let depth t = t.count
-let writes t = t.writes
+let capacity t = Array.length t.cells

@@ -9,7 +9,7 @@
     The holes are squeezed out when the array fills, amortised O(1) per
     push.
 
-    Order contract: [iter], [count_if], [nth_if] and [find_opt] see the
+    Order contract: [iter], [count_if], [nth_if] and [find_if] see the
     frames newest first, duplicates included, exactly as the list
     [to_list] returns (push = cons, remove = filter out every copy) --
     so every random pick over a domain's frames lands on the same frame
@@ -170,13 +170,15 @@ let rec nth_from p env t k s =
 (* The [k]-th (from 0) frame satisfying [p], newest first; -1 if fewer. *)
 let nth_if p env t k = nth_from p env t k (t.len - 1)
 
-let rec find_from p t s =
-  if s < 0 then None
+let rec find_from p a b t s =
+  if s < 0 then -1
   else
     let x = t.frames.(s) in
-    if x <> hole && p x then Some x else find_from p t (s - 1)
+    if x <> hole && p a b x then x else find_from p a b t (s - 1)
 
-let find_opt p t = find_from p t (t.len - 1)
+(* The newest frame satisfying [p a b], -1 if none; like [nth_if], the
+   predicate's environment ([a], [b]) is passed in. *)
+let find_if p a b t = find_from p a b t (t.len - 1)
 
 let to_list t =
   let l = ref [] in

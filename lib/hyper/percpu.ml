@@ -13,7 +13,9 @@ type t = {
   mutable in_hypercall_depth : int;
   mutable curr_domid : int; (* authoritative: domain running on this CPU *)
   mutable curr_vcpuid : int;
-  mutable saved_guest_fsgs : (int64 * int64) option;
+  mutable fsgs_saved : bool; (* [saved_fs]/[saved_gs] hold the guest's *)
+  mutable saved_fs : int64;
+  mutable saved_gs : int64;
   heap_lock : Spinlock.t; (* per-CPU scheduler/timer lock, heap-resident *)
 }
 
@@ -31,7 +33,9 @@ let create heap cpu =
     in_hypercall_depth = 0;
     curr_domid = -1;
     curr_vcpuid = -1;
-    saved_guest_fsgs = None;
+    fsgs_saved = false;
+    saved_fs = 0L;
+    saved_gs = 0L;
     heap_lock = lock;
   }
 
@@ -48,3 +52,13 @@ let assert_not_in_irq t =
       t.local_irq_count
 
 let clear_irq_count t = t.local_irq_count <- 0
+
+(* The Save-FS/GS entry path: copy the guest's segment bases into the
+   per-CPU area. Stores the register file's own boxed values, so saving
+   allocates nothing. *)
+let save_fsgs t regs =
+  t.fsgs_saved <- true;
+  t.saved_fs <- Hw.Regs.get regs Hw.Regs.FS;
+  t.saved_gs <- Hw.Regs.get regs Hw.Regs.GS
+
+let drop_fsgs t = t.fsgs_saved <- false

@@ -175,20 +175,22 @@ let dirty_descs t = t.tracker.dirty_list
 let tracking_usable t = t.tracking_ok
 let invalidate_tracking t = t.tracking_ok <- false
 
+(* The first free frame from [i] on, wrapping; a toplevel function, so
+   an allocation builds no closure. *)
+let rec find_free t n tries i =
+  if tries > n then Crash.panic "pfn: out of physical frames"
+  else begin
+    let d = t.descs.(i mod n) in
+    if d.ptype = Free && d.use_count = 0 && not d.validated then d
+    else find_free t n (tries + 1) (i + 1)
+  end
+
 (* Allocate a free frame for a domain. Raises if the table is exhausted
    (campaign configurations are sized so this cannot happen in a healthy
    run). *)
 let alloc_frame t ~owner ~ptype =
   let n = frames t in
-  let rec find tries i =
-    if tries > n then Crash.panic "pfn: out of physical frames"
-    else begin
-      let d = t.descs.(i mod n) in
-      if d.ptype = Free && d.use_count = 0 && not d.validated then d
-      else find (tries + 1) (i + 1)
-    end
-  in
-  let d = find 0 t.free_head in
+  let d = find_free t n 0 t.free_head in
   t.free_head <- (d.index + 1) mod n;
   touch d;
   d.ptype <- ptype;

@@ -254,23 +254,33 @@ let test_timer_heap_property_random () =
 
 (* ------------------------- Journal ---------------------------------- *)
 
-let test_journal_undo_refcount () =
-  let j = Hyper.Journal.create () in
+(* A journal over a small frame table and grant table, enabled, with
+   room for [capacity] entries before it grows. *)
+let journal ?(capacity = 8) ?(frames = 4) () =
+  let pfn = Hyper.Pfn.create ~frames in
+  let grants = Hyper.Grant.create (Hyper.Heap.create ()) ~slots:4 1 in
+  let j = Hyper.Journal.create ~pfn ~grants:grants.Hyper.Grant.entries ~capacity in
   Hyper.Journal.set_enabled j true;
-  let t = Hyper.Pfn.create ~frames:4 in
+  (j, pfn, grants)
+
+let log_delta j (d : Hyper.Pfn.desc) delta =
+  Hyper.Journal.log j Hyper.Journal.Use_count_delta ~target:d.Hyper.Pfn.index
+    ~operand:delta
+
+let test_journal_undo_refcount () =
+  let j, t, _ = journal () in
   let d = Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Writable in
-  Hyper.Journal.log j (Hyper.Journal.Use_count_delta (d, 1));
+  log_delta j d 1;
   Hyper.Pfn.get_page d;
   checki "2 refs" 2 d.Hyper.Pfn.use_count;
   Hyper.Journal.undo_all j;
   checki "undone to 1" 1 d.Hyper.Pfn.use_count
 
 let test_journal_undo_validation () =
-  let j = Hyper.Journal.create () in
-  Hyper.Journal.set_enabled j true;
-  let t = Hyper.Pfn.create ~frames:4 in
+  let j, t, _ = journal () in
   let d = Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Page_table in
-  Hyper.Journal.log j (Hyper.Journal.Validated_set d);
+  Hyper.Journal.log j Hyper.Journal.Validated_set ~target:d.Hyper.Pfn.index
+    ~operand:0;
   Hyper.Pfn.validate d;
   Hyper.Journal.undo_all j;
   checkb "validation undone" false d.Hyper.Pfn.validated;
@@ -279,51 +289,79 @@ let test_journal_undo_validation () =
   checkb "retry validates cleanly" true d.Hyper.Pfn.validated
 
 let test_journal_disabled_logs_nothing () =
-  let j = Hyper.Journal.create () in
-  let x = ref 0 in
-  Hyper.Journal.log j (Hyper.Journal.Counter_delta (x, 5));
-  x := 5;
+  let j, t, _ = journal () in
+  Hyper.Journal.set_enabled j false;
+  let d = Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Writable in
+  log_delta j d 5;
+  d.Hyper.Pfn.use_count <- 6;
   Hyper.Journal.undo_all j;
-  checki "nothing undone when disabled" 5 !x
+  checki "nothing undone when disabled" 6 d.Hyper.Pfn.use_count
 
 let test_journal_commit_clears () =
-  let j = Hyper.Journal.create () in
-  Hyper.Journal.set_enabled j true;
-  let x = ref 0 in
-  Hyper.Journal.log j (Hyper.Journal.Counter_delta (x, 5));
-  x := 5;
+  let j, t, _ = journal () in
+  let d = Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Writable in
+  log_delta j d 5;
+  d.Hyper.Pfn.use_count <- 6;
   Hyper.Journal.commit j;
   Hyper.Journal.undo_all j;
-  checki "committed changes stay" 5 !x
+  checki "committed changes stay" 6 d.Hyper.Pfn.use_count
 
 let test_journal_undo_order () =
-  (* Entries must be undone newest-first. *)
-  let j = Hyper.Journal.create () in
-  Hyper.Journal.set_enabled j true;
-  let log = ref [] in
-  Hyper.Journal.log j (Hyper.Journal.Undo_fn (fun () -> log := 1 :: !log));
-  Hyper.Journal.log j (Hyper.Journal.Undo_fn (fun () -> log := 2 :: !log));
+  (* Entries must be undone newest-first: the older type change must
+     win, and the grant slot unmapped last must end up remapped. *)
+  let j, t, grants = journal () in
+  let d = Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Writable in
+  let f = d.Hyper.Pfn.index in
+  Hyper.Journal.log j Hyper.Journal.Type_change ~target:f
+    ~operand:(Hyper.Journal.page_type_code Hyper.Pfn.Writable);
+  d.Hyper.Pfn.ptype <- Hyper.Pfn.Page_table;
+  Hyper.Journal.log j Hyper.Journal.Type_change ~target:f
+    ~operand:(Hyper.Journal.page_type_code Hyper.Pfn.Page_table);
+  d.Hyper.Pfn.ptype <- Hyper.Pfn.Shared;
+  Hyper.Grant.grant grants ~slot:2 ~frame:f;
+  Hyper.Journal.log j Hyper.Journal.Grant_unmap_undo ~target:2 ~operand:0;
+  Hyper.Grant.map grants ~slot:2 ~by:0;
+  Hyper.Journal.log j Hyper.Journal.Grant_remap_undo ~target:2 ~operand:0;
+  Hyper.Grant.unmap grants ~slot:2;
   Hyper.Journal.undo_all j;
-  Alcotest.check (Alcotest.list Alcotest.int) "newest first" [ 1; 2 ] !log
+  checkb "oldest type restored" true (d.Hyper.Pfn.ptype = Hyper.Pfn.Writable);
+  checki "remap undone before unmap" (-1)
+    grants.Hyper.Grant.entries.(2).Hyper.Grant.mapped_by
 
 let test_journal_depth_tracks_entries () =
-  let j = Hyper.Journal.create () in
-  Hyper.Journal.set_enabled j true;
-  let x = ref 0 in
+  let j, t, _ = journal ~capacity:1 () in
+  let d = Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Writable in
   checki "empty journal" 0 (Hyper.Journal.depth j);
-  Hyper.Journal.log j (Hyper.Journal.Counter_delta (x, 1));
-  Hyper.Journal.log j (Hyper.Journal.Counter_delta (x, 2));
-  checki "two entries" 2 (Hyper.Journal.depth j);
+  log_delta j d 1;
+  log_delta j d 2;
+  checki "two entries, past the capacity" 2 (Hyper.Journal.depth j);
   Hyper.Journal.undo_all j;
   checki "zero after undo_all" 0 (Hyper.Journal.depth j);
-  Hyper.Journal.log j (Hyper.Journal.Counter_delta (x, 3));
+  log_delta j d 3;
   checki "one entry" 1 (Hyper.Journal.depth j);
   Hyper.Journal.commit j;
   checki "zero after commit" 0 (Hyper.Journal.depth j);
   (* Logging while disabled records nothing, so depth stays 0. *)
   Hyper.Journal.set_enabled j false;
-  Hyper.Journal.log j (Hyper.Journal.Counter_delta (x, 4));
+  log_delta j d 4;
   checki "disabled journal stays empty" 0 (Hyper.Journal.depth j)
+
+(* The flight-ring and event tags of the journal's ops: the three
+   structure-specific ops keep the tag of the undo closures they
+   replaced, so postmortem bundles and triage files read the same. *)
+let test_journal_op_kinds () =
+  Alcotest.(check (list string))
+    "op tags"
+    [
+      "use_count_delta"; "validated_set"; "validated_cleared"; "type_change";
+      "owner_change"; "undo_fn"; "undo_fn"; "undo_fn";
+    ]
+    (List.map Hyper.Journal.op_kind
+       Hyper.Journal.
+         [
+           Use_count_delta; Validated_set; Validated_cleared; Type_change;
+           Owner_change; Put_if_used; Grant_unmap_undo; Grant_remap_undo;
+         ])
 
 (* ------------------------- Boot / domains --------------------------- *)
 
@@ -467,7 +505,7 @@ let test_multicall_progress_tracking () =
     ~stop_at:9;
   (match v.Hyper.Domain.in_hypercall with
   | Some r ->
-    checkb "some components completed" true (r.Hyper.Hypercalls.sub_completed > 0)
+    checkb "some components completed" true (r.Hyper.Hypercalls.sub_completed.(0) > 0)
   | None -> Alcotest.fail "expected in-flight multicall");
   Hyper.Spinlock.force_unlock hv.Hyper.Hypervisor.console_lock;
   (match Hyper.Hypervisor.domain hv 1 with
@@ -476,6 +514,108 @@ let test_multicall_progress_tracking () =
   | None -> ());
   Hyper.Hypervisor.retry_hypercall hv rng v;
   checkb "multicall completed on retry" true (v.Hyper.Domain.in_hypercall = None)
+
+(* A vCPU's record after a multicall was abandoned inside its second
+   component ([Update_va_mapping] at "write_pte"): returns the vCPU. *)
+let abandon_multicall_in_second_component hv rng =
+  let v = Hyper.Domain.vcpu (Option.get (Hyper.Hypervisor.domain hv 1)) 0 in
+  let kind =
+    Hyper.Hypercalls.Multicall
+      [
+        Hyper.Hypercalls.Mmu_update 1; Hyper.Hypercalls.Update_va_mapping;
+        Hyper.Hypercalls.Mmu_update 2;
+      ]
+  in
+  hv.Hyper.Hypervisor.step_hook <-
+    Some
+      (fun _ _ _ name _ ->
+        if name = "write_pte" then raise Hyper.Hypervisor.Abandoned);
+  (try
+     Hyper.Hypervisor.execute hv rng
+       (Hyper.Hypervisor.Hypercall { domid = 1; vid = 0; kind })
+   with Hyper.Hypervisor.Abandoned -> ());
+  hv.Hyper.Hypervisor.step_hook <- None;
+  v
+
+(* A retried multicall resumes at [sub_completed] and replays the
+   arguments its components chose on the first run. *)
+let test_multicall_retry_keeps_targets () =
+  let hv = boot ~config:Hyper.Config.nilihype () in
+  let rng = Sim.Rng.create 9L in
+  let v = abandon_multicall_in_second_component hv rng in
+  let r =
+    match v.Hyper.Domain.in_hypercall with
+    | Some r -> r
+    | None -> Alcotest.fail "expected in-flight multicall"
+  in
+  checki "first component completed" 1 r.Hyper.Hypercalls.sub_completed.(0);
+  let targets = Array.copy r.Hyper.Hypercalls.targets in
+  checkb "both started components chose a frame" true
+    (targets.(1) >= 0 && targets.(2) >= 0 && targets.(3) = -1);
+  let steps = ref [] in
+  hv.Hyper.Hypervisor.step_hook <-
+    Some (fun _ _ _ name _ -> steps := name :: !steps);
+  Hyper.Hypervisor.retry_hypercall hv rng v;
+  checkb "multicall completed on retry" true (v.Hyper.Domain.in_hypercall = None);
+  checki "only the last component allocates" 1
+    (List.length (List.filter (( = ) "alloc_frame") !steps));
+  checkb "the resumed component replays its frame" true
+    (r.Hyper.Hypercalls.targets.(1) = targets.(1)
+    && r.Hyper.Hypercalls.targets.(2) = targets.(2))
+
+(* A vCPU's record, reset for a new call, reads exactly as a record
+   freshly made for that call, whatever the previous call left in it. *)
+let test_reset_record_matches_fresh () =
+  let hv = boot ~config:Hyper.Config.nilihype () in
+  let rng = Sim.Rng.create 9L in
+  let v = abandon_multicall_in_second_component hv rng in
+  let r = v.Hyper.Domain.record in
+  checkb "the abandoned call left state behind" true
+    (r.Hyper.Hypercalls.sub_completed.(0) > 0
+    || Hyper.Journal.depth r.Hyper.Hypercalls.journal > 0);
+  let view (r : Hyper.Hypercalls.record) =
+    let j = r.Hyper.Hypercalls.journal in
+    ( (r.Hyper.Hypercalls.kind, r.Hyper.Hypercalls.retries, r.Hyper.Hypercalls.committed,
+       r.Hyper.Hypercalls.enhanced),
+      (r.Hyper.Hypercalls.targets, r.Hyper.Hypercalls.old_frames,
+       r.Hyper.Hypercalls.sub_completed),
+      (Hyper.Journal.depth j, j.Hyper.Journal.enabled, Hyper.Journal.capacity j) )
+  in
+  let dom = Option.get (Hyper.Hypervisor.domain hv 1) in
+  List.iter
+    (fun (kind, enhanced) ->
+      Hyper.Hypercalls.reset r ~enhanced ~logging:true kind;
+      let fresh =
+        Hyper.Hypercalls.make_record ~enhanced ~logging:true
+          ~config:hv.Hyper.Hypervisor.config ~pfn:hv.Hyper.Hypervisor.pfn
+          ~grants:dom.Hyper.Domain.grants.Hyper.Grant.entries kind
+      in
+      checkb (Hyper.Hypercalls.name kind ^ " reset = fresh") true (view r = view fresh))
+    [
+      (Hyper.Hypercalls.Mmu_update 3, true);
+      (Hyper.Hypercalls.Grant_table_op 2, false);
+      (Hyper.Hypercalls.Multicall [ Hyper.Hypercalls.Console_io ], true);
+    ]
+
+(* Snapshots are taken at quiesce points only: with a hypercall in
+   flight, [snapshot] refuses; an image restores no call in flight. *)
+let test_snapshot_refuses_in_flight_call () =
+  let hv = boot () in
+  let rng = Sim.Rng.create 5L in
+  let image = Hyper.Hypervisor.snapshot hv in
+  Hyper.Hypervisor.execute_partial hv rng
+    (Hyper.Hypervisor.Hypercall
+       { domid = 1; vid = 0; kind = Hyper.Hypercalls.Mmu_update 2 })
+    ~stop_at:4;
+  let v = Hyper.Domain.vcpu (Option.get (Hyper.Hypervisor.domain hv 1)) 0 in
+  checkb "call in flight" true (v.Hyper.Domain.in_hypercall <> None);
+  checkb "snapshot refuses" true
+    (match Hyper.Hypervisor.snapshot hv with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Hyper.Hypervisor.restore hv image;
+  checkb "restore leaves no call in flight" true (v.Hyper.Domain.in_hypercall = None);
+  ignore (Hyper.Hypervisor.snapshot hv)
 
 let test_domctl_create_via_hypercall () =
   let hv = boot () in
@@ -706,6 +846,7 @@ let () =
             test_journal_disabled_logs_nothing;
           Alcotest.test_case "commit clears" `Quick test_journal_commit_clears;
           Alcotest.test_case "undo order" `Quick test_journal_undo_order;
+          Alcotest.test_case "op kinds" `Quick test_journal_op_kinds;
           Alcotest.test_case "depth tracks entries" `Quick
             test_journal_depth_tracks_entries;
         ] );
@@ -731,6 +872,12 @@ let () =
             test_retry_with_undo_succeeds;
           Alcotest.test_case "multicall progress tracking" `Quick
             test_multicall_progress_tracking;
+          Alcotest.test_case "multicall retry keeps targets" `Quick
+            test_multicall_retry_keeps_targets;
+          Alcotest.test_case "reset record matches fresh" `Quick
+            test_reset_record_matches_fresh;
+          Alcotest.test_case "snapshot refuses in-flight call" `Quick
+            test_snapshot_refuses_in_flight_call;
           Alcotest.test_case "domctl create" `Quick test_domctl_create_via_hypercall;
           Alcotest.test_case "domctl on corrupt static data" `Quick
             test_domctl_fails_with_corrupt_static_data;

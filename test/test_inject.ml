@@ -370,12 +370,13 @@ let test_reset_equivalence_matrix () =
    limb RNG, cumulative-weight sampling), ~75.5k before the activity
    stream went allocation-lean, and ~30k after it (asserts that format
    only on failure, option-free switch/tick/lock/APIC paths, unboxed
-   coin flips, O(1) frame release). The budget carries headroom over the
-   measurement and the test fails at >1.2x drift (43.2k, below the
-   75.5k of the old activity stream), so regressions that re-grow the
-   hot path get caught early without being flaky across compiler
-   versions. *)
-let gc_minor_words_budget_per_run = 36_000.0
+   coin flips, O(1) frame release), and ~8.7k once hypercalls stopped
+   allocating (a per-vCPU in-flight record, a flat typed undo journal).
+   The budget carries headroom over the measurement and the test fails
+   at >1.2x drift (12.6k, below the ~30k of per-call hypercall records
+   and closure journals), so regressions that re-grow the hot path get
+   caught early without being flaky across compiler versions. *)
+let gc_minor_words_budget_per_run = 10_500.0
 
 let test_gc_budget_per_run () =
   let cfg = run_cfg ~fault:Inject.Fault.Register () in
@@ -400,11 +401,12 @@ let test_gc_budget_per_run () =
 
 (* Activity-kind word ceilings: mean minor words per call, from the
    recorder's activity-kind ledger, over 100 register runs on a restored
-   worker (the campaign-register configuration). Measured at 5, 3.5, 3
-   and 24 words per call; the ceilings leave headroom over that but sit
-   well below the figures from before passing assertions stopped
-   formatting and the switch, tick and draw paths stopped allocating
-   (44, 42, 14 and 66). *)
+   worker (the campaign-register configuration). Measured at 5, 3.5, 3,
+   3.2 and 6.4 words per call; the ceilings leave headroom over that but
+   sit well below the figures from before passing assertions stopped
+   formatting, the switch, tick and draw paths stopped allocating and
+   hypercalls stopped building a record and a closure journal per call
+   (44, 42, 14, 60 and 24). *)
 let test_activity_word_ceilings () =
   let cfg = run_cfg ~fault:Inject.Fault.Register () in
   let r = small_recorder () in
@@ -440,7 +442,8 @@ let test_activity_word_ceilings () =
       ("context switch", mean Obs.Recorder.Context_switch, 10.0);
       ("timer tick", mean Obs.Recorder.Timer_tick, 20.0);
       ("sampling", mean Obs.Recorder.Sampling, 10.0);
-      ("all activities", all, 40.0);
+      ("hypercall", mean Obs.Recorder.Hypercall, 15.0);
+      ("all activities", all, 16.0);
     ]
   in
   if List.exists (fun (_, words, ceiling) -> words > ceiling) figures then
@@ -572,6 +575,78 @@ let test_long_lived_frame_release () =
   if last > 2.0 *. first || last > 100.0 then
     Alcotest.failf
       "words per decrease: %.0f in the first tenth, %.0f in the last" first
+      last
+
+(* Hypercall pools on a long-lived machine: one machine runs 10^5
+   activities with no restore, and every 50th is a multicall abandoned
+   inside its second component, then retried after its journal is
+   undone. Every vCPU's in-flight record keeps the size it was given at
+   boot, and a hypercall costs the same late in the run as early on:
+   the path reuses the boot-time pools and allocates nothing that grows
+   with the machine's age. *)
+let test_long_lived_hypercall_pools () =
+  let cfg = run_cfg ~fault:Inject.Fault.Register ~seed:13L () in
+  let st = Inject.Run.boot_state cfg in
+  let hv = st.Inject.Run.hv in
+  let footprint () =
+    List.map
+      (fun (v : Hyper.Domain.vcpu) ->
+        let r = v.Hyper.Domain.record in
+        ( Array.length r.Hyper.Hypercalls.targets,
+          Hyper.Journal.capacity r.Hyper.Hypercalls.journal ))
+      (Hyper.Hypervisor.all_vcpus hv)
+  in
+  let boot_footprint = footprint () in
+  let v = Hyper.Domain.vcpu (Option.get (Hyper.Hypervisor.domain hv 1)) 0 in
+  let multicall =
+    Hyper.Hypervisor.Hypercall
+      {
+        domid = 1;
+        vid = 0;
+        kind =
+          Hyper.Hypercalls.Multicall
+            [
+              Hyper.Hypercalls.Mmu_update 1; Hyper.Hypercalls.Update_va_mapping;
+              Hyper.Hypercalls.Mmu_update 1;
+            ];
+      }
+  in
+  let abandon_in_second_component =
+    Some
+      (fun _ _ _ name _ ->
+        if name = "write_pte" then raise Hyper.Hypervisor.Abandoned)
+  in
+  let n = 100_000 in
+  let tenth = n / 10 in
+  let words = [| 0; 0 |] and calls = [| 0; 0 |] and retries = ref 0 in
+  for i = 0 to n - 1 do
+    let bucket = if i < tenth then 0 else if i >= n - tenth then 1 else -1 in
+    let a = if i mod 50 = 0 then multicall else Inject.Run.sample_activity st in
+    let w0 = Gc.minor_words () in
+    if i mod 50 = 0 then begin
+      hv.Hyper.Hypervisor.step_hook <- abandon_in_second_component;
+      (try Hyper.Hypervisor.execute hv st.Inject.Run.rng a
+       with Hyper.Hypervisor.Abandoned -> ());
+      hv.Hyper.Hypervisor.step_hook <- None;
+      if v.Hyper.Domain.in_hypercall <> None then begin
+        Hyper.Hypervisor.retry_hypercall hv st.Inject.Run.rng v;
+        incr retries
+      end
+    end
+    else Inject.Run.execute_activity st a;
+    match a with
+    | Hyper.Hypervisor.Hypercall _ when bucket >= 0 ->
+      words.(bucket) <- words.(bucket) + int_of_float (Gc.minor_words () -. w0);
+      calls.(bucket) <- calls.(bucket) + 1
+    | _ -> ()
+  done;
+  checki "every abandoned multicall retried" (n / 50) !retries;
+  checkb "no vCPU record grew" true (footprint () = boot_footprint);
+  let mean b = float_of_int words.(b) /. float_of_int calls.(b) in
+  let first = mean 0 and last = mean 1 in
+  if last > 1.5 *. first || last > 15.0 then
+    Alcotest.failf
+      "words per hypercall: %.1f in the first tenth, %.1f in the last" first
       last
 
 let test_campaign_minor_words_recorded () =
@@ -990,6 +1065,8 @@ let () =
             test_activity_word_ceilings;
           Alcotest.test_case "activity ledger outside metrics" `Quick
             test_activity_ledger_outside_metrics;
+          Alcotest.test_case "long-lived hypercall pools" `Quick
+            test_long_lived_hypercall_pools;
           Alcotest.test_case "long-lived frame release" `Quick
             test_long_lived_frame_release;
           Alcotest.test_case "alloc counters jobs-invariant" `Quick

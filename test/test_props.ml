@@ -125,21 +125,108 @@ let prop_static_segment_unlock_all =
 
 (* ------------------------- Journal ---------------------------------- *)
 
-(* undo_all exactly inverts any sequence of journaled counter deltas. *)
+let journal_over ~frames =
+  let pfn = Hyper.Pfn.create ~frames in
+  let grants = Hyper.Grant.create (Hyper.Heap.create ()) ~slots:4 1 in
+  let j = Hyper.Journal.create ~pfn ~grants:grants.Hyper.Grant.entries ~capacity:4 in
+  Hyper.Journal.set_enabled j true;
+  (j, pfn, grants)
+
+(* undo_all exactly inverts any sequence of journaled use-count deltas
+   on a frame's descriptor. *)
 let prop_journal_undo_inverts =
   QCheck.Test.make ~name:"journal undo_all inverts counter deltas"
     QCheck.(list (int_range (-10) 10))
     (fun deltas ->
-      let j = Hyper.Journal.create () in
-      Hyper.Journal.set_enabled j true;
-      let x = ref 100 in
+      let j, pfn, _ = journal_over ~frames:1 in
+      let d = Hyper.Pfn.get pfn 0 in
+      d.Hyper.Pfn.use_count <- 100;
       List.iter
-        (fun d ->
-          Hyper.Journal.log j (Hyper.Journal.Counter_delta (x, d));
-          x := !x + d)
+        (fun delta ->
+          Hyper.Journal.log j Hyper.Journal.Use_count_delta ~target:0 ~operand:delta;
+          d.Hyper.Pfn.use_count <- d.Hyper.Pfn.use_count + delta)
         deltas;
       Hyper.Journal.undo_all j;
-      !x = 100)
+      d.Hyper.Pfn.use_count = 100)
+
+(* Any mix of typed entries, each logged before the change it records,
+   undone newest first, puts every descriptor and grant slot back
+   exactly -- including past the journal's initial capacity. Each op is
+   applied only where its undo is the exact inverse (a fresh frame for
+   [Put_if_used], a mapped slot for [Grant_remap_undo]...). *)
+let prop_journal_undo_restores_mix =
+  let module J = Hyper.Journal in
+  let module P = Hyper.Pfn in
+  QCheck.Test.make ~name:"journal undo_all restores a typed-entry mix"
+    QCheck.(list (triple (int_bound 7) (int_bound 5) (int_range (-3) 3)))
+    (fun steps ->
+      let j, pfn, grants = journal_over ~frames:6 in
+      let entries = grants.Hyper.Grant.entries in
+      (* A starting table: frames 0-3 owned and typed, 4-5 free. *)
+      for f = 0 to 3 do
+        let d = P.get pfn f in
+        d.P.use_count <- 2 + f;
+        d.P.ptype <- J.page_types.(1 + (f mod 5));
+        d.P.owner <- f;
+        d.P.validated <- f mod 2 = 0
+      done;
+      Hyper.Grant.grant grants ~slot:0 ~frame:0;
+      Hyper.Grant.grant grants ~slot:1 ~frame:1;
+      Hyper.Grant.map grants ~slot:1 ~by:0;
+      let view () =
+        ( Array.init 6 (fun f ->
+              let d = P.get pfn f in
+              (d.P.validated, d.P.use_count, d.P.ptype, d.P.owner)),
+          Array.map (fun (e : Hyper.Grant.entry) -> e.Hyper.Grant.mapped_by) entries )
+      in
+      let before = view () in
+      List.iter
+        (fun (op, f, x) ->
+          let d = P.get pfn f and slot = f mod 2 in
+          let log op target operand = J.log j op ~target ~operand in
+          match J.ops.(op) with
+          | J.Use_count_delta ->
+            log J.Use_count_delta f x;
+            d.P.use_count <- d.P.use_count + x
+          | J.Validated_set ->
+            if not d.P.validated then begin
+              log J.Validated_set f 0;
+              d.P.validated <- true
+            end
+          | J.Validated_cleared ->
+            if d.P.validated then begin
+              log J.Validated_cleared f 0;
+              d.P.validated <- false
+            end
+          | J.Type_change ->
+            log J.Type_change f (J.page_type_code d.P.ptype);
+            d.P.ptype <- J.page_types.(abs x)
+          | J.Owner_change ->
+            log J.Owner_change f d.P.owner;
+            d.P.owner <- x
+          | J.Put_if_used ->
+            if
+              d.P.ptype = P.Free && d.P.use_count = 0 && d.P.owner = -1
+              && not d.P.validated
+            then begin
+              log J.Put_if_used f 0;
+              d.P.use_count <- 1;
+              d.P.ptype <- P.Writable;
+              d.P.owner <- 7
+            end
+          | J.Grant_unmap_undo ->
+            if entries.(slot).Hyper.Grant.mapped_by = -1 then begin
+              log J.Grant_unmap_undo slot 0;
+              Hyper.Grant.map grants ~slot ~by:3
+            end
+          | J.Grant_remap_undo ->
+            if entries.(slot).Hyper.Grant.mapped_by = 0 then begin
+              log J.Grant_remap_undo slot 0;
+              Hyper.Grant.unmap grants ~slot
+            end)
+        steps;
+      J.undo_all j;
+      J.depth j = 0 && view () = before)
 
 (* ------------------------- Scheduler -------------------------------- *)
 
@@ -236,7 +323,8 @@ let prop_owned_frames_list_model =
                (List.init (List.length evens) Fun.id)
                evens
           && O.nth_if even () t (List.length evens) = -1
-          && O.find_opt (fun f -> f > 20) t = List.find_opt (fun f -> f > 20) !model)
+          && O.find_if (fun lo () f -> f > lo) 20 () t
+             = Option.value ~default:(-1) (List.find_opt (fun f -> f > 20) !model))
         ops)
 
 (* ------------------------- Recovery invariant ----------------------- *)
@@ -320,6 +408,7 @@ let () =
             prop_pfn_scan_restores_consistency;
             prop_static_segment_unlock_all;
             prop_journal_undo_inverts;
+            prop_journal_undo_restores_mix;
             prop_sched_fix_restores_consistency;
             prop_rng_int_in_bounds;
             prop_rng_reproducible;
