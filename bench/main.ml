@@ -75,17 +75,21 @@ let figure2 () =
   List.iter
     (fun (fault, n) ->
       List.iter
-        (fun (mech, mech_name, hv_config) ->
+        (fun mech ->
           let cfg =
             {
               Inject.Run.default_config with
               Inject.Run.fault;
               setup = Inject.Run.Three_appvm;
               mech = Inject.Run.Mech (mech, Recovery.Enhancement.full_set);
-              hv_config;
+              hv_config = Recovery.Engine.config mech;
             }
           in
-          let label = Printf.sprintf "%s/%s" mech_name (Inject.Fault.name fault) in
+          let label =
+            Printf.sprintf "%s/%s"
+              (Recovery.Engine.mechanism_name mech)
+              (Inject.Fault.name fault)
+          in
           let r =
             Inject.Campaign.run ~label ~base_seed:31000L ~jobs:(resolve_jobs ())
               ~n cfg
@@ -94,10 +98,7 @@ let figure2 () =
           Format.printf "%-22s Success %-18s noVMF %s@." label
             (fmt_prop (Inject.Campaign.success_rate r))
             (fmt_prop (Inject.Campaign.no_vmf_rate r)))
-        [
-          (Recovery.Engine.Nilihype, "NiLiHype", Hyper.Config.nilihype);
-          (Recovery.Engine.Rehype, "ReHype", Hyper.Config.rehype);
-        ])
+        [ Recovery.Engine.Nilihype; Recovery.Engine.Rehype ])
     faults
 
 (* ------------------------------------------------------------------ *)
@@ -134,19 +135,21 @@ let outcomes () =
 (* Tables II and III: recovery latency breakdowns (8 GB, 8 CPUs)       *)
 (* ------------------------------------------------------------------ *)
 
+let breakdown mech = (Recovery.Engine.measure mech).Recovery.Plan.breakdown
+
 let table2 () =
   hr "Table II: ReHype recovery latency breakdown (8 GB, 8 CPUs)";
   Format.printf "(paper total: 713ms; hw init 412ms, memory init 266ms, misc 35ms)@.";
-  let b = Core.Latency.rehype_breakdown () in
+  let b = breakdown Recovery.Engine.Rehype in
   Format.printf "%a" Hyper.Latency_model.pp b
 
 let table3 () =
   hr "Table III: NiLiHype recovery latency breakdown (8 GB, 8 CPUs)";
   Format.printf "(paper total: 22ms; page-frame scan 21ms + others 1ms)@.";
-  let b = Core.Latency.nilihype_breakdown () in
+  let b = breakdown Recovery.Engine.Nilihype in
   Format.printf "%a" Hyper.Latency_model.pp b;
   let nl = Hyper.Latency_model.total b in
-  let re = Hyper.Latency_model.total (Core.Latency.rehype_breakdown ()) in
+  let re = Hyper.Latency_model.total (breakdown Recovery.Engine.Rehype) in
   Format.printf "Latency ratio ReHype/NiLiHype: %.1fx (paper: >30x)@."
     (float_of_int re /. float_of_int nl)
 
@@ -227,8 +230,8 @@ let table4 () =
 
 let latency_service () =
   hr "Service interruption (NetBench, 1 ms UDP ping, Section VII-B)";
-  let nl = Hyper.Latency_model.total (Core.Latency.nilihype_breakdown ()) in
-  let re = Hyper.Latency_model.total (Core.Latency.rehype_breakdown ()) in
+  let nl = Hyper.Latency_model.total (breakdown Recovery.Engine.Nilihype) in
+  let re = Hyper.Latency_model.total (breakdown Recovery.Engine.Rehype) in
   List.iter
     (fun (name, latency) ->
       let lost = latency / Sim.Time.ms 1 in

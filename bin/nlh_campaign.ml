@@ -5,27 +5,9 @@
 let resolve_jobs jobs = if jobs > 0 then jobs else Inject.Pool.default_jobs ()
 
 let run_campaign ~mech ~fault ~setup ~n ~seed ~jobs ~chunk ~fanout ~label =
-  let mechanism, enh, hv_config =
-    match mech with
-    | `Nilihype ->
-      ( Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set),
-        Recovery.Enhancement.full_set,
-        Hyper.Config.nilihype )
-    | `Rehype ->
-      ( Inject.Run.Mech (Recovery.Engine.Rehype, Recovery.Enhancement.full_set),
-        Recovery.Enhancement.full_set,
-        Hyper.Config.rehype )
-    | `None -> (Inject.Run.No_recovery, Recovery.Enhancement.full_set, Hyper.Config.stock)
-  in
-  ignore enh;
+  let mech, hv_config = Obs_cli.run_mech mech in
   let cfg =
-    {
-      Inject.Run.default_config with
-      Inject.Run.fault;
-      setup;
-      mech = mechanism;
-      hv_config;
-    }
+    { Inject.Run.default_config with Inject.Run.fault; setup; mech; hv_config }
   in
   let result =
     Inject.Campaign.run ~label ~base_seed:seed ~jobs ?chunk ~fanout
@@ -76,7 +58,7 @@ let run_campaign ~mech ~fault ~setup ~n ~seed ~jobs ~chunk ~fanout ~label =
     ignore (Obs_cli.traced_run !Obs_cli.trace_file { cfg with Inject.Run.seed })
 
 let () =
-  let mech = ref `Nilihype in
+  let mech = ref (Some Recovery.Engine.Nilihype) in
   let fault = ref Inject.Fault.Failstop in
   let setup = ref Inject.Run.Three_appvm in
   let n = ref 200 in
@@ -87,14 +69,7 @@ let () =
   let ladder = ref false in
   let spec =
     [
-      ( "--mech",
-        Arg.Symbol
-          ( [ "nilihype"; "rehype"; "none" ],
-            function
-            | "nilihype" -> mech := `Nilihype
-            | "rehype" -> mech := `Rehype
-            | _ -> mech := `None ),
-        " recovery mechanism" );
+      Obs_cli.mech_spec mech;
       ( "--fault",
         Arg.Symbol
           ( [ "failstop"; "register"; "code"; "data" ],
@@ -166,9 +141,5 @@ let () =
       ~chunk:(if !chunk > 0 then Some !chunk else None)
       ~fanout:!fanout
       ~label:
-        (Printf.sprintf "%s/%s"
-           (match !mech with
-           | `Nilihype -> "NiLiHype"
-           | `Rehype -> "ReHype"
-           | `None -> "none")
+        (Printf.sprintf "%s/%s" (Obs_cli.mech_name !mech)
            (Inject.Fault.name !fault))

@@ -5,7 +5,7 @@
 let resolve_jobs jobs = if jobs > 0 then jobs else Inject.Pool.default_jobs ()
 
 let () =
-  let mech = ref `Nilihype in
+  let mech = ref (Some Recovery.Engine.Nilihype) in
   let fault = ref Inject.Fault.Failstop in
   let cycles = ref 50 in
   let scenarios = ref 10 in
@@ -17,11 +17,7 @@ let () =
   let json_out = ref "BENCH_endurance.json" in
   let spec =
     [
-      ( "--mech",
-        Arg.Symbol
-          ( [ "nilihype"; "rehype" ],
-            function "nilihype" -> mech := `Nilihype | _ -> mech := `Rehype ),
-        " recovery mechanism" );
+      Obs_cli.mech_spec ~none:false mech;
       ( "--fault",
         Arg.Symbol
           ( [ "failstop"; "register"; "code"; "data" ],
@@ -59,23 +55,15 @@ let () =
   require "--scenarios" 1 !scenarios;
   require "--jobs" 0 !jobs;
   require "--chunk" 0 !chunk;
-  let mech_name, hv_config =
-    match !mech with
-    | `Nilihype -> ("NiLiHype", Hyper.Config.nilihype)
-    | `Rehype -> ("ReHype", Hyper.Config.rehype)
-  in
-  let mechanism =
-    match !mech with
-    | `Nilihype -> Recovery.Engine.Nilihype
-    | `Rehype -> Recovery.Engine.Rehype
-  in
+  let mech_name = Obs_cli.mech_name !mech in
+  let run_mech, hv_config = Obs_cli.run_mech !mech in
   let cfg =
     {
       Endure.run_cfg =
         {
           Inject.Run.default_config with
           Inject.Run.fault = !fault;
-          mech = Inject.Run.Mech (mechanism, Recovery.Enhancement.full_set);
+          mech = run_mech;
           hv_config;
         };
       cycles = !cycles;

@@ -11,17 +11,8 @@
      otherwise) -- the repro-fidelity gate @check runs in CI. *)
 
 let base_config mech setup =
-  let mechanism, hv_config =
-    match mech with
-    | `Nilihype ->
-      ( Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set),
-        Hyper.Config.nilihype )
-    | `Rehype ->
-      ( Inject.Run.Mech (Recovery.Engine.Rehype, Recovery.Enhancement.full_set),
-        Hyper.Config.rehype )
-    | `None -> (Inject.Run.No_recovery, Hyper.Config.stock)
-  in
-  { Inject.Run.default_config with Inject.Run.setup; mech = mechanism; hv_config }
+  let mech, hv_config = Obs_cli.run_mech mech in
+  { Inject.Run.default_config with Inject.Run.setup; mech; hv_config }
 
 let triage_entry_json (r : Fuzz.Session.replay_result) =
   let tr = Obs.Postmortem.Triage.create () in
@@ -33,7 +24,7 @@ let triage_entry_json (r : Fuzz.Session.replay_result) =
   Obs.Postmortem.Triage.to_json tr
 
 let () =
-  let mech = ref `Nilihype in
+  let mech = ref (Some Recovery.Engine.Nilihype) in
   let setup = ref Inject.Run.Three_appvm in
   let runs = ref 256 in
   let batch = ref 32 in
@@ -49,14 +40,7 @@ let () =
   let replay_check = ref 0 in
   let spec =
     [
-      ( "--mech",
-        Arg.Symbol
-          ( [ "nilihype"; "rehype"; "none" ],
-            function
-            | "nilihype" -> mech := `Nilihype
-            | "rehype" -> mech := `Rehype
-            | _ -> mech := `None ),
-        " recovery mechanism" );
+      Obs_cli.mech_spec mech;
       ( "--setup",
         Arg.Symbol
           ( [ "1appvm"; "3appvm" ],

@@ -112,17 +112,6 @@ let () =
       num_cpus = !cpus;
     }
   in
-  let measure ?obs mechanism =
-    let clock = Sim.Clock.create () in
-    let config = Recovery.Engine.config mechanism in
-    let hv =
-      Hyper.Hypervisor.boot ~mconfig ?obs ~config
-        ~setup:Hyper.Hypervisor.One_appvm clock
-    in
-    Array.iter Hyper.Percpu.irq_enter hv.Hyper.Hypervisor.percpu;
-    Recovery.Engine.recover mechanism hv ~enh:Recovery.Enhancement.full_set
-      ~detected_on:0
-  in
   (* With --trace/--metrics, the NiLiHype measurement runs against a full
      recorder: its recovery spans become the exported timeline. *)
   let recorder =
@@ -133,7 +122,9 @@ let () =
   Format.printf "Machine: %d GiB RAM (%d frames), %d CPUs@.@." !mem_gb
     (mconfig.Hw.Machine.mem_bytes / Hw.Machine.page_size)
     mconfig.Hw.Machine.num_cpus;
-  let nl = measure ?obs:recorder Recovery.Engine.Nilihype in
+  let nl =
+    Recovery.Engine.measure ~mconfig ?obs:recorder Recovery.Engine.Nilihype
+  in
   Format.printf "NiLiHype (microreset):@.%a@." Hyper.Latency_model.pp
     nl.Recovery.Plan.breakdown;
   (match recorder with
@@ -155,7 +146,7 @@ let () =
         !Obs_cli.metrics_file
         (Obs.Recorder.metrics_snapshot r)
   | None -> ());
-  let re = measure Recovery.Engine.Rehype in
+  let re = Recovery.Engine.measure ~mconfig Recovery.Engine.Rehype in
   Format.printf "ReHype (microreboot):@.%a@." Hyper.Latency_model.pp
     re.Recovery.Plan.breakdown;
   Format.printf "ratio: %.1fx@."

@@ -1,6 +1,7 @@
-(* Shared observability CLI plumbing for the nlh_* tools:
-   --trace FILE / --trace-level LEVEL / --metrics FILE, plus the
-   checkpoint/resume flags shared by nlh_campaign and nlh_endurance. *)
+(* Shared CLI plumbing for the nlh_* tools:
+   --trace FILE / --trace-level LEVEL / --metrics FILE, the
+   checkpoint/resume flags shared by nlh_campaign and nlh_endurance, and
+   the --mech flag shared by nlh_campaign, nlh_endurance and nlh_fuzz. *)
 
 let trace_file = ref ""
 let trace_level = ref "info"
@@ -12,6 +13,31 @@ let checkpoint_every = ref 16
 let resume = ref false
 let stop_after_chunks = ref 0
 let triage_seeds = ref 0
+
+(* --mech: [Some m] recovers with mechanism [m]; [None] ("none", only
+   offered when [~none] holds) does not recover. *)
+let mech_spec ?(none = true) mech =
+  ( "--mech",
+    Arg.Symbol
+      ( ([ "nilihype"; "rehype" ] @ if none then [ "none" ] else []),
+        function
+        | "nilihype" -> mech := Some Recovery.Engine.Nilihype
+        | "rehype" -> mech := Some Recovery.Engine.Rehype
+        | _ -> mech := None ),
+    " recovery mechanism" )
+
+(* The run configuration's [mech] and [hv_config] for a --mech choice: a
+   mechanism recovers with its full enhancement set on the configuration
+   it requires; no recovery runs the stock configuration. *)
+let run_mech = function
+  | Some m ->
+    ( Inject.Run.Mech (m, Recovery.Enhancement.full_set),
+      Recovery.Engine.config m )
+  | None -> (Inject.Run.No_recovery, Hyper.Config.stock)
+
+let mech_name = function
+  | Some m -> Recovery.Engine.mechanism_name m
+  | None -> "none"
 
 (* Bad flags and unusable input files end a tool with one
    "tool: message" line on stderr and exit code 2: never an uncaught

@@ -9,14 +9,16 @@ let () =
   Format.printf "Injecting %d register faults per mechanism (3AppVM)...@." runs;
   List.iter
     (fun mechanism ->
-      let r =
-        Core.Experiment.campaign ~fault:Core.Experiment.Register ~mechanism ~runs ()
+      let cfg =
+        {
+          Inject.Run.default_config with
+          Inject.Run.fault = Inject.Fault.Register;
+          mech = Inject.Run.Mech (mechanism, Recovery.Enhancement.full_set);
+          hv_config = Recovery.Engine.config mechanism;
+        }
       in
-      let name =
-        match mechanism with
-        | Core.Experiment.Nilihype -> "NiLiHype"
-        | Core.Experiment.Rehype -> "ReHype"
-      in
+      let r = Inject.Campaign.run ~n:runs cfg in
+      let name = Recovery.Engine.mechanism_name mechanism in
       let nm, sdc, det = Inject.Campaign.breakdown r in
       Format.printf
         "%-9s outcomes: %.1f%% non-manifested / %.1f%% SDC / %.1f%% detected@."
@@ -28,4 +30,4 @@ let () =
       | Some l ->
         Format.printf "%-9s mean recovery latency: %a@." name Sim.Time.pp_float l
       | None -> ())
-    [ Core.Experiment.Nilihype; Core.Experiment.Rehype ]
+    [ Recovery.Engine.Nilihype; Recovery.Engine.Rehype ]

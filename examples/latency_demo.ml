@@ -5,7 +5,7 @@
      dune exec examples/latency_demo.exe *)
 
 let demo mechanism name =
-  let outcome = Core.Latency.measure mechanism in
+  let outcome = Recovery.Engine.measure mechanism in
   Format.printf "@.%s recovery latency breakdown:@." name;
   Format.printf "%a" Hyper.Latency_model.pp outcome.Recovery.Plan.breakdown;
   (* Drive the NetBench sender model across the interruption. *)

@@ -5,8 +5,13 @@
 
 let () =
   (* Boot: Xen-like hypervisor, PrivVM on CPU 0, two AppVMs. *)
-  let system = Core.System.boot ~setup:Core.System.Three_appvm () in
-  let hv = system.Core.System.hypervisor in
+  let hv =
+    Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
+      ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.Three_appvm
+      (Sim.Clock.create ())
+  in
+  let rng = Sim.Rng.create 42L in
+  let healthy () = Hyper.Hypervisor.audit_clean (Hyper.Hypervisor.audit hv) in
   Format.printf "booted: %d domains, %d CPUs, %d page frames@."
     (List.length (Hyper.Hypervisor.all_domains hv))
     (Hyper.Hypervisor.cpu_count hv)
@@ -15,42 +20,45 @@ let () =
   (* Run some guest work through the hypervisor. *)
   let unixbench = Workloads.Workload.create Workloads.Workload.Unixbench ~domid:1 in
   for _ = 1 to 200 do
-    Core.System.execute system
-      (Workloads.Workload.sample_activity system.Core.System.rng unixbench)
+    Hyper.Hypervisor.execute hv rng
+      (Workloads.Workload.sample_activity rng unixbench)
   done;
-  Format.printf "healthy after 200 activities: %b@." (Core.System.healthy system);
+  Format.printf "healthy after 200 activities: %b@." (healthy ());
 
   (* Simulate a hypervisor failure: an execution thread dies mid-
      hypercall, leaving partial state (a held lock, a half-updated
      scheduler) behind. *)
   (try
-     Hyper.Hypervisor.execute_partial hv system.Core.System.rng
+     Hyper.Hypervisor.execute_partial hv rng
        (Hyper.Hypervisor.Hypercall
           { domid = 1; vid = 0; kind = Hyper.Hypercalls.Mmu_update 2 })
        ~stop_at:5
    with Hyper.Crash.Hypervisor_crash _ -> ());
   Array.iter Hyper.Percpu.irq_enter hv.Hyper.Hypervisor.percpu;
-  let report = Core.System.audit system in
+  let report = Hyper.Hypervisor.audit hv in
   Format.printf "after failure, audit: %a@." Hyper.Hypervisor.pp_audit report;
 
   (* Microreset recovery: discard all execution threads, repair state,
      resume -- no reboot. *)
-  let latency = Core.System.recover ~mechanism:Recovery.Engine.Nilihype system in
+  let outcome =
+    Recovery.Engine.recover Recovery.Engine.Nilihype hv
+      ~enh:Recovery.Enhancement.full_set ~detected_on:0
+  in
   Format.printf "NiLiHype recovery completed in %a (simulated)@." Sim.Time.pp
-    latency;
+    outcome.Recovery.Plan.latency;
 
   (* Retry the abandoned hypercall and confirm the system is healthy. *)
   List.iter
     (fun (v : Hyper.Domain.vcpu) ->
       if v.Hyper.Domain.retry_pending then
-        Hyper.Hypervisor.retry_hypercall hv system.Core.System.rng v)
+        Hyper.Hypervisor.retry_hypercall hv rng v)
     (Hyper.Hypervisor.all_vcpus hv);
   for _ = 1 to 200 do
-    Core.System.execute system
-      (Workloads.Workload.sample_activity system.Core.System.rng unixbench)
+    Hyper.Hypervisor.execute hv rng
+      (Workloads.Workload.sample_activity rng unixbench)
   done;
   Format.printf "healthy after recovery + 200 more activities: %b@."
-    (Core.System.healthy system);
+    (healthy ());
   Format.printf "all VMs alive: %b@."
     (List.for_all
        (fun (d : Hyper.Domain.t) -> d.Hyper.Domain.alive)

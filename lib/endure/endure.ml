@@ -115,29 +115,6 @@ let instruments (obs : Obs.Recorder.t) =
     i_last_cycle = Obs.Metrics.gauge m "endure.last_cycle";
   }
 
-(* Resume the guests after a recovery: re-issue retried interactions and
-   surface lost work, as the single-shot classifier does -- but without
-   the single-shot new-VM probe, which would create and leak domains the
-   ledger would then (correctly, uselessly) report every cycle. *)
-let resume_guests (st : Inject.Run.state) =
-  let hv = st.Inject.Run.hv in
-  let mark_failed domid =
-    match Hypervisor.domain hv domid with
-    | Some d -> d.Domain.guest_failed <- true
-    | None -> ()
-  in
-  List.iter
-    (fun (v : Domain.vcpu) ->
-      if v.Domain.lost_work then begin
-        mark_failed v.Domain.domid;
-        v.Domain.lost_work <- false
-      end;
-      if v.Domain.retry_pending then
-        Hypervisor.retry_hypercall hv st.Inject.Run.rng v;
-      if v.Domain.syscall_retry_pending then Hypervisor.retry_syscall hv v;
-      if not v.Domain.fsgs_valid then mark_failed v.Domain.domid)
-    (Hypervisor.all_vcpus hv)
-
 (* [why] is a stable low-cardinality label ("recovery_failed",
    "privvm_failed", "post_recovery_crash") used for death-cause tallies;
    [detection] keeps the full crash description for the cycle record. *)
@@ -249,7 +226,10 @@ let run_cycle (st : Inject.Run.state) cfg ins ~mechanism ~enh ~index ~before =
            })
     | Ok recovery -> (
       try
-        resume_guests st;
+        (* Unlike a single-shot run, no new-VM probe: it would create
+           and leak a domain the ledger would then (correctly,
+           uselessly) report every cycle. *)
+        Inject.Run.resume_guests st;
         Inject.Run.install_cpu_tracker st;
         for _ = 1 to cfg.settle_activities do
           Inject.Run.run_one_activity st

@@ -45,5 +45,3 @@ let discard_hypervisor_stack t =
   t.hv_stack_depth <- 0;
   t.in_hypervisor <- false;
   Regs.set t.regs Regs.RSP 0x8000L
-
-let is_stuck t = match t.state with Spinning _ -> true | _ -> false

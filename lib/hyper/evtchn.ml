@@ -46,5 +46,3 @@ let consume_pending t =
       end)
     t.chans;
   !any
-
-let any_bound t = Array.exists (fun c -> c.bound) t.chans

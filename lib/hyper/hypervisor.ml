@@ -1666,13 +1666,6 @@ let iter_violations r f =
   if r.apics_unarmed > 0 then f 8 "apics_unarmed" r.apics_unarmed;
   if not r.static_data_ok then f 9 "static_data_corrupt" 1
 
-(* The same violations as (kind, magnitude) pairs, for callers that want
-   a value rather than a visit. *)
-let audit_violations r =
-  let acc = ref [] in
-  iter_violations r (fun _ kind count -> acc := (kind, count) :: !acc);
-  List.rev !acc
-
 (* Bump the per-kind [audit.*] counters and emit one typed
    [Audit_violation] event per violated invariant. Called wherever an
    audit is consulted for pass/fail (post-recovery classification,

@@ -44,11 +44,6 @@ let paper_campaign_size = function
    [Profile.manifestation]'s [crash_now] axis, made explicit). *)
 type crash_mode = Crash_none | Crash_panic | Crash_hang
 
-let crash_mode_name = function
-  | Crash_none -> "no_crash"
-  | Crash_panic -> "panic"
-  | Crash_hang -> "hang"
-
 (* A fully-determined fault point. When {!Run.config.directive} carries
    one, [Run.arm_fault] applies exactly this fault instead of sampling a
    manifestation from {!Profile}: the corruption target is selected by

@@ -356,6 +356,28 @@ let count_affected_app_vms st ~initial_app_domids =
       | None -> acc + 1)
     0 initial_app_domids
 
+(* Resume the guests after a recovery: retry the interactions abandoned
+   at detection and fail the guests whose work was lost. Raises
+   [Crash.Hypervisor_crash] when a retry trips over residual damage. *)
+let resume_guests st =
+  let hv = st.hv in
+  let mark_failed domid =
+    match Hypervisor.domain hv domid with
+    | Some d -> d.Domain.guest_failed <- true
+    | None -> ()
+  in
+  List.iter
+    (fun (v : Domain.vcpu) ->
+      if v.Domain.lost_work then begin
+        mark_failed v.Domain.domid;
+        v.Domain.lost_work <- false
+      end;
+      if v.Domain.retry_pending then Hypervisor.retry_hypercall hv st.rng v;
+      if v.Domain.syscall_retry_pending then Hypervisor.retry_syscall hv v;
+      (* Guest processes resumed with clobbered FS/GS crash. *)
+      if not v.Domain.fsgs_valid then mark_failed v.Domain.domid)
+    (Hypervisor.all_vcpus hv)
+
 (* Run the post-recovery phase: resume the VMs (retrying abandoned
    interactions), run the benchmarks to completion, and in the 3AppVM
    setup create the third AppVM and run BlkBench in it. Returns
@@ -370,24 +392,7 @@ let post_recovery_phase st =
   let reason = ref None in
   let fail why = if !reason = None then reason := Some why in
   (try
-     (* Retry interactions abandoned at detection. *)
-     List.iter
-       (fun (v : Domain.vcpu) ->
-         if v.Domain.lost_work then begin
-           (match Hypervisor.domain hv v.Domain.domid with
-           | Some d -> d.Domain.guest_failed <- true
-           | None -> ());
-           v.Domain.lost_work <- false
-         end;
-         if v.Domain.retry_pending then Hypervisor.retry_hypercall hv st.rng v;
-         if v.Domain.syscall_retry_pending then Hypervisor.retry_syscall hv v;
-         if not v.Domain.fsgs_valid then begin
-           (* Guest processes resumed with clobbered FS/GS crash. *)
-           match Hypervisor.domain hv v.Domain.domid with
-           | Some d -> d.Domain.guest_failed <- true
-           | None -> ()
-         end)
-       (Hypervisor.all_vcpus hv);
+     resume_guests st;
      (* Interrupt vectors left in service block further delivery of that
         vector. A blocked timer vector is equivalent to a disarmed APIC
         (the CPU starves); blocked device vectors stall the paravirtual

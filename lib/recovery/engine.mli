@@ -21,3 +21,14 @@ val recover :
     recovery attempt that dies invalidates the pfn dirty tracking before
     the exception propagates, so a later attempt on the same instance
     automatically falls back to the full consistency scan. *)
+
+val measure :
+  ?mconfig:Hw.Machine.config ->
+  ?obs:Obs.Recorder.t ->
+  mechanism ->
+  Plan.outcome
+(** A clean-recovery latency breakdown (Tables II and III): boots the
+    1AppVM platform on [mconfig] (default: the paper's 8 GB / 8 CPU
+    machine) with the mechanism's {!config}, recording into [obs] when
+    given, enters detection context on every CPU and recovers with the
+    full enhancement set. No fault is injected. *)

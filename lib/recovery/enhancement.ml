@@ -58,8 +58,6 @@ let all =
   ]
   @ rehype_mechanisms
 
-let nilihype_default = all
-
 type set = { enabled : t list }
 
 let set_of_list enabled = { enabled }

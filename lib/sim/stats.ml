@@ -44,11 +44,6 @@ let wilson_interval ~successes ~trials =
     (max 0.0 (centre -. half), min 1.0 (centre +. half))
   end
 
-let mean_ci_half xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ -> z_95 *. stddev xs /. sqrt (float_of_int (List.length xs))
-
 (* String-keyed occurrence counters, used for campaign failure notes.
    Accumulation and merging are O(1) amortised per key; [sorted] gives a
    canonical (key-ordered) view so aggregates are comparable regardless

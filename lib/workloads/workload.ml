@@ -137,10 +137,3 @@ let sample_activity rng t : Hyper.Hypervisor.activity =
   else
     Hyper.Hypervisor.Hypercall
       { domid = t.domid; vid; kind = sample_hypercall rng t.kind }
-
-(* Verification criteria (Section VI-A): BlkBench and UnixBench compare
-   produced files against a golden copy and watch for failed system
-   calls; both are represented by the guest-state flags the simulation
-   maintains. *)
-let check_guest_outputs (dom : Hyper.Domain.t) =
-  (not dom.Hyper.Domain.guest_sdc) && not dom.Hyper.Domain.guest_failed

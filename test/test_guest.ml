@@ -1,113 +1,8 @@
-(* Tests for the guest library: file system + golden copy, processes,
-   netstack, toolstack. *)
+(* Tests for the guest side of the experiments: the NetBench UDP echo
+   stack, and the guest-centric verdict the campaigns read (whether an
+   AppVM is affected, and whether the PrivVM can still create a VM). *)
 
 let checkb = Alcotest.check Alcotest.bool
-let checki = Alcotest.check Alcotest.int
-
-(* ------------------------- Fs --------------------------------------- *)
-
-let test_fs_create_and_match () =
-  let live = Guest.Fs.create () and golden = Guest.Fs.create () in
-  ignore (Guest.Fs.create_file live ~name:"a" ~seed:1 ~size_kb:1024);
-  ignore (Guest.Fs.create_file golden ~name:"a" ~seed:1 ~size_kb:1024);
-  Guest.Fs.flush live ~io_ok:true;
-  Guest.Fs.flush golden ~io_ok:true;
-  checkb "matches golden" true (Guest.Fs.compare_golden ~golden live = Guest.Fs.Match)
-
-let test_fs_content_differs () =
-  let live = Guest.Fs.create () and golden = Guest.Fs.create () in
-  ignore (Guest.Fs.create_file live ~name:"a" ~seed:1 ~size_kb:4);
-  ignore (Guest.Fs.create_file golden ~name:"a" ~seed:2 ~size_kb:4);
-  Guest.Fs.flush live ~io_ok:true;
-  checkb "different seed differs" false
-    (Guest.Fs.compare_golden ~golden live = Guest.Fs.Match)
-
-let test_fs_missing_file () =
-  let live = Guest.Fs.create () and golden = Guest.Fs.create () in
-  ignore (Guest.Fs.create_file golden ~name:"a" ~seed:1 ~size_kb:4);
-  match Guest.Fs.compare_golden ~golden live with
-  | Guest.Fs.Mismatch _ -> ()
-  | Guest.Fs.Match -> Alcotest.fail "missing file must mismatch"
-
-let test_fs_copy_duplicates_content () =
-  let fs = Guest.Fs.create () in
-  ignore (Guest.Fs.create_file fs ~name:"src" ~seed:5 ~size_kb:8);
-  (match Guest.Fs.copy fs ~src:"src" ~dst:"dst" with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "copy failed");
-  let d1 = Guest.Fs.read fs ~name:"src" and d2 = Guest.Fs.read fs ~name:"dst" in
-  checkb "same digest" true (d1 = d2)
-
-let test_fs_write_changes_digest () =
-  let fs = Guest.Fs.create () in
-  ignore (Guest.Fs.create_file fs ~name:"a" ~seed:1 ~size_kb:4);
-  let before = Guest.Fs.read fs ~name:"a" in
-  ignore (Guest.Fs.write fs ~name:"a" ~seed:99);
-  checkb "digest changed" false (before = Guest.Fs.read fs ~name:"a")
-
-let test_fs_remove () =
-  let fs = Guest.Fs.create () in
-  ignore (Guest.Fs.create_file fs ~name:"a" ~seed:1 ~size_kb:4);
-  ignore (Guest.Fs.remove fs ~name:"a");
-  checkb "gone" true (Guest.Fs.read fs ~name:"a" = Error `Not_found)
-
-let test_fs_double_create_rejected () =
-  let fs = Guest.Fs.create () in
-  ignore (Guest.Fs.create_file fs ~name:"a" ~seed:1 ~size_kb:4);
-  checkb "exists" true (Guest.Fs.create_file fs ~name:"a" ~seed:1 ~size_kb:4 = Error `Exists)
-
-let test_fs_io_errors_fail_verification () =
-  let live = Guest.Fs.create () and golden = Guest.Fs.create () in
-  ignore (Guest.Fs.create_file live ~name:"a" ~seed:1 ~size_kb:4);
-  ignore (Guest.Fs.create_file golden ~name:"a" ~seed:1 ~size_kb:4);
-  Guest.Fs.flush golden ~io_ok:true;
-  Guest.Fs.flush live ~io_ok:false; (* the block device is broken *)
-  checkb "io errors mismatch" false
-    (Guest.Fs.compare_golden ~golden live = Guest.Fs.Match)
-
-let test_fs_corruption_detected () =
-  let live = Guest.Fs.create () and golden = Guest.Fs.create () in
-  ignore (Guest.Fs.create_file live ~name:"a" ~seed:1 ~size_kb:4);
-  ignore (Guest.Fs.create_file golden ~name:"a" ~seed:1 ~size_kb:4);
-  Guest.Fs.flush live ~io_ok:true;
-  checkb "corrupted" true (Guest.Fs.corrupt_one live);
-  checkb "golden compare catches SDC" false
-    (Guest.Fs.compare_golden ~golden live = Guest.Fs.Match)
-
-(* ------------------------- Process ---------------------------------- *)
-
-let test_process_syscall_lifecycle () =
-  let p = Guest.Process.create ~pid:1 ~name:"test" in
-  Guest.Process.issue_syscall p;
-  checkb "in syscall" true (p.Guest.Process.state = Guest.Process.In_syscall);
-  Guest.Process.complete_syscall p;
-  checkb "healthy" true (Guest.Process.healthy p);
-  checki "one completed" 1 p.Guest.Process.syscalls_completed
-
-let test_process_lost_syscall_blocks_forever () =
-  let p = Guest.Process.create ~pid:1 ~name:"test" in
-  Guest.Process.issue_syscall p;
-  Guest.Process.lose_syscall p;
-  checkb "blocked forever" true (p.Guest.Process.state = Guest.Process.Blocked_forever);
-  checkb "unhealthy" false (Guest.Process.healthy p)
-
-let test_process_failed_syscall_counts () =
-  let p = Guest.Process.create ~pid:1 ~name:"test" in
-  Guest.Process.issue_syscall p;
-  Guest.Process.complete_syscall ~failed:true p;
-  checkb "failed syscall makes benchmark fail" false (Guest.Process.healthy p)
-
-let test_process_tls_clobber_crashes () =
-  let p = Guest.Process.create ~pid:1 ~name:"test" in
-  Guest.Process.clobber_tls p;
-  checkb "crashed" true (p.Guest.Process.state = Guest.Process.Crashed)
-
-let test_process_double_issue_rejected () =
-  let p = Guest.Process.create ~pid:1 ~name:"test" in
-  Guest.Process.issue_syscall p;
-  Alcotest.check_raises "double issue"
-    (Invalid_argument "Process.issue_syscall: process not running") (fun () ->
-      Guest.Process.issue_syscall p)
 
 (* ------------------------- Netstack --------------------------------- *)
 
@@ -139,111 +34,86 @@ let test_netstack_max_gap () =
 
 (* ------------------------- Kernel ----------------------------------- *)
 
-let make_system () =
+(* A guest's health is what [Hyper.Domain.affected] reads from its
+   domain: corrupt output, a failed guest or a dead domain. *)
+
+let boot () =
   let clock = Sim.Clock.create () in
-  let hv =
-    Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
-      ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.Three_appvm clock
-  in
-  (hv, Sim.Rng.create 7L)
+  Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
+    ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.Three_appvm clock
+
+let app_vm hv = Option.get (Hyper.Hypervisor.domain hv 1)
 
 let test_kernel_verify_clean () =
-  let hv, _ = make_system () in
-  let dom = Option.get (Hyper.Hypervisor.domain hv 1) in
-  let k = Guest.Kernel.create dom in
-  Guest.Kernel.populate_blkbench_files k ~files:4 ~size_kb:1024;
-  Guest.Fs.flush k.Guest.Kernel.fs ~io_ok:true;
-  Guest.Fs.flush k.Guest.Kernel.golden ~io_ok:true;
-  checkb "verifies" true (Guest.Kernel.verify k)
+  List.iter
+    (fun (d : Hyper.Domain.t) ->
+      checkb
+        (Printf.sprintf "dom%d clean at boot" d.Hyper.Domain.domid)
+        false (Hyper.Domain.affected d))
+    (Hyper.Hypervisor.app_domains (boot ()))
 
-let test_kernel_sdc_flag_corrupts_fs () =
-  let hv, _ = make_system () in
-  let dom = Option.get (Hyper.Hypervisor.domain hv 1) in
-  let k = Guest.Kernel.create dom in
-  Guest.Kernel.populate_blkbench_files k ~files:4 ~size_kb:1024;
-  dom.Hyper.Domain.guest_sdc <- true;
-  Guest.Kernel.apply_domain_flags k;
-  checkb "verification fails" false (Guest.Kernel.verify k)
+let test_kernel_sdc_corrupts_fs () =
+  let d = app_vm (boot ()) in
+  d.Hyper.Domain.guest_sdc <- true;
+  checkb "corrupt output affects the AppVM" true (Hyper.Domain.affected d)
 
-let test_kernel_failed_flag_kills_processes () =
-  let hv, _ = make_system () in
-  let dom = Option.get (Hyper.Hypervisor.domain hv 1) in
-  let k = Guest.Kernel.create dom in
-  let p = Guest.Kernel.spawn k ~name:"worker" in
-  Guest.Process.issue_syscall p;
-  dom.Hyper.Domain.guest_failed <- true;
-  Guest.Kernel.apply_domain_flags k;
-  checkb "process blocked" true (p.Guest.Process.state = Guest.Process.Blocked_forever);
-  checkb "verification fails" false (Guest.Kernel.verify k)
-
-let test_kernel_fsgs_loss_crashes_processes () =
-  let hv, _ = make_system () in
-  let dom = Option.get (Hyper.Hypervisor.domain hv 1) in
-  let k = Guest.Kernel.create dom in
-  let p = Guest.Kernel.spawn k ~name:"worker" in
-  dom.Hyper.Domain.vcpus.(0).Hyper.Domain.fsgs_valid <- false;
-  Guest.Kernel.apply_domain_flags k;
-  checkb "process crashed" true (p.Guest.Process.state = Guest.Process.Crashed)
+let test_kernel_failure_kills_processes () =
+  let d = app_vm (boot ()) in
+  d.Hyper.Domain.guest_failed <- true;
+  checkb "failed guest affects the AppVM" true (Hyper.Domain.affected d);
+  let d = app_vm (boot ()) in
+  d.Hyper.Domain.alive <- false;
+  checkb "dead domain affects the AppVM" true (Hyper.Domain.affected d)
 
 (* ------------------------- Toolstack -------------------------------- *)
 
-let test_toolstack_create_vm () =
-  let hv, rng = make_system () in
-  let ts = Guest.Toolstack.create hv ~rng in
-  match Guest.Toolstack.create_vm ts with
-  | Guest.Toolstack.Created dom ->
-    checkb "app domain" false dom.Hyper.Domain.privileged;
-    checkb "alive" true dom.Hyper.Domain.alive
-  | Guest.Toolstack.Failed why -> Alcotest.fail ("create_vm: " ^ why)
+(* The 3AppVM health check's probe: the PrivVM creates a VM with a
+   domctl hypercall. *)
 
-let test_toolstack_create_fails_on_broken_heap () =
-  let hv, rng = make_system () in
+let create_vm hv rng =
+  Hyper.Hypervisor.execute hv rng
+    (Hyper.Hypervisor.Hypercall
+       { domid = 0; vid = 0; kind = Hyper.Hypercalls.Domctl_create_domain })
+
+let check_creates name hv rng =
+  let before = Hyper.Hypervisor.app_domains hv in
+  create_vm hv rng;
+  let after = Hyper.Hypervisor.app_domains hv in
+  Alcotest.check Alcotest.int (name ^ ": one more app domain")
+    (List.length before + 1) (List.length after);
+  List.iter
+    (fun (d : Hyper.Domain.t) ->
+      if not (List.memq d before) then begin
+        checkb (name ^ ": app domain") false d.Hyper.Domain.privileged;
+        checkb (name ^ ": alive") true d.Hyper.Domain.alive
+      end)
+    after
+
+let test_toolstack_create_vm () =
+  check_creates "fresh" (boot ()) (Sim.Rng.create 7L)
+
+let test_toolstack_create_on_broken_heap () =
+  let hv = boot () in
   Hyper.Heap.corrupt_freelist hv.Hyper.Hypervisor.heap "test";
-  let ts = Guest.Toolstack.create hv ~rng in
-  match Guest.Toolstack.create_vm ts with
-  | Guest.Toolstack.Created _ -> Alcotest.fail "should have failed"
-  | Guest.Toolstack.Failed _ -> ()
+  match create_vm hv (Sim.Rng.create 7L) with
+  | () -> Alcotest.fail "create on a corrupt heap free list must fail"
+  | exception Hyper.Crash.Hypervisor_crash _ -> ()
 
 let test_toolstack_create_after_recovery () =
-  (* The 3AppVM health check: create a VM after a full recovery. *)
-  let hv, rng = make_system () in
+  let hv = boot () and rng = Sim.Rng.create 7L in
   (try
      Hyper.Hypervisor.execute_partial hv rng (Hyper.Hypervisor.Timer_tick 0)
        ~stop_at:4
    with Hyper.Crash.Hypervisor_crash _ -> ());
   Array.iter Hyper.Percpu.irq_enter hv.Hyper.Hypervisor.percpu;
   ignore
-    (Recovery.Microreset.recover hv ~enh:Recovery.Enhancement.full_set
-       ~detected_on:0);
-  let ts = Guest.Toolstack.create hv ~rng in
-  match Guest.Toolstack.create_vm ts with
-  | Guest.Toolstack.Created _ -> ()
-  | Guest.Toolstack.Failed why -> Alcotest.fail ("post-recovery create: " ^ why)
+    (Recovery.Engine.recover Recovery.Engine.Nilihype hv
+       ~enh:Recovery.Enhancement.full_set ~detected_on:0);
+  check_creates "after recovery" hv rng
 
 let () =
   Alcotest.run "guest"
     [
-      ( "fs",
-        [
-          Alcotest.test_case "create and match" `Quick test_fs_create_and_match;
-          Alcotest.test_case "content differs" `Quick test_fs_content_differs;
-          Alcotest.test_case "missing file" `Quick test_fs_missing_file;
-          Alcotest.test_case "copy duplicates" `Quick test_fs_copy_duplicates_content;
-          Alcotest.test_case "write changes digest" `Quick test_fs_write_changes_digest;
-          Alcotest.test_case "remove" `Quick test_fs_remove;
-          Alcotest.test_case "double create" `Quick test_fs_double_create_rejected;
-          Alcotest.test_case "io errors fail verification" `Quick
-            test_fs_io_errors_fail_verification;
-          Alcotest.test_case "corruption detected" `Quick test_fs_corruption_detected;
-        ] );
-      ( "process",
-        [
-          Alcotest.test_case "syscall lifecycle" `Quick test_process_syscall_lifecycle;
-          Alcotest.test_case "lost syscall" `Quick test_process_lost_syscall_blocks_forever;
-          Alcotest.test_case "failed syscall" `Quick test_process_failed_syscall_counts;
-          Alcotest.test_case "tls clobber" `Quick test_process_tls_clobber_crashes;
-          Alcotest.test_case "double issue" `Quick test_process_double_issue_rejected;
-        ] );
       ( "netstack",
         [
           Alcotest.test_case "healthy traffic" `Quick test_netstack_healthy_traffic;
@@ -256,17 +126,15 @@ let () =
       ( "kernel",
         [
           Alcotest.test_case "verify clean" `Quick test_kernel_verify_clean;
-          Alcotest.test_case "sdc corrupts fs" `Quick test_kernel_sdc_flag_corrupts_fs;
+          Alcotest.test_case "sdc corrupts fs" `Quick test_kernel_sdc_corrupts_fs;
           Alcotest.test_case "failure kills processes" `Quick
-            test_kernel_failed_flag_kills_processes;
-          Alcotest.test_case "fsgs loss crashes processes" `Quick
-            test_kernel_fsgs_loss_crashes_processes;
+            test_kernel_failure_kills_processes;
         ] );
       ( "toolstack",
         [
           Alcotest.test_case "create vm" `Quick test_toolstack_create_vm;
           Alcotest.test_case "create on broken heap" `Quick
-            test_toolstack_create_fails_on_broken_heap;
+            test_toolstack_create_on_broken_heap;
           Alcotest.test_case "create after recovery" `Quick
             test_toolstack_create_after_recovery;
         ] );

@@ -178,6 +178,26 @@ let test_run_faulting_only_scope_worse () =
   let one = count Inject.Run.Scope_faulting_only in
   checkb "discarding all threads recovers more" true (all > one)
 
+(* A vCPU that recovery left with clobbered FS/GS bases crashes its
+   guest's processes once the guests resume, so Run's outcome counts
+   that AppVM as affected while the platform stays healthy. *)
+let test_run_fsgs_loss_affects_app_vm () =
+  let st = Inject.Run.boot_state (run_cfg ~seed:21L ()) in
+  let initial_app_domids = Inject.Run.warmup_prepared st in
+  let affected () = Inject.Run.count_affected_app_vms st ~initial_app_domids in
+  let hv = st.Inject.Run.hv in
+  Inject.Run.enter_detection_context st;
+  ignore
+    (Recovery.Engine.recover Recovery.Engine.Nilihype hv
+       ~enh:Recovery.Enhancement.full_set ~detected_on:0);
+  checki "no AppVM affected by a clean recovery" 0 (affected ());
+  let v = Hyper.Domain.vcpu (Option.get (Hyper.Hypervisor.domain hv 1)) 0 in
+  v.Hyper.Domain.fsgs_valid <- false;
+  let hv_ok, new_vm_ok, _ = Inject.Run.post_recovery_phase st in
+  checkb "platform healthy" true hv_ok;
+  checkb "new VM created" true new_vm_ok;
+  checki "one AppVM affected" 1 (affected ())
+
 (* ------------------------- Campaign --------------------------------- *)
 
 let test_campaign_aggregation () =
@@ -1033,6 +1053,8 @@ let () =
           Alcotest.test_case "register spectrum" `Slow test_run_register_spectrum;
           Alcotest.test_case "faulting-only scope worse" `Slow
             test_run_faulting_only_scope_worse;
+          Alcotest.test_case "fsgs loss affects its AppVM" `Quick
+            test_run_fsgs_loss_affects_app_vm;
         ] );
       ( "campaign",
         [

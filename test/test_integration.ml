@@ -1,42 +1,62 @@
-(* End-to-end integration tests: whole fault-injection runs through the
-   public Core API, checking the paper's headline claims at small scale. *)
+(* End-to-end integration tests: whole fault-injection runs through
+   Inject.Run and Inject.Campaign, checking the paper's headline claims
+   at small scale. *)
 
 let checkb = Alcotest.check Alcotest.bool
 
+(* A 3AppVM campaign with [mechanism]'s full enhancement set. *)
+let campaign ~fault ~mechanism ~runs =
+  let cfg =
+    {
+      Inject.Run.default_config with
+      Inject.Run.fault;
+      mech = Inject.Run.Mech (mechanism, Recovery.Enhancement.full_set);
+      hv_config = Recovery.Engine.config mechanism;
+    }
+  in
+  Inject.Campaign.run ~n:runs cfg
+
 let test_quickstart_flow () =
   (* The README quickstart: boot, damage, recover, verify. *)
-  let system = Core.System.boot ~setup:Core.System.Three_appvm () in
-  let hv = system.Core.System.hypervisor in
-  checkb "healthy at boot" true (Core.System.healthy system);
+  let hv =
+    Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
+      ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.Three_appvm
+      (Sim.Clock.create ())
+  in
+  let healthy () = Hyper.Hypervisor.audit_clean (Hyper.Hypervisor.audit hv) in
+  checkb "healthy at boot" true (healthy ());
   (try
-     Hyper.Hypervisor.execute_partial hv system.Core.System.rng
+     Hyper.Hypervisor.execute_partial hv (Sim.Rng.create 42L)
        (Hyper.Hypervisor.Timer_tick 1) ~stop_at:4
    with Hyper.Crash.Hypervisor_crash _ -> ());
   Array.iter Hyper.Percpu.irq_enter hv.Hyper.Hypervisor.percpu;
-  checkb "dirty after damage" false (Core.System.healthy system);
-  let latency = Core.System.recover system in
-  checkb "recovered quickly" true (latency < Sim.Time.ms 5);
-  checkb "healthy after recovery" true (Core.System.healthy system)
+  checkb "dirty after damage" false (healthy ());
+  let o =
+    Recovery.Engine.recover Recovery.Engine.Nilihype hv
+      ~enh:Recovery.Enhancement.full_set ~detected_on:0
+  in
+  checkb "recovered quickly" true (o.Recovery.Plan.latency < Sim.Time.ms 5);
+  checkb "healthy after recovery" true (healthy ())
 
 let test_failstop_campaign_headline () =
   (* Both mechanisms recover the overwhelming majority of failstop
      faults, at essentially the same rate (Figure 2, failstop bars). *)
   let rate mechanism =
-    let r =
-      Core.Experiment.campaign ~fault:Core.Experiment.Failstop ~mechanism ~runs:120 ()
-    in
+    let r = campaign ~fault:Inject.Fault.Failstop ~mechanism ~runs:120 in
     Sim.Stats.rate (Inject.Campaign.success_rate r)
   in
-  let nl = rate Core.Experiment.Nilihype in
-  let re = rate Core.Experiment.Rehype in
+  let nl = rate Recovery.Engine.Nilihype in
+  let re = rate Recovery.Engine.Rehype in
   checkb "NiLiHype high" true (nl > 0.88);
   checkb "ReHype high" true (re > 0.88);
   checkb "essentially identical" true (abs_float (nl -. re) < 0.06)
 
 let test_latency_headline () =
   (* NiLiHype recovers >30x faster than ReHype (the paper's headline). *)
-  let nl = Hyper.Latency_model.total (Core.Latency.nilihype_breakdown ()) in
-  let re = Hyper.Latency_model.total (Core.Latency.rehype_breakdown ()) in
+  let total m =
+    Hyper.Latency_model.total (Recovery.Engine.measure m).Recovery.Plan.breakdown
+  in
+  let nl = total Recovery.Engine.Nilihype and re = total Recovery.Engine.Rehype in
   checkb "NiLiHype ~22ms" true (nl >= Sim.Time.ms 21 && nl <= Sim.Time.ms 23);
   checkb "ReHype ~713ms" true (re >= Sim.Time.ms 700 && re <= Sim.Time.ms 725);
   checkb ">30x" true (re > 30 * nl)
@@ -71,8 +91,12 @@ let test_enhancement_ladder_monotone () =
 
 let test_outcome_one_call () =
   match
-    Core.Experiment.inject_one ~fault:Core.Experiment.Failstop
-      ~mechanism:Core.Experiment.Nilihype ~seed:5L ()
+    Inject.Run.run
+      {
+        Inject.Run.default_config with
+        Inject.Run.seed = 5L;
+        fault = Inject.Fault.Failstop;
+      }
   with
   | Inject.Run.Detected d ->
     checkb "recovered" true d.Inject.Run.recovered;
@@ -81,8 +105,8 @@ let test_outcome_one_call () =
 
 let test_sdc_rarer_than_detected_for_code () =
   let r =
-    Core.Experiment.campaign ~fault:Core.Experiment.Code
-      ~mechanism:Core.Experiment.Nilihype ~runs:150 ()
+    campaign ~fault:Inject.Fault.Code ~mechanism:Recovery.Engine.Nilihype
+      ~runs:150
   in
   let _, sdc, det = Inject.Campaign.breakdown r in
   checkb "SDC < detected (Code faults)" true (sdc < det)

@@ -1,55 +1,6 @@
-(* Property-based tests over the guest substrate and remaining
-   invariants: golden-copy mirroring, heap bookkeeping, netstack window
-   accounting, latency-model monotonicity. *)
-
-(* Applying the same operation sequence to a live FS and its golden copy
-   keeps them equal; diverging at any single point is detected. *)
-let fs_op =
-  QCheck.(
-    oneof
-      [
-        map (fun (n, s) -> `Create (n mod 8, s)) (pair small_nat small_nat);
-        map (fun (n, s) -> `Write (n mod 8, s)) (pair small_nat small_nat);
-        map (fun (a, b) -> `Copy (a mod 8, b mod 8)) (pair small_nat small_nat);
-        map (fun n -> `Remove (n mod 8)) small_nat;
-      ])
-
-let apply_fs_op fs op =
-  let name i = Printf.sprintf "f%d" i in
-  match op with
-  | `Create (i, seed) -> ignore (Guest.Fs.create_file fs ~name:(name i) ~seed ~size_kb:4)
-  | `Write (i, seed) -> ignore (Guest.Fs.write fs ~name:(name i) ~seed)
-  | `Copy (a, b) -> ignore (Guest.Fs.copy fs ~src:(name a) ~dst:(name b))
-  | `Remove (i) -> ignore (Guest.Fs.remove fs ~name:(name i))
-
-let prop_fs_mirrored_ops_match =
-  QCheck.Test.make ~name:"fs: mirrored op sequences stay golden-equal"
-    (QCheck.list fs_op) (fun ops ->
-      let live = Guest.Fs.create () and golden = Guest.Fs.create () in
-      List.iter
-        (fun op ->
-          apply_fs_op live op;
-          apply_fs_op golden op)
-        ops;
-      Guest.Fs.flush live ~io_ok:true;
-      Guest.Fs.flush golden ~io_ok:true;
-      Guest.Fs.compare_golden ~golden live = Guest.Fs.Match)
-
-let prop_fs_corruption_always_detected =
-  QCheck.Test.make ~name:"fs: single corruption never passes verification"
-    (QCheck.list fs_op) (fun ops ->
-      let live = Guest.Fs.create () and golden = Guest.Fs.create () in
-      List.iter
-        (fun op ->
-          apply_fs_op live op;
-          apply_fs_op golden op)
-        ops;
-      Guest.Fs.flush live ~io_ok:true;
-      Guest.Fs.flush golden ~io_ok:true;
-      (* Only meaningful when at least one file exists. *)
-      if Guest.Fs.corrupt_one live then
-        Guest.Fs.compare_golden ~golden live <> Guest.Fs.Match
-      else true)
+(* Property-based tests over the guest netstack and remaining
+   invariants: heap bookkeeping, netstack window accounting,
+   latency-model monotonicity, ladder set inclusion. *)
 
 (* Heap: bytes_live equals the sum of live object sizes under any
    alloc/free interleaving. *)
@@ -103,22 +54,6 @@ let prop_latency_monotone =
       in
       nl lo <= nl hi && re lo <= re hi && re lo > nl lo && re hi > nl hi)
 
-(* Process: any legal syscall trajectory keeps counts consistent. *)
-let prop_process_syscall_counts =
-  QCheck.Test.make ~name:"process: syscall counters consistent"
-    QCheck.(list bool)
-    (fun failures ->
-      let p = Guest.Process.create ~pid:1 ~name:"x" in
-      List.iter
-        (fun failed ->
-          if p.Guest.Process.state = Guest.Process.Running then begin
-            Guest.Process.issue_syscall p;
-            Guest.Process.complete_syscall ~failed p
-          end)
-        failures;
-      p.Guest.Process.syscalls_issued
-      = p.Guest.Process.syscalls_completed + p.Guest.Process.syscalls_failed)
-
 (* Table I ladder rows never lose enhancements relative to the previous
    row (set inclusion, not just cardinality). *)
 let prop_ladder_set_inclusion =
@@ -139,13 +74,7 @@ let () =
   Alcotest.run "properties_guest"
     [
       ( "guest",
-        List.map to_alcotest
-          [
-            prop_fs_mirrored_ops_match;
-            prop_fs_corruption_always_detected;
-            prop_netstack_interruption_accounting;
-            prop_process_syscall_counts;
-          ] );
+        List.map to_alcotest [ prop_netstack_interruption_accounting ] );
       ( "hyper",
         List.map to_alcotest
           [ prop_heap_bytes_accounting; prop_latency_monotone; prop_ladder_set_inclusion ]

@@ -210,8 +210,10 @@ let test_microreboot_latency_breakdown () =
   checkb "about 713ms" true (total > Sim.Time.ms 700 && total < Sim.Time.ms 725)
 
 let test_latency_ratio_over_30x () =
-  let nl = Hyper.Latency_model.total (Core.Latency.nilihype_breakdown ()) in
-  let re = Hyper.Latency_model.total (Core.Latency.rehype_breakdown ()) in
+  let total m =
+    Hyper.Latency_model.total (Recovery.Engine.measure m).Recovery.Plan.breakdown
+  in
+  let nl = total Recovery.Engine.Nilihype and re = total Recovery.Engine.Rehype in
   checkb "paper headline: >30x" true (re > 30 * nl)
 
 let test_microreboot_requires_bootline_log () =
