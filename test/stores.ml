@@ -1,0 +1,61 @@
+(* A per-element dump of the hypervisor's three copy-on-write stores:
+   every page-frame descriptor, every live heap object in oid order and
+   the timer heap's occupied prefix in heap order, plus each store's own
+   scalars. Two machines with equal dumps hold the same frame, heap and
+   timer state element by element, so a rewind that swapped two frames'
+   use counts or reordered the timer heap shows up here even when every
+   aggregate count agrees. *)
+
+let dump (hv : Hyper.Hypervisor.t) =
+  let b = Buffer.create (1 lsl 20) in
+  let pr fmt = Printf.bprintf b fmt in
+  let pfn = hv.Hyper.Hypervisor.pfn in
+  for i = 0 to Hyper.Pfn.frames pfn - 1 do
+    let d = Hyper.Pfn.get pfn i in
+    pr "p%d %b %d %s %d\n" i d.Hyper.Pfn.validated d.Hyper.Pfn.use_count
+      (Hyper.Pfn.page_type_name d.Hyper.Pfn.ptype)
+      d.Hyper.Pfn.owner
+  done;
+  pr "free_head %d\n" pfn.Hyper.Pfn.free_head;
+  let h = hv.Hyper.Hypervisor.heap in
+  let objs = ref [] in
+  Hyper.Heap.iter_live h (fun o -> objs := o :: !objs);
+  List.iter
+    (fun (o : Hyper.Heap.obj) ->
+      pr "o%d %b %b\n" o.Hyper.Heap.oid o.Hyper.Heap.live o.Hyper.Heap.header_ok)
+    (List.sort (fun (a : Hyper.Heap.obj) b -> compare a.Hyper.Heap.oid b.Hyper.Heap.oid) !objs);
+  pr "heap next_oid %d bytes_live %d allocs %d freelist_ok %b\n"
+    h.Hyper.Heap.next_oid (Hyper.Heap.bytes_live h) h.Hyper.Heap.allocs
+    (Hyper.Heap.freelist_ok h);
+  let tm = hv.Hyper.Hypervisor.timers in
+  for i = 0 to Hyper.Timer_heap.size tm - 1 do
+    let e = tm.Hyper.Timer_heap.arr.(i) in
+    pr "t%d %d %b\n" e.Hyper.Timer_heap.id e.Hyper.Timer_heap.deadline
+      e.Hyper.Timer_heap.queued
+  done;
+  pr "timers next_id %d structure_ok %b recurring [%s]\n"
+    tm.Hyper.Timer_heap.next_id
+    (Hyper.Timer_heap.structure_ok tm)
+    (String.concat ";"
+       (List.map
+          (fun (e : Hyper.Timer_heap.event) -> string_of_int e.Hyper.Timer_heap.id)
+          tm.Hyper.Timer_heap.recurring));
+  Buffer.contents b
+
+(* The first line where two dumps differ, for a readable failure. *)
+let first_difference a b =
+  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
+  let rec go i = function
+    | x :: xs, y :: ys -> if x = y then go (i + 1) (xs, ys) else Some (i, x, y)
+    | [], [] -> None
+    | x :: _, [] -> Some (i, x, "<end>")
+    | [], y :: _ -> Some (i, "<end>", y)
+  in
+  go 1 (la, lb)
+
+let check msg ~expected actual =
+  match first_difference expected actual with
+  | None -> ()
+  | Some (line, want, got) ->
+    Alcotest.failf "%s: stores differ at line %d: expected %S, got %S" msg line
+      want got

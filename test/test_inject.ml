@@ -844,15 +844,21 @@ let test_superseded_image_rejected () =
 
 (* Boot image -> warmup -> layer snapshot -> damage -> restore the boot
    image: the machine is exactly a freshly booted one (ledger, clock,
-   dirty sets), behaves like one under the same stream, comes back there
+   dirty sets, and every frame, heap object and queued timer element by
+   element), behaves like one under the same stream, comes back there
    on a second restore, and the unwound layer is refused. *)
 let test_layered_restore_matches_fresh_boot () =
   let fingerprint hv =
-    ( Hyper.Ledger.capture hv,
-      Sim.Clock.now hv.Hyper.Hypervisor.clock,
-      Hyper.Pfn.dirty_count hv.Hyper.Hypervisor.pfn,
-      Hyper.Heap.dirty_count hv.Hyper.Hypervisor.heap,
-      Hyper.Timer_heap.dirty_count hv.Hyper.Hypervisor.timers )
+    ( ( Hyper.Ledger.capture hv,
+        Sim.Clock.now hv.Hyper.Hypervisor.clock,
+        Hyper.Pfn.dirty_count hv.Hyper.Hypervisor.pfn,
+        Hyper.Heap.dirty_count hv.Hyper.Hypervisor.heap,
+        Hyper.Timer_heap.dirty_count hv.Hyper.Hypervisor.timers ),
+      Stores.dump hv )
+  in
+  let same msg (counts, stores) (counts', stores') =
+    Stores.check msg ~expected:stores stores';
+    checkb msg true (counts = counts')
   in
   let cfg = run_cfg ~fault:Inject.Fault.Register () in
   let drive hv seed n =
@@ -887,12 +893,12 @@ let test_layered_restore_matches_fresh_boot () =
   Hyper.Hypervisor.restore hv layer;
   damage ();
   Hyper.Hypervisor.restore hv boot_image;
-  checkb "layered restore equals a fresh boot" true (fingerprint hv = booted);
+  same "layered restore equals a fresh boot" booted (fingerprint hv);
   ignore (drive hv 6L 200);
   ignore (drive fresh 6L 200);
-  checkb "and runs like one" true (fingerprint hv = fingerprint fresh);
+  same "and runs like one" (fingerprint fresh) (fingerprint hv);
   Hyper.Hypervisor.restore hv boot_image;
-  checkb "second restore equals a fresh boot" true (fingerprint hv = booted);
+  same "second restore equals a fresh boot" booted (fingerprint hv);
   match Hyper.Hypervisor.restore hv layer with
   | () -> Alcotest.fail "restoring an unwound layer must raise"
   | exception Invalid_argument _ -> ()
