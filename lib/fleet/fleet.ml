@@ -16,7 +16,7 @@
       page-frame consistency scan -- every tenant stalls for the whole
       O(machine) recovery (~22 ms at reference geometry).
     - [Serial_incremental]: the same serial microreset driven off the
-      dirty lists -- every tenant stalls, but only O(damaged state).
+      dirty sets -- every tenant stalls, but only O(damaged state).
     - [Sharded]: {!Recovery.Shard} -- a short global quiesce, then
       per-domain shards on the simulated CPUs; a tenant resumes as soon
       as the global phase and its own shard are done.
@@ -95,7 +95,7 @@ let default_config =
    8 CPUs) while the mechanics run on the scaled-down campaign tables:
    the latencies reported here are the 8 GB host's, not the simulator's.
    The serial full-scan baseline uses the stock NiLiHype config; the
-   other two mechanisms enable the dirty-list consistency scan. *)
+   other two mechanisms enable the dirty-set consistency scan. *)
 let hv_config = function
   | Serial_full ->
     { Config.nilihype with Config.geometry = Some Config.reference_geometry }
@@ -181,7 +181,7 @@ let trial w (cfg : config) ~seed : Obs.Metrics.snapshot =
     let w = loads.(Sim.Rng.int rng cfg.tenants) in
     Hypervisor.execute hv rng (Workloads.Workload.sample_activity rng w)
   done;
-  (* Golden quiesce point: refresh baselines and drain the dirty lists,
+  (* Golden quiesce point: refresh baselines and drain the dirty sets,
      so what is dirty at recovery time is exactly the damage. A layer
      over the base image, so the next trial's rewind unwinds it. *)
   ignore (Hypervisor.snapshot ~layer:true hv);

@@ -22,7 +22,7 @@ type point = {
   p_payload : int64; (* seeds the corruption's private rng stream *)
   p_crash : int; (* 0 = none, 1 = panic, 2 = hang *)
   p_window : int; (* trigger offset, folded mod the window by arm_fault *)
-  p_incremental : bool; (* dirty-list consistency scan on recovery *)
+  p_incremental : bool; (* dirty-set consistency scan on recovery *)
 }
 
 (* Matches [Run.default_config.trigger_window_steps]; window ops wrap

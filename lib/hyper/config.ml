@@ -51,7 +51,7 @@ type t = {
          simulation runs on its own (usually smaller) tables *)
   incremental_scan : bool;
       (* drive the recovery-time consistency passes off the copy-on-write
-         dirty lists (O(damaged state)) instead of walking the whole
+         dirty sets (O(damaged state)) instead of walking the whole
          structures (O(machine)); requires the dirty tracking to be
          intact at recovery time, else recovery falls back to the full
          scan *)
@@ -94,7 +94,7 @@ let nilihype =
 (* NiLiHype* in Figure 3: the logging turned off. *)
 let nilihype_no_logging = { nilihype with nonidempotent_logging = false }
 
-(* NiLiHype with the incremental (dirty-list-driven) recovery passes:
+(* NiLiHype with the incremental (dirty-set-driven) recovery passes:
    identical normal-operation cost -- the copy-on-write dirty tracking
    already exists for snapshots -- but recovery walks only state written
    since the last golden refresh, falling back to the full scan when the

@@ -6,15 +6,12 @@
     that ReHype's "recreate the new heap" reboot step repairs but
     NiLiHype cannot -- one source of ReHype's small recovery-rate edge.
 
-    Like the page-frame table ({!Pfn}), the heap carries copy-on-write
-    golden state behind {!Hypervisor.snapshot}: each object holds a
-    golden copy of its mutable fields plus a dirty bit, and a shared
-    dirty list records objects allocated, freed or written since the
-    last {!snapshot}. Both {!snapshot} and {!restore} walk only that
-    list -- O(changed objects), not O(live heap). Mutators inside this
-    module mark objects dirty themselves; external writers (the fault
-    injector) must go through {!corrupt_header}. Layer snapshots work as
-    in {!Pfn}. *)
+    Like the page-frame table ({!Pfn}), the heap rewinds copy-on-write
+    through {!Cow}: each object's golden [live] and [header_ok] bits are
+    one int in the heap's store, slotted by oid, and its scalars are the
+    store's golden scalars. Mutators inside this module mark objects
+    dirty themselves; external writers (the fault injector) must go
+    through {!corrupt_header}. *)
 
 type kind =
   | Lock of Spinlock.t
@@ -29,157 +26,81 @@ type obj = {
   mutable live : bool;
   mutable header_ok : bool; (* object header canary *)
   size : int;
-  (* Golden image of the mutable fields plus table membership,
-     refreshed by [snapshot]. *)
-  mutable g_live : bool;
-  mutable g_header_ok : bool;
-  mutable g_in_table : bool;
-  mutable in_table : bool;
-  mutable dirty : bool; (* on the heap's dirty list? *)
-  tracker : tracker; (* back-pointer: mutators see only the object *)
+  cow : string Cow.t; (* the heap's store: mutators see only the object *)
 }
 
-and tracker = { mutable dirty_list : obj list }
-
 type t = {
+  mutable objs : obj array; (* by oid; [0, next_oid) were allocated *)
   mutable next_oid : int;
-  objs : (int, obj) Hashtbl.t;
   mutable freelist_ok : bool;
   mutable freelist_note : string;
   mutable bytes_live : int;
   mutable allocs : int;
-  tracker : tracker;
-  (* Golden scalars, refreshed by [snapshot]. *)
-  mutable g_next_oid : int;
-  mutable g_freelist_ok : bool;
-  mutable g_freelist_note : string;
-  mutable g_bytes_live : int;
-  mutable g_allocs : int;
-  mutable unlayer : unit -> unit;
-      (* puts back the base golden state a layer snapshot overwrote *)
+  cow : string Cow.t;
+      (* golden ints: next_oid, freelist_ok, bytes_live, allocs; golden
+         reference: freelist_note *)
 }
 
 let create () =
   {
+    objs = [||];
     next_oid = 0;
-    objs = Hashtbl.create 256;
     freelist_ok = true;
     freelist_note = "";
     bytes_live = 0;
     allocs = 0;
-    tracker = { dirty_list = [] };
-    g_next_oid = 0;
-    g_freelist_ok = true;
-    g_freelist_note = "";
-    g_bytes_live = 0;
-    g_allocs = 0;
-    unlayer = ignore;
+    cow = Cow.create ~width:1 ~slots:0 ~scalars:[| 0; 1; 0; 0 |] [| "" |];
   }
 
-(* Mark an object as modified since the last snapshot. *)
-let touch obj =
-  if not obj.dirty then begin
-    obj.dirty <- true;
-    obj.tracker.dirty_list <- obj :: obj.tracker.dirty_list
-  end
+let touch (obj : obj) = Cow.touch obj.cow obj.oid
+let dirty_count t = Cow.dirty_count t.cow
 
-let dirty_count t = List.length t.tracker.dirty_list
-
-(* Refresh the golden image: record the live fields and table membership
-   of every object changed since the previous snapshot and drain the
-   dirty list. O(changed objects). A [layer] snapshot first saves the
-   golden state it is about to overwrite. *)
+(* Refresh the golden image of every object allocated, freed or written
+   since the previous snapshot. O(changed objects). An object's golden
+   int is 0 while it does not exist. *)
 let snapshot ?(layer = false) t =
-  t.unlayer <-
-    (if not layer then ignore
-     else begin
-       let base =
-         List.map (fun o -> (o, o.g_live, o.g_header_ok, o.g_in_table))
-           t.tracker.dirty_list
-       and next_oid = t.g_next_oid
-       and freelist_ok = t.g_freelist_ok
-       and freelist_note = t.g_freelist_note
-       and bytes_live = t.g_bytes_live
-       and allocs = t.g_allocs in
-       fun () ->
-         List.iter
-           (fun (o, live, header_ok, in_table) ->
-             o.g_live <- live;
-             o.g_header_ok <- header_ok;
-             o.g_in_table <- in_table;
-             touch o)
-           base;
-         t.g_next_oid <- next_oid;
-         t.g_freelist_ok <- freelist_ok;
-         t.g_freelist_note <- freelist_note;
-         t.g_bytes_live <- bytes_live;
-         t.g_allocs <- allocs
-     end);
-  List.iter
-    (fun o ->
-      o.g_live <- o.live;
-      o.g_header_ok <- o.header_ok;
-      o.g_in_table <- o.in_table;
-      o.dirty <- false)
-    t.tracker.dirty_list;
-  t.tracker.dirty_list <- [];
-  t.g_next_oid <- t.next_oid;
-  t.g_freelist_ok <- t.freelist_ok;
-  t.g_freelist_note <- t.freelist_note;
-  t.g_bytes_live <- t.bytes_live;
-  t.g_allocs <- t.allocs
+  let c = t.cow in
+  Cow.begin_snapshot ~layer c;
+  for i = 0 to Cow.dirty_count c - 1 do
+    let o = t.objs.(Cow.dirty c i) in
+    Cow.set_golden c o.oid 0
+      ((if o.live then 1 else 0) lor if o.header_ok then 0 else 2)
+  done;
+  Cow.set_scalar c 0 t.next_oid;
+  Cow.set_scalar c 1 (if t.freelist_ok then 1 else 0);
+  Cow.set_scalar c 2 t.bytes_live;
+  Cow.set_scalar c 3 t.allocs;
+  Cow.set_ref c 0 t.freelist_note;
+  Cow.drain c
 
-(* Rewind every object changed since the last snapshot: re-insert
-   objects freed since, drop objects allocated since, rewind field
-   values. O(changed objects); repeatable like {!Pfn.restore}. *)
+(* Rewind every object changed since the last snapshot: objects freed
+   since are live again, objects allocated since are gone. O(changed
+   objects); repeatable like {!Pfn.restore}. *)
 let restore t =
-  List.iter
-    (fun o ->
-      o.live <- o.g_live;
-      o.header_ok <- o.g_header_ok;
-      if o.g_in_table && not o.in_table then begin
-        Hashtbl.replace t.objs o.oid o;
-        o.in_table <- true
-      end
-      else if o.in_table && not o.g_in_table then begin
-        Hashtbl.remove t.objs o.oid;
-        o.in_table <- false
-      end;
-      o.dirty <- false)
-    t.tracker.dirty_list;
-  t.tracker.dirty_list <- [];
-  t.next_oid <- t.g_next_oid;
-  t.freelist_ok <- t.g_freelist_ok;
-  t.freelist_note <- t.g_freelist_note;
-  t.bytes_live <- t.g_bytes_live;
-  t.allocs <- t.g_allocs
+  let c = t.cow in
+  for i = 0 to Cow.dirty_count c - 1 do
+    let o = t.objs.(Cow.dirty c i) in
+    let g = Cow.golden c o.oid 0 in
+    o.live <- g land 1 = 1;
+    o.header_ok <- g land 2 = 0
+  done;
+  Cow.drain c;
+  t.next_oid <- Cow.scalar c 0;
+  t.freelist_ok <- Cow.scalar c 1 = 1;
+  t.bytes_live <- Cow.scalar c 2;
+  t.allocs <- Cow.scalar c 3;
+  t.freelist_note <- Cow.get_ref c 0
 
-(* As {!Pfn.drop_layer}. *)
-let drop_layer t =
-  t.unlayer ();
-  t.unlayer <- ignore
+let drop_layer t = Cow.drop_layer t.cow
 
 let alloc t ?(size = 64) kind =
   if not t.freelist_ok then
     Crash.hang "heap: free-list walk never terminates (%s)" t.freelist_note;
-  let obj =
-    {
-      oid = t.next_oid;
-      kind;
-      live = true;
-      header_ok = true;
-      size;
-      g_live = false;
-      g_header_ok = true;
-      g_in_table = false; (* did not exist at the last snapshot *)
-      in_table = true;
-      dirty = false;
-      tracker = t.tracker;
-    }
-  in
+  let oid = t.next_oid in
+  let obj = { oid; kind; live = true; header_ok = true; size; cow = t.cow } in
+  t.objs <- Cow.place t.cow t.objs oid obj;
   touch obj;
-  t.next_oid <- t.next_oid + 1;
-  Hashtbl.replace t.objs obj.oid obj;
+  t.next_oid <- oid + 1;
   t.bytes_live <- t.bytes_live + size;
   t.allocs <- t.allocs + 1;
   obj
@@ -192,13 +113,21 @@ let free t obj =
     Crash.panic "heap: corrupted object header on free (oid %d)" obj.oid;
   touch obj;
   obj.live <- false;
-  obj.in_table <- false;
-  t.bytes_live <- t.bytes_live - obj.size;
-  Hashtbl.remove t.objs obj.oid
+  t.bytes_live <- t.bytes_live - obj.size
 
-let iter_live t f = Hashtbl.iter (fun _ obj -> if obj.live then f obj) t.objs
+(* Live objects in oid order. *)
+let iter_live t f =
+  for oid = 0 to t.next_oid - 1 do
+    let obj = t.objs.(oid) in
+    if obj.live then f obj
+  done
 
-let live_count t = Hashtbl.length t.objs
+let live_count t =
+  let n = ref 0 in
+  for oid = 0 to t.next_oid - 1 do
+    if t.objs.(oid).live then incr n
+  done;
+  !n
 let bytes_live t = t.bytes_live
 
 (* Corruption entry points used by the fault injector. *)

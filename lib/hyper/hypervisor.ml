@@ -449,10 +449,9 @@ let journal_tail t = Obs.Flight.tail t.journal_flight
 
 (* [snapshot] captures a golden image of the mutable hypervisor state;
    [restore] rewinds the same instance back to it in place. Cost model:
-   the page-frame table, the heap and the timer heap are handled
-   copy-on-write inside [Pfn] / [Heap] / [Timer_heap] (each descriptor,
-   object and event carries its own golden copy plus a dirty bit and
-   mutators maintain shared dirty lists), so snapshot and restore are
+   the page-frame table, the heap and the timer heap each keep their
+   golden state in one copy-on-write store ([Cow]: golden values in flat
+   arrays, a preallocated dirty set), so snapshot and restore are
    O(changed state) there; everything else (domains, vcpus, locks,
    per-CPU areas, hardware) is small and constant-size and captured
    whole.
@@ -467,7 +466,7 @@ let journal_tail t = Obs.Flight.tail t.journal_flight
      base) -- so restoring the base later unwinds the layer, then
      rewinds as usual; the layer is gone after that. Restoring either
      live image is repeatable (restore, run, restore again): each
-     restore drains the dirty lists, later writes re-dirty.
+     restore drains the dirty sets, later writes re-dirty.
    - Snapshot at quiesce points only: [snapshot] raises
      [Invalid_argument] while any vCPU has a hypercall in flight
      ([vcpu.in_hypercall <> None]). The record is the vCPU's own, reset
@@ -544,7 +543,7 @@ type image = {
   im_config : Config.t;
   im_machine : Hw.Machine.image;
   im_now : Sim.Time.ns;
-  (* Heap and timer-heap golden state lives inside those instances
+  (* Frame, heap and timer golden state lives in their stores
      (copy-on-write, refreshed by [snapshot] below), not in the image. *)
   im_static_locks : lock_image list;
   im_percpu : percpu_image array;
@@ -945,7 +944,7 @@ let exec_mmu_update t journal (dom : Domain.t) (record : Hypercalls.record)
       journal_log t journal Journal.Validated_cleared ~target:o ~operand:0;
       Pfn.invalidate od;
       journal_log t journal Journal.Type_change ~target:o
-        ~operand:(Journal.page_type_code od.Pfn.ptype);
+        ~operand:(Pfn.page_type_code od.Pfn.ptype);
       journal_log t journal Journal.Owner_change ~target:o ~operand:od.Pfn.owner;
       journal_log t journal Journal.Use_count_delta ~target:o ~operand:(-1);
       Pfn.put_page od;
@@ -1029,7 +1028,7 @@ let exec_memory_op_decrease t rng journal (dom : Domain.t)
     (* Double execution without undo double-puts the frame: underflow. *)
     step t "put_page";
     journal_log t journal Journal.Type_change ~target:f
-      ~operand:(Journal.page_type_code d.Pfn.ptype);
+      ~operand:(Pfn.page_type_code d.Pfn.ptype);
     journal_log t journal Journal.Owner_change ~target:f ~operand:d.Pfn.owner;
     journal_log t journal Journal.Use_count_delta ~target:f ~operand:(-1);
     Spinlock.acquire t.global_heap_lock ~cpu:0;

@@ -20,7 +20,7 @@ type op =
   | Use_count_delta (* operand: the delta that was applied *)
   | Validated_set (* the validation bit was set *)
   | Validated_cleared
-  | Type_change (* operand: [page_type_code] of the previous type *)
+  | Type_change (* operand: [Pfn.page_type_code] of the previous type *)
   | Owner_change (* operand: the previous owner *)
   | Put_if_used
       (* a frame the call allocated: drop its reference if it still
@@ -46,16 +46,6 @@ let ops =
     Use_count_delta; Validated_set; Validated_cleared; Type_change;
     Owner_change; Put_if_used; Grant_unmap_undo; Grant_remap_undo;
   |]
-
-let page_types = Pfn.[| Free; Writable; Page_table; Segdesc; Shared; Xenheap |]
-
-let page_type_code = function
-  | Pfn.Free -> 0
-  | Pfn.Writable -> 1
-  | Pfn.Page_table -> 2
-  | Pfn.Segdesc -> 3
-  | Pfn.Shared -> 4
-  | Pfn.Xenheap -> 5
 
 type t = {
   pfn : Pfn.t; (* the table frame targets index *)
@@ -132,7 +122,7 @@ let undo_entry t i =
   | Type_change ->
     let d = Pfn.get t.pfn target in
     Pfn.touch d;
-    d.Pfn.ptype <- page_types.(operand)
+    d.Pfn.ptype <- Pfn.page_types.(operand)
   | Owner_change ->
     let d = Pfn.get t.pfn target in
     Pfn.touch d;

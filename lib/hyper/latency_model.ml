@@ -25,7 +25,7 @@ let pfn_scan ~frames = frames * pfn_scan_ns_per_frame
 
 (* --- Incremental (dirty-set-proportional) passes ------------------- *)
 
-(* Walking the dirty list instead of the whole table: worse locality
+(* Walking the dirty set instead of the whole table: worse locality
    (pointer chasing instead of a sequential array sweep), so a slightly
    higher per-descriptor cost, plus a fixed cost to fetch and validate
    the tracking structures. Cost is proportional to state written since
@@ -36,7 +36,7 @@ let pfn_scan_dirty_ns_per_frame = 12
 
 let pfn_scan_dirty ~dirty = pfn_scan_dirty_base + (dirty * pfn_scan_dirty_ns_per_frame)
 
-(* Heap / timer audit passes driven off their dirty lists. The full
+(* Heap / timer audit passes driven off their dirty sets. The full
    variants are folded into [microreset_enhancements] (they are
    O(cpus + domains + timers), part of the 700 us "Others" budget, not
    of machine size); the dirty variants replace that flat budget when

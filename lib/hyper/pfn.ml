@@ -9,19 +9,12 @@
     8 GB).
 
     The table is also the only O(machine) structure in the simulator
-    (64 Ki descriptors on the campaign configuration), so it carries
-    the copy-on-write machinery behind {!Hypervisor.snapshot}: every
-    descriptor holds a golden copy of its mutable fields plus a dirty
-    bit, and a shared per-table dirty list records which descriptors
-    have been written since the last {!snapshot}. Both {!snapshot} and
-    {!restore} walk only that list -- O(changed frames), not
-    O(all frames). Mutators inside this module mark descriptors dirty
+    (64 Ki descriptors on the campaign configuration), and its rewinds
+    are copy-on-write through {!Cow}: the golden image of each
+    descriptor's four mutable fields lives in the table's store, two
+    ints per frame. Mutators inside this module mark descriptors dirty
     themselves; the few external writers (the journal's undo arms, the
-    fault injector's wild writes) call {!touch} explicitly.
-
-    A [layer] snapshot is taken over a base one: it first saves the base
-    golden values it overwrites, and {!drop_layer} puts them back, so the
-    next {!restore} lands on the base image again. *)
+    fault injector's wild writes) call {!touch} explicitly. *)
 
 type page_type =
   | Free
@@ -37,34 +30,23 @@ type desc = {
   mutable use_count : int;
   mutable ptype : page_type;
   mutable owner : int; (* domid, -1 = unowned *)
-  (* Golden image of the four mutable fields, refreshed by [snapshot]. *)
-  mutable g_validated : bool;
-  mutable g_use_count : int;
-  mutable g_ptype : page_type;
-  mutable g_owner : int;
-  mutable dirty : bool; (* on the table's dirty list? *)
-  tracker : tracker; (* back-pointer: mutators see only the desc *)
+  cow : unit Cow.t; (* the table's store: mutators see only the desc *)
 }
-
-and tracker = { mutable dirty_list : desc list }
 
 type t = {
   descs : desc array;
   mutable free_head : int; (* cursor for simple free-frame allocation *)
-  mutable g_free_head : int; (* free_head at the last snapshot *)
-  tracker : tracker;
+  cow : unit Cow.t;
   mutable tracking_ok : bool;
       (* Is the dirty tracking itself trustworthy? The incremental
-         recovery scan walks only the dirty list, which is sound exactly
-         when every write since the last consistent baseline went
+         recovery scan walks only the dirty descriptors, which is sound
+         exactly when every write since the last consistent baseline went
          through {!touch}. A wild write into the tracking structures
          ({!invalidate_tracking}, e.g. the fault injector's
          [Pfn_tracker] target) or a recovery attempt that itself died
          mid-flight clears this; recovery then falls back to the full
          scan. Re-established by {!snapshot}/{!restore}, which install a
          fresh consistent baseline. *)
-  mutable unlayer : unit -> unit;
-      (* puts back the base golden values a layer snapshot overwrote *)
 }
 
 let page_type_name = function
@@ -75,8 +57,27 @@ let page_type_name = function
   | Shared -> "shared"
   | Xenheap -> "xenheap"
 
+(* Page types as small ints, for the golden image and the undo journal. *)
+let page_types = [| Free; Writable; Page_table; Segdesc; Shared; Xenheap |]
+
+let page_type_code = function
+  | Free -> 0
+  | Writable -> 1
+  | Page_table -> 2
+  | Segdesc -> 3
+  | Shared -> 4
+  | Xenheap -> 5
+
+(* A descriptor's golden image: [use_count], then the owner, type and
+   validation bit packed into one int. A free, unowned frame encodes as
+   two zeros, the store's initial value. *)
+let flags d =
+  ((d.owner + 1) lsl 4)
+  lor (page_type_code d.ptype lsl 1)
+  lor if d.validated then 1 else 0
+
 let create ~frames =
-  let tracker = { dirty_list = [] } in
+  let cow = Cow.create ~width:2 ~slots:frames ~scalars:[| 0 |] [||] in
   {
     descs =
       Array.init frames (fun index ->
@@ -86,92 +87,59 @@ let create ~frames =
             use_count = 0;
             ptype = Free;
             owner = -1;
-            g_validated = false;
-            g_use_count = 0;
-            g_ptype = Free;
-            g_owner = -1;
-            dirty = false;
-            tracker;
+            cow;
           });
     free_head = 0;
-    g_free_head = 0;
-    tracker;
+    cow;
     tracking_ok = true;
-    unlayer = ignore;
   }
 
 let frames t = Array.length t.descs
 let get t i = t.descs.(i)
 
-(* Mark a descriptor as modified since the last snapshot. First touch
-   costs one list cons; subsequent touches are a load and a branch. *)
-let touch d =
-  if not d.dirty then begin
-    d.dirty <- true;
-    d.tracker.dirty_list <- d :: d.tracker.dirty_list
-  end
+(* Mark a descriptor as modified since the last snapshot. *)
+let touch (d : desc) = Cow.touch d.cow d.index
 
-(* Refresh the golden image: copy the live fields of every descriptor
-   written since the previous snapshot and drain the dirty list.
-   O(changed frames). A [layer] snapshot first saves the golden values it
-   is about to overwrite; a base one forgets any saved layer. *)
+(* Refresh the golden image of every descriptor written since the
+   previous snapshot. O(changed frames). *)
 let snapshot ?(layer = false) t =
-  t.unlayer <-
-    (if not layer then ignore
-     else begin
-       let base =
-         List.map
-           (fun d -> (d, d.g_validated, d.g_use_count, d.g_ptype, d.g_owner))
-           t.tracker.dirty_list
-       and free_head = t.g_free_head in
-       fun () ->
-         List.iter
-           (fun (d, v, u, p, o) ->
-             d.g_validated <- v;
-             d.g_use_count <- u;
-             d.g_ptype <- p;
-             d.g_owner <- o;
-             touch d)
-           base;
-         t.g_free_head <- free_head
-     end);
-  List.iter
-    (fun d ->
-      d.g_validated <- d.validated;
-      d.g_use_count <- d.use_count;
-      d.g_ptype <- d.ptype;
-      d.g_owner <- d.owner;
-      d.dirty <- false)
-    t.tracker.dirty_list;
-  t.tracker.dirty_list <- [];
-  t.g_free_head <- t.free_head;
+  let c = t.cow in
+  Cow.begin_snapshot ~layer c;
+  for i = 0 to Cow.dirty_count c - 1 do
+    let d = t.descs.(Cow.dirty c i) in
+    Cow.set_golden c d.index 0 d.use_count;
+    Cow.set_golden c d.index 1 (flags d)
+  done;
+  Cow.set_scalar c 0 t.free_head;
+  Cow.drain c;
   t.tracking_ok <- true
 
 (* Rewind every descriptor written since the last snapshot back to its
-   golden image. O(changed frames); repeatable (the dirty list is
-   drained, later writes re-dirty). *)
+   golden image. O(changed frames); repeatable (later writes re-dirty). *)
 let restore t =
-  List.iter
-    (fun d ->
-      d.validated <- d.g_validated;
-      d.use_count <- d.g_use_count;
-      d.ptype <- d.g_ptype;
-      d.owner <- d.g_owner;
-      d.dirty <- false)
-    t.tracker.dirty_list;
-  t.tracker.dirty_list <- [];
-  t.free_head <- t.g_free_head;
+  let c = t.cow in
+  for i = 0 to Cow.dirty_count c - 1 do
+    let d = t.descs.(Cow.dirty c i) in
+    let f = Cow.golden c d.index 1 in
+    d.use_count <- Cow.golden c d.index 0;
+    d.owner <- (f asr 4) - 1;
+    d.ptype <- page_types.((f lsr 1) land 7);
+    d.validated <- f land 1 = 1
+  done;
+  Cow.drain c;
+  t.free_head <- Cow.scalar c 0;
   t.tracking_ok <- true
 
-(* Give the golden image back to the base a layer snapshot was taken
-   over, marking every descriptor it rewinds dirty so the next {!restore}
-   lands there. O(descriptors the layer refreshed). *)
-let drop_layer t =
-  t.unlayer ();
-  t.unlayer <- ignore
+let drop_layer t = Cow.drop_layer t.cow
+let dirty_count t = Cow.dirty_count t.cow
 
-let dirty_count t = List.length t.tracker.dirty_list
-let dirty_descs t = t.tracker.dirty_list
+(* Visit the descriptors written since the last snapshot, most recently
+   first-touched first. *)
+let iter_dirty t f =
+  for i = 0 to Cow.dirty_count t.cow - 1 do
+    f t.descs.(Cow.dirty t.cow i)
+  done
+
 let tracking_usable t = t.tracking_ok
 let invalidate_tracking t = t.tracking_ok <- false
 
@@ -241,7 +209,7 @@ let consistent d =
 (* Detect validation-bit / use-counter disagreement on one descriptor
    and repair it. The repair is a pure function of the descriptor's own
    fields, so the scans below may visit descriptors in any order (full
-   array sweep, dirty-list walk, per-domain shard) and converge on the
+   array sweep, dirty-set walk, per-domain shard) and converge on the
    same table. Returns whether a repair was made. *)
 let fix_desc d =
   if consistent d then false
@@ -281,14 +249,16 @@ let scan_and_fix t =
    golden refresh. Equivalent to [scan_and_fix] whenever the tracking is
    intact ([tracking_usable]): the baseline was a consistent quiesce
    point, mutators and wild writes alike mark descriptors dirty, so any
-   descriptor not on the list still holds a consistent value. The dirty
-   list is deliberately NOT drained -- it still backs {!restore}, and
-   every repaired descriptor is already on it ([touch] inside [fix_desc]
-   is a no-op here). Latency is charged by the caller, proportional to
+   descriptor not dirty still holds a consistent value. The dirty set is
+   deliberately NOT drained -- it still backs {!restore}, and every
+   repaired descriptor is already in it ([touch] inside [fix_desc] is a
+   no-op here). Latency is charged by the caller, proportional to
    [dirty_count t]. *)
 let scan_and_fix_dirty t =
   let fixed = ref 0 in
-  List.iter (fun d -> if fix_desc d then incr fixed) t.tracker.dirty_list;
+  for i = 0 to Cow.dirty_count t.cow - 1 do
+    if fix_desc t.descs.(Cow.dirty t.cow i) then incr fixed
+  done;
   !fixed
 
 let count_inconsistent t =

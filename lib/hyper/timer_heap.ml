@@ -8,15 +8,13 @@
     re-insert silently loses them, the damage the "Reactivate recurring
     timer events" enhancement repairs.
 
-    Like {!Pfn} and {!Heap}, the timer heap carries copy-on-write golden
-    state behind {!Hypervisor.snapshot}: each event holds a golden copy
-    of its mutable fields plus a dirty bit, and the heap keeps a golden
-    copy of its occupied prefix (event refs, order included) in a
-    persistent side array. {!snapshot} and {!restore} walk the dirty
-    list plus the occupied prefix -- O(changed events + queue length),
-    never O(allocated capacity) -- and allocate nothing in steady state.
+    Like {!Pfn} and {!Heap}, the timer heap rewinds copy-on-write
+    through {!Cow}: each event's golden deadline and queued bit sit in
+    the heap's store, slotted by event id, and the store's golden
+    scalars hold the occupied prefix (event refs in heap order), its
+    size, [next_id], [structure_ok] and how many recurring events exist.
     External writers (the fault injector's deadline scribbles) must call
-    {!touch} first. Layer snapshots work as in {!Pfn}. *)
+    {!touch} first. *)
 
 type action =
   | Time_sync (* system time calibration, global *)
@@ -37,34 +35,21 @@ type event = {
   mutable deadline : Sim.Time.ns;
   period : Sim.Time.ns option; (* [Some p] for recurring events *)
   action : action;
-  mutable queued : bool;
-  mutable active : bool; (* an inactive recurring event is "lost" *)
-  (* Golden image of the mutable fields, refreshed by [snapshot]. *)
-  mutable g_deadline : Sim.Time.ns;
-  mutable g_queued : bool;
-  mutable g_active : bool;
-  mutable dirty : bool; (* on the heap's dirty list? *)
-  tracker : tracker; (* back-pointer: mutators see only the event *)
+  mutable queued : bool; (* an unqueued recurring event is "lost" *)
+  cow : event Cow.t; (* the heap's store: mutators see only the event *)
 }
-
-and tracker = { mutable dirty_list : event list }
 
 type t = {
   mutable arr : event array;
   mutable size : int;
   mutable next_id : int;
   mutable structure_ok : bool; (* heap-order integrity *)
-  mutable recurring : event list; (* registry of all recurring events *)
-  tracker : tracker;
-  (* Golden copy of the occupied prefix (refs in heap order) plus the
-     structural scalars, refreshed by [snapshot]. *)
-  mutable g_arr : event array;
-  mutable g_size : int;
-  mutable g_next_id : int;
-  mutable g_structure_ok : bool;
-  mutable g_recurring : event list;
-  mutable unlayer : unit -> unit;
-      (* puts back the base golden state a layer snapshot overwrote *)
+  mutable recurring : event list;
+      (* registry of all recurring events, newest first *)
+  mutable events : event array; (* by id; [0, next_id) were added *)
+  cow : event Cow.t;
+      (* golden ints: size, next_id, structure_ok, recurring count;
+         golden references: the occupied prefix *)
 }
 
 (* The backing arrays are sized eagerly: campaign workers reuse one heap
@@ -73,8 +58,6 @@ type t = {
    rest -- breaking the jobs-invariance of the allocation profiler's
    phase counters. 64 slots cover every configuration the campaigns use
    (a few recurring events per CPU plus singleshot vCPU timers). *)
-let dummy_tracker = { dirty_list = [] }
-
 let dummy_event =
   {
     id = -1;
@@ -82,12 +65,7 @@ let dummy_event =
     period = None;
     action = Generic_oneshot;
     queued = false;
-    active = false;
-    g_deadline = 0;
-    g_queued = false;
-    g_active = false;
-    dirty = false;
-    tracker = dummy_tracker;
+    cow = Cow.create ~width:0 ~slots:0 ~scalars:[||] [||];
   }
 
 let create () =
@@ -97,13 +75,10 @@ let create () =
     next_id = 0;
     structure_ok = true;
     recurring = [];
-    tracker = { dirty_list = [] };
-    g_arr = Array.make 64 dummy_event;
-    g_size = 0;
-    g_next_id = 0;
-    g_structure_ok = true;
-    g_recurring = [];
-    unlayer = ignore;
+    events = [||];
+    cow =
+      Cow.create ~width:2 ~slots:0 ~scalars:[| 0; 0; 1; 0 |]
+        (Array.make 64 dummy_event);
   }
 
 let size t = t.size
@@ -111,84 +86,56 @@ let size t = t.size
 (* Mark an event as modified since the last snapshot. Exported: the
    fault injector scribbles on deadlines directly and must call this
    first, like {!Pfn.touch}. *)
-let touch e =
-  if not e.dirty then begin
-    e.dirty <- true;
-    e.tracker.dirty_list <- e :: e.tracker.dirty_list
-  end
+let touch (e : event) = Cow.touch e.cow e.id
 
-let dirty_count t = List.length t.tracker.dirty_list
+let dirty_count t = Cow.dirty_count t.cow
 
 (* Refresh the golden image: per-event fields for everything touched
-   since the previous snapshot, plus the occupied prefix and structural
-   scalars. O(changed events + queue length); allocates only if the
-   queue outgrew the golden array's capacity. A [layer] snapshot first
-   saves the golden state it is about to overwrite. *)
+   since the previous snapshot, plus the occupied prefix and the
+   scalars. O(changed events + queue length). An event's golden values
+   are 0 while it does not exist. *)
 let snapshot ?(layer = false) t =
-  t.unlayer <-
-    (if not layer then ignore
-     else begin
-       let base =
-         List.map (fun e -> (e, e.g_deadline, e.g_queued, e.g_active))
-           t.tracker.dirty_list
-       and prefix = Array.sub t.g_arr 0 t.g_size
-       and next_id = t.g_next_id
-       and structure_ok = t.g_structure_ok
-       and recurring = t.g_recurring in
-       fun () ->
-         List.iter
-           (fun (e, deadline, queued, active) ->
-             e.g_deadline <- deadline;
-             e.g_queued <- queued;
-             e.g_active <- active;
-             touch e)
-           base;
-         (* [g_arr] never shrinks, so the base prefix still fits. *)
-         Array.blit prefix 0 t.g_arr 0 (Array.length prefix);
-         t.g_size <- Array.length prefix;
-         t.g_next_id <- next_id;
-         t.g_structure_ok <- structure_ok;
-         t.g_recurring <- recurring
-     end);
-  List.iter
-    (fun e ->
-      e.g_deadline <- e.deadline;
-      e.g_queued <- e.queued;
-      e.g_active <- e.active;
-      e.dirty <- false)
-    t.tracker.dirty_list;
-  t.tracker.dirty_list <- [];
-  if Array.length t.g_arr < t.size then
-    t.g_arr <- Array.make (Array.length t.arr) dummy_event;
-  Array.blit t.arr 0 t.g_arr 0 t.size;
-  t.g_size <- t.size;
-  t.g_next_id <- t.next_id;
-  t.g_structure_ok <- t.structure_ok;
-  t.g_recurring <- t.recurring
+  let c = t.cow in
+  Cow.begin_snapshot ~layer c;
+  for i = 0 to Cow.dirty_count c - 1 do
+    let e = t.events.(Cow.dirty c i) in
+    Cow.set_golden c e.id 0 e.deadline;
+    Cow.set_golden c e.id 1 (if e.queued then 1 else 0)
+  done;
+  for i = 0 to t.size - 1 do
+    Cow.set_ref c i t.arr.(i)
+  done;
+  Cow.set_scalar c 0 t.size;
+  Cow.set_scalar c 1 t.next_id;
+  Cow.set_scalar c 2 (if t.structure_ok then 1 else 0);
+  Cow.set_scalar c 3 (List.length t.recurring);
+  Cow.drain c
+
+(* [recurring] only ever grows at its head, so the golden registry is
+   the live one minus the events registered since. *)
+let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
 
 (* Rewind to the last snapshot: per-event fields for everything touched
-   since, then the queue prefix and scalars. Repeatable (the dirty list
-   is drained; later writes re-dirty). *)
+   since, then the queue prefix and scalars. Repeatable (later writes
+   re-dirty). *)
 let restore t =
-  List.iter
-    (fun e ->
-      e.deadline <- e.g_deadline;
-      e.queued <- e.g_queued;
-      e.active <- e.g_active;
-      e.dirty <- false)
-    t.tracker.dirty_list;
-  t.tracker.dirty_list <- [];
+  let c = t.cow in
+  for i = 0 to Cow.dirty_count c - 1 do
+    let e = t.events.(Cow.dirty c i) in
+    e.deadline <- Cow.golden c e.id 0;
+    e.queued <- Cow.golden c e.id 1 = 1
+  done;
+  Cow.drain c;
   (* [arr] never shrinks, so its capacity covers any historical size. *)
-  Array.blit t.g_arr 0 t.arr 0 t.g_size;
-  t.size <- t.g_size;
-  t.next_id <- t.g_next_id;
-  t.structure_ok <- t.g_structure_ok;
-  t.recurring <- t.g_recurring
+  t.size <- Cow.scalar c 0;
+  for i = 0 to t.size - 1 do
+    t.arr.(i) <- Cow.get_ref c i
+  done;
+  t.next_id <- Cow.scalar c 1;
+  t.structure_ok <- Cow.scalar c 2 = 1;
+  t.recurring <- drop (List.length t.recurring - Cow.scalar c 3) t.recurring
 
-(* As {!Pfn.drop_layer}. *)
-let drop_layer t =
-  t.unlayer ();
-  t.unlayer <- ignore
+let drop_layer t = Cow.drop_layer t.cow
 
 let swap t i j =
   let tmp = t.arr.(i) in
@@ -230,23 +177,11 @@ let push_event t event =
   sift_up t (t.size - 1)
 
 let add t ~deadline ?period action =
-  let event =
-    {
-      id = t.next_id;
-      deadline;
-      period;
-      action;
-      queued = false;
-      active = true;
-      g_deadline = deadline;
-      g_queued = false;
-      g_active = false; (* did not exist at the last snapshot *)
-      dirty = false;
-      tracker = t.tracker;
-    }
-  in
+  let id = t.next_id in
+  let event = { id; deadline; period; action; queued = false; cow = t.cow } in
+  t.events <- Cow.place t.cow t.events id event;
   touch event;
-  t.next_id <- t.next_id + 1;
+  t.next_id <- id + 1;
   if period <> None then t.recurring <- event :: t.recurring;
   push_event t event;
   event
@@ -293,7 +228,6 @@ let requeue t event ~now =
   | Some p ->
     touch event;
     event.deadline <- now + p;
-    event.active <- true;
     push_event t event
 
 let next_deadline t = match peek t with Some e -> Some e.deadline | None -> None
@@ -310,7 +244,6 @@ let reactivate_recurring t ~now =
         (match e.period with
         | Some p -> e.deadline <- now + p
         | None -> ());
-        e.active <- true;
         push_event t e;
         incr reactivated
       end)
@@ -333,7 +266,6 @@ let rebuild_for_reboot t ~now =
       touch e;
       e.queued <- false;
       (match e.period with Some p -> e.deadline <- now + p | None -> ());
-      e.active <- true;
       push_event t e)
     t.recurring
 

@@ -108,9 +108,10 @@ let apply hv rng target =
            else Domain.Running)
     end
   | Timer_deadline ->
-    (* A deadline register gets a wrong value: the event fires late (or
-       early); heap order is preserved by re-sorting, as the comparison
-       code still works on the wrong value. *)
+    (* A deadline register gets a wrong value: the top event fires late.
+       Nothing re-sorts the heap: the event keeps the root, so the events
+       below it wait for its later deadline unless an insert sifts an
+       earlier one above it. *)
     let timers = hv.Hypervisor.timers in
     (match Timer_heap.peek timers with
     | Some e ->
@@ -142,14 +143,11 @@ let apply hv rng target =
        working until either its owner frees it (panic on the corrupted
        header) or the end-of-run audit walks the heap -- damage that
        ReHype's reboot-time heap reconstruction repairs but a microreset
-       preserves. The pick is by ascending oid, not hashtable order, so
-       it depends only on the rng stream and the allocation history. *)
+       preserves. The pick is by ascending oid, so it depends only on
+       the rng stream and the allocation history. *)
     let objs = ref [] in
     Heap.iter_live hv.Hypervisor.heap (fun o -> objs := o :: !objs);
-    let objs =
-      List.sort (fun (a : Heap.obj) b -> compare a.Heap.oid b.Heap.oid) !objs
-    in
-    (match objs with
+    (match List.rev !objs with
     | [] -> ()
     | l ->
       let o = List.nth l (Sim.Rng.int rng (List.length l)) in
@@ -177,7 +175,7 @@ let apply hv rng target =
   | Pfn_tracker ->
     (* A wild write lands in the dirty-tracking metadata itself. No
        descriptor value changes, but the incremental consistency scan can
-       no longer trust the dirty list to cover all damage -- recovery
+       no longer trust the dirty set to cover all damage -- recovery
        must fall back to the full scan. Snapshot restores re-establish a
        trusted baseline, so a rewind clears it. *)
     Pfn.invalidate_tracking hv.Hypervisor.pfn

@@ -67,7 +67,7 @@ type t = {
   journal_undone : Metrics.counter;
   timer_fires : Metrics.counter;
   recovery_lock_releases : Metrics.counter;
-  (* Which consistency-scan path a microreset took: dirty-list-driven
+  (* Which consistency-scan path a microreset took: dirty-set-driven
      incremental or the full table walk (chosen per recovery, including
      the forced fallback after a recovery attempt died). Registered
      eagerly like the outcome counters, and surfaced as fuzz coverage

@@ -126,7 +126,7 @@ let reprogram_apic_timers (hv : Hypervisor.t) =
 (* --- Shared by the serial and sharded microreset plans ------------- *)
 
 (* Decide the scan path up front: the recovery's own repairs dirty state
-   as they go, and the decision must not depend on them. The dirty lists
+   as they go, and the decision must not depend on them. The dirty sets
    can be trusted unless a recovery attempt died since the last
    consistent baseline. *)
 let scan_mode (hv : Hypervisor.t) =

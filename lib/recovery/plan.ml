@@ -36,7 +36,7 @@ let step ?(owner = Global) ?(after = ignore) name cost action =
   { name; cost; owner; action; after }
 
 (* Which consistency-scan path a microreset took. Incremental walks only
-   the copy-on-write dirty lists (O(damaged state)); Full walks the
+   the copy-on-write dirty sets (O(damaged state)); Full walks the
    whole structures (O(machine)). The repaired state is identical either
    way whenever the tracking is intact -- the per-element repairs are
    pure functions of the element, and every write since the last

@@ -58,7 +58,7 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
   in
   (if scan then
      match mode with
-     | Plan.Incremental_scan -> List.iter visit (Pfn.dirty_descs hv.Hypervisor.pfn)
+     | Plan.Incremental_scan -> Pfn.iter_dirty hv.Hypervisor.pfn visit
      | Plan.Full_scan ->
        for i = 0 to real_frames - 1 do
          visit (Pfn.get hv.Hypervisor.pfn i)

@@ -313,10 +313,10 @@ let test_journal_undo_order () =
   let d = Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Writable in
   let f = d.Hyper.Pfn.index in
   Hyper.Journal.log j Hyper.Journal.Type_change ~target:f
-    ~operand:(Hyper.Journal.page_type_code Hyper.Pfn.Writable);
+    ~operand:(Hyper.Pfn.page_type_code Hyper.Pfn.Writable);
   d.Hyper.Pfn.ptype <- Hyper.Pfn.Page_table;
   Hyper.Journal.log j Hyper.Journal.Type_change ~target:f
-    ~operand:(Hyper.Journal.page_type_code Hyper.Pfn.Page_table);
+    ~operand:(Hyper.Pfn.page_type_code Hyper.Pfn.Page_table);
   d.Hyper.Pfn.ptype <- Hyper.Pfn.Shared;
   Hyper.Grant.grant grants ~slot:2 ~frame:f;
   Hyper.Journal.log j Hyper.Journal.Grant_unmap_undo ~target:2 ~operand:0;
@@ -779,6 +779,101 @@ let test_snapshot_allocation_ceiling () =
     (Printf.sprintf "%.0f words per domain <= 600" per_domain)
     true (per_domain <= 600.0)
 
+(* ------------------------- Copy-on-write stores ---------------------- *)
+
+(* A page-frame descriptor costs at most 7 minor words at create (the
+   record: index, four live fields and the store back-pointer), and at
+   most 13 words in all, so golden state cannot hide in major-heap
+   arrays either. The table's own records get a constant 64 words. *)
+let test_pfn_create_words () =
+  let frames = 65536 in
+  Gc.minor ();
+  let minor0 = Gc.minor_words () and bytes0 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Hyper.Pfn.create ~frames));
+  let minor = Gc.minor_words () -. minor0 in
+  Gc.minor ();
+  let words =
+    (Gc.allocated_bytes () -. bytes0) /. float_of_int (Sys.word_size / 8)
+  in
+  let within per w =
+    checkb
+      (Printf.sprintf "%.0f words for %d descriptors <= %d each + 64" w
+         frames per)
+      true
+      (w <= float_of_int ((per * frames) + 64))
+  in
+  within 7 minor;
+  within 13 words
+
+(* Once warm, snapshots (base and layer), restores and unlayering on a
+   store with existing elements allocate nothing: no first touch conses,
+   no layer captures its base in tuples or a closure. *)
+let cycles_allocate_nothing name cycle =
+  cycle ();
+  let cycles () =
+    for _ = 1 to 100 do
+      cycle ()
+    done
+  in
+  let w0 = Gc.minor_words () in
+  cycles ();
+  let words = Gc.minor_words () -. w0 in
+  checkb (Printf.sprintf "%s: %.0f minor words in 100 cycles" name words) true
+    (words = 0.0)
+
+let test_store_cycles_allocate_nothing () =
+  let module P = Hyper.Pfn in
+  let pfn = P.create ~frames:64 in
+  let ds =
+    Array.init 16 (fun i -> P.alloc_frame pfn ~owner:(i mod 3) ~ptype:P.Writable)
+  in
+  P.snapshot pfn;
+  let churn () = Array.iter (fun d -> P.get_page d; P.validate d) ds in
+  let unchurn () = Array.iter (fun d -> P.invalidate d; P.put_page d) ds in
+  cycles_allocate_nothing "pfn" (fun () ->
+      churn ();
+      P.snapshot pfn;
+      unchurn ();
+      P.snapshot ~layer:true pfn;
+      churn ();
+      P.restore pfn;
+      P.drop_layer pfn;
+      P.restore pfn;
+      unchurn ());
+  let module H = Hyper.Heap in
+  let heap = H.create () in
+  let objs = Array.init 16 (fun _ -> H.alloc heap H.Generic) in
+  H.snapshot heap;
+  cycles_allocate_nothing "heap" (fun () ->
+      Array.iter H.corrupt_header objs;
+      H.snapshot heap;
+      H.rebuild_for_reboot heap;
+      H.snapshot ~layer:true heap;
+      H.free heap objs.(0);
+      H.restore heap;
+      H.drop_layer heap;
+      H.restore heap);
+  let module T = Hyper.Timer_heap in
+  let timers = T.create () in
+  for i = 1 to 8 do
+    ignore (T.add timers ~deadline:(10 * i) ~period:100 T.Time_sync)
+  done;
+  T.snapshot timers;
+  let tick () =
+    let e = T.pop_top timers in
+    T.requeue timers e ~now:e.T.deadline
+  in
+  cycles_allocate_nothing "timer_heap" (fun () ->
+      tick ();
+      tick ();
+      T.snapshot timers;
+      tick ();
+      T.snapshot ~layer:true timers;
+      ignore (T.pop_top timers);
+      T.restore timers;
+      T.drop_layer timers;
+      T.restore timers)
+
 (* ------------------------- Latency model ---------------------------- *)
 
 let test_latency_pfn_scan_scales () =
@@ -902,6 +997,12 @@ let () =
           Alcotest.test_case "packed round trip" `Quick test_domain_image_round_trip;
           Alcotest.test_case "snapshot allocation ceiling" `Quick
             test_snapshot_allocation_ceiling;
+        ] );
+      ( "cow",
+        [
+          Alcotest.test_case "pfn create words" `Quick test_pfn_create_words;
+          Alcotest.test_case "store cycles allocate nothing" `Quick
+            test_store_cycles_allocate_nothing;
         ] );
       ( "latency_model",
         [
