@@ -122,6 +122,12 @@ let iter_live t f =
     if obj.live then f obj
   done
 
+(* Does some live object satisfy [p]? No closure is built when [p]
+   captures nothing, so the audit's walks allocate nothing. *)
+let rec exists_live t p oid =
+  oid < t.next_oid
+  && ((t.objs.(oid).live && p t.objs.(oid)) || exists_live t p (oid + 1))
+
 let live_count t =
   let n = ref 0 in
   for oid = 0 to t.next_oid - 1 do
@@ -157,12 +163,12 @@ let release_locks t =
   !released
 
 let any_heap_lock_held t =
-  let held = ref false in
-  iter_live t (fun obj ->
+  exists_live t
+    (fun obj ->
       match obj.kind with
-      | Lock l when Spinlock.is_held l -> held := true
-      | Lock _ | Timer_data | Domain_data _ | Percpu_area _ | Generic -> ());
-  !held
+      | Lock l -> Spinlock.is_held l
+      | Timer_data | Domain_data _ | Percpu_area _ | Generic -> false)
+    0
 
 (* ReHype's reboot-time heap reconstruction: a brand-new allocator is
    built, then live (preserved) objects are re-integrated. This restores
@@ -176,7 +182,4 @@ let rebuild_for_reboot t =
       touch obj;
       obj.header_ok <- true)
 
-let audit t =
-  let ok = ref t.freelist_ok in
-  iter_live t (fun obj -> if not obj.header_ok then ok := false);
-  !ok
+let audit t = t.freelist_ok && not (exists_live t (fun obj -> not obj.header_ok) 0)

@@ -106,6 +106,10 @@ let geometry t =
 
 let domain t domid = Hashtbl.find_opt t.domains domid
 
+(* The idle domain's reserved domid. Every other domid is handed out by
+   [next_domid], in sequence from 0. *)
+let idle_domid = 1000
+
 let all_domains t =
   Hashtbl.fold (fun _ d acc -> d :: acc) t.domains []
   |> List.sort (fun a b -> compare a.Domain.domid b.Domain.domid)
@@ -398,7 +402,7 @@ let boot_target t ~setup ~vcpus_per_cpu =
      always-runnable vCPU per CPU that the scheduler alternates with
      guest vCPUs. *)
   let saved_next_domid = t.next_domid in
-  t.next_domid <- 1000;
+  t.next_domid <- idle_domid;
   let num_cpus = Hw.Machine.num_cpus t.machine in
   let idle =
     create_domain_internal ~is_idle:true t ~privileged:false
@@ -1611,34 +1615,50 @@ type audit_report = {
   static_data_ok : bool;
 }
 
+(* Do the vCPUs of domain [domid], if it exists, agree with the
+   scheduler's records? *)
+let domain_sched_ok t domid =
+  match Hashtbl.find t.domains domid with
+  | exception Not_found -> true
+  | d ->
+    let ok = ref true in
+    for i = 0 to Array.length d.Domain.vcpus - 1 do
+      if not (Sched.vcpu_consistent t.sched d.Domain.vcpus.(i)) then ok := false
+    done;
+    !ok
+
+(* The scheduler's rules over every domain's vCPUs. Walked by domid, so
+   no domain or vCPU list is built. *)
+let sched_consistent t =
+  let ok = ref (Sched.percpu_consistent t.sched) in
+  for domid = 0 to t.next_domid - 1 do
+    if not (domain_sched_ok t domid) then ok := false
+  done;
+  !ok && (t.next_domid > idle_domid || domain_sched_ok t idle_domid)
+
+(* The post-recovery audit. It allocates only its report, and its page-
+   frame term costs O(frames dirtied since the latest image) while the
+   dirty tracking is usable (the full fold otherwise): an audit scales
+   with the damage, like the incremental scan. *)
 let audit t =
-  let static_locks_held =
-    let n = ref 0 in
-    Spinlock.Segment.iter t.static_segment (fun l ->
-        if Spinlock.is_held l then incr n);
-    !n
-  in
-  let irq_counts_nonzero =
-    Array.fold_left
-      (fun acc (p : Percpu.t) -> if p.Percpu.local_irq_count <> 0 then acc + 1 else acc)
-      0 t.percpu
-  in
-  let apics_unarmed =
-    let n = ref 0 in
-    Hw.Machine.iter_cpus t.machine (fun c ->
-        if not (Hw.Apic.timer_armed c.Hw.Cpu.apic) then incr n);
-    !n
-  in
   {
-    static_locks_held;
+    static_locks_held = Spinlock.Segment.held_count t.static_segment;
     heap_locks_held = Heap.any_heap_lock_held t.heap;
-    irq_counts_nonzero;
-    sched_consistent = Sched.audit t.sched (all_vcpus t);
-    pfn_inconsistent = Pfn.count_inconsistent t.pfn;
+    irq_counts_nonzero =
+      Array.fold_left
+        (fun acc (p : Percpu.t) ->
+          if p.Percpu.local_irq_count <> 0 then acc + 1 else acc)
+        0 t.percpu;
+    sched_consistent = sched_consistent t;
+    pfn_inconsistent = Pfn.count_inconsistent_dirty t.pfn;
     heap_ok = Heap.audit t.heap;
     timer_structure_ok = Timer_heap.structure_ok t.timers;
-    recurring_missing = List.length (Timer_heap.missing_recurring t.timers);
-    apics_unarmed;
+    recurring_missing = Timer_heap.missing_recurring_count t.timers;
+    apics_unarmed =
+      Array.fold_left
+        (fun acc (c : Hw.Cpu.t) ->
+          if Hw.Apic.timer_armed c.Hw.Cpu.apic then acc else acc + 1)
+        0 t.machine.Hw.Machine.cpus;
     static_data_ok = t.static_data_ok;
   }
 

@@ -157,8 +157,7 @@ let capture (hv : Hypervisor.t) =
     orphan_heap_bytes = !orphan_heap_bytes;
     static_locks_held = !static_locks_held;
     heap_locks_held = !heap_locks_held;
-    recurring_missing =
-      List.length (Timer_heap.missing_recurring hv.Hypervisor.timers);
+    recurring_missing = Timer_heap.missing_recurring_count hv.Hypervisor.timers;
   }
 
 (* The ledger as (name, value) rows, in a fixed order shared by

@@ -14,7 +14,11 @@
     descriptor's four mutable fields lives in the table's store, two
     ints per frame. Mutators inside this module mark descriptors dirty
     themselves; the few external writers (the journal's undo arms, the
-    fault injector's wild writes) call {!touch} explicitly. *)
+    fault injector's wild writes) call {!touch} explicitly.
+
+    The store also keeps how many golden descriptors are inconsistent,
+    so the post-recovery audit ({!count_inconsistent_dirty}) costs
+    O(dirty frames), like the incremental scan, not O(frames). *)
 
 type page_type =
   | Free
@@ -76,8 +80,40 @@ let flags d =
   lor (page_type_code d.ptype lsl 1)
   lor if d.validated then 1 else 0
 
+let flags_owner f = (f asr 4) - 1
+let flags_ptype f = page_types.((f lsr 1) land 7)
+let flags_validated f = f land 1 = 1
+
+(* The store's golden scalars: the allocation cursor, and how many
+   golden descriptors are inconsistent. The count is 0 at create: all
+   golden slots decode to free, unowned frames. *)
+let free_head_k = 0
+let inconsistent_k = 1
+
+(* The largest use counter a sane descriptor carries; the scan clamps
+   wilder values. *)
+let max_use_count = 1_000_000
+
+(* The consistency rule, over field values, so live descriptors and
+   golden images are judged alike: a free frame carries no references,
+   validation or owner; a typed frame carries a sane, positive count. *)
+let consistent_fields ~ptype ~use_count ~validated ~owner =
+  match ptype with
+  | Free -> use_count = 0 && (not validated) && owner = -1
+  | Writable | Page_table | Segdesc | Shared | Xenheap ->
+    use_count > 0 && use_count <= max_use_count
+
+let consistent d =
+  consistent_fields ~ptype:d.ptype ~use_count:d.use_count
+    ~validated:d.validated ~owner:d.owner
+
+let golden_consistent c i =
+  let f = Cow.golden c i 1 in
+  consistent_fields ~ptype:(flags_ptype f) ~use_count:(Cow.golden c i 0)
+    ~validated:(flags_validated f) ~owner:(flags_owner f)
+
 let create ~frames =
-  let cow = Cow.create ~width:2 ~slots:frames ~scalars:[| 0 |] [||] in
+  let cow = Cow.create ~width:2 ~slots:frames ~scalars:[| 0; 0 |] [||] in
   {
     descs =
       Array.init frames (fun index ->
@@ -100,34 +136,61 @@ let get t i = t.descs.(i)
 (* Mark a descriptor as modified since the last snapshot. *)
 let touch (d : desc) = Cow.touch d.cow d.index
 
+(* The number of inconsistent descriptors: the full fold, ground truth
+   whatever wrote the table. O(frames). *)
+let count_inconsistent t =
+  Array.fold_left (fun acc d -> if consistent d then acc else acc + 1) 0 t.descs
+
+(* The same number in O(dirty frames): the latest image's count, minus
+   the dirty slots whose golden image is inconsistent, plus the dirty
+   descriptors that are inconsistent now. Exact whenever every write
+   since the image went through {!touch}; falls back to the full fold
+   when the tracking is not usable. *)
+let count_inconsistent_dirty t =
+  if not t.tracking_ok then count_inconsistent t
+  else begin
+    let c = t.cow in
+    let n = ref (Cow.scalar c inconsistent_k) in
+    for i = 0 to Cow.dirty_count c - 1 do
+      let s = Cow.dirty c i in
+      if not (golden_consistent c s) then decr n;
+      if not (consistent t.descs.(s)) then incr n
+    done;
+    !n
+  end
+
 (* Refresh the golden image of every descriptor written since the
-   previous snapshot. O(changed frames). *)
+   previous snapshot, and the image's inconsistency count. O(changed
+   frames), or O(frames) when the tracking is not usable. *)
 let snapshot ?(layer = false) t =
   let c = t.cow in
+  let inconsistent = count_inconsistent_dirty t in
   Cow.begin_snapshot ~layer c;
   for i = 0 to Cow.dirty_count c - 1 do
     let d = t.descs.(Cow.dirty c i) in
     Cow.set_golden c d.index 0 d.use_count;
     Cow.set_golden c d.index 1 (flags d)
   done;
-  Cow.set_scalar c 0 t.free_head;
+  Cow.set_scalar c free_head_k t.free_head;
+  Cow.set_scalar c inconsistent_k inconsistent;
   Cow.drain c;
   t.tracking_ok <- true
 
 (* Rewind every descriptor written since the last snapshot back to its
-   golden image. O(changed frames); repeatable (later writes re-dirty). *)
+   golden image. O(changed frames); repeatable (later writes re-dirty).
+   The image's inconsistency count holds again as it stands. *)
 let restore t =
   let c = t.cow in
   for i = 0 to Cow.dirty_count c - 1 do
     let d = t.descs.(Cow.dirty c i) in
     let f = Cow.golden c d.index 1 in
     d.use_count <- Cow.golden c d.index 0;
-    d.owner <- (f asr 4) - 1;
-    d.ptype <- page_types.((f lsr 1) land 7);
-    d.validated <- f land 1 = 1
+    d.owner <- flags_owner f;
+    d.ptype <- flags_ptype f;
+    d.validated <- flags_validated f
   done;
   Cow.drain c;
-  t.free_head <- Cow.scalar c 0;
+  t.free_head <- Cow.scalar c free_head_k;
   t.tracking_ok <- true
 
 let drop_layer t = Cow.drop_layer t.cow
@@ -200,12 +263,6 @@ let invalidate d =
   touch d;
   d.validated <- false
 
-let consistent d =
-  match d.ptype with
-  | Free -> d.use_count = 0 && not d.validated && d.owner = -1
-  | Writable | Page_table | Segdesc | Shared | Xenheap ->
-    d.use_count > 0 && (d.use_count <= 1_000_000) && ((not d.validated) || d.use_count > 0)
-
 (* Detect validation-bit / use-counter disagreement on one descriptor
    and repair it. The repair is a pure function of the descriptor's own
    fields, so the scans below may visit descriptors in any order (full
@@ -228,7 +285,7 @@ let fix_desc d =
       d.ptype <- Free;
       d.owner <- -1
     end
-    else if d.use_count > 1_000_000 then begin
+    else if d.use_count > max_use_count then begin
       (* Wild counter value: clamp and drop validation. *)
       d.use_count <- 1;
       d.validated <- false
@@ -260,9 +317,6 @@ let scan_and_fix_dirty t =
     if fix_desc t.descs.(Cow.dirty t.cow i) then incr fixed
   done;
   !fixed
-
-let count_inconsistent t =
-  Array.fold_left (fun acc d -> if consistent d then acc else acc + 1) 0 t.descs
 
 let free_frames t =
   Array.fold_left (fun acc d -> if d.ptype = Free then acc + 1 else acc) 0 t.descs

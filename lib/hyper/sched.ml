@@ -71,27 +71,27 @@ let consistent_on t ~cpu =
     v.Domain.is_current && v.Domain.curr_slot = cpu
     && v.Domain.runstate = Domain.Running
 
-let audit t all_vcpus =
+(* The rules from every CPU's side. *)
+let percpu_consistent t =
   let ok = ref true in
   for cpu = 0 to t.num_cpus - 1 do
     if not (consistent_on t ~cpu) then ok := false
   done;
-  List.iter
-    (fun (v : Domain.vcpu) ->
-      if v.Domain.is_current then begin
-        match t.curr.(v.Domain.curr_slot) with
-        | exception Invalid_argument _ -> ok := false
-        | Some v' when v' == v -> ()
-        | Some _ | None -> ok := false
-      end;
-      (* A runnable vCPU must be somewhere the scheduler can find it:
-         either current or in its CPU's run queue. A vCPU dequeued by an
-         abandoned context switch silently starves otherwise. *)
-      if v.Domain.runstate = Domain.Runnable && not v.Domain.is_current then begin
-        if not (List.memq v t.runq.(v.Domain.processor)) then ok := false
-      end)
-    all_vcpus;
   !ok
+
+(* The rules from one vCPU's side; the audit applies them to every vCPU,
+   in any order. *)
+let vcpu_consistent t (v : Domain.vcpu) =
+  let slot = v.Domain.curr_slot in
+  (* A vCPU that believes it is current must be its slot's current. *)
+  ((not v.Domain.is_current)
+  || slot >= 0 && slot < t.num_cpus
+     && match t.curr.(slot) with Some v' -> v' == v | None -> false)
+  (* A runnable vCPU must be somewhere the scheduler can find it:
+     either current or in its CPU's run queue. A vCPU dequeued by an
+     abandoned context switch silently starves otherwise. *)
+  && (v.Domain.runstate <> Domain.Runnable || v.Domain.is_current
+     || List.memq v t.runq.(v.Domain.processor))
 
 (* The "Ensure consistency within scheduling metadata" enhancement: the
    per-CPU structures are picked as the most reliable source and every

@@ -80,6 +80,8 @@ module Segment = struct
         end);
     !released
 
-  let any_held t = List.exists is_held t.locks
+  let held_count t =
+    List.fold_left (fun n l -> if is_held l then n + 1 else n) 0 t.locks
+
   let count t = List.length t.locks
 end

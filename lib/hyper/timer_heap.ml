@@ -250,7 +250,10 @@ let reactivate_recurring t ~now =
     t.recurring;
   !reactivated
 
-let missing_recurring t = List.filter (fun e -> not e.queued) t.recurring
+(* Recurring events lost from the heap: an abandoned handler popped
+   them and never requeued them. *)
+let missing_recurring_count t =
+  List.fold_left (fun n e -> if e.queued then n else n + 1) 0 t.recurring
 
 let corrupt_structure t = t.structure_ok <- false
 let structure_ok t = t.structure_ok

@@ -59,3 +59,20 @@ let check msg ~expected actual =
   | Some (line, want, got) ->
     Alcotest.failf "%s: stores differ at line %d: expected %S, got %S" msg line
       want got
+
+(* The post-recovery audit counts inconsistent frames in O(dirty
+   frames). It must report exactly what the full fold over the frame
+   table does: the whole report is compared against one whose
+   page-frame term is [Pfn.count_inconsistent]. *)
+let check_audit_exact what (hv : Hyper.Hypervisor.t) =
+  let a = Hyper.Hypervisor.audit hv in
+  let full =
+    {
+      a with
+      Hyper.Hypervisor.pfn_inconsistent =
+        Hyper.Pfn.count_inconsistent hv.Hyper.Hypervisor.pfn;
+    }
+  in
+  if a <> full then
+    Alcotest.failf "%s: audit {%a} but full fold {%a}" what
+      Hyper.Hypervisor.pp_audit a Hyper.Hypervisor.pp_audit full

@@ -1,6 +1,7 @@
 (* Tests for incremental microreset, sharded recovery, and the tenant
    fleet scenario: fresh-vs-incremental equivalence across the whole
-   corruption catalogue, sharded-vs-serial state equality and
+   corruption catalogue, the O(dirty) audit against the full fold,
+   sharded-vs-serial state equality and
    determinism, jobs-invariant fleet aggregates, restored fleet trials
    against fresh boots, the nlh-fleet/1 decoder and its damage cases,
    the scan-path coverage and fuzz axes, and dirty-tracked heap/timer
@@ -190,6 +191,60 @@ let fallback_after_died recover_outcome () =
     | Some Recovery.Plan.Full_scan -> ()
     | _ -> Alcotest.fail "post-died recovery must fall back to the full scan")
   | Error e -> Alcotest.failf "second recovery died: %s" e
+
+(* The audit must report exactly what it would with the full fold over
+   the frame table, for every corruption target, on both scan configs
+   and both engines, right after the damage and again after the recovery (or its death). The
+   [Pfn_tracker] target leaves the tracking unusable, so its audits take
+   the full-fold fallback. *)
+let test_audit_matrix () =
+  let pfn_damage = ref 0 in
+  List.iter
+    (fun mech ->
+      List.iter
+        (fun config ->
+          List.iter
+            (fun target ->
+              let name =
+                Printf.sprintf "%s %s %s"
+                  (Recovery.Engine.mechanism_name mech)
+                  (if config.Hyper.Config.incremental_scan then "incremental"
+                   else "full")
+                  (Inject.Corrupt.name target)
+              in
+              let hv = damaged_machine ~config ~seed:7_700L target in
+              let pfn = hv.Hyper.Hypervisor.pfn in
+              if target = Inject.Corrupt.Pfn_tracker then
+                checkb (name ^ ": tracking unusable") false
+                  (Hyper.Pfn.tracking_usable pfn);
+              if Hyper.Pfn.count_inconsistent pfn > 0 then incr pfn_damage;
+              Stores.check_audit_exact (name ^ ", damaged") hv;
+              ignore (outcome_of (Recovery.Engine.recover mech) hv);
+              Stores.check_audit_exact (name ^ ", recovered") hv)
+            (Array.to_list Inject.Corrupt.all))
+        [ Hyper.Config.nilihype; Hyper.Config.nilihype_incremental ])
+    [ Recovery.Engine.Nilihype; Recovery.Engine.Rehype ];
+  checkb "some targets leave inconsistent frames" true (!pfn_damage > 0)
+
+(* A recovery that dies invalidates the tracking: the audit after it
+   takes the full fold, and the one after the next recovery is exact. *)
+let test_audit_after_died () =
+  let hv =
+    damaged_machine ~config:Hyper.Config.nilihype_incremental ~seed:8_800L
+      Inject.Corrupt.Pfn_use_count_skew
+  in
+  hv.Hyper.Hypervisor.recovery_handler_ok <- false;
+  (match recover_outcome hv with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "recovery should die with a corrupted handler");
+  checkb "died attempt invalidates tracking" false
+    (Hyper.Pfn.tracking_usable hv.Hyper.Hypervisor.pfn);
+  Stores.check_audit_exact "after the died attempt" hv;
+  hv.Hyper.Hypervisor.recovery_handler_ok <- true;
+  (match recover_outcome hv with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "second recovery died: %s" e);
+  Stores.check_audit_exact "after the second recovery" hv
 
 (* ------------------------- sharded recovery -------------------------- *)
 
@@ -631,6 +686,10 @@ let () =
             (fallback_after_died recover_outcome);
           Alcotest.test_case "sharded full-scan fallback after died" `Quick
             (fallback_after_died shard_outcome);
+          Alcotest.test_case "incremental audit equals full audit" `Quick
+            test_audit_matrix;
+          Alcotest.test_case "audit exact after died recovery" `Quick
+            test_audit_after_died;
         ] );
       ( "sharded",
         [

@@ -13,6 +13,8 @@
      uninterrupted session writes;
    - at an equal run budget, coverage guidance finds strictly more
      triage signatures than a uniform grid over the fault kinds;
+   - every corpus input ends on a machine whose O(dirty) audit equals
+     the full fold;
    - the new hypervisor-data fault kind manifests and leaves no
      resource leaks behind recovery (ledger audit armed). *)
 
@@ -118,6 +120,31 @@ let test_replay_reproduces_discovery () =
           (a.Fuzz.Session.r_point.Fuzz.Input.p_seed = e.Fuzz.Corpus.en_seed)
       end)
     exemplars
+
+(* Every corpus input, replayed through the session's evaluation path
+   (trigger-point clone, directed config), ends on a machine whose
+   O(dirty) audit equals the full fold: recovered, died or undetected,
+   with either scan path. *)
+let test_corpus_audits_exact () =
+  let t = Fuzz.Session.explore (fuzz_cfg ()) in
+  let entries = Fuzz.Corpus.entries t.Fuzz.Session.s_corpus in
+  checkb "session kept inputs" true (entries <> []);
+  let w = Inject.Run.prepare base_run_cfg in
+  List.iter
+    (fun (e : Fuzz.Corpus.entry) ->
+      let trace = Fuzz.Input.trace_string e.Fuzz.Corpus.en_trace in
+      let point = Fuzz.Input.apply ~base_seed:9_000L e.Fuzz.Corpus.en_trace in
+      let src =
+        Inject.Run.prepare_clone w
+          { base_run_cfg with Inject.Run.seed = point.Fuzz.Input.p_seed }
+      in
+      let out =
+        Inject.Run.clone_into ~cfg:(Fuzz.Input.config_of ~base:base_run_cfg point) src
+      in
+      checks (trace ^ ": outcome matches the corpus") e.Fuzz.Corpus.en_outcome
+        (Inject.Run.outcome_name out);
+      Stores.check_audit_exact trace w.Inject.Run.w_hv)
+    entries
 
 (* ------------------------- Corpus ------------------------------------ *)
 
@@ -368,6 +395,8 @@ let () =
         [
           Alcotest.test_case "replay reproduces discoveries" `Quick
             test_replay_reproduces_discovery;
+          Alcotest.test_case "audit exact on corpus inputs" `Quick
+            test_corpus_audits_exact;
         ] );
       ( "corpus",
         [

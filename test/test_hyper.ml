@@ -127,7 +127,7 @@ let test_static_segment_unlock_all () =
   Hyper.Spinlock.acquire a ~cpu:0;
   Hyper.Spinlock.acquire b ~cpu:2;
   checki "released two" 2 (Hyper.Spinlock.Segment.unlock_all seg);
-  checkb "none held" false (Hyper.Spinlock.Segment.any_held seg)
+  checki "none held" 0 (Hyper.Spinlock.Segment.held_count seg)
 
 let test_segment_rejects_heap_lock () =
   let seg = Hyper.Spinlock.Segment.create () in
@@ -219,10 +219,10 @@ let test_timer_reactivate_recurring () =
   let e = Hyper.Timer_heap.add th ~deadline:10 ~period:100 Hyper.Timer_heap.Time_sync in
   ignore (Hyper.Timer_heap.pop_top th);
   (* handler abandoned before requeue: the event is lost *)
-  checki "one missing" 1 (List.length (Hyper.Timer_heap.missing_recurring th));
+  checki "one missing" 1 (Hyper.Timer_heap.missing_recurring_count th);
   checki "reactivated" 1 (Hyper.Timer_heap.reactivate_recurring th ~now:50);
   checkb "queued again" true e.Hyper.Timer_heap.queued;
-  checki "none missing" 0 (List.length (Hyper.Timer_heap.missing_recurring th))
+  checki "none missing" 0 (Hyper.Timer_heap.missing_recurring_count th)
 
 let test_timer_structure_corruption_panics () =
   let th = Hyper.Timer_heap.create () in
@@ -646,11 +646,9 @@ let test_sched_fix_from_percpu () =
   let v = List.hd vcpus in
   v.Hyper.Domain.is_current <- not v.Hyper.Domain.is_current;
   v.Hyper.Domain.curr_slot <- 7;
-  checkb "audit detects scramble" false
-    (Hyper.Sched.audit hv.Hyper.Hypervisor.sched vcpus);
+  checkb "audit detects scramble" false (Hyper.Hypervisor.sched_consistent hv);
   ignore (Hyper.Sched.fix_from_percpu hv.Hyper.Hypervisor.sched vcpus);
-  checkb "consistent after fix" true
-    (Hyper.Sched.audit hv.Hyper.Hypervisor.sched vcpus)
+  checkb "consistent after fix" true (Hyper.Hypervisor.sched_consistent hv)
 
 let test_sched_abandoned_switch_detected () =
   let hv = boot () in
@@ -659,7 +657,7 @@ let test_sched_abandoned_switch_detected () =
   Hyper.Hypervisor.execute_partial hv rng (Hyper.Hypervisor.Context_switch 1)
     ~stop_at:6;
   checkb "audit detects partial switch" false
-    (Hyper.Sched.audit hv.Hyper.Hypervisor.sched (Hyper.Hypervisor.all_vcpus hv)
+    (Hyper.Hypervisor.sched_consistent hv
      && not
           (Hyper.Spinlock.is_held hv.Hyper.Hypervisor.percpu.(1).Hyper.Percpu.heap_lock))
 
@@ -778,6 +776,79 @@ let test_snapshot_allocation_ceiling () =
   checkb
     (Printf.sprintf "%.0f words per domain <= 600" per_domain)
     true (per_domain <= 600.0)
+
+(* ------------------------- Audit ------------------------------------ *)
+
+(* The audit's page-frame count walks only the dirty set. With the
+   tracking intact, a write that skips [touch] (which no library code
+   does) is invisible to it but not to the full fold; a touched one is
+   seen by both; once the tracking is invalidated, both see everything.
+   An audit that kept the full fold would see the untracked write. *)
+let test_audit_count_walks_dirty_set () =
+  let module P = Hyper.Pfn in
+  let hv = boot () in
+  ignore (Hyper.Hypervisor.snapshot hv);
+  let t = hv.Hyper.Hypervisor.pfn in
+  let audited () = (Hyper.Hypervisor.audit hv).Hyper.Hypervisor.pfn_inconsistent in
+  (* The last two frames are free: boot allocates from frame 0 up. *)
+  (P.get t (P.frames t - 1)).P.validated <- true;
+  checki "full fold sees the untracked write" 1 (P.count_inconsistent t);
+  checki "audit does not" 0 (audited ());
+  let d = P.get t (P.frames t - 2) in
+  P.touch d;
+  d.P.use_count <- 3;
+  checki "full fold sees both writes" 2 (P.count_inconsistent t);
+  checki "audit sees the touched one" 1 (audited ());
+  P.invalidate_tracking t;
+  checki "fallback sees both" 2 (audited ())
+
+(* The audit's scheduler check walks the domains by domid, the idle
+   domain's reserved one included: in every domain, a vCPU that is not
+   current but claims its CPU's slot fails it. Only the vCPU walk can
+   see that claim; the per-CPU records still agree with themselves. *)
+let test_sched_check_covers_every_domain () =
+  (* Two vCPUs per AppVM, so AppVMs have a vCPU that is not current. *)
+  let hv =
+    Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config ~vcpus_per_cpu:2
+      ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.Three_appvm
+      (Sim.Clock.create ())
+  in
+  let image = Hyper.Hypervisor.snapshot hv in
+  let checked = ref [] in
+  List.iter
+    (fun (d : Hyper.Domain.t) ->
+      match
+        Array.find_opt
+          (fun (v : Hyper.Domain.vcpu) -> not v.Hyper.Domain.is_current)
+          d.Hyper.Domain.vcpus
+      with
+      | None -> ()
+      | Some v ->
+        Hyper.Hypervisor.restore hv image;
+        checkb "consistent before" true (Hyper.Hypervisor.sched_consistent hv);
+        v.Hyper.Domain.is_current <- true;
+        v.Hyper.Domain.curr_slot <- v.Hyper.Domain.processor;
+        checkb
+          (Printf.sprintf "false claim in domain %d seen" d.Hyper.Domain.domid)
+          false
+          (Hyper.Hypervisor.sched_consistent hv);
+        checked := d.Hyper.Domain.domid :: !checked)
+    (Hyper.Hypervisor.all_domains hv);
+  checkb "an AppVM and the idle domain were checked" true
+    (List.mem 1 !checked && List.mem Hyper.Hypervisor.idle_domid !checked)
+
+(* A warm, clean audit on a campaign machine allocates its report (ten
+   fields and a header: 11 words) and nothing else: no domain or vCPU
+   list, no closure per walk. *)
+let test_clean_audit_words () =
+  let hv = boot () in
+  ignore (Hyper.Hypervisor.snapshot hv);
+  run_n hv (Sim.Rng.create 7L) 200;
+  checkb "clean" true (Hyper.Hypervisor.audit_clean (Hyper.Hypervisor.audit hv));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Hyper.Hypervisor.audit hv));
+  let words = Gc.minor_words () -. w0 in
+  checkb (Printf.sprintf "%.0f minor words <= 11" words) true (words <= 11.0)
 
 (* ------------------------- Copy-on-write stores ---------------------- *)
 
@@ -997,6 +1068,15 @@ let () =
           Alcotest.test_case "packed round trip" `Quick test_domain_image_round_trip;
           Alcotest.test_case "snapshot allocation ceiling" `Quick
             test_snapshot_allocation_ceiling;
+        ] );
+      ( "audit",
+        [
+          Alcotest.test_case "pfn count walks the dirty set" `Quick
+            test_audit_count_walks_dirty_set;
+          Alcotest.test_case "clean audit allocates only its report" `Quick
+            test_clean_audit_words;
+          Alcotest.test_case "sched check covers every domain" `Quick
+            test_sched_check_covers_every_domain;
         ] );
       ( "cow",
         [

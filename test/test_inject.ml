@@ -79,8 +79,7 @@ let test_corrupt_sched_breaks_audit () =
   let broke = ref false in
   for _ = 1 to 10 do
     Inject.Corrupt.apply hv rng Inject.Corrupt.Sched_metadata;
-    if not (Hyper.Sched.audit hv.Hyper.Hypervisor.sched (Hyper.Hypervisor.all_vcpus hv))
-    then broke := true
+    if not (Hyper.Hypervisor.sched_consistent hv) then broke := true
   done;
   checkb "sched audit eventually broken" true !broke
 

@@ -72,7 +72,7 @@ let prop_timer_reactivate_complete =
           end)
         losses;
       ignore (Hyper.Timer_heap.reactivate_recurring th ~now:0);
-      Hyper.Timer_heap.missing_recurring th = [])
+      Hyper.Timer_heap.missing_recurring_count th = 0)
 
 (* ------------------------- Pfn scan --------------------------------- *)
 
@@ -121,7 +121,7 @@ let prop_static_segment_unlock_all =
           end)
         held_pattern;
       let released = Hyper.Spinlock.Segment.unlock_all seg in
-      released = !held && not (Hyper.Spinlock.Segment.any_held seg))
+      released = !held && Hyper.Spinlock.Segment.held_count seg = 0)
 
 (* ------------------------- Journal ---------------------------------- *)
 
@@ -255,7 +255,7 @@ let prop_sched_fix_restores_consistency =
       ignore
         (Hyper.Sched.fix_from_percpu hv.Hyper.Hypervisor.sched
            (Hyper.Hypervisor.all_vcpus hv));
-      Hyper.Sched.audit hv.Hyper.Hypervisor.sched (Hyper.Hypervisor.all_vcpus hv))
+      Hyper.Hypervisor.sched_consistent hv)
 
 (* ------------------------- Rng -------------------------------------- *)
 
@@ -330,8 +330,8 @@ let prop_owned_frames_list_model =
 (* ------------------------- Copy-on-write stores --------------------- *)
 
 (* One store under test: a view of its live state, its public mutators
-   (each returns the keys of the elements it wrote), and its rewind
-   entry points. *)
+   (each returns the keys of the elements it wrote), its rewind entry
+   points, and what else must hold after every step. *)
 type 'v store = {
   view : unit -> 'v;
   mutate : int -> int -> int list;
@@ -339,6 +339,7 @@ type 'v store = {
   restore : unit -> unit;
   drop_layer : unit -> unit;
   dirty_count : unit -> int;
+  invariant : unit -> bool;
 }
 
 let crashes f =
@@ -352,7 +353,7 @@ let crashes f =
    state alone, a restore lands exactly on the latest image (the layer
    while there is one, else the base), and after every step
    [dirty_count] is the number of distinct elements written since the
-   latest image. The initial state is the first base image. Layers are
+   latest image and the store's [invariant] holds. The initial state is the first base image. Layers are
    taken as [Hypervisor.snapshot] allows them: over a base, one at a
    time. *)
 let cow_model_holds (s : _ store) steps =
@@ -390,7 +391,7 @@ let cow_model_holds (s : _ store) steps =
             (s.mutate (op - 4) arg);
           true
       in
-      live_ok && s.dirty_count () = List.length !touched)
+      live_ok && s.dirty_count () = List.length !touched && s.invariant ())
     steps
 
 let pfn_store () =
@@ -427,6 +428,11 @@ let pfn_store () =
           P.[| Free; Writable; Page_table; Segdesc; Shared; Xenheap |].(arg mod 6)
       | _ -> d.P.validated <- not d.P.validated);
       [ i ]
+    | 6 ->
+      (* A wild write into the tracking itself: the O(dirty) count falls
+         back to the full fold, and so does the next snapshot's. *)
+      P.invalidate_tracking t;
+      []
     | _ ->
       (* The full scan writes exactly the descriptors it repairs. *)
       let before = view () in
@@ -441,6 +447,8 @@ let pfn_store () =
     restore = (fun () -> P.restore t);
     drop_layer = (fun () -> P.drop_layer t);
     dirty_count = (fun () -> P.dirty_count t);
+    (* The audit's O(dirty) count survives every rewind exactly. *)
+    invariant = (fun () -> P.count_inconsistent_dirty t = P.count_inconsistent t);
   }
 
 let heap_store () =
@@ -489,12 +497,14 @@ let heap_store () =
     restore = (fun () -> H.restore t);
     drop_layer = (fun () -> H.drop_layer t);
     dirty_count = (fun () -> H.dirty_count t);
+    invariant = (fun () -> true);
   }
 
 let timer_store () =
   let module T = Hyper.Timer_heap in
   let t = T.create () in
   let ev (e : T.event) = (e.T.id, e.T.deadline, e.T.queued) in
+  let missing () = List.filter (fun (e : T.event) -> not e.T.queued) t.T.recurring in
   let view () =
     ( List.init (T.size t) (fun i -> ev t.T.arr.(i)),
       (t.T.next_id, T.structure_ok t),
@@ -515,7 +525,7 @@ let timer_store () =
       end
     | 3 -> (
       (* Only recurring events can be lost, so only they are requeued. *)
-      match T.missing_recurring t with
+      match missing () with
       | [] -> []
       | l ->
         let e = List.nth l (arg mod List.length l) in
@@ -532,7 +542,7 @@ let timer_store () =
         T.corrupt_structure t;
         [])
     | _ ->
-      let missing = List.map (fun (e : T.event) -> e.T.id) (T.missing_recurring t) in
+      let missing = List.map (fun (e : T.event) -> e.T.id) (missing ()) in
       if T.structure_ok t then begin
         ignore (T.reactivate_recurring t ~now:arg);
         missing
@@ -550,6 +560,7 @@ let timer_store () =
     restore = (fun () -> T.restore t);
     drop_layer = (fun () -> T.drop_layer t);
     dirty_count = (fun () -> T.dirty_count t);
+    invariant = (fun () -> true);
   }
 
 let cow_steps = QCheck.(list_of_size Gen.(0 -- 80) (pair (int_bound 11) (int_bound 1000)))
