@@ -226,6 +226,60 @@ let test_audit_matrix () =
     [ Recovery.Engine.Nilihype; Recovery.Engine.Rehype ];
   checkb "some targets leave inconsistent frames" true (!pfn_damage > 0)
 
+(* The serial scan step's contract, judged by the full fold rather than
+   by the walk the step chose: for every corruption target and both
+   engines, on each engine's full-scan configuration, the step repairs
+   exactly the descriptors the fold counts as inconsistent and leaves
+   none. The check runs inside the plan, right after the scan action, so
+   a recovery that dies in a later step is still judged. *)
+let test_scan_step_clears_fold () =
+  let scan_step = "Restore and check consistency of page frame entries" in
+  List.iter
+    (fun (mech, plan) ->
+      let scanned = ref 0 and damaged = ref 0 in
+      List.iter
+        (fun target ->
+          let name =
+            Recovery.Engine.mechanism_name mech ^ " " ^ Inject.Corrupt.name target
+          in
+          let hv =
+            damaged_machine ~config:(Recovery.Engine.config mech) ~seed:7_700L
+              target
+          in
+          let pfn = hv.Hyper.Hypervisor.pfn in
+          let build repairs =
+            let p = plan hv ~enh:full ~detected_on:0 repairs in
+            let check (s : Recovery.Plan.step) =
+              if s.Recovery.Plan.name <> scan_step then s
+              else
+                {
+                  s with
+                  Recovery.Plan.action =
+                    (fun () ->
+                      let before = Hyper.Pfn.count_inconsistent pfn in
+                      if before > 0 then incr damaged;
+                      s.Recovery.Plan.action ();
+                      incr scanned;
+                      checki (name ^ ": repairs = fold before") before
+                        repairs.Recovery.Plan.pfn_fixed;
+                      checki (name ^ ": fold clean after") 0
+                        (Hyper.Pfn.count_inconsistent pfn));
+                }
+            in
+            { p with Recovery.Plan.steps = List.map check p.Recovery.Plan.steps }
+          in
+          match Recovery.Plan.run hv ~detected_on:0 build with
+          | _ -> ()
+          | exception Hyper.Crash.Hypervisor_crash _ -> ())
+        (Array.to_list Inject.Corrupt.all);
+      let m = Recovery.Engine.mechanism_name mech in
+      checkb (m ^ ": scan steps ran") true (!scanned > 0);
+      checkb (m ^ ": some scans had damage") true (!damaged > 0))
+    [
+      (Recovery.Engine.Nilihype, Recovery.Microreset.plan);
+      (Recovery.Engine.Rehype, Recovery.Microreboot.plan);
+    ]
+
 (* A recovery that dies invalidates the tracking: the audit after it
    takes the full fold, and the one after the next recovery is exact. *)
 let test_audit_after_died () =
@@ -688,6 +742,8 @@ let () =
             (fallback_after_died shard_outcome);
           Alcotest.test_case "incremental audit equals full audit" `Quick
             test_audit_matrix;
+          Alcotest.test_case "scan step clears the full fold" `Quick
+            test_scan_step_clears_fold;
           Alcotest.test_case "audit exact after died recovery" `Quick
             test_audit_after_died;
         ] );
