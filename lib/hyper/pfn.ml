@@ -18,7 +18,13 @@
 
     The store also keeps how many golden descriptors are inconsistent,
     so the post-recovery audit ({!count_inconsistent_dirty}) costs
-    O(dirty frames), like the incremental scan, not O(frames). *)
+    O(dirty frames), like the incremental scan, not O(frames). The same
+    count lets the recovery path's full scan ({!repair_all}) walk only
+    the dirty set when the latest image holds no inconsistent
+    descriptor: the modelled scan stays O(frames), the host's work
+    becomes O(dirty frames). It falls back to the full fold
+    ({!scan_and_fix}) when the tracking is not usable or the image
+    itself is damaged. *)
 
 type page_type =
   | Free
@@ -293,10 +299,11 @@ let fix_desc d =
     true
   end
 
-(* The recovery-time scan: walk every descriptor, detect validation-bit /
+(* The full scan: walk every descriptor, detect validation-bit /
    use-counter disagreement and repair it. Returns the number of
-   descriptors repaired. Latency is charged by the caller (proportional
-   to [frames t]). *)
+   descriptors repaired. The ground truth, whatever wrote the table;
+   recovery calls {!repair_all}, which takes this walk only when it must.
+   Latency is charged by the caller (proportional to [frames t]). *)
 let scan_and_fix t =
   let fixed = ref 0 in
   Array.iter (fun d -> if fix_desc d then incr fixed) t.descs;
@@ -317,6 +324,19 @@ let scan_and_fix_dirty t =
     if fix_desc t.descs.(Cow.dirty t.cow i) then incr fixed
   done;
   !fixed
+
+(* The recovery path's full scan: the same repairs, count and dirty
+   stack as [scan_and_fix], at O(dirty frames) host cost when the latest
+   image is provably clean. With the tracking intact, every descriptor
+   not dirty still holds its golden value, and with no inconsistent
+   golden descriptor those are all consistent: every repair lies in the
+   dirty set, where [touch] is a no-op. Otherwise (an untrusted dirty
+   set, or damage already in the image) it is the full fold. Modelled
+   latency is the caller's, unchanged: [frames t] either way. *)
+let repair_all t =
+  if t.tracking_ok && Cow.scalar t.cow inconsistent_k = 0 then
+    scan_and_fix_dirty t
+  else scan_and_fix t
 
 let free_frames t =
   Array.fold_left (fun acc d -> if d.ptype = Free then acc + 1 else acc) 0 t.descs

@@ -62,7 +62,7 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
         step "Restore and check consistency of page frame entries"
           (Latency_model.pfn_scan ~frames)
           (fun () ->
-            repairs.Plan.pfn_fixed <- Pfn.scan_and_fix hv.Hypervisor.pfn);
+            repairs.Plan.pfn_fixed <- Pfn.repair_all hv.Hypervisor.pfn);
         step "Re-initialize the page frame descriptor for un-preserved pages"
           (Latency_model.reboot_reinit_unpreserved_pfn ~frames)
           ignore;

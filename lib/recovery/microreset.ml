@@ -24,7 +24,10 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
      memory size; the incremental walk visits only descriptors written
      since the last golden refresh -- O(damaged state + workload drift)
      -- and repairs exactly the same descriptors (clean ones are
-     consistent by construction of the baseline). *)
+     consistent by construction of the baseline). The full walk is
+     charged at its modelled O(frames) cost either way; the simulator
+     itself skips the clean frames when the image allows it
+     ({!Pfn.repair_all}). *)
   let scan =
     if not (Enhancement.mem enh Enhancement.Pfn_consistency_scan) then []
     else
@@ -39,7 +42,7 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
         [
           Plan.step "Restore and check consistency of page frame entries"
             (Latency_model.pfn_scan ~frames:geo.Config.frames)
-            (fun () -> repairs.Plan.pfn_fixed <- Pfn.scan_and_fix pfn);
+            (fun () -> repairs.Plan.pfn_fixed <- Pfn.repair_all pfn);
         ]
   in
   {

@@ -802,6 +802,33 @@ let test_audit_count_walks_dirty_set () =
   P.invalidate_tracking t;
   checki "fallback sees both" 2 (audited ())
 
+(* The recovery path's full scan walks only the dirty set while the
+   tracking is intact and the latest image holds no inconsistent
+   descriptor: a write that skips [touch] (which no library code does)
+   is then left unrepaired, though the full fold sees it. Once the
+   tracking is invalidated, or once the image itself is damaged, the
+   scan is the full fold again and repairs every descriptor. *)
+let test_repair_all_walks_dirty_set () =
+  let module P = Hyper.Pfn in
+  let hv = boot () in
+  ignore (Hyper.Hypervisor.snapshot hv);
+  let t = hv.Hyper.Hypervisor.pfn in
+  (* The last two frames are free: boot allocates from frame 0 up. *)
+  let last = P.get t (P.frames t - 1) in
+  last.P.validated <- true;
+  checki "clean image: the untracked write is skipped" 0 (P.repair_all t);
+  checki "full fold sees it" 1 (P.count_inconsistent t);
+  P.invalidate_tracking t;
+  checki "untrusted tracking: it is repaired" 1 (P.repair_all t);
+  checki "nothing left after the fallback" 0 (P.count_inconsistent t);
+  let d = P.get t (P.frames t - 2) in
+  P.touch d;
+  d.P.use_count <- 3;
+  ignore (Hyper.Hypervisor.snapshot hv);
+  last.P.validated <- true;
+  checki "damaged image: both are repaired" 2 (P.repair_all t);
+  checki "nothing left after the second fallback" 0 (P.count_inconsistent t)
+
 (* The audit's scheduler check walks the domains by domid, the idle
    domain's reserved one included: in every domain, a vCPU that is not
    current but claims its CPU's slot fails it. Only the vCPU walk can
@@ -1073,6 +1100,8 @@ let () =
         [
           Alcotest.test_case "pfn count walks the dirty set" `Quick
             test_audit_count_walks_dirty_set;
+          Alcotest.test_case "recovery scan walks the dirty set" `Quick
+            test_repair_all_walks_dirty_set;
           Alcotest.test_case "clean audit allocates only its report" `Quick
             test_clean_audit_words;
           Alcotest.test_case "sched check covers every domain" `Quick

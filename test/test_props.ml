@@ -434,9 +434,15 @@ let pfn_store () =
       P.invalidate_tracking t;
       []
     | _ ->
-      (* The full scan writes exactly the descriptors it repairs. *)
-      let before = view () in
-      ignore (P.scan_and_fix t);
+      (* Either full scan -- the fold, or the recovery path's, which
+         walks only the dirty set when the image allows it -- repairs
+         exactly the descriptors the fold counts, leaves none, and
+         writes only what it repairs. *)
+      let before = view () and inconsistent = P.count_inconsistent t in
+      let fixed = if arg land 1 = 0 then P.scan_and_fix t else P.repair_all t in
+      if fixed <> inconsistent || P.count_inconsistent t <> 0 then
+        QCheck.Test.fail_reportf "scan %d repaired %d of %d, left %d" (arg land 1)
+          fixed inconsistent (P.count_inconsistent t);
       let after = view () in
       List.filter (fun i -> (fst before).(i) <> (fst after).(i)) (List.init frames Fun.id)
   in
