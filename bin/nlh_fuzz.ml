@@ -61,7 +61,10 @@ let () =
       ( "--corpus-out",
         Arg.Set_string corpus_out,
         " nlh-fuzz/1 corpus/state file (written per round, resumable)" );
-      ("--resume", Arg.Set resume, " continue the session in --corpus-out");
+      ( "--resume",
+        Arg.Set resume,
+        " continue the session in --corpus-out (not with --triage-out or \
+         --postmortem-dir)" );
       ( "--save-every",
         Arg.Set_int save_every,
         " rounds between corpus writes (default 1)" );
@@ -87,6 +90,12 @@ let () =
   Obs_cli.require_at_least "nlh_fuzz" "--runs" 1 !runs;
   if !resume && !corpus_out = "" then
     Obs_cli.usage_error "nlh_fuzz" "--resume requires --corpus-out FILE";
+  (* nlh-fuzz/1 files do not keep the triage table, so a resumed session
+     would write one missing every bad run from before the kill. *)
+  if !resume && Obs_cli.postmortems_on () then
+    Obs_cli.usage_error "nlh_fuzz"
+      "--resume does not support --triage-out or --postmortem-dir \
+       (nlh-fuzz/1 files do not keep the triage)";
   let cfg =
     {
       Fuzz.Session.f_base = base_config !mech !setup;

@@ -236,8 +236,10 @@ let make_worker cfg seed =
 (* Evaluate one candidate from a prepared trigger-point source. The
    default (no [reseed]) rewinds the variant rng to the source's
    canonical trigger position, so the result cannot depend on which
-   other candidates share the group. *)
-let eval_candidate cfg (w : Run.worker) ledger src c =
+   other candidates share the group. A bad run captures its postmortem
+   bundle unless [bundled] holds for its signature; by default nothing
+   is bundled, so every bad run captures. *)
+let eval_candidate ?(bundled = fun _ -> false) cfg (w : Run.worker) ledger src c =
   let varcfg = Input.config_of ~base:cfg.f_base c.c_point in
   let out = Run.clone_into ~cfg:varcfg src in
   let metrics = Obs.Recorder.metrics_snapshot (Run.worker_recorder w) in
@@ -246,13 +248,12 @@ let eval_candidate cfg (w : Run.worker) ledger src c =
   in
   let sigkey = match signature with Some s -> Obs.Signature.key s | None -> "" in
   let bundle =
-    (* Captured for every bad run: workers cannot know global novelty,
-       and the coordinator keeps only the first-in-order bundle per
-       signature. Fuzz batches are small, so the ledger walk is cheap
-       relative to the runs themselves. *)
+    (* Workers cannot know which signatures this round finds first, so
+       they capture for every bad run whose signature is not [bundled];
+       the coordinator keeps only the first-in-order bundle per
+       signature. *)
     match signature with
-    | None -> None
-    | Some signature ->
+    | Some signature when not (bundled signature) ->
       Some
         (Postmortem.capture ~signature ~hv:w.Run.w_hv
            ~golden_ledger:(Some ledger) ~repro:(repro_line cfg c.c_trace)
@@ -260,6 +261,7 @@ let eval_candidate cfg (w : Run.worker) ledger src c =
              (("trace", Input.trace_string c.c_trace)
              :: Postmortem.config_fields varcfg ~fanout:cfg.f_fanout)
            ~seed:c.c_point.Input.p_seed out)
+    | _ -> None
   in
   {
     ev_index = c.c_index;
@@ -277,14 +279,14 @@ let eval_candidate cfg (w : Run.worker) ledger src c =
 
 (* Evaluate a group of candidates sharing a warmup seed: prepare the
    machine to the trigger point once, clone per candidate. *)
-let eval_group cfg (w : Run.worker) ledger group =
+let eval_group ?bundled cfg (w : Run.worker) ledger group =
   match group with
   | [] -> []
   | first :: _ ->
     let src =
       Run.prepare_clone w { cfg.f_base with Run.seed = first.c_point.Input.p_seed }
     in
-    List.map (fun c -> eval_candidate cfg w ledger src c) group
+    List.map (fun c -> eval_candidate ?bundled cfg w ledger src c) group
 
 (* Group a batch by warmup seed (first-occurrence order), splitting any
    seed's run of candidates into chunks of at most [fanout]. Grouping
@@ -374,6 +376,12 @@ let run_round t =
   let groups =
     Array.of_list (group_candidates ~fanout:(max 1 cfg.f_fanout) cands)
   in
+  (* [absorb] drops the bundle of any signature already triaged, so
+     workers skip capturing those. The table changes only in [absorb],
+     after the pool returns: workers read it with no writer, and what
+     they skip depends on completed rounds alone, whatever the jobs or
+     fanout. *)
+  let bundled = Obs.Postmortem.Triage.mem t.s_triage in
   let evals =
     Pool.map_reduce ~jobs:(min cfg.f_jobs max_slots)
       ~oversubscribe:cfg.f_oversubscribe ~n:(Array.length groups)
@@ -389,7 +397,8 @@ let run_round t =
             t.s_workers.(acc.acc_slot) <- Some wl;
             wl
         in
-        acc.acc_evals <- eval_group cfg w ledger groups.(gi) @ acc.acc_evals)
+        acc.acc_evals <-
+          eval_group ~bundled cfg w ledger groups.(gi) @ acc.acc_evals)
       ~merge:(fun a b ->
         a.acc_evals <- a.acc_evals @ b.acc_evals;
         a)

@@ -113,7 +113,10 @@ let config_fields (cfg : Run.config) ~fanout =
 (* Assemble the bundle from the live post-run state: the run's event
    ring, the crash-surviving flight-ring tails, the recovery breakdown
    out of the outcome, and the resource diff against the worker's golden
-   boot ledger. O(ledger capture) -- only paid once per new signature. *)
+   boot ledger. O(ledger capture), so each driver limits who pays it:
+   campaigns capture once per signature per worker; fuzz sessions
+   capture for each bad run whose signature was not yet triaged when
+   its round started. *)
 let capture ~(signature : Obs.Signature.t) ~(hv : Hypervisor.t)
     ~(golden_ledger : Ledger.t option) ~repro ~config ~seed
     (out : Run.outcome) =
