@@ -92,7 +92,7 @@ let create ?(is_idle = false) heap ~config ~pfn ~domid ~privileged
   let evtchn = Evtchn.create heap ~ports:64 domid in
   let vcpu vid processor =
     make_vcpu ~domid ~vid ~processor
-      (Hypercalls.pooled config ~pfn ~grants:grants.Grant.entries)
+      (Hypercalls.pooled config ~pfn ~grants)
   in
   {
     domid;

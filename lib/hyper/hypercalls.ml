@@ -133,7 +133,7 @@ type record = {
   journal : Journal.t; (* shared by every node of the call *)
 }
 
-(* An idle record for a vCPU of a domain whose grant slots are [grants],
+(* An idle record for a vCPU of a domain whose grant table is [grants],
    sized so no call within the bounds ([max_multicall_components],
    [config]'s sub-op limit) grows it: one node per component of the
    longest multicall plus the batch itself, and the journal writes of

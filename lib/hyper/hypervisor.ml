@@ -456,9 +456,13 @@ let journal_tail t = Obs.Flight.tail t.journal_flight
    the page-frame table, the heap and the timer heap each keep their
    golden state in one copy-on-write store ([Cow]: golden values in flat
    arrays, a preallocated dirty set), so snapshot and restore are
-   O(changed state) there; everything else (domains, vcpus, locks,
-   per-CPU areas, hardware) is small and constant-size and captured
-   whole.
+   O(changed state) there. Each domain's event-channel and grant tables
+   and its owned frames image themselves: a table unchanged since its
+   last capture or restore captures as that same image and is skipped
+   on restore, so those cost O(tables changed). The domain table is
+   rebuilt only when a domain of the image was destroyed since.
+   Everything else (the per-domain records, vcpus, locks, per-CPU areas,
+   hardware) is small and captured whole.
 
    Constraints:
    - One base image plus at most one layer per instance, enforced by
@@ -524,9 +528,9 @@ type domain_image = {
   id_owned_frames : Owned_frames.image;
   id_heap_objs : Heap.obj list;
   id_vcpus : vcpu_image array;
-  id_evtchn : int array; (* per port: the [port_flags] bits *)
+  id_evtchn : Evtchn.image;
   id_evtchn_lock : lock_image;
-  id_grants : int array; (* per slot: in_use (0/1), frame, mapped_by *)
+  id_grants : Grant.image;
   id_grant_lock : lock_image;
   id_page_lock : lock_image;
 }
@@ -599,28 +603,6 @@ let restore_vcpu im =
   v.Domain.syscall_retry_pending <- im.iv_syscall_retry_pending;
   v.Domain.lost_work <- im.iv_lost_work
 
-(* A domain image holds a port's three flags as one int and a grant
-   slot as three consecutive ints, so capturing a domain allocates two
-   flat arrays rather than a tuple per port and per slot. *)
-let port_bound = 1
-let port_pending = 2
-let port_masked = 4
-
-let port_flags (c : Evtchn.chan) =
-  (if c.Evtchn.bound then port_bound else 0)
-  lor (if c.Evtchn.pending then port_pending else 0)
-  lor if c.Evtchn.masked then port_masked else 0
-
-let capture_grants (entries : Grant.entry array) =
-  let a = Array.make (3 * Array.length entries) 0 in
-  Array.iteri
-    (fun i (e : Grant.entry) ->
-      if e.Grant.in_use then a.(3 * i) <- 1;
-      a.((3 * i) + 1) <- e.Grant.frame;
-      a.((3 * i) + 2) <- e.Grant.mapped_by)
-    entries;
-  a
-
 let capture_domain (d : Domain.t) =
   {
     id_dom = d;
@@ -631,10 +613,10 @@ let capture_domain (d : Domain.t) =
     id_owned_frames = Owned_frames.capture d.Domain.owned_frames;
     id_heap_objs = d.Domain.heap_objs;
     id_vcpus = Array.map capture_vcpu d.Domain.vcpus;
-    id_evtchn = Array.map port_flags d.Domain.evtchn.Evtchn.chans;
-    id_evtchn_lock = capture_lock d.Domain.evtchn.Evtchn.lock;
-    id_grants = capture_grants d.Domain.grants.Grant.entries;
-    id_grant_lock = capture_lock d.Domain.grants.Grant.lock;
+    id_evtchn = Evtchn.capture d.Domain.evtchn;
+    id_evtchn_lock = capture_lock (Evtchn.lock d.Domain.evtchn);
+    id_grants = Grant.capture d.Domain.grants;
+    id_grant_lock = capture_lock (Grant.lock d.Domain.grants);
     id_page_lock = capture_lock d.Domain.page_lock;
   }
 
@@ -647,20 +629,9 @@ let restore_domain im =
   Owned_frames.restore d.Domain.owned_frames im.id_owned_frames;
   d.Domain.heap_objs <- im.id_heap_objs;
   Array.iter restore_vcpu im.id_vcpus;
-  Array.iteri
-    (fun i (c : Evtchn.chan) ->
-      let flags = im.id_evtchn.(i) in
-      c.Evtchn.bound <- flags land port_bound <> 0;
-      c.Evtchn.pending <- flags land port_pending <> 0;
-      c.Evtchn.masked <- flags land port_masked <> 0)
-    d.Domain.evtchn.Evtchn.chans;
+  Evtchn.restore d.Domain.evtchn im.id_evtchn;
   restore_lock im.id_evtchn_lock;
-  Array.iteri
-    (fun i (e : Grant.entry) ->
-      e.Grant.in_use <- im.id_grants.(3 * i) = 1;
-      e.Grant.frame <- im.id_grants.((3 * i) + 1);
-      e.Grant.mapped_by <- im.id_grants.((3 * i) + 2))
-    d.Domain.grants.Grant.entries;
+  Grant.restore d.Domain.grants im.id_grants;
   restore_lock im.id_grant_lock;
   restore_lock im.id_page_lock
 
@@ -668,14 +639,17 @@ let restore_domain im =
    into the wrong hypervisor is refused too. *)
 let generations = Atomic.make 1
 
-let in_flight_vcpu (d : Domain.t) =
-  Array.exists (fun (v : Domain.vcpu) -> v.Domain.in_hypercall <> None) d.Domain.vcpus
+let refuse_in_flight _ (d : Domain.t) =
+  Array.iter
+    (fun (v : Domain.vcpu) ->
+      if v.Domain.in_hypercall <> None then
+        invalid_arg "Hypervisor.snapshot: a hypercall is in flight")
+    d.Domain.vcpus
 
 let snapshot ?(layer = false) t =
   if layer && (t.base_gen = 0 || t.layer_gen <> 0) then
     invalid_arg "Hypervisor.snapshot: a layer needs a base image and no other layer";
-  if List.exists in_flight_vcpu (all_domains t) then
-    invalid_arg "Hypervisor.snapshot: a hypercall is in flight";
+  Hashtbl.iter refuse_in_flight t.domains;
   Pfn.snapshot ~layer t.pfn;
   Heap.snapshot ~layer t.heap;
   Timer_heap.snapshot ~layer t.timers;
@@ -727,6 +701,14 @@ let snapshot ?(layer = false) t =
     im_cur_step = t.cur_step;
   }
 
+(* Whether [tbl] binds every image domain's domid to its record. *)
+let rec holds_domains tbl = function
+  | [] -> true
+  | di :: rest -> (
+    match Hashtbl.find tbl di.id_dom.Domain.domid with
+    | d -> d == di.id_dom && holds_domains tbl rest
+    | exception Not_found -> false)
+
 let restore t (im : image) =
   if im.im_gen = t.base_gen && t.layer_gen <> 0 then begin
     Pfn.drop_layer t.pfn;
@@ -757,12 +739,25 @@ let restore t (im : image) =
     t.percpu;
   Array.blit im.im_runq 0 t.sched.Sched.runq 0 (Array.length im.im_runq);
   Array.blit im.im_curr 0 t.sched.Sched.curr 0 (Array.length im.im_curr);
-  Hashtbl.reset t.domains;
-  List.iter
-    (fun di ->
-      restore_domain di;
-      Hashtbl.replace t.domains di.id_dom.Domain.domid di.id_dom)
-    im.im_domains;
+  List.iter restore_domain im.im_domains;
+  (* Domains created since the image hold the domids from its
+     [next_domid] on; removing them allocates nothing. The table is
+     rebuilt only if it then differs from the image's records (a domain
+     of the image was destroyed since), so a rewind after a run that
+     created a domain allocates the same as one after a run that did
+     not. *)
+  for domid = im.im_next_domid to t.next_domid - 1 do
+    Hashtbl.remove t.domains domid
+  done;
+  if
+    Hashtbl.length t.domains <> List.length im.im_domains
+    || not (holds_domains t.domains im.im_domains)
+  then begin
+    Hashtbl.reset t.domains;
+    List.iter
+      (fun di -> Hashtbl.replace t.domains di.id_dom.Domain.domid di.id_dom)
+      im.im_domains
+  end;
   t.cycles.Cycle_account.total <- im.im_cycles_total;
   t.cycles.Cycle_account.logging <- im.im_cycles_logging;
   t.cycles.Cycle_account.entries <- im.im_cycles_entries;
@@ -880,33 +875,11 @@ let pick_writable_frame t rng (dom : Domain.t) =
   | 0 -> -1
   | n -> Owned_frames.nth_if writable t.pfn owned (Sim.Rng.int rng n)
 
-(* Whether [f] backs an in-use grant entry (the membership test formerly
-   done against a freshly built list of granted frames). *)
-let rec frame_granted (entries : Grant.entry array) f i =
-  i < Array.length entries
-  && ((entries.(i).Grant.in_use && entries.(i).Grant.frame = f)
-     || frame_granted entries f (i + 1))
-
 (* A table an mmu_update may replace: a currently pinned page-table frame
    that backs no grant entry. *)
 let replaceable_table pfn grants f =
   let o = Pfn.get pfn f in
-  o.Pfn.ptype = Pfn.Page_table && o.Pfn.validated && not (frame_granted grants f 0)
-
-let rec count_free_grant_slots (entries : Grant.entry array) acc i =
-  if i >= Array.length entries then acc
-  else
-    count_free_grant_slots entries
-      (if entries.(i).Grant.in_use && entries.(i).Grant.mapped_by = -1 then
-         acc + 1
-       else acc)
-      (i + 1)
-
-let rec nth_free_grant_slot (entries : Grant.entry array) k i =
-  let e = entries.(i) in
-  if e.Grant.in_use && e.Grant.mapped_by = -1 then
-    if k = 0 then e else nth_free_grant_slot entries (k - 1) (i + 1)
-  else nth_free_grant_slot entries k (i + 1)
+  o.Pfn.ptype = Pfn.Page_table && o.Pfn.validated && not (Grant.frame_granted grants f)
 
 (* The handlers below execute call-tree node [node] of [record] (see
    [Hypercalls.record]): its arguments are [record]'s slots at [node],
@@ -927,7 +900,7 @@ let exec_mmu_update t journal (dom : Domain.t) (record : Hypercalls.record)
     (* The table being replaced. Never [d]: a fresh frame is not
        validated. *)
     record.Hypercalls.old_frames.(node) <-
-      Owned_frames.find_if replaceable_table t.pfn dom.Domain.grants.Grant.entries
+      Owned_frames.find_if replaceable_table t.pfn dom.Domain.grants
         dom.Domain.owned_frames;
     record.Hypercalls.targets.(node) <- d.Pfn.index;
     Owned_frames.push dom.Domain.owned_frames d.Pfn.index
@@ -1045,27 +1018,24 @@ let exec_memory_op_decrease t rng journal (dom : Domain.t)
 let exec_grant_table_op t rng journal (dom : Domain.t)
     (record : Hypercalls.record) node ~subops =
   step t "lock_grant";
-  Spinlock.acquire dom.Domain.grants.Grant.lock ~cpu:0;
+  let grants = dom.Domain.grants in
+  Spinlock.acquire (Grant.lock grants) ~cpu:0;
   if record.Hypercalls.targets.(node) < 0 then begin
     (* Map then unmap a granted frame per sub-op pair. *)
-    let entries = dom.Domain.grants.Grant.entries in
-    match count_free_grant_slots entries 0 0 with
+    match Grant.count_free grants with
     | 0 -> ()
-    | n ->
-      let e = nth_free_grant_slot entries (Sim.Rng.int rng n) 0 in
-      record.Hypercalls.targets.(node) <- e.Grant.slot
+    | n -> record.Hypercalls.targets.(node) <- Grant.nth_free grants (Sim.Rng.int rng n)
   end;
   let slot = record.Hypercalls.targets.(node) in
   if slot >= 0 then begin
-    let e = dom.Domain.grants.Grant.entries.(slot) in
     for i = 1 to subops do
       (* The granted frame as the sub-op finds it, before its steps. *)
-      let frame = e.Grant.frame in
+      let frame = Grant.frame grants ~slot in
       step t (indexed_name t.grant_map_names "grant_map_" i);
       (* Retrying a completed map panics ("already mapped") unless the
          undo log reverted it. *)
       journal_log t journal Journal.Grant_unmap_undo ~target:slot ~operand:0;
-      Grant.map dom.Domain.grants ~slot ~by:0;
+      Grant.map grants ~slot ~by:0;
       if frame >= 0 then begin
         journal_log t journal Journal.Use_count_delta ~target:frame ~operand:1;
         Pfn.get_page (Pfn.get t.pfn frame)
@@ -1073,7 +1043,7 @@ let exec_grant_table_op t rng journal (dom : Domain.t)
       step ~cycles:400 t (indexed_name t.ring_io_names "ring_io_" i);
       step t (indexed_name t.grant_unmap_names "grant_unmap_" i);
       journal_log t journal Journal.Grant_remap_undo ~target:slot ~operand:0;
-      Grant.unmap dom.Domain.grants ~slot;
+      Grant.unmap grants ~slot;
       if frame >= 0 then begin
         journal_log t journal Journal.Use_count_delta ~target:frame ~operand:(-1);
         Pfn.put_page (Pfn.get t.pfn frame)
@@ -1081,15 +1051,16 @@ let exec_grant_table_op t rng journal (dom : Domain.t)
     done
   end;
   step t "unlock_grant";
-  Spinlock.release dom.Domain.grants.Grant.lock ~cpu:0
+  Spinlock.release (Grant.lock grants) ~cpu:0
 
 let exec_evtchn_send t (dom : Domain.t) =
   step t "lock_evtchn";
-  Spinlock.acquire dom.Domain.evtchn.Evtchn.lock ~cpu:0;
+  let evtchn = dom.Domain.evtchn in
+  Spinlock.acquire (Evtchn.lock evtchn) ~cpu:0;
   step t "set_pending";
-  Evtchn.send dom.Domain.evtchn ~port:1;
+  Evtchn.send evtchn ~port:1;
   step t "unlock_evtchn";
-  Spinlock.release dom.Domain.evtchn.Evtchn.lock ~cpu:0
+  Spinlock.release (Evtchn.lock evtchn) ~cpu:0
 
 let exec_sched_op_block t cpu (vcpu : Domain.vcpu) =
   let percpu = t.percpu.(cpu) in
@@ -1178,13 +1149,6 @@ let exec_domctl_destroy t cpu (dom : Domain.t) =
   step t "unlock_domlist";
   Spinlock.release t.domlist_lock ~cpu
 
-(* First unbound event channel, lowest port first (the order the old
-   [Array.to_list |> find_opt] walk produced). *)
-let rec first_unbound_chan (chans : Evtchn.chan array) i =
-  if i >= Array.length chans then -1
-  else if not chans.(i).Evtchn.bound then i
-  else first_unbound_chan chans (i + 1)
-
 (* Dispatch call-tree node [node] of [record], of kind [kind]. *)
 let rec exec_hypercall_body t rng journal cpu (vcpu : Domain.vcpu)
     (record : Hypercalls.record) node (kind : Hypercalls.kind) =
@@ -1208,10 +1172,9 @@ let rec exec_hypercall_body t rng journal cpu (vcpu : Domain.vcpu)
   | Hypercalls.Event_channel_send -> exec_evtchn_send t dom
   | Hypercalls.Event_channel_bind -> (
     step t "bind_port";
-    let chans = dom.Domain.evtchn.Evtchn.chans in
-    match first_unbound_chan chans 0 with
+    match Evtchn.first_unbound dom.Domain.evtchn with
     | -1 -> ()
-    | i -> Evtchn.bind dom.Domain.evtchn ~port:chans.(i).Evtchn.port)
+    | port -> Evtchn.bind dom.Domain.evtchn ~port)
   | Hypercalls.Sched_op_yield ->
     step t "yield";
     t.need_resched_flags.(cpu) <- true
@@ -1412,9 +1375,10 @@ let do_device_interrupt t ~line ~target_dom =
     (match Hashtbl.find t.domains target_dom with
     | dom when dom.Domain.alive ->
       step t "lock_evtchn";
-      Spinlock.acquire dom.Domain.evtchn.Evtchn.lock ~cpu;
+      let evtchn = dom.Domain.evtchn in
+      Spinlock.acquire (Evtchn.lock evtchn) ~cpu;
       step t "notify_guest";
-      Evtchn.send dom.Domain.evtchn ~port:2;
+      Evtchn.send evtchn ~port:2;
       (* The event wakes the target vCPU if it blocked. *)
       let vcpus = dom.Domain.vcpus in
       for i = 0 to Array.length vcpus - 1 do
@@ -1422,7 +1386,7 @@ let do_device_interrupt t ~line ~target_dom =
         if v.Domain.runstate = Domain.Blocked then Sched.enqueue t.sched v
       done;
       step t "unlock_evtchn";
-      Spinlock.release dom.Domain.evtchn.Evtchn.lock ~cpu
+      Spinlock.release (Evtchn.lock evtchn) ~cpu
     | _ | (exception Not_found) -> ());
     step t "apic_eoi";
     Hw.Apic.eoi apic vector;

@@ -49,7 +49,7 @@ let ops =
 
 type t = {
   pfn : Pfn.t; (* the table frame targets index *)
-  grants : Grant.entry array; (* the owning domain's grant slots *)
+  grants : Grant.table; (* the owning domain's grant table *)
   mutable cells : int array; (* per entry: op code lor (operand lsl op_bits) *)
   mutable targets : int array; (* per entry: frame index, or grant slot *)
   mutable count : int; (* entries since the last commit or undo *)
@@ -102,7 +102,8 @@ let op_kind = function
 
 (* The frame arms write descriptor fields directly (not through the Pfn
    mutators), so they must mark the descriptor dirty themselves for the
-   snapshot layer. *)
+   snapshot layer; the grant arms write through [Grant], which marks its
+   table. *)
 let undo_entry t i =
   let cell = t.cells.(i) and target = t.targets.(i) in
   let operand = cell asr op_bits in
@@ -131,11 +132,11 @@ let undo_entry t i =
     let d = Pfn.get t.pfn target in
     if d.Pfn.use_count > 0 then Pfn.put_page d
   | Grant_unmap_undo ->
-    let e = t.grants.(target) in
-    if e.Grant.mapped_by <> -1 then e.Grant.mapped_by <- -1
+    if Grant.mapped_by t.grants ~slot:target <> -1 then
+      Grant.set_mapped_by t.grants ~slot:target (-1)
   | Grant_remap_undo ->
-    let e = t.grants.(target) in
-    if e.Grant.mapped_by = -1 then e.Grant.mapped_by <- 0
+    if Grant.mapped_by t.grants ~slot:target = -1 then
+      Grant.set_mapped_by t.grants ~slot:target 0
 
 (* Undo everything logged since the last [commit], newest first. *)
 let undo_all t =

@@ -82,16 +82,11 @@ let capture (hv : Hypervisor.t) =
         Owned_frames.iter
           (fun f -> Hashtbl.replace owned (d.Domain.domid, f) ())
           d.Domain.owned_frames;
-        Array.iter
-          (fun (c : Evtchn.chan) ->
-            if c.Evtchn.bound then incr evtchn_bound;
-            if c.Evtchn.pending then incr evtchn_pending)
-          d.Domain.evtchn.Evtchn.chans;
-        Array.iter
-          (fun (e : Grant.entry) ->
-            if e.Grant.in_use then incr grant_in_use;
-            if e.Grant.mapped_by <> -1 then incr grant_mapped)
-          d.Domain.grants.Grant.entries
+        let ev = d.Domain.evtchn and gr = d.Domain.grants in
+        evtchn_bound := !evtchn_bound + Evtchn.count ev Evtchn.port_bound;
+        evtchn_pending := !evtchn_pending + Evtchn.count ev Evtchn.port_pending;
+        grant_in_use := !grant_in_use + Grant.count_in_use gr;
+        grant_mapped := !grant_mapped + Grant.count_mapped gr
       end)
     (Hypervisor.all_domains hv);
   let is_live domid = Hashtbl.mem live domid in

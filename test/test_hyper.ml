@@ -259,7 +259,7 @@ let test_timer_heap_property_random () =
 let journal ?(capacity = 8) ?(frames = 4) () =
   let pfn = Hyper.Pfn.create ~frames in
   let grants = Hyper.Grant.create (Hyper.Heap.create ()) ~slots:4 1 in
-  let j = Hyper.Journal.create ~pfn ~grants:grants.Hyper.Grant.entries ~capacity in
+  let j = Hyper.Journal.create ~pfn ~grants ~capacity in
   Hyper.Journal.set_enabled j true;
   (j, pfn, grants)
 
@@ -325,8 +325,7 @@ let test_journal_undo_order () =
   Hyper.Grant.unmap grants ~slot:2;
   Hyper.Journal.undo_all j;
   checkb "oldest type restored" true (d.Hyper.Pfn.ptype = Hyper.Pfn.Writable);
-  checki "remap undone before unmap" (-1)
-    grants.Hyper.Grant.entries.(2).Hyper.Grant.mapped_by
+  checki "remap undone before unmap" (-1) (Hyper.Grant.mapped_by grants ~slot:2)
 
 let test_journal_depth_tracks_entries () =
   let j, t, _ = journal ~capacity:1 () in
@@ -510,7 +509,7 @@ let test_multicall_progress_tracking () =
   Hyper.Spinlock.force_unlock hv.Hyper.Hypervisor.console_lock;
   (match Hyper.Hypervisor.domain hv 1 with
   | Some d ->
-    Hyper.Spinlock.force_unlock d.Hyper.Domain.evtchn.Hyper.Evtchn.lock
+    Hyper.Spinlock.force_unlock (Hyper.Evtchn.lock d.Hyper.Domain.evtchn)
   | None -> ());
   Hyper.Hypervisor.retry_hypercall hv rng v;
   checkb "multicall completed on retry" true (v.Hyper.Domain.in_hypercall = None)
@@ -588,7 +587,7 @@ let test_reset_record_matches_fresh () =
       let fresh =
         Hyper.Hypercalls.make_record ~enhanced ~logging:true
           ~config:hv.Hyper.Hypervisor.config ~pfn:hv.Hyper.Hypervisor.pfn
-          ~grants:dom.Hyper.Domain.grants.Hyper.Grant.entries kind
+          ~grants:dom.Hyper.Domain.grants kind
       in
       checkb (Hyper.Hypercalls.name kind ^ " reset = fresh") true (view r = view fresh))
     [
@@ -691,7 +690,7 @@ let test_evtchn_masked_no_pending () =
   let heap = Hyper.Heap.create () in
   let t = Hyper.Evtchn.create heap ~ports:8 5 in
   Hyper.Evtchn.bind t ~port:3;
-  t.Hyper.Evtchn.chans.(3).Hyper.Evtchn.masked <- true;
+  Hyper.Evtchn.(set_flags t ~port:3 (flags t ~port:3 lor port_masked));
   Hyper.Evtchn.send t ~port:3;
   checkb "masked port stays quiet" false (Hyper.Evtchn.consume_pending t)
 
@@ -714,68 +713,106 @@ let test_grant_map_unused_panics () =
 (* A domain image packs each port's flags into one int and each grant
    slot into flat ints: every flag combination and every slot value,
    including -1 and ints far past any frame number, must come back
-   from a snapshot whatever was scribbled over it in between. *)
+   from a snapshot whatever was written over it in between. Writes go
+   through the tables' setters, which is the only way in. *)
 let test_domain_image_round_trip () =
   let open Hyper in
   let hv = boot () in
   let d = Option.get (Hypervisor.domain hv 1) in
-  let chans = d.Domain.evtchn.Evtchn.chans in
-  let entries = d.Domain.grants.Grant.entries in
-  Array.iteri
-    (fun i (c : Evtchn.chan) ->
-      c.Evtchn.bound <- i land 1 <> 0;
-      c.Evtchn.pending <- i land 2 <> 0;
-      c.Evtchn.masked <- i land 4 <> 0)
-    chans;
+  let ev = d.Domain.evtchn and gr = d.Domain.grants in
+  let nports = Evtchn.ports ev and nslots = Grant.length gr in
+  for port = 0 to nports - 1 do
+    Evtchn.set_flags ev ~port (port land 7)
+  done;
   let values = [| -1; 0; 1; 4095; 1 lsl 40; max_int; min_int |] in
   let nv = Array.length values in
-  Array.iteri
-    (fun i (e : Grant.entry) ->
-      e.Grant.in_use <- i land 1 = 0;
-      e.Grant.frame <- values.(i mod nv);
-      e.Grant.mapped_by <- values.((i + 3) mod nv))
-    entries;
-  let ports () =
-    Array.map (fun (c : Evtchn.chan) -> (c.Evtchn.bound, c.Evtchn.pending, c.Evtchn.masked)) chans
+  for slot = 0 to nslots - 1 do
+    if slot land 1 = 0 then begin
+      Grant.grant gr ~slot ~frame:values.(slot mod nv);
+      Grant.set_mapped_by gr ~slot values.((slot + 3) mod nv)
+    end
+    else Grant.release gr ~slot
+  done;
+  let ports () = Array.init nports (fun port -> Evtchn.flags ev ~port)
   and slots () =
-    Array.map (fun (e : Grant.entry) -> (e.Grant.in_use, e.Grant.frame, e.Grant.mapped_by)) entries
+    Array.init nslots (fun slot ->
+        (Grant.in_use gr ~slot, Grant.frame gr ~slot, Grant.mapped_by gr ~slot))
   in
   let ports0 = ports () and slots0 = slots () in
-  checkb "every port flag combination set" true (Array.length chans >= 8);
+  checkb "every port flag combination set" true (nports >= 8);
   let image = Hypervisor.snapshot hv in
-  Array.iter
-    (fun (c : Evtchn.chan) ->
-      c.Evtchn.bound <- not c.Evtchn.bound;
-      c.Evtchn.pending <- not c.Evtchn.pending;
-      c.Evtchn.masked <- not c.Evtchn.masked)
-    chans;
-  Array.iter
-    (fun (e : Grant.entry) ->
-      e.Grant.in_use <- not e.Grant.in_use;
-      e.Grant.frame <- 7;
-      e.Grant.mapped_by <- 9)
-    entries;
+  for port = 0 to nports - 1 do
+    Evtchn.set_flags ev ~port (7 - (port land 7))
+  done;
+  for slot = 0 to nslots - 1 do
+    if Grant.in_use gr ~slot then Grant.release gr ~slot
+    else begin
+      Grant.grant gr ~slot ~frame:7;
+      Grant.set_mapped_by gr ~slot 9
+    end
+  done;
   Hypervisor.restore hv image;
   checkb "ports restored" true (ports () = ports0);
   checkb "grant slots restored" true (slots () = slots0)
 
-(* Capturing a domain allocates a few flat arrays, not a tuple per port
-   and per grant slot. [Gc.minor] around the snapshot makes
-   [Gc.allocated_bytes] count the arrays allocated straight into the
-   major heap too. *)
+(* Capturing a domain allocates a few small records, and nothing for
+   event-channel and grant tables a run left alone: a second snapshot of
+   an unchanged machine shares every domain's table images with the
+   first. [Gc.minor] around the snapshot makes [Gc.allocated_bytes]
+   count arrays allocated straight into the major heap too. *)
 let test_snapshot_allocation_ceiling () =
-  let hv = boot ~setup:(Hyper.Hypervisor.Tenant_fleet 200) () in
-  ignore (Hyper.Hypervisor.snapshot hv);
-  let domains = List.length (Hyper.Hypervisor.all_domains hv) in
+  let module H = Hyper.Hypervisor in
+  let hv = boot ~setup:(H.Tenant_fleet 200) () in
+  let first = H.snapshot hv in
+  let domains = List.length (H.all_domains hv) in
   Gc.minor ();
   let before = Gc.allocated_bytes () in
-  ignore (Sys.opaque_identity (Hyper.Hypervisor.snapshot hv));
+  let second = Sys.opaque_identity (H.snapshot hv) in
   Gc.minor ();
   let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
   let per_domain = words /. float_of_int domains in
   checkb
-    (Printf.sprintf "%.0f words per domain <= 600" per_domain)
-    true (per_domain <= 600.0)
+    (Printf.sprintf "%.0f words per domain <= 120" per_domain)
+    true (per_domain <= 120.0);
+  let shared =
+    List.for_all2
+      (fun (a : H.domain_image) (b : H.domain_image) ->
+        a.H.id_evtchn == b.H.id_evtchn && a.H.id_grants == b.H.id_grants)
+      first.H.im_domains second.H.im_domains
+  in
+  checkb "every domain's evtchn and grant images shared" true shared
+
+(* A rewind puts back exactly the image's domain records: a domain
+   created since is gone and one destroyed since is back under its
+   domid. Removing a created domain allocates nothing, so a rewind after
+   a run that created one costs the same words as after a quiet run. *)
+let test_restore_domain_table () =
+  let module H = Hyper.Hypervisor in
+  let hv = boot () in
+  let image = H.snapshot hv in
+  let before = H.all_domains hv in
+  let rng = Sim.Rng.create 3L in
+  let domctl kind = H.execute hv rng (H.Hypercall { domid = 0; vid = 0; kind }) in
+  let same () = List.equal ( == ) before (H.all_domains hv) in
+  let restore_words () =
+    let w0 = Gc.minor_words () in
+    H.restore hv image;
+    Gc.minor_words () -. w0
+  in
+  H.restore hv image;
+  let quiet = restore_words () in
+  domctl Hyper.Hypercalls.Domctl_create_domain;
+  checki "one domain created" (List.length before + 1) (List.length (H.all_domains hv));
+  let created = restore_words () in
+  checkb "created domain removed" true (same ());
+  checkb
+    (Printf.sprintf "rewind words after a create %.0f = after a quiet run %.0f" created quiet)
+    true (created = quiet);
+  domctl Hyper.Hypercalls.Domctl_destroy_domain;
+  domctl Hyper.Hypercalls.Domctl_create_domain;
+  checkb "table changed" false (same ());
+  H.restore hv image;
+  checkb "destroyed domain back" true (same ())
 
 (* ------------------------- Audit ------------------------------------ *)
 
@@ -1095,6 +1132,8 @@ let () =
           Alcotest.test_case "packed round trip" `Quick test_domain_image_round_trip;
           Alcotest.test_case "snapshot allocation ceiling" `Quick
             test_snapshot_allocation_ceiling;
+          Alcotest.test_case "restore rebuilds the domain table" `Quick
+            test_restore_domain_table;
         ] );
       ( "audit",
         [

@@ -128,7 +128,7 @@ let prop_static_segment_unlock_all =
 let journal_over ~frames =
   let pfn = Hyper.Pfn.create ~frames in
   let grants = Hyper.Grant.create (Hyper.Heap.create ()) ~slots:4 1 in
-  let j = Hyper.Journal.create ~pfn ~grants:grants.Hyper.Grant.entries ~capacity:4 in
+  let j = Hyper.Journal.create ~pfn ~grants ~capacity:4 in
   Hyper.Journal.set_enabled j true;
   (j, pfn, grants)
 
@@ -161,7 +161,6 @@ let prop_journal_undo_restores_mix =
     QCheck.(list (triple (int_bound 7) (int_bound 5) (int_range (-3) 3)))
     (fun steps ->
       let j, pfn, grants = journal_over ~frames:6 in
-      let entries = grants.Hyper.Grant.entries in
       (* A starting table: frames 0-3 owned and typed, 4-5 free. *)
       for f = 0 to 3 do
         let d = P.get pfn f in
@@ -177,7 +176,8 @@ let prop_journal_undo_restores_mix =
         ( Array.init 6 (fun f ->
               let d = P.get pfn f in
               (d.P.validated, d.P.use_count, d.P.ptype, d.P.owner)),
-          Array.map (fun (e : Hyper.Grant.entry) -> e.Hyper.Grant.mapped_by) entries )
+          Array.init (Hyper.Grant.length grants) (fun slot ->
+              Hyper.Grant.mapped_by grants ~slot) )
       in
       let before = view () in
       List.iter
@@ -215,12 +215,12 @@ let prop_journal_undo_restores_mix =
               d.P.owner <- 7
             end
           | J.Grant_unmap_undo ->
-            if entries.(slot).Hyper.Grant.mapped_by = -1 then begin
+            if Hyper.Grant.mapped_by grants ~slot = -1 then begin
               log J.Grant_unmap_undo slot 0;
               Hyper.Grant.map grants ~slot ~by:3
             end
           | J.Grant_remap_undo ->
-            if entries.(slot).Hyper.Grant.mapped_by = 0 then begin
+            if Hyper.Grant.mapped_by grants ~slot = 0 then begin
               log J.Grant_remap_undo slot 0;
               Hyper.Grant.unmap grants ~slot
             end)
@@ -575,6 +575,100 @@ let prop_cow_model name store =
   QCheck.Test.make ~name:("copy-on-write model: " ^ name) ~count:300 cow_steps
     (fun steps -> cow_model_holds (store ()) steps)
 
+(* The event-channel and grant tables image themselves. Random mutator
+   sequences -- every setter, plus grant maps and unmaps the journal
+   undoes -- interleaved with base and layer snapshots and restores, as
+   in [cow_model_holds]: after every restore both tables read exactly as
+   the restored image did when it was taken, and the restore allocates
+   nothing. A capture returns the very image of the table's last capture
+   or restore exactly when the contents are unchanged since then. *)
+let prop_table_image_model =
+  let module E = Hyper.Evtchn in
+  let module G = Hyper.Grant in
+  let module J = Hyper.Journal in
+  QCheck.Test.make ~name:"copy-on-write model: evtchn/grant" ~count:300 cow_steps
+    (fun steps ->
+      let ports = 6 and slots = 5 in
+      let ev = E.create (Hyper.Heap.create ()) ~ports 1 in
+      let gr = G.create (Hyper.Heap.create ()) ~slots 1 in
+      let j = J.create ~pfn:(Hyper.Pfn.create ~frames:4) ~grants:gr ~capacity:2 in
+      J.set_enabled j true;
+      let ev_view () = Array.init ports (fun port -> E.flags ev ~port)
+      and gr_view () =
+        Array.init slots (fun slot ->
+            (G.in_use gr ~slot, G.frame gr ~slot, G.mapped_by gr ~slot))
+      in
+      (* Per table: the image last captured or restored, and its contents. *)
+      let ev_synced = ref (E.capture ev, ev_view ())
+      and gr_synced = ref (G.capture gr, gr_view ()) in
+      let capture () =
+        let ev_shared = ev_view () = snd !ev_synced
+        and gr_shared = gr_view () = snd !gr_synced in
+        let ei = E.capture ev and gi = G.capture gr in
+        if (ei == fst !ev_synced) <> ev_shared || (gi == fst !gr_synced) <> gr_shared
+        then
+          QCheck.Test.fail_reportf "capture shared evtchn %b grant %b, expected %b %b"
+            (ei == fst !ev_synced) (gi == fst !gr_synced) ev_shared gr_shared;
+        ev_synced := (ei, ev_view ());
+        gr_synced := (gi, gr_view ());
+        (!ev_synced, !gr_synced)
+      in
+      let restore ((ei, ev0), (gi, gr0)) =
+        let w0 = Gc.minor_words () in
+        E.restore ev ei;
+        G.restore gr gi;
+        let words = Gc.minor_words () -. w0 in
+        if words <> 0.0 then QCheck.Test.fail_reportf "restore allocated %.0f words" words;
+        ev_synced := (ei, ev0);
+        gr_synced := (gi, gr0);
+        ev_view () = ev0 && gr_view () = gr0
+      in
+      let base = ref (capture ()) and layer = ref None in
+      let mutate op arg =
+        let port = arg mod ports and slot = arg mod slots in
+        let guard f = ignore (crashes f) in
+        match op with
+        | 0 -> guard (fun () -> E.bind ev ~port)
+        | 1 -> E.send ev ~port
+        | 2 ->
+          if arg land 1 = 0 then ignore (E.consume_pending ev)
+          else E.set_flags ev ~port (arg land 7)
+        | 3 -> G.grant gr ~slot ~frame:(arg / 8)
+        | 4 -> guard (fun () -> G.map gr ~slot ~by:(arg mod 3))
+        | 5 -> guard (fun () -> G.unmap gr ~slot)
+        | 6 -> G.release gr ~slot
+        | _ ->
+          (* A retried grant op: the journal logs the map or unmap, and
+             undoes it unless the call commits. *)
+          if G.in_use gr ~slot && G.mapped_by gr ~slot = -1 then begin
+            J.log j J.Grant_unmap_undo ~target:slot ~operand:0;
+            G.map gr ~slot ~by:0
+          end
+          else if G.mapped_by gr ~slot <> -1 then begin
+            J.log j J.Grant_remap_undo ~target:slot ~operand:0;
+            G.unmap gr ~slot
+          end;
+          if arg land 1 = 0 then J.undo_all j else J.commit j
+      in
+      List.for_all
+        (fun (op, arg) ->
+          match op with
+          | 0 ->
+            base := capture ();
+            layer := None;
+            true
+          | 1 when !layer = None ->
+            layer := Some (capture ());
+            true
+          | 1 | 2 -> restore (Option.value !layer ~default:!base)
+          | 3 ->
+            layer := None;
+            restore !base
+          | _ ->
+            mutate (op - 4) arg;
+            true)
+        steps)
+
 (* ------------------------- Recovery invariant ----------------------- *)
 
 (* Full-enhancement microreset always leaves: zero IRQ counts, no held
@@ -665,6 +759,7 @@ let () =
             prop_cow_model "pfn" pfn_store;
             prop_cow_model "heap" heap_store;
             prop_cow_model "timer_heap" timer_store;
+            prop_table_image_model;
           ] );
       ( "recovery",
         List.map to_alcotest [ prop_microreset_postconditions; prop_run_deterministic ]
