@@ -51,12 +51,6 @@ type cycle_class =
   | Cycle_died (* recovery failed, or the instance crashed again
                   before reaching the next quiesce point *)
 
-let cycle_class_name = function
-  | Cycle_quiet -> "quiet"
-  | Cycle_recovered -> "recovered"
-  | Cycle_latent -> "latent"
-  | Cycle_died -> "died"
-
 type cycle = {
   cy_index : int;
   cy_class : cycle_class;
@@ -120,167 +114,106 @@ let instruments (obs : Obs.Recorder.t) =
    [detection] keeps the full crash description for the cycle record. *)
 exception Dead of { at : int; why : string; detection : string option }
 
-(* One inject -> detect -> recover -> settle round. Returns the cycle
-   record; raises [Dead] when the instance does not reach the next
-   quiesce point. [before] is the quiesce-point ledger entering the
-   cycle. *)
-let run_cycle (st : Inject.Run.state) cfg ins ~mechanism ~enh ~index ~before =
+(* One inject -> detect -> recover -> settle round: an
+   {!Inject.Run.fault_cycle} with [settle_activities] post-recovery
+   activities, read as a class and a ledger diff against [before], the
+   quiesce-point ledger entering the cycle. Returns the cycle record and
+   the new quiesce-point ledger; raises [Dead] when the instance does
+   not reach it. Unlike a single-shot run, no new-VM probe: it would
+   create and leak a domain the ledger would then (correctly,
+   uselessly) report every cycle. *)
+let run_cycle (st : Inject.Run.state) cfg ins ~index ~before =
   let hv = st.Inject.Run.hv in
   let obs = hv.Hypervisor.obs in
-  let run_cfg = st.Inject.Run.cfg in
-  st.Inject.Run.fault_applied <- false;
-  (* Per-cycle signature axis: the dying cycle's own fault target. *)
-  st.Inject.Run.first_target <- None;
-  Inject.Run.arm_fault st;
-  let detection = ref None in
-  (try
-     for _ = 1 to run_cfg.Inject.Run.post_activities do
-       Inject.Run.run_one_activity st
-     done
-   with Crash.Hypervisor_crash d -> detection := Some d);
-  let finish cls ~detection ~latent_trigger ~latency ~repairs =
-    let after = Ledger.capture hv in
-    let leak = Ledger.diff ~before ~after in
-    let leaked_pages = Ledger.leaked_pages leak in
-    (* Per-cycle ledger diffs on stderr: a development aid for chasing a
-       new leak source without modifying the driver. *)
-    if Sys.getenv_opt "NLH_ENDURE_DEBUG" <> None then
-      Format.eprintf "cycle %d (%s): %a@." index (cycle_class_name cls)
-        Ledger.pp_diff leak;
-    Obs.Metrics.incr ins.i_cycles;
-    Obs.Metrics.set ins.i_last_cycle index;
-    Obs.Metrics.incr ~by:leaked_pages ins.i_leaked_pages;
-    List.iter
-      (fun (r, c) ->
-        match List.assoc_opt r (Ledger.leak_fields leak) with
-        | Some v when v > 0 -> Obs.Metrics.incr ~by:v c
-        | Some _ | None -> ())
-      ins.i_leaks;
-    (match cls with
-    | Cycle_quiet -> Obs.Metrics.incr ins.i_quiet
-    | Cycle_recovered ->
-      Obs.Metrics.incr ins.i_recoveries;
-      Obs.Metrics.incr ins.i_clean
-    | Cycle_latent ->
-      Obs.Metrics.incr ins.i_recoveries;
-      Obs.Metrics.incr ins.i_latent
-    | Cycle_died -> Obs.Metrics.incr ins.i_deaths);
-    if Obs.Recorder.enabled obs Obs.Event.Info then begin
-      let now = Sim.Clock.now hv.Hypervisor.clock in
-      Obs.Recorder.event obs ~time:now Obs.Event.Info
-        (Obs.Event.Endure_cycle
-           {
-             index;
-             survived = cls <> Cycle_died;
-             clean = (cls = Cycle_recovered || cls = Cycle_quiet);
-           });
-      List.iter
-        (fun (resource, delta) ->
-          Obs.Recorder.event obs ~time:now Obs.Event.Warn
-            (Obs.Event.Leak_delta { resource; delta }))
-        (Ledger.leak_fields leak)
-    end;
-    ( {
-        cy_index = index;
-        cy_class = cls;
-        cy_detection = detection;
-        cy_latent_trigger = latent_trigger;
-        cy_latency = latency;
-        cy_leak = leak;
-        cy_leaked_pages = leaked_pages;
-        cy_repairs = repairs;
-      },
-      after )
+  let cls, detection, latent_trigger, latency, repairs =
+    match
+      Inject.Run.fault_cycle st ~settle:cfg.settle_activities
+        ~new_vm_probe:false
+    with
+    | Inject.Run.Quiet ->
+      (* The sampled manifestation did not crash the hypervisor within
+         this cycle's activity budget (frequent for register/code
+         faults, impossible for failstop). Any silent corruption it left
+         stays for later cycles to trip over. *)
+      (Cycle_quiet, None, false, 0, None)
+    | Inject.Run.Crashed c -> (
+      let detection = Some (Crash.describe c.Inject.Run.det) in
+      let dead why = raise (Dead { at = index; why; detection }) in
+      match c.Inject.Run.recovery with
+      | Inject.Run.Aborted _ -> dead "recovery_failed"
+      | Inject.Run.Recovered (plan, h) -> (
+        let survived cls =
+          ( cls,
+            detection,
+            c.Inject.Run.latent_trigger,
+            plan.Recovery.Plan.latency,
+            Some plan.Recovery.Plan.repairs )
+        in
+        match h.Inject.Run.failure with
+        | None -> survived Cycle_recovered
+        | Some (Inject.Run.Residual _) -> survived Cycle_latent
+        | Some (Inject.Run.Crashed_again _) -> dead "post_recovery_crash"
+        | Some (Inject.Run.Privvm_starved | Inject.Run.Privvm_failed) ->
+          dead "privvm_failed"))
   in
-  match !detection with
-  | None ->
-    (* Quiet cycle: the sampled manifestation did not crash the
-       hypervisor within this cycle's activity budget (frequent for
-       register/code faults, impossible for failstop). Any silent
-       corruption it left stays for later cycles to trip over. *)
-    finish Cycle_quiet ~detection:None ~latent_trigger:false ~latency:0
-      ~repairs:None
-  | Some det ->
-    let latent_trigger = not st.Inject.Run.fault_applied in
-    hv.Hypervisor.step_hook <- None;
-    Obs.Metrics.incr obs.Obs.Recorder.detections;
-    Sim.Clock.advance_by hv.Hypervisor.clock
-      (Crash.detection_latency ~config:hv.Hypervisor.config det);
-    let faulted_cpu = st.Inject.Run.last_cpu in
-    ignore (Inject.Run.abandon_concurrent_work st ~faulted_cpu);
-    Inject.Run.enter_detection_context st;
-    let recovery =
-      try Ok (Recovery.Engine.recover mechanism hv ~enh ~detected_on:faulted_cpu)
-      with Crash.Hypervisor_crash d -> Error (Crash.describe d)
-    in
-    (match recovery with
-    | Error why ->
-      Obs.Metrics.incr ins.i_deaths;
-      ignore why;
-      raise
-        (Dead
-           {
-             at = index;
-             why = "recovery_failed";
-             detection = Some (Crash.describe det);
-           })
-    | Ok recovery -> (
-      try
-        (* Unlike a single-shot run, no new-VM probe: it would create
-           and leak a domain the ledger would then (correctly,
-           uselessly) report every cycle. *)
-        Inject.Run.resume_guests st;
-        Inject.Run.install_cpu_tracker st;
-        for _ = 1 to cfg.settle_activities do
-          Inject.Run.run_one_activity st
-        done;
-        if (Hypervisor.privvm hv).Domain.guest_failed then
-          raise
-            (Dead
-               {
-                 at = index;
-                 why = "privvm_failed";
-                 detection = Some (Crash.describe det);
-               });
-        let report = Hypervisor.audit hv in
-        let clean = Hypervisor.audit_clean report in
-        if not clean then Hypervisor.record_audit_violations hv report;
-        finish
-          (if clean then Cycle_recovered else Cycle_latent)
-          ~detection:(Some (Crash.describe det))
-          ~latent_trigger
-          ~latency:recovery.Recovery.Plan.latency
-          ~repairs:(Some recovery.Recovery.Plan.repairs)
-      with Crash.Hypervisor_crash d ->
-        (* Crashed again between recovery and the next quiesce point:
-           the instance is gone (a second recovery of an already-broken
-           instance is the next cycle's business only if we reach it --
-           we did not). *)
-        Obs.Metrics.incr ins.i_deaths;
-        ignore d;
-        raise
-          (Dead
-             {
-               at = index;
-               why = "post_recovery_crash";
-               detection = Some (Crash.describe det);
-             })))
+  let after = Ledger.capture hv in
+  let leak = Ledger.diff ~before ~after in
+  let leaked_pages = Ledger.leaked_pages leak in
+  Obs.Metrics.incr ins.i_cycles;
+  Obs.Metrics.set ins.i_last_cycle index;
+  Obs.Metrics.incr ~by:leaked_pages ins.i_leaked_pages;
+  List.iter
+    (fun (r, c) ->
+      match List.assoc_opt r (Ledger.leak_fields leak) with
+      | Some v when v > 0 -> Obs.Metrics.incr ~by:v c
+      | Some _ | None -> ())
+    ins.i_leaks;
+  (match cls with
+  | Cycle_quiet -> Obs.Metrics.incr ins.i_quiet
+  | Cycle_recovered ->
+    Obs.Metrics.incr ins.i_recoveries;
+    Obs.Metrics.incr ins.i_clean
+  | Cycle_latent ->
+    Obs.Metrics.incr ins.i_recoveries;
+    Obs.Metrics.incr ins.i_latent
+  | Cycle_died -> ());
+  if Obs.Recorder.enabled obs Obs.Event.Info then begin
+    let now = Sim.Clock.now hv.Hypervisor.clock in
+    Obs.Recorder.event obs ~time:now Obs.Event.Info
+      (Obs.Event.Endure_cycle
+         { index; survived = true; clean = cls <> Cycle_latent });
+    List.iter
+      (fun (resource, delta) ->
+        Obs.Recorder.event obs ~time:now Obs.Event.Warn
+          (Obs.Event.Leak_delta { resource; delta }))
+      (Ledger.leak_fields leak)
+  end;
+  ( {
+      cy_index = index;
+      cy_class = cls;
+      cy_detection = detection;
+      cy_latent_trigger = latent_trigger;
+      cy_latency = latency;
+      cy_leak = leak;
+      cy_leaked_pages = leaked_pages;
+      cy_repairs = repairs;
+    },
+    after )
 
-(* Drive one full scenario over an already-rewound machine state. *)
+(* Drive one full scenario over an already-rewound machine state: the
+   single-shot warm-up, then one fault cycle per round. *)
 let drive ?(postmortems = false) (st : Inject.Run.state) (cfg : config) :
     scenario =
-  let mechanism, enh =
-    match st.Inject.Run.cfg.Inject.Run.mech with
-    | Inject.Run.Mech (m, e) -> (m, e)
+  let run_cfg = st.Inject.Run.cfg in
+  let mechanism =
+    match run_cfg.Inject.Run.mech with
+    | Inject.Run.Mech (m, _) -> m
     | Inject.Run.No_recovery ->
       invalid_arg "Endure.drive: endurance needs a recovery mechanism"
   in
   let hv = st.Inject.Run.hv in
   let ins = instruments hv.Hypervisor.obs in
-  Inject.Run.install_cpu_tracker st;
-  for _ = 1 to st.Inject.Run.cfg.Inject.Run.warmup_activities do
-    Inject.Run.run_one_activity st
-  done;
+  ignore (Inject.Run.warmup_prepared st);
   let cycles = ref [] in
   let first_latent = ref None in
   let death = ref None in
@@ -289,15 +222,14 @@ let drive ?(postmortems = false) (st : Inject.Run.state) (cfg : config) :
   let before = ref (Ledger.capture hv) in
   (try
      for index = 0 to cfg.cycles - 1 do
-       let cy, after =
-         run_cycle st cfg ins ~mechanism ~enh ~index ~before:!before
-       in
+       let cy, after = run_cycle st cfg ins ~index ~before:!before in
        before := after;
        cycles := cy :: !cycles;
        if cy.cy_class = Cycle_latent && !first_latent = None then
          first_latent := Some index
      done
    with Dead { at; why; detection } ->
+     Obs.Metrics.incr ins.i_deaths;
      death := Some at;
      death_why := Some why;
      (* Live postmortem capture, right at the point of death: the event
@@ -307,7 +239,6 @@ let drive ?(postmortems = false) (st : Inject.Run.state) (cfg : config) :
         closed vocabulary, so they are the signature's cause axis
         directly. *)
      if postmortems then begin
-       let run_cfg = st.Inject.Run.cfg in
        let sg =
          Obs.Signature.make
            ~fault:(Inject.Fault.name run_cfg.Inject.Run.fault)
@@ -355,8 +286,9 @@ let drive ?(postmortems = false) (st : Inject.Run.state) (cfg : config) :
          cy_repairs = None;
        }
        :: List.filter (fun c -> c.cy_index < at) !cycles);
+  Obs.Recorder.alloc_close hv.Hypervisor.obs;
   {
-    sc_seed = st.Inject.Run.cfg.Inject.Run.seed;
+    sc_seed = run_cfg.Inject.Run.seed;
     sc_end = (match !death with None -> Survived | Some k -> Died_at k);
     sc_death_why = !death_why;
     sc_first_latent = !first_latent;
@@ -364,17 +296,12 @@ let drive ?(postmortems = false) (st : Inject.Run.state) (cfg : config) :
     sc_postmortem = !postmortem;
   }
 
-(* Run one scenario on a reusable worker: rewind the machine (exactly as
-   a campaign run would), then drive the cycles. *)
+(* Run one scenario on a reusable worker, with a campaign run's
+   prologue ({!Inject.Run.start_on}), then drive the cycles. *)
 let scenario_on_worker ?postmortems (w : Inject.Run.worker) (cfg : config)
     ~seed =
-  let run_cfg = { cfg.run_cfg with Inject.Run.seed } in
-  Inject.Run.rewind w run_cfg;
-  (* New flight-ring epoch: scope this scenario's postmortem readback to
-     its own entries (the rings survive the rewind by design). *)
-  Hypervisor.new_flight_epoch w.Inject.Run.w_hv;
   drive ?postmortems
-    (Inject.Run.make_state run_cfg w.Inject.Run.w_rng w.Inject.Run.w_hv)
+    (Inject.Run.start_on w { cfg.run_cfg with Inject.Run.seed })
     cfg
 
 (* One-shot convenience: boot a fresh machine and drive one scenario.

@@ -81,12 +81,6 @@ let outcome_name = function
   | Silent_corruption -> "sdc"
   | Detected _ -> "detected"
 
-(* Human-readable variant of the same classification. *)
-let outcome_label = function
-  | Non_manifested -> "non-manifested"
-  | Silent_corruption -> "silent data corruption"
-  | Detected _ -> "detected"
-
 (* Mutable state threaded through a run. *)
 type state = {
   cfg : config;
@@ -378,21 +372,80 @@ let resume_guests st =
       if not v.Domain.fsgs_valid then mark_failed v.Domain.domid)
     (Hypervisor.all_vcpus hv)
 
-(* Run the post-recovery phase: resume the VMs (retrying abandoned
-   interactions), run the benchmarks to completion, and in the 3AppVM
-   setup create the third AppVM and run BlkBench in it. Returns
-   [(hv_ok, new_vm_ok)]. *)
-let post_recovery_phase st =
+(* The 3AppVM criterion: after a recovery, a new AppVM can be created and
+   runs BlkBench unaffected. *)
+let new_vm_probe st =
+  let hv = st.hv in
+  match
+    Hypervisor.execute hv st.rng
+      (Hypervisor.Hypercall
+         { domid = 0; vid = 0; kind = Hypercalls.Domctl_create_domain })
+  with
+  | exception Crash.Hypervisor_crash _ -> false
+  | () -> (
+    match
+      List.find_opt
+        (fun (d : Domain.t) ->
+          (not d.Domain.privileged) && (not d.Domain.is_idle)
+          && d.Domain.domid >= 3)
+        (Hypervisor.all_domains hv)
+    with
+    | None -> false
+    | Some d -> (
+      let blk =
+        Workloads.Workload.create Workloads.Workload.Blkbench ~domid:d.Domain.domid
+      in
+      try
+        for _ = 1 to 150 do
+          Hypervisor.execute hv st.rng
+            (Workloads.Workload.sample_activity st.rng blk)
+        done;
+        not (Domain.affected d)
+      with Crash.Hypervisor_crash _ -> false))
+
+(* The first failure the post-recovery health checks found. *)
+type health_failure =
+  | Privvm_starved (* a PrivVM CPU's APIC timer was left disarmed *)
+  | Privvm_failed
+  | Crashed_again of Crash.detection (* before the checks completed *)
+  | Residual of Hypervisor.audit_report (* the final audit was not clean *)
+
+let failure_reason = function
+  | Privvm_starved -> "PrivVM CPU starved: APIC timer disarmed"
+  | Privvm_failed -> "PrivVM failed"
+  | Crashed_again d -> "post-recovery crash: " ^ Crash.describe d
+  | Residual report ->
+    Format.asprintf "residual inconsistency: %a" Hypervisor.pp_audit report
+
+type health = {
+  failure : health_failure option; (* [None]: the hypervisor is healthy *)
+  probe_ok : bool;
+      (* the new-VM probe passed; [true] when none was asked for or a
+         crash ended the checks before it *)
+}
+
+(* Resume the VMs after a completed recovery and check the platform:
+   retry the interactions abandoned at detection, fail what the blocked
+   vectors and disarmed timers starve, run [settle] activities of the
+   resumed benchmarks, run the new-VM probe when asked, then audit. The
+   first failure skips the checks after it. *)
+let post_recovery_phase st ~settle ~new_vm_probe:probe =
   let hv = st.hv in
   (* The resumed benchmarks are workload again; the final audit gets its
      own allocation phase. *)
   Obs.Recorder.alloc_phase hv.Hypervisor.obs Obs.Recorder.Workload;
   let hv_ok = ref true in
-  let new_vm_ok = ref true in
-  let reason = ref None in
-  let fail why = if !reason = None then reason := Some why in
+  let failure = ref None in
+  let fail f =
+    hv_ok := false;
+    match !failure with None -> failure := Some f | Some _ -> ()
+  in
+  let probe_ok = ref true in
   (try
      resume_guests st;
+     (* Detection removed the step hook; a later cycle's detection reads
+        the CPU of the last step before its crash. *)
+     install_cpu_tracker st;
      (* Interrupt vectors left in service block further delivery of that
         vector. A blocked timer vector is equivalent to a disarmed APIC
         (the CPU starves); blocked device vectors stall the paravirtual
@@ -421,53 +474,18 @@ let post_recovery_phase st =
              (fun (v : Domain.vcpu) ->
                match Hypervisor.domain hv v.Domain.domid with
                | Some d ->
-                 if d.Domain.privileged then begin
-                   hv_ok := false;
-                   fail "PrivVM CPU starved: APIC timer disarmed"
-                 end
+                 if d.Domain.privileged then fail Privvm_starved
                  else d.Domain.guest_failed <- true
                | None -> ())
              victims
          end);
      (* Resume the benchmarks for their remaining duration. *)
-     for _ = 1 to st.cfg.post_activities do
+     for _ = 1 to settle do
        if !hv_ok then run_one_activity st
      done;
      (* The PrivVM must still work for the platform to be healthy. *)
-     if (Hypervisor.privvm hv).Domain.guest_failed then begin
-       hv_ok := false;
-       fail "PrivVM failed"
-     end;
-     (* 3AppVM: create the third AppVM and run BlkBench in it. *)
-     (match st.cfg.setup with
-     | Three_appvm ->
-       if !hv_ok then begin
-         (try
-            Hypervisor.execute hv st.rng
-              (Hypervisor.Hypercall
-                 { domid = 0; vid = 0; kind = Hypercalls.Domctl_create_domain })
-          with Crash.Hypervisor_crash _ -> new_vm_ok := false);
-         (match
-            List.find_opt
-              (fun (d : Domain.t) ->
-                (not d.Domain.privileged)
-                && (not d.Domain.is_idle)
-                && d.Domain.domid >= 3)
-              (Hypervisor.all_domains hv)
-          with
-         | Some d when !new_vm_ok ->
-           let blk = Workloads.Workload.create Workloads.Workload.Blkbench ~domid:d.Domain.domid in
-           (try
-              for _ = 1 to 150 do
-                Hypervisor.execute hv st.rng
-                  (Workloads.Workload.sample_activity st.rng blk)
-              done;
-              if Domain.affected d then new_vm_ok := false
-            with Crash.Hypervisor_crash _ -> new_vm_ok := false)
-         | Some _ | None -> new_vm_ok := false)
-       end
-       else new_vm_ok := false
-     | One_appvm _ -> ());
+     if (Hypervisor.privvm hv).Domain.guest_failed then fail Privvm_failed;
+     if probe then probe_ok := !hv_ok && new_vm_probe st;
      (* Final health check: residual inconsistencies that the benchmarks
         did not happen to touch still leave the hypervisor latently
         broken. *)
@@ -475,25 +493,22 @@ let post_recovery_phase st =
      if !hv_ok then begin
        let report = Hypervisor.audit hv in
        if not (Hypervisor.audit_clean report) then begin
-         hv_ok := false;
          (* Violations also land as typed events + per-kind [audit.*]
-            counters, not just this formatted failure note. *)
+            counters, not just the failure reason. *)
          Hypervisor.record_audit_violations hv report;
-         fail (Format.asprintf "residual inconsistency: %a" Hypervisor.pp_audit report)
+         fail (Residual report)
        end
      end
-   with Crash.Hypervisor_crash d ->
-     (* The hypervisor failed again after recovery. *)
-     hv_ok := false;
-     fail ("post-recovery crash: " ^ Crash.describe d));
-  (!hv_ok, !new_vm_ok, !reason)
+   with Crash.Hypervisor_crash d -> fail (Crashed_again d));
+  { failure = !failure; probe_ok = !probe_ok }
 
 (* First half of a run: warm the machine up to the fault trigger point.
    Returns the AppVM domids present before injection (the set the
    outcome classification counts casualties against). Split from
    [finish_prepared] so clone fan-out can drive one machine to exactly
    this point, snapshot it, and replay many fault variants from the
-   image. *)
+   image; an endurance scenario warms up here once, then runs its
+   cycles. *)
 let warmup_prepared st =
   let cfg = st.cfg in
   let obs = st.hv.Hypervisor.obs in
@@ -509,111 +524,162 @@ let warmup_prepared st =
     (fun (d : Domain.t) -> d.Domain.domid)
     (Hypervisor.app_domains st.hv)
 
-(* Second half: arm the trigger, run to detection, recover, classify. *)
-let finish_prepared st ~initial_app_domids : outcome =
-  let cfg = st.cfg in
-  let obs = st.hv.Hypervisor.obs in
+(* The fault cycle. [Quiet]: the fault did not crash the hypervisor
+   within the configured activity stream. [Crashed]: it did, and the
+   record holds what detection, recovery and the health checks found. *)
+type recovery =
+  | Aborted of string (* why the recovery did not complete *)
+  | Recovered of Recovery.Plan.outcome * health
+
+type cycle = Quiet | Crashed of crash
+
+and crash = {
+  det : Crash.detection;
+  latent_trigger : bool;
+      (* the crash arrived before the fault was applied: residue of an
+         earlier fault, not this one *)
+  busy_cpus : int list; (* CPUs whose in-flight threads were abandoned *)
+  recovery : recovery;
+}
+
+(* Recover with the configured mechanism; [Error] is the abort reason. *)
+let recover st ~faulted_cpu ~busy_cpus =
+  match st.cfg.mech with
+  | No_recovery -> Error "no recovery mechanism"
+  | Mech (mechanism, enh) -> (
+    match
+      Recovery.Engine.recover mechanism st.hv ~enh ~detected_on:faulted_cpu
+    with
+    | exception Crash.Hypervisor_crash d -> Error (Crash.describe d)
+    | plan -> (
+      (* Scope_faulting_only ablation: the surviving threads on the other
+         CPUs resume after recovery and collide with its global state
+         changes -- their IRQ-nesting counters were zeroed while they
+         were still inside handlers, and the locks they held were force-
+         released, so their epilogues trip assertions. *)
+      match (st.cfg.discard_scope, busy_cpus) with
+      | Scope_faulting_only, cpu :: _ ->
+        Error
+          (Printf.sprintf
+             "surviving thread on cpu%d: irq_exit underflow after recovery \
+              cleared its nesting counter"
+             cpu)
+      | (Scope_all_threads | Scope_faulting_only), _ -> Ok plan))
+
+(* One fault cycle over a prepared state, the sequence every driver
+   shares: arm the fault, run the activity stream until the hypervisor
+   crashes, mark the detection, abandon the concurrent work, enter the
+   detection context, recover, then resume the guests and check the
+   platform over [settle] activities ([post_recovery_phase]). A
+   single-shot run reads the result as its outcome ([finish_prepared]);
+   an endurance scenario runs one cycle per round on one instance. *)
+let fault_cycle st ~settle ~new_vm_probe =
+  let hv = st.hv in
+  let obs = hv.Hypervisor.obs in
+  (* Per-cycle fault state: a failure signature names this cycle's own
+     fault target. *)
+  st.fault_applied <- false;
+  st.first_target <- None;
   (* The armed trigger window counts as injection, detected or not. *)
   Obs.Recorder.alloc_phase obs Obs.Recorder.Injection;
   arm_fault st;
-  (* Run until detection or end of benchmark. *)
-  let detection = ref None in
-  (try
-     for _ = 1 to cfg.post_activities do
-       run_one_activity st
-     done
-   with Crash.Hypervisor_crash d -> detection := Some d);
+  let crashed =
+    match
+      for _ = 1 to st.cfg.post_activities do
+        run_one_activity st
+      done
+    with
+    | () -> None
+    | exception Crash.Hypervisor_crash d -> Some d
+  in
+  hv.Hypervisor.step_hook <- None;
+  match crashed with
+  | None -> Quiet
+  | Some det ->
+    Obs.Recorder.alloc_phase obs Obs.Recorder.Detection;
+    let latent_trigger = not st.fault_applied in
+    let faulted_cpu = st.last_cpu in
+    Obs.Metrics.incr obs.Obs.Recorder.detections;
+    Obs.Recorder.event obs
+      ~time:(Sim.Clock.now hv.Hypervisor.clock)
+      ~cpu:faulted_cpu Obs.Event.Error
+      (Obs.Event.Detection
+         {
+           kind = (match det with Crash.Panic _ -> "panic" | Crash.Hang _ -> "hang");
+           message = Crash.describe det;
+         });
+    Sim.Clock.advance_by hv.Hypervisor.clock
+      (Crash.detection_latency ~config:hv.Hypervisor.config det);
+    let busy_cpus = abandon_concurrent_work st ~faulted_cpu in
+    enter_detection_context st;
+    Obs.Recorder.alloc_phase obs Obs.Recorder.Recovery;
+    let recovery =
+      match recover st ~faulted_cpu ~busy_cpus with
+      | Error why -> Aborted why
+      | Ok plan -> Recovered (plan, post_recovery_phase st ~settle ~new_vm_probe)
+    in
+    Crashed { det; latent_trigger; busy_cpus; recovery }
+
+(* A single-shot run's reading of a crashed cycle: the paper's per-setup
+   success criterion over the AppVMs present before injection. *)
+let detected_of st ~initial_app_domids c =
+  let all_affected = List.length initial_app_domids in
+  match c.recovery with
+  | Aborted why ->
+    {
+      detection = c.det;
+      recovered = false;
+      app_vms_affected = all_affected;
+      new_vm_ok = false;
+      success = false;
+      no_vmf = false;
+      recovery_latency = 0;
+      breakdown = None;
+      failure_reason = Some ("recovery aborted: " ^ why);
+    }
+  | Recovered (plan, h) ->
+    let hv_ok = Option.is_none h.failure in
+    let app_vms_affected =
+      if hv_ok then count_affected_app_vms st ~initial_app_domids
+      else all_affected
+    in
+    let success, no_vmf =
+      match st.cfg.setup with
+      | One_appvm _ ->
+        let s = hv_ok && app_vms_affected = 0 in
+        (s, s)
+      | Three_appvm ->
+        ( hv_ok && h.probe_ok && app_vms_affected <= 1,
+          hv_ok && h.probe_ok && app_vms_affected = 0 )
+    in
+    {
+      detection = c.det;
+      recovered = hv_ok;
+      app_vms_affected;
+      new_vm_ok = h.probe_ok;
+      success;
+      no_vmf;
+      recovery_latency = plan.Recovery.Plan.latency;
+      breakdown = Some plan.Recovery.Plan.breakdown;
+      failure_reason = Option.map failure_reason h.failure;
+    }
+
+(* Second half: run the fault cycle, then classify. *)
+let finish_prepared st ~initial_app_domids : outcome =
+  let obs = st.hv.Hypervisor.obs in
+  let new_vm_probe =
+    match st.cfg.setup with Three_appvm -> true | One_appvm _ -> false
+  in
   let out =
-    match !detection with
-    | None ->
-      st.hv.Hypervisor.step_hook <- None;
+    match fault_cycle st ~settle:st.cfg.post_activities ~new_vm_probe with
+    | Quiet ->
       let any_sdc =
         List.exists
           (fun (d : Domain.t) -> d.Domain.guest_sdc || d.Domain.guest_failed)
           (Hypervisor.app_domains st.hv)
       in
       if any_sdc then Silent_corruption else Non_manifested
-    | Some det ->
-      st.hv.Hypervisor.step_hook <- None;
-      Obs.Recorder.alloc_phase obs Obs.Recorder.Detection;
-      let faulted_cpu = st.last_cpu in
-      Obs.Metrics.incr obs.Obs.Recorder.detections;
-      Obs.Recorder.event obs
-        ~time:(Sim.Clock.now st.hv.Hypervisor.clock)
-        ~cpu:faulted_cpu Obs.Event.Error
-        (Obs.Event.Detection
-           {
-             kind = (match det with Crash.Panic _ -> "panic" | Crash.Hang _ -> "hang");
-             message = Crash.describe det;
-           });
-      Sim.Clock.advance_by st.hv.Hypervisor.clock
-        (Crash.detection_latency ~config:st.hv.Hypervisor.config det);
-    let busy_cpus = abandon_concurrent_work st ~faulted_cpu in
-    enter_detection_context st;
-    Obs.Recorder.alloc_phase obs Obs.Recorder.Recovery;
-    let recovery_result =
-      match cfg.mech with
-      | No_recovery -> Error "no recovery mechanism"
-      | Mech (mechanism, enh) -> (
-        try Ok (Recovery.Engine.recover mechanism st.hv ~enh ~detected_on:faulted_cpu)
-        with Crash.Hypervisor_crash d -> Error (Crash.describe d))
-    in
-    (* Scope_faulting_only ablation: the surviving threads on the other
-       CPUs resume after recovery and collide with its global state
-       changes -- their IRQ-nesting counters were zeroed while they were
-       still inside handlers, and the locks they held were force-
-       released, so their epilogues trip assertions. *)
-    let recovery_result =
-      match (recovery_result, cfg.discard_scope, busy_cpus) with
-      | Ok _, Scope_faulting_only, _ :: _ ->
-        Error
-          (Printf.sprintf
-             "surviving thread on cpu%d: irq_exit underflow after recovery \
-              cleared its nesting counter"
-             (List.hd busy_cpus))
-      | (Ok _ | Error _), _, _ -> recovery_result
-    in
-    (match recovery_result with
-    | Error why ->
-      Detected
-        {
-          detection = det;
-          recovered = false;
-          app_vms_affected = List.length initial_app_domids;
-          new_vm_ok = false;
-          success = false;
-          no_vmf = false;
-          recovery_latency = 0;
-          breakdown = None;
-          failure_reason = Some ("recovery aborted: " ^ why);
-        }
-    | Ok recovery ->
-      let hv_ok, new_vm_ok, reason = post_recovery_phase st in
-      let app_vms_affected =
-        if hv_ok then count_affected_app_vms st ~initial_app_domids
-        else List.length initial_app_domids
-      in
-      let success, no_vmf =
-        match cfg.setup with
-        | One_appvm _ ->
-          let s = hv_ok && app_vms_affected = 0 in
-          (s, s)
-        | Three_appvm ->
-          ( hv_ok && new_vm_ok && app_vms_affected <= 1,
-            hv_ok && new_vm_ok && app_vms_affected = 0 )
-      in
-      Detected
-        {
-          detection = det;
-          recovered = hv_ok;
-          app_vms_affected;
-          new_vm_ok;
-          success;
-          no_vmf;
-          recovery_latency = recovery.Recovery.Plan.latency;
-          breakdown = Some recovery.Recovery.Plan.breakdown;
-          failure_reason = reason;
-        })
+    | Crashed c -> Detected (detected_of st ~initial_app_domids c)
   in
   (* Classify: one counter per outcome class, the latency histogram for
      completed recoveries, and a terminal event closing the timeline. The
@@ -754,9 +820,7 @@ let worker_recorder w = w.w_hv.Hypervisor.obs
    RNG and restore the golden boot image -- O(state the previous run
    dirtied), not O(machine). A run whose boot parameters or geometry
    differ from the image's boots a replacement machine instead, keeping
-   the worker's recorder, and later runs restore its image. Also used
-   directly by the endurance driver, which then runs its own multi-cycle
-   scenario instead of [run_prepared]. *)
+   the worker's recorder, and later runs restore its image. *)
 let rewind w (cfg : config) =
   Sim.Rng.reseed w.w_rng cfg.seed;
   (* The recorder is not part of the image; reset it by hand for per-run
@@ -774,15 +838,19 @@ let rewind w (cfg : config) =
     check_restore_leaks w
   end
 
-let execute_into w (cfg : config) : outcome =
-  (* Mark before the rewind so the rewind cost lands in the boot phase
-     (the mark survives the recorder reset inside the rewind). *)
+(* The prologue of every run on a worker -- a campaign run, a clone
+   source, an endurance scenario: mark the boot phase before the rewind
+   (the mark survives the recorder reset inside it), rewind, open a new
+   flight-ring epoch (the rings survive the rewind by design, so this
+   scopes readback to the run's own entries) and build the run state. *)
+let start_on w (cfg : config) =
   Obs.Recorder.alloc_begin w.w_hv.Hypervisor.obs;
   rewind w cfg;
-  (* New flight-ring epoch: the rings survive the rewind by design, so
-     scope this run's readback to its own entries. *)
   Hypervisor.new_flight_epoch w.w_hv;
-  let st = make_state cfg w.w_rng w.w_hv in
+  make_state cfg w.w_rng w.w_hv
+
+let execute_into w (cfg : config) : outcome =
+  let st = start_on w cfg in
   let out = run_prepared st in
   w.w_last_target <- st.first_target;
   out
@@ -813,9 +881,7 @@ type clone_source = {
    drops the layer, so the source is valid until then. The returned
    source replays with [clone_into]. *)
 let prepare_clone (w : worker) (cfg : config) : clone_source =
-  Obs.Recorder.alloc_begin w.w_hv.Hypervisor.obs;
-  rewind w cfg;
-  let st = make_state cfg w.w_rng w.w_hv in
+  let st = start_on w cfg in
   let initial_app_domids = warmup_prepared st in
   (* Quiesce for the snapshot: the tracker hook is reinstalled (and the
      trigger armed over it) by each variant. *)
@@ -867,8 +933,6 @@ let clone_into ?reseed ?cfg (src : clone_source) : outcome =
   Hypervisor.new_flight_epoch st.hv;
   Sim.Rng.reseed st.rng
     (match reseed with Some s -> s | None -> src.cs_rng_pos);
-  st.fault_applied <- false;
-  st.first_target <- None;
   st.last_cpu <- src.cs_last_cpu;
   let out = finish_prepared st ~initial_app_domids:src.cs_initial_app_domids in
   w.w_last_target <- st.first_target;

@@ -241,6 +241,81 @@ let test_campaign_within_leak_budget () =
   checki "no recovery over the 8-page budget" 0
     r.Endure.totals.Endure.budget_violations
 
+(* ------------------------- One fault cycle -------------------------- *)
+
+(* A scenario runs the single-shot fault cycle ({!Inject.Run.fault_cycle}),
+   so cycle 0 of a 1-cycle scenario is the single-shot run of the same
+   config through recovery: the same detection and, wherever the cycle
+   records one, the same recovery latency (a died cycle records 0). Both
+   run on one worker machine, restored between runs: test_inject's
+   worker-reuse contract makes that a fresh boot's run. *)
+let test_cycle_zero_is_single_shot fault () =
+  let cfg = endure_cfg ~fault ~cycles:1 () in
+  let w = Inject.Run.prepare cfg.Endure.run_cfg in
+  for i = 0 to 199 do
+    let seed = Int64.of_int (30_000 + i) in
+    let detection, latency =
+      match Inject.Run.execute_into w { cfg.Endure.run_cfg with Inject.Run.seed } with
+      | Inject.Run.Detected d ->
+        ( Some (Hyper.Crash.describe d.Inject.Run.detection),
+          d.Inject.Run.recovery_latency )
+      | Inject.Run.Non_manifested | Inject.Run.Silent_corruption -> (None, 0)
+    in
+    let cy = List.hd (Endure.scenario_on_worker w cfg ~seed).Endure.sc_cycles in
+    let what = Printf.sprintf "seed %Ld: %s" seed in
+    Alcotest.(check (option string)) (what "detection") detection
+      cy.Endure.cy_detection;
+    if cy.Endure.cy_latency > 0 then
+      checki (what "recovery latency") latency cy.Endure.cy_latency
+  done
+
+(* The discard scope reaches endurance: under [Scope_faulting_only], on
+   every seed whose single-shot recovery a surviving thread aborts, the
+   1-cycle scenario of the same seed dies at cycle 0 with
+   "recovery_failed". *)
+let test_scope_faulting_only_dies () =
+  let run_cfg =
+    { (run_cfg ()) with Inject.Run.discard_scope = Inject.Run.Scope_faulting_only }
+  in
+  let cfg = { (endure_cfg ~cycles:1 ()) with Endure.run_cfg } in
+  let w = Inject.Run.prepare run_cfg in
+  let aborted = ref 0 in
+  for i = 1000 to 1059 do
+    let seed = Int64.of_int i in
+    match Inject.Run.execute_into w { run_cfg with Inject.Run.seed } with
+    | Inject.Run.Detected
+        { Inject.Run.recovered = false; failure_reason = Some why; _ }
+      when String.starts_with ~prefix:"recovery aborted: surviving thread" why ->
+      incr aborted;
+      let sc = Endure.scenario_on_worker w cfg ~seed in
+      checkb (Printf.sprintf "seed %d died at cycle 0" i) true
+        (sc.Endure.sc_end = Endure.Died_at 0);
+      Alcotest.(check (option string)) "death cause" (Some "recovery_failed")
+        sc.Endure.sc_death_why
+    | Inject.Run.Detected _ | Inject.Run.Non_manifested
+    | Inject.Run.Silent_corruption -> ()
+  done;
+  checkb "some single-shot recoveries aborted" true (!aborted > 0)
+
+(* Every death counts in [endure.deaths], PrivVM failures included: the
+   ReHype code-fault campaign of nlh_endurance's defaults at seed 77000
+   has all three death causes. *)
+let test_deaths_counter () =
+  let mech = Recovery.Engine.Rehype in
+  let cfg =
+    {
+      Endure.default_config with
+      Endure.run_cfg =
+        run_cfg ~fault:Inject.Fault.Code ~mech
+          ~config:(Recovery.Engine.config mech) ();
+    }
+  in
+  let t = (Endure.run ~base_seed:77_000L ~scenarios:8 cfg).Endure.totals in
+  checkb "a PrivVM death" true
+    (List.mem_assoc "privvm_failed" (Sim.Stats.Counts.sorted t.Endure.death_notes));
+  checki "endure.deaths counts every death" t.Endure.deaths
+    (List.assoc "endure.deaths" t.Endure.metrics.Obs.Metrics.counters)
+
 (* ------------------------- Satellites ------------------------------- *)
 
 (* Satellite: the NMI-watchdog hang-detection period is a config field
@@ -307,6 +382,18 @@ let () =
             test_scenario_rehype_survives;
           Alcotest.test_case "mechanism required" `Quick
             test_scenario_requires_mechanism;
+        ] );
+      ( "cycle",
+        [
+          Alcotest.test_case "cycle 0 is single-shot (failstop)" `Quick
+            (test_cycle_zero_is_single_shot Inject.Fault.Failstop);
+          Alcotest.test_case "cycle 0 is single-shot (register)" `Quick
+            (test_cycle_zero_is_single_shot Inject.Fault.Register);
+          Alcotest.test_case "cycle 0 is single-shot (code)" `Quick
+            (test_cycle_zero_is_single_shot Inject.Fault.Code);
+          Alcotest.test_case "faulting-only scope dies" `Quick
+            test_scope_faulting_only_dies;
+          Alcotest.test_case "deaths counter" `Quick test_deaths_counter;
         ] );
       ( "aggregation",
         [

@@ -192,9 +192,12 @@ let test_run_fsgs_loss_affects_app_vm () =
   checki "no AppVM affected by a clean recovery" 0 (affected ());
   let v = Hyper.Domain.vcpu (Option.get (Hyper.Hypervisor.domain hv 1)) 0 in
   v.Hyper.Domain.fsgs_valid <- false;
-  let hv_ok, new_vm_ok, _ = Inject.Run.post_recovery_phase st in
-  checkb "platform healthy" true hv_ok;
-  checkb "new VM created" true new_vm_ok;
+  let h =
+    Inject.Run.post_recovery_phase st
+      ~settle:st.Inject.Run.cfg.Inject.Run.post_activities ~new_vm_probe:true
+  in
+  checkb "platform healthy" true (h.Inject.Run.failure = None);
+  checkb "new VM created" true h.Inject.Run.probe_ok;
   checki "one AppVM affected" 1 (affected ())
 
 (* ------------------------- Campaign --------------------------------- *)
@@ -518,22 +521,19 @@ let test_alloc_counters_jobs_invariant () =
    campaign configuration, the [alloc.*] phase words of a direct
    single-worker loop sum to within 5% of its [Gc.minor_words] delta,
    and a campaign over the same seeds records exactly the loop's
-   per-phase sums. The loop reads the counters back as plain ints after
-   each run (the next rewind zeroes them), so it adds almost nothing
+   per-phase sums. An endurance scenario runs the same fault cycle, so a
+   loop of 3-cycle scenarios agrees too, with words in the detection and
+   recovery phases. The loop reads the counters back as plain ints after
+   each item (the next rewind zeroes them), so it adds almost nothing
    outside the attributed window. *)
-let test_alloc_attribution_agrees () =
-  let cfg = run_cfg () in
-  let base_seed = 90_000L and n = 40 in
+let alloc_phase_sums ~what ~base_seed ~n item =
   let r = small_recorder () in
   Obs.Recorder.set_alloc_profiling r true;
-  let w = Inject.Run.prepare ~recorder:r cfg in
+  let w = Inject.Run.prepare ~recorder:r (run_cfg ()) in
   let phases = Obs.Recorder.alloc_phases in
   let sums = Array.make (List.length phases) 0 in
-  let run_one i =
-    let seed = Int64.add base_seed (Int64.of_int i) in
-    ignore (Inject.Run.execute_into w { cfg with Inject.Run.seed })
-  in
-  (* Warm runs: first-touch growth of long-lived structures must not
+  let run_one i = item w (Int64.add base_seed (Int64.of_int i)) in
+  (* Warm items: first-touch growth of long-lived structures must not
      pollute the steady-state attribution. *)
   for i = 0 to 2 do
     run_one i
@@ -548,8 +548,18 @@ let test_alloc_attribution_agrees () =
   let gc_delta = Gc.minor_words () -. gc_start in
   let agreement = float_of_int (Array.fold_left ( + ) 0 sums) /. gc_delta in
   if agreement < 0.95 || agreement > 1.05 then
-    Alcotest.failf "phase words are %.3f of the Gc.minor_words delta"
+    Alcotest.failf "%s: phase words are %.3f of the Gc.minor_words delta" what
       agreement;
+  sums
+
+let test_alloc_attribution_agrees () =
+  let cfg = run_cfg () in
+  let base_seed = 90_000L and n = 40 in
+  let phases = Obs.Recorder.alloc_phases in
+  let sums =
+    alloc_phase_sums ~what:"runs" ~base_seed ~n (fun w seed ->
+        ignore (Inject.Run.execute_into w { cfg with Inject.Run.seed }))
+  in
   let campaign =
     Inject.Campaign.run ~base_seed ~jobs:1 ~alloc_profile:true ~n cfg
   in
@@ -561,6 +571,21 @@ let test_alloc_attribution_agrees () =
       let name = "alloc." ^ Obs.Recorder.alloc_phase_name p in
       checki (name ^ " campaign = direct loop") sums.(pi)
         (Option.value ~default:0 (List.assoc_opt name counters)))
+    phases;
+  let endure = { Endure.default_config with Endure.run_cfg = cfg; cycles = 3 } in
+  let sums =
+    alloc_phase_sums ~what:"scenarios" ~base_seed ~n:10 (fun w seed ->
+        ignore (Endure.scenario_on_worker w endure ~seed))
+  in
+  List.iteri
+    (fun pi p ->
+      match p with
+      | Obs.Recorder.Detection | Obs.Recorder.Recovery ->
+        checkb
+          ("scenario alloc." ^ Obs.Recorder.alloc_phase_name p ^ " words")
+          true (sums.(pi) > 0)
+      | Obs.Recorder.Boot | Obs.Recorder.Workload | Obs.Recorder.Injection
+      | Obs.Recorder.Audit -> ())
     phases
 
 (* Frame release on a long-lived machine: one machine runs 200k
