@@ -124,9 +124,9 @@ let set g v = g.value <- v
    >= v; values above every bound land in the trailing overflow bucket.
    Binary search: log-bucket histograms have ~70+ buckets, so the old
    linear scan would dominate the hot injection loop. *)
-let observe h v =
+let bucket h v =
   let n = Array.length h.bounds in
-  if n = 0 || v > h.bounds.(n - 1) then h.counts.(n) <- h.counts.(n) + 1
+  if n = 0 || v > h.bounds.(n - 1) then n
   else begin
     (* Invariant: bounds.(hi) >= v, and bounds.(lo-1) < v (lo = 0 ok). *)
     let lo = ref 0 and hi = ref (n - 1) in
@@ -134,10 +134,31 @@ let observe h v =
       let mid = (!lo + !hi) / 2 in
       if h.bounds.(mid) >= v then hi := mid else lo := mid + 1
     done;
-    h.counts.(!lo) <- h.counts.(!lo) + 1
-  end;
-  h.sum <- h.sum + v;
-  h.samples <- h.samples + 1
+    !lo
+  end
+
+let add_at h b v n =
+  h.counts.(b) <- h.counts.(b) + n;
+  h.sum <- h.sum + (v * n);
+  h.samples <- h.samples + n
+
+let observe h v = add_at h (bucket h v) v 1
+
+(* [n] observations of [v] at once: the same buckets, sum and sample
+   count as [n] calls to [observe h v] ([n = 0] changes nothing). *)
+let observe_n h v n = add_at h (bucket h v) v n
+
+(* [observe h v] for a caller whose values drift slowly, such as a
+   stalled tenant's falling request latencies: the bucket search walks
+   from bucket [near] (the previous observation's, which this returns)
+   instead of bisecting. Any [near] gives [observe]'s bucket. *)
+let observe_near h ~near v =
+  let n = Array.length h.bounds in
+  let b = ref (if near < 0 then 0 else if near > n then n else near) in
+  while !b < n && v > h.bounds.(!b) do b := !b + 1 done;
+  while !b > 0 && h.bounds.(!b - 1) >= v do b := !b - 1 done;
+  add_at h !b v 1;
+  !b
 
 (* Zero every registered instrument in place. Cached instrument handles
    stay valid and the registry keeps its structure, so a reset registry

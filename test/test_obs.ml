@@ -172,6 +172,34 @@ let test_log_observe_bucket_rule () =
   Alcotest.check (Alcotest.list Alcotest.int) "binary search matches the rule"
     (Array.to_list expect) (hs ()).Obs.Metrics.h_counts
 
+(* [observe_n h v n] leaves the histogram [n] calls to [observe h v]
+   leave, and [observe_near] from any starting bucket picks [observe]'s,
+   over values below, inside and past the bounds (the overflow bucket)
+   and counts from 0. *)
+let prop_batched_observe =
+  let gen =
+    QCheck.(
+      small_list
+        (triple (int_range (-5) 1_500) (int_range 0 20) (int_range (-3) 40)))
+  in
+  QCheck.Test.make ~count:300 ~name:"observe_n and observe_near equal observe"
+    gen (fun obs ->
+      let fresh () =
+        let m = Obs.Metrics.create () in
+        (m, Obs.Metrics.log_histogram m "ns" ~lo:10 ~hi:1_000)
+      in
+      let ma, a = fresh () and mb, b = fresh () and mc, c = fresh () in
+      List.iter
+        (fun (v, n, near) ->
+          Obs.Metrics.observe_n a v n;
+          for _ = 1 to n do
+            Obs.Metrics.observe b v;
+            ignore (Obs.Metrics.observe_near c ~near v)
+          done)
+        obs;
+      let sa = Obs.Metrics.snapshot ma in
+      sa = Obs.Metrics.snapshot mb && sa = Obs.Metrics.snapshot mc)
+
 let test_quantile_accuracy () =
   (* Estimated quantiles of a known skewed distribution stay within one
      bucket's relative error (25%) above the exact order statistic. *)
@@ -430,6 +458,7 @@ let () =
             test_quantile_edge_cases;
           Alcotest.test_case "restore round-trip" `Quick
             test_metrics_restore_roundtrip;
+          QCheck_alcotest.to_alcotest prop_batched_observe;
         ] );
       ( "campaign",
         [
