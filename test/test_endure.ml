@@ -245,8 +245,9 @@ let test_campaign_within_leak_budget () =
 
 (* A scenario runs the single-shot fault cycle ({!Inject.Run.fault_cycle}),
    so cycle 0 of a 1-cycle scenario is the single-shot run of the same
-   config through recovery: the same detection and, wherever the cycle
-   records one, the same recovery latency (a died cycle records 0). Both
+   config through recovery: the same detection and the same recovery
+   latency (0 when the recovery aborted, the plan's latency when it
+   completed, died cycles included). Both
    run on one worker machine, restored between runs: test_inject's
    worker-reuse contract makes that a fresh boot's run. *)
 let test_cycle_zero_is_single_shot fault () =
@@ -265,8 +266,7 @@ let test_cycle_zero_is_single_shot fault () =
     let what = Printf.sprintf "seed %Ld: %s" seed in
     Alcotest.(check (option string)) (what "detection") detection
       cy.Endure.cy_detection;
-    if cy.Endure.cy_latency > 0 then
-      checki (what "recovery latency") latency cy.Endure.cy_latency
+    checki (what "recovery latency") latency cy.Endure.cy_latency
   done
 
 (* The discard scope reaches endurance: under [Scope_faulting_only], on
