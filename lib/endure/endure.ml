@@ -556,12 +556,20 @@ let mean_leak_pages_per_recovery r =
 (* Checkpoint payload (same nlh-checkpoint/1 surface as campaigns)     *)
 (* ------------------------------------------------------------------ *)
 
+(* What a payload's figures mean. Bump it whenever a field keeps its
+   name and shape but changes meaning, so a file written with the old
+   meaning is refused rather than merged into the new. 2: per-cycle
+   [latency_sum]/[latency_samples] include the recovery of a cycle that
+   died after its recovery completed (1 left them out). *)
+let semantics = 2
+
 (* Config/seed identity for resume validation; see
    {!Inject.Campaign.fingerprint} for the contract. *)
 let fingerprint ~base_seed ~scenarios (cfg : config) =
   Printf.sprintf
-    "endurance;mech=%s;fault=%s;setup=%s;cycles=%d;settle=%d;budget=%s;\
+    "endurance;v=%d;mech=%s;fault=%s;setup=%s;cycles=%d;settle=%d;budget=%s;\
      base_seed=%Ld;n=%d"
+    semantics
     (Inject.Postmortem.mech_cli cfg.run_cfg.Inject.Run.mech)
     (Inject.Postmortem.fault_cli cfg.run_cfg.Inject.Run.fault)
     (Inject.Postmortem.setup_cli cfg.run_cfg.Inject.Run.setup)
