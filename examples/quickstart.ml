@@ -13,7 +13,7 @@ let () =
   let rng = Sim.Rng.create 42L in
   let healthy () = Hyper.Hypervisor.audit_clean (Hyper.Hypervisor.audit hv) in
   Format.printf "booted: %d domains, %d CPUs, %d page frames@."
-    (List.length (Hyper.Hypervisor.all_domains hv))
+    (Hyper.Domain_table.count (fun _ -> true) hv.Hyper.Hypervisor.domains)
     (Hyper.Hypervisor.cpu_count hv)
     (Hyper.Hypervisor.frames hv);
 
@@ -48,11 +48,11 @@ let () =
     outcome.Recovery.Plan.latency;
 
   (* Retry the abandoned hypercall and confirm the system is healthy. *)
-  List.iter
+  Hyper.Domain_table.iter_vcpus
     (fun (v : Hyper.Domain.vcpu) ->
       if v.Hyper.Domain.retry_pending then
         Hyper.Hypervisor.retry_hypercall hv rng v)
-    (Hyper.Hypervisor.all_vcpus hv);
+    hv.Hyper.Hypervisor.domains;
   for _ = 1 to 200 do
     Hyper.Hypervisor.execute hv rng
       (Workloads.Workload.sample_activity rng unixbench)
@@ -60,6 +60,7 @@ let () =
   Format.printf "healthy after recovery + 200 more activities: %b@."
     (healthy ());
   Format.printf "all VMs alive: %b@."
-    (List.for_all
-       (fun (d : Hyper.Domain.t) -> d.Hyper.Domain.alive)
-       (Hyper.Hypervisor.all_domains hv))
+    (Hyper.Domain_table.find_first
+       (fun (d : Hyper.Domain.t) -> not d.Hyper.Domain.alive)
+       hv.Hyper.Hypervisor.domains
+    = None)

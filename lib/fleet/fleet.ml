@@ -235,15 +235,12 @@ let serve rng served n =
     served.(k) <- served.(k) + 1
   done
 
-(* The trial up to its request accounting: rewind [w], warm up,
-   snapshot, damage victims, recover, record the recovery latency.
-   Returns the fault time and the recovery outcome; the next draw from
-   [rng] is the accounting's first. *)
-let recover_event w (cfg : config) rng =
+(* The trial up to its fault: rewind [w], warm up, snapshot, damage
+   victims. *)
+let inject w (cfg : config) rng =
   rewind w;
   let hv = w.w_hv in
   let clock = hv.Hypervisor.clock in
-  let ins = w.w_ins in
   for _ = 1 to cfg.warmup_activities do
     Sim.Clock.advance_by clock (Sim.Time.us (20 + Sim.Rng.int rng 180));
     let l = w.w_loads.(Sim.Rng.int rng cfg.tenants) in
@@ -277,17 +274,25 @@ let recover_event w (cfg : config) rng =
         end;
         incr i
       done)
-    victim_ids;
-  (* Recover. Serial plans stall every tenant for the whole latency;
-     sharded recovery gives each domain its own resume offset. *)
-  let fault_time = Sim.Clock.now clock in
+    victim_ids
+
+(* Recover [w]'s machine. Serial plans stall every tenant for the whole
+   latency; sharded recovery gives each domain its own resume offset. *)
+let recover w =
   let enh = Recovery.Enhancement.full_set in
-  let out =
-    match w.w_mech with
-    | Serial_full | Serial_incremental ->
-      Recovery.Engine.recover Recovery.Engine.Nilihype hv ~enh ~detected_on:0
-    | Sharded -> Recovery.Shard.recover hv ~enh ~detected_on:0
-  in
+  match w.w_mech with
+  | Serial_full | Serial_incremental ->
+    Recovery.Engine.recover Recovery.Engine.Nilihype w.w_hv ~enh ~detected_on:0
+  | Sharded -> Recovery.Shard.recover w.w_hv ~enh ~detected_on:0
+
+(* The trial up to its request accounting: the fault, the recovery and
+   its latency record. Returns the fault time and the recovery outcome;
+   the next draw from [rng] is the accounting's first. *)
+let recover_event w (cfg : config) rng =
+  inject w cfg rng;
+  let ins = w.w_ins in
+  let fault_time = Sim.Clock.now w.w_hv.Hypervisor.clock in
+  let out = recover w in
   let latency = out.Recovery.Plan.latency in
   Obs.Metrics.observe ins.rec_h latency;
   if latency > ins.rec_max.Obs.Metrics.value then

@@ -46,91 +46,120 @@ let iter_cpus t f = Array.iter f t.cpus
 (* Snapshot / restore                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Golden image of all mutable hardware state, taken once per snapshot
-   and written back in place on restore. Hardware state is small and
-   constant-size (a few hundred words for 8 CPUs), so unlike the page
-   frame table it is captured whole rather than copy-on-write: the
-   capture itself is O(cpus), not O(memory). APIC vector lists and the
-   IO-APIC write log have immutable spines, so capturing the list heads
-   by value is enough. *)
+(* Golden image of all mutable hardware state. The storage is allocated
+   once per image kind ([image]) and overwritten in place by [capture],
+   so taking an image allocates nothing; [restore] writes it back in
+   place. Hardware state is small and constant-size (a few hundred words
+   for 8 CPUs), so unlike the page frame table it is captured whole
+   rather than copy-on-write: O(cpus), not O(memory). APIC vector lists,
+   the saved FS/GS pair and the IO-APIC write log are immutable values,
+   so capturing them by reference is enough. *)
 type cpu_image = {
   im_regs : Regs.t;
-  im_timer_deadline : Sim.Time.ns;
-  im_pending : int list;
-  im_in_service : int list;
-  im_ipi_pending : bool;
-  im_nmi_pending : bool;
-  im_irq_enabled : bool;
-  im_state : Cpu.exec_state;
-  im_in_hypervisor : bool;
-  im_hv_stack_depth : int;
-  im_unhalted_cycles : int;
-  im_fsgs_saved : (int64 * int64) option;
+  mutable im_timer_deadline : Sim.Time.ns;
+  mutable im_pending : int list;
+  mutable im_in_service : int list;
+  mutable im_ipi_pending : bool;
+  mutable im_nmi_pending : bool;
+  mutable im_irq_enabled : bool;
+  mutable im_state : Cpu.exec_state;
+  mutable im_in_hypervisor : bool;
+  mutable im_hv_stack_depth : int;
+  mutable im_unhalted_cycles : int;
+  mutable im_fsgs_saved : (int64 * int64) option;
 }
 
 type image = {
   im_cpus : cpu_image array;
-  im_ioapic : (int * int * bool) array; (* (vector, dest_cpu, masked) *)
-  im_ioapic_log : (int * int * int * bool) list;
-  im_ioapic_logging : bool;
-  im_tsc_calibrated : bool;
+  im_ioapic : int array; (* per line: vector, dest_cpu, masked (0/1) *)
+  mutable im_ioapic_log : (int * int * int * bool) list;
+  mutable im_ioapic_logging : bool;
+  mutable im_tsc_calibrated : bool;
 }
 
-let snapshot t =
-  {
-    im_cpus =
-      Array.map
-        (fun (c : Cpu.t) ->
-          let a = c.Cpu.apic in
-          {
-            im_regs = Regs.copy c.Cpu.regs;
-            im_timer_deadline = a.Apic.timer_deadline;
-            im_pending = a.Apic.pending;
-            im_in_service = a.Apic.in_service;
-            im_ipi_pending = a.Apic.ipi_pending;
-            im_nmi_pending = a.Apic.nmi_pending;
-            im_irq_enabled = c.Cpu.irq_enabled;
-            im_state = c.Cpu.state;
-            im_in_hypervisor = c.Cpu.in_hypervisor;
-            im_hv_stack_depth = c.Cpu.hv_stack_depth;
-            im_unhalted_cycles = c.Cpu.unhalted_cycles;
-            im_fsgs_saved = c.Cpu.fsgs_saved;
-          })
-        t.cpus;
-    im_ioapic =
-      Array.map
-        (fun (e : Ioapic.entry) -> (e.Ioapic.vector, e.Ioapic.dest_cpu, e.Ioapic.masked))
-        t.ioapic.Ioapic.entries;
-    im_ioapic_log = t.ioapic.Ioapic.write_log;
-    im_ioapic_logging = t.ioapic.Ioapic.logging;
-    im_tsc_calibrated = t.tsc_calibrated;
-  }
+let capture t im =
+  for i = 0 to Array.length t.cpus - 1 do
+    let c = t.cpus.(i) and s = im.im_cpus.(i) in
+    let a = c.Cpu.apic in
+    Regs.restore ~from:c.Cpu.regs s.im_regs;
+    s.im_timer_deadline <- a.Apic.timer_deadline;
+    s.im_pending <- a.Apic.pending;
+    s.im_in_service <- a.Apic.in_service;
+    s.im_ipi_pending <- a.Apic.ipi_pending;
+    s.im_nmi_pending <- a.Apic.nmi_pending;
+    s.im_irq_enabled <- c.Cpu.irq_enabled;
+    s.im_state <- c.Cpu.state;
+    s.im_in_hypervisor <- c.Cpu.in_hypervisor;
+    s.im_hv_stack_depth <- c.Cpu.hv_stack_depth;
+    s.im_unhalted_cycles <- c.Cpu.unhalted_cycles;
+    s.im_fsgs_saved <- c.Cpu.fsgs_saved
+  done;
+  let entries = t.ioapic.Ioapic.entries in
+  for i = 0 to Array.length entries - 1 do
+    let e = entries.(i) in
+    im.im_ioapic.(3 * i) <- e.Ioapic.vector;
+    im.im_ioapic.((3 * i) + 1) <- e.Ioapic.dest_cpu;
+    im.im_ioapic.((3 * i) + 2) <- Bool.to_int e.Ioapic.masked
+  done;
+  im.im_ioapic_log <- t.ioapic.Ioapic.write_log;
+  im.im_ioapic_logging <- t.ioapic.Ioapic.logging;
+  im.im_tsc_calibrated <- t.tsc_calibrated
 
-let restore t (im : image) =
-  Array.iteri
-    (fun i (c : Cpu.t) ->
-      let s = im.im_cpus.(i) in
-      let a = c.Cpu.apic in
-      Regs.restore ~from:s.im_regs c.Cpu.regs;
-      a.Apic.timer_deadline <- s.im_timer_deadline;
-      a.Apic.pending <- s.im_pending;
-      a.Apic.in_service <- s.im_in_service;
-      a.Apic.ipi_pending <- s.im_ipi_pending;
-      a.Apic.nmi_pending <- s.im_nmi_pending;
-      c.Cpu.irq_enabled <- s.im_irq_enabled;
-      c.Cpu.state <- s.im_state;
-      c.Cpu.in_hypervisor <- s.im_in_hypervisor;
-      c.Cpu.hv_stack_depth <- s.im_hv_stack_depth;
-      c.Cpu.unhalted_cycles <- s.im_unhalted_cycles;
-      c.Cpu.fsgs_saved <- s.im_fsgs_saved)
-    t.cpus;
-  Array.iteri
-    (fun i (e : Ioapic.entry) ->
-      let vector, dest_cpu, masked = im.im_ioapic.(i) in
-      e.Ioapic.vector <- vector;
-      e.Ioapic.dest_cpu <- dest_cpu;
-      e.Ioapic.masked <- masked)
-    t.ioapic.Ioapic.entries;
+(* Storage for one image of [t], holding [t]'s current state. *)
+let image t =
+  let im =
+    {
+      im_cpus =
+        Array.map
+          (fun (c : Cpu.t) ->
+            {
+              im_regs = Regs.copy c.Cpu.regs;
+              im_timer_deadline = Apic.disarmed;
+              im_pending = [];
+              im_in_service = [];
+              im_ipi_pending = false;
+              im_nmi_pending = false;
+              im_irq_enabled = true;
+              im_state = Cpu.Running;
+              im_in_hypervisor = false;
+              im_hv_stack_depth = 0;
+              im_unhalted_cycles = 0;
+              im_fsgs_saved = None;
+            })
+          t.cpus;
+      im_ioapic = Array.make (3 * Ioapic.lines t.ioapic) 0;
+      im_ioapic_log = [];
+      im_ioapic_logging = false;
+      im_tsc_calibrated = true;
+    }
+  in
+  capture t im;
+  im
+
+let restore t im =
+  for i = 0 to Array.length t.cpus - 1 do
+    let c = t.cpus.(i) and s = im.im_cpus.(i) in
+    let a = c.Cpu.apic in
+    Regs.restore ~from:s.im_regs c.Cpu.regs;
+    a.Apic.timer_deadline <- s.im_timer_deadline;
+    a.Apic.pending <- s.im_pending;
+    a.Apic.in_service <- s.im_in_service;
+    a.Apic.ipi_pending <- s.im_ipi_pending;
+    a.Apic.nmi_pending <- s.im_nmi_pending;
+    c.Cpu.irq_enabled <- s.im_irq_enabled;
+    c.Cpu.state <- s.im_state;
+    c.Cpu.in_hypervisor <- s.im_in_hypervisor;
+    c.Cpu.hv_stack_depth <- s.im_hv_stack_depth;
+    c.Cpu.unhalted_cycles <- s.im_unhalted_cycles;
+    c.Cpu.fsgs_saved <- s.im_fsgs_saved
+  done;
+  let entries = t.ioapic.Ioapic.entries in
+  for i = 0 to Array.length entries - 1 do
+    let e = entries.(i) in
+    e.Ioapic.vector <- im.im_ioapic.(3 * i);
+    e.Ioapic.dest_cpu <- im.im_ioapic.((3 * i) + 1);
+    e.Ioapic.masked <- im.im_ioapic.((3 * i) + 2) <> 0
+  done;
   t.ioapic.Ioapic.write_log <- im.im_ioapic_log;
   t.ioapic.Ioapic.logging <- im.im_ioapic_logging;
   t.tsc_calibrated <- im.im_tsc_calibrated

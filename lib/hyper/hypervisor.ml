@@ -26,6 +26,32 @@ let activity_name = function
   | Context_switch c -> Printf.sprintf "ctx_switch(cpu%d)" c
   | Idle_poll c -> Printf.sprintf "idle(cpu%d)" c
 
+(* Snapshot storage for the machine-wide state: one per image kind
+   (base and layer), allocated with the hypervisor and overwritten in
+   place by [snapshot]. Each domain keeps its own ([Domain.slot]). *)
+type slot = {
+  mutable s_config : Config.t;
+  s_machine : Hw.Machine.image;
+  mutable s_now : Sim.Time.ns;
+  s_static_locks : int array; (* [Spinlock.Segment.save] *)
+  s_percpu : Percpu.image array;
+  s_runq : Domain.vcpu list array;
+  s_curr : Domain.vcpu option array;
+  mutable s_domains : Domain_table.image;
+  s_cycles : int array; (* total, logging, entries *)
+  s_watchdog_soft : int array;
+  s_need_resched : bool array;
+  mutable s_time_sync_count : int;
+  mutable s_next_domid : int;
+  mutable s_static_data_ok : bool;
+  mutable s_static_data_note : string;
+  mutable s_recovery_handler_ok : bool;
+  mutable s_bootline_ok : bool;
+  mutable s_cur_activity : activity;
+  mutable s_cur_cpu : int;
+  mutable s_cur_step : int;
+}
+
 (* Raised by [execute_partial]'s stepper to abandon an activity at a
    given step, modelling work in flight on other CPUs at detection. *)
 exception Abandoned
@@ -43,7 +69,7 @@ type t = {
   percpu : Percpu.t array;
   timers : Timer_heap.t;
   sched : Sched.t;
-  domains : (int, Domain.t) Hashtbl.t;
+  domains : Domain_table.t;
   cycles : Cycle_account.t;
   obs : Obs.Recorder.t;
   (* Crash-surviving flight rings (the postmortem "black box"): last-N
@@ -86,9 +112,11 @@ type t = {
      lookup. *)
   audit_counters : Obs.Metrics.counter array;
   (* Generations of the restorable images ([snapshot]): the base and the
-     layer over it, 0 for none. *)
+     layer over it, 0 for none; and their storage. *)
   mutable base_gen : int;
   mutable layer_gen : int;
+  base_slot : slot;
+  layer_slot : slot;
 }
 
 let cpu_count t = Hw.Machine.num_cpus t.machine
@@ -104,26 +132,15 @@ let geometry t =
   | None ->
     { Config.frames = Pfn.frames t.pfn; cpus = Hw.Machine.num_cpus t.machine }
 
-let domain t domid = Hashtbl.find_opt t.domains domid
+(* Domains are walked through [Domain_table] on [t.domains]. *)
+let domain t domid = Domain_table.find t.domains domid
 
 (* The idle domain's reserved domid. Every other domid is handed out by
    [next_domid], in sequence from 0. *)
-let idle_domid = 1000
-
-let all_domains t =
-  Hashtbl.fold (fun _ d acc -> d :: acc) t.domains []
-  |> List.sort (fun a b -> compare a.Domain.domid b.Domain.domid)
-
-let app_domains t =
-  List.filter
-    (fun d -> (not d.Domain.privileged) && not d.Domain.is_idle)
-    (all_domains t)
-
-let all_vcpus t =
-  List.concat_map (fun d -> Array.to_list d.Domain.vcpus) (all_domains t)
+let idle_domid = Domain_table.idle_domid
 
 let privvm t =
-  match List.find_opt (fun d -> d.Domain.privileged) (all_domains t) with
+  match Domain_table.find_first (fun d -> d.Domain.privileged) t.domains with
   | Some d -> d
   | None -> Crash.panic "no PrivVM"
 
@@ -132,7 +149,7 @@ let privvm t =
    presence is what makes context switching -- and hence scheduling-
    metadata vulnerability windows -- pervasive, as in Xen. *)
 let idle_domain t =
-  match List.find_opt (fun d -> d.Domain.is_idle) (all_domains t) with
+  match Domain_table.find_first (fun d -> d.Domain.is_idle) t.domains with
   | Some d -> d
   | None -> Crash.panic "no idle domain"
 
@@ -165,6 +182,30 @@ let audit_counter obs kind =
 let indexed_names prefix n =
   Array.init (n + 1) (fun i -> Printf.sprintf "%s%d" prefix i)
 
+let slot ~config machine ~cpus static_segment domains =
+  {
+    s_config = config;
+    s_machine = Hw.Machine.image machine;
+    s_now = 0;
+    s_static_locks = Array.make (2 * Spinlock.Segment.count static_segment) 0;
+    s_percpu = Array.init cpus (fun _ -> Percpu.image ());
+    s_runq = Array.make cpus [];
+    s_curr = Array.make cpus None;
+    s_domains = Domain_table.capture domains;
+    s_cycles = Array.make 3 0;
+    s_watchdog_soft = Array.make cpus 0;
+    s_need_resched = Array.make cpus false;
+    s_time_sync_count = 0;
+    s_next_domid = 0;
+    s_static_data_ok = true;
+    s_static_data_note = "";
+    s_recovery_handler_ok = true;
+    s_bootline_ok = true;
+    s_cur_activity = Idle_poll 0;
+    s_cur_cpu = 0;
+    s_cur_step = 0;
+  }
+
 let create ?(mconfig = Hw.Machine.default_config) ?obs ~config clock =
   let machine = Hw.Machine.create ~config:mconfig clock in
   let obs =
@@ -183,6 +224,8 @@ let create ?(mconfig = Hw.Machine.default_config) ?obs ~config clock =
   let domlist_lock = static_lock "domlist" in
   let global_heap_lock = static_lock "heap" in
   let num_cpus = Hw.Machine.num_cpus machine in
+  let domains = Domain_table.create () in
+  let slot () = slot ~config machine ~cpus:num_cpus static_segment domains in
   let t =
     {
       machine;
@@ -197,7 +240,7 @@ let create ?(mconfig = Hw.Machine.default_config) ?obs ~config clock =
       percpu = Array.init num_cpus (fun c -> Percpu.create heap c);
       timers = Timer_heap.create ();
       sched = Sched.create ~num_cpus;
-      domains = Hashtbl.create 8;
+      domains;
       cycles = Cycle_account.create ();
       obs;
       hc_flight = Obs.Flight.create ~capacity:64 ();
@@ -223,6 +266,8 @@ let create ?(mconfig = Hw.Machine.default_config) ?obs ~config clock =
         Array.of_list (List.map (audit_counter obs) audit_violation_kinds);
       base_gen = 0;
       layer_gen = 0;
+      base_slot = slot ();
+      layer_slot = slot ();
     }
   in
   Hw.Ioapic.set_logging machine.Hw.Machine.ioapic config.Config.ioapic_write_logging;
@@ -286,7 +331,7 @@ let create_domain_internal ?(is_idle = false) t ~privileged ~vcpu_pins ~mem_fram
     Domain.create ~is_idle t.heap ~config:t.config ~pfn:t.pfn ~domid ~privileged
       ~vcpus:vcpu_pins
   in
-  Hashtbl.replace t.domains domid dom;
+  Domain_table.add t.domains dom;
   for i = 0 to mem_frames - 1 do
     let ptype = if i mod 8 = 0 then Pfn.Page_table else Pfn.Writable in
     let d = Pfn.alloc_frame t.pfn ~owner:domid ~ptype in
@@ -333,11 +378,11 @@ let destroy_domain_internal t dom =
   Owned_frames.clear dom.Domain.owned_frames;
   List.iter (fun obj -> if obj.Heap.live then Heap.free t.heap obj) dom.Domain.heap_objs;
   dom.Domain.heap_objs <- [];
-  Hashtbl.remove t.domains dom.Domain.domid
+  Domain_table.remove t.domains dom.Domain.domid
 
 (* Make each pinned vCPU current on its CPU, as after boot completes. *)
 let start_vcpus t =
-  List.iter
+  Domain_table.iter_vcpus
     (fun (v : Domain.vcpu) ->
       match Sched.current t.sched ~cpu:v.Domain.processor with
       | None ->
@@ -350,7 +395,7 @@ let start_vcpus t =
         t.percpu.(v.Domain.processor).Percpu.curr_domid <- v.Domain.domid;
         t.percpu.(v.Domain.processor).Percpu.curr_vcpuid <- v.Domain.vid
       | Some _ -> ())
-    (all_vcpus t)
+    t.domains
 
 type setup =
   | One_appvm
@@ -453,28 +498,34 @@ let journal_tail t = Obs.Flight.tail t.journal_flight
 
 (* [snapshot] captures a golden image of the mutable hypervisor state;
    [restore] rewinds the same instance back to it in place. Cost model:
-   the page-frame table, the heap and the timer heap each keep their
-   golden state in one copy-on-write store ([Cow]: golden values in flat
-   arrays, a preallocated dirty set), so snapshot and restore are
-   O(changed state) there. Each domain's event-channel and grant tables
-   and its owned frames image themselves: a table unchanged since its
-   last capture or restore captures as that same image and is skipped
-   on restore, so those cost O(tables changed). The domain table is
-   rebuilt only when a domain of the image was destroyed since.
-   Everything else (the per-domain records, vcpus, locks, per-CPU areas,
-   hardware) is small and captured whole.
+   - The page-frame table, the heap and the timer heap each keep their
+     golden state in one copy-on-write store ([Cow]: golden values in
+     flat arrays, a preallocated dirty set), so snapshot and restore are
+     O(changed state) there.
+   - Each domain's event-channel and grant tables, its owned frames and
+     the domain table image themselves: one unchanged since its last
+     capture or restore captures as that same image and is skipped on
+     restore.
+   - Everything else (the machine-wide scalars, per-CPU areas, hardware,
+     and each domain's flags, vCPUs, locks and register files) is small
+     and copied whole, O(domains + cpus), into storage allocated with
+     the hypervisor ([slot]) and with each domain ([Domain.slot]): one
+     set per image kind, overwritten by every snapshot of that kind. So
+     a snapshot allocates only its returned generation stamp and the
+     images of tables that changed, and a restore allocates nothing.
 
    Constraints:
    - One base image plus at most one layer per instance, enforced by
      generation stamps: [restore] of any other image raises
-     [Invalid_argument] rather than rewinding to a mixed state. A base
-     [snapshot] supersedes every earlier image. A [~layer:true] snapshot
-     (the clone fan-out's trigger point) is taken over the base and saves
-     the base golden values it overwrites -- O(entries changed since the
-     base) -- so restoring the base later unwinds the layer, then
-     rewinds as usual; the layer is gone after that. Restoring either
-     live image is repeatable (restore, run, restore again): each
-     restore drains the dirty sets, later writes re-dirty.
+     [Invalid_argument] rather than rewinding to a mixed state (its
+     storage has been overwritten). A base [snapshot] supersedes every
+     earlier image. A [~layer:true] snapshot (the clone fan-out's
+     trigger point) is taken over the base and saves the base golden
+     values it overwrites -- O(entries changed since the base) -- so
+     restoring the base later unwinds the layer, then rewinds as usual;
+     the layer is gone after that. Restoring either live image is
+     repeatable (restore, run, restore again): each restore drains the
+     dirty sets, later writes re-dirty.
    - Snapshot at quiesce points only: [snapshot] raises
      [Invalid_argument] while any vCPU has a hypercall in flight
      ([vcpu.in_hypercall <> None]). The record is the vCPU's own, reset
@@ -492,222 +543,62 @@ let journal_tail t = Obs.Flight.tail t.journal_flight
    - [step_hook] comes back as [None]; the harness reinstalls its CPU
      tracker per run. *)
 
-type lock_image = {
-  il_lock : Spinlock.t;
-  il_holder : int;
-  il_acquisitions : int;
-}
-
-let capture_lock (l : Spinlock.t) =
-  { il_lock = l; il_holder = l.Spinlock.holder; il_acquisitions = l.Spinlock.acquisitions }
-
-let restore_lock im =
-  im.il_lock.Spinlock.holder <- im.il_holder;
-  im.il_lock.Spinlock.acquisitions <- im.il_acquisitions
-
-type vcpu_image = {
-  iv_vcpu : Domain.vcpu;
-  iv_processor : int;
-  iv_runstate : Domain.runstate;
-  iv_is_current : bool;
-  iv_curr_slot : int;
-  iv_guest_regs : Hw.Regs.t;
-  iv_fsgs_valid : bool;
-  iv_in_syscall_forward : bool;
-  iv_retry_pending : bool;
-  iv_syscall_retry_pending : bool;
-  iv_lost_work : bool;
-}
-
-type domain_image = {
-  id_dom : Domain.t; (* live record, reinserted into the table on restore *)
-  id_alive : bool;
-  id_struct_ok : bool;
-  id_guest_failed : bool;
-  id_guest_sdc : bool;
-  id_owned_frames : Owned_frames.image;
-  id_heap_objs : Heap.obj list;
-  id_vcpus : vcpu_image array;
-  id_evtchn : Evtchn.image;
-  id_evtchn_lock : lock_image;
-  id_grants : Grant.image;
-  id_grant_lock : lock_image;
-  id_page_lock : lock_image;
-}
-
-type percpu_image = {
-  ip_local_irq_count : int;
-  ip_in_hypercall_depth : int;
-  ip_curr_domid : int;
-  ip_curr_vcpuid : int;
-  ip_fsgs_saved : bool;
-  ip_saved_fs : int64;
-  ip_saved_gs : int64;
-  ip_heap_lock : lock_image;
-}
-
-type image = {
-  im_gen : int;
-  im_config : Config.t;
-  im_machine : Hw.Machine.image;
-  im_now : Sim.Time.ns;
-  (* Frame, heap and timer golden state lives in their stores
-     (copy-on-write, refreshed by [snapshot] below), not in the image. *)
-  im_static_locks : lock_image list;
-  im_percpu : percpu_image array;
-  im_runq : Domain.vcpu list array;
-  im_curr : Domain.vcpu option array;
-  im_domains : domain_image list; (* ascending domid = boot insertion order *)
-  im_cycles_total : int;
-  im_cycles_logging : int;
-  im_cycles_entries : int;
-  im_watchdog_soft : int array;
-  im_need_resched : bool array;
-  im_time_sync_count : int;
-  im_next_domid : int;
-  im_static_data_ok : bool;
-  im_static_data_note : string;
-  im_recovery_handler_ok : bool;
-  im_bootline_ok : bool;
-  im_cur_activity : activity;
-  im_cur_cpu : int;
-  im_cur_step : int;
-}
-
-let capture_vcpu (v : Domain.vcpu) =
-  {
-    iv_vcpu = v;
-    iv_processor = v.Domain.processor;
-    iv_runstate = v.Domain.runstate;
-    iv_is_current = v.Domain.is_current;
-    iv_curr_slot = v.Domain.curr_slot;
-    iv_guest_regs = Hw.Regs.copy v.Domain.guest_regs;
-    iv_fsgs_valid = v.Domain.fsgs_valid;
-    iv_in_syscall_forward = v.Domain.in_syscall_forward;
-    iv_retry_pending = v.Domain.retry_pending;
-    iv_syscall_retry_pending = v.Domain.syscall_retry_pending;
-    iv_lost_work = v.Domain.lost_work;
-  }
-
-let restore_vcpu im =
-  let v = im.iv_vcpu in
-  v.Domain.processor <- im.iv_processor;
-  v.Domain.runstate <- im.iv_runstate;
-  v.Domain.is_current <- im.iv_is_current;
-  v.Domain.curr_slot <- im.iv_curr_slot;
-  Hw.Regs.restore ~from:im.iv_guest_regs v.Domain.guest_regs;
-  v.Domain.fsgs_valid <- im.iv_fsgs_valid;
-  v.Domain.in_hypercall <- None;
-  v.Domain.in_syscall_forward <- im.iv_in_syscall_forward;
-  v.Domain.retry_pending <- im.iv_retry_pending;
-  v.Domain.syscall_retry_pending <- im.iv_syscall_retry_pending;
-  v.Domain.lost_work <- im.iv_lost_work
-
-let capture_domain (d : Domain.t) =
-  {
-    id_dom = d;
-    id_alive = d.Domain.alive;
-    id_struct_ok = d.Domain.struct_ok;
-    id_guest_failed = d.Domain.guest_failed;
-    id_guest_sdc = d.Domain.guest_sdc;
-    id_owned_frames = Owned_frames.capture d.Domain.owned_frames;
-    id_heap_objs = d.Domain.heap_objs;
-    id_vcpus = Array.map capture_vcpu d.Domain.vcpus;
-    id_evtchn = Evtchn.capture d.Domain.evtchn;
-    id_evtchn_lock = capture_lock (Evtchn.lock d.Domain.evtchn);
-    id_grants = Grant.capture d.Domain.grants;
-    id_grant_lock = capture_lock (Grant.lock d.Domain.grants);
-    id_page_lock = capture_lock d.Domain.page_lock;
-  }
-
-let restore_domain im =
-  let d = im.id_dom in
-  d.Domain.alive <- im.id_alive;
-  d.Domain.struct_ok <- im.id_struct_ok;
-  d.Domain.guest_failed <- im.id_guest_failed;
-  d.Domain.guest_sdc <- im.id_guest_sdc;
-  Owned_frames.restore d.Domain.owned_frames im.id_owned_frames;
-  d.Domain.heap_objs <- im.id_heap_objs;
-  Array.iter restore_vcpu im.id_vcpus;
-  Evtchn.restore d.Domain.evtchn im.id_evtchn;
-  restore_lock im.id_evtchn_lock;
-  Grant.restore d.Domain.grants im.id_grants;
-  restore_lock im.id_grant_lock;
-  restore_lock im.id_page_lock
+type image = { im_gen : int }
 
 (* Image generations are unique across instances, so an image restored
    into the wrong hypervisor is refused too. *)
 let generations = Atomic.make 1
 
-let refuse_in_flight _ (d : Domain.t) =
-  Array.iter
-    (fun (v : Domain.vcpu) ->
-      if v.Domain.in_hypercall <> None then
-        invalid_arg "Hypervisor.snapshot: a hypercall is in flight")
-    d.Domain.vcpus
+let refuse_in_flight (v : Domain.vcpu) =
+  if v.Domain.in_hypercall <> None then
+    invalid_arg "Hypervisor.snapshot: a hypercall is in flight"
 
 let snapshot ?(layer = false) t =
   if layer && (t.base_gen = 0 || t.layer_gen <> 0) then
     invalid_arg "Hypervisor.snapshot: a layer needs a base image and no other layer";
-  Hashtbl.iter refuse_in_flight t.domains;
+  Domain_table.iter_vcpus refuse_in_flight t.domains;
   Pfn.snapshot ~layer t.pfn;
   Heap.snapshot ~layer t.heap;
   Timer_heap.snapshot ~layer t.timers;
   let gen = Atomic.fetch_and_add generations 1 in
-  if layer then t.layer_gen <- gen
-  else begin
-    t.base_gen <- gen;
-    t.layer_gen <- 0
-  end;
-  let static_locks = ref [] in
-  Spinlock.Segment.iter t.static_segment (fun l ->
-      static_locks := capture_lock l :: !static_locks);
-  {
-    im_gen = gen;
-    im_config = t.config;
-    im_machine = Hw.Machine.snapshot t.machine;
-    im_now = Sim.Clock.now t.clock;
-    im_static_locks = !static_locks;
-    im_percpu =
-      Array.map
-        (fun (p : Percpu.t) ->
-          {
-            ip_local_irq_count = p.Percpu.local_irq_count;
-            ip_in_hypercall_depth = p.Percpu.in_hypercall_depth;
-            ip_curr_domid = p.Percpu.curr_domid;
-            ip_curr_vcpuid = p.Percpu.curr_vcpuid;
-            ip_fsgs_saved = p.Percpu.fsgs_saved;
-            ip_saved_fs = p.Percpu.saved_fs;
-            ip_saved_gs = p.Percpu.saved_gs;
-            ip_heap_lock = capture_lock p.Percpu.heap_lock;
-          })
-        t.percpu;
-    im_runq = Array.copy t.sched.Sched.runq;
-    im_curr = Array.copy t.sched.Sched.curr;
-    im_domains = List.map capture_domain (all_domains t);
-    im_cycles_total = t.cycles.Cycle_account.total;
-    im_cycles_logging = t.cycles.Cycle_account.logging;
-    im_cycles_entries = t.cycles.Cycle_account.entries;
-    im_watchdog_soft = Array.copy t.watchdog_soft;
-    im_need_resched = Array.copy t.need_resched_flags;
-    im_time_sync_count = t.time_sync_count;
-    im_next_domid = t.next_domid;
-    im_static_data_ok = t.static_data_ok;
-    im_static_data_note = t.static_data_note;
-    im_recovery_handler_ok = t.recovery_handler_ok;
-    im_bootline_ok = t.bootline_ok;
-    im_cur_activity = t.cur_activity;
-    im_cur_cpu = t.cur_cpu;
-    im_cur_step = t.cur_step;
-  }
-
-(* Whether [tbl] binds every image domain's domid to its record. *)
-let rec holds_domains tbl = function
-  | [] -> true
-  | di :: rest -> (
-    match Hashtbl.find tbl di.id_dom.Domain.domid with
-    | d -> d == di.id_dom && holds_domains tbl rest
-    | exception Not_found -> false)
+  let s =
+    if layer then begin
+      t.layer_gen <- gen;
+      t.layer_slot
+    end
+    else begin
+      t.base_gen <- gen;
+      t.layer_gen <- 0;
+      t.base_slot
+    end
+  in
+  s.s_config <- t.config;
+  Hw.Machine.capture t.machine s.s_machine;
+  s.s_now <- Sim.Clock.now t.clock;
+  Spinlock.Segment.save t.static_segment s.s_static_locks;
+  for i = 0 to Array.length t.percpu - 1 do
+    Percpu.save t.percpu.(i) s.s_percpu.(i)
+  done;
+  Array.blit t.sched.Sched.runq 0 s.s_runq 0 (Array.length s.s_runq);
+  Array.blit t.sched.Sched.curr 0 s.s_curr 0 (Array.length s.s_curr);
+  s.s_domains <- Domain_table.capture t.domains;
+  if layer then Domain_table.iter (fun d -> Domain.capture d d.Domain.layer) t.domains
+  else Domain_table.iter (fun d -> Domain.capture d d.Domain.base) t.domains;
+  s.s_cycles.(0) <- t.cycles.Cycle_account.total;
+  s.s_cycles.(1) <- t.cycles.Cycle_account.logging;
+  s.s_cycles.(2) <- t.cycles.Cycle_account.entries;
+  Array.blit t.watchdog_soft 0 s.s_watchdog_soft 0 (Array.length s.s_watchdog_soft);
+  Array.blit t.need_resched_flags 0 s.s_need_resched 0 (Array.length s.s_need_resched);
+  s.s_time_sync_count <- t.time_sync_count;
+  s.s_next_domid <- t.next_domid;
+  s.s_static_data_ok <- t.static_data_ok;
+  s.s_static_data_note <- t.static_data_note;
+  s.s_recovery_handler_ok <- t.recovery_handler_ok;
+  s.s_bootline_ok <- t.bootline_ok;
+  s.s_cur_activity <- t.cur_activity;
+  s.s_cur_cpu <- t.cur_cpu;
+  s.s_cur_step <- t.cur_step;
+  { im_gen = gen }
 
 let restore t (im : image) =
   if im.im_gen = t.base_gen && t.layer_gen <> 0 then begin
@@ -718,78 +609,56 @@ let restore t (im : image) =
   end
   else if im.im_gen <> t.base_gen && im.im_gen <> t.layer_gen then
     invalid_arg "Hypervisor.restore: the image was superseded by a later snapshot";
+  let layer = im.im_gen = t.layer_gen in
+  let s = if layer then t.layer_slot else t.base_slot in
   Pfn.restore t.pfn;
   Heap.restore t.heap;
   Timer_heap.restore t.timers;
-  t.config <- im.im_config;
-  Hw.Machine.restore t.machine im.im_machine;
-  t.clock.Sim.Clock.now <- im.im_now;
-  List.iter restore_lock im.im_static_locks;
-  Array.iteri
-    (fun i (p : Percpu.t) ->
-      let s = im.im_percpu.(i) in
-      p.Percpu.local_irq_count <- s.ip_local_irq_count;
-      p.Percpu.in_hypercall_depth <- s.ip_in_hypercall_depth;
-      p.Percpu.curr_domid <- s.ip_curr_domid;
-      p.Percpu.curr_vcpuid <- s.ip_curr_vcpuid;
-      p.Percpu.fsgs_saved <- s.ip_fsgs_saved;
-      p.Percpu.saved_fs <- s.ip_saved_fs;
-      p.Percpu.saved_gs <- s.ip_saved_gs;
-      restore_lock s.ip_heap_lock)
-    t.percpu;
-  Array.blit im.im_runq 0 t.sched.Sched.runq 0 (Array.length im.im_runq);
-  Array.blit im.im_curr 0 t.sched.Sched.curr 0 (Array.length im.im_curr);
-  List.iter restore_domain im.im_domains;
-  (* Domains created since the image hold the domids from its
-     [next_domid] on; removing them allocates nothing. The table is
-     rebuilt only if it then differs from the image's records (a domain
-     of the image was destroyed since), so a rewind after a run that
-     created a domain allocates the same as one after a run that did
-     not. *)
-  for domid = im.im_next_domid to t.next_domid - 1 do
-    Hashtbl.remove t.domains domid
+  t.config <- s.s_config;
+  Hw.Machine.restore t.machine s.s_machine;
+  t.clock.Sim.Clock.now <- s.s_now;
+  Spinlock.Segment.load t.static_segment s.s_static_locks;
+  for i = 0 to Array.length t.percpu - 1 do
+    Percpu.load t.percpu.(i) s.s_percpu.(i)
   done;
-  if
-    Hashtbl.length t.domains <> List.length im.im_domains
-    || not (holds_domains t.domains im.im_domains)
-  then begin
-    Hashtbl.reset t.domains;
-    List.iter
-      (fun di -> Hashtbl.replace t.domains di.id_dom.Domain.domid di.id_dom)
-      im.im_domains
-  end;
-  t.cycles.Cycle_account.total <- im.im_cycles_total;
-  t.cycles.Cycle_account.logging <- im.im_cycles_logging;
-  t.cycles.Cycle_account.entries <- im.im_cycles_entries;
-  Array.blit im.im_watchdog_soft 0 t.watchdog_soft 0
-    (Array.length im.im_watchdog_soft);
-  Array.blit im.im_need_resched 0 t.need_resched_flags 0
-    (Array.length im.im_need_resched);
-  t.time_sync_count <- im.im_time_sync_count;
-  t.next_domid <- im.im_next_domid;
-  t.static_data_ok <- im.im_static_data_ok;
-  t.static_data_note <- im.im_static_data_note;
-  t.recovery_handler_ok <- im.im_recovery_handler_ok;
-  t.bootline_ok <- im.im_bootline_ok;
+  Array.blit s.s_runq 0 t.sched.Sched.runq 0 (Array.length s.s_runq);
+  Array.blit s.s_curr 0 t.sched.Sched.curr 0 (Array.length s.s_curr);
+  (* Domains created since the image are dropped and destroyed ones put
+     back with the image's table; then each domain loads its storage. *)
+  Domain_table.restore t.domains s.s_domains;
+  if layer then Domain_table.iter (fun d -> Domain.restore d d.Domain.layer) t.domains
+  else Domain_table.iter (fun d -> Domain.restore d d.Domain.base) t.domains;
+  t.cycles.Cycle_account.total <- s.s_cycles.(0);
+  t.cycles.Cycle_account.logging <- s.s_cycles.(1);
+  t.cycles.Cycle_account.entries <- s.s_cycles.(2);
+  Array.blit s.s_watchdog_soft 0 t.watchdog_soft 0 (Array.length s.s_watchdog_soft);
+  Array.blit s.s_need_resched 0 t.need_resched_flags 0
+    (Array.length s.s_need_resched);
+  t.time_sync_count <- s.s_time_sync_count;
+  t.next_domid <- s.s_next_domid;
+  t.static_data_ok <- s.s_static_data_ok;
+  t.static_data_note <- s.s_static_data_note;
+  t.recovery_handler_ok <- s.s_recovery_handler_ok;
+  t.bootline_ok <- s.s_bootline_ok;
   t.step_hook <- None;
-  t.cur_activity <- im.im_cur_activity;
-  t.cur_cpu <- im.im_cur_cpu;
-  t.cur_step <- im.im_cur_step;
+  t.cur_activity <- s.s_cur_activity;
+  t.cur_cpu <- s.s_cur_cpu;
+  t.cur_step <- s.s_cur_step;
   (* The indexed-name tables depend only on the ABI sub-op limit: rebuilt
      only if the restored config moved it, so steady-state reuse keeps
      the interned names. *)
   if
     Array.length t.pte_write_names
-    <> im.im_config.Config.max_hypercall_subops + 1
+    <> s.s_config.Config.max_hypercall_subops + 1
   then begin
     t.pte_write_names <-
-      indexed_names "pte_write_" im.im_config.Config.max_hypercall_subops;
+      indexed_names "pte_write_" s.s_config.Config.max_hypercall_subops;
     t.grant_map_names <-
-      indexed_names "grant_map_" im.im_config.Config.max_hypercall_subops;
+      indexed_names "grant_map_" s.s_config.Config.max_hypercall_subops;
     t.ring_io_names <-
-      indexed_names "ring_io_" im.im_config.Config.max_hypercall_subops;
+      indexed_names "ring_io_" s.s_config.Config.max_hypercall_subops;
     t.grant_unmap_names <-
-      indexed_names "grant_unmap_" im.im_config.Config.max_hypercall_subops
+      indexed_names "grant_unmap_" s.s_config.Config.max_hypercall_subops
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1153,10 +1022,9 @@ let exec_domctl_destroy t cpu (dom : Domain.t) =
 let rec exec_hypercall_body t rng journal cpu (vcpu : Domain.vcpu)
     (record : Hypercalls.record) node (kind : Hypercalls.kind) =
   let dom =
-    match Hashtbl.find t.domains vcpu.Domain.domid with
-    | d -> d
-    | exception Not_found ->
-      Crash.panic "hypercall from dead domain %d" vcpu.Domain.domid
+    match Domain_table.find t.domains vcpu.Domain.domid with
+    | Some d -> d
+    | None -> Crash.panic "hypercall from dead domain %d" vcpu.Domain.domid
   in
   Domain.check_struct dom;
   match kind with
@@ -1185,9 +1053,9 @@ let rec exec_hypercall_body t rng journal cpu (vcpu : Domain.vcpu)
   | Hypercalls.Domctl_create_domain ->
     ignore (exec_domctl_create t cpu ~vcpu_pin:3 ~mem_frames:32)
   | Hypercalls.Domctl_destroy_domain ->
-    (match app_domains t with
-    | d :: _ -> exec_domctl_destroy t cpu d
-    | [] -> ())
+    (match Domain_table.find_first Domain.is_app t.domains with
+    | Some d -> exec_domctl_destroy t cpu d
+    | None -> ())
   | Hypercalls.Domctl_pause_domain -> step t "pause"
   | Hypercalls.Multicall kinds ->
     exec_components t rng journal cpu vcpu record node 0 (node + 1) kinds
@@ -1372,8 +1240,8 @@ let do_device_interrupt t ~line ~target_dom =
     step t "irq_enter";
     Percpu.irq_enter percpu;
     Hw.Apic.begin_service apic vector;
-    (match Hashtbl.find t.domains target_dom with
-    | dom when dom.Domain.alive ->
+    (match Domain_table.find t.domains target_dom with
+    | Some dom when dom.Domain.alive ->
       step t "lock_evtchn";
       let evtchn = dom.Domain.evtchn in
       Spinlock.acquire (Evtchn.lock evtchn) ~cpu;
@@ -1387,7 +1255,7 @@ let do_device_interrupt t ~line ~target_dom =
       done;
       step t "unlock_evtchn";
       Spinlock.release (Evtchn.lock evtchn) ~cpu
-    | _ | (exception Not_found) -> ());
+    | Some _ | None -> ());
     step t "apic_eoi";
     Hw.Apic.eoi apic vector;
     step t "irq_exit";
@@ -1493,21 +1361,21 @@ let execute t rng activity =
     begin_activity t activity 0;
     do_device_interrupt t ~line ~target_dom
   | Hypercall { domid; vid; kind } ->
-    (match Hashtbl.find t.domains domid with
-    | dom when dom.Domain.alive ->
+    (match Domain_table.find t.domains domid with
+    | Some dom when dom.Domain.alive ->
       let vcpu = Domain.vcpu dom vid in
       let cpu = vcpu.Domain.processor in
       begin_activity t activity cpu;
       do_hypercall t rng ~cpu vcpu kind ~retry:false
-    | _ | (exception Not_found) -> ())
+    | Some _ | None -> ())
   | Syscall_forward { domid; vid } ->
-    (match Hashtbl.find t.domains domid with
-    | dom when dom.Domain.alive ->
+    (match Domain_table.find t.domains domid with
+    | Some dom when dom.Domain.alive ->
       let vcpu = Domain.vcpu dom vid in
       let cpu = vcpu.Domain.processor in
       begin_activity t activity cpu;
       do_syscall_forward t ~cpu vcpu
-    | _ | (exception Not_found) -> ())
+    | Some _ | None -> ())
   | Context_switch cpu ->
     begin_activity t activity cpu;
     ignore (do_context_switch t cpu)
@@ -1582,9 +1450,9 @@ type audit_report = {
 (* Do the vCPUs of domain [domid], if it exists, agree with the
    scheduler's records? *)
 let domain_sched_ok t domid =
-  match Hashtbl.find t.domains domid with
-  | exception Not_found -> true
-  | d ->
+  match Domain_table.find t.domains domid with
+  | None -> true
+  | Some d ->
     let ok = ref true in
     for i = 0 to Array.length d.Domain.vcpus - 1 do
       if not (Sched.vcpu_consistent t.sched d.Domain.vcpus.(i)) then ok := false

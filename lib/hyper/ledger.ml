@@ -73,7 +73,7 @@ let capture (hv : Hypervisor.t) =
   let domains_alive = ref 0 and vcpus = ref 0 in
   let evtchn_bound = ref 0 and evtchn_pending = ref 0 in
   let grant_in_use = ref 0 and grant_mapped = ref 0 in
-  List.iter
+  Domain_table.iter
     (fun (d : Domain.t) ->
       if d.Domain.alive then begin
         incr domains_alive;
@@ -88,7 +88,7 @@ let capture (hv : Hypervisor.t) =
         grant_in_use := !grant_in_use + Grant.count_in_use gr;
         grant_mapped := !grant_mapped + Grant.count_mapped gr
       end)
-    (Hypervisor.all_domains hv);
+    hv.Hypervisor.domains;
   let is_live domid = Hashtbl.mem live domid in
   let frames_used = ref 0 in
   let frames_page_table = ref 0 and frames_writable = ref 0 in

@@ -62,3 +62,37 @@ let save_fsgs t regs =
   t.saved_gs <- Hw.Regs.get regs Hw.Regs.GS
 
 let drop_fsgs t = t.fsgs_saved <- false
+
+(* Snapshot storage for one CPU's area, allocated once and overwritten
+   in place by [save]. The segment bases are the area's own boxed
+   values, so neither direction allocates. *)
+type image = {
+  ints : int array; (* irq count, hypercall depth, current domid and vcpuid,
+                       FS/GS saved, then the heap lock's two ints *)
+  mutable fs : int64;
+  mutable gs : int64;
+}
+
+let image () = { ints = Array.make 7 0; fs = 0L; gs = 0L }
+
+let save t im =
+  let a = im.ints in
+  a.(0) <- t.local_irq_count;
+  a.(1) <- t.in_hypercall_depth;
+  a.(2) <- t.curr_domid;
+  a.(3) <- t.curr_vcpuid;
+  a.(4) <- Bool.to_int t.fsgs_saved;
+  Spinlock.save t.heap_lock a 5;
+  im.fs <- t.saved_fs;
+  im.gs <- t.saved_gs
+
+let load t im =
+  let a = im.ints in
+  t.local_irq_count <- a.(0);
+  t.in_hypercall_depth <- a.(1);
+  t.curr_domid <- a.(2);
+  t.curr_vcpuid <- a.(3);
+  t.fsgs_saved <- a.(4) <> 0;
+  Spinlock.load t.heap_lock a 5;
+  t.saved_fs <- im.fs;
+  t.saved_gs <- im.gs

@@ -95,10 +95,10 @@ let vcpu_consistent t (v : Domain.vcpu) =
 
 (* The "Ensure consistency within scheduling metadata" enhancement: the
    per-CPU structures are picked as the most reliable source and every
-   per-vCPU record is rewritten from them. *)
-let fix_from_percpu t all_vcpus =
+   per-vCPU record of [domains] is rewritten from them. *)
+let fix_from_percpu t domains =
   let fixes = ref 0 in
-  List.iter
+  Domain_table.iter_vcpus
     (fun (v : Domain.vcpu) ->
       if v.Domain.is_current || v.Domain.curr_slot <> -1 then begin
         v.Domain.is_current <- false;
@@ -109,7 +109,7 @@ let fix_from_percpu t all_vcpus =
         v.Domain.runstate <- Domain.Runnable;
         incr fixes
       end)
-    all_vcpus;
+    domains;
   for cpu = 0 to t.num_cpus - 1 do
     match t.curr.(cpu) with
     | Some v ->
@@ -123,7 +123,7 @@ let fix_from_percpu t all_vcpus =
     | None -> ()
   done;
   (* Runnable vCPUs that are in no run queue would starve: re-queue them. *)
-  List.iter
+  Domain_table.iter_vcpus
     (fun (v : Domain.vcpu) ->
       if v.Domain.runstate = Domain.Runnable
          && not (List.memq v t.runq.(v.Domain.processor))
@@ -131,5 +131,5 @@ let fix_from_percpu t all_vcpus =
         t.runq.(v.Domain.processor) <- v :: t.runq.(v.Domain.processor);
         incr fixes
       end)
-    all_vcpus;
+    domains;
   !fixes

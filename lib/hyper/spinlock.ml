@@ -53,6 +53,16 @@ let is_held t = t.holder <> -1
 
 let force_unlock t = t.holder <- -1
 
+(* Snapshot storage: a lock's holder and acquisition count as the two
+   ints of [a] from [i]. *)
+let save t a i =
+  a.(i) <- t.holder;
+  a.(i + 1) <- t.acquisitions
+
+let load t a i =
+  t.holder <- a.(i);
+  t.acquisitions <- a.(i + 1)
+
 (** The static-lock segment: the array the modified linker script
     produces, over which the recovering CPU iterates. *)
 module Segment = struct
@@ -84,4 +94,21 @@ module Segment = struct
     List.fold_left (fun n l -> if is_held l then n + 1 else n) 0 t.locks
 
   let count t = List.length t.locks
+
+  (* Every lock's [save]d pair, in segment order, from [a.(2 * k)]. The
+     walks recurse at toplevel, so neither allocates a closure. *)
+  let rec save_from a i = function
+    | [] -> ()
+    | l :: rest ->
+      save l a i;
+      save_from a (i + 2) rest
+
+  let rec load_from a i = function
+    | [] -> ()
+    | l :: rest ->
+      load l a i;
+      load_from a (i + 2) rest
+
+  let save t a = save_from a 0 t.locks
+  let load t a = load_from a 0 t.locks
 end

@@ -64,13 +64,11 @@ let all =
 let n_targets = Array.length all
 let of_index i = all.(((i mod n_targets) + n_targets) mod n_targets)
 
-let random_domain hv rng ~app_only =
-  let doms =
-    if app_only then Hypervisor.app_domains hv else Hypervisor.all_domains hv
-  in
-  match doms with
-  | [] -> None
-  | l -> Some (List.nth l (Sim.Rng.int rng (List.length l)))
+let random_domain (hv : Hypervisor.t) rng ~app_only =
+  let pick = if app_only then Domain.is_app else fun _ -> true in
+  match Domain_table.count pick hv.Hypervisor.domains with
+  | 0 -> None
+  | n -> Some (Domain_table.nth pick hv.Hypervisor.domains (Sim.Rng.int rng n))
 
 let apply hv rng target =
   match target with
@@ -96,9 +94,9 @@ let apply hv rng target =
     Pfn.touch d;
     d.Pfn.use_count <- d.Pfn.use_count + delta
   | Sched_metadata ->
-    let vcpus = Hypervisor.all_vcpus hv in
-    if vcpus <> [] then begin
-      let v = List.nth vcpus (Sim.Rng.int rng (List.length vcpus)) in
+    let n = Domain_table.vcpu_count hv.Hypervisor.domains in
+    if n > 0 then begin
+      let v = Domain_table.nth_vcpu hv.Hypervisor.domains (Sim.Rng.int rng n) in
       match Sim.Rng.int rng 3 with
       | 0 -> v.Domain.is_current <- not v.Domain.is_current
       | 1 -> v.Domain.curr_slot <- Sim.Rng.int rng (Hypervisor.cpu_count hv)

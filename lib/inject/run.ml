@@ -116,13 +116,14 @@ let make_state cfg rng (hv : Hypervisor.t) =
   in
   let active_cpus =
     List.sort_uniq compare
-      (List.concat_map
-         (fun (d : Domain.t) ->
-           Array.to_list d.Domain.vcpus
-           |> List.map (fun (v : Domain.vcpu) -> v.Domain.processor))
-         (List.filter
-            (fun (d : Domain.t) -> not d.Domain.is_idle)
-            (Hypervisor.all_domains hv)))
+      (Domain_table.fold_right
+         (fun (d : Domain.t) cpus ->
+           if d.Domain.is_idle then cpus
+           else
+             Array.fold_right
+               (fun (v : Domain.vcpu) cpus -> v.Domain.processor :: cpus)
+               d.Domain.vcpus cpus)
+         hv.Hypervisor.domains [])
   in
   let blk_dom =
     List.find_opt (fun (b : Workloads.Workload.t) -> b.kind = Workloads.Workload.Blkbench) benchmarks
@@ -360,7 +361,7 @@ let resume_guests st =
     | Some d -> d.Domain.guest_failed <- true
     | None -> ()
   in
-  List.iter
+  Domain_table.iter_vcpus
     (fun (v : Domain.vcpu) ->
       if v.Domain.lost_work then begin
         mark_failed v.Domain.domid;
@@ -370,7 +371,7 @@ let resume_guests st =
       if v.Domain.syscall_retry_pending then Hypervisor.retry_syscall hv v;
       (* Guest processes resumed with clobbered FS/GS crash. *)
       if not v.Domain.fsgs_valid then mark_failed v.Domain.domid)
-    (Hypervisor.all_vcpus hv)
+    hv.Hypervisor.domains
 
 (* The 3AppVM criterion: after a recovery, a new AppVM can be created and
    runs BlkBench unaffected. *)
@@ -384,11 +385,9 @@ let new_vm_probe st =
   | exception Crash.Hypervisor_crash _ -> false
   | () -> (
     match
-      List.find_opt
-        (fun (d : Domain.t) ->
-          (not d.Domain.privileged) && (not d.Domain.is_idle)
-          && d.Domain.domid >= 3)
-        (Hypervisor.all_domains hv)
+      Domain_table.find_first
+        (fun (d : Domain.t) -> Domain.is_app d && d.Domain.domid >= 3)
+        hv.Hypervisor.domains
     with
     | None -> false
     | Some d -> (
@@ -464,21 +463,16 @@ let post_recovery_phase st ~settle ~new_vm_probe:probe =
         interrupts: the vCPU pinned there starves. If that CPU belongs
         to the PrivVM the platform is dead. *)
      Hw.Machine.iter_cpus hv.Hypervisor.machine (fun c ->
-         if not (Hw.Apic.timer_armed c.Hw.Cpu.apic) then begin
-           let victims =
-             List.filter
-               (fun (v : Domain.vcpu) -> v.Domain.processor = c.Hw.Cpu.id)
-               (Hypervisor.all_vcpus hv)
-           in
-           List.iter
+         if not (Hw.Apic.timer_armed c.Hw.Cpu.apic) then
+           Domain_table.iter_vcpus
              (fun (v : Domain.vcpu) ->
-               match Hypervisor.domain hv v.Domain.domid with
-               | Some d ->
-                 if d.Domain.privileged then fail Privvm_starved
-                 else d.Domain.guest_failed <- true
-               | None -> ())
-             victims
-         end);
+               if v.Domain.processor = c.Hw.Cpu.id then
+                 match Hypervisor.domain hv v.Domain.domid with
+                 | Some d ->
+                   if d.Domain.privileged then fail Privvm_starved
+                   else d.Domain.guest_failed <- true
+                 | None -> ())
+             hv.Hypervisor.domains);
      (* Resume the benchmarks for their remaining duration. *)
      for _ = 1 to settle do
        if !hv_ok then run_one_activity st
@@ -520,9 +514,10 @@ let warmup_prepared st =
   for _ = 1 to cfg.warmup_activities do
     run_one_activity st
   done;
-  List.map
-    (fun (d : Domain.t) -> d.Domain.domid)
-    (Hypervisor.app_domains st.hv)
+  Domain_table.fold_right
+    (fun (d : Domain.t) domids ->
+      if Domain.is_app d then d.Domain.domid :: domids else domids)
+    st.hv.Hypervisor.domains []
 
 (* The fault cycle. [Quiet]: the fault did not crash the hypervisor
    within the configured activity stream. [Crashed]: it did, and the
@@ -674,9 +669,11 @@ let finish_prepared st ~initial_app_domids : outcome =
     match fault_cycle st ~settle:st.cfg.post_activities ~new_vm_probe with
     | Quiet ->
       let any_sdc =
-        List.exists
-          (fun (d : Domain.t) -> d.Domain.guest_sdc || d.Domain.guest_failed)
-          (Hypervisor.app_domains st.hv)
+        Domain_table.find_first
+          (fun (d : Domain.t) ->
+            Domain.is_app d && (d.Domain.guest_sdc || d.Domain.guest_failed))
+          st.hv.Hypervisor.domains
+        <> None
       in
       if any_sdc then Silent_corruption else Non_manifested
     | Crashed c -> Detected (detected_of st ~initial_app_domids c)

@@ -61,46 +61,42 @@ let resume_cpus (hv : Hypervisor.t) =
    to be retried when VM execution resumes. Without the retry
    mechanisms the interaction is simply lost and the issuing guest
    blocks forever. *)
-let setup_retries_vcpus ~(enh : Enhancement.set) vcpus =
-  let hypercall_retry = Enhancement.mem enh Enhancement.Hypercall_retry in
-  let syscall_retry = Enhancement.mem enh Enhancement.Syscall_retry in
-  List.iter
-    (fun (v : Domain.vcpu) ->
-      (match v.Domain.in_hypercall with
-      | Some record when not record.Hypercalls.committed ->
-        if hypercall_retry then v.Domain.retry_pending <- true
-        else v.Domain.lost_work <- true
-      | Some _ -> v.Domain.in_hypercall <- None
-      | None -> ());
-      if v.Domain.in_syscall_forward then begin
-        if syscall_retry then v.Domain.syscall_retry_pending <- true
-        else v.Domain.lost_work <- true
-      end)
-    vcpus
+let setup_retry ~(enh : Enhancement.set) (v : Domain.vcpu) =
+  (match v.Domain.in_hypercall with
+  | Some record when not record.Hypercalls.committed ->
+    if Enhancement.mem enh Enhancement.Hypercall_retry then
+      v.Domain.retry_pending <- true
+    else v.Domain.lost_work <- true
+  | Some _ -> v.Domain.in_hypercall <- None
+  | None -> ());
+  if v.Domain.in_syscall_forward then begin
+    if Enhancement.mem enh Enhancement.Syscall_retry then
+      v.Domain.syscall_retry_pending <- true
+    else v.Domain.lost_work <- true
+  end
 
 let setup_retries (hv : Hypervisor.t) ~(enh : Enhancement.set) =
-  setup_retries_vcpus ~enh (Hypervisor.all_vcpus hv)
+  Domain_table.iter_vcpus (setup_retry ~enh) hv.Hypervisor.domains
 
 (* Restore guest FS/GS for vCPUs that were inside the hypervisor when
    the error was detected. Only possible if the entry path saved them
    (the Save-FS/GS port fix, [Config.save_fs_gs]); otherwise the guest
    resumes with clobbered segment bases and its processes fail. *)
-let restore_fs_gs_vcpus (hv : Hypervisor.t) ~(enh : Enhancement.set) vcpus =
-  let can_restore =
-    Enhancement.mem enh Enhancement.Restore_fs_gs
-    && hv.Hypervisor.config.Config.save_fs_gs
+let restore_fs_gs_vcpu (hv : Hypervisor.t) ~(enh : Enhancement.set)
+    (v : Domain.vcpu) =
+  let was_in_hypervisor =
+    v.Domain.in_hypercall <> None || v.Domain.in_syscall_forward
+    || v.Domain.retry_pending || v.Domain.syscall_retry_pending
   in
-  List.iter
-    (fun (v : Domain.vcpu) ->
-      let was_in_hypervisor =
-        v.Domain.in_hypercall <> None || v.Domain.in_syscall_forward
-        || v.Domain.retry_pending || v.Domain.syscall_retry_pending
-      in
-      if was_in_hypervisor && not can_restore then v.Domain.fsgs_valid <- false)
-    vcpus
+  if
+    was_in_hypervisor
+    && not
+         (Enhancement.mem enh Enhancement.Restore_fs_gs
+         && hv.Hypervisor.config.Config.save_fs_gs)
+  then v.Domain.fsgs_valid <- false
 
 let restore_fs_gs (hv : Hypervisor.t) ~(enh : Enhancement.set) =
-  restore_fs_gs_vcpus hv ~enh (Hypervisor.all_vcpus hv)
+  Domain_table.iter_vcpus (restore_fs_gs_vcpu hv ~enh) hv.Hypervisor.domains
 
 (* Acknowledge all pending and in-service interrupts so stale interrupt
    state cannot block future delivery (shared ReHype mechanism). *)
@@ -149,7 +145,7 @@ let repair_singletons (hv : Hypervisor.t) ~has (r : Plan.repairs) =
   if has Enhancement.Ack_interrupts then ack_interrupts hv;
   if has Enhancement.Sched_consistency then
     r.Plan.sched_fixes <-
-      Sched.fix_from_percpu hv.Hypervisor.sched (Hypervisor.all_vcpus hv);
+      Sched.fix_from_percpu hv.Hypervisor.sched hv.Hypervisor.domains;
   if has Enhancement.Reactivate_recurring_timers then
     r.Plan.recurring_reactivated <-
       Timer_heap.reactivate_recurring hv.Hypervisor.timers

@@ -91,22 +91,22 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
               ~now:(Sim.Clock.now hv.Hypervisor.clock);
             (* Scheduler: every vCPU is re-queued; nothing is current. *)
             let sched = hv.Hypervisor.sched in
-            List.iter
+            Domain_table.iter_vcpus
               (fun (v : Domain.vcpu) ->
                 Sched.vcpu_clear_current v;
                 if v.Domain.runstate = Domain.Running then
                   v.Domain.runstate <- Domain.Runnable)
-              (Hypervisor.all_vcpus hv);
+              hv.Hypervisor.domains;
             for cpu = 0 to cpus - 1 do
               Sched.set_current sched ~cpu None;
               hv.Hypervisor.percpu.(cpu).Percpu.curr_domid <- -1;
               hv.Hypervisor.percpu.(cpu).Percpu.curr_vcpuid <- -1
             done;
-            List.iter
+            Domain_table.iter_vcpus
               (fun (v : Domain.vcpu) ->
                 if not (List.memq v (Sched.queued sched ~cpu:v.Domain.processor))
                 then Sched.enqueue sched v)
-              (Hypervisor.all_vcpus hv));
+              hv.Hypervisor.domains);
         step "Identify valid page frames, relocate boot modules"
           Latency_model.reboot_relocate_modules ignore;
         step "Others (state re-integration, domain wiring)"

@@ -152,10 +152,10 @@ let execute (hv : Hypervisor.t) ~detected_on repairs plan =
     repairs;
     scan_mode = plan.mode;
     resume_offsets =
-      List.map
-        (fun (d : Domain.t) ->
-          (d.Domain.domid, !global + done_of d.Domain.domid))
-        (Hypervisor.all_domains hv);
+      Domain_table.fold_right
+        (fun (d : Domain.t) offsets ->
+          (d.Domain.domid, !global + done_of d.Domain.domid) :: offsets)
+        hv.Hypervisor.domains [];
   }
 
 (* Run a recovery: [build] turns the repair tally into the plan, after

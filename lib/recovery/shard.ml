@@ -64,14 +64,14 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
          visit (Pfn.get hv.Hypervisor.pfn i)
        done);
   (* Domains with in-flight hypervisor work need a shard for their
-     retry / FS-GS bookkeeping even if none of their frames is dirty. *)
-  let in_flight (v : Domain.vcpu) =
-    v.Domain.in_hypercall <> None || v.Domain.in_syscall_forward
-  in
-  List.iter
-    (fun (d : Domain.t) ->
-      if Array.exists in_flight d.Domain.vcpus then ignore (group d.Domain.domid))
-    (Hypervisor.all_domains hv);
+     retry / FS-GS bookkeeping even if none of their frames is dirty.
+     One walk over the vCPUs: [Array.exists] per domain would build a
+     closure per domain. *)
+  Domain_table.iter_vcpus
+    (fun (v : Domain.vcpu) ->
+      if v.Domain.in_hypercall <> None || v.Domain.in_syscall_forward then
+        ignore (group v.Domain.domid))
+    hv.Hypervisor.domains;
   let shard owner (descs, count) steps =
     let scan_cost =
       if not scan then 0
@@ -84,7 +84,7 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
     in
     let name =
       if owner < 0 then "Shard: unowned frames"
-      else Printf.sprintf "Shard: domain %d" owner
+      else "Shard: domain " ^ string_of_int owner
     in
     Plan.step ~owner:(Plan.Domain owner) name
       (Latency_model.shard_domain_base + scan_cost)
@@ -96,9 +96,8 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
           !descs;
         match Hypervisor.domain hv owner with
         | Some d ->
-          let vcpus = Array.to_list d.Domain.vcpus in
-          Common.setup_retries_vcpus ~enh vcpus;
-          Common.restore_fs_gs_vcpus hv ~enh vcpus
+          Array.iter (Common.setup_retry ~enh) d.Domain.vcpus;
+          Array.iter (Common.restore_fs_gs_vcpu hv ~enh) d.Domain.vcpus
         | None -> ())
     :: steps
   in

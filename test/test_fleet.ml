@@ -75,7 +75,7 @@ let state_digest (hv : Hyper.Hypervisor.t) =
             v.Hyper.Domain.syscall_retry_pending v.Hyper.Domain.lost_work
             (v.Hyper.Domain.in_hypercall <> None))
         d.Hyper.Domain.vcpus)
-    (Hyper.Hypervisor.all_domains hv);
+    (Doms.domains hv);
   Array.iter
     (fun (p : Hyper.Percpu.t) ->
       pr "c:%d:%d:%d:%d\n" p.Hyper.Percpu.local_irq_count
@@ -551,6 +551,40 @@ let test_restore_equals_fresh_boot () =
         (trial 7_100L = first))
     Fleet.all_mechanisms
 
+(* Host words of a warm 200-tenant worker: a restored trial allocates at
+   most 20k words for every mechanism, and the recovery inside it at
+   most 4k, serial or sharded -- neither grows with the tenant count by
+   a list or an image record per domain. [Gc.minor] around each
+   measurement makes [Gc.allocated_bytes] count arrays allocated
+   straight into the major heap too. *)
+let test_trial_word_ceilings () =
+  let cfg = { Fleet.default_config with Fleet.tenants = 200 } in
+  let words f =
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor ();
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let worst f = List.fold_left (fun m seed -> Float.max m (words (f seed))) 0. [ 2L; 3L; 4L ] in
+  List.iter
+    (fun mech ->
+      let name = Fleet.mechanism_name mech in
+      let w = Fleet.worker cfg mech in
+      ignore (Fleet.trial w cfg ~seed:1L);
+      let trial = worst (fun seed () -> Fleet.trial w cfg ~seed) in
+      checkb (Printf.sprintf "%s: restored trial %.0f words <= 20k" name trial) true
+        (trial <= 20_000.);
+      (* The fault is injected before the measurement starts. *)
+      let recovery =
+        worst (fun seed ->
+            Fleet.inject w cfg (Sim.Rng.create seed);
+            fun () -> Fleet.recover w)
+      in
+      checkb (Printf.sprintf "%s: recovery %.0f words <= 4k" name recovery) true
+        (recovery <= 4_000.))
+    Fleet.all_mechanisms
+
 (* A non-positive request interval would never end a trial's arrival
    loop, and a negative window is no window: both entry points refuse
    such a config before running a trial. *)
@@ -926,6 +960,8 @@ let () =
             test_fleet_gates;
           Alcotest.test_case "restored trials equal fresh boots" `Quick
             test_restore_equals_fresh_boot;
+          Alcotest.test_case "trial and recovery word ceilings" `Quick
+            test_trial_word_ceilings;
           Alcotest.test_case "zero request interval rejected" `Quick
             (rejects_config (fun c -> { c with Fleet.request_interval = 0 }));
           Alcotest.test_case "negative pre_window rejected" `Quick

@@ -50,7 +50,7 @@ let test_kernel_verify_clean () =
       checkb
         (Printf.sprintf "dom%d clean at boot" d.Hyper.Domain.domid)
         false (Hyper.Domain.affected d))
-    (Hyper.Hypervisor.app_domains (boot ()))
+    (Doms.app_domains (boot ()))
 
 let test_kernel_sdc_corrupts_fs () =
   let d = app_vm (boot ()) in
@@ -76,9 +76,9 @@ let create_vm hv rng =
        { domid = 0; vid = 0; kind = Hyper.Hypercalls.Domctl_create_domain })
 
 let check_creates name hv rng =
-  let before = Hyper.Hypervisor.app_domains hv in
+  let before = Doms.app_domains hv in
   create_vm hv rng;
-  let after = Hyper.Hypervisor.app_domains hv in
+  let after = Doms.app_domains hv in
   Alcotest.check Alcotest.int (name ^ ": one more app domain")
     (List.length before + 1) (List.length after);
   List.iter

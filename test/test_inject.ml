@@ -109,7 +109,7 @@ let test_corrupt_guest_frame_hits_app_only () =
   done;
   checkb "privvm untouched" false (Hyper.Hypervisor.privvm hv).Hyper.Domain.guest_failed;
   checkb "some app VM hit" true
-    (List.exists Hyper.Domain.affected (Hyper.Hypervisor.app_domains hv))
+    (List.exists Hyper.Domain.affected (Doms.app_domains hv))
 
 (* ------------------------- Single runs ------------------------------ *)
 
@@ -638,7 +638,7 @@ let test_long_lived_hypercall_pools () =
         let r = v.Hyper.Domain.record in
         ( Array.length r.Hyper.Hypercalls.targets,
           Hyper.Journal.capacity r.Hyper.Hypercalls.journal ))
-      (Hyper.Hypervisor.all_vcpus hv)
+      (Doms.vcpus hv)
   in
   let boot_footprint = footprint () in
   let v = Hyper.Domain.vcpu (Option.get (Hyper.Hypervisor.domain hv 1)) 0 in

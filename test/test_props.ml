@@ -241,7 +241,7 @@ let prop_sched_fix_restores_consistency =
         Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
           ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.Three_appvm clock
       in
-      let vcpus = Array.of_list (Hyper.Hypervisor.all_vcpus hv) in
+      let vcpus = Array.of_list (Doms.vcpus hv) in
       List.iter
         (fun (vi, field, value) ->
           let v = vcpus.(vi mod Array.length vcpus) in
@@ -254,7 +254,7 @@ let prop_sched_fix_restores_consistency =
         scrambles;
       ignore
         (Hyper.Sched.fix_from_percpu hv.Hyper.Hypervisor.sched
-           (Hyper.Hypervisor.all_vcpus hv));
+           hv.Hyper.Hypervisor.domains);
       Hyper.Hypervisor.sched_consistent hv)
 
 (* ------------------------- Rng -------------------------------------- *)

@@ -128,7 +128,7 @@ let test_microreset_audit_clean_after_full_recovery () =
     (fun (v : Hyper.Domain.vcpu) ->
       if v.Hyper.Domain.retry_pending then Hyper.Hypervisor.retry_hypercall hv rng v;
       if v.Hyper.Domain.syscall_retry_pending then Hyper.Hypervisor.retry_syscall hv v)
-    (Hyper.Hypervisor.all_vcpus hv);
+    (Doms.vcpus hv);
   let report = Hyper.Hypervisor.audit hv in
   checkb
     (Format.asprintf "clean: %a" Hyper.Hypervisor.pp_audit report)
@@ -263,7 +263,7 @@ let test_microreboot_audit_clean () =
     (fun (v : Hyper.Domain.vcpu) ->
       if v.Hyper.Domain.retry_pending then Hyper.Hypervisor.retry_hypercall hv rng v;
       if v.Hyper.Domain.syscall_retry_pending then Hyper.Hypervisor.retry_syscall hv v)
-    (Hyper.Hypervisor.all_vcpus hv);
+    (Doms.vcpus hv);
   let report = Hyper.Hypervisor.audit hv in
   checkb
     (Format.asprintf "clean: %a" Hyper.Hypervisor.pp_audit report)
@@ -321,7 +321,7 @@ let test_recovery_is_repeatable () =
         if v.Hyper.Domain.retry_pending then Hyper.Hypervisor.retry_hypercall hv rng v;
         if v.Hyper.Domain.syscall_retry_pending then Hyper.Hypervisor.retry_syscall hv v;
         v.Hyper.Domain.lost_work <- false)
-      (Hyper.Hypervisor.all_vcpus hv)
+      (Doms.vcpus hv)
   done;
   checkb "healthy after nine recoveries" true
     (Hyper.Hypervisor.audit_clean (Hyper.Hypervisor.audit hv))
