@@ -67,8 +67,9 @@ let () =
     (* The fleet contracts: trial aggregation is a commutative merge of
        per-trial snapshots, so results are bit-identical for any --jobs
        (exercised the adversarial way -- serial vs oversubscribed); and
-       a trial on a restored worker equals one on a freshly-booted
-       machine. *)
+       a trial on a pooled worker, booted once per slot and restored for
+       every mechanism, equals one on a machine freshly booted for its
+       mechanism. *)
     let fail what mech =
       Format.printf "FAIL: %s aggregates differ between %s@."
         (Fleet.mechanism_name mech) what;

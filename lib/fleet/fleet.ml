@@ -46,11 +46,24 @@
     "batched accounting equals per-request loop").
 
     Trials recover in place rather than reboot, like the paper's
-    mechanisms do: each worker boots its machine once per mechanism and
-    every trial restores that post-boot image (O(state the previous
-    trial touched)), and the golden quiesce point is a layer snapshot
-    over it ({!Hyper.Hypervisor.snapshot} [~layer:true]), which the next
-    restore unwinds.
+    mechanisms do: a worker's machine is booted for no mechanism, every
+    trial restores its post-boot image (O(state the previous trial
+    touched)) and then sets the trial's scan path, and the golden
+    quiesce point is a layer snapshot over it
+    ({!Hyper.Hypervisor.snapshot} [~layer:true]), which the next restore
+    unwinds.
+
+    The worker pool. {!run} takes its slot workers from one pool that
+    lives as long as the process, so a process boots one machine per
+    pool slot and every later call, for any mechanism, restores it. The
+    pool is keyed by [(tenants, request_interval)]: a call with another
+    key drops the old machines first, so at most one machine per slot
+    is ever retained (about 8 MB at 200 tenants). A call claims the
+    whole pool with an [Atomic] compare-and-set; a concurrent call that
+    finds it busy boots private workers instead, and a call that raises
+    drops the pool's machines. None of this can change a result, since
+    a restored worker equals a fresh boot (below); it changes only how
+    many machines a process boots, which {!boots} counts.
 
     Every trial is a pure function of [(config, mechanism, trial seed)]:
     the boot takes no randomness, so a restored trial equals one on a
@@ -106,15 +119,18 @@ let default_config =
    8 CPUs) while the mechanics run on the scaled-down campaign tables:
    the latencies reported here are the 8 GB host's, not the simulator's.
    The serial full-scan baseline uses the stock NiLiHype config; the
-   other two mechanisms enable the dirty-set consistency scan. *)
-let hv_config = function
-  | Serial_full ->
-    { Config.nilihype with Config.geometry = Some Config.reference_geometry }
-  | Serial_incremental | Sharded ->
-    {
-      Config.nilihype_incremental with
-      Config.geometry = Some Config.reference_geometry;
-    }
+   other two mechanisms enable the dirty-set consistency scan, the only
+   field in which the three configs differ. *)
+let incremental_scan = function
+  | Serial_full -> false
+  | Serial_incremental | Sharded -> true
+
+let hv_config mech =
+  {
+    Config.nilihype with
+    Config.geometry = Some Config.reference_geometry;
+    incremental_scan = incremental_scan mech;
+  }
 
 (* The observation window must be a real one: a non-positive request
    interval would never advance the arrival loop. *)
@@ -161,14 +177,14 @@ let instruments (m : Obs.Metrics.t) =
 let service_values = 200
 let service_ns k = Sim.Time.us (30 + k)
 
-(* A fleet worker: one tenant-fleet machine booted for a mechanism, with
-   its recorder ([w_hv.obs]) and its post-boot base image. Every trial
-   on the worker restores that image instead of booting again;
-   [Hypervisor.boot] takes no RNG, so the restored machine is the one a
-   fresh boot would build. The rest is per-trial scratch that every
+(* A fleet worker: one tenant-fleet machine, with its recorder
+   ([w_hv.obs]) and its post-boot base image. It serves every
+   mechanism: each trial restores that image instead of booting again
+   and then sets the mechanism's scan path; [Hypervisor.boot] takes no
+   RNG, so the restored machine is the one a fresh boot for that
+   mechanism would build. The rest is per-trial scratch that every
    trial overwrites: built once here, so a trial allocates none of it. *)
 type worker = {
-  w_mech : mechanism;
   w_hv : Hypervisor.t;
   w_base : Hypervisor.image;
   w_tenants : int;
@@ -190,16 +206,21 @@ let kinds =
     Workloads.Workload.Blkbench;
   |]
 
-let worker (cfg : config) mech =
+(* Fleet machines booted in this process, [run_trial]'s included. *)
+let boot_count = Atomic.make 0
+let boots () = Atomic.get boot_count
+
+(* A worker whose machine boots under [config]. *)
+let boot_worker (cfg : config) config =
+  Atomic.incr boot_count;
   let hv =
     Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
       ~obs:(Obs.Recorder.create ~capacity:64 ~min_level:Obs.Event.Error ())
-      ~config:(hv_config mech)
+      ~config
       ~setup:(Hypervisor.Tenant_fleet cfg.tenants)
       (Sim.Clock.create ())
   in
   {
-    w_mech = mech;
     w_hv = hv;
     w_base = Hypervisor.snapshot hv;
     w_tenants = cfg.tenants;
@@ -216,11 +237,22 @@ let worker (cfg : config) mech =
     w_served = Array.make service_values 0;
   }
 
-(* Back to the freshly-booted machine: the recorder is not part of the
-   image, so it is reset by hand for per-trial metric isolation. *)
-let rewind w =
-  Obs.Recorder.reset w.w_hv.Hypervisor.obs;
-  Hypervisor.restore w.w_hv w.w_base
+(* Booted under the serial-full config: [rewind] sets the one field in
+   which a mechanism's config differs, so the worker serves them all. *)
+let worker cfg = boot_worker cfg (hv_config Serial_full)
+
+(* Back to the freshly-booted machine, set up for [mech]: the restore
+   rewinds [hv.config] to the boot's, so the scan path is set after it.
+   The recorder is not part of the image, so it is reset by hand for
+   per-trial metric isolation. *)
+let rewind w mech =
+  let hv = w.w_hv in
+  Obs.Recorder.reset hv.Hypervisor.obs;
+  Hypervisor.restore hv w.w_base;
+  let c = hv.Hypervisor.config in
+  if c.Config.incremental_scan <> incremental_scan mech then
+    hv.Hypervisor.config <-
+      { c with Config.incremental_scan = incremental_scan mech }
 
 (* How many of the arrivals [first], [first + iv], ... fall before
    [limit]. *)
@@ -235,10 +267,10 @@ let serve rng served n =
     served.(k) <- served.(k) + 1
   done
 
-(* The trial up to its fault: rewind [w], warm up, snapshot, damage
-   victims. *)
-let inject w (cfg : config) rng =
-  rewind w;
+(* The trial up to its fault: rewind [w] for [mech], warm up,
+   snapshot, damage victims. *)
+let inject w (cfg : config) mech rng =
+  rewind w mech;
   let hv = w.w_hv in
   let clock = hv.Hypervisor.clock in
   for _ = 1 to cfg.warmup_activities do
@@ -278,9 +310,9 @@ let inject w (cfg : config) rng =
 
 (* Recover [w]'s machine. Serial plans stall every tenant for the whole
    latency; sharded recovery gives each domain its own resume offset. *)
-let recover w =
+let recover w mech =
   let enh = Recovery.Enhancement.full_set in
-  match w.w_mech with
+  match mech with
   | Serial_full | Serial_incremental ->
     Recovery.Engine.recover Recovery.Engine.Nilihype w.w_hv ~enh ~detected_on:0
   | Sharded -> Recovery.Shard.recover w.w_hv ~enh ~detected_on:0
@@ -288,11 +320,11 @@ let recover w =
 (* The trial up to its request accounting: the fault, the recovery and
    its latency record. Returns the fault time and the recovery outcome;
    the next draw from [rng] is the accounting's first. *)
-let recover_event w (cfg : config) rng =
-  inject w cfg rng;
+let recover_event w (cfg : config) mech rng =
+  inject w cfg mech rng;
   let ins = w.w_ins in
   let fault_time = Sim.Clock.now w.w_hv.Hypervisor.clock in
-  let out = recover w in
+  let out = recover w mech in
   let latency = out.Recovery.Plan.latency in
   Obs.Metrics.observe ins.rec_h latency;
   if latency > ins.rec_max.Obs.Metrics.value then
@@ -303,12 +335,10 @@ let recover_event w (cfg : config) rng =
    that began at [fault_time]. *)
 let account w (cfg : config) rng ~fault_time (out : Recovery.Plan.outcome) =
   let ins = w.w_ins in
-  let latency = out.Recovery.Plan.latency in
-  (* Each tenant's stall, by domid: its resume offset, or the whole
-     latency for a domain the plan gives none. Offsets come one per
-     domain. *)
+  (* Each tenant's stall, by domid: the global phase's offset, or the
+     later one of a domain whose lane steps the plan lists. *)
   let stalls = w.w_stalls in
-  Array.fill stalls 0 (Array.length stalls) latency;
+  Array.fill stalls 0 (Array.length stalls) out.Recovery.Plan.resume_global;
   List.iter
     (fun (domid, o) ->
       if domid >= 0 && domid < Array.length stalls then stalls.(domid) <- o)
@@ -377,21 +407,22 @@ let account w (cfg : config) rng ~fault_time (out : Recovery.Plan.outcome) =
   if !max_gap > ins.gap_max.Obs.Metrics.value then
     Obs.Metrics.set ins.gap_max !max_gap
 
-(* One trial on [w], whose machine was booted for [cfg]'s tenants and
-   request cadence: the recovery event, then the request accounting
-   through it. Returns the trial's metrics snapshot. *)
-let trial w (cfg : config) ~seed : Obs.Metrics.snapshot =
+(* One [mech] trial on [w], whose machine was booted for [cfg]'s
+   tenants and request cadence: the recovery event, then the request
+   accounting through it. Returns the trial's metrics snapshot. *)
+let trial w (cfg : config) mech ~seed : Obs.Metrics.snapshot =
   check_config cfg;
   if cfg.tenants <> w.w_tenants || cfg.request_interval <> w.w_interval then
     invalid_arg "Fleet.trial: the worker was built for other tenants or cadence";
   let rng = Sim.Rng.create seed in
-  let fault_time, out = recover_event w cfg rng in
+  let fault_time, out = recover_event w cfg mech rng in
   account w cfg rng ~fault_time out;
   Obs.Recorder.metrics_snapshot w.w_hv.Hypervisor.obs
 
-(* A trial on a freshly-booted machine: the reference every restored
-   trial must equal. *)
-let run_trial (cfg : config) mech ~seed = trial (worker cfg mech) cfg ~seed
+(* A trial on a machine freshly booted under [mech]'s own config: the
+   reference every restored trial must equal. *)
+let run_trial (cfg : config) mech ~seed =
+  trial (boot_worker cfg (hv_config mech)) cfg mech ~seed
 
 type result = {
   mech : mechanism;
@@ -402,23 +433,77 @@ type result = {
          [fleet.request_ns] histogram pools every request *)
 }
 
+(* The process's worker pool (see the header): slot [k] holds the
+   machine that pool worker [k] booted, if it has booted one. Its
+   mutable fields are read and written only by the call that holds
+   [busy]. *)
+type pool = {
+  busy : bool Atomic.t;
+  mutable key : int * Sim.Time.ns; (* tenants, request interval *)
+  mutable slots : worker option array;
+}
+
+let pool = { busy = Atomic.make false; key = (0, 0); slots = [||] }
+
+(* [f slots] with [n] worker slots: the pool's when it is free, private
+   ones when another call holds it. A raising call drops the pool's
+   array, so a machine in an unknown state is never reused and a slot
+   still running in an abandoned worker domain writes to an array the
+   pool no longer holds. *)
+let with_slots (cfg : config) n f =
+  if Atomic.compare_and_set pool.busy false true then
+    Fun.protect
+      ~finally:(fun () -> Atomic.set pool.busy false)
+      (fun () ->
+        let key = (cfg.tenants, cfg.request_interval) in
+        if pool.key <> key then begin
+          pool.key <- key;
+          pool.slots <- [||]
+        end;
+        let have = Array.length pool.slots in
+        if have < n then
+          pool.slots <- Array.append pool.slots (Array.make (n - have) None);
+        match f pool.slots with
+        | r -> r
+        | exception e ->
+          pool.slots <- [||];
+          raise e)
+  else f (Array.make n None)
+
 (* Trials are embarrassingly parallel pure functions of the trial seed;
    the snapshot merge is commutative and associative, so the merged
-   result is identical for every [jobs]. Each worker slot boots its
-   machine at its first trial (a slot that gets none never boots) and
-   restores it for every later one. *)
+   result is identical for every [jobs]. Worker [k] runs on slot [k]:
+   it boots that slot's machine at its first trial if the slot has none
+   (a slot that gets no trial never boots), and restores it for every
+   trial. *)
 let run ?(jobs = 1) ?(oversubscribe = false) (cfg : config) mech =
   check_config cfg;
-  let _, merged =
-    Inject.Pool.map_reduce ~jobs ~oversubscribe ~n:cfg.trials
-      ~init:(fun _slot -> (lazy (worker cfg mech), ref Obs.Metrics.empty_snapshot))
-      ~body:(fun (w, acc) i ->
-        let seed = Int64.add cfg.base_seed (Int64.of_int i) in
-        acc := Obs.Metrics.merge_snapshots !acc (trial (Lazy.force w) cfg ~seed))
-      ~merge:(fun (w, a) (_, b) -> (w, ref (Obs.Metrics.merge_snapshots !a !b)))
-      ()
+  let n = Inject.Pool.workers ~jobs ~oversubscribe cfg.trials in
+  let merged =
+    with_slots cfg n (fun slots ->
+        let slot_worker k =
+          match slots.(k) with
+          | Some w -> w
+          | None ->
+            let w = worker cfg in
+            slots.(k) <- Some w;
+            w
+        in
+        let _, merged =
+          Inject.Pool.map_reduce ~jobs ~oversubscribe ~n:cfg.trials
+            ~init:(fun slot -> (slot, ref Obs.Metrics.empty_snapshot))
+            ~body:(fun (slot, acc) i ->
+              let seed = Int64.add cfg.base_seed (Int64.of_int i) in
+              acc :=
+                Obs.Metrics.merge_snapshots !acc
+                  (trial (slot_worker slot) cfg mech ~seed))
+            ~merge:(fun (slot, a) (_, b) ->
+              (slot, ref (Obs.Metrics.merge_snapshots !a !b)))
+            ()
+        in
+        !merged)
   in
-  { mech; tenants = cfg.tenants; trials = cfg.trials; metrics = !merged }
+  { mech; tenants = cfg.tenants; trials = cfg.trials; metrics = merged }
 
 (* --- Readbacks ----------------------------------------------------- *)
 

@@ -81,10 +81,19 @@ type outcome = {
       (* per-step costs; concurrent lane steps sum past the latency *)
   repairs : repairs;
   scan_mode : scan_mode option;
+  resume_global : Sim.Time.ns;
+      (* the offset from recovery start at which a domain with no lane
+         steps resumes: every global step *)
   resume_offsets : (int * Sim.Time.ns) list;
-      (* per domain, ascending domid: the offset from recovery start at
-         which it resumes -- every global step plus its own lane steps *)
+      (* ascending domid, only the domains whose lane steps moved them
+         past [resume_global]: every global step plus their lane steps *)
 }
+
+(* The offset from recovery start at which [domid] resumes. *)
+let resume_offset out domid =
+  match List.assoc_opt domid out.resume_offsets with
+  | Some o -> o
+  | None -> out.resume_global
 
 let lane_order a b =
   if a.cost <> b.cost then compare b.cost a.cost else compare a.owner b.owner
@@ -151,11 +160,16 @@ let execute (hv : Hypervisor.t) ~detected_on repairs plan =
     breakdown = { Latency_model.steps = List.rev !breakdown };
     repairs;
     scan_mode = plan.mode;
+    resume_global = !global;
     resume_offsets =
-      Domain_table.fold_right
-        (fun (d : Domain.t) offsets ->
-          (d.Domain.domid, !global + done_of d.Domain.domid) :: offsets)
-        hv.Hypervisor.domains [];
+      (if Hashtbl.length lane_done = 0 then []
+       else
+         Domain_table.fold_right
+           (fun (d : Domain.t) offsets ->
+             match Hashtbl.find_opt lane_done d.Domain.domid with
+             | Some f when f > 0 -> (d.Domain.domid, !global + f) :: offsets
+             | _ -> offsets)
+           hv.Hypervisor.domains []);
   }
 
 (* Run a recovery: [build] turns the repair tally into the plan, after

@@ -3,7 +3,9 @@
    corruption catalogue, the O(dirty) audit against the full fold,
    sharded-vs-serial state equality and
    determinism, jobs-invariant fleet aggregates, restored fleet trials
-   against fresh boots, the per-tenant request accounting against a
+   against fresh boots, the process's worker pool (warm results, boot
+   counts, key changes, concurrent callers, words per call), the
+   per-tenant request accounting against a
    per-request reference loop, the fleet's max gap, the nlh-fleet/1
    decoder and its damage cases,
    the scan-path coverage and fuzz axes, and dirty-tracked heap/timer
@@ -344,26 +346,31 @@ let test_sharded_deterministic () =
       damaged_machine ~config:Hyper.Config.nilihype_incremental ~seed:4_400L
         Inject.Corrupt.Pfn_use_count_skew
     in
-    Recovery.Shard.recover hv ~enh:full ~detected_on:0
+    (hv, Recovery.Shard.recover hv ~enh:full ~detected_on:0)
   in
-  let r1 = mk () and r2 = mk () in
+  let hv, r1 = mk () and _, r2 = mk () in
   checkb "identical sharded results" true (r1 = r2);
-  let domains = List.map fst r1.Recovery.Plan.resume_offsets in
+  let domids = List.map (fun (d : Hyper.Domain.t) -> d.Hyper.Domain.domid) (Doms.domains hv) in
   (* Three_appvm at this point: PrivVM 0, two AppVMs, the idle domain. *)
-  checkb "every domain has a resume offset" true
-    (List.for_all (fun d -> List.mem d domains) [ 0; 1; 2; 1000 ]);
-  List.iter
-    (fun (domid, off) ->
+  checkb "the machine's domains" true (domids = [ 0; 1; 2; 1000 ]);
+  let offsets = List.map (Recovery.Plan.resume_offset r1) domids in
+  List.iter2
+    (fun domid off ->
       checkb (Printf.sprintf "domain %d resumes within the recovery" domid)
         true
         (off > 0 && off <= r1.Recovery.Plan.latency))
+    domids offsets;
+  (* Only domains moved past the global phase are listed. *)
+  List.iter
+    (fun (domid, off) ->
+      checkb (Printf.sprintf "domain %d listed past the global phase" domid)
+        true
+        (off > r1.Recovery.Plan.resume_global))
     r1.Recovery.Plan.resume_offsets;
   (* The whole point of sharding: some unaffected domain resumes before
      the end-to-end latency. *)
   checkb "some domain resumes early" true
-    (List.exists
-       (fun (_, off) -> off < r1.Recovery.Plan.latency)
-       r1.Recovery.Plan.resume_offsets)
+    (List.exists (fun off -> off < r1.Recovery.Plan.latency) offsets)
 
 (* Every plan reconciles by construction: the global step costs plus the
    lane makespan give the latency, the recorded spans summed by name give
@@ -522,68 +529,193 @@ let test_max_gap_is_a_gap () =
       | Fleet.Sharded -> ())
     (Lazy.force small_results)
 
-(* A worker boots once and restores its base image for every trial:
-   each restored trial equals a trial on a freshly-booted machine with
-   the same seed, a repeated seed repeats its trial, and the ledger
-   after every restore is the one captured at the base image. *)
+(* A worker boots once and restores its base image for every trial, of
+   any mechanism: each restored trial, in an order that interleaves the
+   mechanisms, equals a trial on a machine freshly booted for its own
+   mechanism with the same seed, a repeated seed repeats its trial, and
+   the ledger after every restore is the one captured at the base
+   image. *)
 let test_restore_equals_fresh_boot () =
+  let w = Fleet.worker small_fleet in
+  let base = Hyper.Ledger.capture w.Fleet.w_hv in
+  let seen = Hashtbl.create 8 in
   List.iter
-    (fun mech ->
-      let name = Fleet.mechanism_name mech in
-      let w = Fleet.worker small_fleet mech in
-      let base = Hyper.Ledger.capture w.Fleet.w_hv in
-      let trial seed =
-        let s = Fleet.trial w small_fleet ~seed in
-        checkb
-          (Printf.sprintf "%s seed %Ld: restored trial = fresh boot" name seed)
-          true
-          (s = Fleet.run_trial small_fleet mech ~seed);
-        Fleet.rewind w;
-        checkb
-          (Printf.sprintf "%s seed %Ld: ledger after restore = base" name seed)
-          true
-          (Hyper.Ledger.capture w.Fleet.w_hv = base);
-        s
-      in
-      let first = trial 7_100L in
-      ignore (trial 7_200L);
-      checkb (name ^ ": a repeated seed repeats its trial") true
-        (trial 7_100L = first))
-    Fleet.all_mechanisms
+    (fun (mech, seed) ->
+      let name = Printf.sprintf "%s seed %Ld" (Fleet.mechanism_name mech) seed in
+      let s = Fleet.trial w small_fleet mech ~seed in
+      checkb (name ^ ": restored trial = fresh boot") true
+        (s = Fleet.run_trial small_fleet mech ~seed);
+      (match Hashtbl.find_opt seen (mech, seed) with
+      | Some first ->
+        checkb (name ^ ": a repeated seed repeats its trial") true (s = first)
+      | None -> Hashtbl.add seen (mech, seed) s);
+      Fleet.rewind w mech;
+      checkb (name ^ ": ledger after restore = base") true
+        (Hyper.Ledger.capture w.Fleet.w_hv = base))
+    Fleet.
+      [
+        (Sharded, 7_100L); (Serial_full, 7_100L); (Serial_incremental, 7_200L);
+        (Sharded, 7_200L); (Serial_full, 7_200L); (Serial_incremental, 7_100L);
+        (Sharded, 7_100L); (Serial_full, 7_100L);
+      ]
 
-(* Host words of a warm 200-tenant worker: a restored trial allocates at
-   most 20k words for every mechanism, and the recovery inside it at
-   most 4k, serial or sharded -- neither grows with the tenant count by
-   a list or an image record per domain. [Gc.minor] around each
-   measurement makes [Gc.allocated_bytes] count arrays allocated
-   straight into the major heap too. *)
+(* Words allocated by [f ()]. [Gc.minor] around the measurement makes
+   [Gc.allocated_bytes] count arrays allocated straight into the major
+   heap too. *)
+let words f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+let fleet_200 = { Fleet.default_config with Fleet.tenants = 200 }
+
+(* Host words of one warm 200-tenant worker that serves every
+   mechanism: a restored trial allocates at most 20k words, and the
+   recovery inside it at most 1.5k serial or 2.5k sharded -- neither
+   grows with the tenant count by a list or an image record per
+   domain. *)
 let test_trial_word_ceilings () =
-  let cfg = { Fleet.default_config with Fleet.tenants = 200 } in
-  let words f =
-    Gc.minor ();
-    let before = Gc.allocated_bytes () in
-    ignore (Sys.opaque_identity (f ()));
-    Gc.minor ();
-    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
-  in
+  let cfg = fleet_200 in
   let worst f = List.fold_left (fun m seed -> Float.max m (words (f seed))) 0. [ 2L; 3L; 4L ] in
+  let w = Fleet.worker cfg in
+  List.iter (fun mech -> ignore (Fleet.trial w cfg mech ~seed:1L)) Fleet.all_mechanisms;
   List.iter
     (fun mech ->
       let name = Fleet.mechanism_name mech in
-      let w = Fleet.worker cfg mech in
-      ignore (Fleet.trial w cfg ~seed:1L);
-      let trial = worst (fun seed () -> Fleet.trial w cfg ~seed) in
+      let trial = worst (fun seed () -> Fleet.trial w cfg mech ~seed) in
       checkb (Printf.sprintf "%s: restored trial %.0f words <= 20k" name trial) true
         (trial <= 20_000.);
       (* The fault is injected before the measurement starts. *)
       let recovery =
         worst (fun seed ->
-            Fleet.inject w cfg (Sim.Rng.create seed);
-            fun () -> Fleet.recover w)
+            Fleet.inject w cfg mech (Sim.Rng.create seed);
+            fun () -> Fleet.recover w mech)
       in
-      checkb (Printf.sprintf "%s: recovery %.0f words <= 4k" name recovery) true
-        (recovery <= 4_000.))
+      let ceiling = match mech with Fleet.Sharded -> 2_500. | _ -> 1_500. in
+      checkb
+        (Printf.sprintf "%s: recovery %.0f words <= %.0f" name recovery ceiling)
+        true (recovery <= ceiling))
     Fleet.all_mechanisms
+
+(* The whole warm call: once the pool holds a 200-tenant machine,
+   [Fleet.run ~jobs:1] over all three mechanisms allocates at most 22k
+   words per trial, boot, merge and pool bookkeeping included. *)
+let test_warm_run_word_ceiling () =
+  let cfg = { fleet_200 with Fleet.trials = 3 } in
+  ignore (Fleet.run ~jobs:1 cfg Fleet.Sharded);
+  let total =
+    words (fun () ->
+        List.iter
+          (fun mech -> ignore (Fleet.run ~jobs:1 cfg mech))
+          Fleet.all_mechanisms)
+  in
+  let per_trial = total /. float_of_int (3 * cfg.Fleet.trials) in
+  checkb (Printf.sprintf "warm call %.0f words per trial <= 22k" per_trial) true
+    (per_trial <= 22_000.)
+
+(* --------------------------- the worker pool ------------------------ *)
+
+(* The fresh-boot reference for a [Fleet.run cfg mech] call: one
+   [run_trial] per seed, merged. *)
+let fresh_fold (cfg : Fleet.config) mech =
+  List.fold_left
+    (fun acc i ->
+      Obs.Metrics.merge_snapshots acc
+        (Fleet.run_trial cfg mech
+           ~seed:(Int64.add cfg.Fleet.base_seed (Int64.of_int i))))
+    Obs.Metrics.empty_snapshot
+    (List.init cfg.Fleet.trials Fun.id)
+
+(* [small_fleet] on the [k]th other block of trial seeds. *)
+let reseeded k =
+  {
+    small_fleet with
+    Fleet.base_seed = Int64.add small_fleet.Fleet.base_seed (Int64.of_int (1_000 * k));
+  }
+
+(* A pool warmed by another mechanism and other seeds serves every
+   mechanism, in an order that interleaves them, with the results of
+   fresh boots, serial and on two worker domains. *)
+let test_pool_equals_fresh_boot () =
+  ignore (Fleet.run ~jobs:2 ~oversubscribe:true (reseeded 9) Fleet.Serial_incremental);
+  List.iteri
+    (fun k mech ->
+      let cfg = reseeded k in
+      let want = fresh_fold cfg mech in
+      List.iter
+        (fun jobs ->
+          checkb
+            (Printf.sprintf "call %d, %s, jobs %d: warm pool = fresh boots" k
+               (Fleet.mechanism_name mech) jobs)
+            true
+            ((Fleet.run ~jobs ~oversubscribe:true cfg mech).Fleet.metrics = want))
+        [ 1; 2 ])
+    Fleet.[ Sharded; Serial_full; Serial_incremental; Sharded ]
+
+(* Once the pool holds a machine per slot, calls for every mechanism and
+   other seeds boot nothing: a key change empties the pool, the first
+   serial call boots slot 0 and no later serial call boots again; calls
+   on two worker domains boot slot 1 at most once more. *)
+let test_pool_boots_once () =
+  ignore (Fleet.run { small_fleet with Fleet.tenants = 8; trials = 1 } Fleet.Sharded);
+  let b0 = Fleet.boots () in
+  let calls ~jobs =
+    List.iteri
+      (fun k mech ->
+        ignore (Fleet.run ~jobs ~oversubscribe:true (reseeded k) mech))
+      (Fleet.all_mechanisms @ Fleet.all_mechanisms)
+  in
+  calls ~jobs:1;
+  checki "six serial calls after a key change boot one machine" (b0 + 1)
+    (Fleet.boots ());
+  calls ~jobs:2;
+  checkb "calls on two domains boot one more machine at most" true
+    (Fleet.boots () <= b0 + 2);
+  let b1 = Fleet.boots () in
+  calls ~jobs:1;
+  checki "serial calls after them boot nothing" b1 (Fleet.boots ())
+
+(* A call with other tenants or another request cadence rebuilds the
+   pool, and a call back on the first key rebuilds it again: each boots
+   its slot and gives the fresh boots' results. *)
+let test_pool_key_change () =
+  ignore (Fleet.run small_fleet Fleet.Sharded);
+  List.iter
+    (fun (name, cfg) ->
+      let b = Fleet.boots () in
+      let r = Fleet.run cfg Fleet.Serial_full in
+      checki (name ^ ": boots the slot again") (b + 1) (Fleet.boots ());
+      checkb (name ^ ": equals fresh boots") true
+        (r.Fleet.metrics = fresh_fold cfg Fleet.Serial_full))
+    [
+      ("20 tenants", { small_fleet with Fleet.tenants = 20 });
+      ("300 us cadence", { small_fleet with Fleet.request_interval = Sim.Time.us 300 });
+      ("back to the first key", small_fleet);
+    ]
+
+(* Two callers at once, each on its own domain: one holds the pool, the
+   other finds it busy and boots private workers (or takes the pool
+   after the first call has released it). Both get the serial
+   results. *)
+let test_pool_concurrent_callers () =
+  let want =
+    List.map (fun mech -> (Fleet.run small_fleet mech).Fleet.metrics) Fleet.all_mechanisms
+  in
+  let ready = Atomic.make 0 in
+  let caller () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    List.map (fun mech -> (Fleet.run small_fleet mech).Fleet.metrics) Fleet.all_mechanisms
+  in
+  let a = Domain.spawn caller in
+  let b = Domain.spawn caller in
+  let ra = Domain.join a and rb = Domain.join b in
+  checkb "first caller gets the serial results" true (ra = want);
+  checkb "second caller gets the serial results" true (rb = want)
 
 (* A non-positive request interval would never end a trial's arrival
    loop, and a negative window is no window: both entry points refuse
@@ -617,14 +749,8 @@ let reference_account (w : Fleet.worker) (cfg : Fleet.config) rng ~fault_time
       ~hi:(Sim.Time.ms 100)
   in
   let gap_max = Obs.Metrics.gauge m "fleet.max_gap_ns" in
-  let latency = out.Recovery.Plan.latency in
-  let stall_of domid =
-    match List.assoc_opt domid out.Recovery.Plan.resume_offsets with
-    | Some o -> o
-    | None -> latency
-  in
   for t = 0 to cfg.Fleet.tenants - 1 do
-    let stall = stall_of (t + 1) in
+    let stall = Recovery.Plan.resume_offset out (t + 1) in
     let stall_end = fault_time + stall in
     let net = Guest.Netstack.create ~interval:cfg.Fleet.request_interval () in
     Guest.Netstack.reset net ~now:(fault_time - cfg.Fleet.pre_window);
@@ -656,9 +782,9 @@ let reference_account (w : Fleet.worker) (cfg : Fleet.config) rng ~fault_time
       Obs.Metrics.set gap_max net.Guest.Netstack.max_gap
   done
 
-let reference_trial w cfg ~seed =
+let reference_trial w cfg mech ~seed =
   let rng = Sim.Rng.create seed in
-  let fault_time, out = Fleet.recover_event w cfg rng in
+  let fault_time, out = Fleet.recover_event w cfg mech rng in
   reference_account w cfg rng ~fault_time out;
   Obs.Recorder.metrics_snapshot w.Fleet.w_hv.Hyper.Hypervisor.obs
 
@@ -703,11 +829,11 @@ let test_batched_equals_reference () =
     (fun mech ->
       List.iter
         (fun (name, cfg, seeds) ->
-          let w = Fleet.worker cfg mech in
+          let w = Fleet.worker cfg in
           List.iter
             (fun seed ->
-              let got = Fleet.trial w cfg ~seed in
-              let want = reference_trial w cfg ~seed in
+              let got = Fleet.trial w cfg mech ~seed in
+              let want = reference_trial w cfg mech ~seed in
               if got <> want then
                 Alcotest.failf "%s, %s, seed %Ld: batched %a@.reference %a"
                   (Fleet.mechanism_name mech) name seed Obs.Metrics.pp_snapshot
@@ -972,6 +1098,19 @@ let () =
             `Quick test_batched_equals_reference;
           Alcotest.test_case "max gap is a gap, not time since boot" `Quick
             test_max_gap_is_a_gap;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "warm pool equals fresh boots" `Quick
+            test_pool_equals_fresh_boot;
+          Alcotest.test_case "warm pool boots no machine" `Quick
+            test_pool_boots_once;
+          Alcotest.test_case "key change rebuilds the pool" `Quick
+            test_pool_key_change;
+          Alcotest.test_case "concurrent callers get serial results" `Quick
+            test_pool_concurrent_callers;
+          Alcotest.test_case "warm call word ceiling" `Quick
+            test_warm_run_word_ceiling;
         ] );
       ( "report",
         [
