@@ -681,7 +681,7 @@ let run ?(label = "") ?(base_seed = 77_000L) ?(jobs = 1) ?chunk
   if postmortems && checkpoint <> None then
     invalid_arg "Endure.run: checkpointing does not support postmortems";
   let fresh () = make_totals ?triage_seed_cap ~cycles:cfg.cycles () in
-  let worker_of worker seed =
+  let worker_of (worker, _) seed =
     match !worker with
     | Some w -> w
     | None ->
@@ -701,13 +701,20 @@ let run ?(label = "") ?(base_seed = 77_000L) ?(jobs = 1) ?chunk
       worker := Some w;
       w
   in
-  let scenario_into worker totals i =
+  (* A worker slot is its machine (booted at its first scenario) and the
+     metrics of the chunk's scenarios so far, folded in place and
+     snapshotted once by the chunk's seal. *)
+  let scenario_into ((_, acc) as slot) totals i =
     let seed = Int64.add base_seed (Int64.of_int i) in
-    let w = worker_of worker seed in
+    let w = worker_of slot seed in
     add_scenario totals cfg (scenario_on_worker ~postmortems w cfg ~seed);
+    Obs.Metrics.accumulate ~into:acc
+      (Inject.Run.worker_recorder w).Obs.Recorder.metrics
+  in
+  let seal (_, acc) totals =
     totals.metrics <-
-      Obs.Metrics.merge_snapshots totals.metrics
-        (Obs.Recorder.metrics_snapshot (Inject.Run.worker_recorder w))
+      Obs.Metrics.merge_snapshots totals.metrics (Obs.Metrics.snapshot acc);
+    Obs.Metrics.clear acc
   in
   let r =
     Inject.Drive.run ?checkpoint ?chunk ~jobs ~oversubscribe ~kind:"endurance"
@@ -721,8 +728,9 @@ let run ?(label = "") ?(base_seed = 77_000L) ?(jobs = 1) ?chunk
           fresh;
           merge_into;
           encode = payload_of_totals;
-          init = (fun _ -> ref None);
+          init = (fun _ -> (ref None, Obs.Metrics.create ()));
           item = scenario_into;
+          seal;
         })
       ()
   in

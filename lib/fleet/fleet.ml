@@ -30,9 +30,12 @@
     everything else pays only its service time. Latencies land in the
     log-bucket histogram [fleet.request_ns] (p50/p99/p999 within 25%
     relative error), SLO violations and netstack loss counters ride
-    alongside, and trials aggregate through commutative
-    {!Obs.Metrics.merge_snapshots} -- so fleet results are bit-identical
-    for any [--jobs], the same contract the campaign engine has.
+    alongside. Each trial's metrics fold in place into its pool
+    worker's registry ({!Obs.Metrics.accumulate}, the in-place form of
+    the commutative {!Obs.Metrics.merge_snapshots}), workers' registries
+    fold together, and a call takes one snapshot at the end -- so fleet
+    results are bit-identical for any [--jobs], the same contract the
+    campaign engine has.
 
     The accounting is per tenant, not per request. An unstalled
     request's latency is one of 200 service times, so those requests
@@ -409,15 +412,22 @@ let account w (cfg : config) rng ~fault_time (out : Recovery.Plan.outcome) =
 
 (* One [mech] trial on [w], whose machine was booted for [cfg]'s
    tenants and request cadence: the recovery event, then the request
-   accounting through it. Returns the trial's metrics snapshot. *)
-let trial w (cfg : config) mech ~seed : Obs.Metrics.snapshot =
+   accounting through it. The trial's metrics are left in [w]'s
+   recorder, until the next trial's rewind zeroes them. *)
+let trial_event w (cfg : config) mech ~seed =
   check_config cfg;
   if cfg.tenants <> w.w_tenants || cfg.request_interval <> w.w_interval then
     invalid_arg "Fleet.trial: the worker was built for other tenants or cadence";
   let rng = Sim.Rng.create seed in
   let fault_time, out = recover_event w cfg mech rng in
-  account w cfg rng ~fault_time out;
-  Obs.Recorder.metrics_snapshot w.w_hv.Hypervisor.obs
+  account w cfg rng ~fault_time out
+
+let trial_metrics w = w.w_hv.Hypervisor.obs.Obs.Recorder.metrics
+
+(* [trial_event], returning the trial's metrics snapshot. *)
+let trial w (cfg : config) mech ~seed : Obs.Metrics.snapshot =
+  trial_event w cfg mech ~seed;
+  Obs.Metrics.snapshot (trial_metrics w)
 
 (* A trial on a machine freshly booted under [mech]'s own config: the
    reference every restored trial must equal. *)
@@ -470,12 +480,14 @@ let with_slots (cfg : config) n f =
           raise e)
   else f (Array.make n None)
 
-(* Trials are embarrassingly parallel pure functions of the trial seed;
-   the snapshot merge is commutative and associative, so the merged
-   result is identical for every [jobs]. Worker [k] runs on slot [k]:
-   it boots that slot's machine at its first trial if the slot has none
-   (a slot that gets no trial never boots), and restores it for every
-   trial. *)
+(* Trials are embarrassingly parallel pure functions of the trial seed.
+   Worker [k] runs on slot [k]: it boots that slot's machine at its
+   first trial if the slot has none (a slot that gets no trial never
+   boots), and restores it for every trial. Each trial's metrics fold
+   into the worker's own registry, made in its [init]; the registries
+   fold together (the merge is commutative and associative, so the
+   result is identical for every [jobs]) and the call snapshots the
+   total once. *)
 let run ?(jobs = 1) ?(oversubscribe = false) (cfg : config) mech =
   check_config cfg;
   let n = Inject.Pool.workers ~jobs ~oversubscribe cfg.trials in
@@ -491,17 +503,18 @@ let run ?(jobs = 1) ?(oversubscribe = false) (cfg : config) mech =
         in
         let _, merged =
           Inject.Pool.map_reduce ~jobs ~oversubscribe ~n:cfg.trials
-            ~init:(fun slot -> (slot, ref Obs.Metrics.empty_snapshot))
+            ~init:(fun slot -> (slot, Obs.Metrics.create ()))
             ~body:(fun (slot, acc) i ->
-              let seed = Int64.add cfg.base_seed (Int64.of_int i) in
-              acc :=
-                Obs.Metrics.merge_snapshots !acc
-                  (trial (slot_worker slot) cfg mech ~seed))
-            ~merge:(fun (slot, a) (_, b) ->
-              (slot, ref (Obs.Metrics.merge_snapshots !a !b)))
+              let w = slot_worker slot in
+              trial_event w cfg mech
+                ~seed:(Int64.add cfg.base_seed (Int64.of_int i));
+              Obs.Metrics.accumulate ~into:acc (trial_metrics w))
+            ~merge:(fun ((_, a) as into) (_, b) ->
+              Obs.Metrics.accumulate ~into:a b;
+              into)
             ()
         in
-        !merged)
+        Obs.Metrics.snapshot merged)
   in
   { mech; tenants = cfg.tenants; trials = cfg.trials; metrics = merged }
 

@@ -277,13 +277,17 @@ let totals_of_payload ?triage_seed_cap (payload : Obs.Json.t) =
 (* Per-worker state: the worker's long-lived machine (booted lazily in
    the worker's own domain and restored from its boot image between
    runs), its golden
-   ledger, and the signatures it has already captured a bundle for. *)
+   ledger, the signatures it has already captured a bundle for, and the
+   metrics of the current chunk's runs, folded in place. *)
 type slot = {
   mutable s_worker : Run.worker option;
   mutable s_ledger : Hyper.Ledger.t option;
       (* golden post-boot resource ledger, the baseline for a bundle's
          ledger diff; captured once per worker when postmortems are on *)
   s_bundled : (string, unit) Hashtbl.t;
+  s_chunk_metrics : Obs.Metrics.t;
+      (* this chunk's runs so far ({!Obs.Metrics.accumulate}); the
+         chunk's seal snapshots it into the chunk's totals and clears it *)
 }
 
 (* Run [n] injections of [cfg], varying only the seed, through the
@@ -292,10 +296,13 @@ type slot = {
    reuses one machine across its runs ({!Run.prepare} /
    {!Run.execute_into}), which keeps per-run allocation -- and hence
    pressure on the shared stop-the-world minor GC -- low enough for
-   parallel runs to actually scale. Worker domains are capped at the
-   host's core count unless [oversubscribe] is set (see
-   {!Pool.map_chunks}). The result totals are identical for every [jobs]
-   value either way.
+   parallel runs to actually scale. Each run's metrics fold in place
+   into the worker's registry for the chunk, which is snapshotted once
+   when the chunk ends ({!Drive.plan}'s [seal]); chunks are fixed by
+   [(n, chunk)] and the merge is commutative, so this changes no total.
+   Worker domains are capped at the host's core count unless
+   [oversubscribe] is set (see {!Pool.map_chunks}). The result totals
+   are identical for every [jobs] value either way.
 
    [alloc_profile] turns on the per-phase allocation profiler on every
    worker recorder: the merged [totals.metrics] then carry the [alloc.*]
@@ -341,7 +348,12 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
         (Some p.p_workers.(slot), p.p_ledgers.(slot))
       | _ -> (None, None)
     in
-    { s_worker = worker; s_ledger = ledger; s_bundled = Hashtbl.create 8 }
+    {
+      s_worker = worker;
+      s_ledger = ledger;
+      s_bundled = Hashtbl.create 8;
+      s_chunk_metrics = Obs.Metrics.create ();
+    }
   in
   let worker_of s (cfg : Run.config) =
     match s.s_worker with
@@ -355,11 +367,15 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
       s.s_worker <- Some w;
       w
   in
-  let add_run t w out =
+  let add_run s t w out =
     add_outcome t out;
+    Obs.Metrics.accumulate ~into:s.s_chunk_metrics
+      (Run.worker_recorder w).Obs.Recorder.metrics
+  in
+  let seal s t =
     t.metrics <-
-      Obs.Metrics.merge_snapshots t.metrics
-        (Obs.Recorder.metrics_snapshot (Run.worker_recorder w))
+      Obs.Metrics.merge_snapshots t.metrics (Obs.Metrics.snapshot s.s_chunk_metrics);
+    Obs.Metrics.clear s.s_chunk_metrics
   in
   let seed_of i = Int64.add base_seed (Int64.of_int i) in
   (* Triage a bad outcome (lazy: good outcomes return [None] from
@@ -393,7 +409,7 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
     let cfg = { cfg with Run.seed = seed_of i } in
     let w = worker_of s cfg in
     let out = Run.execute_into w cfg in
-    add_run t w out;
+    add_run s t w out;
     if postmortems then
       record_postmortem s t w cfg out ~fanout:1 ~seed:(seed_of i)
         ~repro:(Postmortem.repro_line cfg ~seed:(seed_of i) ~runs:1 ~fanout:1)
@@ -409,7 +425,7 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
     let src = Run.prepare_clone w group_cfg in
     for i = first to last do
       let out = Run.clone_into ~reseed:(seed_of i) src in
-      add_run t w out;
+      add_run s t w out;
       if postmortems then
         (* The repro is the batch prefix up to this variant: a fan-out
            variant's warmup comes from the batch's first seed, so the
@@ -432,6 +448,7 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
       encode = payload_json ~fanout;
       init;
       item = (if fanout > 1 then run_batch ~fanout else run_one);
+      seal;
     }
   in
   let r =

@@ -2,12 +2,14 @@
 
     A run folds work items [0, items) into an aggregate. The range is cut
     into fixed chunks; workers claim whole chunks ({!Pool.map_chunks}),
-    fold each into a fresh per-chunk aggregate, and the coordinator
-    merges every finished chunk into the run's aggregate. With a
-    checkpoint, the aggregate and the completed-chunk bitmap are written
-    atomically to an nlh-checkpoint/1 file every [ck_every] chunks and
-    once at the end, and a resume starts from that file instead of from
-    nothing. A fresh run is a resume from an empty checkpoint: the same
+    fold each into a fresh per-chunk aggregate, seal it after its last
+    item (where a worker moves state it folded in place, such as per-run
+    metrics, into the chunk's aggregate: one snapshot per chunk, not per
+    item), and the coordinator merges every finished chunk into the
+    run's aggregate. With a checkpoint, the aggregate and the
+    completed-chunk bitmap are written atomically to an nlh-checkpoint/1
+    file every [ck_every] chunks and once at the end, and a resume
+    starts from that file instead of from nothing. A fresh run is a resume from an empty checkpoint: the same
     fold runs either way.
 
     Because chunk boundaries depend only on (items, chunk) -- never on
@@ -85,6 +87,10 @@ type ('t, 'w) plan = {
   init : int -> 'w;
       (* a worker's state for a pool slot, built in the worker's domain *)
   item : 'w -> 't -> int -> unit; (* fold item [i] into a chunk aggregate *)
+  seal : 'w -> 't -> unit;
+      (* after a chunk's last item, in the worker's domain: move what the
+         worker folded in place into the chunk's aggregate and start the
+         next chunk from nothing *)
 }
 
 type 't result = {
@@ -161,6 +167,7 @@ let run ?checkpoint ?chunk ~jobs ~oversubscribe ~kind ~fingerprint ~decode
       for i = c * chunk to min p.items ((c + 1) * chunk) - 1 do
         p.item w t i
       done;
+      p.seal w t;
       t)
     ~publish:(fun c t ->
       p.merge_into p.merged t;

@@ -7,7 +7,10 @@
     commutative and associative operation (counters and histogram buckets
     sum, gauges take the max), which is what lets parallel campaigns
     aggregate per-run metrics bit-identically for any worker count --
-    the same contract {!Inject.Pool} relies on for the plain totals. *)
+    the same contract {!Inject.Pool} relies on for the plain totals.
+    {!accumulate} is the same merge done in place, registry into
+    registry, so a worker can fold each run without building a snapshot
+    and take one snapshot per chunk of runs. *)
 
 type counter = { mutable count : int }
 
@@ -25,9 +28,25 @@ type instrument =
   | Gauge of gauge
   | Histogram of histogram
 
-type t = { table : (string, instrument) Hashtbl.t }
+(* [entries] lists what [table] holds, newest registration first: the
+   walk [reset], [restore] and [accumulate] take, which (unlike
+   [Hashtbl.iter]) builds no closure. *)
+type t = {
+  table : (string, instrument) Hashtbl.t;
+  mutable entries : (string * instrument) list;
+}
 
-let create () = { table = Hashtbl.create 32 }
+let create () = { table = Hashtbl.create 32; entries = [] }
+
+let add t name i =
+  Hashtbl.add t.table name i;
+  t.entries <- (name, i) :: t.entries
+
+(* Drop every instrument: the registry is as [create] left it, and
+   handles taken before stay valid but are no longer part of it. *)
+let clear t =
+  Hashtbl.clear t.table;
+  t.entries <- []
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -43,7 +62,7 @@ let counter t name =
          (kind_name other))
   | None ->
     let c = { count = 0 } in
-    Hashtbl.add t.table name (Counter c);
+    add t name (Counter c);
     c
 
 let gauge t name =
@@ -55,7 +74,7 @@ let gauge t name =
          (kind_name other))
   | None ->
     let g = { value = 0 } in
-    Hashtbl.add t.table name (Gauge g);
+    add t name (Gauge g);
     g
 
 let histogram t name ~bounds =
@@ -85,7 +104,7 @@ let histogram t name ~bounds =
         samples = 0;
       }
     in
-    Hashtbl.add t.table name (Histogram h);
+    add t name (Histogram h);
     h
 
 (* ------------------------------------------------------------------ *)
@@ -163,17 +182,71 @@ let observe_near h ~near v =
 (* Zero every registered instrument in place. Cached instrument handles
    stay valid and the registry keeps its structure, so a reset registry
    snapshots identically to a fresh one with the same registrations. *)
-let reset t =
-  Hashtbl.iter
-    (fun _ instr ->
-      match instr with
-      | Counter c -> c.count <- 0
-      | Gauge g -> g.value <- 0
-      | Histogram h ->
-        Array.fill h.counts 0 (Array.length h.counts) 0;
-        h.sum <- 0;
-        h.samples <- 0)
-    t.table
+let rec zero_entries = function
+  | [] -> ()
+  | (_, instr) :: rest ->
+    (match instr with
+    | Counter c -> c.count <- 0
+    | Gauge g -> g.value <- 0
+    | Histogram h ->
+      Array.fill h.counts 0 (Array.length h.counts) 0;
+      h.sum <- 0;
+      h.samples <- 0);
+    zero_entries rest
+
+let reset t = zero_entries t.entries
+
+(* ------------------------------------------------------------------ *)
+(* In-place merge                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [src]'s instrument [s] folded into [into]'s [d] of the same name:
+   {!merge_snapshots}'s rule, in place. *)
+let accumulate_one name d s =
+  match (d, s) with
+  | Counter d, Counter s -> d.count <- d.count + s.count
+  | Gauge d, Gauge s -> if s.value > d.value then d.value <- s.value
+  | Histogram d, Histogram s ->
+    if d.bounds != s.bounds && d.bounds <> s.bounds then
+      invalid_arg
+        (Printf.sprintf "Metrics.accumulate: histogram %S has mismatched bounds" name);
+    let dc = d.counts and sc = s.counts in
+    for b = 0 to Array.length dc - 1 do
+      dc.(b) <- dc.(b) + sc.(b)
+    done;
+    d.sum <- d.sum + s.sum;
+    d.samples <- d.samples + s.samples
+  | _ ->
+    invalid_arg
+      (Printf.sprintf "Metrics.accumulate: %S is a %s, the source has a %s" name
+         (kind_name d) (kind_name s))
+
+(* A new instrument holding [s]'s values. A histogram shares [s]'s
+   bounds: no registry ever writes them. *)
+let copy_instrument = function
+  | Counter s -> Counter { count = s.count }
+  | Gauge s -> Gauge { value = s.value }
+  | Histogram s ->
+    Histogram
+      { bounds = s.bounds; counts = Array.copy s.counts; sum = s.sum; samples = s.samples }
+
+let rec accumulate_entries into = function
+  | [] -> ()
+  | (name, s) :: rest ->
+    (match Hashtbl.find into.table name with
+    | d -> accumulate_one name d s
+    | exception Not_found -> add into name (copy_instrument s));
+    accumulate_entries into rest
+
+(* Fold [src] into [into] in place: afterwards [snapshot into] equals
+   [merge_snapshots] of the two registries' snapshots before the call.
+   A name [into] lacks is registered with [src]'s values (so a gauge
+   seen once keeps its value, zero or negative); a shared name's
+   counter and histogram buckets add and its gauge takes the max. A
+   kind or bounds mismatch raises [Invalid_argument], as registration
+   does, and may leave [into] partly folded. Once [into] holds every
+   name of [src], a call allocates nothing. *)
+let accumulate ~into src = accumulate_entries into src.entries
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
@@ -257,56 +330,73 @@ let snapshot t =
     histograms = by_name !histograms;
   }
 
+(* The restore walks are toplevel recursive functions, so a restore
+   allocates nothing (a local [let rec] would build a closure per call). *)
+let restore_find t kind name =
+  match Hashtbl.find t.table name with
+  | i -> i
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Metrics.restore: %s %S not registered" kind name)
+
+let restore_mismatch name other kind =
+  invalid_arg
+    (Printf.sprintf "Metrics.restore: %S is a %s, snapshot has a %s" name
+       (kind_name other) kind)
+
+(* Whether [a.(i..)] is exactly [l]. *)
+let rec bounds_match a i = function
+  | [] -> i = Array.length a
+  | b :: rest -> i < Array.length a && a.(i) = b && bounds_match a (i + 1) rest
+
+let rec write_counts a i = function
+  | [] -> ()
+  | v :: rest ->
+    a.(i) <- v;
+    write_counts a (i + 1) rest
+
+let rec restore_counters t = function
+  | [] -> ()
+  | (name, v) :: rest ->
+    (match restore_find t "counter" name with
+    | Counter c -> c.count <- v
+    | other -> restore_mismatch name other "counter");
+    restore_counters t rest
+
+let rec restore_gauges t = function
+  | [] -> ()
+  | (name, v) :: rest ->
+    (match restore_find t "gauge" name with
+    | Gauge g -> g.value <- v
+    | other -> restore_mismatch name other "gauge");
+    restore_gauges t rest
+
+let rec restore_histograms t = function
+  | [] -> ()
+  | (name, hs) :: rest ->
+    (match restore_find t "histogram" name with
+    | Histogram h ->
+      if not (bounds_match h.bounds 0 hs.h_bounds) then
+        invalid_arg
+          (Printf.sprintf "Metrics.restore: histogram %S bounds mismatch" name);
+      write_counts h.counts 0 hs.h_counts;
+      h.sum <- hs.h_sum;
+      h.samples <- hs.h_samples
+    | other -> restore_mismatch name other "histogram");
+    restore_histograms t rest
+
 (* Write a snapshot's values back into a live registry: the restore half
    of the snapshot/restore pair used by clone fan-out (a fresh variant
    must start from exactly the trigger-point metric values, or the
    per-run metric deltas it contributes would differ from a fresh run's).
    Instruments are zeroed first, so snapshot names absent from the
    registry are an error and registry names absent from the snapshot end
-   up at zero -- matching a registry that was reset and replayed. *)
+   up at zero -- matching a registry that was reset and replayed.
+   Allocates nothing. *)
 let restore t s =
   reset t;
-  let find kind name =
-    match Hashtbl.find_opt t.table name with
-    | Some i -> i
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Metrics.restore: %s %S not registered" kind name)
-  in
-  List.iter
-    (fun (name, v) ->
-      match find "counter" name with
-      | Counter c -> c.count <- v
-      | other ->
-        invalid_arg
-          (Printf.sprintf "Metrics.restore: %S is a %s, snapshot has a counter"
-             name (kind_name other)))
-    s.counters;
-  List.iter
-    (fun (name, v) ->
-      match find "gauge" name with
-      | Gauge g -> g.value <- v
-      | other ->
-        invalid_arg
-          (Printf.sprintf "Metrics.restore: %S is a %s, snapshot has a gauge"
-             name (kind_name other)))
-    s.gauges;
-  List.iter
-    (fun (name, hs) ->
-      match find "histogram" name with
-      | Histogram h ->
-        if Array.to_list h.bounds <> hs.h_bounds then
-          invalid_arg
-            (Printf.sprintf "Metrics.restore: histogram %S bounds mismatch" name);
-        List.iteri (fun i v -> h.counts.(i) <- v) hs.h_counts;
-        h.sum <- hs.h_sum;
-        h.samples <- hs.h_samples
-      | other ->
-        invalid_arg
-          (Printf.sprintf
-             "Metrics.restore: %S is a %s, snapshot has a histogram" name
-             (kind_name other)))
-    s.histograms
+  restore_counters t s.counters;
+  restore_gauges t s.gauges;
+  restore_histograms t s.histograms
 
 (* Merge two name-sorted assoc lists, combining values of shared keys. *)
 let rec merge_assoc combine a b =

@@ -231,6 +231,50 @@ let test_campaign_parallel_deterministic () =
        (fun (_, s, c) -> s >= 0.0 && s <= 1.0 && c >= 0.0 && c <= 1.0)
        (Endure.survival_curve seq))
 
+(* Seal boundaries, as for campaigns: each scenario's metrics fold in
+   place into the worker's registry, snapshotted once per chunk. Chunks
+   of one scenario, the default chunk and one chunk of all scenarios,
+   each at jobs 1 and 2, give the snapshot and the checkpoint payload
+   bytes of a direct loop that merges every scenario's own snapshot. *)
+let test_seal_boundaries () =
+  let cfg = endure_cfg ~fault:Inject.Fault.Register ~cycles:3 () in
+  let scenarios = 10 and base_seed = 310L in
+  let reference =
+    let recorder = Obs.Recorder.create ~capacity:1 ~min_level:Obs.Event.Error () in
+    ignore (Endure.instruments recorder);
+    let w = Inject.Run.prepare ~recorder cfg.Endure.run_cfg in
+    let t = Endure.make_totals ~cycles:cfg.Endure.cycles () in
+    for i = 0 to scenarios - 1 do
+      let seed = Int64.add base_seed (Int64.of_int i) in
+      Endure.add_scenario t cfg (Endure.scenario_on_worker w cfg ~seed);
+      t.Endure.metrics <-
+        Obs.Metrics.merge_snapshots t.Endure.metrics
+          (Obs.Recorder.metrics_snapshot recorder)
+    done;
+    t
+  in
+  List.iter
+    (fun (chunk, jobs) ->
+      let label =
+        Printf.sprintf "chunk %s, jobs %d"
+          (match chunk with Some c -> string_of_int c | None -> "default")
+          jobs
+      in
+      let got =
+        (Endure.run ~base_seed ~jobs ~oversubscribe:true ?chunk ~scenarios cfg)
+          .Endure.totals
+      in
+      Alcotest.check snapshot_t (label ^ ": snapshot") (Endure.snapshot reference)
+        (Endure.snapshot got);
+      Alcotest.(check string)
+        (label ^ ": payload bytes")
+        (Obs.Json.render (Endure.payload_of_totals reference))
+        (Obs.Json.render (Endure.payload_of_totals got)))
+    [
+      (Some 1, 1); (Some 1, 2); (None, 1); (None, 2); (Some scenarios, 1);
+      (Some scenarios, 2);
+    ]
+
 (* The paper's "few pages per recovery" claim as a ceiling: six
    failstop NiLiHype scenarios of twelve successive recoveries each on
    one instance, and no recovery leaks more than 8 pages. *)
@@ -403,6 +447,8 @@ let () =
             test_campaign_parallel_deterministic;
           Alcotest.test_case "failstop within leak budget" `Quick
             test_campaign_within_leak_budget;
+          Alcotest.test_case "seal boundaries invisible" `Quick
+            test_seal_boundaries;
         ] );
       ( "satellites",
         [

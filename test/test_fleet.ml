@@ -600,8 +600,11 @@ let test_trial_word_ceilings () =
     Fleet.all_mechanisms
 
 (* The whole warm call: once the pool holds a 200-tenant machine,
-   [Fleet.run ~jobs:1] over all three mechanisms allocates at most 22k
-   words per trial, boot, merge and pool bookkeeping included. *)
+   [Fleet.run ~jobs:1] over all three mechanisms allocates at most 16k
+   words per trial, boot, metrics and pool bookkeeping included
+   (13.8k measured: each trial folds its metrics in place and a call
+   takes one snapshot; 16.6k when every trial took a snapshot and
+   merged it). *)
 let test_warm_run_word_ceiling () =
   let cfg = { fleet_200 with Fleet.trials = 3 } in
   ignore (Fleet.run ~jobs:1 cfg Fleet.Sharded);
@@ -612,8 +615,8 @@ let test_warm_run_word_ceiling () =
           Fleet.all_mechanisms)
   in
   let per_trial = total /. float_of_int (3 * cfg.Fleet.trials) in
-  checkb (Printf.sprintf "warm call %.0f words per trial <= 22k" per_trial) true
-    (per_trial <= 22_000.)
+  checkb (Printf.sprintf "warm call %.0f words per trial <= 16k" per_trial) true
+    (per_trial <= 16_000.)
 
 (* --------------------------- the worker pool ------------------------ *)
 

@@ -259,6 +259,62 @@ let test_campaign_odd_chunking_deterministic () =
     (Inject.Campaign.snapshot seq.Inject.Campaign.totals)
     (Inject.Campaign.snapshot par.Inject.Campaign.totals)
 
+(* Seal boundaries: each run's metrics fold in place into the worker's
+   registry, which is snapshotted once per chunk, so the chunk size must
+   not show in the aggregate. Chunks of one run, the default chunk and
+   one chunk of all runs, each at jobs 1 and 2, give the snapshot and
+   the checkpoint payload bytes of a direct loop that merges every run's
+   own snapshot; fan-out campaigns agree with each other over the same
+   settings. *)
+let test_seal_boundaries () =
+  let cfg = run_cfg ~fault:Inject.Fault.Register () in
+  let n = 30 and base_seed = 700L in
+  let reference =
+    let w =
+      Inject.Run.prepare
+        ~recorder:
+          (Inject.Campaign.make_worker_recorder ~alloc_profile:false
+             ~postmortems:false ())
+        cfg
+    in
+    let t = Inject.Campaign.make_totals () in
+    for i = 0 to n - 1 do
+      let seed = Int64.add base_seed (Int64.of_int i) in
+      Inject.Campaign.add_outcome t
+        (Inject.Run.execute_into w { cfg with Inject.Run.seed });
+      t.Inject.Campaign.metrics <-
+        Obs.Metrics.merge_snapshots t.Inject.Campaign.metrics
+          (Obs.Recorder.metrics_snapshot (Inject.Run.worker_recorder w))
+    done;
+    t
+  in
+  let check ~fanout (want : Inject.Campaign.totals) =
+    List.iter
+      (fun (chunk, jobs) ->
+        let label =
+          Printf.sprintf "fanout %d, chunk %s, jobs %d" fanout
+            (match chunk with Some c -> string_of_int c | None -> "default")
+            jobs
+        in
+        let got =
+          (Inject.Campaign.run ~base_seed ~jobs ~oversubscribe:true ?chunk ~fanout
+             ~n cfg)
+            .Inject.Campaign.totals
+        in
+        Alcotest.check snapshot_t (label ^ ": snapshot")
+          (Inject.Campaign.snapshot want) (Inject.Campaign.snapshot got);
+        Alcotest.(check string)
+          (label ^ ": payload bytes")
+          (Inject.Campaign.payload_of_totals ~fanout want)
+          (Inject.Campaign.payload_of_totals ~fanout got))
+      [
+        (Some 1, 1); (Some 1, 2); (None, 1); (None, 2); (Some n, 1); (Some n, 2);
+      ]
+  in
+  check ~fanout:1 reference;
+  check ~fanout:4
+    (Inject.Campaign.run ~base_seed ~jobs:1 ~fanout:4 ~n cfg).Inject.Campaign.totals
+
 let test_merge_empty () =
   let a = Inject.Campaign.make_totals () in
   let b = Inject.Campaign.make_totals () in
@@ -420,6 +476,28 @@ let test_gc_budget_per_run () =
   if per_run > 1.2 *. gc_minor_words_budget_per_run then
     Alcotest.failf "minor words/run %.0f exceeds 1.2x budget %.0f" per_run
       gc_minor_words_budget_per_run
+
+(* The same register runs through [Campaign.run ~jobs:1] on a warm
+   pre-booted pool: per-run metrics fold in place and are snapshotted
+   once per chunk, so a campaign run costs little more than its
+   [execute_into] (measured ~7.0k words a run; ~10.3k when every run
+   built a snapshot and merged it into the chunk's). The ceiling is
+   8k words a run, counted in the calling domain, which the one worker
+   runs in. *)
+let campaign_words_per_run_ceiling = 8_000.0
+
+let test_campaign_words_per_run () =
+  let cfg = run_cfg ~fault:Inject.Fault.Register () in
+  let pool = Inject.Campaign.prepare_pool ~jobs:1 cfg in
+  let n = 200 in
+  let run () = ignore (Inject.Campaign.run ~base_seed:6_000L ~jobs:1 ~pool ~n cfg) in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let per_run = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_run > campaign_words_per_run_ceiling then
+    Alcotest.failf "Campaign.run: %.0f minor words a run, ceiling %.0f" per_run
+      campaign_words_per_run_ceiling
 
 (* Activity-kind word ceilings: mean minor words per call, from the
    recorder's activity-kind ledger, over 100 register runs on a restored
@@ -1098,6 +1176,7 @@ let () =
             test_campaign_parallel_deterministic;
           Alcotest.test_case "odd chunking identical" `Quick
             test_campaign_odd_chunking_deterministic;
+          Alcotest.test_case "seal boundaries invisible" `Quick test_seal_boundaries;
           Alcotest.test_case "merge empty" `Quick test_merge_empty;
           Alcotest.test_case "merge singleton" `Quick test_merge_singleton;
           Alcotest.test_case "merge overlapping notes" `Quick
@@ -1113,6 +1192,8 @@ let () =
           Alcotest.test_case "reset equivalence matrix" `Slow
             test_reset_equivalence_matrix;
           Alcotest.test_case "gc budget per run" `Quick test_gc_budget_per_run;
+          Alcotest.test_case "campaign words per run" `Quick
+            test_campaign_words_per_run;
           Alcotest.test_case "activity word ceilings" `Quick
             test_activity_word_ceilings;
           Alcotest.test_case "activity ledger outside metrics" `Quick

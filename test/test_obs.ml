@@ -280,6 +280,142 @@ let test_metrics_restore_roundtrip () =
   in
   checkb "quantiles survive restore" true (q (Obs.Metrics.snapshot m2) = q s)
 
+(* ------------------------- In-place merge --------------------------- *)
+
+(* The instruments a random registry may register: counters, gauges, two
+   log histograms and a linear one. A registry built from [ops] registers
+   a name at its first op, so later registries can hold names earlier
+   ones lack; a gauge takes the op's value, zero and negative included. *)
+let acc_names =
+  [|
+    ("c.a", `C); ("c.b", `C); ("c.c", `C); ("g.a", `G); ("g.b", `G);
+    ("h.log", `H (Obs.Metrics.log_bounds ~lo:10 ~hi:4_000));
+    ("h.log2", `H (Obs.Metrics.log_bounds ~lo:1 ~hi:100));
+    ("h.lin", `H [| 0; 10; 100 |]);
+  |]
+
+let acc_registry ops =
+  let m = Obs.Metrics.create () in
+  List.iter
+    (fun (k, v) ->
+      match acc_names.(k mod Array.length acc_names) with
+      | name, `C -> Obs.Metrics.incr ~by:(abs v) (Obs.Metrics.counter m name)
+      | name, `G -> Obs.Metrics.set (Obs.Metrics.gauge m name) v
+      | name, `H bounds -> Obs.Metrics.observe (Obs.Metrics.histogram m name ~bounds) v)
+    ops;
+  m
+
+let fold_snapshots regs =
+  List.fold_left
+    (fun acc r -> Obs.Metrics.merge_snapshots acc (Obs.Metrics.snapshot r))
+    Obs.Metrics.empty_snapshot regs
+
+(* Accumulating registries one by one equals folding their snapshots
+   with [merge_snapshots]: into a fresh registry, into one that already
+   holds the first registry's values, and into one [clear] emptied after
+   unrelated use. *)
+let prop_accumulate_is_merge =
+  let op = QCheck.(pair (int_bound 7) (int_range (-50) 5_000)) in
+  QCheck.Test.make ~count:300 ~name:"accumulate equals merge_snapshots fold"
+    QCheck.(list_of_size Gen.(1 -- 6) (list_of_size Gen.(0 -- 12) op))
+    (fun descs ->
+      let regs = List.map acc_registry descs in
+      let want = fold_snapshots regs in
+      let fresh = Obs.Metrics.create () in
+      List.iter (fun r -> Obs.Metrics.accumulate ~into:fresh r) regs;
+      let warm = acc_registry (List.hd descs) in
+      List.iter (fun r -> Obs.Metrics.accumulate ~into:warm r) (List.tl regs);
+      let cleared = acc_registry [ (3, 7); (5, 9); (0, 4) ] in
+      Obs.Metrics.clear cleared;
+      checkb "cleared registry is empty" true
+        (Obs.Metrics.snapshot cleared = Obs.Metrics.empty_snapshot);
+      List.iter (fun r -> Obs.Metrics.accumulate ~into:cleared r) regs;
+      Obs.Metrics.snapshot fresh = want
+      && Obs.Metrics.snapshot warm = want
+      && Obs.Metrics.snapshot cleared = want)
+
+(* A name seen only in a later registry, a gauge that only ever holds a
+   negative value, and a zero gauge next to a negative one, spelled out. *)
+let test_accumulate_cases () =
+  let into = Obs.Metrics.create () in
+  Obs.Metrics.accumulate ~into (acc_registry [ (0, 2); (3, -5) ]);
+  Obs.Metrics.accumulate ~into (acc_registry [ (1, 4); (3, -9); (4, 0) ]);
+  Obs.Metrics.accumulate ~into (acc_registry [ (4, -1); (5, 12) ]);
+  let s = Obs.Metrics.snapshot into in
+  Alcotest.(check (list (pair string int)))
+    "counters" [ ("c.a", 2); ("c.b", 4) ] s.Obs.Metrics.counters;
+  Alcotest.(check (list (pair string int)))
+    "gauges keep negative and zero maxima" [ ("g.a", -5); ("g.b", 0) ]
+    s.Obs.Metrics.gauges;
+  checki "late histogram registered" 1
+    (List.assoc "h.log" s.Obs.Metrics.histograms).Obs.Metrics.h_samples
+
+(* A name of another kind, or a histogram with other bounds, raises
+   [Invalid_argument], as registration does ([merge_snapshots] raises
+   on the bounds too). *)
+let test_accumulate_mismatch () =
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let counter_x = Obs.Metrics.create () and gauge_x = Obs.Metrics.create () in
+  ignore (Obs.Metrics.counter counter_x "x");
+  ignore (Obs.Metrics.gauge gauge_x "x");
+  raises "counter into gauge" (fun () ->
+      Obs.Metrics.accumulate ~into:gauge_x counter_x);
+  raises "gauge into counter" (fun () ->
+      Obs.Metrics.accumulate ~into:counter_x gauge_x);
+  let hist bounds =
+    let m = Obs.Metrics.create () in
+    Obs.Metrics.observe (Obs.Metrics.histogram m "h" ~bounds) 3;
+    m
+  in
+  let a = hist [| 1; 5 |] and b = hist [| 1; 6 |] in
+  raises "bounds" (fun () -> Obs.Metrics.accumulate ~into:a b);
+  raises "merge_snapshots bounds" (fun () ->
+      ignore
+        (Obs.Metrics.merge_snapshots (Obs.Metrics.snapshot a) (Obs.Metrics.snapshot b)))
+
+(* A worker recorder's registry, with every histogram populated. *)
+let busy_recorder_metrics () =
+  let r = Obs.Recorder.create ~capacity:1 ~min_level:Obs.Event.Error () in
+  let m = r.Obs.Recorder.metrics in
+  Obs.Metrics.incr ~by:5 r.Obs.Recorder.hypercall_entries;
+  Obs.Metrics.set r.Obs.Recorder.run_end_time_ns 123_456;
+  List.iter
+    (fun v ->
+      Obs.Metrics.observe r.Obs.Recorder.run_latency_ns v;
+      Obs.Metrics.observe r.Obs.Recorder.recovery_latency_ns v;
+      Obs.Metrics.observe r.Obs.Recorder.recovery_latency_ms (v / 1_000_000))
+    [ 1_000; 2_000_000; 50_000_000 ];
+  m
+
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Once the accumulator holds every name of its source (one call), an
+   accumulate allocates nothing: the worker loops fold every run. *)
+let test_accumulate_allocates_nothing () =
+  let src = busy_recorder_metrics () in
+  let into = Obs.Metrics.create () in
+  Obs.Metrics.accumulate ~into src;
+  let w = words (fun () -> Obs.Metrics.accumulate ~into src) in
+  if w <> 0.0 then Alcotest.failf "warm accumulate allocated %.0f words" w
+
+(* A restore into a registry that holds the snapshot's names (every
+   clone replay does one) allocates at most 50 words; it costs 0 now,
+   against ~918 when it compared bounds through [Array.to_list]. *)
+let test_restore_word_ceiling () =
+  let m = busy_recorder_metrics () in
+  let s = Obs.Metrics.snapshot m in
+  Obs.Metrics.restore m s;
+  let w = words (fun () -> Obs.Metrics.restore m s) in
+  if w > 50.0 then Alcotest.failf "warm restore allocated %.0f words" w;
+  checkb "restore round-trips" true (Obs.Metrics.snapshot m = s)
+
 (* ------------------------- Campaign metrics ------------------------- *)
 
 let run_cfg ?(fault = Inject.Fault.Register) ~seed () =
@@ -459,6 +595,14 @@ let () =
           Alcotest.test_case "restore round-trip" `Quick
             test_metrics_restore_roundtrip;
           QCheck_alcotest.to_alcotest prop_batched_observe;
+          QCheck_alcotest.to_alcotest prop_accumulate_is_merge;
+          Alcotest.test_case "accumulate cases" `Quick test_accumulate_cases;
+          Alcotest.test_case "accumulate mismatches raise" `Quick
+            test_accumulate_mismatch;
+          Alcotest.test_case "warm accumulate allocates nothing" `Quick
+            test_accumulate_allocates_nothing;
+          Alcotest.test_case "warm restore word ceiling" `Quick
+            test_restore_word_ceiling;
         ] );
       ( "campaign",
         [
