@@ -108,6 +108,7 @@ let () =
   require "--fanout" 1 !fanout;
   require "--jobs" 0 !jobs;
   require "--chunk" 0 !chunk;
+  require "--checkpoint-every" 1 !Obs_cli.checkpoint_every;
   Obs_cli.or_usage_error "nlh_campaign" @@ fun () ->
   if !ladder then
     List.iter

@@ -55,6 +55,8 @@ let () =
   require "--scenarios" 1 !scenarios;
   require "--jobs" 0 !jobs;
   require "--chunk" 0 !chunk;
+  require "--settle" 0 !settle;
+  require "--checkpoint-every" 1 !Obs_cli.checkpoint_every;
   let mech_name = Obs_cli.mech_name !mech in
   let run_mech, hv_config = Obs_cli.run_mech !mech in
   let cfg =

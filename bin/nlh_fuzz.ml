@@ -87,7 +87,12 @@ let () =
     ]
   in
   Arg.parse spec (fun _ -> ()) "nlh_fuzz [options]";
-  Obs_cli.require_at_least "nlh_fuzz" "--runs" 1 !runs;
+  let require = Obs_cli.require_at_least "nlh_fuzz" in
+  require "--runs" 1 !runs;
+  require "--batch" 1 !batch;
+  require "--jobs" 0 !jobs;
+  require "--fanout" 1 !fanout;
+  require "--save-every" 1 !save_every;
   if !resume && !corpus_out = "" then
     Obs_cli.usage_error "nlh_fuzz" "--resume requires --corpus-out FILE";
   (* nlh-fuzz/1 files do not keep the triage table, so a resumed session
@@ -101,13 +106,13 @@ let () =
       Fuzz.Session.f_base = base_config !mech !setup;
       f_base_seed = Int64.of_int !seed;
       f_runs = !runs;
-      f_batch = max 1 !batch;
+      f_batch = !batch;
       f_jobs = (if !jobs > 0 then !jobs else Inject.Pool.default_jobs ());
       f_oversubscribe = !oversubscribe;
-      f_fanout = max 1 !fanout;
+      f_fanout = !fanout;
       f_corpus_path = (if !corpus_out = "" then None else Some !corpus_out);
       f_resume = !resume;
-      f_save_every = max 1 !save_every;
+      f_save_every = !save_every;
       f_stop_after = (if !stop_after > 0 then Some !stop_after else None);
       f_triage_seed_cap = None;
     }

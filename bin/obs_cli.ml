@@ -70,7 +70,7 @@ let checkpoint () : Inject.Drive.checkpoint option =
     Some
       {
         Inject.Drive.ck_path = !checkpoint_file;
-        ck_every = max 1 !checkpoint_every;
+        ck_every = !checkpoint_every;
         ck_resume = !resume;
         ck_stop_after =
           (if !stop_after_chunks > 0 then Some !stop_after_chunks else None);

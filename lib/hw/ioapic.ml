@@ -34,10 +34,6 @@ let write t ~line ~vector ~dest_cpu ~masked =
   e.masked <- masked;
   if t.logging then t.write_log <- (line, vector, dest_cpu, masked) :: t.write_log
 
-let read t ~line =
-  let e = t.entries.(line) in
-  (e.vector, e.dest_cpu, e.masked)
-
 (* Model of the reboot's hardware re-initialisation: routing is lost, the
    write log is kept for replay. *)
 let reset_to_power_on t =

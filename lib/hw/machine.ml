@@ -38,7 +38,6 @@ let create ?(config = default_config) clock =
 let num_cpus t = t.config.num_cpus
 let num_frames t = t.config.mem_bytes / page_size
 let cpu t i = t.cpus.(i)
-let read_tsc t = Sim.Clock.now t.clock
 
 let iter_cpus t f = Array.iter f t.cpus
 
@@ -57,10 +56,7 @@ let iter_cpus t f = Array.iter f t.cpus
 type cpu_image = {
   im_regs : Regs.t;
   mutable im_timer_deadline : Sim.Time.ns;
-  mutable im_pending : int list;
   mutable im_in_service : int list;
-  mutable im_ipi_pending : bool;
-  mutable im_nmi_pending : bool;
   mutable im_irq_enabled : bool;
   mutable im_state : Cpu.exec_state;
   mutable im_in_hypervisor : bool;
@@ -83,10 +79,7 @@ let capture t im =
     let a = c.Cpu.apic in
     Regs.restore ~from:c.Cpu.regs s.im_regs;
     s.im_timer_deadline <- a.Apic.timer_deadline;
-    s.im_pending <- a.Apic.pending;
     s.im_in_service <- a.Apic.in_service;
-    s.im_ipi_pending <- a.Apic.ipi_pending;
-    s.im_nmi_pending <- a.Apic.nmi_pending;
     s.im_irq_enabled <- c.Cpu.irq_enabled;
     s.im_state <- c.Cpu.state;
     s.im_in_hypervisor <- c.Cpu.in_hypervisor;
@@ -115,10 +108,7 @@ let image t =
             {
               im_regs = Regs.copy c.Cpu.regs;
               im_timer_deadline = Apic.disarmed;
-              im_pending = [];
               im_in_service = [];
-              im_ipi_pending = false;
-              im_nmi_pending = false;
               im_irq_enabled = true;
               im_state = Cpu.Running;
               im_in_hypervisor = false;
@@ -142,10 +132,7 @@ let restore t im =
     let a = c.Cpu.apic in
     Regs.restore ~from:s.im_regs c.Cpu.regs;
     a.Apic.timer_deadline <- s.im_timer_deadline;
-    a.Apic.pending <- s.im_pending;
     a.Apic.in_service <- s.im_in_service;
-    a.Apic.ipi_pending <- s.im_ipi_pending;
-    a.Apic.nmi_pending <- s.im_nmi_pending;
     c.Cpu.irq_enabled <- s.im_irq_enabled;
     c.Cpu.state <- s.im_state;
     c.Cpu.in_hypervisor <- s.im_in_hypervisor;

@@ -11,12 +11,11 @@
 
 let port_bound = 1
 let port_pending = 2
-let port_masked = 4
 
 type image = int array (* per port: the flag bits; never mutated *)
 
 type table = {
-  flags : int array; (* per port: [port_bound] lor [port_pending] lor [port_masked] *)
+  flags : int array; (* per port: [port_bound] lor [port_pending] *)
   lock : Spinlock.t; (* heap-resident per-domain lock *)
   mutable synced : image; (* equal to [flags] while not [dirty] *)
   mutable dirty : bool;
@@ -35,10 +34,6 @@ let lock t = t.lock
 let ports t = Array.length t.flags
 let flags t ~port = t.flags.(port)
 
-let set_flags t ~port f =
-  t.flags.(port) <- f;
-  t.dirty <- true
-
 let bind t ~port =
   let f = t.flags.(port) in
   if f land port_bound <> 0 then Crash.assert_failed "evtchn: double bind of port %d" port;
@@ -48,22 +43,10 @@ let bind t ~port =
 (* Raising an already pending port writes nothing. *)
 let send t ~port =
   let f = t.flags.(port) in
-  if f land (port_bound lor port_masked lor port_pending) = port_bound then begin
+  if f land (port_bound lor port_pending) = port_bound then begin
     t.flags.(port) <- f lor port_pending;
     t.dirty <- true
   end
-
-let consume_pending t =
-  let any = ref false in
-  for port = 0 to Array.length t.flags - 1 do
-    let f = t.flags.(port) in
-    if f land port_pending <> 0 then begin
-      t.flags.(port) <- f land lnot port_pending;
-      any := true
-    end
-  done;
-  if !any then t.dirty <- true;
-  !any
 
 (* The scans recurse at toplevel: a local recursive function would
    capture its environment in a closure allocated on every call. *)

@@ -12,7 +12,6 @@ type image
 
 val port_bound : int
 val port_pending : int
-val port_masked : int
 
 (** [create heap ~ports domid] allocates the table's lock on [heap]. *)
 val create : Heap.t -> ports:int -> int -> table
@@ -21,17 +20,11 @@ val lock : table -> Spinlock.t
 val ports : table -> int
 val flags : table -> port:int -> int
 
-(** Overwrite a port's flag bits. *)
-val set_flags : table -> port:int -> int -> unit
-
 (** Asserts if the port is already bound. *)
 val bind : table -> port:int -> unit
 
-(** Marks a bound, unmasked port pending. *)
+(** Marks a bound port pending. *)
 val send : table -> port:int -> unit
-
-(** Clears every pending bit; whether any was set. *)
-val consume_pending : table -> bool
 
 (** Lowest unbound port, -1 if none. *)
 val first_unbound : table -> int

@@ -34,14 +34,12 @@ let in_use t ~slot = t.slots.(3 * slot) = 1
 let frame t ~slot = t.slots.((3 * slot) + 1)
 let mapped_by t ~slot = t.slots.((3 * slot) + 2)
 
-let set t slot ~in_use ~frame ~mapped_by =
+let grant t ~slot ~frame =
   let s = t.slots and i = 3 * slot in
-  s.(i) <- (if in_use then 1 else 0);
+  s.(i) <- 1;
   s.(i + 1) <- frame;
-  s.(i + 2) <- mapped_by;
+  s.(i + 2) <- -1;
   t.dirty <- true
-
-let grant t ~slot ~frame = set t slot ~in_use:true ~frame ~mapped_by:(-1)
 
 let set_mapped_by t ~slot by =
   t.slots.((3 * slot) + 2) <- by;
@@ -55,8 +53,6 @@ let map t ~slot ~by =
 let unmap t ~slot =
   if mapped_by t ~slot = -1 then Crash.panic "grant slot %d: unmap when not mapped" slot;
   set_mapped_by t ~slot (-1)
-
-let release t ~slot = set t slot ~in_use:false ~frame:(-1) ~mapped_by:(-1)
 
 (* The scans recurse at toplevel: a local recursive function would
    capture its environment in a closure allocated on every call. *)

@@ -31,9 +31,6 @@ val map : table -> slot:int -> by:int -> unit
 (** Panics if the slot is not mapped. *)
 val unmap : table -> slot:int -> unit
 
-(** Back to unused, frame and mapper -1. *)
-val release : table -> slot:int -> unit
-
 (** Overwrite the mapper, unchecked: the undo journal's grant ops. *)
 val set_mapped_by : table -> slot:int -> int -> unit
 

@@ -34,8 +34,6 @@ type header = {
 let done_count h =
   Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 h.done_chunks
 
-let complete h = done_count h = h.n_chunks
-
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)

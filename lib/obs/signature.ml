@@ -47,5 +47,4 @@ let of_key s =
   | _ -> None
 
 let compare a b = String.compare (key a) (key b)
-let equal a b = compare a b = 0
 let pp fmt t = Format.pp_print_string fmt (key t)

@@ -28,18 +28,3 @@ let add t ~name ~cat ~track ~start ~duration =
 (* Chronological (start-time ascending; insertion order on ties). *)
 let to_list t = List.rev t.spans
 let count t = List.length t.spans
-
-(* Sum of span durations grouped by span name, in first-seen order --
-   directly comparable to [Latency_model.breakdown.steps]. *)
-let sums_by_name t =
-  let order = ref [] in
-  let totals = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      (match Hashtbl.find_opt totals s.name with
-      | Some d -> Hashtbl.replace totals s.name (d + s.duration)
-      | None ->
-        order := s.name :: !order;
-        Hashtbl.add totals s.name s.duration))
-    (to_list t);
-  List.rev_map (fun name -> (name, Hashtbl.find totals name)) !order

@@ -18,7 +18,6 @@ type t =
   | Syscall_retry
   | Ack_interrupts
   | Pfn_consistency_scan
-  | Nonidempotent_undo
   | Restore_fs_gs
 
 let name = function
@@ -32,11 +31,14 @@ let name = function
   | Syscall_retry -> "syscall_retry"
   | Ack_interrupts -> "ack_interrupts"
   | Pfn_consistency_scan -> "pfn_consistency_scan"
-  | Nonidempotent_undo -> "nonidempotent_undo"
   | Restore_fs_gs -> "restore_fs_gs"
 
 (* The mechanisms NiLiHype inherits from ReHype ("Enhanced with ReHype
-   mechanisms" row of Table I). *)
+   mechanisms" row of Table I). ReHype's undo of partially executed
+   non-idempotent hypercalls is not among them: it is no recovery-time
+   switch here but belongs to [Hyper.Config.nonidempotent_logging], which
+   logs during normal operation and gates the retry path's
+   [Journal.undo_all]. *)
 let rehype_mechanisms =
   [
     Release_heap_locks;
@@ -44,7 +46,6 @@ let rehype_mechanisms =
     Syscall_retry;
     Ack_interrupts;
     Pfn_consistency_scan;
-    Nonidempotent_undo;
     Restore_fs_gs;
   ]
 

@@ -38,8 +38,6 @@ let create seed =
     out_lo = 0;
   }
 
-let copy t = { hi = t.hi; lo = t.lo; out_hi = 0; out_lo = 0 }
-
 (* Rewind an existing generator to a new seed: [reseed t s] makes [t]
    produce exactly the stream of [create s] without allocating. *)
 let reseed t seed =
@@ -107,8 +105,6 @@ let int64 t =
     (Int64.shift_left (Int64.of_int t.out_hi) 32)
     (Int64.of_int t.out_lo)
 
-let split t = create (int64 t)
-
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Modulo bias is negligible for the bounds used here (<= 2^30). The
@@ -129,8 +125,6 @@ let float_below t x y = float t x < y
 let bool t =
   next t;
   t.out_lo land 1 = 1
-
-let bit64 t = int t 64
 
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
@@ -181,11 +175,3 @@ let cumulative weights =
       cum.(i) <- !acc)
     weights;
   cum
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -9,9 +9,6 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy sharing the current position. *)
-
 val reseed : t -> int64 -> unit
 (** [reseed t seed] rewinds [t] to the start of [seed]'s stream, exactly
     as if it had been created with [create seed]. Lets long-lived
@@ -21,10 +18,6 @@ val save : t -> int64
 (** Capture the current stream position: [reseed t (save t)] is the
     identity, so [save]/[reseed] snapshot and restore a generator
     without touching its remaining stream. *)
-
-val split : t -> t
-(** Derive a statistically independent child generator, advancing the
-    parent by one step. Used to give each subsystem its own stream. *)
 
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
@@ -41,9 +34,6 @@ val float_below : t -> float -> float -> bool
     boxing the float it compares (a hot-path coin flip). *)
 
 val bool : t -> bool
-
-val bit64 : t -> int
-(** Uniform bit position in [0, 64). *)
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
@@ -62,6 +52,3 @@ val choose_index_cum : t -> float array -> int
 val cumulative : (float * 'a) list -> float array
 (** Cumulative partial sums of the weights, in list order, for
     {!choose_index_cum}. Raises [Invalid_argument] on an empty list. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -6,16 +6,6 @@ let mean xs =
   | [] -> nan
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let variance xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let n = float_of_int (List.length xs) in
-    List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs /. (n -. 1.0)
-
-let stddev xs = sqrt (variance xs)
-
 let z_95 = 1.959964
 
 (* Normal-approximation half-width of the 95% CI for a proportion, the

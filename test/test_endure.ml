@@ -3,18 +3,13 @@
    satellite changes riding along (configurable watchdog period, audit
    violations as metrics). *)
 
-let checkb = Alcotest.check Alcotest.bool
-let checki = Alcotest.check Alcotest.int
+open Contract
 
-let run_cfg ?(fault = Inject.Fault.Failstop)
-    ?(config = Hyper.Config.nilihype)
-    ?(mech = Recovery.Engine.Nilihype) ?(seed = 42L) () =
+let run_cfg ?fault ?(config = Hyper.Config.nilihype) ?(mech = Recovery.Engine.Nilihype) () =
   {
-    Inject.Run.default_config with
-    Inject.Run.seed;
-    fault;
-    mech = Inject.Run.Mech (mech, Recovery.Enhancement.full_set);
-    hv_config = config;
+    (Contract.run_cfg ?fault ~mech:(Inject.Run.Mech (mech, Recovery.Enhancement.full_set)) ())
+    with
+    Inject.Run.hv_config = config;
   }
 
 let endure_cfg ?fault ?config ?mech ?(cycles = 3) ?(budget = Some 8) () =
@@ -130,10 +125,6 @@ let test_scenario_requires_mechanism () =
 
 (* ------------------------- Aggregation ------------------------------ *)
 
-let snapshot_t =
-  Alcotest.testable Endure.pp_snapshot
-    (fun (a : Endure.snapshot) b -> a = b)
-
 let zero_diff () =
   let st = Inject.Run.boot_state (run_cfg ()) in
   let l = Hyper.Ledger.capture st.Inject.Run.hv in
@@ -205,11 +196,9 @@ let test_merge_commutative () =
   Endure.merge_into ab ba;
   let ba' = build [ sc_b ] and ab' = build [ sc_a ] in
   Endure.merge_into ba' ab';
-  Alcotest.check snapshot_t "merge is commutative" (Endure.snapshot ab)
-    (Endure.snapshot ba');
+  endure_totals "merge is commutative" ab ba';
   let direct = build [ sc_a; sc_b ] in
-  Alcotest.check snapshot_t "merge equals sequential accumulation"
-    (Endure.snapshot ab) (Endure.snapshot direct);
+  endure_totals "merge equals sequential accumulation" ab direct;
   checki "death cause tallied" 1
     (List.assoc "recovery_failed" (Sim.Stats.Counts.sorted direct.Endure.death_notes))
 
@@ -218,13 +207,10 @@ let test_merge_commutative () =
    bit-identical for any worker count. *)
 let test_campaign_parallel_deterministic () =
   let cfg = endure_cfg ~fault:Inject.Fault.Register ~cycles:4 () in
-  let seq = Endure.run ~base_seed:300L ~jobs:1 ~scenarios:8 cfg in
-  let par =
-    Endure.run ~base_seed:300L ~jobs:4 ~oversubscribe:true ~scenarios:8 cfg
+  let seq, _ =
+    jobs_invariant endure_snapshot (fun ~jobs ~oversubscribe ->
+        Endure.run ~base_seed:300L ~jobs ~oversubscribe ~scenarios:8 cfg)
   in
-  Alcotest.check snapshot_t "jobs=1 and jobs=4 identical"
-    (Endure.snapshot seq.Endure.totals)
-    (Endure.snapshot par.Endure.totals);
   checki "scenarios counted" 8 seq.Endure.totals.Endure.scenarios;
   checkb "survival curve well-formed" true
     (Array.for_all
@@ -253,27 +239,13 @@ let test_seal_boundaries () =
     done;
     t
   in
-  List.iter
-    (fun (chunk, jobs) ->
-      let label =
-        Printf.sprintf "chunk %s, jobs %d"
-          (match chunk with Some c -> string_of_int c | None -> "default")
-          jobs
-      in
-      let got =
-        (Endure.run ~base_seed ~jobs ~oversubscribe:true ?chunk ~scenarios cfg)
-          .Endure.totals
-      in
-      Alcotest.check snapshot_t (label ^ ": snapshot") (Endure.snapshot reference)
-        (Endure.snapshot got);
-      Alcotest.(check string)
-        (label ^ ": payload bytes")
-        (Obs.Json.render (Endure.payload_of_totals reference))
-        (Obs.Json.render (Endure.payload_of_totals got)))
-    [
-      (Some 1, 1); (Some 1, 2); (None, 1); (None, 2); (Some scenarios, 1);
-      (Some scenarios, 2);
-    ]
+  seal_invisible ~n:scenarios ~reference
+    (both
+       endure_totals
+       (digest ~what:"payload bytes" Alcotest.string (fun t ->
+            Obs.Json.render (Endure.payload_of_totals t))))
+    (fun ~chunk ~jobs ~oversubscribe ->
+      (Endure.run ~base_seed ~jobs ~oversubscribe ?chunk ~scenarios cfg).Endure.totals)
 
 (* The paper's "few pages per recovery" claim as a ceiling: six
    failstop NiLiHype scenarios of twelve successive recoveries each on
@@ -377,11 +349,7 @@ let test_watchdog_period_configurable () =
 (* Satellite: audit violations land as per-kind counters, all registered
    eagerly so metric snapshots are structurally stable. *)
 let test_audit_violation_counters () =
-  let clock = Sim.Clock.create () in
-  let hv =
-    Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
-      ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.Three_appvm clock
-  in
+  let hv = boot () in
   let snap0 = Obs.Recorder.metrics_snapshot hv.Hyper.Hypervisor.obs in
   List.iter
     (fun kind ->

@@ -21,21 +21,9 @@
    - the new hypervisor-data fault kind manifests and leaves no
      resource leaks behind recovery (ledger audit armed). *)
 
-let checkb = Alcotest.check Alcotest.bool
-let checki = Alcotest.check Alcotest.int
-let checks = Alcotest.check Alcotest.string
+open Contract
 
-let metrics_snapshot_t =
-  Alcotest.testable Obs.Metrics.pp_snapshot
-    (fun (a : Obs.Metrics.snapshot) b -> a = b)
-
-let base_run_cfg =
-  {
-    Inject.Run.default_config with
-    Inject.Run.setup = Inject.Run.Three_appvm;
-    mech = Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-    hv_config = Hyper.Config.nilihype;
-  }
+let base_run_cfg = Inject.Run.default_config
 
 let fuzz_cfg ?(runs = 48) ?(batch = 12) ?(jobs = 1) ?(oversubscribe = false)
     ?(fanout = 4) ?corpus_path ?(resume = false) ?stop_after () =
@@ -51,18 +39,6 @@ let fuzz_cfg ?(runs = 48) ?(batch = 12) ?(jobs = 1) ?(oversubscribe = false)
     f_resume = resume;
     f_stop_after = stop_after;
   }
-
-let with_temp_corpus f =
-  let path = Filename.temp_file "nlh_fuzz" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* ------------------------- Mutation traces --------------------------- *)
 
@@ -117,7 +93,7 @@ let test_replay_reproduces_discovery () =
           b.Fuzz.Session.r_signature;
         checkb "coverage points stable" true
           (a.Fuzz.Session.r_points = b.Fuzz.Session.r_points);
-        Alcotest.check metrics_snapshot_t "metrics snapshot stable"
+        Alcotest.check metrics_t "metrics snapshot stable"
           a.Fuzz.Session.r_metrics b.Fuzz.Session.r_metrics;
         checkb "resolved seed matches the corpus" true
           (a.Fuzz.Session.r_point.Fuzz.Input.p_seed = e.Fuzz.Corpus.en_seed)
@@ -240,26 +216,25 @@ let triage_of ?(mask = false) (t : Fuzz.Session.t) =
    so must the triage document, exemplar bundles included (byte for byte
    at equal fanout; with the bundles' fanout label masked otherwise). *)
 let test_jobs_fanout_invariant () =
-  let base_fanout = 1 in
-  let base = Fuzz.Session.explore (fuzz_cfg ~jobs:1 ~fanout:base_fanout ()) in
-  let reference = Fuzz.Session.payload_of base in
+  let explore ~fanout ~jobs ~oversubscribe =
+    Fuzz.Session.explore (fuzz_cfg ~jobs ~oversubscribe ~fanout ())
+  in
+  let session ~mask =
+    both
+      (digest ~what:"payload" Alcotest.string Fuzz.Session.payload_of)
+      (digest ~what:"triage" Alcotest.string (triage_of ~mask))
+  in
+  let base, _ = jobs_invariant ~jobs:3 (session ~mask:false) (explore ~fanout:1) in
   checkb "session evaluated its budget" true (base.Fuzz.Session.s_evaluated >= 48);
   checkb "session triaged bad runs" true
     (Obs.Postmortem.Triage.total base.Fuzz.Session.s_triage > 0);
   List.iter
     (fun (jobs, fanout) ->
-      let t =
-        Fuzz.Session.explore (fuzz_cfg ~jobs ~oversubscribe:true ~fanout ())
-      in
-      checks
-        (Printf.sprintf "payload identical at jobs=%d fanout=%d" jobs fanout)
-        reference
-        (Fuzz.Session.payload_of t);
-      let mask = fanout <> base_fanout in
-      checks
-        (Printf.sprintf "triage identical at jobs=%d fanout=%d" jobs fanout)
-        (triage_of ~mask base) (triage_of ~mask t))
-    [ (3, 1); (1, 4); (2, 8) ]
+      ignore
+        (jobs_invariant
+           ~label:(Printf.sprintf "fanout 1 vs %d, " fanout)
+           ~jobs ~reference:base (session ~mask:true) (explore ~fanout)))
+    [ (1, 4); (2, 8) ]
 
 (* A bad candidate evaluated twice from one prepared trigger point: by
    default it captures its bundle; with its signature already bundled it
@@ -293,7 +268,7 @@ let test_skip_changes_only_the_bundle () =
     a.Fuzz.Session.ev_signature;
   checkb "coverage points unchanged" true
     (a.Fuzz.Session.ev_points = b.Fuzz.Session.ev_points);
-  Alcotest.check metrics_snapshot_t "metrics snapshot unchanged"
+  Alcotest.check metrics_t "metrics snapshot unchanged"
     a.Fuzz.Session.ev_metrics b.Fuzz.Session.ev_metrics
 
 (* The session's triage, exemplar bundles included, equals a reference
@@ -326,33 +301,22 @@ let test_triage_matches_reference () =
   checks "triage equals the reference" (triage_of r) (triage_of t)
 
 let test_kill_resume_byte_identical () =
-  with_temp_corpus (fun uninterrupted ->
-      with_temp_corpus (fun resumed ->
-          let t =
-            Fuzz.Session.explore (fuzz_cfg ~corpus_path:uninterrupted ())
-          in
-          checkb "some rounds ran" true (t.Fuzz.Session.s_rounds >= 4);
-          (* Kill after two rounds, then resume on a different jobs. *)
-          ignore
-            (Fuzz.Session.explore
-               (fuzz_cfg ~corpus_path:resumed ~stop_after:2 ()));
-          let partial = read_file resumed in
-          checkb "partial file differs" true (partial <> read_file uninterrupted);
-          ignore
-            (Fuzz.Session.explore
-               (fuzz_cfg ~corpus_path:resumed ~resume:true ~jobs:2
-                  ~oversubscribe:true ()));
-          checks "resumed file byte-identical" (read_file uninterrupted)
-            (read_file resumed)))
+  let killed, resumed =
+    kill_resume ~after:2
+      (digest ~what:"payload" Alcotest.string Fuzz.Session.payload_of)
+      (fun ~path ~stop_after ~resume ~jobs ~oversubscribe ->
+        Fuzz.Session.explore
+          (fuzz_cfg ~corpus_path:path ?stop_after ~resume ~jobs ~oversubscribe ()))
+  in
+  checki "killed after two rounds" 2 killed.Fuzz.Session.s_rounds;
+  checkb "some rounds ran" true (resumed.Fuzz.Session.s_rounds >= 4)
 
 let test_resume_rejects_other_fingerprint () =
-  with_temp_corpus (fun path ->
+  with_temp (fun path ->
       ignore (Fuzz.Session.explore (fuzz_cfg ~corpus_path:path ()));
-      match
-        Fuzz.Session.resume_from (fuzz_cfg ~runs:64 ~corpus_path:path ()) path
-      with
-      | _ -> Alcotest.fail "resume accepted a different session fingerprint"
-      | exception Invalid_argument _ -> ())
+      checkb "resume refuses a different session fingerprint" true
+        (refuses (fun () ->
+             Fuzz.Session.resume_from (fuzz_cfg ~runs:64 ~corpus_path:path ()) path)))
 
 (* ------------------------- Search quality ---------------------------- *)
 

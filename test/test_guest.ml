@@ -2,7 +2,7 @@
    stack, and the guest-centric verdict the campaigns read (whether an
    AppVM is affected, and whether the PrivVM can still create a VM). *)
 
-let checkb = Alcotest.check Alcotest.bool
+open Contract
 
 (* ------------------------- Netstack --------------------------------- *)
 
@@ -36,11 +36,6 @@ let test_netstack_max_gap () =
 
 (* A guest's health is what [Hyper.Domain.affected] reads from its
    domain: corrupt output, a failed guest or a dead domain. *)
-
-let boot () =
-  let clock = Sim.Clock.create () in
-  Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
-    ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.Three_appvm clock
 
 let app_vm hv = Option.get (Hyper.Hypervisor.domain hv 1)
 

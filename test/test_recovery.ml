@@ -1,18 +1,7 @@
 (* Tests for the recovery engines: microreset (NiLiHype) and microreboot
    (ReHype), enhancement-by-enhancement. *)
 
-let checkb = Alcotest.check Alcotest.bool
-let checki = Alcotest.check Alcotest.int
-
-let crashes f =
-  match f () with
-  | _ -> false
-  | exception Hyper.Crash.Hypervisor_crash _ -> true
-
-let boot ?(config = Hyper.Config.nilihype) () =
-  let clock = Sim.Clock.create () in
-  Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config ~config
-    ~setup:Hyper.Hypervisor.Three_appvm clock
+open Contract
 
 (* Put the hypervisor in a typical post-failure state: a hypercall
    abandoned mid-flight, a concurrent context switch abandoned, IRQ
@@ -163,11 +152,7 @@ let test_microreset_corrupted_handler_fails () =
 
 let test_microreset_latency_breakdown () =
   (* Table III at full geometry: ~22 ms dominated by the pfn scan. *)
-  let clock = Sim.Clock.create () in
-  let hv =
-    Hyper.Hypervisor.boot ~mconfig:Hw.Machine.default_config
-      ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.One_appvm clock
-  in
+  let hv = boot ~mconfig:Hw.Machine.default_config ~setup:Hyper.Hypervisor.One_appvm () in
   Array.iter Hyper.Percpu.irq_enter hv.Hyper.Hypervisor.percpu;
   let r = Recovery.Microreset.recover hv ~enh:full ~detected_on:0 in
   let total = Hyper.Latency_model.total r.Recovery.Plan.breakdown in
@@ -180,11 +165,10 @@ let test_microreset_latency_breakdown () =
 
 let test_microreset_latency_scales_with_memory () =
   let measure mem_bytes =
-    let clock = Sim.Clock.create () in
     let hv =
-      Hyper.Hypervisor.boot
+      boot
         ~mconfig:{ Hw.Machine.default_config with Hw.Machine.mem_bytes }
-        ~config:Hyper.Config.nilihype ~setup:Hyper.Hypervisor.One_appvm clock
+        ~setup:Hyper.Hypervisor.One_appvm ()
     in
     let r = Recovery.Microreset.recover hv ~enh:full ~detected_on:0 in
     Hyper.Latency_model.total r.Recovery.Plan.breakdown
@@ -199,10 +183,9 @@ let test_microreset_latency_scales_with_memory () =
 (* ------------------------- Microreboot ------------------------------ *)
 
 let test_microreboot_latency_breakdown () =
-  let clock = Sim.Clock.create () in
   let hv =
-    Hyper.Hypervisor.boot ~mconfig:Hw.Machine.default_config
-      ~config:Hyper.Config.rehype ~setup:Hyper.Hypervisor.One_appvm clock
+    boot ~mconfig:Hw.Machine.default_config ~config:Hyper.Config.rehype
+      ~setup:Hyper.Hypervisor.One_appvm ()
   in
   Array.iter Hyper.Percpu.irq_enter hv.Hyper.Hypervisor.percpu;
   let r = Recovery.Microreboot.recover hv ~enh:full ~detected_on:0 in

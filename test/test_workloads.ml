@@ -1,6 +1,6 @@
 (* Tests for the benchmark workload models. *)
 
-let checkb = Alcotest.check Alcotest.bool
+open Contract
 
 let test_menus_normalised () =
   List.iter
