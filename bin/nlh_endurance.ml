@@ -95,12 +95,12 @@ let () =
      leak_pages clean%%):@.";
   Array.iter
     (fun (idx, survival, clean_rate) ->
-      let c = result.Endure.totals.Endure.per_cycle.(idx) in
+      let c col = result.Endure.totals.Endure.per_cycle.(idx).(col) in
       Format.printf
         "  %3d: %5.1f%%  %3d %3d %3d %3d %3d  %3d   clean %5.1f%%@." idx
-        (100.0 *. survival) c.Endure.cs_quiet c.Endure.cs_recovered
-        c.Endure.cs_latent c.Endure.cs_died c.Endure.cs_budget_violations
-        c.Endure.cs_leaked_pages (100.0 *. clean_rate))
+        (100.0 *. survival) (c Endure.c_quiet) (c Endure.c_recovered)
+        (c Endure.c_latent) (c Endure.c_died) (c Endure.c_budget_violations)
+        (c Endure.c_leaked_pages) (100.0 *. clean_rate))
     (Endure.survival_curve result);
   List.iter
     (fun (k, v) -> Format.printf "  leak: %s x%d@." k v)

@@ -114,7 +114,6 @@ let () =
       f_resume = !resume;
       f_save_every = !save_every;
       f_stop_after = (if !stop_after > 0 then Some !stop_after else None);
-      f_triage_seed_cap = None;
     }
   in
   if !replay <> "" then begin

@@ -48,8 +48,11 @@ type cycle_class =
   | Cycle_quiet (* fault did not manifest: no detection, no recovery *)
   | Cycle_recovered (* detected, recovered, post-cycle audit clean *)
   | Cycle_latent (* recovered but the audit found residual damage *)
-  | Cycle_died (* recovery failed, or the instance crashed again
-                  before reaching the next quiesce point *)
+  | Cycle_died of string
+      (* recovery failed, or the instance crashed again before reaching
+         the next quiesce point; the string is a stable low-cardinality
+         death cause ("recovery_failed", "privvm_failed",
+         "post_recovery_crash") for death-cause tallies *)
 
 type cycle = {
   cy_index : int;
@@ -58,23 +61,21 @@ type cycle = {
   cy_latent_trigger : bool;
       (* the crash arrived before this cycle's fault was applied:
          residue of an earlier cycle, not this cycle's injection *)
-  cy_latency : Sim.Time.ns; (* recovery latency; 0 when no recovery ran *)
-  cy_leak : Ledger.t; (* ledger diff across the cycle *)
+  cy_latency : Sim.Time.ns;
+      (* recovery latency; 0 when no recovery completed (a died cycle
+         whose recovery completed keeps it) *)
+  cy_leak : Ledger.t; (* ledger diff across the cycle; zero when it died *)
   cy_leaked_pages : int;
   cy_repairs : Recovery.Plan.repairs option;
 }
 
-type end_state = Survived | Died_at of int
-
 type scenario = {
   sc_seed : int64;
-  sc_end : end_state;
-  sc_death_why : string option; (* stable death-cause label *)
-  sc_first_latent : int option;
-  sc_cycles : cycle list; (* chronological; shorter than [cycles] on death *)
+  sc_cycles : cycle list;
+      (* chronological; a died cycle, if any, is the last *)
   sc_postmortem : (Obs.Signature.t * Obs.Postmortem.t) option;
-      (* death forensics, captured live at the [Dead] raise when the
-         campaign runs with postmortems *)
+      (* death forensics, captured live right after the died cycle when
+         the campaign runs with postmortems *)
 }
 
 (* Scenario-level instruments, registered eagerly (all of them, on
@@ -109,109 +110,98 @@ let instruments (obs : Obs.Recorder.t) =
     i_last_cycle = Obs.Metrics.gauge m "endure.last_cycle";
   }
 
-(* [why] is a stable low-cardinality label ("recovery_failed",
-   "privvm_failed", "post_recovery_crash") used for death-cause tallies;
-   [crash] is the dying cycle's record, so the died cycle keeps its
-   detection and, when its recovery completed, the latency and repairs. *)
-exception Dead of { at : int; why : string; crash : Inject.Run.crash }
-
-(* What a crashed cycle records, died or not: its detection, whether the
-   crash was residue of an earlier cycle, and the recovery latency and
-   repairs when the recovery completed (0 and [None] when it aborted). *)
-let crash_fields (c : Inject.Run.crash) =
-  let latency, repairs =
-    match c.Inject.Run.recovery with
-    | Inject.Run.Aborted _ -> (0, None)
-    | Inject.Run.Recovered (plan, _) ->
-      (plan.Recovery.Plan.latency, Some plan.Recovery.Plan.repairs)
-  in
-  ( Some (Crash.describe c.Inject.Run.det),
-    c.Inject.Run.latent_trigger,
-    latency,
-    repairs )
-
 (* One inject -> detect -> recover -> settle round: an
    {!Inject.Run.fault_cycle} with [settle_activities] post-recovery
    activities, read as a class and a ledger diff against [before], the
    quiesce-point ledger entering the cycle. Returns the cycle record and
-   the new quiesce-point ledger; raises [Dead] when the instance does
-   not reach it. Unlike a single-shot run, no new-VM probe: it would
-   create and leak a domain the ledger would then (correctly,
-   uselessly) report every cycle. *)
+   the new quiesce-point ledger. A died cycle never reaches one: it
+   returns [before], measures no leak and counts only as a death. Unlike
+   a single-shot run, no new-VM probe: it would create and leak a domain
+   the ledger would then (correctly, uselessly) report every cycle. *)
 let run_cycle (st : Inject.Run.state) cfg ins ~index ~before =
   let hv = st.Inject.Run.hv in
-  let obs = hv.Hypervisor.obs in
-  let cls, detection, latent_trigger, latency, repairs =
+  let crash =
     match
       Inject.Run.fault_cycle st ~settle:cfg.settle_activities
         ~new_vm_probe:false
     with
-    | Inject.Run.Quiet ->
+    | Inject.Run.Quiet -> None
+    | Inject.Run.Crashed c -> Some c
+  in
+  let plan, cls =
+    match crash with
+    | None ->
       (* The sampled manifestation did not crash the hypervisor within
          this cycle's activity budget (frequent for register/code
          faults, impossible for failstop). Any silent corruption it left
          stays for later cycles to trip over. *)
-      (Cycle_quiet, None, false, 0, None)
-    | Inject.Run.Crashed c -> (
-      let dead why = raise (Dead { at = index; why; crash = c }) in
-      let detection, latent_trigger, latency, repairs = crash_fields c in
-      let survived cls = (cls, detection, latent_trigger, latency, repairs) in
-      match c.Inject.Run.recovery with
-      | Inject.Run.Aborted _ -> dead "recovery_failed"
-      | Inject.Run.Recovered (_, h) -> (
+      (None, Cycle_quiet)
+    | Some { Inject.Run.recovery = Inject.Run.Aborted _; _ } ->
+      (None, Cycle_died "recovery_failed")
+    | Some { Inject.Run.recovery = Inject.Run.Recovered (plan, h); _ } ->
+      ( Some plan,
         match h.Inject.Run.failure with
-        | None -> survived Cycle_recovered
-        | Some (Inject.Run.Residual _) -> survived Cycle_latent
-        | Some (Inject.Run.Crashed_again _) -> dead "post_recovery_crash"
+        | None -> Cycle_recovered
+        | Some (Inject.Run.Residual _) -> Cycle_latent
+        | Some (Inject.Run.Crashed_again _) -> Cycle_died "post_recovery_crash"
         | Some (Inject.Run.Privvm_starved | Inject.Run.Privvm_failed) ->
-          dead "privvm_failed"))
+          Cycle_died "privvm_failed" )
   in
-  let after = Ledger.capture hv in
+  let count c = Obs.Metrics.incr c in
+  (match cls with
+  | Cycle_died _ -> count ins.i_deaths
+  | Cycle_quiet -> count ins.i_quiet
+  | Cycle_recovered ->
+    count ins.i_recoveries;
+    count ins.i_clean
+  | Cycle_latent ->
+    count ins.i_recoveries;
+    count ins.i_latent);
+  let reached = match cls with Cycle_died _ -> false | _ -> true in
+  let after = if reached then Ledger.capture hv else before in
   let leak = Ledger.diff ~before ~after in
   let leaked_pages = Ledger.leaked_pages leak in
-  Obs.Metrics.incr ins.i_cycles;
-  Obs.Metrics.set ins.i_last_cycle index;
-  Obs.Metrics.incr ~by:leaked_pages ins.i_leaked_pages;
-  List.iter
-    (fun (r, c) ->
-      match List.assoc_opt r (Ledger.leak_fields leak) with
-      | Some v when v > 0 -> Obs.Metrics.incr ~by:v c
-      | Some _ | None -> ())
-    ins.i_leaks;
-  (match cls with
-  | Cycle_quiet -> Obs.Metrics.incr ins.i_quiet
-  | Cycle_recovered ->
-    Obs.Metrics.incr ins.i_recoveries;
-    Obs.Metrics.incr ins.i_clean
-  | Cycle_latent ->
-    Obs.Metrics.incr ins.i_recoveries;
-    Obs.Metrics.incr ins.i_latent
-  | Cycle_died -> ());
-  if Obs.Recorder.enabled obs Obs.Event.Info then begin
-    let now = Sim.Clock.now hv.Hypervisor.clock in
-    Obs.Recorder.event obs ~time:now Obs.Event.Info
-      (Obs.Event.Endure_cycle
-         { index; survived = true; clean = cls <> Cycle_latent });
+  if reached then begin
+    count ins.i_cycles;
+    Obs.Metrics.set ins.i_last_cycle index;
+    Obs.Metrics.incr ~by:leaked_pages ins.i_leaked_pages;
     List.iter
-      (fun (resource, delta) ->
-        Obs.Recorder.event obs ~time:now Obs.Event.Warn
-          (Obs.Event.Leak_delta { resource; delta }))
-      (Ledger.leak_fields leak)
+      (fun (r, c) ->
+        match List.assoc_opt r (Ledger.leak_fields leak) with
+        | Some v when v > 0 -> Obs.Metrics.incr ~by:v c
+        | Some _ | None -> ())
+      ins.i_leaks;
+    let obs = hv.Hypervisor.obs in
+    if Obs.Recorder.enabled obs Obs.Event.Info then begin
+      let now = Sim.Clock.now hv.Hypervisor.clock in
+      Obs.Recorder.event obs ~time:now Obs.Event.Info
+        (Obs.Event.Endure_cycle
+           { index; survived = true; clean = cls <> Cycle_latent });
+      List.iter
+        (fun (resource, delta) ->
+          Obs.Recorder.event obs ~time:now Obs.Event.Warn
+            (Obs.Event.Leak_delta { resource; delta }))
+        (Ledger.leak_fields leak)
+    end
   end;
   ( {
       cy_index = index;
       cy_class = cls;
-      cy_detection = detection;
-      cy_latent_trigger = latent_trigger;
-      cy_latency = latency;
+      cy_detection =
+        Option.map (fun c -> Crash.describe c.Inject.Run.det) crash;
+      cy_latent_trigger =
+        (match crash with Some c -> c.Inject.Run.latent_trigger | None -> false);
+      cy_latency =
+        (match plan with Some p -> p.Recovery.Plan.latency | None -> 0);
       cy_leak = leak;
       cy_leaked_pages = leaked_pages;
-      cy_repairs = repairs;
+      cy_repairs = Option.map (fun p -> p.Recovery.Plan.repairs) plan;
     },
     after )
 
 (* Drive one full scenario over an already-rewound machine state: the
-   single-shot warm-up, then one fault cycle per round. *)
+   single-shot warm-up, then one fault cycle per round until the last
+   round or a died cycle. *)
 let drive ?(postmortems = false) (st : Inject.Run.state) (cfg : config) :
     scenario =
   let run_cfg = st.Inject.Run.cfg in
@@ -224,88 +214,51 @@ let drive ?(postmortems = false) (st : Inject.Run.state) (cfg : config) :
   let hv = st.Inject.Run.hv in
   let ins = instruments hv.Hypervisor.obs in
   ignore (Inject.Run.warmup_prepared st);
-  let cycles = ref [] in
-  let first_latent = ref None in
-  let death = ref None in
-  let death_why = ref None in
-  let postmortem = ref None in
-  let before = ref (Ledger.capture hv) in
-  (try
-     for index = 0 to cfg.cycles - 1 do
-       let cy, after = run_cycle st cfg ins ~index ~before:!before in
-       before := after;
-       cycles := cy :: !cycles;
-       if cy.cy_class = Cycle_latent && !first_latent = None then
-         first_latent := Some index
-     done
-   with Dead { at; why; crash } ->
-     Obs.Metrics.incr ins.i_deaths;
-     death := Some at;
-     death_why := Some why;
-     (* Live postmortem capture, right at the point of death: the event
-        ring still holds the scenario's trace, the flight rings the
-        pre-crash hypercall/journal tails, and [!before] is the quiesce
-        ledger entering the dying cycle. The death causes are already a
-        closed vocabulary, so they are the signature's cause axis
-        directly. *)
-     if postmortems then begin
-       let sg =
-         Obs.Signature.make
-           ~fault:(Inject.Fault.name run_cfg.Inject.Run.fault)
-           ~target:
-             (match st.Inject.Run.first_target with
-             | Some t -> t
-             | None -> "none")
-           ~cause:why
-           ~branch:(Recovery.Engine.mechanism_name mechanism ^ "/died")
-       in
-       let seed = run_cfg.Inject.Run.seed in
-       let repro =
-         Printf.sprintf
-           "nlh_endurance --mech %s --fault %s --cycles %d --scenarios 1 \
-            --seed %Ld --jobs 1"
-           (Inject.Postmortem.mech_cli run_cfg.Inject.Run.mech)
-           (Inject.Postmortem.fault_cli run_cfg.Inject.Run.fault)
-           cfg.cycles seed
-       in
-       let bundle =
-         Obs.Postmortem.make ~signature:sg ~outcome:"died" ~seed ~repro
-           ~config:
-             (("cycles", string_of_int cfg.cycles)
-             :: ("died_at_cycle", string_of_int at)
-             :: Inject.Postmortem.config_fields run_cfg ~fanout:1)
-           ~events:(Obs.Recorder.events hv.Hypervisor.obs)
-           ~phases:[]
-           ~hypercalls:(Hypervisor.hypercall_tail hv)
-           ~journal_tail:(Hypervisor.journal_tail hv)
-           ~ledger_diff:
-             (Ledger.fields
-                (Ledger.diff ~before:!before ~after:(Ledger.capture hv)))
-       in
-       postmortem := Some (sg, bundle)
-     end;
-     let detection, latent_trigger, latency, repairs = crash_fields crash in
-     cycles :=
-       {
-         cy_index = at;
-         cy_class = Cycle_died;
-         cy_detection = detection;
-         cy_latent_trigger = latent_trigger;
-         cy_latency = latency;
-         cy_leak = Ledger.diff ~before:!before ~after:!before;
-         cy_leaked_pages = 0;
-         cy_repairs = repairs;
-       }
-       :: List.filter (fun c -> c.cy_index < at) !cycles);
+  let rec cycles index before acc =
+    if index = cfg.cycles then (acc, before)
+    else
+      let cy, after = run_cycle st cfg ins ~index ~before in
+      match cy.cy_class with
+      | Cycle_died _ -> (cy :: acc, before)
+      | _ -> cycles (index + 1) after (cy :: acc)
+  in
+  let rev_cycles, before = cycles 0 (Ledger.capture hv) [] in
+  let seed = run_cfg.Inject.Run.seed in
+  (* Live postmortem capture, right after the died cycle: the event ring
+     still holds the scenario's trace, the flight rings the pre-crash
+     hypercall/journal tails, and [before] is the quiesce ledger
+     entering the dying cycle. The death causes are already a closed
+     vocabulary, so they are the signature's cause axis directly. *)
+  let postmortem =
+    match rev_cycles with
+    | { cy_class = Cycle_died why; cy_index = at; _ } :: _ when postmortems ->
+      let signature =
+        Obs.Signature.make
+          ~fault:(Inject.Fault.name run_cfg.Inject.Run.fault)
+          ~target:(Option.value st.Inject.Run.first_target ~default:"none")
+          ~cause:why
+          ~branch:(Recovery.Engine.mechanism_name mechanism ^ "/died")
+      in
+      let repro =
+        Printf.sprintf
+          "nlh_endurance --mech %s --fault %s --cycles %d --scenarios 1 \
+           --seed %Ld --jobs 1"
+          (Inject.Postmortem.mech_cli run_cfg.Inject.Run.mech)
+          (Inject.Postmortem.fault_cli run_cfg.Inject.Run.fault)
+          cfg.cycles seed
+      in
+      Some
+        ( signature,
+          Inject.Postmortem.bundle ~signature ~hv ~baseline:(Some before)
+            ~outcome:"died" ~phases:[] ~repro ~seed
+            ~config:
+              (("cycles", string_of_int cfg.cycles)
+              :: ("died_at_cycle", string_of_int at)
+              :: Inject.Postmortem.config_fields run_cfg ~fanout:1) )
+    | _ -> None
+  in
   Obs.Recorder.alloc_close hv.Hypervisor.obs;
-  {
-    sc_seed = run_cfg.Inject.Run.seed;
-    sc_end = (match !death with None -> Survived | Some k -> Died_at k);
-    sc_death_why = !death_why;
-    sc_first_latent = !first_latent;
-    sc_cycles = List.rev !cycles;
-    sc_postmortem = !postmortem;
-  }
+  { sc_seed = seed; sc_cycles = List.rev rev_cycles; sc_postmortem = postmortem }
 
 (* Run one scenario on a reusable worker, with a campaign run's
    prologue ({!Inject.Run.start_on}), then drive the cycles. *)
@@ -315,43 +268,24 @@ let scenario_on_worker ?postmortems (w : Inject.Run.worker) (cfg : config)
     (Inject.Run.start_on w { cfg.run_cfg with Inject.Run.seed })
     cfg
 
-(* One-shot convenience: boot a fresh machine and drive one scenario.
-   [recorder] receives the cycle/leak events, recovery spans and
-   endurance metrics. *)
-let run_scenario ?recorder ?postmortems (cfg : config) ~seed =
-  let run_cfg = { cfg.run_cfg with Inject.Run.seed } in
-  drive ?postmortems (Inject.Run.boot_state ?recorder run_cfg) cfg
-
 (* ------------------------------------------------------------------ *)
 (* Campaign aggregation                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-cycle-index tallies, summed over scenarios. Every field is a sum,
-   so index-wise array merge is commutative and associative. *)
-type cycle_stats = {
-  mutable cs_entered : int; (* scenarios alive entering this cycle *)
-  mutable cs_quiet : int;
-  mutable cs_recovered : int;
-  mutable cs_latent : int;
-  mutable cs_died : int;
-  mutable cs_leaked_pages : int;
-  mutable cs_budget_violations : int;
-  mutable cs_latency_sum : Sim.Time.ns;
-  mutable cs_latency_samples : int;
-}
-
-let make_cycle_stats () =
-  {
-    cs_entered = 0;
-    cs_quiet = 0;
-    cs_recovered = 0;
-    cs_latent = 0;
-    cs_died = 0;
-    cs_leaked_pages = 0;
-    cs_budget_violations = 0;
-    cs_latency_sum = 0;
-    cs_latency_samples = 0;
-  }
+(* Per-cycle-index tallies, summed over scenarios: one row of [columns]
+   ints per cycle index, in the checkpoint payload's column order. Every
+   column is a sum, so merging adds rows, commutatively and
+   associatively. *)
+let c_entered = 0 (* scenarios alive entering this cycle *)
+let c_quiet = 1
+let c_recovered = 2
+let c_latent = 3
+let c_died = 4
+let c_leaked_pages = 5
+let c_budget_violations = 6
+let c_latency_sum = 7 (* ns, over the cycles with a completed recovery *)
+let c_latency_samples = 8
+let columns = 9
 
 type totals = {
   mutable scenarios : int;
@@ -360,7 +294,7 @@ type totals = {
   mutable latent_scenarios : int; (* survived, but some cycle left residue *)
   mutable max_leaked_pages : int; (* worst single recovery *)
   mutable budget_violations : int;
-  per_cycle : cycle_stats array; (* length = configured cycle count *)
+  per_cycle : int array array; (* one row per configured cycle *)
   leaks : Sim.Stats.Counts.t; (* per-resource leak totals (positive deltas) *)
   death_notes : Sim.Stats.Counts.t;
   mutable metrics : Obs.Metrics.snapshot;
@@ -377,7 +311,7 @@ let make_totals ?triage_seed_cap ~cycles () =
     latent_scenarios = 0;
     max_leaked_pages = 0;
     budget_violations = 0;
-    per_cycle = Array.init cycles (fun _ -> make_cycle_stats ());
+    per_cycle = Array.make_matrix cycles columns 0;
     leaks = Sim.Stats.Counts.create ();
     death_notes = Sim.Stats.Counts.create ();
     metrics = Obs.Metrics.empty_snapshot;
@@ -386,45 +320,46 @@ let make_totals ?triage_seed_cap ~cycles () =
 
 let add_scenario t (cfg : config) (sc : scenario) =
   t.scenarios <- t.scenarios + 1;
-  (match sc.sc_end with
-  | Survived ->
-    t.survived <- t.survived + 1;
-    if sc.sc_first_latent <> None then
-      t.latent_scenarios <- t.latent_scenarios + 1
-  | Died_at _ ->
-    t.deaths <- t.deaths + 1;
-    (match sc.sc_death_why with
-    | Some why -> Sim.Stats.Counts.add t.death_notes why
-    | None -> ());
-    (match sc.sc_postmortem with
-    | Some (sg, bundle) ->
-      Obs.Postmortem.Triage.record ~bundle t.triage sg ~seed:sc.sc_seed
-    | None -> ()));
+  let latent = ref false and died = ref false in
   List.iter
     (fun cy ->
-      let cs = t.per_cycle.(cy.cy_index) in
-      cs.cs_entered <- cs.cs_entered + 1;
+      let row = t.per_cycle.(cy.cy_index) in
+      let add col v = row.(col) <- row.(col) + v in
+      add c_entered 1;
       (match cy.cy_class with
-      | Cycle_quiet -> cs.cs_quiet <- cs.cs_quiet + 1
-      | Cycle_recovered -> cs.cs_recovered <- cs.cs_recovered + 1
-      | Cycle_latent -> cs.cs_latent <- cs.cs_latent + 1
-      | Cycle_died -> cs.cs_died <- cs.cs_died + 1);
-      cs.cs_leaked_pages <- cs.cs_leaked_pages + cy.cy_leaked_pages;
+      | Cycle_quiet -> add c_quiet 1
+      | Cycle_recovered -> add c_recovered 1
+      | Cycle_latent ->
+        latent := true;
+        add c_latent 1
+      | Cycle_died why ->
+        died := true;
+        add c_died 1;
+        Sim.Stats.Counts.add t.death_notes why);
+      add c_leaked_pages cy.cy_leaked_pages;
       if cy.cy_latency > 0 then begin
-        cs.cs_latency_sum <- cs.cs_latency_sum + cy.cy_latency;
-        cs.cs_latency_samples <- cs.cs_latency_samples + 1
+        add c_latency_sum cy.cy_latency;
+        add c_latency_samples 1
       end;
-      if cy.cy_leaked_pages > t.max_leaked_pages then
-        t.max_leaked_pages <- cy.cy_leaked_pages;
+      t.max_leaked_pages <- max t.max_leaked_pages cy.cy_leaked_pages;
       (match cfg.leak_budget_pages with
       | Some budget when cy.cy_leaked_pages > budget ->
-        cs.cs_budget_violations <- cs.cs_budget_violations + 1;
+        add c_budget_violations 1;
         t.budget_violations <- t.budget_violations + 1
       | Some _ | None -> ());
       List.iter
         (fun (r, v) -> if v > 0 then Sim.Stats.Counts.add ~by:v t.leaks r)
         (Ledger.leak_fields cy.cy_leak))
-    sc.sc_cycles
+    sc.sc_cycles;
+  if !died then t.deaths <- t.deaths + 1
+  else begin
+    t.survived <- t.survived + 1;
+    if !latent then t.latent_scenarios <- t.latent_scenarios + 1
+  end;
+  Option.iter
+    (fun (sg, bundle) ->
+      Obs.Postmortem.Triage.record ~bundle t.triage sg ~seed:sc.sc_seed)
+    sc.sc_postmortem
 
 (* Commutative, associative fold of [src] into [dst] -- the property the
    parallel campaign relies on for jobs-independence. *)
@@ -436,82 +371,14 @@ let merge_into dst src =
   dst.max_leaked_pages <- max dst.max_leaked_pages src.max_leaked_pages;
   dst.budget_violations <- dst.budget_violations + src.budget_violations;
   Array.iteri
-    (fun i (s : cycle_stats) ->
+    (fun i s ->
       let d = dst.per_cycle.(i) in
-      d.cs_entered <- d.cs_entered + s.cs_entered;
-      d.cs_quiet <- d.cs_quiet + s.cs_quiet;
-      d.cs_recovered <- d.cs_recovered + s.cs_recovered;
-      d.cs_latent <- d.cs_latent + s.cs_latent;
-      d.cs_died <- d.cs_died + s.cs_died;
-      d.cs_leaked_pages <- d.cs_leaked_pages + s.cs_leaked_pages;
-      d.cs_budget_violations <- d.cs_budget_violations + s.cs_budget_violations;
-      d.cs_latency_sum <- d.cs_latency_sum + s.cs_latency_sum;
-      d.cs_latency_samples <- d.cs_latency_samples + s.cs_latency_samples)
+      Array.iteri (fun col v -> d.(col) <- d.(col) + v) s)
     src.per_cycle;
   Sim.Stats.Counts.merge_into ~into:dst.leaks src.leaks;
   Sim.Stats.Counts.merge_into ~into:dst.death_notes src.death_notes;
   dst.metrics <- Obs.Metrics.merge_snapshots dst.metrics src.metrics;
   Obs.Postmortem.Triage.merge_into ~into:dst.triage src.triage
-
-(* Canonical immutable view for determinism comparisons: plain ints and
-   key-sorted lists only. *)
-type snapshot = {
-  s_scenarios : int;
-  s_survived : int;
-  s_deaths : int;
-  s_latent_scenarios : int;
-  s_max_leaked_pages : int;
-  s_budget_violations : int;
-  s_per_cycle : (int * int * int * int * int * int * int) list;
-      (* (entered, quiet, recovered, latent, died, leaked_pages,
-         latency_sum) per cycle index *)
-  s_leaks : (string * int) list;
-  s_death_notes : (string * int) list;
-  s_metrics : Obs.Metrics.snapshot;
-  s_triage : (string * Obs.Postmortem.Triage.entry) list;
-}
-
-let snapshot t =
-  {
-    s_scenarios = t.scenarios;
-    s_survived = t.survived;
-    s_deaths = t.deaths;
-    s_latent_scenarios = t.latent_scenarios;
-    s_max_leaked_pages = t.max_leaked_pages;
-    s_budget_violations = t.budget_violations;
-    s_per_cycle =
-      Array.to_list
-        (Array.map
-           (fun c ->
-             ( c.cs_entered,
-               c.cs_quiet,
-               c.cs_recovered,
-               c.cs_latent,
-               c.cs_died,
-               c.cs_leaked_pages,
-               c.cs_latency_sum ))
-           t.per_cycle);
-    s_leaks = Sim.Stats.Counts.sorted t.leaks;
-    s_death_notes = Sim.Stats.Counts.sorted t.death_notes;
-    s_metrics = t.metrics;
-    s_triage = Obs.Postmortem.Triage.snapshot t.triage;
-  }
-
-let pp_snapshot fmt s =
-  Format.fprintf fmt
-    "scenarios=%d survived=%d deaths=%d latent=%d max_leak=%d budget_viol=%d \
-     curve=[%a] leaks=[%a]"
-    s.s_scenarios s.s_survived s.s_deaths s.s_latent_scenarios
-    s.s_max_leaked_pages s.s_budget_violations
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       (fun fmt (e, q, r, l, d, lp, _) ->
-         Format.fprintf fmt "%d/%d/%d/%d/%d/%d" e q r l d lp))
-    s.s_per_cycle
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       (fun fmt (k, v) -> Format.fprintf fmt "%s x%d" k v))
-    s.s_leaks
 
 type result = {
   config_label : string;
@@ -535,19 +402,20 @@ let survival_curve r =
   let n = max 1 r.totals.scenarios in
   let alive = ref r.totals.scenarios in
   Array.mapi
-    (fun i (c : cycle_stats) ->
-      alive := !alive - c.cs_died;
-      let recoveries = c.cs_recovered + c.cs_latent in
+    (fun i row ->
+      alive := !alive - row.(c_died);
+      let recoveries = row.(c_recovered) + row.(c_latent) in
       ( i,
         float_of_int !alive /. float_of_int n,
         (if recoveries = 0 then 1.0
-         else float_of_int c.cs_recovered /. float_of_int recoveries) ))
+         else float_of_int row.(c_recovered) /. float_of_int recoveries) ))
     r.totals.per_cycle
 
 let mean_leak_pages_per_recovery r =
   let recoveries, pages =
     Array.fold_left
-      (fun (n, p) c -> (n + c.cs_recovered + c.cs_latent, p + c.cs_leaked_pages))
+      (fun (n, p) row ->
+        (n + row.(c_recovered) + row.(c_latent), p + row.(c_leaked_pages)))
       (0, 0) r.totals.per_cycle
   in
   Sim.Stats.mean_of_sum ~sum:pages ~samples:recoveries
@@ -579,20 +447,12 @@ let fingerprint ~base_seed ~scenarios (cfg : config) =
     | None -> "none")
     base_seed scenarios
 
-(* Canonical payload: every [totals] field, with [per_cycle] as 9-int
-   arrays. Note this is richer than {!snapshot}'s 7-tuple view -- the
-   checkpoint must round-trip the full [cycle_stats], budget violations
-   and latency samples included, or a resumed run would drift. *)
+(* Canonical payload: every [totals] field but the triage table, with
+   each [per_cycle] row as it is. It is also the view determinism
+   contracts compare: a resumed run merges it, so whatever it leaves out
+   would drift unseen. *)
 let payload_of_totals (t : totals) =
   let open Obs.Json in
-  let cycle (c : cycle_stats) =
-    ints
-      [
-        c.cs_entered; c.cs_quiet; c.cs_recovered; c.cs_latent; c.cs_died;
-        c.cs_leaked_pages; c.cs_budget_violations; c.cs_latency_sum;
-        c.cs_latency_samples;
-      ]
-  in
   let counts =
     int_members
       [
@@ -608,7 +468,11 @@ let payload_of_totals (t : totals) =
         Obj
           (counts
           @ [
-              ("per_cycle", List (Array.to_list (Array.map cycle t.per_cycle)));
+              ( "per_cycle",
+                List
+                  (Array.to_list
+                     (Array.map (fun row -> ints (Array.to_list row)) t.per_cycle))
+              );
               ("leaks", int_assoc (Sim.Stats.Counts.sorted t.leaks));
               ("death_notes", int_assoc (Sim.Stats.Counts.sorted t.death_notes));
               ("metrics", Obj (Obs.Metrics.json_members t.metrics));
@@ -639,23 +503,12 @@ let totals_of_payload ?triage_seed_cap ?cycles (payload : Obs.Json.t) =
       List.iteri
         (fun i cv ->
           let what = Printf.sprintf "totals.per_cycle[%d]" i in
-          match int_list_of what cv with
-          | [ en; qu; re; la; di; lp; bv; ls; lsam ] as fields ->
-            if List.exists (fun x -> x < 0) fields then
-              fail "%s: negative field" what;
-            t.per_cycle.(i) <-
-              {
-                cs_entered = en;
-                cs_quiet = qu;
-                cs_recovered = re;
-                cs_latent = la;
-                cs_died = di;
-                cs_leaked_pages = lp;
-                cs_budget_violations = bv;
-                cs_latency_sum = ls;
-                cs_latency_samples = lsam;
-              }
-          | _ -> fail "%s: expected 9 ints" what)
+          let row = Array.of_list (int_list_of what cv) in
+          if Array.length row <> columns then
+            fail "%s: expected %d ints" what columns;
+          if Array.exists (fun x -> x < 0) row then
+            fail "%s: negative field" what;
+          t.per_cycle.(i) <- row)
         per_cycle;
       List.iter
         (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.leaks k)
@@ -804,13 +657,13 @@ let write_json oc ?(meta = []) r =
   let curve = survival_curve r in
   Array.iteri
     (fun i (idx, survival, clean_rate) ->
-      let c = t.per_cycle.(idx) in
+      let c col = t.per_cycle.(idx).(col) in
       Printf.fprintf oc
         "%s\n    { \"cycle\": %d, \"entered\": %d, \"quiet\": %d, \
          \"recovered\": %d, \"latent\": %d, \"died\": %d, \"leaked_pages\": \
          %d, \"survival\": %.4f, \"clean_rate\": %.4f }"
         (if i > 0 then "," else "")
-        idx c.cs_entered c.cs_quiet c.cs_recovered c.cs_latent c.cs_died
-        c.cs_leaked_pages survival clean_rate)
+        idx (c c_entered) (c c_quiet) (c c_recovered) (c c_latent) (c c_died)
+        (c c_leaked_pages) survival clean_rate)
     curve;
   Printf.fprintf oc "\n  ]\n}\n"

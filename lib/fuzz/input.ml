@@ -25,9 +25,8 @@ type point = {
   p_incremental : bool; (* dirty-set consistency scan on recovery *)
 }
 
-(* Matches [Run.default_config.trigger_window_steps]; window ops wrap
-   here so the stored offset is already canonical. *)
-let window_span = 2000
+(* Window ops wrap here, so the stored offset is already canonical. *)
+let window = Inject.Fault.trigger_window_steps
 
 (* Warmup seeds come from a bounded pool so mutants of different traces
    still land on a handful of distinct seeds -- which is what lets the
@@ -70,8 +69,8 @@ let apply_op ~base_seed p code =
       p_crash = arg mod 3;
       p_incremental = (arg lsr 2) land 1 = 1;
     }
-  | 5 -> { p with p_window = arg mod window_span }
-  | 6 -> { p with p_window = (p.p_window + 1 + (arg mod 31)) mod window_span }
+  | 5 -> { p with p_window = arg mod window }
+  | 6 -> { p with p_window = (p.p_window + 1 + (arg mod 31)) mod window }
   | _ -> { p with p_payload = Int64.add p.p_payload (Int64.of_int (1 + (arg mod 255))) }
 
 let apply ~base_seed trace =

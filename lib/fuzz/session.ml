@@ -39,7 +39,6 @@ type config = {
   f_resume : bool;
   f_save_every : int; (* write the corpus file every this many rounds *)
   f_stop_after : int option; (* stop after this many rounds this invocation *)
-  f_triage_seed_cap : int option;
 }
 
 let default_config ~base_seed =
@@ -55,7 +54,6 @@ let default_config ~base_seed =
     f_resume = false;
     f_save_every = 1;
     f_stop_after = None;
-    f_triage_seed_cap = None;
   }
 
 let n_rounds cfg =
@@ -89,7 +87,7 @@ let create cfg =
     s_cfg = cfg;
     s_rng = Sim.Rng.create (Int64.logxor cfg.f_base_seed 0x66757A7AL (* "fuzz" *));
     s_corpus = Corpus.create ();
-    s_triage = Obs.Postmortem.Triage.create ?seed_cap:cfg.f_triage_seed_cap ();
+    s_triage = Obs.Postmortem.Triage.create ();
     s_rounds = 0;
     s_evaluated = 0;
     s_kept = 0;

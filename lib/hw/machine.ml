@@ -1,5 +1,5 @@
-(** The physical machine: CPUs, IO-APIC, physical memory geometry and the
-    TSC. Mirrors the paper's testbed: 8-core Nehalem, 8 GB RAM. *)
+(** The physical machine: CPUs, IO-APIC and physical memory geometry.
+    Mirrors the paper's testbed: 8-core Nehalem, 8 GB RAM. *)
 
 type config = {
   num_cpus : int;
@@ -22,17 +22,13 @@ type t = {
   config : config;
   cpus : Cpu.t array;
   ioapic : Ioapic.t;
-  clock : Sim.Clock.t;
-  mutable tsc_calibrated : bool;
 }
 
-let create ?(config = default_config) clock =
+let create ?(config = default_config) () =
   {
     config;
     cpus = Array.init config.num_cpus Cpu.create;
     ioapic = Ioapic.create ~lines:config.ioapic_lines;
-    clock;
-    tsc_calibrated = true;
   }
 
 let num_cpus t = t.config.num_cpus
@@ -70,7 +66,6 @@ type image = {
   im_ioapic : int array; (* per line: vector, dest_cpu, masked (0/1) *)
   mutable im_ioapic_log : (int * int * int * bool) list;
   mutable im_ioapic_logging : bool;
-  mutable im_tsc_calibrated : bool;
 }
 
 let capture t im =
@@ -95,8 +90,7 @@ let capture t im =
     im.im_ioapic.((3 * i) + 2) <- Bool.to_int e.Ioapic.masked
   done;
   im.im_ioapic_log <- t.ioapic.Ioapic.write_log;
-  im.im_ioapic_logging <- t.ioapic.Ioapic.logging;
-  im.im_tsc_calibrated <- t.tsc_calibrated
+  im.im_ioapic_logging <- t.ioapic.Ioapic.logging
 
 (* Storage for one image of [t], holding [t]'s current state. *)
 let image t =
@@ -120,7 +114,6 @@ let image t =
       im_ioapic = Array.make (3 * Ioapic.lines t.ioapic) 0;
       im_ioapic_log = [];
       im_ioapic_logging = false;
-      im_tsc_calibrated = true;
     }
   in
   capture t im;
@@ -148,8 +141,7 @@ let restore t im =
     e.Ioapic.masked <- im.im_ioapic.((3 * i) + 2) <> 0
   done;
   t.ioapic.Ioapic.write_log <- im.im_ioapic_log;
-  t.ioapic.Ioapic.logging <- im.im_ioapic_logging;
-  t.tsc_calibrated <- im.im_tsc_calibrated
+  t.ioapic.Ioapic.logging <- im.im_ioapic_logging
 
 (* ReHype reboot model: parks the hardware back at power-on-like state. *)
 let reset_for_reboot t =
@@ -160,5 +152,4 @@ let reset_for_reboot t =
       Apic.ack_all c.Cpu.apic;
       Apic.disarm_timer c.Cpu.apic)
     t.cpus;
-  Ioapic.reset_to_power_on t.ioapic;
-  t.tsc_calibrated <- false
+  Ioapic.reset_to_power_on t.ioapic

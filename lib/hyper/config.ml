@@ -40,10 +40,6 @@ type t = {
       (* NMI-watchdog tick period; a hang is detected after
          [watchdog_hang_periods] missed ticks, so this sets the hang
          detection latency (endurance runs sweep it) *)
-  max_hypercall_subops : int;
-      (* ABI limit on batched sub-operations per hypercall (PTE writes in
-         an mmu_update, map/unmap pairs in a grant_table_op); sizes the
-         hypervisor's interned step-name tables at create time *)
   geometry : geometry option;
       (* the geometry all scan costs are charged at; [None] derives it
          from the simulated machine itself (honest for that machine),
@@ -72,7 +68,6 @@ let stock =
     ioapic_write_logging = false;
     bootline_logging = false;
     watchdog_period_ms = 100;
-    max_hypercall_subops = 8;
     geometry = None;
     incremental_scan = false;
   }
@@ -86,7 +81,6 @@ let nilihype =
     ioapic_write_logging = false;
     bootline_logging = false;
     watchdog_period_ms = 100;
-    max_hypercall_subops = 8;
     geometry = None;
     incremental_scan = false;
   }

@@ -96,11 +96,15 @@ and nodes_of = function [] -> 0 | k :: rest -> nodes k + nodes_of rest
    have three components). *)
 let max_multicall_components = 3
 
+(* ABI limit on batched sub-operations per hypercall (PTE writes in an
+   mmu_update, map/unmap pairs in a grant_table_op). *)
+let max_subops = 8
+
 (* Journal writes the handlers in [Hypervisor] make per call node: an
    mmu_update logs at most 6 (4 to unpin the old table, 2 to validate and
    reference the new one), a grant_table_op 4 per map/unmap pair, every
    other handler fewer than 6. *)
-let max_node_journal_writes ~subops = max 6 (4 * subops)
+let max_node_journal_writes = max 6 (4 * max_subops)
 
 (* In-flight record of the hypercall a vCPU is executing; recovery uses
    it to set the vCPU up so the hypercall is retried on resume. The
@@ -135,15 +139,13 @@ type record = {
 
 (* An idle record for a vCPU of a domain whose grant table is [grants],
    sized so no call within the bounds ([max_multicall_components],
-   [config]'s sub-op limit) grows it: one node per component of the
+   [max_subops]) grows it: one node per component of the
    longest multicall plus the batch itself, and the journal writes of
    the longest batch without progress tracking (with it, each component
    commits) -- none at all when logging is off. *)
 let pooled (config : Config.t) ~pfn ~grants =
   let components = max_multicall_components in
-  let node_writes =
-    max_node_journal_writes ~subops:config.Config.max_hypercall_subops
-  in
+  let node_writes = max_node_journal_writes in
   let capacity =
     if not config.Config.nonidempotent_logging then 0
     else if config.Config.hypercall_progress_tracking then node_writes

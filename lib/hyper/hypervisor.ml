@@ -99,14 +99,6 @@ type t = {
   mutable cur_activity : activity;
   mutable cur_cpu : int;
   mutable cur_step : int;
-  (* Names for the indexed hot-path steps, computed once per instance and
-     sized from [Config.max_hypercall_subops]: formatting them with
-     sprintf on every loop iteration was a measurable share of per-run
-     allocation. Indices past the ABI limit fall back to sprintf. *)
-  mutable pte_write_names : string array;
-  mutable grant_map_names : string array;
-  mutable ring_io_names : string array;
-  mutable grant_unmap_names : string array;
   (* [audit.*] counters in [audit_violation_kinds] order, resolved once
      at [create] so bumping one needs no name concatenation or registry
      lookup. *)
@@ -179,8 +171,17 @@ let audit_violation_kinds =
 let audit_counter obs kind =
   Obs.Metrics.counter obs.Obs.Recorder.metrics ("audit." ^ kind)
 
-let indexed_names prefix n =
-  Array.init (n + 1) (fun i -> Printf.sprintf "%s%d" prefix i)
+(* Names for the indexed hot-path steps, up to the ABI sub-op limit,
+   formatted once per process: formatting them with sprintf on every
+   loop iteration was a measurable share of per-run allocation. Indices
+   past the limit fall back to sprintf. *)
+let indexed_names prefix =
+  Array.init (Hypercalls.max_subops + 1) (fun i -> Printf.sprintf "%s%d" prefix i)
+
+let pte_write_names = indexed_names "pte_write_"
+let grant_map_names = indexed_names "grant_map_"
+let ring_io_names = indexed_names "ring_io_"
+let grant_unmap_names = indexed_names "grant_unmap_"
 
 let slot ~config machine ~cpus static_segment domains =
   {
@@ -207,7 +208,7 @@ let slot ~config machine ~cpus static_segment domains =
   }
 
 let create ?(mconfig = Hw.Machine.default_config) ?obs ~config clock =
-  let machine = Hw.Machine.create ~config:mconfig clock in
+  let machine = Hw.Machine.create ~config:mconfig () in
   let obs =
     match obs with
     | Some r -> r
@@ -257,11 +258,6 @@ let create ?(mconfig = Hw.Machine.default_config) ?obs ~config clock =
       cur_activity = Idle_poll 0;
       cur_cpu = 0;
       cur_step = 0;
-      pte_write_names = indexed_names "pte_write_" config.Config.max_hypercall_subops;
-      grant_map_names = indexed_names "grant_map_" config.Config.max_hypercall_subops;
-      ring_io_names = indexed_names "ring_io_" config.Config.max_hypercall_subops;
-      grant_unmap_names =
-        indexed_names "grant_unmap_" config.Config.max_hypercall_subops;
       audit_counters =
         Array.of_list (List.map (audit_counter obs) audit_violation_kinds);
       base_gen = 0;
@@ -643,23 +639,7 @@ let restore t (im : image) =
   t.step_hook <- None;
   t.cur_activity <- s.s_cur_activity;
   t.cur_cpu <- s.s_cur_cpu;
-  t.cur_step <- s.s_cur_step;
-  (* The indexed-name tables depend only on the ABI sub-op limit: rebuilt
-     only if the restored config moved it, so steady-state reuse keeps
-     the interned names. *)
-  if
-    Array.length t.pte_write_names
-    <> s.s_config.Config.max_hypercall_subops + 1
-  then begin
-    t.pte_write_names <-
-      indexed_names "pte_write_" s.s_config.Config.max_hypercall_subops;
-    t.grant_map_names <-
-      indexed_names "grant_map_" s.s_config.Config.max_hypercall_subops;
-    t.ring_io_names <-
-      indexed_names "ring_io_" s.s_config.Config.max_hypercall_subops;
-    t.grant_unmap_names <-
-      indexed_names "grant_unmap_" s.s_config.Config.max_hypercall_subops
-  end
+  t.cur_step <- s.s_cur_step
 
 (* ------------------------------------------------------------------ *)
 (* The stepper: instrumented micro-step execution                      *)
@@ -818,7 +798,7 @@ let exec_mmu_update t journal (dom : Domain.t) (record : Hypercalls.record)
     else Pfn.validate target (* panics: double validation *)
   end;
   for i = 1 to entries do
-    step ~cycles:120 t (indexed_name t.pte_write_names "pte_write_" i)
+    step ~cycles:120 t (indexed_name pte_write_names "pte_write_" i)
   done;
   step t "get_page_ref";
   journal_log t journal Journal.Use_count_delta ~target:f ~operand:1;
@@ -900,7 +880,7 @@ let exec_grant_table_op t rng journal (dom : Domain.t)
     for i = 1 to subops do
       (* The granted frame as the sub-op finds it, before its steps. *)
       let frame = Grant.frame grants ~slot in
-      step t (indexed_name t.grant_map_names "grant_map_" i);
+      step t (indexed_name grant_map_names "grant_map_" i);
       (* Retrying a completed map panics ("already mapped") unless the
          undo log reverted it. *)
       journal_log t journal Journal.Grant_unmap_undo ~target:slot ~operand:0;
@@ -909,8 +889,8 @@ let exec_grant_table_op t rng journal (dom : Domain.t)
         journal_log t journal Journal.Use_count_delta ~target:frame ~operand:1;
         Pfn.get_page (Pfn.get t.pfn frame)
       end;
-      step ~cycles:400 t (indexed_name t.ring_io_names "ring_io_" i);
-      step t (indexed_name t.grant_unmap_names "grant_unmap_" i);
+      step ~cycles:400 t (indexed_name ring_io_names "ring_io_" i);
+      step t (indexed_name grant_unmap_names "grant_unmap_" i);
       journal_log t journal Journal.Grant_remap_undo ~target:slot ~operand:0;
       Grant.unmap grants ~slot;
       if frame >= 0 then begin

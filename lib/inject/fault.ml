@@ -40,6 +40,10 @@ let paper_campaign_size = function
 (* Directed faults: the fuzzer's mutation hook                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The second-level trigger's range, in steps: an armed fault fires
+   this many steps or fewer after the first-level trigger. *)
+let trigger_window_steps = 2000
+
 (* How a directed fault crashes at the injection point (the sampled
    [Profile.manifestation]'s [crash_now] axis, made explicit). *)
 type crash_mode = Crash_none | Crash_panic | Crash_hang

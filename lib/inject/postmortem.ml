@@ -110,13 +110,30 @@ let config_fields (cfg : Run.config) ~fanout =
     ("fanout", string_of_int fanout);
   ]
 
-(* Assemble the bundle from the live post-run state: the run's event
-   ring, the crash-surviving flight-ring tails, the recovery breakdown
-   out of the outcome, and the resource diff against the worker's golden
-   boot ledger. O(ledger capture), so each driver limits who pays it:
-   campaigns capture once per signature per worker; fuzz sessions
-   capture for each bad run whose signature was not yet triaged when
-   its round started. *)
+(* Assemble a bundle from the live machine state: the event ring, the
+   crash-surviving flight-ring tails and the resource diff against
+   [baseline] (none without one), with the driver's outcome name and
+   recovery phases. O(ledger capture), so each driver limits who pays
+   it: campaigns capture once per signature per worker; fuzz sessions
+   capture for each bad run whose signature was not yet triaged when its
+   round started; endurance captures once per died scenario. *)
+let bundle ~(signature : Obs.Signature.t) ~(hv : Hypervisor.t)
+    ~(baseline : Ledger.t option) ~outcome ~phases ~repro ~config ~seed =
+  let ledger_diff =
+    match baseline with
+    | None -> []
+    | Some before ->
+      Ledger.fields (Ledger.diff ~before ~after:(Ledger.capture hv))
+  in
+  Obs.Postmortem.make ~signature ~outcome ~seed ~repro ~config
+    ~events:(Obs.Recorder.events hv.Hypervisor.obs)
+    ~phases
+    ~hypercalls:(Hypervisor.hypercall_tail hv)
+    ~journal_tail:(Hypervisor.journal_tail hv)
+    ~ledger_diff
+
+(* The bundle of a bad run: its recovery breakdown out of the outcome,
+   and the resource diff against the worker's golden boot ledger. *)
 let capture ~(signature : Obs.Signature.t) ~(hv : Hypervisor.t)
     ~(golden_ledger : Ledger.t option) ~repro ~config ~seed
     (out : Run.outcome) =
@@ -125,16 +142,5 @@ let capture ~(signature : Obs.Signature.t) ~(hv : Hypervisor.t)
     | Run.Detected { breakdown = Some b; _ } -> b.Latency_model.steps
     | _ -> []
   in
-  let ledger_diff =
-    match golden_ledger with
-    | None -> []
-    | Some golden ->
-      Ledger.fields (Ledger.diff ~before:golden ~after:(Ledger.capture hv))
-  in
-  Obs.Postmortem.make ~signature ~outcome:(Run.outcome_name out) ~seed ~repro
-    ~config
-    ~events:(Obs.Recorder.events hv.Hypervisor.obs)
-    ~phases
-    ~hypercalls:(Hypervisor.hypercall_tail hv)
-    ~journal_tail:(Hypervisor.journal_tail hv)
-    ~ledger_diff
+  bundle ~signature ~hv ~baseline:golden_ledger
+    ~outcome:(Run.outcome_name out) ~phases ~repro ~config ~seed

@@ -27,7 +27,6 @@ type config = {
   mconfig : Hw.Machine.config;
   warmup_activities : int;
   post_activities : int;
-  trigger_window_steps : int; (* second-level trigger range, in steps *)
   discard_scope : discard_scope;
   vcpus_per_cpu : int; (* >1 explores the paper's future-work configs *)
   directive : Fault.directive option;
@@ -46,7 +45,6 @@ let default_config =
     mconfig = Hw.Machine.campaign_config;
     warmup_activities = 150;
     post_activities = 900;
-    trigger_window_steps = 2000;
     discard_scope = Scope_all_threads;
     vcpus_per_cpu = 1;
     directive = None;
@@ -245,8 +243,8 @@ let arm_fault st =
   let countdown =
     ref
       (match directed with
-      | Some d -> 1 + (d.Fault.d_window mod max 1 st.cfg.trigger_window_steps)
-      | None -> 1 + Sim.Rng.int st.rng st.cfg.trigger_window_steps)
+      | Some d -> 1 + (d.Fault.d_window mod Fault.trigger_window_steps)
+      | None -> 1 + Sim.Rng.int st.rng Fault.trigger_window_steps)
   in
   st.hv.Hypervisor.step_hook <-
     Some

@@ -53,8 +53,7 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
             if hv.Hypervisor.config.Config.ioapic_write_logging then
               Hw.Ioapic.replay_log machine.Hw.Machine.ioapic);
         step "Initialize and calibrate TSC timer"
-          Latency_model.reboot_tsc_calibrate (fun () ->
-            machine.Hw.Machine.tsc_calibrated <- true);
+          Latency_model.reboot_tsc_calibrate ignore;
         (* --- Memory initialisation (266 ms, Table II) ----------------- *)
         step "Record allocated pages of old heap"
           (Latency_model.reboot_record_old_heap ~frames)

@@ -126,10 +126,6 @@ let bool t =
   next t;
   t.out_lo land 1 = 1
 
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
-  arr.(int t (Array.length arr))
-
 let choose_weighted t weights =
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weights in
   if total <= 0.0 then invalid_arg "Rng.choose_weighted: no positive weight";

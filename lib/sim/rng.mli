@@ -35,9 +35,6 @@ val float_below : t -> float -> float -> bool
 
 val bool : t -> bool
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val choose_weighted : t -> (float * 'a) list -> 'a
 (** Sample according to the given non-negative weights (need not be
     normalised). Raises [Invalid_argument] on an empty or all-zero list. *)

@@ -1,11 +1,6 @@
 (** Statistics helpers used to report campaign results with the same
     95% confidence intervals the paper quotes. *)
 
-let mean xs =
-  match xs with
-  | [] -> nan
-  | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
 let z_95 = 1.959964
 
 (* Normal-approximation half-width of the 95% CI for a proportion, the

@@ -113,7 +113,14 @@ let both (a : 'r digest) (b : 'r digest) : 'r digest =
 let campaign_totals =
   digest (Alcotest.testable Inject.Campaign.pp_snapshot ( = )) Inject.Campaign.snapshot
 
-let endure_totals = digest (Alcotest.testable Endure.pp_snapshot ( = )) Endure.snapshot
+(* An endurance aggregate's canonical view: its checkpoint payload bytes,
+   and its triage table's nlh-triage/1 bytes. *)
+let endure_totals =
+  both
+    (digest ~what:"payload bytes" Alcotest.string (fun t ->
+         Obs.Json.render (Endure.payload_of_totals t)))
+    (digest ~what:"triage bytes" Alcotest.string (fun t ->
+         Obs.Postmortem.Triage.to_json t.Endure.triage))
 
 let campaign_snapshot : Inject.Campaign.result digest =
  fun msg a b -> campaign_totals msg a.totals b.totals

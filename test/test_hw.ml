@@ -116,23 +116,19 @@ let test_cpu_cycle_accounting () =
   checki "cycles accumulate" 150 c.Hw.Cpu.unhalted_cycles
 
 let test_machine_geometry () =
-  let clock = Sim.Clock.create () in
-  let m = Hw.Machine.create clock in
+  let m = Hw.Machine.create () in
   checki "8 CPUs" 8 (Hw.Machine.num_cpus m);
   checki "2Mi frames for 8GB" 2_097_152 (Hw.Machine.num_frames m)
 
 let test_machine_campaign_geometry () =
-  let clock = Sim.Clock.create () in
-  let m = Hw.Machine.create ~config:Hw.Machine.campaign_config clock in
+  let m = Hw.Machine.create ~config:Hw.Machine.campaign_config () in
   checki "64Ki frames for 256MB" 65_536 (Hw.Machine.num_frames m)
 
 let test_machine_reset_for_reboot () =
-  let clock = Sim.Clock.create () in
-  let m = Hw.Machine.create clock in
+  let m = Hw.Machine.create () in
   Hw.Ioapic.write m.Hw.Machine.ioapic ~line:1 ~vector:0x31 ~dest_cpu:0 ~masked:false;
   (Hw.Machine.cpu m 0).Hw.Cpu.apic |> fun a -> Hw.Apic.program_timer a ~deadline:10;
   Hw.Machine.reset_for_reboot m;
-  checkb "tsc uncalibrated" false m.Hw.Machine.tsc_calibrated;
   checkb "ioapic routing lost" false (Hw.Ioapic.routing_valid m.Hw.Machine.ioapic);
   checkb "apic disarmed" false
     (Hw.Apic.timer_armed (Hw.Machine.cpu m 0).Hw.Cpu.apic);

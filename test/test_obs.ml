@@ -420,13 +420,13 @@ let test_campaign_metrics_parallel_identical () =
 
 (* ------------------------- nlh-obs/1 damage ------------------------- *)
 
-(* A real metrics document: a small failstop campaign's aggregate, so
+(* A real metrics document: a small register campaign's aggregate, so
    every histogram kind is populated and carries quantiles. *)
 let obs_document =
   lazy
     (let r = Inject.Campaign.run ~base_seed:3L ~jobs:1 ~n:6 (run_cfg ~fault:Inject.Fault.Register ~seed:0L ()) in
      Obs.Export.metrics_json
-       ~meta:[ ("runs", `Int 6); ("fault", `String "failstop") ]
+       ~meta:[ ("runs", `Int 6); ("fault", `String "register") ]
        (campaign_metrics r))
 
 (* ------------------------- Chrome-trace export ---------------------- *)

@@ -150,9 +150,6 @@ let test_time_pp_float_fractional () =
 
 (* ------------------------- Stats ------------------------------------ *)
 
-let test_stats_mean () =
-  check (Alcotest.float 1e-9) "mean" 2.0 (Sim.Stats.mean [ 1.0; 2.0; 3.0 ])
-
 let test_stats_proportion_ci () =
   (* Half-width of 95% CI for 500/1000 is ~3.1%. *)
   let half = Sim.Stats.proportion_ci_half ~successes:500 ~trials:1000 in
@@ -213,7 +210,6 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "mean" `Quick test_stats_mean;
           Alcotest.test_case "proportion CI" `Quick test_stats_proportion_ci;
           Alcotest.test_case "CI shrinks" `Quick test_stats_ci_shrinks_with_n;
           Alcotest.test_case "wilson bounds" `Quick test_stats_wilson_bounds;
