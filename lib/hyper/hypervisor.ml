@@ -275,12 +275,6 @@ let observe ?cpu ?domid t level payload =
   Obs.Recorder.event t.obs ~time:(Sim.Clock.now t.clock) ?cpu ?domid level
     payload
 
-(* Legacy free-form trace path, now a [Message] event. *)
-let tracef t level fmt =
-  Format.kasprintf (fun s -> observe t level (Obs.Event.Message s)) fmt
-
-let _ = tracef (* kept for ad-hoc debugging call sites *)
-
 (* Standard recurring timer events plus APIC programming, performed at
    boot and re-performed by ReHype's reboot. *)
 let register_recurring_events t =
@@ -711,18 +705,15 @@ let journal_log t (journal : Journal.t) op ~target ~operand =
 let indexed_name table prefix i =
   if i < Array.length table then table.(i) else Printf.sprintf "%s%d" prefix i
 
-(* Random-element selection over filtered collections, as two passes
-   (count, then walk to the k-th match) instead of materialising the
-   filtered list. The single [Rng.int] draw is over the same bound as
-   before, so the streams -- and the chosen elements -- are identical. *)
-let writable pfn f = (Pfn.get pfn f).Pfn.ptype = Pfn.Writable
-
-(* -1 when the domain owns no writable frame. *)
+(* A random writable frame of [dom]'s, -1 when it owns none: a count,
+   then a walk to the k-th, instead of materialising the filtered list.
+   The single [Rng.int] draw is over the same bound, newest first, so the
+   stream and the chosen frame are those of a pick over that list. *)
 let pick_writable_frame t rng (dom : Domain.t) =
-  let owned = dom.Domain.owned_frames in
-  match Owned_frames.count_if writable t.pfn owned with
+  let owned = dom.Domain.owned_frames and descs = t.pfn.Pfn.descs in
+  match Owned_frames.count_writable descs owned with
   | 0 -> -1
-  | n -> Owned_frames.nth_if writable t.pfn owned (Sim.Rng.int rng n)
+  | n -> Owned_frames.nth_writable descs owned (Sim.Rng.int rng n)
 
 (* A table an mmu_update may replace: a currently pinned page-table frame
    that backs no grant entry. *)

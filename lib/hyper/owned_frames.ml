@@ -9,7 +9,7 @@
     The holes are squeezed out when the array fills, amortised O(1) per
     push.
 
-    Order contract: [iter], [count_if], [nth_if] and [find_if] see the
+    Order contract: [iter], [nth_writable] and [find_if] see the
     frames newest first, duplicates included, exactly as the list
     [to_list] returns (push = cons, remove = filter out every copy) --
     so every random pick over a domain's frames lands on the same frame
@@ -150,25 +150,26 @@ let iter f t =
     if x <> hole then f x
   done
 
-(* [count_if]/[nth_if] take their predicate's environment as an argument,
-   so a toplevel predicate makes a pick allocation-free. *)
-let count_if p env t =
+(* The frames whose descriptor in [descs] (a [Pfn.t]'s) is [Writable],
+   counted, and the [k]-th (from 0) of them newest first, -1 if fewer.
+   The type is a field read, not a predicate call into another module. *)
+let count_writable (descs : Pfn.desc array) t =
   let n = ref 0 in
   for s = t.len - 1 downto 0 do
     let x = t.frames.(s) in
-    if x <> hole && p env x then incr n
+    if x <> hole && descs.(x).Pfn.ptype = Pfn.Writable then incr n
   done;
   !n
 
-let rec nth_from p env t k s =
+let rec nth_writable_from (descs : Pfn.desc array) t k s =
   if s < 0 then -1
   else
     let x = t.frames.(s) in
-    if x <> hole && p env x then if k = 0 then x else nth_from p env t (k - 1) (s - 1)
-    else nth_from p env t k (s - 1)
+    if x <> hole && descs.(x).Pfn.ptype = Pfn.Writable then
+      if k = 0 then x else nth_writable_from descs t (k - 1) (s - 1)
+    else nth_writable_from descs t k (s - 1)
 
-(* The [k]-th (from 0) frame satisfying [p], newest first; -1 if fewer. *)
-let nth_if p env t k = nth_from p env t k (t.len - 1)
+let nth_writable descs t k = nth_writable_from descs t k (t.len - 1)
 
 let rec find_from p a b t s =
   if s < 0 then -1
@@ -176,8 +177,9 @@ let rec find_from p a b t s =
     let x = t.frames.(s) in
     if x <> hole && p a b x then x else find_from p a b t (s - 1)
 
-(* The newest frame satisfying [p a b], -1 if none; like [nth_if], the
-   predicate's environment ([a], [b]) is passed in. *)
+(* The newest frame satisfying [p a b], -1 if none; the predicate's
+   environment ([a], [b]) is passed in, so a toplevel predicate makes a
+   search allocation-free. *)
 let find_if p a b t = find_from p a b t (t.len - 1)
 
 let to_list t =

@@ -75,7 +75,8 @@ type payload =
      per-resource leak attribution from the ledger diff. *)
   | Endure_cycle of { index : int; survived : bool; clean : bool }
   | Leak_delta of { resource : string; delta : int }
-  (* Free-form messages (the legacy [tracef] path). *)
+  (* Free-form text. No simulator path emits one: it fills the trace
+     ring's empty slots and hand-written events. *)
   | Message of string
 
 let subsystem = function

@@ -74,66 +74,93 @@ let device_share = function
   | Unixbench -> (0.2, 0.1)
   | Netbench -> (0.1, 0.9)
 
-(* Sampling-time form of the menus: cumulative weights plus the tags in
-   list order, precomputed once per kind. [choose_index_cum] over these
-   draws exactly as [choose_weighted] over the lists above would (same
-   single float draw, same boundaries), without traversing a boxed-float
-   list per request. *)
-let menu_cum_unixbench = Sim.Rng.cumulative (hypercall_menu Unixbench)
-let menu_cum_blkbench = Sim.Rng.cumulative (hypercall_menu Blkbench)
-let menu_cum_netbench = Sim.Rng.cumulative (hypercall_menu Netbench)
-let menu_tags_unixbench = Array.of_list (List.map snd (hypercall_menu Unixbench))
-let menu_tags_blkbench = Array.of_list (List.map snd (hypercall_menu Blkbench))
-let menu_tags_netbench = Array.of_list (List.map snd (hypercall_menu Netbench))
+(* Every hypercall kind a menu can yield, built once. Slots 0-3 are
+   [Mmu_update 1-4], 4-6 [Grant_table_op 1-3], 7-8 the two [Multicall]
+   shapes and 9-17 the constant kinds. *)
+let kinds : Hyper.Hypercalls.kind array =
+  let open Hyper.Hypercalls in
+  let mmu = Array.init 4 (fun i -> Mmu_update (i + 1)) in
+  Array.concat
+    [
+      mmu;
+      Array.init 3 (fun i -> Grant_table_op (i + 1));
+      Array.init 2 (fun i -> Multicall [ mmu.(i); Update_va_mapping; mmu.(0) ]);
+      [|
+        Update_va_mapping; Memory_op_populate; Memory_op_decrease;
+        Event_channel_send; Sched_op_block; Sched_op_yield; Set_timer_op;
+        Console_io; Vcpu_op_info;
+      |];
+    ]
 
-let menu_cum = function
-  | Unixbench -> menu_cum_unixbench
-  | Blkbench -> menu_cum_blkbench
-  | Netbench -> menu_cum_netbench
+(* A menu tag's first slot in [kinds] and how many slots follow it: a
+   tag with more than one draws its offset with [Rng.int]. *)
+let slot_of = function
+  | `Mmu -> (0, 4)
+  | `Grant -> (4, 3)
+  | `Multicall -> (7, 2)
+  | `Va -> (9, 1)
+  | `Mem_pop -> (10, 1)
+  | `Mem_dec -> (11, 1)
+  | `Evt_send -> (12, 1)
+  | `Block -> (13, 1)
+  | `Yield -> (14, 1)
+  | `Set_timer -> (15, 1)
+  | `Console -> (16, 1)
+  | `Vcpu_info -> (17, 1)
 
-let menu_tags = function
-  | Unixbench -> menu_tags_unixbench
-  | Blkbench -> menu_tags_blkbench
-  | Netbench -> menu_tags_netbench
+(* Sampling-time form of a menu, built once per kind: the cumulative
+   weights, over which [choose_index_cum] draws exactly as
+   [choose_weighted] over the list would (same single float draw, same
+   boundaries), and each tag's [slot_of] pair, in list order. *)
+let sampler kind =
+  let menu = hypercall_menu kind in
+  (Sim.Rng.cumulative menu, Array.of_list (List.map (fun (_, tag) -> slot_of tag) menu))
 
-let sample_hypercall rng kind : Hyper.Hypercalls.kind =
-  match (menu_tags kind).(Sim.Rng.choose_index_cum rng (menu_cum kind)) with
-  | `Mmu -> Hyper.Hypercalls.Mmu_update (1 + Sim.Rng.int rng 4)
-  | `Va -> Hyper.Hypercalls.Update_va_mapping
-  | `Mem_pop -> Hyper.Hypercalls.Memory_op_populate
-  | `Mem_dec -> Hyper.Hypercalls.Memory_op_decrease
-  | `Grant -> Hyper.Hypercalls.Grant_table_op (1 + Sim.Rng.int rng 3)
-  | `Evt_send -> Hyper.Hypercalls.Event_channel_send
-  | `Block -> Hyper.Hypercalls.Sched_op_block
-  | `Yield -> Hyper.Hypercalls.Sched_op_yield
-  | `Set_timer -> Hyper.Hypercalls.Set_timer_op
-  | `Console -> Hyper.Hypercalls.Console_io
-  | `Vcpu_info -> Hyper.Hypercalls.Vcpu_op_info
-  | `Multicall ->
-    Hyper.Hypercalls.Multicall
-      [
-        Hyper.Hypercalls.Mmu_update (1 + Sim.Rng.int rng 2);
-        Hyper.Hypercalls.Update_va_mapping;
-        Hyper.Hypercalls.Mmu_update 1;
-      ]
+let sampler_unixbench = sampler Unixbench
+let sampler_blkbench = sampler Blkbench
+let sampler_netbench = sampler Netbench
 
-(* A benchmark bound to a domain. *)
+(* A benchmark bound to a domain, with every activity it can sample
+   built at creation: activities are immutable, so a draw returns one of
+   these instead of allocating its own. *)
 type t = {
   kind : kind;
   domid : int;
   vcpus : int; (* vCPUs the guest spreads its work across *)
-  mutable activities_run : int;
-  mutable verified_ok : bool;
+  cum : float array; (* the menu's cumulative weights *)
+  slots : (int * int) array; (* the menu's tags as [slot_of] pairs *)
+  syscalls : Hyper.Hypervisor.activity array; (* per vid *)
+  hypercalls : Hyper.Hypervisor.activity array; (* vid * |kinds| + slot *)
 }
 
 let create ?(vcpus = 1) kind ~domid =
-  { kind; domid; vcpus = max 1 vcpus; activities_run = 0; verified_ok = true }
+  let vcpus = max 1 vcpus and nk = Array.length kinds in
+  let cum, slots =
+    match kind with
+    | Unixbench -> sampler_unixbench
+    | Blkbench -> sampler_blkbench
+    | Netbench -> sampler_netbench
+  in
+  {
+    kind;
+    domid;
+    vcpus;
+    cum;
+    slots;
+    syscalls =
+      Array.init vcpus (fun vid -> Hyper.Hypervisor.Syscall_forward { domid; vid });
+    hypercalls =
+      Array.init (vcpus * nk) (fun i ->
+          Hyper.Hypervisor.Hypercall { domid; vid = i / nk; kind = kinds.(i mod nk) });
+  }
 
-(* Sample one hypervisor entry caused by this benchmark's guest. *)
+(* Sample one hypervisor entry caused by this benchmark's guest: the
+   vid, the syscall coin, the menu pick and the pick's own offset, in
+   that order. *)
 let sample_activity rng t : Hyper.Hypervisor.activity =
   let vid = if t.vcpus = 1 then 0 else Sim.Rng.int rng t.vcpus in
-  if Sim.Rng.float_below rng 1.0 (syscall_share t.kind) then
-    Hyper.Hypervisor.Syscall_forward { domid = t.domid; vid }
+  if Sim.Rng.float_below rng 1.0 (syscall_share t.kind) then t.syscalls.(vid)
   else
-    Hyper.Hypervisor.Hypercall
-      { domid = t.domid; vid; kind = sample_hypercall rng t.kind }
+    let first, n = t.slots.(Sim.Rng.choose_index_cum rng t.cum) in
+    let slot = if n = 1 then first else first + Sim.Rng.int rng n in
+    t.hypercalls.((vid * Array.length kinds) + slot)

@@ -285,16 +285,20 @@ let prop_rng_float_below =
 
 (* An owned-frame set behaves as the newest-first [int list] it replaced
    (push = cons, remove = filter out every copy), through growth,
-   compaction and image restores. Frames are drawn from a small range so
-   duplicates and hash collisions are the common case. *)
+   compaction and image restores, and its writable picks are the model's
+   frames filtered by their type in a small frame table, which the ops
+   also retype. Frames are drawn from a small range so duplicates and
+   hash collisions are the common case. *)
 let prop_owned_frames_list_model =
   QCheck.Test.make ~name:"owned_frames = newest-first list" ~count:300
-    QCheck.(list_of_size Gen.(0 -- 400) (pair (int_bound 5) (int_bound 40)))
+    QCheck.(list_of_size Gen.(0 -- 400) (pair (int_bound 7) (int_bound 40)))
     (fun ops ->
       let module O = Hyper.Owned_frames in
+      let module P = Hyper.Pfn in
+      let descs = (P.create ~frames:41).P.descs in
+      Array.iter (fun d -> if d.P.index mod 2 = 0 then d.P.ptype <- P.Writable) descs;
       let t = O.create () in
       let model = ref [] and images = ref [] in
-      let even _ f = f mod 2 = 0 in
       List.for_all
         (fun (op, f) ->
           (match op with
@@ -305,22 +309,24 @@ let prop_owned_frames_list_model =
             O.remove t f;
             model := List.filter (fun f' -> f' <> f) !model
           | 4 -> images := (O.capture t, !model) :: !images
-          | _ -> (
+          | 5 -> (
             match !images with
             | [] -> ()
             | imgs ->
               let img, m = List.nth imgs (f mod List.length imgs) in
               O.restore t img;
-              model := m));
-          let evens = List.filter (fun f -> f mod 2 = 0) !model in
+              model := m)
+          | 6 -> descs.(f).P.ptype <- P.Writable
+          | _ -> descs.(f).P.ptype <- P.Page_table);
+          let writable = List.filter (fun f -> descs.(f).P.ptype = P.Writable) !model in
           O.to_list t = !model
           && O.length t = List.length !model
-          && O.count_if even () t = List.length evens
+          && O.count_writable descs t = List.length writable
           && List.for_all2
-               (fun k f -> O.nth_if even () t k = f)
-               (List.init (List.length evens) Fun.id)
-               evens
-          && O.nth_if even () t (List.length evens) = -1
+               (fun k f -> O.nth_writable descs t k = f)
+               (List.init (List.length writable) Fun.id)
+               writable
+          && O.nth_writable descs t (List.length writable) = -1
           && O.find_if (fun lo () f -> f > lo) 20 () t
              = Option.value ~default:(-1) (List.find_opt (fun f -> f > 20) !model))
         ops)

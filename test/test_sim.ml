@@ -58,38 +58,84 @@ let test_rng_choose_weighted_empty () =
     (Invalid_argument "Rng.choose_weighted: no positive weight") (fun () ->
       ignore (Sim.Rng.choose_weighted r []))
 
-(* The production generator computes splitmix64 on two 32-bit native-int
-   limbs (no Int64 boxing on the hot path). This pins it, bit for bit,
-   to the obvious Int64 reference implementation. *)
-let test_rng_matches_int64_reference () =
-  let reference seed =
-    let state = ref seed in
-    fun () ->
-      state := Int64.add !state 0x9E3779B97F4A7C15L;
-      let z = !state in
-      let z =
-        Int64.mul
-          (Int64.logxor z (Int64.shift_right_logical z 30))
-          0xBF58476D1CE4E5B9L
-      in
-      let z =
-        Int64.mul
-          (Int64.logxor z (Int64.shift_right_logical z 27))
-          0x94D049BB133111EBL
-      in
-      Int64.logxor z (Int64.shift_right_logical z 31)
+(* splitmix64, the textbook Int64 form: [step] advances the state by the
+   golden gamma and returns the mixed output; the state stays readable
+   for the [save] check. *)
+let reference seed =
+  let state = ref seed in
+  let step () =
+    state := Int64.add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
+    in
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
+    in
+    Int64.logxor z (Int64.shift_right_logical z 31)
   in
+  (state, step)
+
+let reference_seeds = [ 0L; 1L; 7L; -1L; 0x8000000000000000L; 0xDEADBEEFCAFEF00DL ]
+
+(* The production generator keeps its state unboxed (see rng.ml). This
+   pins its raw stream, bit for bit, to the Int64 reference. *)
+let test_rng_matches_int64_reference () =
   List.iter
     (fun seed ->
-      let next_ref = reference seed in
+      let _, next_ref = reference seed in
       let r = Sim.Rng.create seed in
       for i = 1 to 500 do
         check Alcotest.int64
-          (Printf.sprintf "limb arithmetic matches Int64 reference (seed %Ld, draw %d)"
-             seed i)
+          (Printf.sprintf "splitmix64 matches Int64 reference (seed %Ld, draw %d)" seed i)
           (next_ref ()) (Sim.Rng.int64 r)
       done)
-    [ 0L; 1L; 7L; -1L; 0x8000000000000000L; 0xDEADBEEFCAFEF00DL ]
+    reference_seeds
+
+(* Each derivation, pinned to values derived here from the reference
+   stream, interleaved in one stream so a derivation that draws twice or
+   not at all shifts every later check: [int] is the low 62 bits mod n,
+   [float] the top 53 bits over 2^53 (compared bit for bit), [float_below]
+   that draw compared, [bool] the low bit; [save] is the reference state
+   and [reseed] to it replays the same draws. *)
+let test_rng_derivations_match_reference () =
+  let exact_float = Alcotest.testable Fmt.float (fun a b ->
+    Int64.bits_of_float a = Int64.bits_of_float b)
+  in
+  List.iter
+    (fun seed ->
+      let state, next_ref = reference seed in
+      let r = Sim.Rng.create seed in
+      let label what i = Printf.sprintf "%s (seed %Ld, round %d)" what seed i in
+      let ref_float x =
+        x *. (Int64.to_float (Int64.shift_right_logical (next_ref ()) 11)
+              /. 9007199254740992.0)
+      in
+      for i = 1 to 200 do
+        List.iter
+          (fun n ->
+            let want =
+              Int64.to_int (Int64.logand (next_ref ()) 0x3FFFFFFFFFFFFFFFL) mod n
+            in
+            checki (label (Printf.sprintf "int %d" n) i) want (Sim.Rng.int r n))
+          [ 1; 2; 3; 7; 10; 340; 1 lsl 30; max_int ];
+        check exact_float (label "float" i) (ref_float 3.5) (Sim.Rng.float r 3.5);
+        check exact_float (label "float 1" i) (ref_float 1.0) (Sim.Rng.float r 1.0);
+        checkb (label "float_below" i) (ref_float 1.0 < 0.3)
+          (Sim.Rng.float_below r 1.0 0.3);
+        checkb (label "bool" i)
+          (Int64.logand (next_ref ()) 1L = 1L)
+          (Sim.Rng.bool r);
+        let saved = Sim.Rng.save r in
+        check Alcotest.int64 (label "save is the state" i) !state saved;
+        let a = Sim.Rng.int64 r and b = Sim.Rng.int r 1000 in
+        Sim.Rng.reseed r saved;
+        check Alcotest.int64 (label "reseed replays int64" i) a (Sim.Rng.int64 r);
+        checki (label "reseed replays int" i) b (Sim.Rng.int r 1000);
+        ignore (next_ref ());
+        ignore (next_ref ())
+      done)
+    reference_seeds
 
 (* ------------------------- Clock ----------------------------------- *)
 
@@ -188,8 +234,10 @@ let () =
           Alcotest.test_case "weighted distribution" `Quick
             test_rng_choose_weighted_distribution;
           Alcotest.test_case "weighted empty" `Quick test_rng_choose_weighted_empty;
-          Alcotest.test_case "limb arithmetic matches Int64 reference" `Quick
+          Alcotest.test_case "splitmix64 matches Int64 reference" `Quick
             test_rng_matches_int64_reference;
+          Alcotest.test_case "derivations match Int64 reference" `Quick
+            test_rng_derivations_match_reference;
         ] );
       ( "clock",
         [
