@@ -301,7 +301,8 @@ let inject w (cfg : config) mech rng =
       let left = ref cfg.frames_per_victim in
       let i = ref 0 in
       while !left > 0 && !i < n_frames do
-        let d = Pfn.get hv.Hypervisor.pfn !i in
+        (* A peek: the untouched frames' sentinel is never a victim's. *)
+        let d = Pfn.peek hv.Hypervisor.pfn !i in
         if d.Pfn.owner = domid && d.Pfn.use_count > 0 then begin
           Pfn.touch d;
           d.Pfn.use_count <- 0;

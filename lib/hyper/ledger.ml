@@ -95,7 +95,7 @@ let capture (hv : Hypervisor.t) =
   let orphan_frames = ref 0 in
   let pfn = hv.Hypervisor.pfn in
   for i = 0 to Pfn.frames pfn - 1 do
-    let d = Pfn.get pfn i in
+    let d = Pfn.peek pfn i in
     if d.Pfn.ptype <> Pfn.Free then begin
       incr frames_used;
       (match d.Pfn.ptype with
@@ -109,7 +109,7 @@ let capture (hv : Hypervisor.t) =
   let stale_frame_refs = ref 0 in
   Hashtbl.iter
     (fun (domid, f) () ->
-      let d = Pfn.get pfn f in
+      let d = Pfn.peek pfn f in
       if d.Pfn.ptype = Pfn.Free || d.Pfn.owner <> domid then
         incr stale_frame_refs)
     owned;

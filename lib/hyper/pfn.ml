@@ -8,9 +8,19 @@
     dominant component of NiLiHype's 22 ms recovery latency (21 ms for
     8 GB).
 
-    The table is also the only O(machine) structure in the simulator
-    (64 Ki descriptors on the campaign configuration), and its rewinds
-    are copy-on-write through {!Cow}: the golden image of each
+    The table covers the whole machine (64 Ki frames on the campaign
+    configuration), but a descriptor record exists only for a frame in
+    use. Every slot starts as the table's one shared sentinel: a free,
+    unowned frame, exactly what golden zeros in the store encode. {!get}
+    and the allocator materialize a record on a frame's first use, from
+    a spare set filled at each base image; {!restore} hands back every
+    record materialized since the image and puts the sentinel back. So
+    boot costs O(frames in use), and every run from an image allocates
+    the same words, whatever ran before it. Read-only walks ({!peek},
+    the scans and counts) never materialize; the sentinel is consistent,
+    so no scan writes it.
+
+    Rewinds are copy-on-write through {!Cow}: the golden image of each
     descriptor's four mutable fields lives in the table's store, two
     ints per frame. Mutators inside this module mark descriptors dirty
     themselves; the few external writers (the journal's undo arms, the
@@ -35,7 +45,7 @@ type page_type =
   | Xenheap
 
 type desc = {
-  index : int;
+  mutable index : int; (* a recycled record moves to another frame *)
   mutable validated : bool;
   mutable use_count : int;
   mutable ptype : page_type;
@@ -44,7 +54,19 @@ type desc = {
 }
 
 type t = {
-  descs : desc array;
+  descs : desc array; (* per frame: its record, or [sentinel] if untouched *)
+  sentinel : desc; (* a free, unowned frame; never written *)
+  spares : desc array; (* records to materialize, the first [nspare] usable *)
+  mutable nspare : int;
+  materialized : int array; (* frames given a record, in order *)
+  mutable nmat : int;
+  (* [nmat] and [nspare] at the latest image, and at the base image while
+     a layer is taken over it: a restore gives back every record
+     materialized past the mark and refills the spares to the mark. *)
+  mutable mark : int;
+  mutable mark_spares : int;
+  mutable base_mark : int;
+  mutable base_spares : int;
   mutable free_head : int; (* cursor for simple free-frame allocation *)
   cow : unit Cow.t;
   mutable tracking_ok : bool;
@@ -118,26 +140,72 @@ let golden_consistent c i =
   consistent_fields ~ptype:(flags_ptype f) ~use_count:(Cow.golden c i 0)
     ~validated:(flags_validated f) ~owner:(flags_owner f)
 
+(* Records in the spare set, refilled at each base image: about twice
+   the most frames one run was seen to materialize past its boot image
+   (223, over 3,000 campaign runs of each fault kind, fuzz clones and
+   fleet trials), so a run does not allocate records. One that needs
+   more allocates the extra ones, and its restore drops them. *)
+let spare_records = 512
+
+let free_desc cow index =
+  { index; validated = false; use_count = 0; ptype = Free; owner = -1; cow }
+
 let create ~frames =
   let cow = Cow.create ~width:2 ~slots:frames ~scalars:[| 0; 0 |] [||] in
+  let sentinel = free_desc cow (-1) in
+  (* In this order: a large [descs] promotes the sentinel, so [spares]
+     need not force a second minor collection. *)
+  let descs = Array.make frames sentinel in
+  let spares = Array.make spare_records sentinel in
   {
-    descs =
-      Array.init frames (fun index ->
-          {
-            index;
-            validated = false;
-            use_count = 0;
-            ptype = Free;
-            owner = -1;
-            cow;
-          });
+    descs;
+    sentinel;
+    spares;
+    nspare = 0;
+    materialized = Array.make frames 0;
+    nmat = 0;
+    mark = 0;
+    mark_spares = 0;
+    base_mark = 0;
+    base_spares = 0;
     free_head = 0;
     cow;
     tracking_ok = true;
   }
 
 let frames t = Array.length t.descs
-let get t i = t.descs.(i)
+
+(* Give frame [i] a record of its own, reset to the free values the
+   sentinel stood for: a spare if one is left, else a fresh one. *)
+let materialize t i =
+  let d =
+    if t.nspare = 0 then free_desc t.cow i
+    else begin
+      t.nspare <- t.nspare - 1;
+      let d = t.spares.(t.nspare) in
+      d.index <- i;
+      d.validated <- false;
+      d.use_count <- 0;
+      d.ptype <- Free;
+      d.owner <- -1;
+      d
+    end
+  in
+  t.descs.(i) <- d;
+  t.materialized.(t.nmat) <- i;
+  t.nmat <- t.nmat + 1;
+  d
+
+(* Frame [i]'s record, materialized if the frame was untouched: callers
+   may write it. *)
+let get t i =
+  let d = t.descs.(i) in
+  if d == t.sentinel then materialize t i else d
+
+(* Frame [i]'s descriptor as it stands, without materializing: an
+   untouched frame reads as the shared sentinel, which must not be
+   written. For read-only walks. *)
+let peek t i = t.descs.(i)
 
 (* Mark a descriptor as modified since the last snapshot. *)
 let touch (d : desc) = Cow.touch d.cow d.index
@@ -180,11 +248,25 @@ let snapshot ?(layer = false) t =
   Cow.set_scalar c free_head_k t.free_head;
   Cow.set_scalar c inconsistent_k inconsistent;
   Cow.drain c;
-  t.tracking_ok <- true
+  t.tracking_ok <- true;
+  if layer then begin
+    t.base_mark <- t.mark;
+    t.base_spares <- t.mark_spares
+  end
+  else
+    while t.nspare < spare_records do
+      t.spares.(t.nspare) <- free_desc c (-1);
+      t.nspare <- t.nspare + 1
+    done;
+  t.mark <- t.nmat;
+  t.mark_spares <- t.nspare
 
 (* Rewind every descriptor written since the last snapshot back to its
-   golden image. O(changed frames); repeatable (later writes re-dirty).
-   The image's inconsistency count holds again as it stands. *)
+   golden image, then give back the records of the frames materialized
+   since: the sentinel stood for them in the image, so their golden
+   image is a free frame. O(changed frames); repeatable (later writes
+   re-dirty). The image's inconsistency count holds again as it
+   stands. *)
 let restore t =
   let c = t.cow in
   for i = 0 to Cow.dirty_count c - 1 do
@@ -196,10 +278,26 @@ let restore t =
     d.validated <- flags_validated f
   done;
   Cow.drain c;
+  for k = t.nmat - 1 downto t.mark do
+    let f = t.materialized.(k) in
+    if t.nspare < t.mark_spares then begin
+      t.spares.(t.nspare) <- t.descs.(f);
+      t.nspare <- t.nspare + 1
+    end;
+    t.descs.(f) <- t.sentinel
+  done;
+  t.nmat <- t.mark;
   t.free_head <- Cow.scalar c free_head_k;
   t.tracking_ok <- true
 
-let drop_layer t = Cow.drop_layer t.cow
+(* The next restore lands on the base image again. *)
+let drop_layer t =
+  if t.cow.Cow.layered then begin
+    t.mark <- t.base_mark;
+    t.mark_spares <- t.base_spares
+  end;
+  Cow.drop_layer t.cow
+
 let dirty_count t = Cow.dirty_count t.cow
 
 (* Visit the descriptors written since the last snapshot, most recently
@@ -217,8 +315,10 @@ let invalidate_tracking t = t.tracking_ok <- false
 let rec find_free t n tries i =
   if tries > n then Crash.panic "pfn: out of physical frames"
   else begin
-    let d = t.descs.(i mod n) in
-    if d.ptype = Free && d.use_count = 0 && not d.validated then d
+    let f = i mod n in
+    let d = t.descs.(f) in
+    if d == t.sentinel then materialize t f
+    else if d.ptype = Free && d.use_count = 0 && not d.validated then d
     else find_free t n (tries + 1) (i + 1)
   end
 

@@ -70,26 +70,22 @@ let random_domain (hv : Hypervisor.t) rng ~app_only =
   | 0 -> None
   | n -> Some (Domain_table.nth pick hv.Hypervisor.domains (Sim.Rng.int rng n))
 
+(* A frame for a wild write, biased towards frames that are actually in
+   use, as wild writes land in hot data structures: up to 17 draws,
+   peeked without materializing, then the chosen frame's record. *)
+let rec pick_frame pfn rng frames tries =
+  let i = Sim.Rng.int rng frames in
+  if (Pfn.peek pfn i).Pfn.use_count > 0 || tries > 16 then Pfn.get pfn i
+  else pick_frame pfn rng frames (tries + 1)
+
 let apply hv rng target =
   match target with
   | Pfn_validated_flip ->
-    let frames = Hypervisor.frames hv in
-    (* Bias towards frames that are actually in use, as wild writes land
-       in hot data structures. *)
-    let rec pick tries =
-      let d = Pfn.get hv.Hypervisor.pfn (Sim.Rng.int rng frames) in
-      if d.Pfn.use_count > 0 || tries > 16 then d else pick (tries + 1)
-    in
-    let d = pick 0 in
+    let d = pick_frame hv.Hypervisor.pfn rng (Hypervisor.frames hv) 0 in
     Pfn.touch d;
     d.Pfn.validated <- not d.Pfn.validated
   | Pfn_use_count_skew ->
-    let frames = Hypervisor.frames hv in
-    let rec pick tries =
-      let d = Pfn.get hv.Hypervisor.pfn (Sim.Rng.int rng frames) in
-      if d.Pfn.use_count > 0 || tries > 16 then d else pick (tries + 1)
-    in
-    let d = pick 0 in
+    let d = pick_frame hv.Hypervisor.pfn rng (Hypervisor.frames hv) 0 in
     let delta = [| -2; -1; 1; 2 |].(Sim.Rng.int rng 4) in
     Pfn.touch d;
     d.Pfn.use_count <- d.Pfn.use_count + delta
@@ -155,12 +151,7 @@ let apply hv rng target =
        type no longer matches its references. [scan_and_fix] repairs the
        disagreement at recovery time; until then get_page/put_page and
        the allocator can trip over it. *)
-    let frames = Hypervisor.frames hv in
-    let rec pick tries =
-      let d = Pfn.get hv.Hypervisor.pfn (Sim.Rng.int rng frames) in
-      if d.Pfn.use_count > 0 || tries > 16 then d else pick (tries + 1)
-    in
-    let d = pick 0 in
+    let d = pick_frame hv.Hypervisor.pfn rng (Hypervisor.frames hv) 0 in
     Pfn.touch d;
     d.Pfn.ptype <-
       (match d.Pfn.ptype with

@@ -98,10 +98,17 @@ let hv_setup_of cfg =
   | One_appvm _ -> Hypervisor.One_appvm
   | Three_appvm -> Hypervisor.Three_appvm
 
-(* Build the per-run state around an already-booted hypervisor. Shared by
-   the fresh-boot path and the worker-reuse path, so both runs see the
-   same benchmarks/mix construction. *)
-let make_state cfg rng (hv : Hypervisor.t) =
+(* The run's activity tables: its benchmarks and their system mix, for
+   [cfg]'s setup on the booted [hv]. Both are immutable and depend only
+   on the setup and the boot image's domains, so a worker builds them
+   once per image and setup and shares them across its runs. *)
+type tables = {
+  tb_setup : setup;
+  tb_benchmarks : Workloads.Workload.t list;
+  tb_mix : Workloads.System_mix.t;
+}
+
+let tables cfg (hv : Hypervisor.t) =
   let vcpus = cfg.vcpus_per_cpu in
   let benchmarks =
     match cfg.setup with
@@ -131,19 +138,28 @@ let make_state cfg rng (hv : Hypervisor.t) =
     List.find_opt (fun (b : Workloads.Workload.t) -> b.kind = Workloads.Workload.Netbench) benchmarks
     |> Option.map (fun (b : Workloads.Workload.t) -> b.domid)
   in
-  let mix =
-    Workloads.System_mix.create ~benchmarks ~active_cpus ~blk_dom ~net_dom
-  in
+  {
+    tb_setup = cfg.setup;
+    tb_benchmarks = benchmarks;
+    tb_mix = Workloads.System_mix.create ~benchmarks ~active_cpus ~blk_dom ~net_dom;
+  }
+
+let state_with tb cfg rng hv =
   {
     cfg;
     rng;
     hv;
-    mix;
-    benchmarks;
+    mix = tb.tb_mix;
+    benchmarks = tb.tb_benchmarks;
     last_cpu = 0;
     fault_applied = false;
     first_target = None;
   }
+
+(* Build the per-run state around an already-booted hypervisor. Shared by
+   the fresh-boot path and the worker-reuse path, so both runs see the
+   same benchmarks/mix construction. *)
+let make_state cfg rng hv = state_with (tables cfg hv) cfg rng hv
 
 (* Boot the hypervisor for [cfg] on a fresh clock. The single boot
    construction shared by the fresh-boot path ([boot_state]), the worker
@@ -757,6 +773,7 @@ type worker = {
   mutable w_hv : Hypervisor.t;
   mutable w_boot_key : boot_key;
   mutable w_image : Hypervisor.image; (* golden post-boot image *)
+  mutable w_tables : tables; (* for the image and the latest run's setup *)
   mutable w_golden_ledger : Ledger.t option; (* captured with the image when auditing *)
   mutable w_audit_restores : bool;
   mutable w_last_target : string option;
@@ -802,6 +819,7 @@ let prepare ?recorder (cfg : config) =
     w_hv = hv;
     w_boot_key = boot_key_of cfg;
     w_image = Hypervisor.snapshot hv;
+    w_tables = tables cfg hv;
     w_golden_ledger = None;
     w_audit_restores = false;
     w_last_target = None;
@@ -826,6 +844,7 @@ let rewind w (cfg : config) =
     w.w_hv <- boot_hv ~recorder:obs cfg;
     w.w_boot_key <- boot_key_of cfg;
     w.w_image <- Hypervisor.snapshot w.w_hv;
+    w.w_tables <- tables cfg w.w_hv;
     set_restore_audit w w.w_audit_restores
   end
   else begin
@@ -837,12 +856,14 @@ let rewind w (cfg : config) =
    source, an endurance scenario: mark the boot phase before the rewind
    (the mark survives the recorder reset inside it), rewind, open a new
    flight-ring epoch (the rings survive the rewind by design, so this
-   scopes readback to the run's own entries) and build the run state. *)
+   scopes readback to the run's own entries) and build the run state
+   around the worker's activity tables. *)
 let start_on w (cfg : config) =
   Obs.Recorder.alloc_begin w.w_hv.Hypervisor.obs;
   rewind w cfg;
   Hypervisor.new_flight_epoch w.w_hv;
-  make_state cfg w.w_rng w.w_hv
+  if w.w_tables.tb_setup <> cfg.setup then w.w_tables <- tables cfg w.w_hv;
+  state_with w.w_tables cfg w.w_rng w.w_hv
 
 let execute_into w (cfg : config) : outcome =
   let st = start_on w cfg in

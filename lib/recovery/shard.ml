@@ -39,7 +39,9 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
      scanned set whatever state the owner fields are in (damaged owners
      land in some group and are still repaired). Groups keep reverse
      visit order; repairs are order-independent. The quiesce touches no
-     descriptor, so grouping before it sees what the shards will. *)
+     descriptor, so grouping before it sees what the shards will. The
+     full scan peeks: an untouched frame reads as the table's sentinel,
+     which is consistent, so its shard never writes it. *)
   let groups : (int, Pfn.desc list ref * int ref) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -61,7 +63,7 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
      | Plan.Incremental_scan -> Pfn.iter_dirty hv.Hypervisor.pfn visit
      | Plan.Full_scan ->
        for i = 0 to real_frames - 1 do
-         visit (Pfn.get hv.Hypervisor.pfn i)
+         visit (Pfn.peek hv.Hypervisor.pfn i)
        done);
   (* Domains with in-flight hypervisor work need a shard for their
      retry / FS-GS bookkeeping even if none of their frames is dirty.

@@ -11,7 +11,7 @@ let dump (hv : Hyper.Hypervisor.t) =
   let pr fmt = Printf.bprintf b fmt in
   let pfn = hv.Hyper.Hypervisor.pfn in
   for i = 0 to Hyper.Pfn.frames pfn - 1 do
-    let d = Hyper.Pfn.get pfn i in
+    let d = Hyper.Pfn.peek pfn i in
     pr "p%d %b %d %s %d\n" i d.Hyper.Pfn.validated d.Hyper.Pfn.use_count
       (Hyper.Pfn.page_type_name d.Hyper.Pfn.ptype)
       d.Hyper.Pfn.owner

@@ -46,7 +46,7 @@ let state_digest (hv : Hyper.Hypervisor.t) =
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let pfn = hv.Hyper.Hypervisor.pfn in
   for i = 0 to Hyper.Hypervisor.frames hv - 1 do
-    let d = Hyper.Pfn.get pfn i in
+    let d = Hyper.Pfn.peek pfn i in
     pr "p%d:%b:%d:%s:%d\n" i d.Hyper.Pfn.validated d.Hyper.Pfn.use_count
       (Hyper.Pfn.page_type_name d.Hyper.Pfn.ptype)
       d.Hyper.Pfn.owner
@@ -99,9 +99,17 @@ let state_digest (hv : Hyper.Hypervisor.t) =
   Buffer.contents b
 
 (* Boot + warmup + golden snapshot + one corruption, deterministically
-   from [seed]; returns the machine ready for a recovery attempt. *)
-let damaged_machine ?obs ~config ~seed target =
+   from [seed]; returns the machine ready for a recovery attempt.
+   [eager] gives every frame its own descriptor record right after boot,
+   as the page-frame table did before untouched frames shared one
+   sentinel. *)
+let damaged_machine ?obs ?(eager = false) ~config ~seed target =
   let hv = boot ~config ?obs () in
+  let pfn = hv.Hyper.Hypervisor.pfn in
+  if eager then
+    for i = 0 to Hyper.Pfn.frames pfn - 1 do
+      ignore (Hyper.Pfn.get pfn i)
+    done;
   let rng = Sim.Rng.create seed in
   warmup hv rng ~steps:120;
   ignore (Hyper.Hypervisor.snapshot hv);
@@ -323,6 +331,50 @@ let test_sharded_equals_serial () =
       ("full", Hyper.Config.nilihype);
       ("incremental", Hyper.Config.nilihype_incremental);
     ]
+
+(* The same contract when untrusted dirty tracking forces the full scan
+   on an incremental configuration. The sharded full scan peeks at every
+   frame, and an untouched one is the table's shared sentinel, grouped
+   with the unowned frames. A twin whose every frame has its own record
+   (the eager table) must recover identically: the same repairs,
+   modelled latency, resume offsets and machine state. *)
+let test_sharded_equals_serial_full_scan () =
+  List.iter
+    (fun target ->
+      let name = Inject.Corrupt.name target in
+      let damaged ?eager () =
+        let hv =
+          damaged_machine ?eager ~config:Hyper.Config.nilihype_incremental
+            ~seed:9_910L target
+        in
+        Hyper.Pfn.invalidate_tracking hv.Hyper.Hypervisor.pfn;
+        hv
+      in
+      let a = damaged () and bm = damaged () and c = damaged ~eager:true () in
+      match (recover_outcome a, shard_outcome bm, shard_outcome c) with
+      | Ok oa, Ok ob, Ok oc ->
+        List.iter
+          (fun (o : Recovery.Plan.outcome) ->
+            checkb (name ^ ": full scan") true
+              (o.Recovery.Plan.scan_mode = Some Recovery.Plan.Full_scan))
+          [ oa; ob; oc ];
+        checki (name ^ ": serial and sharded repairs agree")
+          oa.Recovery.Plan.repairs.Recovery.Plan.pfn_fixed
+          ob.Recovery.Plan.repairs.Recovery.Plan.pfn_fixed;
+        checki (name ^ ": eager repairs agree")
+          oc.Recovery.Plan.repairs.Recovery.Plan.pfn_fixed
+          ob.Recovery.Plan.repairs.Recovery.Plan.pfn_fixed;
+        checkb (name ^ ": same modelled latency and resume offsets") true
+          (oc.Recovery.Plan.latency = ob.Recovery.Plan.latency
+          && oc.Recovery.Plan.resume_global = ob.Recovery.Plan.resume_global
+          && oc.Recovery.Plan.resume_offsets = ob.Recovery.Plan.resume_offsets);
+        checks (name ^ ": sharded state = serial state") (state_digest a)
+          (state_digest bm);
+        checks (name ^ ": eager state = lazy state") (state_digest c)
+          (state_digest bm)
+      | _ -> Alcotest.failf "%s: a recovery died" name)
+    Inject.Corrupt.
+      [ Pfn_validated_flip; Pfn_use_count_skew; Pfn_type_scramble; Pfn_tracker ]
 
 (* Two identical sharded recoveries must produce identical results --
    lane assignment, spans and resume offsets included -- and every
@@ -1038,6 +1090,8 @@ let () =
             test_sharded_deterministic;
           Alcotest.test_case "plans reconcile by construction" `Quick
             test_plans_reconcile;
+          Alcotest.test_case "sharded equals serial under a full scan" `Quick
+            test_sharded_equals_serial_full_scan;
         ] );
       ( "fleet",
         [

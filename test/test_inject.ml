@@ -445,11 +445,12 @@ let test_gc_budget_per_run () =
 (* The same register runs through [Campaign.run ~jobs:1] on a warm
    pre-booted pool: per-run metrics fold in place and are snapshotted
    once per chunk, so a campaign run costs little more than its
-   [execute_into] (measured ~3.9k words a run; ~7.0k when every sampled
+   [execute_into] (measured ~3.55k words a run; ~3.9k when every run
+   rebuilt its benchmarks and system mix, ~7.0k when every sampled
    activity was a fresh value, ~10.3k when every run also built a
-   snapshot and merged it into the chunk's). The ceiling is 5k words a
+   snapshot and merged it into the chunk's). The ceiling is 3.8k words a
    run, counted in the calling domain, which the one worker runs in. *)
-let campaign_words_per_run_ceiling = 5_000.0
+let campaign_words_per_run_ceiling = 3_800.0
 
 let test_campaign_words_per_run () =
   let cfg = run_cfg ~fault:Inject.Fault.Register () in
@@ -461,6 +462,20 @@ let test_campaign_words_per_run () =
   if per_run > campaign_words_per_run_ceiling then
     Alcotest.failf "Campaign.run: %.0f minor words a run, ceiling %.0f" per_run
       campaign_words_per_run_ceiling
+
+(* Booting a worker costs O(frames in use), not O(frames): [Run.prepare]
+   on the default configuration allocates at most 50k minor words
+   (~22k measured; ~476k while the page-frame table built a record for
+   each of its 64 Ki frames at create). *)
+let prepare_words_ceiling = 50_000.0
+
+let test_prepare_words () =
+  let cfg = Inject.Run.default_config in
+  ignore (Inject.Run.prepare cfg);
+  let words = minor_words (fun () -> Inject.Run.prepare cfg) in
+  if words > prepare_words_ceiling then
+    Alcotest.failf "Run.prepare: %.0f minor words, ceiling %.0f" words
+      prepare_words_ceiling
 
 (* Activity-kind word ceilings: mean minor words per call, from the
    recorder's activity-kind ledger, over 100 register runs on a restored
@@ -1169,6 +1184,7 @@ let () =
             test_alloc_attribution_agrees;
           Alcotest.test_case "campaign minor words" `Quick
             test_campaign_minor_words_recorded;
+          Alcotest.test_case "boot word ceiling" `Quick test_prepare_words;
         ] );
       ( "snapshot",
         [

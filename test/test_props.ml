@@ -295,7 +295,7 @@ let prop_owned_frames_list_model =
     (fun ops ->
       let module O = Hyper.Owned_frames in
       let module P = Hyper.Pfn in
-      let descs = (P.create ~frames:41).P.descs in
+      let descs = Array.init 41 (P.get (P.create ~frames:41)) in
       Array.iter (fun d -> if d.P.index mod 2 = 0 then d.P.ptype <- P.Writable) descs;
       let t = O.create () in
       let model = ref [] and images = ref [] in
@@ -399,7 +399,7 @@ let pfn_store () =
   let t = P.create ~frames in
   let view () =
     ( Array.init frames (fun i ->
-          let d = P.get t i in
+          let d = P.peek t i in
           (d.P.validated, d.P.use_count, d.P.ptype, d.P.owner)),
       t.P.free_head )
   in
@@ -573,6 +573,113 @@ let cow_steps = QCheck.(list_of_size Gen.(0 -- 80) (pair (int_bound 11) (int_bou
 let prop_cow_model name store =
   QCheck.Test.make ~name:("copy-on-write model: " ^ name) ~count:300 cow_steps
     (fun steps -> cow_model_holds (store ()) steps)
+
+(* ------------------------- Lazy page-frame table -------------------- *)
+
+(* The page-frame table gives a frame its own descriptor record on first
+   use and takes it back at the next restore. Random sequences of every
+   mutator, wild writes, full scans, tracking loss, and base and layer
+   snapshots, restores and unlayering restores run on a lazy table and
+   on an eager reference whose every frame got its record before the
+   first image, so it never gives one back. After every step both agree
+   on every frame's four fields, the allocation cursor, the dirty count
+   and both inconsistency counts, and none of those read-only walks gave
+   a frame a record. After every restore the lazy table holds exactly
+   the records and spares of the image it landed on. Bursts of 128
+   allocations in a table of twice the spare set run past the spares. *)
+let prop_pfn_lazy_table =
+  QCheck.Test.make ~name:"lazy pfn table = eager table" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 60) (pair (int_bound 11) (int_bound 10_000)))
+    (fun steps ->
+      let module P = Hyper.Pfn in
+      let frames = 2 * P.spare_records in
+      let lz = P.create ~frames and eager = P.create ~frames in
+      for i = 0 to frames - 1 do
+        ignore (P.get eager i)
+      done;
+      P.snapshot lz;
+      P.snapshot eager;
+      let layered = ref false in
+      let both f = crashes (fun () -> f lz) = crashes (fun () -> f eager) in
+      let fields t i =
+        let d = P.peek t i in
+        (d.P.validated, d.P.use_count, d.P.ptype, d.P.owner)
+      in
+      let agree () =
+        let nmat = lz.P.nmat in
+        let same = ref true in
+        for i = 0 to frames - 1 do
+          if fields lz i <> fields eager i then same := false
+        done;
+        !same
+        && lz.P.free_head = eager.P.free_head
+        && P.dirty_count lz = P.dirty_count eager
+        && P.count_inconsistent_dirty lz = P.count_inconsistent_dirty eager
+        && P.count_inconsistent lz = P.count_inconsistent eager
+        && P.free_frames lz = P.free_frames eager
+        && lz.P.nmat = nmat
+      in
+      let rewind f =
+        f lz;
+        f eager;
+        lz.P.nmat = lz.P.mark && lz.P.nspare = lz.P.mark_spares
+      in
+      List.for_all
+        (fun (op, arg) ->
+          let i = arg mod frames in
+          let ptype = if arg mod 2 = 0 then P.Writable else P.Page_table in
+          let step_ok =
+            match op with
+            | 0 -> both (fun t -> P.alloc_frame t ~owner:(arg mod 3) ~ptype)
+            | 1 ->
+              both (fun t ->
+                  for _ = 1 to 128 do
+                    ignore (P.alloc_frame t ~owner:1 ~ptype)
+                  done)
+            | 2 -> both (fun t -> P.get_page (P.get t i))
+            | 3 -> both (fun t -> P.put_page (P.get t i))
+            | 4 -> both (fun t -> P.validate (P.get t i))
+            | 5 -> both (fun t -> P.invalidate (P.get t i))
+            | 6 ->
+              (* A wild write, as the journal's undo and the fault
+                 injector do: [get], [touch], then a raw field store. *)
+              both (fun t ->
+                  let d = P.get t i in
+                  P.touch d;
+                  match arg mod 4 with
+                  | 0 -> d.P.use_count <- (arg mod 7) - 2
+                  | 1 -> d.P.owner <- (arg mod 5) - 1
+                  | 2 -> d.P.ptype <- P.page_types.(arg mod 6)
+                  | _ -> d.P.validated <- not d.P.validated)
+            | 7 ->
+              P.invalidate_tracking lz;
+              P.invalidate_tracking eager;
+              true
+            | 8 ->
+              (* A full scan, the fold or the recovery path's: the same
+                 repairs, and no record for an untouched frame. *)
+              let nmat = lz.P.nmat in
+              let scan = if arg mod 2 = 0 then P.scan_and_fix else P.repair_all in
+              scan lz = scan eager && lz.P.nmat = nmat
+            | 9 when not !layered ->
+              P.snapshot ~layer:true lz;
+              P.snapshot ~layer:true eager;
+              layered := true;
+              true
+            | 9 | 10 -> rewind P.restore
+            | _ when arg mod 3 = 0 ->
+              P.snapshot lz;
+              P.snapshot eager;
+              layered := false;
+              true
+            | _ ->
+              layered := false;
+              rewind (fun t ->
+                  P.drop_layer t;
+                  P.restore t)
+          in
+          step_ok && agree ())
+        steps)
 
 (* The event-channel and grant tables image themselves. Random mutator
    sequences -- every mutator, plus grant maps and unmaps the journal
@@ -751,6 +858,7 @@ let () =
             prop_cow_model "heap" heap_store;
             prop_cow_model "timer_heap" timer_store;
             prop_table_image_model;
+            prop_pfn_lazy_table;
           ] );
       ( "recovery",
         List.map to_alcotest [ prop_microreset_postconditions; prop_run_deterministic ]
