@@ -108,44 +108,24 @@ let () =
   List.iter
     (fun (k, v) -> Format.printf "  death: %s x%d@." k v)
     (Sim.Stats.Counts.sorted result.Endure.totals.Endure.death_notes);
-  Obs_cli.write_triage
-    ~meta:
-      [
-        ("tool", `String "nlh_endurance");
-        ("label", `String label);
-        ("scenarios", `Int !scenarios);
-        ("cycles", `Int !cycles);
-        ("base_seed", `Int !seed);
-      ]
-    result.Endure.totals.Endure.triage;
+  (* One meta for every file the run writes. *)
+  let meta =
+    [
+      ("tool", `String "nlh_endurance"); ("label", `String label);
+      ("mechanism", `String mech_name); ("fault", `String (Inject.Fault.name !fault));
+      ("scenarios", `Int !scenarios); ("cycles", `Int !cycles); ("base_seed", `Int !seed);
+    ]
+    @ if !budget < 0 then [] else [ ("leak_budget_pages", `Int !budget) ]
+  in
+  Obs_cli.write_triage ~meta result.Endure.totals.Endure.triage;
   if !json_out <> "" then begin
-    let oc = open_out !json_out in
-    Endure.write_json oc
-      ~meta:
-        [
-          ("tool", `String "nlh_endurance");
-          ("label", `String label);
-          ("mechanism", `String mech_name);
-          ("fault", `String (Inject.Fault.name !fault));
-          ("base_seed", `Int !seed);
-        ]
-      result;
-    close_out oc;
+    Obs.Export.write_file !json_out (Endure.report_json ~meta result);
     Format.printf "endurance report written to %s@." !json_out
   end;
   if !Obs_cli.metrics_file <> "" then
     Obs_cli.write_metrics
-      ~meta:
-        [
-          ("tool", `String "nlh_endurance");
-          ("label", `String label);
-          ("scenarios", `Int !scenarios);
-          ("cycles", `Int !cycles);
-          ("base_seed", `Int !seed);
-          ("jobs", `Int result.Endure.jobs);
-        ]
-      !Obs_cli.metrics_file
-      result.Endure.totals.Endure.metrics;
+      ~meta:(meta @ [ ("jobs", `Int result.Endure.jobs) ])
+      !Obs_cli.metrics_file result.Endure.totals.Endure.metrics;
   if result.Endure.totals.Endure.budget_violations > 0 then begin
     Format.printf
       "FAIL: %d recovery cycle(s) exceeded the leak budget of %d page(s)@."

@@ -108,8 +108,6 @@ let () =
       mechs
   in
   if !out <> "" then begin
-    let oc = open_out !out in
-    Fleet.write_json oc cfg results;
-    close_out oc;
+    Obs.Export.write_file !out (Fleet.to_json cfg results);
     Format.printf "@.wrote %s@." !out
   end

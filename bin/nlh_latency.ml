@@ -12,9 +12,10 @@ let minor_words_per_run (r : Inject.Campaign.result) =
 (* Empirical cross-check of the analytic model: measure the mean
    recovery latency observed across a failstop campaign (parallelised
    over [jobs] domains), and report the campaign's allocation cost the
-   same way the bench sections do. Returns the campaign result so the
-   JSON export can include it. *)
+   same way the bench sections do. Returns the campaign's fanout and
+   result, which the JSON export embeds. *)
 let empirical_latency ~runs ~jobs =
+  let fanout = 1 in
   let cfg =
     {
       Inject.Run.default_config with
@@ -22,7 +23,9 @@ let empirical_latency ~runs ~jobs =
       setup = Inject.Run.One_appvm Workloads.Workload.Unixbench;
     }
   in
-  let r = Inject.Campaign.run ~label:"latency" ~base_seed:42_000L ~jobs ~n:runs cfg in
+  let r =
+    Inject.Campaign.run ~label:"latency" ~base_seed:42_000L ~jobs ~fanout ~n:runs cfg
+  in
   Format.printf
     "@.Empirical (campaign of %d failstop injections, jobs=%d, wall %.2fs, \
      %.1f runs/s, %.0f minor words/run):@."
@@ -34,47 +37,7 @@ let empirical_latency ~runs ~jobs =
     Format.printf "  mean NiLiHype recovery latency over %d recoveries: %a@."
       r.Inject.Campaign.totals.Inject.Campaign.latency_samples Sim.Time.pp_float l
   | None -> Format.printf "  no recovery latency samples recorded@.");
-  r
-
-(* Hand-rolled like the bench records: schema [nlh-latency/1]. The
-   analytic Table II/III latencies plus, when --runs was given, the
-   empirical campaign cross-check with its words/run -- so latency
-   explorations are covered by the same allocation accounting as
-   campaigns. *)
-let write_json path ~mem_gb ~mconfig ~(nl : Recovery.Plan.outcome)
-    ~(re : Recovery.Plan.outcome) ~(empirical : Inject.Campaign.result option)
-    =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"nlh-latency/1\",\n";
-  Printf.fprintf oc "  \"tool\": \"nlh_latency\",\n";
-  Printf.fprintf oc "  \"mem_gb\": %d,\n  \"cpus\": %d,\n" mem_gb
-    mconfig.Hw.Machine.num_cpus;
-  Printf.fprintf oc "  \"nilihype_latency_ns\": %d,\n" nl.Recovery.Plan.latency;
-  Printf.fprintf oc "  \"rehype_latency_ns\": %d,\n" re.Recovery.Plan.latency;
-  Printf.fprintf oc "  \"rehype_over_nilihype\": %.2f" 
-    (float_of_int re.Recovery.Plan.latency
-    /. float_of_int nl.Recovery.Plan.latency);
-  (match empirical with
-  | None -> ()
-  | Some r ->
-    Printf.fprintf oc ",\n  \"empirical\": {\n";
-    Printf.fprintf oc "    \"runs\": %d,\n    \"jobs\": %d,\n"
-      r.Inject.Campaign.totals.Inject.Campaign.runs r.Inject.Campaign.jobs;
-    Printf.fprintf oc "    \"seconds\": %.3f,\n" r.Inject.Campaign.wall_seconds;
-    Printf.fprintf oc "    \"runs_per_sec\": %.1f,\n"
-      (Inject.Campaign.runs_per_sec r);
-    Printf.fprintf oc "    \"minor_words\": %.0f,\n"
-      r.Inject.Campaign.minor_words;
-    Printf.fprintf oc "    \"minor_words_per_run\": %.0f,\n"
-      (minor_words_per_run r);
-    (match Inject.Campaign.mean_latency r with
-    | Some l -> Printf.fprintf oc "    \"mean_recovery_latency_ns\": %.0f,\n" l
-    | None -> ());
-    Printf.fprintf oc "    \"latency_samples\": %d\n  }"
-      r.Inject.Campaign.totals.Inject.Campaign.latency_samples);
-  Printf.fprintf oc "\n}\n";
-  close_out oc;
-  Format.printf "latency report written to %s@." path
+  (fanout, r)
 
 let () =
   let mem_gb = ref 8 in
@@ -114,6 +77,9 @@ let () =
   in
   (* With --trace/--metrics, the NiLiHype measurement runs against a full
      recorder: its recovery spans become the exported timeline. *)
+  let meta =
+    [ ("tool", `String "nlh_latency"); ("mem_gb", `Int !mem_gb); ("cpus", `Int !cpus) ]
+  in
   let recorder =
     if !Obs_cli.trace_file <> "" || !Obs_cli.metrics_file <> "" then
       Some (Obs_cli.make_recorder ())
@@ -136,14 +102,7 @@ let () =
         (Obs.Span.count r.Obs.Recorder.spans)
     end;
     if !Obs_cli.metrics_file <> "" then
-      Obs_cli.write_metrics
-        ~meta:
-          [
-            ("tool", `String "nlh_latency");
-            ("mem_gb", `Int !mem_gb);
-            ("cpus", `Int mconfig.Hw.Machine.num_cpus);
-          ]
-        !Obs_cli.metrics_file
+      Obs_cli.write_metrics ~meta !Obs_cli.metrics_file
         (Obs.Recorder.metrics_snapshot r)
   | None -> ());
   let re = Recovery.Engine.measure ~mconfig Recovery.Engine.Rehype in
@@ -164,5 +123,9 @@ let () =
            ~jobs:(if !jobs > 0 then !jobs else Inject.Pool.default_jobs ()))
     else None
   in
-  if !json_out <> "" then
-    write_json !json_out ~mem_gb:!mem_gb ~mconfig ~nl ~re ~empirical
+  if !json_out <> "" then begin
+    Obs.Export.write_file !json_out
+      (Inject.Latency_report.to_json ~meta ~nilihype_ns:nl.Recovery.Plan.latency
+         ~rehype_ns:re.Recovery.Plan.latency ~empirical);
+    Format.printf "latency report written to %s@." !json_out
+  end

@@ -3,12 +3,14 @@
    is validated by that owner's decoder, so a file passes exactly when
    its readers would accept it:
 
-   - "nlh-obs/1" metrics documents: Obs.Export.metrics_of_json.
+   - "nlh-obs/1" metrics documents: Obs.Export.metrics_of_string.
    - "nlh-triage/1" triage documents: Obs.Postmortem.Triage.of_string.
    - "nlh-postmortem/1" bundles: Obs.Postmortem.of_string.
    - "nlh-checkpoint/1" soak checkpoints and "nlh-fuzz/1" corpora:
      Obs.Checkpoint.read plus the kind's resume decoder.
    - "nlh-fleet/1" fleet reports: Fleet.of_string.
+   - "nlh-endurance/2" endurance reports: Endure.report_of_string.
+   - "nlh-latency/2" latency reports: Inject.Latency_report.of_string.
 
    One shape is checked here, with Obs.Json's decode helpers:
    Chrome-trace timelines (a "traceEvents" array), whose rows all carry
@@ -86,7 +88,7 @@ let check contents path root =
         (fun (s : Obs.Metrics.snapshot) ->
           Printf.sprintf "nlh-obs/1 (%d histograms)"
             (List.length s.Obs.Metrics.histograms))
-        (Obs.Export.metrics_of_json root)
+        (Obs.Export.metrics_of_string contents)
     | Some "nlh-triage/1" ->
       Result.map
         (fun tr ->
@@ -109,6 +111,19 @@ let check contents path root =
             (List.length rp.Fleet.mechanisms)
             (List.assoc "trials" rp.Fleet.header))
         (Fleet.of_string contents)
+    | Some "nlh-endurance/2" ->
+      Result.map
+        (fun t ->
+          Printf.sprintf "nlh-endurance/2 (%d scenarios, %d cycles)" t.Endure.scenarios
+            (Array.length t.Endure.per_cycle))
+        (Endure.report_of_string contents)
+    | Some "nlh-latency/2" ->
+      Result.map
+        (fun rp ->
+          match rp.Inject.Latency_report.empirical with
+          | Some (_, t) -> Printf.sprintf "nlh-latency/2 (empirical: %d runs)" t.Inject.Campaign.runs
+          | None -> "nlh-latency/2 (no empirical section)")
+        (Inject.Latency_report.of_string contents)
     | Some s -> Error (Printf.sprintf "unknown schema %S" s)
     | None -> Error "neither a Chrome trace nor a schema document")
 

@@ -450,8 +450,8 @@ let fingerprint ~base_seed ~scenarios (cfg : config) =
 (* Canonical payload: every [totals] field but the triage table, with
    each [per_cycle] row as it is. It is also the view determinism
    contracts compare: a resumed run merges it, so whatever it leaves out
-   would drift unseen. *)
-let payload_of_totals (t : totals) =
+   would drift unseen. The report embeds its members as they are. *)
+let payload_members (t : totals) =
   let open Obs.Json in
   let counts =
     int_members
@@ -462,22 +462,23 @@ let payload_of_totals (t : totals) =
         ("budget_violations", t.budget_violations);
       ]
   in
-  Obj
-    [
-      ( "totals",
-        Obj
-          (counts
-          @ [
-              ( "per_cycle",
-                List
-                  (Array.to_list
-                     (Array.map (fun row -> ints (Array.to_list row)) t.per_cycle))
-              );
-              ("leaks", int_assoc (Sim.Stats.Counts.sorted t.leaks));
-              ("death_notes", int_assoc (Sim.Stats.Counts.sorted t.death_notes));
-              ("metrics", Obj (Obs.Metrics.json_members t.metrics));
-            ]) );
-    ]
+  [
+    ( "totals",
+      Obj
+        (counts
+        @ [
+            ( "per_cycle",
+              List
+                (Array.to_list
+                   (Array.map (fun row -> ints (Array.to_list row)) t.per_cycle))
+            );
+            ("leaks", int_assoc (Sim.Stats.Counts.sorted t.leaks));
+            ("death_notes", int_assoc (Sim.Stats.Counts.sorted t.death_notes));
+            ("metrics", Obj (Obs.Metrics.json_members t.metrics));
+          ]) );
+  ]
+
+let payload_of_totals t = Obs.Json.Obj (payload_members t)
 
 (* Parse a payload back into totals: the decoder resume and
    [nlh_trace_check] share. A resume passes its configured [cycles]; the
@@ -609,61 +610,39 @@ let pp fmt r =
       | None -> ())
     () t.budget_violations;
   if r.wall_seconds > 0.0 then
-    Format.fprintf fmt "%s: wall %.2fs (jobs=%d, cores=%d)@." r.config_label
-      r.wall_seconds r.jobs
+    Format.fprintf fmt "%s: wall %.2fs (jobs=%d, cores=%d), %.0f minor words/scenario@."
+      r.config_label r.wall_seconds r.jobs
       (Inject.Pool.default_jobs ())
+      (minor_words_per_scenario r)
 
 (* ------------------------------------------------------------------ *)
-(* JSON export (BENCH_endurance.json)                                  *)
+(* Report (BENCH_endurance.json, schema nlh-endurance/2)               *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand-rolled like the bench records: schema [nlh-endurance/1]. *)
-let write_json oc ?(meta = []) r =
-  let t = r.totals in
-  Printf.fprintf oc "{\n  \"schema\": \"nlh-endurance/1\",\n";
-  List.iter
-    (fun (k, v) ->
-      match v with
-      | `String s -> Printf.fprintf oc "  %S: %S,\n" k s
-      | `Int i -> Printf.fprintf oc "  %S: %d,\n" k i
-      | `Bool b -> Printf.fprintf oc "  %S: %b,\n" k b)
-    meta;
-  Printf.fprintf oc "  \"scenarios\": %d,\n  \"cycles\": %d,\n" t.scenarios
-    r.cfg.cycles;
-  Printf.fprintf oc "  \"jobs\": %d,\n  \"cores\": %d,\n" r.jobs
-    (Inject.Pool.default_jobs ());
-  Printf.fprintf oc "  \"seconds\": %.3f,\n" r.wall_seconds;
-  Printf.fprintf oc "  \"minor_words\": %.0f,\n" r.minor_words;
-  Printf.fprintf oc "  \"minor_words_per_scenario\": %.0f,\n"
-    (minor_words_per_scenario r);
-  Printf.fprintf oc
-    "  \"survived\": %d,\n  \"died\": %d,\n  \"latent_scenarios\": %d,\n"
-    t.survived t.deaths t.latent_scenarios;
-  Printf.fprintf oc "  \"max_leaked_pages_per_recovery\": %d,\n"
-    t.max_leaked_pages;
-  (match mean_leak_pages_per_recovery r with
-  | Some m -> Printf.fprintf oc "  \"mean_leaked_pages_per_recovery\": %.4f,\n" m
-  | None -> ());
-  (match r.cfg.leak_budget_pages with
-  | Some b -> Printf.fprintf oc "  \"leak_budget_pages\": %d,\n" b
-  | None -> ());
-  Printf.fprintf oc "  \"budget_violations\": %d,\n" t.budget_violations;
-  Printf.fprintf oc "  \"leaks_by_resource\": {";
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "%s\n    %S: %d" (if i > 0 then "," else "") k v)
-    (Sim.Stats.Counts.sorted t.leaks);
-  Printf.fprintf oc "\n  },\n  \"curve\": [";
-  let curve = survival_curve r in
-  Array.iteri
-    (fun i (idx, survival, clean_rate) ->
-      let c col = t.per_cycle.(idx).(col) in
-      Printf.fprintf oc
-        "%s\n    { \"cycle\": %d, \"entered\": %d, \"quiet\": %d, \
-         \"recovered\": %d, \"latent\": %d, \"died\": %d, \"leaked_pages\": \
-         %d, \"survival\": %.4f, \"clean_rate\": %.4f }"
-        (if i > 0 then "," else "")
-        idx (c c_entered) (c c_quiet) (c c_recovered) (c c_latent) (c c_died)
-        (c c_leaked_pages) survival clean_rate)
-    curve;
-  Printf.fprintf oc "\n  ]\n}\n"
+let report_schema = "nlh-endurance/2"
+
+(* The report: the caller's [meta], the checkpoint payload's members (so
+   its "totals" bytes are a checkpoint's payload), and what the host
+   measured. Every derived figure (the survival curve, the mean leak,
+   words per scenario) is left to readers: the totals determine it. *)
+let report_json ?(meta = []) r =
+  let open Obs.Json in
+  Obs.Export.document ~schema:report_schema ~meta
+    (payload_members r.totals
+    @ [
+        Obs.Export.host
+          [
+            ("seconds", Number r.wall_seconds); ("minor_words", Number r.minor_words);
+            ("jobs", int r.jobs);
+          ];
+      ])
+
+(* Read a report back into its totals, with the checkpoint payload's
+   decoder. *)
+let report_of_string s =
+  Result.bind (Obs.Json.parse_document s) (fun root ->
+      Result.bind
+        (Obs.Json.decoding (fun () ->
+             Obs.Export.check_envelope ~schema:report_schema root;
+             Obs.Export.check_host root))
+        (fun () -> totals_of_payload root))

@@ -617,10 +617,11 @@ let report (cfg : config) results =
     mechanisms = List.map (fun r -> (r.mech, read stat_fields r)) results;
   }
 
-let report_json rp =
-  Obs.Json.(
-    Obj
-      ((("schema", String schema) :: int_members rp.header)
+let to_json cfg results =
+  let rp = report cfg results in
+  Obs.Export.document ~schema ~meta:[]
+    Obs.Json.(
+      int_members rp.header
       @ [
           ( "mechanisms",
             List
@@ -628,10 +629,7 @@ let report_json rp =
                  (fun (mech, stats) ->
                    Obj (("mechanism", String (mechanism_name mech)) :: int_members stats))
                  rp.mechanisms) );
-        ]))
-
-let to_json cfg results = Obs.Json.document (report_json (report cfg results))
-let write_json oc cfg results = output_string oc (to_json cfg results)
+        ])
 
 (* Invariants: every mechanism is known and appears once; request
    counts equal the histogram sample counts; stalled and SLO-violating

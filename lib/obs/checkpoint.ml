@@ -46,21 +46,16 @@ let to_string ?(schema = schema) h ~payload =
   for i = Array.length h.done_chunks - 1 downto 0 do
     if h.done_chunks.(i) then done_ := i :: !done_
   done;
-  Json.(
-    document
-      (Obj
-         [
-           ("schema", String schema); ("kind", String h.kind);
-           ("fingerprint", String h.fingerprint); ("chunk", int h.chunk);
-           ("n_chunks", int h.n_chunks); ("done", ints !done_); ("payload", payload);
-         ]))
+  Export.document ~schema ~meta:[]
+    Json.
+      [
+        ("kind", String h.kind); ("fingerprint", String h.fingerprint); ("chunk", int h.chunk);
+        ("n_chunks", int h.n_chunks); ("done", ints !done_); ("payload", payload);
+      ]
 
 let write ?schema ~path h ~payload =
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?schema h ~payload));
+  Export.write_file tmp (to_string ?schema h ~payload);
   Sys.rename tmp path
 
 (* ------------------------------------------------------------------ *)

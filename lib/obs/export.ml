@@ -1,7 +1,8 @@
 (** Exporters: Chrome-trace JSON (loadable in Perfetto / chrome://tracing)
     for a single run's events and spans, and a plain metrics-JSON document
     ([OBS_campaign.json], schema nlh-obs/1) for campaign-level snapshots,
-    with the nlh-obs/1 reader.
+    with the nlh-obs/1 reader; and what every schema-tagged document
+    shares: its envelope, its "host" object and the file writer.
 
     Both documents are {!Json.t} values printed by {!Json.document};
     timestamps are simulated nanoseconds converted to the microseconds
@@ -77,6 +78,35 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
+(* --- Schema-tagged documents --------------------------------------- *)
+
+(* A schema-tagged document: the tag, the caller's [meta] when there is
+   any, then [members]. *)
+let document ~schema ~meta members =
+  let meta = if meta = [] then [] else [ ("meta", args_json meta) ] in
+  Json.document (Json.Obj ((("schema", Json.String schema) :: meta) @ members))
+
+(* A report's last member: what the host measured ([fields]: wall time,
+   minor words, workers) and its core count, in one "host" object that a
+   pin can drop whole. *)
+let host fields =
+  ("host", Json.Obj (fields @ [ ("cores", Json.int (Domain.recommended_domain_count ())) ]))
+
+(* The envelope of a schema-tagged document: the tag, and a "meta"
+   object if present (decoded values do not keep it). *)
+let check_envelope ~schema root =
+  Json.expect_schema schema root;
+  Option.iter (fun m -> ignore (Json.obj_of "meta" m)) (Json.member "meta" root)
+
+(* A report's "host" object: every member a non-negative number. *)
+let check_host root =
+  List.iter
+    (fun (k, v) ->
+      match Json.to_number v with
+      | Some x when x >= 0.0 -> ()
+      | _ -> Json.fail "host: %S is not a non-negative number" k)
+    (Json.obj_of "host" (Json.get "document" "host" root))
+
 let write_chrome_trace path (r : Recorder.t) =
   write_file path (chrome_trace_of_recorder r)
 
@@ -96,11 +126,7 @@ let metrics_schema = "nlh-obs/1"
     bucket-resolution quantile estimates (see [Metrics.quantile]) are
     omitted for empty histograms, where no rank exists. *)
 let metrics_json ?(meta = []) (s : Metrics.snapshot) =
-  Json.document
-    (Json.Obj
-       (("schema", Json.String metrics_schema)
-       :: ("meta", args_json meta)
-       :: Metrics.json_members ~quantiles:true s))
+  document ~schema:metrics_schema ~meta (Metrics.json_members ~quantiles:true s)
 
 let write_metrics_json ?meta path s = write_file path (metrics_json ?meta s)
 
@@ -110,7 +136,7 @@ let write_metrics_json ?meta path s = write_file path (metrics_json ?meta s)
 let metrics_of_json root =
   let open Json in
   decoding (fun () ->
-      expect_schema metrics_schema root;
+      check_envelope ~schema:metrics_schema root;
       let s = Metrics.of_json_exn root in
       List.iter
         (fun (name, h) ->

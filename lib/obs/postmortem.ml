@@ -160,13 +160,7 @@ let bundle_members t =
     ("ledger_diff", int_assoc t.pm_ledger_diff);
   ]
 
-(* A schema-tagged document, with the caller's [meta] when there is
-   any. *)
-let document ~schema ~meta members =
-  let meta = if meta = [] then [] else [ ("meta", Export.args_json meta) ] in
-  Json.document (Json.Obj ((("schema", Json.String schema) :: meta) @ members))
-
-let to_json ?(meta = []) t = document ~schema ~meta (bundle_members t)
+let to_json ?(meta = []) t = Export.document ~schema ~meta (bundle_members t)
 
 (* --- Decoding: raises {!Json.Bad} ------------------------------------ *)
 
@@ -240,15 +234,9 @@ let bundle_of what b =
     pm_ledger_diff = int_assoc_of (what ^ ".ledger_diff") (field "ledger_diff");
   }
 
-(* The envelope of a schema-tagged document: the tag, and a "meta"
-   object if present (decoded values do not keep it). *)
-let check_envelope ~schema root =
-  Json.expect_schema schema root;
-  Option.iter (fun m -> ignore (Json.obj_of "meta" m)) (Json.member "meta" root)
-
 let of_json root =
   Json.decoding (fun () ->
-      check_envelope ~schema root;
+      Export.check_envelope ~schema root;
       bundle_of "bundle" root)
 
 let of_string s = Result.bind (Json.parse_document s) of_json
@@ -353,7 +341,7 @@ module Triage = struct
 
   (* One signature per line, key-sorted. *)
   let to_json ?(meta = []) tr =
-    document ~schema ~meta
+    Export.document ~schema ~meta
       [
         ("total", Json.int (total tr));
         ("signatures", Json.List (List.map entry_json (snapshot tr)));
@@ -390,7 +378,7 @@ module Triage = struct
   let of_json root =
     let open Json in
     decoding (fun () ->
-        check_envelope ~schema root;
+        Export.check_envelope ~schema root;
         let total = int_exn "document" "total" root in
         let entries =
           List.mapi entry_of (list_of "signatures" (get "document" "signatures" root))
@@ -433,9 +421,7 @@ module Triage = struct
         | None -> None
         | Some (_, b) ->
           let file = Filename.concat dir (file_of_key key) in
-          let oc = open_out file in
-          output_string oc (bundle_json b);
-          close_out oc;
+          Export.write_file file (bundle_json b);
           Some file)
       (snapshot tr)
 end

@@ -47,8 +47,9 @@ let scan_mode_name = function
   | Full_scan -> "full"
   | Incremental_scan -> "incremental"
 
-(* How much abandoned in-flight work the steps repaired: the
-   per-recovery residue the endurance ledger attributes leaks to. The
+(* How much abandoned in-flight work the steps repaired, counted per
+   recovery and returned in its outcome; tests read it, and an
+   endurance cycle keeps it, but no ledger or report uses it. The
    actions fill it in as they run. Microreboot gets lock release and
    frame repair "for free" from the reboot, so its static-lock,
    scheduler and recurring-timer counts stay 0. *)

@@ -41,7 +41,9 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
      visit order; repairs are order-independent. The quiesce touches no
      descriptor, so grouping before it sees what the shards will. The
      full scan peeks: an untouched frame reads as the table's sentinel,
-     which is consistent, so its shard never writes it. *)
+     which is consistent, so its shard never writes it; it only counts
+     toward the sentinel owner's group (created where the first frame
+     would have created it, so the groups fold in the same order). *)
   let groups : (int, Pfn.desc list ref * int ref) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -62,8 +64,11 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
      match mode with
      | Plan.Incremental_scan -> Pfn.iter_dirty hv.Hypervisor.pfn visit
      | Plan.Full_scan ->
+       let pfn = hv.Hypervisor.pfn in
+       let untouched = lazy (snd (group pfn.Pfn.sentinel.Pfn.owner)) in
        for i = 0 to real_frames - 1 do
-         visit (Pfn.peek hv.Hypervisor.pfn i)
+         let d = Pfn.peek pfn i in
+         if d == pfn.Pfn.sentinel then incr (Lazy.force untouched) else visit d
        done);
   (* Domains with in-flight hypervisor work need a shard for their
      retry / FS-GS bookkeeping even if none of their frames is dirty.

@@ -83,6 +83,18 @@ let with_temp f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
+(* [contents] with its first [from] replaced by [into]: one edit that
+   breaks an invariant a decoder must check. *)
+let replace_first contents (from, into) =
+  let n = String.length from in
+  let rec find i =
+    if i + n > String.length contents then Alcotest.failf "%S is not in the file" from
+    else if String.sub contents i n = from then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub contents 0 i ^ into ^ String.sub contents (i + n) (String.length contents - i - n)
+
 (* Whether nlh_trace_check accepts the file at [path]. *)
 let trace_check_accepts path =
   Sys.command

@@ -326,6 +326,61 @@ let test_deaths_counter () =
   checki "endure.deaths counts every death" t.Endure.deaths
     (List.assoc "endure.deaths" t.Endure.metrics.Obs.Metrics.counters)
 
+(* ------------------------- Report ----------------------------------- *)
+
+(* The endurance pin's run (nlh_endurance --fault register --seed 4242
+   --scenarios 8 --cycles 20), with its checkpoint file's contents. *)
+let pin_run =
+  lazy
+    (with_temp (fun ck_path ->
+         let cfg =
+           { Endure.default_config with Endure.run_cfg = run_cfg ~fault:Inject.Fault.Register () }
+         in
+         let checkpoint =
+           { Inject.Drive.ck_path; ck_every = 16; ck_resume = false; ck_stop_after = None }
+         in
+         let r = Endure.run ~base_seed:4242L ~checkpoint ~scenarios:8 cfg in
+         (r, read_file ck_path)))
+
+let report_file =
+  lazy
+    (Endure.report_json
+       ~meta:[ ("tool", `String "test_endure"); ("label", `String "a \"quoted\" label") ]
+       (fst (Lazy.force pin_run)))
+
+let test_report_round_trip () =
+  match Endure.report_of_string (Lazy.force report_file) with
+  | Ok t -> endure_totals "decoded report" (fst (Lazy.force pin_run)).Endure.totals t
+  | Error e -> Alcotest.failf "report rejected: %s" e
+
+(* The report's "totals" member is the checkpoint payload's, byte for
+   byte: the report restates no field of the aggregate. *)
+let test_report_totals_are_payload () =
+  let totals what contents =
+    match Obs.Json.parse_document contents with
+    | Ok root ->
+      let root = Option.value ~default:root (Obs.Json.member "payload" root) in
+      Obs.Json.render (Option.get (Obs.Json.member "totals" root))
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  checks "report totals = checkpoint payload totals"
+    (totals "checkpoint" (snd (Lazy.force pin_run)))
+    (totals "report" (Lazy.force report_file))
+
+let test_report_rejects_inconsistent () =
+  let report = Lazy.force report_file in
+  List.iter
+    (fun (what, from, into) ->
+      checkb what true
+        (Result.is_error (Endure.report_of_string (replace_first report (from, into)))))
+    [
+      ("the /1 schema", {|"nlh-endurance/2"|}, {|"nlh-endurance/1"|});
+      ("negative host figure", {|"jobs":1|}, {|"jobs":-1|});
+      ("no host object", {|"host":|}, {|"hosts":|});
+      ("scenarios <> survived + deaths", {|"scenarios":8|}, {|"scenarios":9|});
+      ("short per-cycle row", "[8,6,2,0,0,0,0,3310720,2]", "[8,6,2,0,0,0,0,3310720]");
+    ]
+
 (* ------------------------- Satellites ------------------------------- *)
 
 (* Satellite: the NMI-watchdog hang-detection period is a config field
@@ -412,6 +467,16 @@ let () =
           Alcotest.test_case "seal boundaries invisible" `Quick
             test_seal_boundaries;
         ] );
+      ( "report",
+        [
+          Alcotest.test_case "round trip" `Quick test_report_round_trip;
+          Alcotest.test_case "totals are the checkpoint payload" `Quick
+            test_report_totals_are_payload;
+          Alcotest.test_case "inconsistent reports rejected" `Quick
+            test_report_rejects_inconsistent;
+        ]
+        @ damage ~label:"nlh-endurance/2"
+            [ file "report" report_file Endure.report_of_string ] );
       ( "satellites",
         [
           Alcotest.test_case "watchdog period configurable" `Quick

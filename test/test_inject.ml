@@ -211,6 +211,54 @@ let test_campaign_novmf_le_success () =
     (r.Inject.Campaign.totals.Inject.Campaign.no_vmf
      <= r.Inject.Campaign.totals.Inject.Campaign.successes)
 
+(* ------------------------- Latency report --------------------------- *)
+
+(* nlh-latency/2 documents: the analytic latencies alone, and with a
+   small failstop campaign's payload under "empirical" (fan-out 2, so
+   the embedded fanout is not the default). *)
+let latency_campaign =
+  lazy (Inject.Campaign.run ~fanout:2 ~n:4 (run_cfg ()))
+
+let latency_report ?empirical () =
+  Inject.Latency_report.to_json
+    ~meta:[ ("tool", `String "test_inject"); ("mem_gb", `Int 8) ]
+    ~nilihype_ns:21_971_520 ~rehype_ns:712_251_152 ~empirical
+
+let analytic_report = lazy (latency_report ())
+let empirical_report = lazy (latency_report ~empirical:(2, Lazy.force latency_campaign) ())
+
+let test_latency_round_trip () =
+  (match Inject.Latency_report.of_string (Lazy.force analytic_report) with
+  | Ok rp ->
+    checki "nilihype" 21_971_520 rp.Inject.Latency_report.nilihype_ns;
+    checki "rehype" 712_251_152 rp.Inject.Latency_report.rehype_ns;
+    checkb "no empirical section" true (rp.Inject.Latency_report.empirical = None)
+  | Error e -> Alcotest.failf "analytic report rejected: %s" e);
+  match Inject.Latency_report.of_string (Lazy.force empirical_report) with
+  | Ok { Inject.Latency_report.empirical = Some (fanout, t); _ } ->
+    checki "campaign fanout" 2 fanout;
+    campaign_totals "decoded empirical totals"
+      (Lazy.force latency_campaign).Inject.Campaign.totals t
+  | Ok _ -> Alcotest.fail "empirical section lost"
+  | Error e -> Alcotest.failf "empirical report rejected: %s" e
+
+let test_latency_rejects_inconsistent () =
+  List.iter
+    (fun (what, report, from, into) ->
+      checkb what true
+        (Result.is_error
+           (Inject.Latency_report.of_string
+              (replace_first (Lazy.force report) (from, into)))))
+    [
+      ("the /1 schema", analytic_report, {|"nlh-latency/2"|}, {|"nlh-latency/1"|});
+      ("zero NiLiHype latency", analytic_report, "21971520", "0");
+      ("ReHype not above NiLiHype", analytic_report, "712251152", "21971520");
+      ("negative host figure", empirical_report, {|"jobs":1|}, {|"jobs":-1|});
+      ("no host object", analytic_report, {|"host":|}, {|"hosts":|});
+      ("runs <> outcomes", empirical_report, {|"runs":4|}, {|"runs":5|});
+      ("fanout 0", empirical_report, {|"fanout":2|}, {|"fanout":0|});
+    ]
+
 (* ------------------------- Parallel engine -------------------------- *)
 
 (* The tentpole determinism contract: the campaign aggregate is
@@ -1146,6 +1194,17 @@ let () =
           Alcotest.test_case "distinct seeds" `Quick test_campaign_distinct_seeds;
           Alcotest.test_case "noVMF <= Success" `Quick test_campaign_novmf_le_success;
         ] );
+      ( "latency report",
+        [
+          Alcotest.test_case "round trip" `Quick test_latency_round_trip;
+          Alcotest.test_case "inconsistent reports rejected" `Quick
+            test_latency_rejects_inconsistent;
+        ]
+        @ damage ~label:"nlh-latency/2"
+            [
+              file "analytic" analytic_report Inject.Latency_report.of_string;
+              file "empirical" empirical_report Inject.Latency_report.of_string;
+            ] );
       ( "parallel",
         [
           Alcotest.test_case "jobs=1 vs jobs=4 identical" `Slow
