@@ -15,19 +15,8 @@ let run_campaign ~mech ~fault ~setup ~n ~seed ~jobs ~chunk ~fanout ~label =
       ?checkpoint:(Obs_cli.checkpoint ())
       ?triage_seed_cap:(Obs_cli.triage_seed_cap ()) ~n cfg
   in
-  (match Obs_cli.checkpoint () with
-  | Some ck ->
-    Format.printf "checkpoint: %s (%d runs aggregated)@."
-      ck.Inject.Drive.ck_path
-      result.Inject.Campaign.totals.Inject.Campaign.runs
-  | None -> ());
-  Format.printf "%a" Inject.Campaign.pp result;
-  (match Inject.Campaign.mean_latency result with
-  | Some l -> Format.printf "mean recovery latency: %a@." Sim.Time.pp_float l
-  | None -> ());
-  List.iter
-    (fun (k, v) -> Format.printf "  note: %s x%d@." k v)
-    (Inject.Campaign.failure_notes result.Inject.Campaign.totals);
+  (* Every file first, then stdout: a reader that stops early cannot
+     cost a file. *)
   if !Obs_cli.metrics_file <> "" then
     Obs_cli.write_metrics
       ~meta:
@@ -55,7 +44,21 @@ let run_campaign ~mech ~fault ~setup ~n ~seed ~jobs ~chunk ~fanout ~label =
   if !Obs_cli.trace_file <> "" then
     (* One extra instrumented run at the base seed: same config, full
        event/span recording, exported as a Chrome-trace timeline. *)
-    ignore (Obs_cli.traced_run !Obs_cli.trace_file { cfg with Inject.Run.seed })
+    ignore (Obs_cli.traced_run !Obs_cli.trace_file { cfg with Inject.Run.seed });
+  (match Obs_cli.checkpoint () with
+  | Some ck ->
+    Format.printf "checkpoint: %s (%d runs aggregated)@."
+      ck.Inject.Drive.ck_path
+      result.Inject.Campaign.totals.Inject.Campaign.runs
+  | None -> ());
+  Format.printf "%a" Inject.Campaign.pp result;
+  (match Inject.Campaign.mean_latency result with
+  | Some l -> Format.printf "mean recovery latency: %a@." Sim.Time.pp_float l
+  | None -> ());
+  List.iter
+    (fun (k, v) -> Format.printf "  note: %s x%d@." k v)
+    (Inject.Campaign.failure_notes result.Inject.Campaign.totals);
+  Obs_cli.print_notes ()
 
 let () =
   let mech = ref (Some Recovery.Engine.Nilihype) in

@@ -84,6 +84,25 @@ let () =
       ?triage_seed_cap:(Obs_cli.triage_seed_cap ())
       ~scenarios:!scenarios cfg
   in
+  (* Every file first, then stdout: a reader that stops early cannot
+     cost a file. One meta for every file the run writes. *)
+  let meta =
+    [
+      ("tool", `String "nlh_endurance"); ("label", `String label);
+      ("mechanism", `String mech_name); ("fault", `String (Inject.Fault.name !fault));
+      ("scenarios", `Int !scenarios); ("cycles", `Int !cycles); ("base_seed", `Int !seed);
+    ]
+    @ if !budget < 0 then [] else [ ("leak_budget_pages", `Int !budget) ]
+  in
+  Obs_cli.write_triage ~meta result.Endure.totals.Endure.triage;
+  if !json_out <> "" then begin
+    Obs.Export.write_file !json_out (Endure.report_json ~meta result);
+    Obs_cli.note "endurance report written to %s@." !json_out
+  end;
+  if !Obs_cli.metrics_file <> "" then
+    Obs_cli.write_metrics
+      ~meta:(meta @ [ ("jobs", `Int result.Endure.jobs) ])
+      !Obs_cli.metrics_file result.Endure.totals.Endure.metrics;
   (match Obs_cli.checkpoint () with
   | Some ck ->
     Format.printf "checkpoint: %s (%d scenarios aggregated)@."
@@ -108,24 +127,7 @@ let () =
   List.iter
     (fun (k, v) -> Format.printf "  death: %s x%d@." k v)
     (Sim.Stats.Counts.sorted result.Endure.totals.Endure.death_notes);
-  (* One meta for every file the run writes. *)
-  let meta =
-    [
-      ("tool", `String "nlh_endurance"); ("label", `String label);
-      ("mechanism", `String mech_name); ("fault", `String (Inject.Fault.name !fault));
-      ("scenarios", `Int !scenarios); ("cycles", `Int !cycles); ("base_seed", `Int !seed);
-    ]
-    @ if !budget < 0 then [] else [ ("leak_budget_pages", `Int !budget) ]
-  in
-  Obs_cli.write_triage ~meta result.Endure.totals.Endure.triage;
-  if !json_out <> "" then begin
-    Obs.Export.write_file !json_out (Endure.report_json ~meta result);
-    Format.printf "endurance report written to %s@." !json_out
-  end;
-  if !Obs_cli.metrics_file <> "" then
-    Obs_cli.write_metrics
-      ~meta:(meta @ [ ("jobs", `Int result.Endure.jobs) ])
-      !Obs_cli.metrics_file result.Endure.totals.Endure.metrics;
+  Obs_cli.print_notes ();
   if result.Endure.totals.Endure.budget_violations > 0 then begin
     Format.printf
       "FAIL: %d recovery cycle(s) exceeded the leak budget of %d page(s)@."

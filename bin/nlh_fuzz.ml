@@ -192,5 +192,6 @@ let () =
           ("runs", `Int !runs);
           ("base_seed", `Int !seed);
         ]
-      t.Fuzz.Session.s_triage
+      t.Fuzz.Session.s_triage;
+    Obs_cli.print_notes ()
   end

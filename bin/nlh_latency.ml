@@ -103,7 +103,8 @@ let () =
     end;
     if !Obs_cli.metrics_file <> "" then
       Obs_cli.write_metrics ~meta !Obs_cli.metrics_file
-        (Obs.Recorder.metrics_snapshot r)
+        (Obs.Recorder.metrics_snapshot r);
+    Obs_cli.print_notes ()
   | None -> ());
   let re = Recovery.Engine.measure ~mconfig Recovery.Engine.Rehype in
   Format.printf "ReHype (microreboot):@.%a@." Hyper.Latency_model.pp

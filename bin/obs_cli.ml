@@ -127,23 +127,37 @@ let level () =
   | Some l -> l
   | None -> Obs.Event.Info
 
+(* The lines saying what a tool wrote. Writers note them here, and the
+   tool prints them with [print_notes] after its summary: nlh_campaign
+   and nlh_endurance write every file before they print anything, so a
+   reader that closes stdout early (a [| head]) cannot stop a file from
+   being written. *)
+let notes_buf = Buffer.create 256
+let notes = Format.formatter_of_buffer notes_buf
+let note fmt = Format.fprintf notes fmt
+
+let print_notes () =
+  Format.pp_print_flush notes ();
+  Format.printf "%s@?" (Buffer.contents notes_buf);
+  Buffer.clear notes_buf
+
 let make_recorder () =
   Obs.Recorder.create ~capacity:65536 ~min_level:(level ()) ()
 
 (* Re-run one injection with a full recorder attached and export its
-   Chrome-trace timeline. Prints the recovery-phase breakdown, whose
+   Chrome-trace timeline. Notes the recovery-phase breakdown, whose
    entries equal the per-phase span sums by construction. *)
 let traced_run path (cfg : Inject.Run.config) =
   let recorder = make_recorder () in
   let outcome = Inject.Run.run_obs ~recorder cfg in
   Obs.Export.write_chrome_trace path recorder;
-  Format.printf "trace: wrote %s (%d events, %d spans; outcome: %s)@." path
+  note "trace: wrote %s (%d events, %d spans; outcome: %s)@." path
     (Obs.Trace.size recorder.Obs.Recorder.trace)
     (Obs.Span.count recorder.Obs.Recorder.spans)
     (Inject.Run.outcome_name outcome);
   (match outcome with
   | Inject.Run.Detected { breakdown = Some b; _ } ->
-    Format.printf "recovery phases of the traced run:@.%a" Hyper.Latency_model.pp b
+    note "recovery phases of the traced run:@.%a" Hyper.Latency_model.pp b
   | Inject.Run.Detected _ | Inject.Run.Non_manifested
   | Inject.Run.Silent_corruption ->
     ());
@@ -151,7 +165,7 @@ let traced_run path (cfg : Inject.Run.config) =
 
 let write_metrics ?meta path snapshot =
   Obs.Export.write_metrics_json ?meta path snapshot;
-  Format.printf "metrics: wrote %s@." path
+  note "metrics: wrote %s@." path
 
 (* Emit the triage artifacts requested on the command line: the
    nlh-triage/1 summary document and/or one exemplar bundle file per
@@ -162,13 +176,13 @@ let write_triage ?meta (triage : Obs.Postmortem.Triage.table) =
   if !triage_file <> "" then begin
     Obs.Export.write_file !triage_file
       (Obs.Postmortem.Triage.to_json ?meta triage);
-    Format.printf "triage: wrote %s (%d signature(s), %d failure(s))@."
+    note "triage: wrote %s (%d signature(s), %d failure(s))@."
       !triage_file
       (Obs.Postmortem.Triage.signatures triage)
       (Obs.Postmortem.Triage.total triage)
   end;
   if !postmortem_dir <> "" then begin
     let files = Obs.Postmortem.Triage.write_postmortems ~dir:!postmortem_dir triage in
-    Format.printf "postmortems: wrote %d bundle(s) under %s@."
+    note "postmortems: wrote %d bundle(s) under %s@."
       (List.length files) !postmortem_dir
   end

@@ -46,13 +46,14 @@ let iter_cpus t f = Array.iter f t.cpus
    so taking an image allocates nothing; [restore] writes it back in
    place. Hardware state is small and constant-size (a few hundred words
    for 8 CPUs), so unlike the page frame table it is captured whole
-   rather than copy-on-write: O(cpus), not O(memory). APIC vector lists,
-   the saved FS/GS pair and the IO-APIC write log are immutable values,
+   rather than copy-on-write: O(cpus), not O(memory). Each APIC's in-
+   service register is copied into the image's own words; the saved
+   FS/GS pair and the IO-APIC write log are immutable values,
    so capturing them by reference is enough. *)
 type cpu_image = {
   im_regs : Regs.t;
   mutable im_timer_deadline : Sim.Time.ns;
-  mutable im_in_service : int list;
+  im_isr : int array; (* [Apic.isr_words] *)
   mutable im_irq_enabled : bool;
   mutable im_state : Cpu.exec_state;
   mutable im_in_hypervisor : bool;
@@ -74,7 +75,7 @@ let capture t im =
     let a = c.Cpu.apic in
     Regs.restore ~from:c.Cpu.regs s.im_regs;
     s.im_timer_deadline <- a.Apic.timer_deadline;
-    s.im_in_service <- a.Apic.in_service;
+    Apic.save_isr a s.im_isr;
     s.im_irq_enabled <- c.Cpu.irq_enabled;
     s.im_state <- c.Cpu.state;
     s.im_in_hypervisor <- c.Cpu.in_hypervisor;
@@ -102,7 +103,7 @@ let image t =
             {
               im_regs = Regs.copy c.Cpu.regs;
               im_timer_deadline = Apic.disarmed;
-              im_in_service = [];
+              im_isr = Array.make Apic.isr_words 0;
               im_irq_enabled = true;
               im_state = Cpu.Running;
               im_in_hypervisor = false;
@@ -125,7 +126,7 @@ let restore t im =
     let a = c.Cpu.apic in
     Regs.restore ~from:s.im_regs c.Cpu.regs;
     a.Apic.timer_deadline <- s.im_timer_deadline;
-    a.Apic.in_service <- s.im_in_service;
+    Apic.load_isr a s.im_isr;
     c.Cpu.irq_enabled <- s.im_irq_enabled;
     c.Cpu.state <- s.im_state;
     c.Cpu.in_hypervisor <- s.im_in_hypervisor;

@@ -25,6 +25,12 @@ type vcpu = {
       (* [None], or [in_flight]: the call this vCPU is executing *)
   record : Hypercalls.record; (* reused by every hypercall of this vCPU *)
   in_flight : Hypercalls.record option; (* [Some record], built once *)
+  timer_action : Timer_heap.action;
+      (* [Vcpu_timer (domid, vid)], built once for its set_timer_op calls *)
+  as_current : vcpu option;
+      (* [Some] this vCPU, built once: what a CPU's current record holds
+         while this vCPU runs there, so a context switch allocates no
+         option *)
   mutable in_syscall_forward : bool;
   mutable retry_pending : bool; (* set up to re-issue hypercall on resume *)
   mutable syscall_retry_pending : bool;
@@ -76,23 +82,29 @@ let runstate_name = function
   | Offline -> "offline"
 
 let make_vcpu ~domid ~vid ~processor record =
-  {
-    vid;
-    domid;
-    processor;
-    runstate = Runnable;
-    is_current = false;
-    curr_slot = -1;
-    guest_regs = Hw.Regs.create ();
-    fsgs_valid = true;
-    in_hypercall = None;
-    record;
-    in_flight = Some record;
-    in_syscall_forward = false;
-    retry_pending = false;
-    syscall_retry_pending = false;
-    lost_work = false;
-  }
+  let guest_regs = Hw.Regs.create () and in_flight = Some record in
+  let rec v =
+    {
+      vid;
+      domid;
+      processor;
+      runstate = Runnable;
+      is_current = false;
+      curr_slot = -1;
+      guest_regs;
+      fsgs_valid = true;
+      in_hypercall = None;
+      record;
+      in_flight;
+      timer_action = Timer_heap.Vcpu_timer (domid, vid);
+      as_current = Some v;
+      in_syscall_forward = false;
+      retry_pending = false;
+      syscall_retry_pending = false;
+      lost_work = false;
+    }
+  in
+  v
 
 (* A vCPU's scalars in a slot: processor, runstate, is_current,
    curr_slot, fsgs_valid, in_syscall_forward, retry_pending,

@@ -35,8 +35,7 @@ type slot = {
   mutable s_now : Sim.Time.ns;
   s_static_locks : int array; (* [Spinlock.Segment.save] *)
   s_percpu : Percpu.image array;
-  s_runq : Domain.vcpu list array;
-  s_curr : Domain.vcpu option array;
+  s_sched : Sched.image;
   mutable s_domains : Domain_table.image;
   s_cycles : int array; (* total, logging, entries *)
   s_watchdog_soft : int array;
@@ -183,15 +182,14 @@ let grant_map_names = indexed_names "grant_map_"
 let ring_io_names = indexed_names "ring_io_"
 let grant_unmap_names = indexed_names "grant_unmap_"
 
-let slot ~config machine ~cpus static_segment domains =
+let slot ~config machine ~cpus static_segment sched domains =
   {
     s_config = config;
     s_machine = Hw.Machine.image machine;
     s_now = 0;
     s_static_locks = Array.make (2 * Spinlock.Segment.count static_segment) 0;
     s_percpu = Array.init cpus (fun _ -> Percpu.image ());
-    s_runq = Array.make cpus [];
-    s_curr = Array.make cpus None;
+    s_sched = Sched.image sched;
     s_domains = Domain_table.capture domains;
     s_cycles = Array.make 3 0;
     s_watchdog_soft = Array.make cpus 0;
@@ -226,7 +224,8 @@ let create ?(mconfig = Hw.Machine.default_config) ?obs ~config clock =
   let global_heap_lock = static_lock "heap" in
   let num_cpus = Hw.Machine.num_cpus machine in
   let domains = Domain_table.create () in
-  let slot () = slot ~config machine ~cpus:num_cpus static_segment domains in
+  let sched = Sched.create ~num_cpus in
+  let slot () = slot ~config machine ~cpus:num_cpus static_segment sched domains in
   let t =
     {
       machine;
@@ -240,7 +239,7 @@ let create ?(mconfig = Hw.Machine.default_config) ?obs ~config clock =
       global_heap_lock;
       percpu = Array.init num_cpus (fun c -> Percpu.create heap c);
       timers = Timer_heap.create ();
-      sched = Sched.create ~num_cpus;
+      sched;
       domains;
       cycles = Cycle_account.create ();
       obs;
@@ -348,7 +347,11 @@ let create_domain_internal ?(is_idle = false) t ~privileged ~vcpu_pins ~mem_fram
         incr granted
       end)
     dom.Domain.owned_frames;
-  Array.iter (fun v -> Sched.enqueue t.sched v) dom.Domain.vcpus;
+  Array.iter
+    (fun v ->
+      Sched.add_vcpu t.sched v;
+      Sched.enqueue t.sched v)
+    dom.Domain.vcpus;
   dom
 
 let destroy_domain_internal t dom =
@@ -370,22 +373,25 @@ let destroy_domain_internal t dom =
   dom.Domain.heap_objs <- [];
   Domain_table.remove t.domains dom.Domain.domid
 
+(* Make [v] current on its CPU if that CPU runs nothing: the queue's
+   head is taken off, and put back unless it is [v]. *)
+let start_vcpu t (v : Domain.vcpu) =
+  let cpu = v.Domain.processor in
+  match Sched.current t.sched ~cpu with
+  | None ->
+    if Sched.queue_length t.sched ~cpu > 0 then begin
+      let v' = Sched.head t.sched ~cpu in
+      Sched.drop_head t.sched ~cpu;
+      if v' != v then Sched.enqueue t.sched v'
+    end;
+    Sched.set_current t.sched ~cpu v;
+    Sched.vcpu_mark_current v ~cpu;
+    t.percpu.(cpu).Percpu.curr_domid <- v.Domain.domid;
+    t.percpu.(cpu).Percpu.curr_vcpuid <- v.Domain.vid
+  | Some _ -> ()
+
 (* Make each pinned vCPU current on its CPU, as after boot completes. *)
-let start_vcpus t =
-  Domain_table.iter_vcpus
-    (fun (v : Domain.vcpu) ->
-      match Sched.current t.sched ~cpu:v.Domain.processor with
-      | None ->
-        (match Sched.dequeue t.sched ~cpu:v.Domain.processor with
-        | Some v' when v' == v -> ()
-        | Some v' -> Sched.enqueue t.sched v'
-        | None -> ());
-        Sched.set_current t.sched ~cpu:v.Domain.processor (Some v);
-        Sched.vcpu_mark_current v ~cpu:v.Domain.processor;
-        t.percpu.(v.Domain.processor).Percpu.curr_domid <- v.Domain.domid;
-        t.percpu.(v.Domain.processor).Percpu.curr_vcpuid <- v.Domain.vid
-      | Some _ -> ())
-    t.domains
+let start_vcpus t = Domain_table.iter_vcpus (start_vcpu t) t.domains
 
 type setup =
   | One_appvm
@@ -445,20 +451,7 @@ let boot_target t ~setup ~vcpus_per_cpu =
       ~mem_frames:0
   in
   (* Idle vCPUs become current on CPUs with no guest vCPU. *)
-  Array.iter
-    (fun (v : Domain.vcpu) ->
-      match Sched.current t.sched ~cpu:v.Domain.processor with
-      | None ->
-        (match Sched.dequeue t.sched ~cpu:v.Domain.processor with
-        | Some v' when v' == v -> ()
-        | Some v' -> Sched.enqueue t.sched v'
-        | None -> ());
-        Sched.set_current t.sched ~cpu:v.Domain.processor (Some v);
-        Sched.vcpu_mark_current v ~cpu:v.Domain.processor;
-        t.percpu.(v.Domain.processor).Percpu.curr_domid <- v.Domain.domid;
-        t.percpu.(v.Domain.processor).Percpu.curr_vcpuid <- v.Domain.vid
-      | Some _ -> ())
-    idle.Domain.vcpus;
+  Array.iter (start_vcpu t) idle.Domain.vcpus;
   t.next_domid <- saved_next_domid
 
 let boot ?(mconfig = Hw.Machine.default_config) ?obs ?(vcpus_per_cpu = 1)
@@ -490,8 +483,8 @@ let journal_tail t = Obs.Flight.tail t.journal_flight
    [restore] rewinds the same instance back to it in place. Cost model:
    - The page-frame table, the heap and the timer heap each keep their
      golden state in one copy-on-write store ([Cow]: golden values in
-     flat arrays, a preallocated dirty set), so snapshot and restore are
-     O(changed state) there.
+     flat arrays, a dirty set sized on demand), so snapshot and restore
+     are O(changed state) there.
    - Each domain's event-channel and grant tables, its owned frames and
      the domain table image themselves: one unchanged since its last
      capture or restore captures as that same image and is skipped on
@@ -569,8 +562,10 @@ let snapshot ?(layer = false) t =
   for i = 0 to Array.length t.percpu - 1 do
     Percpu.save t.percpu.(i) s.s_percpu.(i)
   done;
-  Array.blit t.sched.Sched.runq 0 s.s_runq 0 (Array.length s.s_runq);
-  Array.blit t.sched.Sched.curr 0 s.s_curr 0 (Array.length s.s_curr);
+  (* A base image gives the layer's storage room for the queues as they
+     stand too, so a layer taken later copies into storage it has. *)
+  if not layer then Sched.fit t.sched t.layer_slot.s_sched;
+  Sched.save t.sched s.s_sched;
   s.s_domains <- Domain_table.capture t.domains;
   if layer then Domain_table.iter (fun d -> Domain.capture d d.Domain.layer) t.domains
   else Domain_table.iter (fun d -> Domain.capture d d.Domain.base) t.domains;
@@ -611,8 +606,7 @@ let restore t (im : image) =
   for i = 0 to Array.length t.percpu - 1 do
     Percpu.load t.percpu.(i) s.s_percpu.(i)
   done;
-  Array.blit s.s_runq 0 t.sched.Sched.runq 0 (Array.length s.s_runq);
-  Array.blit s.s_curr 0 t.sched.Sched.curr 0 (Array.length s.s_curr);
+  Sched.load t.sched s.s_sched;
   (* Domains created since the image are dropped and destroyed ones put
      back with the image's table; then each domain loads its storage. *)
   Domain_table.restore t.domains s.s_domains;
@@ -907,31 +901,27 @@ let exec_sched_op_block t cpu (vcpu : Domain.vcpu) =
   step t "lock_sched";
   Spinlock.acquire percpu.Percpu.heap_lock ~cpu;
   (* A guest can only block the vCPU that is actually executing. *)
-  let is_current =
-    match Sched.current t.sched ~cpu with
-    | Some v -> v == vcpu
-    | None -> false
-  in
-  if is_current then begin
+  if Sched.is_current_on t.sched ~cpu vcpu then begin
     step t "set_blocked";
     vcpu.Domain.runstate <- Domain.Blocked;
     step t "clear_percpu_curr";
-    Sched.set_current t.sched ~cpu None;
+    Sched.clear_current t.sched ~cpu;
     percpu.Percpu.curr_domid <- -1;
     percpu.Percpu.curr_vcpuid <- -1;
     step t "clear_vcpu_current";
     Sched.vcpu_clear_current vcpu;
     (* Pick someone else to run, if anyone is queued. *)
     step t "pick_next";
-    (match Sched.dequeue t.sched ~cpu with
-    | Some next ->
+    if Sched.queue_length t.sched ~cpu > 0 then begin
+      let next = Sched.head t.sched ~cpu in
+      Sched.drop_head t.sched ~cpu;
       step t "set_next_current";
-      Sched.set_current t.sched ~cpu (Some next);
+      Sched.set_current t.sched ~cpu next;
       percpu.Percpu.curr_domid <- next.Domain.domid;
       percpu.Percpu.curr_vcpuid <- next.Domain.vid;
       step t "mark_next";
       Sched.vcpu_mark_current next ~cpu
-    | None -> ());
+    end;
     (* The event the guest blocked on arrives shortly (I/O completion):
        requeue the vCPU as runnable. *)
     step t "arrange_wakeup";
@@ -948,9 +938,7 @@ let exec_set_timer_op t cpu (vcpu : Domain.vcpu) =
   step t "insert_timer";
   let now = Sim.Clock.now t.clock in
   ignore
-    (Timer_heap.add t.timers
-       ~deadline:(now + Sim.Time.ms 1)
-       (Timer_heap.Vcpu_timer (vcpu.Domain.domid, vcpu.Domain.vid)));
+    (Timer_heap.add t.timers ~deadline:(now + Sim.Time.ms 1) vcpu.Domain.timer_action);
   step t "unlock_timers";
   Spinlock.release percpu.Percpu.heap_lock ~cpu
 
@@ -1097,9 +1085,8 @@ let do_context_switch t cpu =
   Percpu.assert_not_in_irq percpu;
   let wrong_context = ref false in
   step t "pick_next";
-  (match Sched.queued t.sched ~cpu with
-  | [] -> ()
-  | next :: _ ->
+  (if Sched.queue_length t.sched ~cpu > 0 then begin
+    let next = Sched.head t.sched ~cpu in
     Sched.drop_head t.sched ~cpu;
     (match Sched.current t.sched ~cpu with
     | Some prev when prev == next -> ()
@@ -1120,7 +1107,7 @@ let do_context_switch t cpu =
         prev.Domain.runstate <- Domain.Runnable;
       Sched.enqueue t.sched prev;
       step t "set_percpu_curr";
-      Sched.set_current t.sched ~cpu (Some next);
+      Sched.set_current t.sched ~cpu next;
       percpu.Percpu.curr_domid <- next.Domain.domid;
       percpu.Percpu.curr_vcpuid <- next.Domain.vid;
       step t "mark_next_current";
@@ -1135,12 +1122,13 @@ let do_context_switch t cpu =
       end
     | None ->
       step t "set_percpu_curr";
-      Sched.set_current t.sched ~cpu (Some next);
+      Sched.set_current t.sched ~cpu next;
       percpu.Percpu.curr_domid <- next.Domain.domid;
       percpu.Percpu.curr_vcpuid <- next.Domain.vid;
       step t "mark_next_current";
       Sched.vcpu_mark_current next ~cpu;
-      step ~cycles:350 t "restore_context"));
+      step ~cycles:350 t "restore_context")
+  end);
   step t "unlock_sched";
   Spinlock.release percpu.Percpu.heap_lock ~cpu;
   t.need_resched_flags.(cpu) <- false;

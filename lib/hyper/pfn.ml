@@ -58,7 +58,9 @@ type t = {
   sentinel : desc; (* a free, unowned frame; never written *)
   spares : desc array; (* records to materialize, the first [nspare] usable *)
   mutable nspare : int;
-  materialized : int array; (* frames given a record, in order *)
+  mutable materialized : int array;
+      (* frames given a record, in order: sized on demand, not per
+         frame (see [reserve_materialized]) *)
   mutable nmat : int;
   (* [nmat] and [nspare] at the latest image, and at the base image while
      a layer is taken over it: a restore gives back every record
@@ -150,6 +152,19 @@ let spare_records = 512
 let free_desc cow index =
   { index; validated = false; use_count = 0; ptype = Free; owner = -1; cow }
 
+(* Room in [materialized] for [n] frames, at least doubling it, never
+   more than there are frames. It starts with room for [spare_records]
+   frames, a base image leaves room for [spare_records] more past the
+   image's, and a run materializes fewer than that, so only boot grows
+   it in practice. *)
+let reserve_materialized t n =
+  let cap = Array.length t.materialized and frames = Array.length t.descs in
+  if min n frames > cap then begin
+    let m = Array.make (min frames (max n (2 * cap))) 0 in
+    Array.blit t.materialized 0 m 0 t.nmat;
+    t.materialized <- m
+  end
+
 let create ~frames =
   let cow = Cow.create ~width:2 ~slots:frames ~scalars:[| 0; 0 |] [||] in
   let sentinel = free_desc cow (-1) in
@@ -162,7 +177,7 @@ let create ~frames =
     sentinel;
     spares;
     nspare = 0;
-    materialized = Array.make frames 0;
+    materialized = Array.make (min frames spare_records) 0;
     nmat = 0;
     mark = 0;
     mark_spares = 0;
@@ -192,6 +207,7 @@ let materialize t i =
     end
   in
   t.descs.(i) <- d;
+  if t.nmat = Array.length t.materialized then reserve_materialized t (t.nmat + 1);
   t.materialized.(t.nmat) <- i;
   t.nmat <- t.nmat + 1;
   d
@@ -253,11 +269,13 @@ let snapshot ?(layer = false) t =
     t.base_mark <- t.mark;
     t.base_spares <- t.mark_spares
   end
-  else
+  else begin
+    reserve_materialized t (t.nmat + spare_records);
     while t.nspare < spare_records do
       t.spares.(t.nspare) <- free_desc c (-1);
       t.nspare <- t.nspare + 1
-    done;
+    done
+  end;
   t.mark <- t.nmat;
   t.mark_spares <- t.nspare
 

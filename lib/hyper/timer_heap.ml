@@ -14,7 +14,13 @@
     scalars hold the occupied prefix (event refs in heap order), its
     size, [next_id], [structure_ok] and how many recurring events exist.
     External writers (the fault injector's deadline scribbles) must call
-    {!touch} first. *)
+    {!touch} first.
+
+    Event records are recycled like {!Pfn}'s descriptors: {!add} takes
+    one from a spare set filled at each base image, and {!restore} gives
+    back the records of the events added since the image. So a warm
+    run's timer inserts allocate nothing, and every run from an image
+    allocates the same words, whatever ran before it. *)
 
 type action =
   | Time_sync (* system time calibration, global *)
@@ -31,10 +37,10 @@ let action_name = function
   | Generic_oneshot -> "oneshot"
 
 type event = {
-  id : int;
+  mutable id : int; (* a recycled record takes the next id *)
   mutable deadline : Sim.Time.ns;
-  period : Sim.Time.ns option; (* [Some p] for recurring events *)
-  action : action;
+  mutable period : Sim.Time.ns option; (* [Some p] for recurring events *)
+  mutable action : action;
   mutable queued : bool; (* an unqueued recurring event is "lost" *)
   cow : event Cow.t; (* the heap's store: mutators see only the event *)
 }
@@ -50,6 +56,12 @@ type t = {
   cow : event Cow.t;
       (* golden ints: size, next_id, structure_ok, recurring count;
          golden references: the occupied prefix *)
+  spares : event array; (* records for [add], the first [nspare] usable *)
+  mutable nspare : int;
+  (* [nspare] at the latest image, and at the base image while a layer
+     is taken over it: a restore refills the spares up to it. *)
+  mutable mark_spares : int;
+  mutable base_spares : int;
 }
 
 (* The backing arrays are sized eagerly: campaign workers reuse one heap
@@ -68,6 +80,12 @@ let dummy_event =
     cow = Cow.create ~width:0 ~slots:0 ~scalars:[||] [||];
   }
 
+(* Records in the spare set, refilled at each base image: about twice
+   the most events one campaign run was seen to add (60 vCPU singleshot
+   timers, over 3,000 campaign runs of each fault kind). A run that adds
+   more allocates the extra records, and its restore drops them. *)
+let spare_events = 128
+
 let create () =
   {
     arr = Array.make 64 dummy_event;
@@ -79,6 +97,10 @@ let create () =
     cow =
       Cow.create ~width:2 ~slots:0 ~scalars:[| 0; 0; 1; 0 |]
         (Array.make 64 dummy_event);
+    spares = Array.make spare_events dummy_event;
+    nspare = 0;
+    mark_spares = 0;
+    base_spares = 0;
   }
 
 let size t = t.size
@@ -109,14 +131,22 @@ let snapshot ?(layer = false) t =
   Cow.set_scalar c 1 t.next_id;
   Cow.set_scalar c 2 (if t.structure_ok then 1 else 0);
   Cow.set_scalar c 3 (List.length t.recurring);
-  Cow.drain c
+  Cow.drain c;
+  if layer then t.base_spares <- t.mark_spares
+  else
+    while t.nspare < spare_events do
+      t.spares.(t.nspare) <- { dummy_event with cow = c };
+      t.nspare <- t.nspare + 1
+    done;
+  t.mark_spares <- t.nspare
 
 (* [recurring] only ever grows at its head, so the golden registry is
    the live one minus the events registered since. *)
 let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
 
 (* Rewind to the last snapshot: per-event fields for everything touched
-   since, then the queue prefix and scalars. Repeatable (later writes
+   since, then the queue prefix and scalars, and the records of the
+   events added since go back to the spares. Repeatable (later writes
    re-dirty). *)
 let restore t =
   let c = t.cow in
@@ -131,11 +161,21 @@ let restore t =
   for i = 0 to t.size - 1 do
     t.arr.(i) <- Cow.get_ref c i
   done;
-  t.next_id <- Cow.scalar c 1;
+  let next_id = Cow.scalar c 1 in
+  for id = t.next_id - 1 downto next_id do
+    if t.nspare < t.mark_spares then begin
+      t.spares.(t.nspare) <- t.events.(id);
+      t.nspare <- t.nspare + 1
+    end
+  done;
+  t.next_id <- next_id;
   t.structure_ok <- Cow.scalar c 2 = 1;
   t.recurring <- drop (List.length t.recurring - Cow.scalar c 3) t.recurring
 
-let drop_layer t = Cow.drop_layer t.cow
+(* The next restore lands on the base image again. *)
+let drop_layer t =
+  if t.cow.Cow.layered then t.mark_spares <- t.base_spares;
+  Cow.drop_layer t.cow
 
 let swap t i j =
   let tmp = t.arr.(i) in
@@ -176,9 +216,23 @@ let push_event t event =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
+(* A record for event [id]: a spare if one is left, else a fresh one. *)
+let event_record t id ~deadline period action =
+  if t.nspare = 0 then { id; deadline; period; action; queued = false; cow = t.cow }
+  else begin
+    t.nspare <- t.nspare - 1;
+    let e = t.spares.(t.nspare) in
+    e.id <- id;
+    e.deadline <- deadline;
+    e.period <- period;
+    e.action <- action;
+    e.queued <- false;
+    e
+  end
+
 let add t ~deadline ?period action =
   let id = t.next_id in
-  let event = { id; deadline; period; action; queued = false; cow = t.cow } in
+  let event = event_record t id ~deadline period action in
   t.events <- Cow.place t.cow t.events id event;
   touch event;
   t.next_id <- id + 1;

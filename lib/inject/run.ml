@@ -464,15 +464,15 @@ let post_recovery_phase st ~settle ~new_vm_probe:probe =
         (the CPU starves); blocked device vectors stall the paravirtual
         I/O of every VM, failing the benchmarks. *)
      Hw.Machine.iter_cpus hv.Hypervisor.machine (fun c ->
-         let in_service = c.Hw.Cpu.apic.Hw.Apic.in_service in
-         if List.exists (fun v -> v = 0x31 || v = 0x32) in_service then
+         let apic = c.Hw.Cpu.apic in
+         if Hw.Apic.in_service apic 0x31 || Hw.Apic.in_service apic 0x32 then
            List.iter
              (fun (b : Workloads.Workload.t) ->
                match Hypervisor.domain hv b.Workloads.Workload.domid with
                | Some d -> d.Domain.guest_failed <- true
                | None -> ())
              st.benchmarks;
-         if List.mem 0xf0 in_service then Hw.Apic.disarm_timer c.Hw.Cpu.apic);
+         if Hw.Apic.in_service apic 0xf0 then Hw.Apic.disarm_timer apic);
      (* A CPU whose APIC timer was left disarmed gets no timer
         interrupts: the vCPU pinned there starves. If that CPU belongs
         to the PrivVM the platform is dead. *)

@@ -97,14 +97,13 @@ let plan (hv : Hypervisor.t) ~(enh : Enhancement.set) ~detected_on repairs =
                   v.Domain.runstate <- Domain.Runnable)
               hv.Hypervisor.domains;
             for cpu = 0 to cpus - 1 do
-              Sched.set_current sched ~cpu None;
+              Sched.clear_current sched ~cpu;
               hv.Hypervisor.percpu.(cpu).Percpu.curr_domid <- -1;
               hv.Hypervisor.percpu.(cpu).Percpu.curr_vcpuid <- -1
             done;
             Domain_table.iter_vcpus
               (fun (v : Domain.vcpu) ->
-                if not (List.memq v (Sched.queued sched ~cpu:v.Domain.processor))
-                then Sched.enqueue sched v)
+                if not (Sched.is_queued sched v) then Sched.enqueue sched v)
               hv.Hypervisor.domains);
         step "Identify valid page frames, relocate boot modules"
           Latency_model.reboot_relocate_modules ignore;

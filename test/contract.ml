@@ -42,6 +42,9 @@ let boot ?(mconfig = Hw.Machine.campaign_config) ?vcpus_per_cpu
     ?(setup = Hyper.Hypervisor.Three_appvm) ?(config = Hyper.Config.nilihype) ?obs () =
   Hyper.Hypervisor.boot ~mconfig ?obs ?vcpus_per_cpu ~config ~setup (Sim.Clock.create ())
 
+(* The vectors in service on APIC [a], ascending. *)
+let in_service_vectors a = List.filter (Hw.Apic.in_service a) (List.init 256 Fun.id)
+
 (* Minor words allocated by [f ()]. *)
 let minor_words f =
   let w0 = Gc.minor_words () in

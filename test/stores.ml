@@ -1,7 +1,8 @@
 (* A per-element dump of the hypervisor's three copy-on-write stores:
    every page-frame descriptor, every live heap object in oid order and
    the timer heap's occupied prefix in heap order, plus each store's own
-   scalars. Two machines with equal dumps hold the same frame, heap and
+   scalars; then per CPU, the APIC's vectors in service and timer
+   deadline and the scheduler's current vCPU and run queue, head first. Two machines with equal dumps hold the same frame, heap and
    timer state element by element, so a rewind that swapped two frames'
    use counts or reordered the timer heap shows up here even when every
    aggregate count agrees. *)
@@ -40,6 +41,20 @@ let dump (hv : Hyper.Hypervisor.t) =
        (List.map
           (fun (e : Hyper.Timer_heap.event) -> string_of_int e.Hyper.Timer_heap.id)
           tm.Hyper.Timer_heap.recurring));
+  let sched = hv.Hyper.Hypervisor.sched in
+  let name (v : Hyper.Domain.vcpu) =
+    Printf.sprintf "d%dv%d" v.Hyper.Domain.domid v.Hyper.Domain.vid
+  in
+  Hw.Machine.iter_cpus hv.Hyper.Hypervisor.machine (fun c ->
+      let cpu = c.Hw.Cpu.id and a = c.Hw.Cpu.apic in
+      let vectors = Contract.in_service_vectors a in
+      pr "c%d isr [%s] deadline %d curr %s q [%s]\n" cpu
+        (String.concat ";" (List.map string_of_int vectors))
+        a.Hw.Apic.timer_deadline
+        (match Hyper.Sched.current sched ~cpu with Some v -> name v | None -> "-")
+        (String.concat ";"
+           (List.init (Hyper.Sched.queue_length sched ~cpu) (fun i ->
+                name (Hyper.Sched.nth_queued sched ~cpu i)))));
   Buffer.contents b
 
 (* The first line where two dumps differ, for a readable failure. *)

@@ -84,7 +84,7 @@ let state_digest (hv : Hyper.Hypervisor.t) =
       pr "l:%b\n" (Hyper.Spinlock.is_held l));
   for cpu = 0 to Array.length hv.Hyper.Hypervisor.percpu - 1 do
     pr "q%d:%d:%b\n" cpu
-      (List.length (Hyper.Sched.queued hv.Hyper.Hypervisor.sched ~cpu))
+      (Hyper.Sched.queue_length hv.Hyper.Hypervisor.sched ~cpu)
       (Hyper.Sched.current hv.Hyper.Hypervisor.sched ~cpu <> None)
   done;
   let tm = hv.Hyper.Hypervisor.timers in

@@ -492,13 +492,15 @@ let test_gc_budget_per_run () =
 
 (* The same register runs through [Campaign.run ~jobs:1] on a warm
    pre-booted pool: per-run metrics fold in place and are snapshotted
-   once per chunk, so a campaign run costs little more than its
-   [execute_into] (measured ~3.55k words a run; ~3.9k when every run
-   rebuilt its benchmarks and system mix, ~7.0k when every sampled
-   activity was a fresh value, ~10.3k when every run also built a
-   snapshot and merged it into the chunk's). The ceiling is 3.8k words a
-   run, counted in the calling domain, which the one worker runs in. *)
-let campaign_words_per_run_ceiling = 3_800.0
+   once per chunk, and no activity allocates, so a campaign run costs
+   little more than its [execute_into] (measured ~615 words a run; ~3.54k
+   while context switches, interrupts and timer inserts allocated, ~3.9k
+   when every run rebuilt its benchmarks and system mix, ~7.0k when
+   every sampled activity was a fresh value, ~10.3k when every run also
+   built a snapshot and merged it into the chunk's). The ceiling is 750
+   words a run, counted in the calling domain, which the one worker runs
+   in. *)
+let campaign_words_per_run_ceiling = 750.0
 
 let test_campaign_words_per_run () =
   let cfg = run_cfg ~fault:Inject.Fault.Register () in
@@ -513,7 +515,7 @@ let test_campaign_words_per_run () =
 
 (* Booting a worker costs O(frames in use), not O(frames): [Run.prepare]
    on the default configuration allocates at most 50k minor words
-   (~22k measured; ~476k while the page-frame table built a record for
+   (~24.5k measured; ~476k while the page-frame table built a record for
    each of its 64 Ki frames at create). *)
 let prepare_words_ceiling = 50_000.0
 
@@ -525,15 +527,36 @@ let test_prepare_words () =
     Alcotest.failf "Run.prepare: %.0f minor words, ceiling %.0f" words
       prepare_words_ceiling
 
+(* Its major words: the arrays [Pfn.create] and [Cow.create] make
+   straight in the major heap, the O(frames) frame table and golden
+   store, plus whatever a minor collection promotes. Measured at ~233k
+   words (~214k of them allocated directly); ~360k while the table of
+   materialized frames and the dirty stack were also one int per
+   frame. *)
+let prepare_major_words_ceiling = 280_000.0
+
+let test_prepare_major_words () =
+  let cfg = Inject.Run.default_config in
+  ignore (Inject.Run.prepare cfg);
+  let s0 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity (Inject.Run.prepare cfg));
+  let words = (Gc.quick_stat ()).Gc.major_words -. s0.Gc.major_words in
+  if words > prepare_major_words_ceiling then
+    Alcotest.failf "Run.prepare: %.0f major words, ceiling %.0f" words
+      prepare_major_words_ceiling
+
 (* Activity-kind word ceilings: mean minor words per call, from the
    recorder's activity-kind ledger, over 100 register runs on a restored
-   worker (the campaign-register configuration). Measured at 5.0, 3.0,
-   0.0, 1.2 and 2.7 words per call (sampling 3.0 and all activities 5.7
-   while every draw built its own activity); the ceilings leave headroom
-   over that but sit well below the figures from before passing
-   assertions stopped formatting, the switch, tick and draw paths
-   stopped allocating and hypercalls stopped building a record and a
-   closure journal per call (44, 42, 14, 60 and 24). *)
+   worker (the campaign-register configuration). No activity allocates
+   once the worker is warm: measured at 0.010 (context switch), 0.003
+   (timer tick), 0.0 (sampling), 0.008 (hypercall), 0.009 (device
+   interrupt), 0.002 (idle poll) and 0.007 (all activities) words per
+   call; what is left is the rare call that applies the injected fault.
+   Before the run queues, the APIC in-service sets and the timer inserts
+   stopped allocating: 5.0, 3.0, 0.0, 1.2, 3.0, 1.0 and 2.7; before
+   passing assertions stopped formatting, the switch, tick and draw
+   paths stopped allocating and hypercalls stopped building a record
+   and a closure journal per call: 44, 42, 14, 60 and 24 (all). *)
 let test_activity_word_ceilings () =
   let cfg = run_cfg ~fault:Inject.Fault.Register () in
   let r = small_recorder () in
@@ -566,11 +589,13 @@ let test_activity_word_ceilings () =
   in
   let figures =
     [
-      ("context switch", mean Obs.Recorder.Context_switch, 10.0);
-      ("timer tick", mean Obs.Recorder.Timer_tick, 20.0);
+      ("context switch", mean Obs.Recorder.Context_switch, 0.1);
+      ("timer tick", mean Obs.Recorder.Timer_tick, 0.1);
       ("sampling", mean Obs.Recorder.Sampling, 0.5);
-      ("hypercall", mean Obs.Recorder.Hypercall, 15.0);
-      ("all activities", all, 4.0);
+      ("hypercall", mean Obs.Recorder.Hypercall, 0.1);
+      ("device interrupt", mean Obs.Recorder.Device_interrupt, 0.1);
+      ("idle poll", mean Obs.Recorder.Idle_poll, 0.1);
+      ("all activities", all, 0.1);
     ]
   in
   if List.exists (fun (_, words, ceiling) -> words > ceiling) figures then
@@ -1034,6 +1059,55 @@ let test_layered_restore_matches_fresh_boot () =
   checkb "an unwound layer is refused" true
     (refuses (fun () -> Hyper.Hypervisor.restore hv layer))
 
+(* Handlers abandoned mid-flight leave vectors in service (a timer tick
+   and a device interrupt stopped before their EOI) and a context switch
+   half done: restoring the boot image rewinds the in-service sets and
+   run queues with everything else, to a machine that is a freshly
+   booted one and runs like one. *)
+let test_restore_rewinds_abandoned_handlers () =
+  let cfg = run_cfg ~fault:Inject.Fault.Register () in
+  let drive hv seed n =
+    let st = Inject.Run.make_state cfg (Sim.Rng.create seed) hv in
+    for _ = 1 to n do
+      try Inject.Run.run_one_activity st with Hyper.Crash.Hypervisor_crash _ -> ()
+    done
+  in
+  let fresh = boot () in
+  ignore (Hyper.Hypervisor.snapshot fresh);
+  let booted = Stores.dump fresh in
+  let hv = boot () in
+  let image = Hyper.Hypervisor.snapshot hv in
+  let rng = Sim.Rng.create 9L in
+  let abandon activity ~stop_at =
+    try Hyper.Hypervisor.execute_partial hv rng activity ~stop_at
+    with Hyper.Crash.Hypervisor_crash _ -> ()
+  in
+  let apic0 = (Hw.Machine.cpu hv.Hyper.Hypervisor.machine 0).Hw.Cpu.apic in
+  let same msg expected got = Stores.check msg ~expected got in
+  fresh_equals_restore same
+    [
+      ( "vectors left in service",
+        (fun () -> booted),
+        fun () ->
+          drive hv 3L 100;
+          abandon (Hyper.Hypervisor.Timer_tick 0) ~stop_at:1;
+          abandon
+            (Hyper.Hypervisor.Device_interrupt { line = 1; target_dom = 1 })
+            ~stop_at:1;
+          abandon (Hyper.Hypervisor.Context_switch 1) ~stop_at:6;
+          checkb "timer vector left in service" true (Hw.Apic.in_service apic0 0xf0);
+          checkb "device vector left in service" true (Hw.Apic.in_service apic0 0x31);
+          Hyper.Hypervisor.restore hv image;
+          Stores.dump hv );
+      ( "and runs like one",
+        (fun () ->
+          drive fresh 6L 200;
+          Stores.dump fresh),
+        fun () ->
+          drive hv 6L 200;
+          Stores.dump hv );
+    ]
+
 (* Fan-outs leave trigger-point layers over the worker's boot image;
    plain runs interleaved with them must still match a fresh machine
    (each rewind restores the boot image, unwinding the layer), with the
@@ -1244,6 +1318,7 @@ let () =
           Alcotest.test_case "campaign minor words" `Quick
             test_campaign_minor_words_recorded;
           Alcotest.test_case "boot word ceiling" `Quick test_prepare_words;
+          Alcotest.test_case "boot major word ceiling" `Quick test_prepare_major_words;
         ] );
       ( "snapshot",
         [
@@ -1260,6 +1335,8 @@ let () =
             test_superseded_image_rejected;
           Alcotest.test_case "layered restore matches fresh boot" `Quick
             test_layered_restore_matches_fresh_boot;
+          Alcotest.test_case "restore rewinds abandoned handlers" `Quick
+            test_restore_rewinds_abandoned_handlers;
           Alcotest.test_case "clone deterministic" `Quick test_clone_deterministic;
           Alcotest.test_case "plain run after fan-out" `Quick
             test_execute_after_fanout_matches_fresh;

@@ -255,6 +255,247 @@ let prop_sched_fix_restores_consistency =
            hv.Hyper.Hypervisor.domains);
       Hyper.Hypervisor.sched_consistent hv)
 
+(* The run queues as lists, head first: the representation the array
+   stacks replaced. *)
+let queue_list (sched : Hyper.Sched.t) cpu =
+  List.init (Hyper.Sched.queue_length sched ~cpu) (Hyper.Sched.nth_queued sched ~cpu)
+
+let runstate_gen = function
+  | 0 -> Hyper.Domain.Running
+  | 1 -> Hyper.Domain.Runnable
+  | _ -> Hyper.Domain.Blocked
+
+(* [fix_from_percpu] as it was over per-CPU lists: clear every per-vCPU
+   record, re-mark the per-CPU currents, drop them from their queues,
+   re-queue runnable vCPUs found in no queue. Over a copy of [hv]'s
+   scheduler state: vCPU fields by walk position, queues as lists of
+   positions. *)
+let reference_fix hv =
+  let sched = hv.Hyper.Hypervisor.sched in
+  let vcpus = Array.of_list (Doms.vcpus hv) in
+  let pos v =
+    let rec go i = if vcpus.(i) == v then i else go (i + 1) in
+    go 0
+  in
+  let module D = Hyper.Domain in
+  let fields =
+    Array.map (fun (v : D.vcpu) -> (v.D.is_current, v.D.curr_slot, v.D.runstate)) vcpus
+  in
+  let cpus = Array.length hv.Hyper.Hypervisor.percpu in
+  let queues = Array.init cpus (fun cpu -> List.map pos (queue_list sched cpu)) in
+  Array.iteri
+    (fun i (cur, slot, rs) ->
+      let cur, slot = if cur || slot <> -1 then (false, -1) else (cur, slot) in
+      fields.(i) <- (cur, slot, if rs = D.Running then D.Runnable else rs))
+    fields;
+  for cpu = 0 to cpus - 1 do
+    match Hyper.Sched.current sched ~cpu with
+    | Some v ->
+      let i = pos v in
+      fields.(i) <- (true, cpu, D.Running);
+      queues.(cpu) <- List.filter (fun j -> j <> i) queues.(cpu)
+    | None -> ()
+  done;
+  Array.iteri
+    (fun i (_, _, rs) ->
+      let cpu = vcpus.(i).D.processor in
+      if rs = D.Runnable && not (List.mem i queues.(cpu)) then
+        queues.(cpu) <- i :: queues.(cpu))
+    fields;
+  (fields, queues)
+
+(* The repair [fix_from_percpu] makes is the full rewrite's, whatever
+   scrambled the redundant records, the queues and the per-CPU currents;
+   it counts only the records it changes, so a second pass over the
+   repaired state returns 0 and changes nothing. *)
+let prop_sched_fix_matches_full_rewrite =
+  QCheck.Test.make ~name:"sched fix_from_percpu = full rewrite, counting changes"
+    ~count:300
+    QCheck.(list (triple (int_bound 6) (int_bound 40) (int_bound 8)))
+    (fun scrambles ->
+      let module D = Hyper.Domain in
+      let module S = Hyper.Sched in
+      let hv = boot () in
+      let sched = hv.Hyper.Hypervisor.sched in
+      let vcpus = Array.of_list (Doms.vcpus hv) in
+      let cpus = Array.length hv.Hyper.Hypervisor.percpu in
+      List.iter
+        (fun (op, vi, value) ->
+          let v = vcpus.(vi mod Array.length vcpus) and cpu = value mod cpus in
+          match op with
+          | 0 -> v.D.is_current <- not v.D.is_current
+          | 1 -> v.D.curr_slot <- value - 1
+          | 2 -> v.D.runstate <- runstate_gen value
+          | 3 -> S.enqueue sched v
+          | 4 -> S.drop_head sched ~cpu
+          | 5 -> S.set_current sched ~cpu v
+          | _ -> S.clear_current sched ~cpu)
+        scrambles;
+      (* vCPUs by walk position: records hold themselves ([as_current]),
+         so they are compared physically, never structurally. *)
+      let pos v =
+        let rec go i = if vcpus.(i) == v then i else go (i + 1) in
+        go 0
+      in
+      let state () =
+        ( Array.map (fun (v : D.vcpu) -> (v.D.is_current, v.D.curr_slot, v.D.runstate)) vcpus,
+          Array.init cpus (fun cpu -> List.map pos (queue_list sched cpu)) )
+      in
+      let before = state () and expected = reference_fix hv in
+      let fixes = S.fix_from_percpu sched hv.Hyper.Hypervisor.domains in
+      let after = state () in
+      after = expected
+      && (fixes = 0) = (before = after)
+      && S.fix_from_percpu sched hv.Hyper.Hypervisor.domains = 0
+      && state () = after)
+
+(* The run queues are the per-CPU newest-first lists they replaced, and
+   the APICs' in-service sets the duplicate-free vector lists: a model
+   of both follows random enqueues, head drops, in-place removals,
+   domain creation (which grows a queue), vectors entering and leaving
+   service, and snapshots and restores of the hypervisor image (a base,
+   and a layer over it). *)
+let prop_sched_apic_list_model =
+  QCheck.Test.make ~name:"run queues and in-service sets = list model" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 120) (triple (int_bound 9) (int_bound 60) (int_bound 255)))
+    (fun ops ->
+      let module D = Hyper.Domain in
+      let module S = Hyper.Sched in
+      let module H = Hyper.Hypervisor in
+      let hv = boot () in
+      let sched = hv.H.sched in
+      let cpus = Array.length hv.H.percpu in
+      let apic cpu = (Hw.Machine.cpu hv.H.machine cpu).Hw.Cpu.apic in
+      let queues = Array.init cpus (queue_list sched) in
+      let isr = Array.make cpus [] in
+      let copy () = (Array.copy queues, Array.copy isr) in
+      let load (q, i) =
+        Array.blit q 0 queues 0 cpus;
+        Array.blit i 0 isr 0 cpus
+      in
+      let base = ref None and layer = ref None in
+      let rng = Sim.Rng.create 5L in
+      let vcpu k =
+        let vs = Doms.vcpus hv in
+        List.nth vs (k mod List.length vs)
+      in
+      let agrees () =
+        let ok = ref true in
+        for cpu = 0 to cpus - 1 do
+          let a = apic cpu in
+          if S.queue_length sched ~cpu <> List.length queues.(cpu) then ok := false
+          else
+            List.iter2
+              (fun v v' -> if v != v' then ok := false)
+              (queue_list sched cpu) queues.(cpu);
+          for v = 0 to 255 do
+            if Hw.Apic.in_service a v <> List.mem v isr.(cpu) then ok := false
+          done
+        done;
+        List.iter
+          (fun (v : D.vcpu) ->
+            if S.is_queued sched v <> List.memq v queues.(v.D.processor) then ok := false)
+          (Doms.vcpus hv);
+        !ok
+      in
+      List.for_all
+        (fun (op, k, x) ->
+          let cpu = x mod cpus in
+          (match op with
+          | 0 | 1 ->
+            let v = vcpu k in
+            S.enqueue sched v;
+            let q = queues.(v.D.processor) in
+            if not (List.memq v q) then queues.(v.D.processor) <- v :: q
+          | 2 ->
+            S.drop_head sched ~cpu;
+            queues.(cpu) <- (match queues.(cpu) with _ :: rest -> rest | [] -> [])
+          | 3 ->
+            let v = vcpu k in
+            S.remove sched ~cpu v;
+            queues.(cpu) <- List.filter (fun v' -> v' != v) queues.(cpu)
+          | 4 ->
+            let next = hv.H.next_domid in
+            H.execute hv rng
+              (H.Hypercall { domid = 0; vid = 0; kind = Hyper.Hypercalls.Domctl_create_domain });
+            (match H.domain hv next with
+            | Some d ->
+              Array.iter
+                (fun (v : D.vcpu) ->
+                  queues.(v.D.processor) <- v :: queues.(v.D.processor))
+                d.D.vcpus
+            | None -> ())
+          | 5 ->
+            Hw.Apic.begin_service (apic cpu) x;
+            if not (List.mem x isr.(cpu)) then isr.(cpu) <- x :: isr.(cpu)
+          | 6 ->
+            let v = if k mod 2 = 0 then x else (match isr.(cpu) with v :: _ -> v | [] -> x) in
+            Hw.Apic.eoi (apic cpu) v;
+            isr.(cpu) <- List.filter (fun v' -> v' <> v) isr.(cpu)
+          | 7 ->
+            Hw.Apic.ack_all (apic cpu);
+            isr.(cpu) <- []
+          | 8 ->
+            if k mod 2 = 0 || !base = None then begin
+              base := Some (H.snapshot hv, copy ());
+              layer := None
+            end
+            else if !layer = None then layer := Some (H.snapshot ~layer:true hv, copy ())
+          | _ -> (
+            match (!layer, !base) with
+            | Some (im, m), _ when k mod 2 = 0 ->
+              H.restore hv im;
+              load m
+            | _, Some (im, m) ->
+              H.restore hv im;
+              layer := None;
+              load m
+            | _, None -> ()));
+          agrees ())
+        ops)
+
+(* The same vector sets through the machine image: [Hw.Machine.capture]
+   and [restore] copy each APIC's in-service register into the image's
+   own storage, so a restored set is the one captured, however the live
+   one moved since. *)
+let prop_apic_machine_image_model =
+  QCheck.Test.make ~name:"in-service sets through machine images = list model"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 200) (triple (int_bound 5) (int_bound 7) (int_bound 255)))
+    (fun ops ->
+      let m = Hw.Machine.create ~config:Hw.Machine.campaign_config () in
+      let cpus = Hw.Machine.num_cpus m in
+      let apic cpu = (Hw.Machine.cpu m cpu).Hw.Cpu.apic in
+      let isr = Array.make cpus [] in
+      let im = Hw.Machine.image m and saved = ref (Array.make cpus []) in
+      List.for_all
+        (fun (op, cpu, v) ->
+          let cpu = cpu mod cpus in
+          (match op with
+          | 0 | 1 ->
+            Hw.Apic.begin_service (apic cpu) v;
+            if not (List.mem v isr.(cpu)) then isr.(cpu) <- v :: isr.(cpu)
+          | 2 ->
+            Hw.Apic.eoi (apic cpu) v;
+            isr.(cpu) <- List.filter (fun v' -> v' <> v) isr.(cpu)
+          | 3 ->
+            Hw.Apic.ack_all (apic cpu);
+            isr.(cpu) <- []
+          | 4 ->
+            Hw.Machine.capture m im;
+            saved := Array.copy isr
+          | _ ->
+            Hw.Machine.restore m im;
+            Array.blit !saved 0 isr 0 cpus);
+          let ok = ref true in
+          for c = 0 to cpus - 1 do
+            for v = 0 to 255 do
+              if Hw.Apic.in_service (apic c) v <> List.mem v isr.(c) then ok := false
+            done
+          done;
+          !ok)
+        ops)
+
 (* ------------------------- Rng -------------------------------------- *)
 
 let prop_rng_int_in_bounds =
@@ -859,6 +1100,9 @@ let () =
             prop_cow_model "timer_heap" timer_store;
             prop_table_image_model;
             prop_pfn_lazy_table;
+            prop_sched_fix_matches_full_rewrite;
+            prop_sched_apic_list_model;
+            prop_apic_machine_image_model;
           ] );
       ( "recovery",
         List.map to_alcotest [ prop_microreset_postconditions; prop_run_deterministic ]

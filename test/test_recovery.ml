@@ -280,6 +280,34 @@ let test_engine_dispatch () =
   checkb "microreset scan path recorded" true
     (o.Recovery.Plan.scan_mode = Some Recovery.Plan.Full_scan)
 
+(* The scheduling-metadata repair counts only the records it changes: a
+   recovery repairs what the abandoned context switch left, and a second
+   serial recovery of the just-recovered machine finds nothing to fix
+   and leaves the scheduler as it was. *)
+let test_second_recovery_fixes_nothing () =
+  let hv = boot () in
+  let rng = Sim.Rng.create 17L in
+  wreck hv rng;
+  let first = Recovery.Microreset.recover hv ~enh:full ~detected_on:0 in
+  checkb "the first recovery repairs the switch" true
+    (first.Recovery.Plan.repairs.Recovery.Plan.sched_fixes > 0);
+  let scheduler () =
+    List.filter (fun l -> String.length l > 0 && l.[0] = 'c')
+      (String.split_on_char '\n' (Stores.dump hv))
+  in
+  let vcpus () =
+    List.map
+      (fun (v : Hyper.Domain.vcpu) ->
+        (v.Hyper.Domain.is_current, v.Hyper.Domain.curr_slot, v.Hyper.Domain.runstate))
+      (Doms.vcpus hv)
+  in
+  let before = (scheduler (), vcpus ()) in
+  let second = Recovery.Microreset.recover hv ~enh:full ~detected_on:0 in
+  checki "the second recovery fixes nothing" 0
+    second.Recovery.Plan.repairs.Recovery.Plan.sched_fixes;
+  checkb "and changes nothing" true (before = (scheduler (), vcpus ()));
+  checkb "scheduler consistent" true (Hyper.Hypervisor.sched_consistent hv)
+
 let test_recovery_is_repeatable () =
   (* Nine lives: the hypervisor can be recovered many times over. The
      abandoned hypercall here is idempotent, so every retry succeeds;
@@ -340,6 +368,8 @@ let () =
           Alcotest.test_case "cannot repair freelist" `Quick
             test_microreset_cannot_repair_freelist;
           Alcotest.test_case "repeatable (nine lives)" `Quick test_recovery_is_repeatable;
+          Alcotest.test_case "second recovery fixes nothing" `Quick
+            test_second_recovery_fixes_nothing;
         ] );
       ( "microreboot",
         [
